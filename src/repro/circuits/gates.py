@@ -100,22 +100,37 @@ CNOT_COST: dict[str, int] = {
 }
 
 
+def rx_entries(theta: float) -> tuple:
+    """Row-major entries of :func:`rx_matrix` as Python scalars."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return (c, -1j * s, -1j * s, c)
+
+
+def ry_entries(theta: float) -> tuple:
+    """Row-major entries of :func:`ry_matrix` as Python scalars."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return (c, -s, s, c)
+
+
+def rz_entries(theta: float) -> tuple:
+    """Row-major entries of :func:`rz_matrix` as Python scalars."""
+    phase = cmath.exp(1j * theta / 2.0)
+    return (1.0 / phase, 0, 0, phase)
+
+
 def rx_matrix(theta: float) -> np.ndarray:
     """Return the matrix of ``RX(theta) = exp(-i theta X / 2)``."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return np.array(rx_entries(theta), dtype=complex).reshape(2, 2)
 
 
 def ry_matrix(theta: float) -> np.ndarray:
     """Return the matrix of ``RY(theta) = exp(-i theta Y / 2)``."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array(ry_entries(theta), dtype=complex).reshape(2, 2)
 
 
 def rz_matrix(theta: float) -> np.ndarray:
     """Return the matrix of ``RZ(theta) = exp(-i theta Z / 2)``."""
-    phase = cmath.exp(1j * theta / 2.0)
-    return np.array([[1.0 / phase, 0], [0, phase]], dtype=complex)
+    return np.array(rz_entries(theta), dtype=complex).reshape(2, 2)
 
 
 def phase_matrix(lam: float) -> np.ndarray:

@@ -6,12 +6,15 @@ rotations.  The template knows how to
 
 * build a concrete :class:`~repro.circuits.Circuit` from a parameter
   vector, and
-* evaluate its unitary together with the analytic gradient with respect
-  to every rotation angle (``dR/dtheta = -i/2 * P * R`` for a Pauli
-  rotation ``R = exp(-i theta P / 2)``).
+* evaluate ``Tr(V^dag U(params))`` against a target ``V`` together with
+  its analytic derivative for every rotation angle
+  (``dR/dtheta = -i/2 * P * R`` for a Pauli rotation
+  ``R = exp(-i theta P / 2)``).
 
-The gradient evaluation uses cached prefix products and a single backward
-sweep, so one call costs ``O(K)`` small matrix products for ``K`` slots.
+The derivative evaluation is compiled once per template into an
+evaluation plan (:meth:`Ansatz.__init__`), so one call costs two
+sequential chains of ``K`` small matrix products for ``K`` slots plus a
+fixed number of stacked numpy calls.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import gate_matrix
-from repro.exceptions import SynthesisError
+from repro.circuits.gates import gate_matrix, rx_entries, ry_entries, rz_entries
+from repro.exceptions import GateError, SynthesisError
 from repro.linalg.embed import apply_gate_to_matrix, embed_unitary
 
 _PAULI = {
@@ -31,11 +34,15 @@ _PAULI = {
     "rz": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_ROTATION_BUILDERS = {
-    "rx": lambda t: gate_matrix("rx", (t,)),
-    "ry": lambda t: gate_matrix("ry", (t,)),
-    "rz": lambda t: gate_matrix("rz", (t,)),
-}
+#: Derivative generator ``-i/2 * P`` of each rotation:
+#: ``dR/dtheta = generator @ R``.
+_GENERATORS = {name: -0.5j * pauli for name, pauli in _PAULI.items()}
+
+
+# Row-major 2x2 entries of each rotation as Python scalars, from the
+# ``math``/``cmath`` formulas of ``gate_matrix`` itself (``np.cos`` runs
+# SIMD loops that need not match libm bit for bit).
+_ROTATION_ENTRIES = {"rx": rx_entries, "ry": ry_entries, "rz": rz_entries}
 
 #: Default rotation pattern applied to each qubit a CNOT touches: the
 #: paper's "two rotation gates on both the qubits" (Sec. 3.5).  Combined
@@ -58,7 +65,13 @@ class Slot:
 
 
 class Ansatz:
-    """A fixed-structure parameterized circuit over ``num_qubits`` qubits."""
+    """A fixed-structure parameterized circuit over ``num_qubits`` qubits.
+
+    Raises :class:`SynthesisError` for a malformed template: parameter
+    indices other than ``0..P-1``, a rotation other than rx/ry/rz on
+    exactly one qubit, a fixed slot that is no known parameterless gate
+    on its qubit count, or qubits that repeat or lie out of range.
+    """
 
     def __init__(self, num_qubits: int, slots: list[Slot]) -> None:
         self.num_qubits = int(num_qubits)
@@ -68,22 +81,85 @@ class Ansatz:
             raise SynthesisError("parameter indices must be 0..P-1 in some order")
         self.num_params = len(indices)
         self._dim = 2**self.num_qubits
-        # Fixed-slot embeddings never change; cache them once.  Rotation
-        # slots get their embedded derivative generator ``-i/2 * P``
-        # cached too: the derivative of an embedded rotation is then one
-        # small matmul (generator_embed @ rotation_embed) per optimizer
-        # step instead of a fresh gate build + Kronecker embedding.
-        self._fixed_embeds: dict[int, np.ndarray] = {}
-        self._generator_embeds: dict[int, np.ndarray] = {}
+        self._compile_plan()
+
+    def _compile_plan(self) -> None:
+        """Validate every slot and precompute what each evaluation reuses.
+
+        Rotations are stacked in slot order ("rows").  For each row the
+        plan keeps where its 2x2 entries land in the dense embedding
+        ``I_high (x) R (x) I_low`` and the identity factor each entry is
+        multiplied by, so embedding every rotation is one gather and two
+        elementwise products — the same products
+        :func:`repro.linalg.embed.embed_unitary` forms one slot at a time.
+        """
+        n, dim = self.num_qubits, self._dim
+        # Per slot: its fixed embed, or None where a rotation goes.
+        self._slot_embeds: list[np.ndarray | None] = []
+        rotations: list[tuple[int, Slot]] = []
         for position, slot in enumerate(self.slots):
-            if slot.param_index is None:
-                self._fixed_embeds[position] = embed_unitary(
-                    gate_matrix(slot.name), slot.qubits, self.num_qubits
+            qubits = tuple(slot.qubits)
+            if len(set(qubits)) != len(qubits) or any(
+                not 0 <= q < n for q in qubits
+            ):
+                raise SynthesisError(
+                    f"slot {position} {slot}: qubits must be distinct and in "
+                    f"range for {n} qubit(s)"
                 )
-            else:
-                self._generator_embeds[position] = embed_unitary(
-                    -0.5j * _PAULI[slot.name], slot.qubits, self.num_qubits
+            if slot.param_index is not None:
+                if slot.name not in _ROTATION_ENTRIES or len(qubits) != 1:
+                    raise SynthesisError(
+                        f"slot {position} {slot}: a parameterized slot must be "
+                        "an rx, ry or rz rotation on one qubit"
+                    )
+                rotations.append((position, slot))
+                self._slot_embeds.append(None)
+                continue
+            try:
+                gate = gate_matrix(slot.name)
+            except GateError as exc:
+                raise SynthesisError(f"slot {position} {slot}: {exc}") from exc
+            if gate.shape != (2 ** len(qubits),) * 2:
+                raise SynthesisError(
+                    f"slot {position} {slot}: gate {slot.name!r} does not act "
+                    f"on {len(qubits)} qubit(s)"
                 )
+            self._slot_embeds.append(embed_unitary(gate, qubits, n))
+
+        rows = len(rotations)
+        self._rotations = [
+            (_ROTATION_ENTRIES[slot.name], slot.param_index) for _, slot in rotations
+        ]
+        self._rotation_positions = np.array(
+            [position for position, _ in rotations], dtype=np.intp
+        )
+        # dtraces[p] = row_sums[self._param_rows[p]]
+        self._param_rows = np.empty(rows, dtype=np.intp)
+        self._param_rows[[slot.param_index for _, slot in rotations]] = np.arange(rows)
+        # The suffix chain is needed only down to the first rotation.
+        self._first_rotation = int(self._rotation_positions.min()) if rows else 0
+
+        entry, low, high = _embedding_layouts(n)
+        targets = np.array([slot.qubits[0] for _, slot in rotations], dtype=np.intp)
+        self._entry_index = entry[targets] + 4 * np.arange(rows)[:, None]
+        self._low_factors = low[targets]
+        self._high_factors = high[targets]
+        # Embedded derivative generators: each derivative embed is then
+        # one matmul ``generator @ rotation`` per row.
+        self._generators = self._embed_rows(
+            np.array([_GENERATORS[slot.name] for _, slot in rotations], dtype=complex)
+        )
+        self._identity = np.eye(dim, dtype=complex)
+
+    def _embed_rows(self, gates: np.ndarray) -> np.ndarray:
+        """Dense embeddings ``(rows, dim, dim)`` of one 2x2 gate per row.
+
+        ``gates`` holds the rows' 2x2 matrices back to back, in any shape.
+        """
+        embeds = gates.reshape(-1)[self._entry_index]
+        np.multiply(embeds, self._low_factors, out=embeds)
+        np.multiply(self._high_factors, embeds, out=embeds)
+        return embeds.reshape(-1, self._dim, self._dim)
 
     # ------------------------------------------------------------------
     @property
@@ -110,54 +186,12 @@ class Ansatz:
     def unitary(self, params: np.ndarray) -> np.ndarray:
         """Evaluate only the unitary (no gradients)."""
         unitary = np.eye(self._dim, dtype=complex)
-        for position, slot in enumerate(self.slots):
-            gate = self._slot_matrix(position, slot, params)
+        for slot in self.slots:
+            angles = () if slot.param_index is None else (float(params[slot.param_index]),)
             unitary = apply_gate_to_matrix(
-                unitary, gate, slot.qubits, self.num_qubits
+                unitary, gate_matrix(slot.name, angles), slot.qubits, self.num_qubits
             )
         return unitary
-
-    def _slot_embeds(self, params: np.ndarray) -> list[np.ndarray]:
-        """Embedded slot unitaries for a parameter vector."""
-        embeds: list[np.ndarray] = []
-        for position, slot in enumerate(self.slots):
-            if slot.param_index is None:
-                embeds.append(self._fixed_embeds[position])
-            else:
-                gate = _ROTATION_BUILDERS[slot.name](float(params[slot.param_index]))
-                embeds.append(embed_unitary(gate, slot.qubits, self.num_qubits))
-        return embeds
-
-    def unitary_and_gradient(
-        self, params: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``U(params)`` and ``dU/dtheta`` for every parameter.
-
-        The gradient is an array of shape ``(num_params, dim, dim)``.
-        The instantiation hot loop does not use this — it calls
-        :meth:`trace_and_gradient`, which never materializes the full
-        gradient tensor; this remains the general-purpose entry point.
-        """
-        dim = self._dim
-        embeds = self._slot_embeds(params)
-        # Prefix products: prefixes[k] = E_k ... E_1 (prefixes[0] = I).
-        prefixes = [np.eye(dim, dtype=complex)]
-        for embed in embeds:
-            prefixes.append(embed @ prefixes[-1])
-        unitary = prefixes[-1]
-        gradient = np.zeros((self.num_params, dim, dim), dtype=complex)
-        suffix = np.eye(dim, dtype=complex)
-        for position in range(len(self.slots) - 1, -1, -1):
-            slot = self.slots[position]
-            if slot.param_index is not None:
-                derivative_embed = (
-                    self._generator_embeds[position] @ embeds[position]
-                )
-                gradient[slot.param_index] = (
-                    suffix @ derivative_embed @ prefixes[position]
-                )
-            suffix = suffix @ embeds[position]
-        return unitary, gradient
 
     def trace_and_gradient(
         self, params: np.ndarray, target_conj: np.ndarray
@@ -165,41 +199,83 @@ class Ansatz:
         """Return ``Tr(V^dag U)`` and its derivative for every parameter.
 
         ``target_conj`` is the elementwise conjugate of the target ``V``
-        (so the trace is ``sum(target_conj * U)``).  Each derivative
-        ``Tr(V^dag * S_p D_p P_p)`` is contracted against the target
-        *inside* the backward sweep, so no ``(num_params, dim, dim)``
-        gradient tensor is ever allocated — this is the L-BFGS hot path
-        of :func:`repro.synthesis.instantiate.instantiate`.  The product
-        chain and contraction order match :meth:`unitary_and_gradient`
-        exactly, so the optimizer sees bit-identical values.
-        """
-        dim = self._dim
-        embeds = self._slot_embeds(params)
-        prefixes = [np.eye(dim, dtype=complex)]
-        for embed in embeds:
-            prefixes.append(embed @ prefixes[-1])
-        trace = complex(np.add.reduce(target_conj * prefixes[-1], axis=None))
-        dtraces = np.zeros(self.num_params, dtype=complex)
-        suffix = np.eye(dim, dtype=complex)
-        for position in range(len(self.slots) - 1, -1, -1):
-            slot = self.slots[position]
-            if slot.param_index is not None:
-                derivative_embed = (
-                    self._generator_embeds[position] @ embeds[position]
-                )
-                dtraces[slot.param_index] = np.add.reduce(
-                    target_conj * (suffix @ derivative_embed @ prefixes[position]),
-                    axis=None,
-                )
-            suffix = suffix @ embeds[position]
-        return trace, dtraces
+        (so the trace is ``sum(target_conj * U)``).  This is the L-BFGS
+        hot path of :func:`repro.synthesis.instantiate.instantiate`.
 
-    def _slot_matrix(
-        self, position: int, slot: Slot, params: np.ndarray
-    ) -> np.ndarray:
-        if slot.param_index is None:
-            return gate_matrix(slot.name)
-        return _ROTATION_BUILDERS[slot.name](float(params[slot.param_index]))
+        With slot embeds ``E_k``, prefixes ``P_k = E_{k-1} ... E_0`` and
+        suffixes ``S_k = E_{K-1} ... E_{k+1}``, the derivative for the
+        rotation in slot ``k`` is ``Tr(V^dag (S_k D_k) P_k)`` with
+        ``D_k = embed(-i/2 P) @ E_k``.  Only the prefix and suffix chains
+        are sequential; every per-rotation product, and the contraction
+        against the target, is one stacked call over all rotations.  Each
+        stacked call repeats the same BLAS product or pairwise reduction
+        per row that a slot-by-slot sweep makes, so the results are
+        bit-identical to one (``tests/ansatz_oracle.py`` keeps that sweep
+        as the reference).
+        """
+        dim, slots = self._dim, len(self.slots)
+        thetas = np.asarray(params, dtype=float).tolist()
+        entries: list = []
+        for build, index in self._rotations:
+            entries += build(thetas[index])
+        rotations = self._embed_rows(np.array(entries, dtype=complex))
+        embeds = list(self._slot_embeds)
+        for position, embed in zip(self._rotation_positions.tolist(), rotations):
+            embeds[position] = embed
+
+        # np.dot on 2-D operands issues the same zgemm as ``@`` with less
+        # per-call overhead; ``out=`` writes straight into the stack.
+        prefixes = np.empty((slots + 1, dim, dim), dtype=complex)
+        prefixes[0] = self._identity
+        prefix_views = list(prefixes)
+        for k in range(slots):
+            np.dot(embeds[k], prefix_views[k], out=prefix_views[k + 1])
+        suffixes = np.empty((slots, dim, dim), dtype=complex)
+        suffixes[slots - 1 :] = self._identity  # an empty slice if slots == 0
+        suffix_views = list(suffixes)
+        for k in range(slots - 1, self._first_rotation, -1):
+            np.dot(suffix_views[k], embeds[k], out=suffix_views[k - 1])
+
+        rows = len(self._rotations)
+        positions = self._rotation_positions
+        derivatives = np.matmul(self._generators, rotations)
+        # Rows 0..R-1 hold (S_k @ D_k) @ P_k; row R holds U for the trace.
+        products = np.empty((rows + 1, dim, dim), dtype=complex)
+        np.matmul(
+            np.matmul(suffixes[positions], derivatives),
+            prefixes[positions],
+            out=products[:rows],
+        )
+        products[rows] = prefix_views[slots]
+        np.multiply(target_conj, products, out=products)
+        sums = np.add.reduce(products.reshape(rows + 1, dim * dim), axis=1)
+        return complex(sums[rows]), sums[self._param_rows]
+
+
+def _embedding_layouts(num_qubits: int) -> tuple[np.ndarray, ...]:
+    """Where a 2x2 gate ``G`` lands in its dense ``I_high (x) G (x) I_low``.
+
+    Returns three ``(num_qubits, dim*dim)`` arrays; row ``q`` is for a
+    gate on qubit ``q``.  Each flattened element of the embedding is
+    ``high * (G[entry] * low)`` — the two products, in that order, that
+    :func:`repro.linalg.embed.embed_unitary` forms with ``_kron``.  The
+    arrays are ``entry`` (row-major index into ``G``), ``low`` and
+    ``high`` (the identity entries, exactly 1 or 0).
+    """
+    entries, lows, highs = [], [], []
+    for qubit in range(num_qubits):
+        low, high = 2**qubit, 2 ** (num_qubits - 1 - qubit)
+        # Embedding row (h1, i, l1) and column (h2, j, l2), in mixed radix.
+        h1, i, l1, h2, j, l2 = np.indices((high, 2, low, high, 2, low)).reshape(6, -1)
+        entries.append(2 * i + j)
+        lows.append(l1 == l2)
+        highs.append(h1 == h2)
+    size = 4**num_qubits
+    return (
+        np.array(entries, dtype=np.intp).reshape(-1, size),
+        np.array(lows, dtype=complex).reshape(-1, size),
+        np.array(highs, dtype=complex).reshape(-1, size),
+    )
 
 
 def build_leap_ansatz(

@@ -4,8 +4,8 @@ Minimizes the phase-invariant Hilbert-Schmidt cost
 
     f(theta) = 1 - |Tr(V^dag U(theta))| / N
 
-with L-BFGS-B and the analytic gradient from
-:meth:`repro.synthesis.ansatz.Ansatz.unitary_and_gradient`.  A small
+with L-BFGS-B and the analytic gradient of ``Tr(V^dag U)`` from
+:meth:`repro.synthesis.ansatz.Ansatz.trace_and_gradient`.  A small
 multistart loop (warm start plus fresh random restarts) guards against
 local minima, mirroring how LEAP re-seeds its optimizer.
 """
@@ -40,10 +40,8 @@ class InstantiationResult:
 def _cost_and_gradient(
     params: np.ndarray, ansatz: Ansatz, target_conj: np.ndarray, dim: int
 ) -> tuple[float, np.ndarray]:
-    # Tr(V^dag U) == sum(conj(V) * U) elementwise.  The trace-only path
-    # contracts each per-parameter derivative against the target inside
-    # the ansatz's prefix/suffix sweep, so the L-BFGS hot loop never
-    # materializes the (num_params, dim, dim) gradient tensor.
+    # Tr(V^dag U) == sum(conj(V) * U) elementwise; the ansatz contracts
+    # each per-parameter derivative against the target itself.
     trace, dtraces = ansatz.trace_and_gradient(params, target_conj)
     magnitude = abs(trace)
     cost = 1.0 - magnitude / dim
