@@ -12,7 +12,11 @@ claims:
   while beating two frozen "before" kernels: the seed implementation
   (dense ``np.kron`` embeddings plus the full ``(num_params, dim, dim)``
   gradient tensor, frozen below) and the slot-by-slot trace-only sweep
-  that preceded the stacked kernel (frozen in ``tests/ansatz_oracle.py``).
+  that preceded the stacked kernel (frozen in ``tests/ansatz_oracle.py``);
+* one LEAP layer (every placement x every start of a 3-qubit target)
+  fitted in lockstep yields byte-identical results to, and runs faster
+  than, the sequential per-start ``minimize`` loop it replaced (frozen in
+  ``tests/instantiate_oracle.py``).
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from repro.linalg.embed import embed_unitary
 from repro.metrics import tvd
 from repro.noise import NoiseModel, run_density, run_trajectories
 from repro.synthesis import build_leap_ansatz
-from repro.synthesis.instantiate import _cost_and_gradient
+from repro.synthesis.instantiate import _cost_and_gradient, instantiate_multi
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 from tests.ansatz_oracle import SlotSweep
+from tests.instantiate_oracle import sequential_instantiate_multi
 
 RESULTS_PATH = REPO_ROOT / "BENCH_kernels.json"
 
@@ -120,6 +125,40 @@ def _seconds_per_call(cost_fn, params, args, calls=300, repeats=5) -> float:
     return best
 
 
+def _leap_layer_fits(lockstep: bool) -> list[np.ndarray]:
+    """Every placement x start of one LEAP layer (layer 3 of a 3-qubit
+    target at the paper's threshold), as the list of fitted parameters."""
+    rng = np.random.default_rng(7)
+    target = random_unitary(8, rng)
+    prefix = [(0, 1), (1, 2)]
+    ansatze = [build_leap_ansatz(3, prefix + [p]) for p in [(0, 1), (0, 2), (1, 2)]]
+    best = rng.uniform(-np.pi, np.pi, ansatze[0].num_params - 4)
+    kwargs = dict(starts=3, maxiter=400, stop_at_cost=1e-3)
+    if lockstep:
+        layer = instantiate_multi(
+            ansatze, target, rng=rng, initial_params=best, warm_spread=0.1, **kwargs
+        )
+    else:
+        layer = []
+        for ansatz in ansatze:
+            warm = np.concatenate([best, rng.uniform(-0.1, 0.1, size=4)])
+            layer.append(
+                sequential_instantiate_multi(
+                    ansatz, target, rng=rng, initial_params=warm, **kwargs
+                )
+            )
+    return [fit.params for fits in layer for fit in fits]
+
+
+def _best_seconds(fn, repeats=3) -> tuple[float, object]:
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
 def test_kernel_scaling_smoke():
     # --- Trajectory sampler: scalar vs batched -------------------------
     circuit = tfim(5, steps=2)
@@ -177,6 +216,14 @@ def test_kernel_scaling_smoke():
         assert np.array_equal(fits["seed"].x, fits[name].x)
         assert fits["seed"].fun == fits[name].fun
 
+    # --- One LEAP layer: sequential minimize loop vs lockstep ----------
+    sequential_seconds, sequential_fits = _best_seconds(lambda: _leap_layer_fits(False))
+    lockstep_seconds, lockstep_fits = _best_seconds(lambda: _leap_layer_fits(True))
+    layer_speedup = sequential_seconds / lockstep_seconds
+    assert len(lockstep_fits) == len(sequential_fits) == 9
+    for ours, reference in zip(lockstep_fits, sequential_fits):
+        assert np.array_equal(ours, reference)
+
     rows = [
         ["trajectories T=1000, scalar", f"{scalar_seconds:.3f}", ""],
         ["trajectories T=1000, batched", f"{batched_seconds:.3f}",
@@ -189,6 +236,9 @@ def test_kernel_scaling_smoke():
         ["cost+gradient call, slot sweep", f"{call_seconds['sweep']:.6f}", ""],
         ["cost+gradient call, stacked", f"{call_seconds['stacked']:.6f}",
          f"{speedup_vs_seed:.1f}x / {speedup_vs_sweep:.1f}x"],
+        ["LEAP layer 3x3 rows, sequential", f"{sequential_seconds:.3f}", ""],
+        ["LEAP layer 3x3 rows, lockstep", f"{lockstep_seconds:.3f}",
+         f"{layer_speedup:.1f}x"],
     ]
     print_table(
         "Vectorized kernels (TFIM-5 trajectories / 3q instantiation)",
@@ -199,6 +249,7 @@ def test_kernel_scaling_smoke():
     assert trajectory_speedup >= 5.0
     assert instantiation_speedup > 1.0
     assert speedup_vs_sweep > 1.0
+    assert layer_speedup > 1.0
 
     RESULTS_PATH.write_text(
         json.dumps(
@@ -223,6 +274,11 @@ def test_kernel_scaling_smoke():
                     np.array_equal(fits["seed"].x, fits["stacked"].x)
                     and np.array_equal(fits["sweep"].x, fits["stacked"].x)
                 ),
+                "leap_layer": "3 qubits, layer 3, 3 placements x 3 starts",
+                "leap_layer_sequential_seconds": sequential_seconds,
+                "leap_layer_lockstep_seconds": lockstep_seconds,
+                "leap_layer_speedup": layer_speedup,
+                "leap_layer_results_identical": True,
             },
             indent=2,
         )

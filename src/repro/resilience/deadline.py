@@ -5,9 +5,9 @@ The executor's hard per-block timeout is enforced with
 a *worker process* that can be abandoned.  The inline (``workers == 1``)
 path runs synthesis in the parent, where nothing can preempt a stuck
 optimizer, so the deadline is **cooperative**: the executor arms a
-deadline around the block's synthesis call and long-running loops (the
-LEAP layer/placement loops, the instantiation multistart loop, the fault
-injector's hang fault) call :func:`check_deadline`, which raises
+deadline around the block's synthesis call and long-running loops (each
+round of the instantiation driver, the fault injector's hang fault)
+call :func:`check_deadline`, which raises
 :class:`~repro.exceptions.BlockTimeoutError` once the deadline passes.
 
 The deadline lives in a :class:`contextvars.ContextVar`, so nested
@@ -51,7 +51,7 @@ def check_deadline() -> None:
     """Raise :class:`BlockTimeoutError` if the armed deadline has passed.
 
     Cheap enough (one context-var read + one clock read) to call from
-    per-layer and per-start loops; a no-op when no deadline is armed.
+    per-round loops; a no-op when no deadline is armed.
     """
     deadline = _DEADLINE.get()
     if deadline is not None and time.monotonic() > deadline:

@@ -14,11 +14,14 @@ rotations.  The template knows how to
 The derivative evaluation is compiled once per template into an
 evaluation plan (:meth:`Ansatz.__init__`), so one call costs two
 sequential chains of ``K`` small matrix products for ``K`` slots plus a
-fixed number of stacked numpy calls.
+fixed number of stacked numpy calls.  An :class:`AnsatzStack` runs the
+same plan for several same-shape templates at once, one parameter row
+each, so the numpy call count does not grow with the number of rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,21 +84,20 @@ class Ansatz:
             raise SynthesisError("parameter indices must be 0..P-1 in some order")
         self.num_params = len(indices)
         self._dim = 2**self.num_qubits
-        self._compile_plan()
+        self._compile_template()
+        self._compile_rows([self])
 
-    def _compile_plan(self) -> None:
-        """Validate every slot and precompute what each evaluation reuses.
+    def _compile_template(self) -> None:
+        """Validate every slot and keep what depends on this template alone.
 
-        Rotations are stacked in slot order ("rows").  For each row the
-        plan keeps where its 2x2 entries land in the dense embedding
-        ``I_high (x) R (x) I_low`` and the identity factor each entry is
-        multiplied by, so embedding every rotation is one gather and two
-        elementwise products — the same products
-        :func:`repro.linalg.embed.embed_unitary` forms one slot at a time.
+        Rotations are stacked in slot order ("rotation rows").  Their
+        names, parameter indices and slot positions fix the shape of the
+        plan; their target qubits and the fixed slots' embeddings are what
+        one template of a stack contributes (:meth:`_compile_rows`).
         """
-        n, dim = self.num_qubits, self._dim
+        n = self.num_qubits
         # Per slot: its fixed embed, or None where a rotation goes.
-        self._slot_embeds: list[np.ndarray | None] = []
+        self._fixed_embeds: list[np.ndarray | None] = []
         rotations: list[tuple[int, Slot]] = []
         for position, slot in enumerate(self.slots):
             qubits = tuple(slot.qubits)
@@ -113,7 +115,7 @@ class Ansatz:
                         "an rx, ry or rz rotation on one qubit"
                     )
                 rotations.append((position, slot))
-                self._slot_embeds.append(None)
+                self._fixed_embeds.append(None)
                 continue
             try:
                 gate = gate_matrix(slot.name)
@@ -124,42 +126,70 @@ class Ansatz:
                     f"slot {position} {slot}: gate {slot.name!r} does not act "
                     f"on {len(qubits)} qubit(s)"
                 )
-            self._slot_embeds.append(embed_unitary(gate, qubits, n))
+            self._fixed_embeds.append(embed_unitary(gate, qubits, n))
 
-        rows = len(rotations)
+        self._rotation_names = [slot.name for _, slot in rotations]
+        self._rotation_targets = [slot.qubits[0] for _, slot in rotations]
         self._rotations = [
             (_ROTATION_ENTRIES[slot.name], slot.param_index) for _, slot in rotations
         ]
         self._rotation_positions = np.array(
             [position for position, _ in rotations], dtype=np.intp
         )
-        # dtraces[p] = row_sums[self._param_rows[p]]
-        self._param_rows = np.empty(rows, dtype=np.intp)
-        self._param_rows[[slot.param_index for _, slot in rotations]] = np.arange(rows)
+        # dtraces[:, p] = sums[self._param_rows[p]]
+        self._param_rows = np.empty(len(rotations), dtype=np.intp)
+        self._param_rows[[slot.param_index for _, slot in rotations]] = np.arange(
+            len(rotations)
+        )
         # The suffix chain is needed only down to the first rotation.
-        self._first_rotation = int(self._rotation_positions.min()) if rows else 0
+        self._first_rotation = (
+            int(self._rotation_positions.min()) if rotations else 0
+        )
+        self._identity = np.eye(self._dim, dtype=complex)
 
-        entry, low, high = _embedding_layouts(n)
-        targets = np.array([slot.qubits[0] for _, slot in rotations], dtype=np.intp)
-        self._entry_index = entry[targets] + 4 * np.arange(rows)[:, None]
+    def _compile_rows(self, members: list[Ansatz]) -> None:
+        """Precompute the per-row plan of a stack of ``members``.
+
+        Row ``b`` of every array below belongs to ``members[b]``.  For
+        each rotation the plan keeps where its 2x2 entries land in the
+        dense embedding ``I_high (x) R (x) I_low`` and the identity factor
+        each entry is multiplied by, so embedding every rotation of every
+        row is one gather and two elementwise products — the same
+        products :func:`repro.linalg.embed.embed_unitary` forms one slot
+        at a time.  Arrays are rotation-major, ``(R, B, ...)``.
+        """
+        batch = len(members)
+        self._batch = batch
+        self._slot_embeds = [
+            None if embed is None else np.stack([m._fixed_embeds[k] for m in members])
+            for k, embed in enumerate(self._fixed_embeds)
+        ]
+        entry, low, high = _embedding_layouts(self.num_qubits)
+        targets = np.array(
+            [m._rotation_targets for m in members], dtype=np.intp
+        ).reshape(batch, -1).T
+        count = len(targets)
+        offsets = 4 * np.arange(count * batch, dtype=np.intp).reshape(count, batch, 1)
+        self._entry_index = entry[targets] + offsets
         self._low_factors = low[targets]
         self._high_factors = high[targets]
         # Embedded derivative generators: each derivative embed is then
         # one matmul ``generator @ rotation`` per row.
-        self._generators = self._embed_rows(
-            np.array([_GENERATORS[slot.name] for _, slot in rotations], dtype=complex)
-        )
-        self._identity = np.eye(dim, dtype=complex)
+        generators = np.array(
+            [_GENERATORS[name] for name in self._rotation_names], dtype=complex
+        ).reshape(count, 1, 4)
+        self._generators = self._embed_rows(np.repeat(generators, batch, axis=1))
 
     def _embed_rows(self, gates: np.ndarray) -> np.ndarray:
-        """Dense embeddings ``(rows, dim, dim)`` of one 2x2 gate per row.
+        """Dense embeddings ``(R, B, dim, dim)`` of one 2x2 gate per row.
 
-        ``gates`` holds the rows' 2x2 matrices back to back, in any shape.
+        ``gates`` holds the rows' 2x2 matrices back to back in
+        rotation-major order, in any shape.
         """
         embeds = gates.reshape(-1)[self._entry_index]
         np.multiply(embeds, self._low_factors, out=embeds)
         np.multiply(self._high_factors, embeds, out=embeds)
-        return embeds.reshape(-1, self._dim, self._dim)
+        return embeds.reshape(-1, self._batch, self._dim, self._dim)
 
     # ------------------------------------------------------------------
     @property
@@ -193,65 +223,117 @@ class Ansatz:
             )
         return unitary
 
-    def trace_and_gradient(
-        self, params: np.ndarray, target_conj: np.ndarray
-    ) -> tuple[complex, np.ndarray]:
+    def trace_and_gradient(self, params: np.ndarray, target_conj: np.ndarray):
         """Return ``Tr(V^dag U)`` and its derivative for every parameter.
 
         ``target_conj`` is the elementwise conjugate of the target ``V``
         (so the trace is ``sum(target_conj * U)``).  This is the L-BFGS
-        hot path of :func:`repro.synthesis.instantiate.instantiate`.
+        hot path of :func:`repro.synthesis.instantiate.instantiate_multi`.
+
+        ``params`` of shape ``(P,)`` gives a complex trace and ``(P,)``
+        derivatives.  ``(B, P)`` parameters, on an :class:`AnsatzStack` of
+        ``B`` templates (``B = 1`` for a lone template), give ``(B,)``
+        traces and ``(B, P)`` derivatives, row ``b`` for template ``b``.
 
         With slot embeds ``E_k``, prefixes ``P_k = E_{k-1} ... E_0`` and
         suffixes ``S_k = E_{K-1} ... E_{k+1}``, the derivative for the
         rotation in slot ``k`` is ``Tr(V^dag (S_k D_k) P_k)`` with
         ``D_k = embed(-i/2 P) @ E_k``.  Only the prefix and suffix chains
-        are sequential; every per-rotation product, and the contraction
-        against the target, is one stacked call over all rotations.  Each
-        stacked call repeats the same BLAS product or pairwise reduction
-        per row that a slot-by-slot sweep makes, so the results are
-        bit-identical to one (``tests/ansatz_oracle.py`` keeps that sweep
-        as the reference).
+        are sequential, one stacked product over all rows per slot; every
+        per-rotation product, and the contraction against the target, is
+        one stacked call over all rotations of all rows.  Each stacked
+        call repeats the same BLAS product or pairwise reduction per
+        matrix that a slot-by-slot sweep of one template makes, so every
+        row is bit-identical to it (``tests/ansatz_oracle.py`` keeps that
+        sweep as the reference).
         """
-        dim, slots = self._dim, len(self.slots)
-        thetas = np.asarray(params, dtype=float).tolist()
+        dim, slots, batch = self._dim, len(self.slots), self._batch
+        thetas = np.asarray(params, dtype=float)
+        columns = thetas.reshape(batch, self.num_params).T.tolist()
         entries: list = []
         for build, index in self._rotations:
-            entries += build(thetas[index])
+            for theta in columns[index]:
+                entries += build(theta)
         rotations = self._embed_rows(np.array(entries, dtype=complex))
         embeds = list(self._slot_embeds)
         for position, embed in zip(self._rotation_positions.tolist(), rotations):
             embeds[position] = embed
 
-        # np.dot on 2-D operands issues the same zgemm as ``@`` with less
-        # per-call overhead; ``out=`` writes straight into the stack.
-        prefixes = np.empty((slots + 1, dim, dim), dtype=complex)
+        # Slot-major chains: each step is one (B, dim, dim) product whose
+        # operands and output are contiguous, ``out=`` writing straight
+        # into the stack.
+        prefixes = np.empty((slots + 1, batch, dim, dim), dtype=complex)
         prefixes[0] = self._identity
         prefix_views = list(prefixes)
         for k in range(slots):
-            np.dot(embeds[k], prefix_views[k], out=prefix_views[k + 1])
-        suffixes = np.empty((slots, dim, dim), dtype=complex)
+            np.matmul(embeds[k], prefix_views[k], out=prefix_views[k + 1])
+        suffixes = np.empty((slots, batch, dim, dim), dtype=complex)
         suffixes[slots - 1 :] = self._identity  # an empty slice if slots == 0
         suffix_views = list(suffixes)
         for k in range(slots - 1, self._first_rotation, -1):
-            np.dot(suffix_views[k], embeds[k], out=suffix_views[k - 1])
+            np.matmul(suffix_views[k], embeds[k], out=suffix_views[k - 1])
 
-        rows = len(self._rotations)
+        count = len(self._rotations)
         positions = self._rotation_positions
         derivatives = np.matmul(self._generators, rotations)
         # Rows 0..R-1 hold (S_k @ D_k) @ P_k; row R holds U for the trace.
-        products = np.empty((rows + 1, dim, dim), dtype=complex)
+        products = np.empty((count + 1, batch, dim, dim), dtype=complex)
         np.matmul(
             np.matmul(suffixes[positions], derivatives),
             prefixes[positions],
-            out=products[:rows],
+            out=products[:count],
         )
-        products[rows] = prefix_views[slots]
+        products[count] = prefix_views[slots]
         np.multiply(target_conj, products, out=products)
-        sums = np.add.reduce(products.reshape(rows + 1, dim * dim), axis=1)
-        return complex(sums[rows]), sums[self._param_rows]
+        sums = np.add.reduce(
+            products.reshape((count + 1) * batch, dim * dim), axis=1
+        ).reshape(count + 1, batch)
+        # Row-major copy: each row's derivatives are contiguous, as a lone
+        # template's are, for the elementwise cost formula downstream.
+        dtraces = np.ascontiguousarray(sums[self._param_rows].T)
+        if thetas.ndim == 1:
+            return complex(sums[count, 0]), dtraces[0]
+        return sums[count], dtraces
 
 
+class AnsatzStack(Ansatz):
+    """Same-shape templates evaluated together, one parameter row each.
+
+    ``members`` must agree on their qubit count, slot names and parameter
+    indices; only the qubits each slot acts on may differ (as between the
+    CNOT placements of one LEAP layer).  :meth:`trace_and_gradient` then
+    takes ``(B, P)`` parameters, row ``b`` binding ``members[b]``, and each
+    row's result is bit-identical to that member's own call.  A template
+    may appear in several rows.  ``slots`` and the other template
+    accessors describe ``members[0]``.
+    """
+
+    def __init__(self, members: list[Ansatz]) -> None:
+        members = tuple(members)
+        if not members:
+            raise SynthesisError("an ansatz stack needs at least one template")
+        lead = members[0]
+        shape = _template_shape(lead)
+        if any(_template_shape(member) != shape for member in members[1:]):
+            raise SynthesisError(
+                "stacked templates must share qubit count, slot names and "
+                "parameter indices"
+            )
+        # The shape and the plan's shared part are the lead's; the per-row
+        # part is recompiled over every member.
+        vars(self).update(vars(lead))
+        self.members = members
+        self._compile_rows(list(members))
+
+
+def _template_shape(ansatz: Ansatz) -> tuple:
+    return (
+        ansatz.num_qubits,
+        tuple((slot.name, slot.param_index) for slot in ansatz.slots),
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _embedding_layouts(num_qubits: int) -> tuple[np.ndarray, ...]:
     """Where a 2x2 gate ``G`` lands in its dense ``I_high (x) G (x) I_low``.
 
@@ -260,7 +342,8 @@ def _embedding_layouts(num_qubits: int) -> tuple[np.ndarray, ...]:
     ``high * (G[entry] * low)`` — the two products, in that order, that
     :func:`repro.linalg.embed.embed_unitary` forms with ``_kron``.  The
     arrays are ``entry`` (row-major index into ``G``), ``low`` and
-    ``high`` (the identity entries, exactly 1 or 0).
+    ``high`` (the identity entries, exactly 1 or 0).  Cached per qubit
+    count; callers only index them.
     """
     entries, lows, highs = [], [], []
     for qubit in range(num_qubits):

@@ -20,7 +20,6 @@ from repro.circuits.circuit import Circuit
 from repro.exceptions import SynthesisError
 from repro.linalg.su2 import zyz_decompose
 from repro.observability import get_metrics, get_tracer
-from repro.resilience.deadline import check_deadline
 from repro.synthesis.ansatz import (
     DEFAULT_LAYER_ROTATIONS,
     all_placements,
@@ -200,32 +199,30 @@ def synthesize(
         layer_entries: list[
             tuple[float, SynthesisSolution, np.ndarray, tuple[int, int]]
         ] = []
-        for placement in placements:
-            # Cooperative hard deadline (inline executor path): unlike
-            # ``time_budget`` below — which exits gracefully with the
-            # pool collected so far — an expired deadline aborts the
-            # block so the executor can retry or fall back.
-            check_deadline()
-            structure = best_structure + [placement]
-            ansatz = build_leap_ansatz(
-                num_qubits, structure, config.layer_rotations
+        ansatze = [
+            build_leap_ansatz(
+                num_qubits, best_structure + [placement], config.layer_rotations
             )
-            # LEAP re-seeding: previous optimum extended with small random
-            # angles for the new layer's rotations.
-            new_param_count = ansatz.num_params - len(best_params)
-            warm = np.concatenate(
-                [best_params, rng.uniform(-0.1, 0.1, size=new_param_count)]
-            )
-            fits = instantiate_multi(
-                ansatz,
-                target,
-                rng=rng,
-                starts=config.instantiation_starts,
-                maxiter=config.max_optimizer_iterations,
-                initial_params=warm,
-                stop_at_cost=config.target_cost,
-            )
-            report.instantiations += 1
+            for placement in placements
+        ]
+        # One lockstep call fits every placement.  LEAP re-seeding: each
+        # warm start is the previous optimum extended with small random
+        # angles for the new layer's rotations.  An expired cooperative
+        # deadline (inline executor path) raises from inside the call and
+        # aborts the block for a retry or fallback, unlike the graceful
+        # ``time_budget`` exit below.
+        layer_fits = instantiate_multi(
+            ansatze,
+            target,
+            rng=rng,
+            starts=config.instantiation_starts,
+            maxiter=config.max_optimizer_iterations,
+            initial_params=best_params,
+            stop_at_cost=config.target_cost,
+            warm_spread=0.1,
+        )
+        report.instantiations += len(placements)
+        for placement, ansatz, fits in zip(placements, ansatze, layer_fits):
             # Every start's local optimum becomes a candidate: distinct
             # minima at the same CNOT count are naturally dissimilar,
             # which feeds QUEST's selection (the paper's "multiple seeds").

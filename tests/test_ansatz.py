@@ -16,6 +16,7 @@ from repro.synthesis import (
     build_leap_ansatz,
     synthesize,
 )
+from repro.synthesis.ansatz import AnsatzStack
 from repro.synthesis.instantiate import _cost_and_gradient, instantiate_multi
 from tests.ansatz_oracle import SlotSweep
 
@@ -149,18 +150,65 @@ def test_trace_and_gradient_handles_any_slot_order(rng):
     assert dtraces.shape == (0,)
 
 
+def test_stack_rows_are_bit_identical_to_their_members():
+    # One LEAP layer: every placement after a shared prefix, each twice.
+    rng = np.random.default_rng(9)
+    for num_qubits in (2, 3):
+        placements = all_placements(num_qubits)
+        prefix = [placements[(5 * i) % len(placements)] for i in range(4)]
+        members = [
+            build_leap_ansatz(num_qubits, prefix + [placement])
+            for placement in placements
+            for _ in range(2)
+        ]
+        stack = AnsatzStack(members)
+        target_conj = random_unitary(2**num_qubits, rng).conj()
+        params = rng.uniform(-np.pi, np.pi, (len(members), stack.num_params))
+        traces, dtraces = stack.trace_and_gradient(params, target_conj)
+        assert traces.shape == (len(members),)
+        assert dtraces.shape == params.shape
+        for member, row, trace, row_dtraces in zip(members, params, traces, dtraces):
+            expected_trace, expected_dtraces = SlotSweep(member).trace_and_gradient(
+                row, target_conj
+            )
+            assert complex(trace) == expected_trace
+            assert row_dtraces.tobytes() == expected_dtraces.tobytes()
+            assert row_dtraces.flags.c_contiguous
+
+
 def test_instantiate_multi_is_byte_identical_to_slot_sweep(monkeypatch):
+    # The lockstep driver looks the kernel up on the class, so the sweep
+    # replaces it there and serves every row of every stacked call with
+    # the slot-by-slot sweep of that row's own template.
     rng = np.random.default_rng(3)
-    ansatz = build_leap_ansatz(3, [(0, 1), (1, 2)])
-    target = ansatz.unitary(rng.uniform(-np.pi, np.pi, ansatz.num_params))
+    ansatze = [build_leap_ansatz(3, [(0, 1), p]) for p in [(0, 1), (0, 2), (1, 2)]]
+    target = ansatze[0].unitary(rng.uniform(-np.pi, np.pi, ansatze[0].num_params))
     kwargs = dict(rng=11, starts=3, maxiter=150, stop_at_cost=1e-4)
-    stacked = instantiate_multi(ansatz, target, **kwargs)
-    monkeypatch.setattr(
-        ansatz, "trace_and_gradient", SlotSweep(ansatz).trace_and_gradient
-    )
-    swept = instantiate_multi(ansatz, target, **kwargs)
-    assert len(stacked) == len(swept) == 3
-    for ours, reference in zip(stacked, swept):
+    stacked = instantiate_multi(ansatze, target, **kwargs)
+    batch_sizes = []
+
+    def sweep(self, params, target_conj):
+        members = getattr(self, "members", (self,))
+        batch_sizes.append(len(members))
+        rows = [
+            SlotSweep(member).trace_and_gradient(row, target_conj)
+            for member, row in zip(members, np.atleast_2d(params))
+        ]
+        traces = np.array([trace for trace, _ in rows])
+        dtraces = np.array([row_dtraces for _, row_dtraces in rows])
+        if np.ndim(params) == 1:
+            return complex(traces[0]), dtraces[0]
+        return traces, dtraces
+
+    monkeypatch.setattr(Ansatz, "trace_and_gradient", sweep)
+    swept = instantiate_multi(ansatze, target, **kwargs)
+    # Not vacuous: the sweep served the stacked calls, nine rows at first.
+    assert batch_sizes[0] == 9
+    assert [len(fits) for fits in stacked] == [len(fits) for fits in swept] == [3] * 3
+    for ours, reference in zip(
+        [fit for fits in stacked for fit in fits],
+        [fit for fits in swept for fit in fits],
+    ):
         assert ours.params.tobytes() == reference.params.tobytes()
         assert ours.cost == reference.cost
 
