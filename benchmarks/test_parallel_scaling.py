@@ -56,9 +56,9 @@ def test_parallel_scaling_smoke(tmp_path):
 
     serial, serial_wall = _timed_run(circuit, workers=1, cache=False)
     parallel, parallel_wall = _timed_run(circuit, workers=2, cache=False)
-    cache_dir = str(tmp_path / "pool_cache")
-    cold, cold_wall = _timed_run(circuit, workers=1, cache_dir=cache_dir)
-    cached, cached_wall = _timed_run(circuit, workers=1, cache_dir=cache_dir)
+    store_dir = str(tmp_path / "pool_cache")
+    cold, cold_wall = _timed_run(circuit, workers=1, store_dir=store_dir)
+    cached, cached_wall = _timed_run(circuit, workers=1, store_dir=store_dir)
 
     rows = [
         ["serial (no cache)", f"{serial_wall:.2f}",

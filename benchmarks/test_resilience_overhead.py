@@ -1,21 +1,20 @@
 """Smoke benchmark: what resilience costs — and what resume saves.
 
 Runs the same 5-qubit Trotterized TFIM circuit through QUEST four ways —
-baseline (no checkpointing, validation on), validation off,
-checkpointed cold, and a resume against the warm journal — and records
+baseline (cache off, validation on), validation off, a cold run over a
+``store_dir``, and a rerun over that store (the resume) — and records
 the timings to ``BENCH_resilience.json`` at the repo root.  Asserts the
 layer's two core claims:
 
-* all four modes produce identical selections (checkpointing and
-  validation are observers, not participants), and
-* the resumed run skips synthesis entirely (every nontrivial block
-  restored from the journal) and spends less time in synthesis than the
-  cold run.
+* all four modes produce identical selections (the store and validation
+  are observers, not participants), and
+* the resumed run synthesizes nothing (every nontrivial block is a store
+  hit) and spends less time in synthesis than the cold run.
 
-Journaling overhead itself (pickle + fsync per block) is recorded but
-only sanity-checked, not asserted small: at bench scale blocks take
-fractions of a second, so fsync latency is a visible fraction in a way
-it never is on real multi-minute blocks.
+The store's publish overhead itself (pickle + fsync per entry) is
+recorded but only sanity-checked, not asserted small: at bench scale
+blocks take fractions of a second, so fsync latency is a visible
+fraction in a way it never is on real multi-minute blocks.
 """
 
 from __future__ import annotations
@@ -44,14 +43,14 @@ SCALING_CONFIG = dict(
     annealing_maxiter=80,
     block_time_budget=20.0,
     sphere_variants_per_count=2,
-    cache=False,  # isolate journal/validation effects from the cache
+    cache=False,  # isolate validation effects from the cache
 )
 
 
-def _timed_run(circuit, checkpoint_dir=None, **overrides):
+def _timed_run(circuit, **overrides):
     config = QuestConfig(**{**SCALING_CONFIG, **overrides})
     start = time.perf_counter()
-    result = run_quest(circuit, config, checkpoint_dir=checkpoint_dir)
+    result = run_quest(circuit, config)
     return result, time.perf_counter() - start
 
 
@@ -62,27 +61,27 @@ def test_resilience_overhead_smoke(tmp_path):
     unvalidated, unvalidated_wall = _timed_run(
         circuit, validate_candidates=False
     )
-    ckpt = str(tmp_path / "journal")
-    cold, cold_wall = _timed_run(circuit, checkpoint_dir=ckpt)
-    resumed, resumed_wall = _timed_run(circuit, checkpoint_dir=ckpt)
+    store = str(tmp_path / "store")
+    cold, cold_wall = _timed_run(circuit, cache=True, store_dir=store)
+    resumed, resumed_wall = _timed_run(circuit, cache=True, store_dir=store)
 
     rows = [
         ["baseline", f"{baseline_wall:.2f}",
          f"{baseline.timings.synthesis_seconds:.2f}", 0],
         ["validation off", f"{unvalidated_wall:.2f}",
          f"{unvalidated.timings.synthesis_seconds:.2f}", 0],
-        ["checkpointed cold", f"{cold_wall:.2f}",
-         f"{cold.timings.synthesis_seconds:.2f}", cold.checkpoint_hits],
+        ["store cold", f"{cold_wall:.2f}",
+         f"{cold.timings.synthesis_seconds:.2f}", cold.cache_hits],
         ["resumed", f"{resumed_wall:.2f}",
-         f"{resumed.timings.synthesis_seconds:.2f}", resumed.checkpoint_hits],
+         f"{resumed.timings.synthesis_seconds:.2f}", resumed.cache_hits],
     ]
     print_table(
         "Resilience overhead (TFIM-5, 2 Trotter steps)",
-        ["mode", "wall s", "synthesis s", "checkpoint hits"],
+        ["mode", "wall s", "synthesis s", "cache hits"],
         rows,
     )
 
-    # Checkpointing and validation never change results.
+    # The store and validation never change results.
     signature = [
         baseline.cnot_counts, baseline.selection.bounds,
         [tuple(int(i) for i in c) for c in baseline.selection.choices],
@@ -93,10 +92,11 @@ def test_resilience_overhead_smoke(tmp_path):
             [tuple(int(i) for i in c) for c in other.selection.choices],
         ] == signature
 
-    # The resume restored every nontrivial block and skipped synthesis.
-    assert resumed.checkpoint_hits > 0
+    # The resume found every nontrivial block in the store: no synthesis.
     assert resumed.cache_misses == 0
-    assert resumed.checkpoint_corrupt_entries == 0
+    assert resumed.cache_hits == cold.cache_hits + cold.cache_misses
+    assert resumed.cache_corrupt_entries == 0
+    assert resumed.metrics["counters"].get("leap.synthesis_runs", 0) == 0
     assert resumed.timings.synthesis_seconds < cold.timings.synthesis_seconds
     # No failures anywhere in a clean run.
     for result in (baseline, unvalidated, cold, resumed):
@@ -110,15 +110,17 @@ def test_resilience_overhead_smoke(tmp_path):
                 "blocks": len(baseline.blocks),
                 "baseline_seconds": baseline_wall,
                 "no_validation_seconds": unvalidated_wall,
-                "checkpointed_cold_seconds": cold_wall,
+                "store_cold_seconds": cold_wall,
                 "resumed_seconds": resumed_wall,
                 "baseline_synthesis_seconds":
                     baseline.timings.synthesis_seconds,
-                "checkpointed_synthesis_seconds":
+                "store_cold_synthesis_seconds":
                     cold.timings.synthesis_seconds,
                 "resumed_synthesis_seconds":
                     resumed.timings.synthesis_seconds,
-                "resumed_checkpoint_hits": resumed.checkpoint_hits,
+                "store_cold_cache_misses": cold.cache_misses,
+                "resumed_cache_hits": resumed.cache_hits,
+                "resumed_cache_misses": resumed.cache_misses,
                 "original_cnot_count": baseline.original_cnot_count,
                 "selected_cnot_counts": baseline.cnot_counts,
             },

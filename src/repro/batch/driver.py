@@ -21,10 +21,10 @@ unchanged pipeline: per-circuit selections are **bit-identical** to
 running that circuit alone, because every shared result is keyed by the
 content-addressed entry key that pins the synthesis seed.
 
-With ``checkpoint_dir``, each circuit journals into its own
-subdirectory (``circuit-0000``, ``circuit-0001``, ...); a killed batch
-rerun against the same directory resumes every unfinished circuit from
-its journaled blocks, bit-identically.
+With ``config.store_dir``, every block is published to the store as its
+job lands; a killed batch rerun over the same store finds every block
+that finished before the kill and synthesizes only the rest,
+bit-identically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.batch.workqueue import InflightRegistry
 from repro.core.quest import QuestConfig, QuestResult, run_quest
@@ -105,21 +104,11 @@ class BatchResult:
         return text
 
 
-def _circuit_checkpoint_dir(
-    checkpoint_dir: str | None, index: int
-) -> str | None:
-    if checkpoint_dir is None:
-        return None
-    return str(Path(checkpoint_dir) / f"circuit-{index:04d}")
-
-
 def run_quest_batch(
     circuits,
     config: QuestConfig | None = None,
     *,
     window: int = 2,
-    checkpoint_dir: str | None = None,
-    resume: bool = True,
     fault_injector=None,
 ) -> BatchResult:
     """Compile every circuit in ``circuits`` through one shared substrate.
@@ -137,18 +126,13 @@ def run_quest_batch(
         concurrently.  ``1`` degrades to sequential-with-shared-state;
         larger windows overlap circuit *i*'s selection with circuit
         *i+1*'s synthesis.
-    checkpoint_dir:
-        Optional batch journal root; each circuit journals into its own
-        ``circuit-NNNN`` subdirectory and a rerun resumes from it.
-    resume:
-        Refuse existing journals when False (passed through per
-        circuit).
     fault_injector:
         Shared fault injector (tests/CI), passed through per circuit.
 
     A circuit that *fails* (raises) aborts the batch after in-flight
     circuits finish; completed results are not returned partially —
-    rerun with ``checkpoint_dir`` to resume from the journaled blocks.
+    rerun over the same ``config.store_dir`` to resume from the
+    published blocks.
     """
     config = config or QuestConfig()
     circuits = list(circuits)
@@ -160,7 +144,7 @@ def run_quest_batch(
     cache = None
     if config.cache:
         cache = PoolCache(
-            config.store_dir or config.cache_dir,
+            config.store_dir,
             fault_injector=fault_injector,
             max_entries=config.cache_max_entries,
             namespace=config.namespace,
@@ -190,14 +174,10 @@ def run_quest_batch(
                         run_quest,
                         circuit,
                         config,
-                        checkpoint_dir=_circuit_checkpoint_dir(
-                            checkpoint_dir, index
-                        ),
-                        resume=resume,
                         fault_injector=fault_injector,
                         shared=resources,
                     )
-                    for index, circuit in enumerate(circuits)
+                    for circuit in circuits
                 ]
                 for index, future in enumerate(futures):
                     results[index] = future.result()

@@ -146,13 +146,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         help="disable reuse of synthesis results across identical blocks",
     )
     parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="directory for the persistent block-synthesis cache "
-        "(default: in-memory only)",
-    )
-    parser.add_argument(
         "--cache-max-entries",
         type=_positive_int,
         default=None,
@@ -163,10 +156,11 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "--store-dir",
         type=Path,
         default=None,
-        help="root of the sharded multi-tenant artifact store "
-        "(supersedes --cache-dir when both are given); several "
-        "runs/daemon replicas may share one store root and reuse each "
-        "other's published synthesis results",
+        help="root of the sharded multi-tenant artifact store, the "
+        "persistent block-synthesis cache (default: in-memory only); "
+        "rerunning a killed compile over the same store resumes it, and "
+        "several runs/daemon replicas may share one store root and "
+        "reuse each other's published synthesis results",
     )
     parser.add_argument(
         "--namespace",
@@ -181,20 +175,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "checksummed shared-memory envelopes instead of the result "
         "pipe (workers > 1 only; falls back to pickle when shared "
         "memory is unavailable)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        type=Path,
-        default=None,
-        help="directory for the crash-recovery run journal; completed "
-        "block pools persist there atomically",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from an existing journal in --checkpoint-dir, "
-        "skipping already-completed blocks (refused if the journal's "
-        "config fingerprint does not match this run)",
     )
     parser.add_argument(
         "--retry-attempts",
@@ -225,7 +205,7 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         default=None,
         help="debug: deterministic fault schedule, e.g. "
-        "'raise@0,hang@2:1,nan@*,flip-cache@0,torn-checkpoint@1,kill@3' "
+        "'raise@0,hang@2:1,nan@*,flip-cache@0,kill@3' "
         "(kind@block[:attempt], * = every block)",
     )
     parser.add_argument(
@@ -266,7 +246,7 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "--certify-candidates",
         action="store_true",
         help="harden candidate health checks into independent "
-        "certification: rebuild every worker/cache/checkpoint "
+        "certification: rebuild every worker/cache "
         "candidate's unitary through the certifier's own contraction "
         "path (slower)",
     )
@@ -305,8 +285,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--ledger-dir",
         type=Path,
         required=True,
-        help="job ledger directory (atomic job records + per-job "
-        "checkpoints); reuse it across restarts to recover jobs",
+        help="job ledger directory (atomic job records; the artifact "
+        "store lives in its store/ subdirectory unless --store-dir is "
+        "given); reuse it across restarts to recover jobs",
     )
     parser.add_argument(
         "--capacity",
@@ -381,17 +362,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="disable the shared block-synthesis cache",
     )
     parser.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="persistent disk tier of the shared cache",
-    )
-    parser.add_argument(
         "--cache-max-entries", type=_positive_int, default=None,
         help="LRU bound on the disk tier, per namespace",
     )
     parser.add_argument(
         "--store-dir", type=Path, default=None,
-        help="sharded artifact-store root shared by daemon replicas; "
-        "takes precedence over --cache-dir",
+        help="sharded artifact-store root shared by daemon replicas "
+        "(default: <ledger-dir>/store)",
     )
     parser.add_argument(
         "--namespace", default="default",
@@ -543,7 +520,6 @@ def _serve_main(argv: list[str]) -> int:
         block_time_budget=args.time_budget,
         workers=args.workers,
         cache=not args.no_cache,
-        cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
@@ -840,14 +816,10 @@ def _config_from_args(args) -> QuestConfig:
         block_time_budget=args.time_budget,
         workers=args.workers,
         cache=not args.no_cache,
-        cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
         shm_transport=args.shm_transport,
-        checkpoint_dir=(
-            None if args.checkpoint_dir is None else str(args.checkpoint_dir)
-        ),
         retry_attempts=args.retry_attempts,
         retry_budget_multiplier=args.retry_budget_multiplier,
         retry_backoff_seconds=args.retry_backoff,
@@ -867,18 +839,12 @@ def _compile_preflight(args, logger) -> int:
     except StoreError as exc:
         logger.error(f"error: --namespace: {exc}")
         return 2
-    for flag, directory in (
-        ("cache", args.cache_dir), ("store", args.store_dir)
-    ):
-        if directory is not None and not args.no_cache:
-            try:
-                directory.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                logger.error(f"error: {flag} dir {directory}: {exc}")
-                return 2
-    if args.resume and args.checkpoint_dir is None:
-        logger.error("error: --resume requires --checkpoint-dir")
-        return 2
+    if args.store_dir is not None and not args.no_cache:
+        try:
+            args.store_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            logger.error(f"error: store dir {args.store_dir}: {exc}")
+            return 2
     try:
         # Resolve eagerly so a missing array library (e.g. --array-backend
         # cupy on a CPU-only host) fails before any synthesis work starts.
@@ -958,12 +924,6 @@ def _compile_batch_main(argv: list[str]) -> int:
                 circuits,
                 config,
                 window=args.batch_window,
-                checkpoint_dir=(
-                    None
-                    if args.checkpoint_dir is None
-                    else str(args.checkpoint_dir)
-                ),
-                resume=args.resume,
                 fault_injector=fault_injector,
             )
     except ReproError as exc:
@@ -1041,7 +1001,6 @@ def main(argv: list[str] | None = None) -> int:
         result = run_quest(
             circuit,
             config,
-            resume=args.resume,
             fault_injector=fault_injector,
             tracer=tracer,
         )
@@ -1058,12 +1017,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(result.synthesis_fallbacks)} fallback(s) "
         f"in {result.timings.synthesis_seconds:.1f}s"
     )
-    if result.checkpoint_hits or result.checkpoint_corrupt_entries:
-        logger.info(
-            f"  checkpoint: {result.checkpoint_hits} block(s) resumed, "
-            f"{result.checkpoint_corrupt_entries} corrupt entr(ies) "
-            "quarantined"
-        )
     if result.cache_corrupt_entries:
         logger.info(
             f"  cache: {result.cache_corrupt_entries} corrupt disk "

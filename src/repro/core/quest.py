@@ -36,13 +36,9 @@ from repro.observability import (
     use_tracer,
 )
 from repro.parallel.cache import PoolCache
-from repro.parallel.executor import (
-    BlockSynthesisExecutor,
-    synthesize_block_pool,
-)
+from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.blocks import CircuitBlock, stitch_blocks
 from repro.partition.scan import scan_partition
-from repro.resilience.journal import RunJournal, quest_fingerprint
 from repro.resilience.retry import FailureRecord, RetryPolicy
 from repro.transpile.basis import lower_to_basis
 from repro.verify.certifier import CertificationReport, certify_result
@@ -83,17 +79,16 @@ class QuestConfig:
     workers: int = 1
     #: Reuse synthesis results across identical blocks within a run.
     cache: bool = True
-    #: Directory for the persistent cross-run cache tier (None = memory only;
-    #: ignored when ``cache`` is False).
-    cache_dir: str | None = None
     #: Size bound on the disk cache tier (entries, LRU-evicted by mtime;
-    #: None = unbounded).  Only meaningful with ``cache_dir``/``store_dir``;
-    #: applied per namespace.
+    #: None = unbounded).  Only meaningful with ``store_dir``; applied
+    #: per namespace.
     cache_max_entries: int | None = None
     #: Root of the sharded multi-tenant artifact store
-    #: (:class:`repro.store.ArtifactStore`).  Takes precedence over
-    #: ``cache_dir`` when both are set; several daemon replicas may
-    #: point at one store root and share published synthesis results.
+    #: (:class:`repro.store.ArtifactStore`), the persistent cross-run
+    #: cache tier (None = memory only; ignored when ``cache`` is False).
+    #: A killed run rerun over the same store resumes from every block
+    #: it published; several daemon replicas may point at one store
+    #: root and share published synthesis results.
     store_dir: str | None = None
     #: Tenant namespace inside the artifact store; entries of different
     #: namespaces never mix even when their content keys collide.
@@ -105,10 +100,6 @@ class QuestConfig:
     #: Array-bytes threshold below which the shm transport keeps the
     #: plain pickle (None = repro.batch.shm.DEFAULT_MIN_BYTES).
     shm_min_bytes: int | None = None
-    #: Directory for the crash-recovery run journal (None = no journal).
-    #: Completed block pools persist there atomically; a rerun with the
-    #: same circuit/config resumes from them (see repro.resilience).
-    checkpoint_dir: str | None = None
     #: Synthesis attempts per block before the exact-pool downgrade
     #: (1 = no retries).  The first retry reuses the block's seed, so
     #: recovery from transient faults is bit-identical; later attempts
@@ -122,8 +113,8 @@ class QuestConfig:
     #: Backoff affects wall time only — retry seeds and budgets, and
     #: therefore results, are identical with it on or off.
     retry_backoff_seconds: float = 0.0
-    #: Health-check candidates from workers/cache/checkpoints (finite,
-    #: unitary, distances recompute) and quarantine failures.
+    #: Health-check candidates from workers/cache (finite, unitary,
+    #: distances recompute) and quarantine failures.
     validate_candidates: bool = True
     #: Independently certify every selected approximation after
     #: stitching (see :mod:`repro.verify`): per-block epsilon claims are
@@ -136,7 +127,7 @@ class QuestConfig:
     #: fall to the random-stimulus regime.
     certify_max_exact_qubits: int = DEFAULT_MAX_EXACT_QUBITS
     #: Harden candidate validation: additionally rebuild every
-    #: worker/cache/checkpoint candidate's unitary through the
+    #: worker/cache candidate's unitary through the
     #: certifier's independent contraction path and require agreement
     #: with the recorded artifacts.  Catches corruption the plain
     #: health checks cannot (a tampered-but-still-unitary matrix).
@@ -212,7 +203,8 @@ class QuestResult:
     threshold: float = 0.0
     timings: QuestTimings = field(default_factory=QuestTimings)
     #: Blocks served without a fresh synthesis job (within-run repeats and
-    #: persistent-cache hits) vs. jobs actually synthesized.
+    #: persistent-cache hits, which include every block a killed run
+    #: published before it died) vs. jobs actually synthesized.
     cache_hits: int = 0
     cache_misses: int = 0
     #: Indices of blocks that fell back to their exact singleton pool
@@ -226,12 +218,8 @@ class QuestResult:
     #: Duplicate blocks served by attaching to an existing synthesis job
     #: (cache-off repeats, and in-flight joins in batch mode).
     dedup_joins: int = 0
-    #: Blocks restored from the run journal instead of synthesized.
-    checkpoint_hits: int = 0
     #: Disk cache entries that existed but failed integrity checks.
     cache_corrupt_entries: int = 0
-    #: Journal entries that existed but failed integrity/health checks.
-    checkpoint_corrupt_entries: int = 0
     #: Snapshot of the run's metrics registry (counters / gauges /
     #: histograms; see :mod:`repro.observability.metrics`), dumped by the
     #: CLI via ``--metrics-json``.
@@ -309,8 +297,6 @@ class QuestResult:
                 f"; {self.retries} retried attempt(s), "
                 f"{len(self.failure_log)} logged failure(s)"
             )
-        if self.checkpoint_hits:
-            text += f"; {self.checkpoint_hits} block(s) resumed from checkpoint"
         if self.certifications:
             passed = sum(1 for report in self.certifications if report.ok)
             verdict = "CERTIFIED" if self.certified else "VIOLATED"
@@ -388,13 +374,6 @@ class QuestResult:
         return averaged
 
 
-def _synthesize_block(
-    block: CircuitBlock, config: QuestConfig, seed: int
-) -> BlockPool:
-    """Inline single-block synthesis (kept as the historical entry point)."""
-    return synthesize_block_pool(block, config, seed)
-
-
 def _draw_block_seeds(
     rng: np.random.Generator, num_blocks: int
 ) -> list[int]:
@@ -412,8 +391,6 @@ def run_quest(
     circuit: Circuit,
     config: QuestConfig | None = None,
     *,
-    checkpoint_dir: str | None = None,
-    resume: bool = True,
     fault_injector=None,
     tracer=None,
     metrics=None,
@@ -425,14 +402,13 @@ def run_quest(
     (approximations are measurement-free, like the paper's artifacts —
     measurement is appended by whoever runs them).
 
-    ``checkpoint_dir`` (overriding ``config.checkpoint_dir``) journals
-    each completed block pool atomically; rerunning against the same
-    directory skips journaled blocks and is bit-identical to an
-    uninterrupted run.  A directory holding a journal for a *different*
-    circuit or config refuses to resume (:class:`CheckpointError`), as
-    does an existing journal when ``resume=False``.  ``fault_injector``
-    deterministically injects faults for testing
-    (see :mod:`repro.resilience.faults`).
+    Resume is a store hit: with ``config.store_dir`` every block's
+    solutions are published durably as its job lands, so a run killed
+    mid-synthesis and rerun over the same store synthesizes only the
+    blocks that had not finished, bit-identically to an uninterrupted
+    run.  A changed circuit or config maps to different content keys
+    and simply misses.  ``fault_injector`` deterministically injects
+    faults for testing (see :mod:`repro.resilience.faults`).
 
     ``tracer`` (a :class:`repro.observability.Tracer`, default: the
     ambient tracer, usually disabled) receives a span per pipeline
@@ -461,8 +437,7 @@ def run_quest(
             workers=config.workers,
         ):
             result = _run_pipeline(
-                circuit, config, checkpoint_dir, resume, fault_injector,
-                tracer, metrics, shared,
+                circuit, config, fault_injector, tracer, metrics, shared
             )
     result.metrics = metrics.snapshot()
     return result
@@ -471,8 +446,6 @@ def run_quest(
 def _run_pipeline(
     circuit: Circuit,
     config: QuestConfig,
-    checkpoint_dir: str | None,
-    resume: bool,
     fault_injector,
     tracer,
     metrics,
@@ -508,22 +481,12 @@ def _run_pipeline(
     start = time.perf_counter()
     with tracer.span("quest.synthesis", blocks=len(result.blocks)):
         block_seeds = _draw_block_seeds(rng, len(result.blocks))
-        checkpoint_dir = checkpoint_dir or config.checkpoint_dir
-        journal = None
-        if checkpoint_dir is not None:
-            journal = RunJournal(
-                checkpoint_dir,
-                fingerprint=quest_fingerprint(baseline, config),
-                seeds=block_seeds,
-                resume=resume,
-                fault_injector=fault_injector,
-            )
         cache = None
         if config.cache:
             cache = getattr(shared, "cache", None)
             if cache is None:
                 cache = PoolCache(
-                    config.store_dir or config.cache_dir,
+                    config.store_dir,
                     fault_injector=fault_injector,
                     max_entries=config.cache_max_entries,
                     namespace=config.namespace,
@@ -542,7 +505,6 @@ def _run_pipeline(
                 budget_multiplier=config.retry_budget_multiplier,
                 backoff_base=config.retry_backoff_seconds,
             ),
-            journal=journal,
             fault_injector=fault_injector,
             validate=config.validate_candidates,
             independent_validation=config.certify_candidates,
@@ -560,11 +522,7 @@ def _run_pipeline(
     result.failure_log = synthesis_stats.failure_log
     result.retries = synthesis_stats.retries
     result.dedup_joins = synthesis_stats.dedup_joins
-    result.checkpoint_hits = synthesis_stats.checkpoint_hits
     result.cache_corrupt_entries = synthesis_stats.cache_corrupt_entries
-    result.checkpoint_corrupt_entries = (
-        synthesis_stats.checkpoint_corrupt_entries
-    )
     result.timings.block_synthesis_seconds = synthesis_stats.block_seconds
     result.timings.synthesis_seconds = time.perf_counter() - start
 

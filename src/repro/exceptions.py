@@ -93,10 +93,10 @@ class SelectionError(ReproError):
 class ValidationError(ReproError):
     """Raised when a synthesis result fails its health check.
 
-    Candidates coming back from a worker, the pool cache, or a run
-    checkpoint are validated (finite entries, unitarity, recomputed
-    distance) before they may enter a block pool; failures quarantine
-    the candidate set instead of letting corrupt data poison a run.
+    Candidates coming back from a worker or the pool cache are
+    validated (finite entries, unitarity, recomputed distance) before
+    they may enter a block pool; failures quarantine the candidate set
+    instead of letting corrupt data poison a run.
     """
 
 
@@ -118,16 +118,6 @@ class StoreError(ReproError):
     directory.  I/O races and integrity failures are *not* errors: a
     vanished or corrupt entry is a miss that costs a recomputation,
     never an exception.
-    """
-
-
-class CheckpointError(ReproError):
-    """Raised when a run journal cannot be created or resumed.
-
-    Most importantly: resuming against a checkpoint directory whose
-    recorded config fingerprint or seed stream does not match the
-    current run is refused with this error rather than silently mixing
-    incompatible results.
     """
 
 

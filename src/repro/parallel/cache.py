@@ -18,7 +18,7 @@ synthesis produced, addressed by content:
   (first occurrence wins) so that repeats within a run share an entry.
 
 Entries live in memory for the duration of a run and, when a store (or
-``cache_dir``) is given, in the sharded multi-tenant
+``store_dir``) is given, in the sharded multi-tenant
 :class:`~repro.store.ArtifactStore` — one file per entry under
 ``<root>/<namespace>/<shard>/<key>.qpool``.  Disk entries are a pickled
 envelope carrying a format version, the key, and a SHA-256 checksum of
@@ -37,7 +37,6 @@ import hashlib
 import os
 import pickle
 import threading
-from pathlib import Path
 
 import numpy as np
 
@@ -105,7 +104,7 @@ class PoolCache:
 
     def __init__(
         self,
-        cache_dir: str | os.PathLike | None = None,
+        store_dir: str | os.PathLike | None = None,
         fault_injector=None,
         max_entries: int | None = None,
         *,
@@ -113,21 +112,21 @@ class PoolCache:
         store: ArtifactStore | None = None,
         grace_seconds: float | None = None,
     ) -> None:
-        if store is not None and cache_dir is not None:
-            raise ValueError("pass either cache_dir or store, not both")
+        if store is not None and store_dir is not None:
+            raise ValueError("pass either store_dir or store, not both")
         if store is None and max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._memory: dict[str, list[SynthesisSolution]] = {}
         #: The sharded disk tier (None = memory only).  Either adopted
         #: from the caller (service replicas share per-tenant stores) or
-        #: built over ``cache_dir``.
+        #: built over ``store_dir``.
         self.store = store
-        if store is None and cache_dir is not None:
+        if store is None and store_dir is not None:
             kwargs = {}
             if grace_seconds is not None:
                 kwargs["grace_seconds"] = grace_seconds
             self.store = ArtifactStore(
-                cache_dir,
+                store_dir,
                 namespace=namespace,
                 max_entries=max_entries,
                 **kwargs,
@@ -145,11 +144,6 @@ class PoolCache:
         #: Optional :class:`repro.resilience.faults.FaultInjector` whose
         #: ``flip-cache`` faults corrupt entries after publish (tests/CI).
         self.fault_injector = fault_injector
-
-    @property
-    def cache_dir(self) -> Path | None:
-        """The on-disk tier's root directory (None = memory only)."""
-        return None if self.store is None else self.store.root
 
     @property
     def namespace(self) -> str:

@@ -20,19 +20,19 @@ unique entry key synthesizes at most once per run; repeats and disk hits
 skip straight to pool assembly.  Only the LEAP solution list is cached —
 pool assembly (original-block candidate, distance re-measurement, sphere
 variants) is cheap and block-specific, so it always runs in the parent.
+Results are put as each job lands, so a run killed mid-synthesis has
+already published every finished block; rerunning it over the same
+store is a resume, made of disk hits.
 
 **Resilience.**  With a :class:`~repro.resilience.retry.RetryPolicy`, a
 block whose synthesis raises, hangs past the hard timeout, or returns
 candidates that fail validation is *retried* — first with the same seed
 (so transient faults recover bit-identically), then with
 deterministically escalated seeds and optionally larger budgets — before
-any downgrade.  Candidate sets from workers, the cache, or a checkpoint
-are health-checked via :mod:`repro.resilience.validation` and
-quarantined on failure; every failure lands in a structured
-:class:`~repro.resilience.retry.FailureRecord` log.  With a
-:class:`~repro.resilience.journal.RunJournal`, completed pools are
-journaled atomically as they finish, and journaled blocks are skipped on
-resume.
+any downgrade.  Candidate sets from workers or the cache are
+health-checked via :mod:`repro.resilience.validation` and quarantined on
+failure; every failure lands in a structured
+:class:`~repro.resilience.retry.FailureRecord` log.
 
 **Graceful degradation.**  Only when every attempt is exhausted does a
 block downgrade to the exact-block singleton pool — the distance-zero
@@ -85,7 +85,6 @@ from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.blocks import CircuitBlock
 from repro.resilience.deadline import block_deadline
 from repro.resilience.retry import (
-    FAILURE_CHECKPOINT,
     FAILURE_EXCEPTION,
     FAILURE_FALLBACK,
     FAILURE_TIMEOUT,
@@ -94,7 +93,10 @@ from repro.resilience.retry import (
     RetryLog,
     RetryPolicy,
 )
-from repro.resilience.validation import validate_pool, validate_solutions
+# No caller here: the benchmark harness (benchmarks/harness/layers.py)
+# wraps validate_pool at this lookup site and requires the name.
+from repro.resilience.validation import validate_pool  # noqa: F401
+from repro.resilience.validation import validate_solutions
 from repro.synthesis.leap import LeapConfig, SynthesisSolution, synthesize
 
 
@@ -271,10 +273,9 @@ class BlockSynthesisStats:
     """What the executor did, for the run's telemetry.
 
     ``cache_hits`` counts blocks served without a synthesis job (within-
-    run repeats and disk hits); ``cache_misses`` counts jobs actually
-    dispatched.  Trivial (1-qubit / CNOT-free) blocks count as neither,
-    and neither do blocks restored from a run journal
-    (``checkpoint_hits``).
+    run repeats and disk hits, including the blocks a killed run
+    published before it died); ``cache_misses`` counts jobs actually
+    dispatched.  Trivial (1-qubit / CNOT-free) blocks count as neither.
     """
 
     cache_hits: int = 0
@@ -282,10 +283,8 @@ class BlockSynthesisStats:
     #: Indices of blocks downgraded to their exact-block fallback pool.
     fallback_blocks: list[int] = field(default_factory=list)
     #: Per-block synthesis seconds, measured inside the worker; 0.0 for
-    #: trivial blocks and cache/repeat/checkpoint hits.
+    #: trivial blocks and cache/repeat hits.
     block_seconds: list[float] = field(default_factory=list)
-    #: Blocks whose pool was restored from the run journal.
-    checkpoint_hits: int = 0
     #: Synthesis attempts beyond each block's first, across the run.
     retries: int = 0
     #: Duplicate blocks served by attaching to an existing job instead
@@ -295,8 +294,6 @@ class BlockSynthesisStats:
     dedup_joins: int = 0
     #: Disk cache entries that existed but failed integrity checks.
     cache_corrupt_entries: int = 0
-    #: Journal entries that existed but failed integrity/health checks.
-    checkpoint_corrupt_entries: int = 0
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
 
@@ -320,7 +317,8 @@ class BlockSynthesisExecutor:
         the parent — same results, single process, easiest to debug.
     cache:
         Optional :class:`PoolCache`.  When given, blocks sharing an entry
-        key synthesize once per run and may persist across runs.
+        key synthesize once per run and may persist across runs; each
+        baseline result is put as its job lands.
     hard_timeout:
         Hard per-block wall-clock cap in seconds.  Enforced via the
         future's result timeout when ``workers > 1`` and via the
@@ -334,16 +332,12 @@ class BlockSynthesisExecutor:
     retry_policy:
         Optional :class:`RetryPolicy`.  ``None`` (the default) means one
         attempt per block — the executor's historical behaviour.
-    journal:
-        Optional :class:`~repro.resilience.journal.RunJournal`.  Blocks
-        already journaled (and healthy) are restored without synthesis;
-        freshly completed pools are journaled as they finish.
     fault_injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` whose
         scheduled faults fire around each synthesis attempt (tests/CI).
     validate:
-        Health-check candidate sets from workers, the cache, and the
-        journal (on by default; see :mod:`repro.resilience.validation`).
+        Health-check candidate sets from workers and the cache (on by
+        default; see :mod:`repro.resilience.validation`).
     independent_validation:
         Harden those health checks into independent certification:
         every candidate's unitary is rebuilt through the certifier's
@@ -376,7 +370,6 @@ class BlockSynthesisExecutor:
         hard_timeout: float | None = None,
         synthesize_fn=None,
         retry_policy: RetryPolicy | None = None,
-        journal=None,
         fault_injector=None,
         validate: bool = True,
         independent_validation: bool = False,
@@ -394,7 +387,6 @@ class BlockSynthesisExecutor:
         self.hard_timeout = hard_timeout
         self._synthesize_fn = synthesize_fn
         self.retry_policy = retry_policy
-        self.journal = journal
         self.fault_injector = fault_injector
         self.validate = validate
         self.independent_validation = independent_validation
@@ -442,16 +434,13 @@ class BlockSynthesisExecutor:
             self.cache.corrupt_entries if self.cache is not None else 0
         )
 
-        # Phase 1: plan. Canonicalize seeds per content key; restore
-        # journaled blocks; decide, per entry key, whether a synthesis
-        # job is needed.
+        # Phase 1: plan. Canonicalize seeds per content key; decide, per
+        # entry key, whether a synthesis job is needed.
         plans: list[_BlockPlan] = []
         canonical_seed: dict[str, int] = {}
         resolved: dict[str, list[SynthesisSolution]] = {}
         resolved_unitaries: dict[str, list] = {}
-        resolved_attempt: dict[str, int] = {}
         jobs: dict[str, tuple[int, CircuitBlock, int]] = {}
-        pools_by_index: dict[int, BlockPool] = {}
         for index, (block, seed) in enumerate(zip(blocks, seeds)):
             if block.num_qubits == 1 or block.circuit.cnot_count() == 0:
                 plans.append(_BlockPlan(trivial=True))
@@ -463,27 +452,6 @@ class BlockSynthesisExecutor:
             seed = canonical_seed.setdefault(content, seed)
             key = entry_key(content, seed)
             plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
-            if self.journal is not None:
-                pool = self.journal.load_pool(index, key)
-                if pool is not None and self.validate:
-                    try:
-                        validate_pool(
-                            pool, independent=self.independent_validation
-                        )
-                    except ValidationError as exc:
-                        _note_failure(
-                            log, index, 0, FAILURE_CHECKPOINT, str(exc)
-                        )
-                        self.journal.discard(index)
-                        pool = None
-                if pool is not None:
-                    pools_by_index[index] = pool
-                    stats.checkpoint_hits += 1
-                    if tracer.is_enabled:
-                        tracer.event("checkpoint.hit", block=index)
-                    if metrics.is_enabled:
-                        metrics.inc("checkpoint.hit")
-                    continue
             if self.cache is not None:
                 if key in resolved or key in jobs:
                     stats.cache_hits += 1  # within-run repeat
@@ -511,7 +479,6 @@ class BlockSynthesisExecutor:
                         cached = None
                 if cached is not None:
                     resolved[key] = cached
-                    resolved_attempt[key] = 0
                     stats.cache_hits += 1
                     if tracer.is_enabled:
                         tracer.event("cache.hit", block=index, source="disk")
@@ -534,24 +501,6 @@ class BlockSynthesisExecutor:
             stats.cache_misses += 1
             if metrics.is_enabled:
                 metrics.inc("cache.miss")
-
-        def finalize(job_key: str) -> None:
-            """Assemble + journal every block the resolved job serves.
-
-            Called as each job completes (journal mode only), so a crash
-            mid-run loses at most the blocks still in flight.
-            """
-            for index, plan in enumerate(plans):
-                if plan.trivial or index in pools_by_index:
-                    continue
-                if job_key != plan.key:
-                    continue
-                pool = assemble_pool(
-                    blocks[index], resolved[job_key], config, plan.seed,
-                    solution_unitaries=resolved_unitaries.get(job_key),
-                )
-                pools_by_index[index] = pool
-                self.journal.store_pool(index, plan.key, pool)
 
         # Phase 2: execute the synthesis jobs, retrying under the policy.
         failures: dict[str, BaseException] = {}
@@ -614,17 +563,17 @@ class BlockSynthesisExecutor:
                     attempt: int = attempt,
                     owned: dict = owned,
                 ) -> None:
-                    # Fires as each job lands (not at round end) so a
-                    # crash mid-round has already journaled every
-                    # finished block.
-                    resolved_attempt[key] = attempt
+                    # Fires as each job lands (not at round end), so a
+                    # run killed mid-round has already published every
+                    # finished block.  Only baseline-attempt results
+                    # (attempt 0's seed and budget) are interchangeable
+                    # with a solo, unfaulted run's, so only those are
+                    # shared with joiners or put under the entry key.
+                    baseline = policy.is_baseline_attempt(
+                        jobs[key][2], attempt, base_budget
+                    )
                     if self.inflight is not None and key in owned:
-                        # Same rule as the disk cache: only baseline
-                        # results are interchangeable with a solo run's,
-                        # so only those are shared with joiners.
-                        if policy.is_baseline_attempt(
-                            owned[key][2], attempt, base_budget
-                        ):
+                        if baseline:
                             self.inflight.publish(
                                 key,
                                 claim_token,
@@ -633,8 +582,8 @@ class BlockSynthesisExecutor:
                             )
                         else:
                             self.inflight.fail(key, claim_token)
-                    if self.journal is not None:
-                        finalize(key)
+                    if baseline and self.cache is not None:
+                        self.cache.put(key, resolved[key])
 
                 def run_round(round_jobs, on_success=on_success, attempt=attempt):
                     if not round_jobs:
@@ -654,8 +603,7 @@ class BlockSynthesisExecutor:
                 succeeded = run_round(owned)
                 if joined:
                     adopted, leftover = self._adopt_joined(
-                        joined, policy, resolved, resolved_unitaries,
-                        resolved_attempt, stats, finalize,
+                        joined, policy, resolved, resolved_unitaries, stats,
                     )
                     succeeded += adopted
                     # A join that came back empty (owner failed, or its
@@ -670,24 +618,12 @@ class BlockSynthesisExecutor:
                 self.inflight.release(claim_token)
             if own_pool is not None:
                 own_pool.shutdown()
-        if self.cache is not None:
-            for key, (_, _, seed) in jobs.items():
-                # Only baseline-attempt results (attempt 0's seed and
-                # budget) are interchangeable with an unfaulted run's,
-                # so only those persist under the content-addressed key.
-                if key in resolved and policy.is_baseline_attempt(
-                    seed, resolved_attempt.get(key, 0), base_budget
-                ):
-                    self.cache.put(key, resolved[key])
 
         # Phase 3: assemble pools (parent process, block order).
         pools: list[BlockPool] = []
         for index, (block, plan) in enumerate(zip(blocks, plans)):
             if plan.trivial:
                 pools.append(exact_pool(block))
-                continue
-            if index in pools_by_index:
-                pools.append(pools_by_index[index])
                 continue
             solutions = resolved.get(plan.key)
             if solutions is None:
@@ -728,8 +664,6 @@ class BlockSynthesisExecutor:
                 block, solutions, config, plan.seed,
                 solution_unitaries=resolved_unitaries.get(plan.key),
             )
-            if self.journal is not None:
-                self.journal.store_pool(index, plan.key, pool)
             pools.append(pool)
 
         stats.failure_log = log.records
@@ -737,8 +671,6 @@ class BlockSynthesisExecutor:
             stats.cache_corrupt_entries = (
                 self.cache.corrupt_entries - cache_corrupt_before
             )
-        if self.journal is not None:
-            stats.checkpoint_corrupt_entries = self.journal.corrupt_entries
         return pools, stats
 
     # ------------------------------------------------------------------
@@ -956,9 +888,7 @@ class BlockSynthesisExecutor:
         policy: RetryPolicy,
         resolved,
         resolved_unitaries,
-        resolved_attempt,
         stats: BlockSynthesisStats,
-        finalize,
     ) -> tuple[list[str], dict[str, tuple[int, CircuitBlock, int]]]:
         """Adopt results published by other executors' in-flight jobs.
 
@@ -984,16 +914,16 @@ class BlockSynthesisExecutor:
                 if entry.unitaries is not None:
                     resolved_unitaries[key] = entry.unitaries
                 # Published results are baseline by construction, so
-                # they stay cache-writable under the plain entry key.
-                resolved_attempt[key] = 0
+                # they are put under the plain entry key too: in the
+                # daemon the owner may have filled another tenant's cache.
+                if self.cache is not None:
+                    self.cache.put(key, entry.solutions)
                 stats.dedup_joins += 1
                 if tracer.is_enabled:
                     tracer.event("dedup.adopt", block=job[0])
                 if metrics.is_enabled:
                     metrics.inc("dedup.hits")
                 adopted.append(key)
-                if self.journal is not None:
-                    finalize(key)
             else:
                 leftover[key] = job
         return adopted, leftover

@@ -4,21 +4,24 @@ Long multi-block QUEST runs fail in mundane ways — a worker segfaults,
 an optimizer never converges, a cache file rots on disk, the whole
 process gets OOM-killed — and without this package every one of those
 silently downgraded a block to its distance-zero fallback (or lost the
-run entirely).  Four cooperating pieces close those holes:
+run entirely).  Three cooperating pieces close those holes:
 
-* :mod:`~repro.resilience.journal` — checkpoint/resume: atomically
-  persisted per-block pools plus a config-fingerprinted manifest, so a
-  killed run resumes bit-identically instead of restarting.
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: failed blocks
   retry with deterministic per-attempt seeds (same seed first, then
   ``SeedSequence.spawn`` escalation) and optional budget growth before
   the exact-pool downgrade; every failure lands in a structured log.
-* :mod:`~repro.resilience.validation` — candidates from workers, the
-  cache, or a checkpoint are health-checked (finite, unitary, distance
-  recomputes) and quarantined on failure.
+* :mod:`~repro.resilience.validation` — candidates from workers or the
+  cache are health-checked (finite, unitary, distance recomputes) and
+  quarantined on failure.
 * :mod:`~repro.resilience.faults` — a deterministic fault injector
-  (raise / hang / NaN / kill / flip-cache / torn-checkpoint) so each
-  recovery path above is exercised in CI, not discovered in production.
+  (raise / hang / NaN / kill / flip-cache) so each recovery path above
+  is exercised in CI, not discovered in production.
+
+A killed run needs no journal to resume: the executor publishes each
+block's solutions to the content-addressed artifact store
+(:mod:`repro.store`) as its job lands, and a rerun over the same store
+finds them as disk hits.  Only baseline-attempt results are published,
+so a block that needed an escalated retry is re-run, not restored.
 
 :mod:`~repro.resilience.deadline` supplies the cooperative per-block
 deadline that bounds inline (``workers == 1``) synthesis, which the hard
@@ -36,11 +39,6 @@ from repro.resilience.faults import (
     FaultSpec,
     InjectedFault,
     parse_fault_spec,
-)
-from repro.resilience.journal import (
-    JOURNAL_VERSION,
-    RunJournal,
-    quest_fingerprint,
 )
 from repro.resilience.retry import (
     FAILURE_KINDS,
@@ -64,9 +62,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "parse_fault_spec",
-    "JOURNAL_VERSION",
-    "RunJournal",
-    "quest_fingerprint",
     "FAILURE_KINDS",
     "FailureRecord",
     "RetryLog",

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the synthesis pipeline.
 
 Every recovery path in :mod:`repro.resilience` — retry, validation
-quarantine, cache-corruption recompute, checkpoint resume — needs to be
+quarantine, cache-corruption recompute, resume from the store — needs to be
 exercised *deterministically* in CI, not discovered in production.  The
 :class:`FaultInjector` is a schedule of :class:`FaultSpec` entries, each
 firing at a precise point (block index, attempt number, or write
@@ -23,19 +23,16 @@ Fault taxonomy (``FaultSpec.kind``):
     models a silently diverged optimizer.  Caught by validation.
 ``kill``
     The process SIGKILLs itself at the job's start — models a hard
-    mid-run crash, for checkpoint/resume testing.  (POSIX only.)
+    mid-run crash, for resume testing.  (POSIX only.)
 ``flip-cache``
     One byte of the Nth disk-cache entry written is bit-flipped after
     publish — models at-rest corruption.  Caught by the cache checksum.
-``torn-checkpoint``
-    The journal entry for block N is truncated after publish — models a
-    torn write / crash mid-checkpoint.  Caught on resume.
 
 Schedules parse from a compact CLI syntax (``--inject-faults``)::
 
     kind@block[:attempt][,kind@block[:attempt]...]
 
-e.g. ``raise@0,hang@2:1,nan@*,torn-checkpoint@1``.  ``*`` matches every
+e.g. ``raise@0,hang@2:1,nan@*,flip-cache@0``.  ``*`` matches every
 block; the attempt defaults to 0 so a default retry policy recovers on
 its first (same-seed) retry.  For ``flip-cache`` the "block" field is the
 0-based ordinal of the disk write, since cache entries are content-keyed
@@ -60,7 +57,6 @@ FAULT_KINDS = (
     "nan",
     "kill",
     "flip-cache",
-    "torn-checkpoint",
 )
 
 
@@ -189,15 +185,6 @@ class FaultInjector:
         position = int(rng.integers(len(raw)))
         raw[position] ^= 1 << int(rng.integers(8))
         path.write_bytes(bytes(raw))
-
-    def on_checkpoint_write(self, block: int, path) -> None:
-        """Fire a ``torn-checkpoint`` fault: truncate the journal entry."""
-        if self._firing("torn-checkpoint", block) is None:
-            return
-        self._note("torn-checkpoint", block)
-        raw = path.read_bytes()
-        keep = int(self._rng(block, len(raw)).integers(1, max(len(raw) // 2, 2)))
-        path.write_bytes(raw[:keep])
 
 
 def parse_fault_spec(text: str, seed: int = 0) -> FaultInjector:

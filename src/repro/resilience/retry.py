@@ -41,7 +41,6 @@ import numpy as np
 FAILURE_EXCEPTION = "exception"
 FAILURE_TIMEOUT = "timeout"
 FAILURE_VALIDATION = "validation"
-FAILURE_CHECKPOINT = "checkpoint"
 #: Terminal degradation: every attempt failed and the block was replaced
 #: by its exact singleton pool.  Unlike the other kinds this is not an
 #: attempt-level failure but the run-level outcome of exhausting them.
@@ -50,7 +49,6 @@ FAILURE_KINDS = (
     FAILURE_EXCEPTION,
     FAILURE_TIMEOUT,
     FAILURE_VALIDATION,
-    FAILURE_CHECKPOINT,
     FAILURE_FALLBACK,
 )
 

@@ -1,8 +1,8 @@
 """Health checks for synthesis candidates.
 
 Every candidate set that enters a pool crosses a trust boundary: it came
-back from a worker process, the content-addressed disk cache, or a run
-checkpoint.  A crashed worker, a bit-flipped cache file that slipped
+back from a worker process or the content-addressed disk cache.  A
+crashed worker, a bit-flipped cache file that slipped
 past its checksum, or a non-converging optimizer can all hand the
 pipeline data that *parses* fine but is numerically garbage — and a
 garbage candidate silently poisons every downstream selection.
@@ -218,7 +218,7 @@ def validate_pool(
     distance_tol: float = DEFAULT_DISTANCE_TOL,
     independent: bool = False,
 ) -> None:
-    """Validate an assembled :class:`BlockPool` (e.g. from a checkpoint).
+    """Validate an assembled :class:`BlockPool`.
 
     Checks the stored original unitary against the block circuit it
     claims to represent, then every candidate against it.

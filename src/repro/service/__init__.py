@@ -16,7 +16,7 @@ Modules
 :mod:`repro.service.breaker`
     The worker-pool circuit breaker (closed/open/half-open).
 :mod:`repro.service.ledger`
-    Atomic, checksummed job journal + per-job checkpoint directories.
+    Atomic, checksummed job records.
 :mod:`repro.service.server`
     The asyncio daemon itself.
 :mod:`repro.service.client`

@@ -2,8 +2,7 @@
 
 Every admitted job gets one file, ``job-<id>.json``, holding a
 checksummed envelope around the JSON :class:`~repro.service.protocol.
-JobRecord` — the same atomic publish discipline as the run journal
-(:mod:`repro.resilience.journal`): write temp, flush, ``fsync``,
+JobRecord`, published atomically: write temp, flush, ``fsync``,
 ``rename``, then fsync the directory.  A SIGKILL at any instant leaves
 either the previous record or the new one, never a torn file under the
 final name; an entry that *does* fail its checksum (bit rot, a partial
@@ -14,12 +13,12 @@ The ledger is what makes the daemon warm-restartable:
 * every state transition (pending -> running -> done/failed) rewrites
   the record, so the on-disk state trails the in-memory state by at
   most one transition;
-* each job owns a checkpoint directory (``job-<id>.ckpt/``) that
-  :func:`repro.core.quest.run_quest` journals block pools into, so a
-  job killed mid-run resumes from its completed blocks, bit-identically;
 * :meth:`JobLedger.load` returns every readable record — the restarted
   daemon re-admits ``pending``/``running`` jobs and keeps terminal ones
   answerable to late ``wait`` calls.
+
+The ledger keeps job records only.  A job killed mid-run resumes from
+the blocks it published to the artifact store, not from the ledger.
 """
 
 from __future__ import annotations
@@ -31,15 +30,29 @@ from pathlib import Path
 
 from repro.exceptions import ServiceError
 from repro.observability import get_logger, get_metrics
-from repro.resilience.journal import _atomic_write_bytes
 from repro.service.protocol import JobRecord
+from repro.store.artifact import fsync_directory
 
 #: Bump when the envelope layout changes; old entries are quarantined.
 LEDGER_VERSION = 1
 
 _ENTRY_PREFIX = "job-"
 _ENTRY_SUFFIX = ".json"
-_CHECKPOINT_SUFFIX = ".ckpt"
+
+
+def _atomic_write_bytes(path: Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``path``: write temp, fsync, rename, fsync dir."""
+    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+    fsync_directory(path.parent)
 
 
 def _job_id_component(job_id: str) -> str:
@@ -69,10 +82,6 @@ class JobLedger:
 
     def _entry_path(self, job_id: str) -> Path:
         return self._dir / f"{_ENTRY_PREFIX}{_job_id_component(job_id)}{_ENTRY_SUFFIX}"
-
-    def checkpoint_dir(self, job_id: str) -> Path:
-        """The job's private run-journal directory (created lazily)."""
-        return self._dir / f"{_ENTRY_PREFIX}{_job_id_component(job_id)}{_CHECKPOINT_SUFFIX}"
 
     # ------------------------------------------------------------------
     # Write path

@@ -61,22 +61,19 @@ REJECTION_REASONS = (
 
 #: QuestConfig knobs a request may *not* override: they configure the
 #: shared substrate (one pool, one store root, one registry for the
-#: whole daemon) or are service-managed (per-job checkpoint dirs; the
-#: store ``namespace``, which is set by the request's top-level
-#: ``namespace``/``tenant`` fields, never through config overrides).
-#: Allowing them per-request would silently fork the substrate under
-#: one tenant.
+#: whole daemon) or are service-managed (the store ``namespace``, which
+#: is set by the request's top-level ``namespace``/``tenant`` fields,
+#: never through config overrides).  Allowing them per-request would
+#: silently fork the substrate under one tenant.
 SUBSTRATE_FIELDS = frozenset(
     {
         "workers",
         "cache",
-        "cache_dir",
         "cache_max_entries",
         "store_dir",
         "namespace",
         "shm_transport",
         "shm_min_bytes",
-        "checkpoint_dir",
     }
 )
 

@@ -33,9 +33,10 @@ Robustness model (the reason this module exists):
   flagged ``degraded`` instead of an error.
 * **Crash safety** — every job transition is journaled in the
   :class:`~repro.service.ledger.JobLedger` (atomic rename + checksum),
-  and every job owns a run-journal checkpoint directory.  A SIGKILLed
-  daemon warm-restarts: pending/running jobs are re-admitted and resume
-  from their per-job checkpoints, bit-identically.
+  and every synthesized block is published to the artifact store
+  (``store_dir``, or ``<ledger_dir>/store``) as it lands.  A SIGKILLed
+  daemon warm-restarts: pending/running jobs are re-admitted and
+  resume from the store, bit-identically.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ def result_payload(
         "cache_hits": result.cache_hits,
         "cache_misses": result.cache_misses,
         "dedup_joins": result.dedup_joins,
-        "checkpoint_hits": result.checkpoint_hits,
         "summary": result.summary(),
     }
 
@@ -170,8 +170,12 @@ class QuestService:
         # The shared substrate — one worker pool and one in-flight
         # registry for the daemon's lifetime, plus one PoolCache *per
         # tenant namespace*, all rooted in one sharded artifact store
-        # that any number of replicas may share.
-        self._store_root = self.config.store_dir or self.config.cache_dir
+        # that any number of replicas may share.  Without a configured
+        # root the store lives beside the ledger, so a killed job always
+        # resumes from the blocks it published.
+        self._store_root = self.config.store_dir or str(
+            self.ledger.directory / "store"
+        )
         self._caches: dict[str, PoolCache] = {}
         self._caches_lock = threading.Lock()
         worker_pool = (
@@ -249,7 +253,7 @@ class QuestService:
 
         ``running`` jobs were interrupted mid-execution (the previous
         daemon died); they go back to ``pending`` and, when dispatched,
-        ``run_quest`` resumes from the job's checkpoint directory —
+        ``run_quest`` finds every block the job published in the store —
         completed blocks are not re-synthesized and the final selection
         is bit-identical.  Terminal jobs stay answerable to late
         ``wait`` calls.
@@ -474,10 +478,6 @@ class QuestService:
                 result = run_quest(
                     circuit,
                     config,
-                    checkpoint_dir=str(
-                        self.ledger.checkpoint_dir(record.job_id)
-                    ),
-                    resume=True,
                     fault_injector=self.fault_injector,
                     shared=self._resources_for(record),
                 )
@@ -539,7 +539,6 @@ class QuestService:
             "cache_hits": 0,
             "cache_misses": 0,
             "dedup_joins": 0,
-            "checkpoint_hits": 0,
             "summary": (
                 f"degraded: exact reassembly, {len(blocks)} blocks, "
                 f"{stitched.cnot_count()} CNOTs (breaker open)"
@@ -711,19 +710,17 @@ class QuestService:
             caches = dict(self._caches)
         report: dict[str, dict] = {}
         for namespace, cache in sorted(caches.items()):
-            entry = {
+            store_counters = cache.store.counters()
+            report[namespace] = {
                 "hits": cache.hits,
                 "misses": cache.misses,
                 "corrupt_entries": cache.corrupt_entries,
                 "evictions": cache.evictions,
+                "disk_hits": store_counters["hits"],
+                "disk_misses": store_counters["misses"],
+                "publishes": store_counters["publishes"],
+                "orphans_swept": store_counters["orphans_swept"],
             }
-            if cache.store is not None:
-                store_counters = cache.store.counters()
-                entry["disk_hits"] = store_counters["hits"]
-                entry["disk_misses"] = store_counters["misses"]
-                entry["publishes"] = store_counters["publishes"]
-                entry["orphans_swept"] = store_counters["orphans_swept"]
-            report[namespace] = entry
         return report
 
     def _handle_status(self) -> dict:
@@ -755,10 +752,7 @@ class QuestService:
             },
             "stranded_joiners": self.resources.inflight.stranded_joiners,
             "store": {
-                "root": (
-                    None if self._store_root is None
-                    else str(self._store_root)
-                ),
+                "root": self._store_root,
                 "namespaces": self._store_status(),
             },
             "metrics": self.metrics.snapshot(),

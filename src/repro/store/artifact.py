@@ -28,7 +28,11 @@ processes:
   shard (unique per writer — two threads of one process, or two
   processes, can publish the same key simultaneously without clobbering
   each other's temp file) and ``os.replace``\\ s it into place, so a
-  reader only ever observes a complete entry under its final name.
+  reader only ever observes a complete entry under its final name.  The
+  temp file is fsynced before the rename and the shard directory after
+  it, so an entry that was published survives a crash of the process
+  or host: a killed run's published entries are what its rerun resumes
+  from.
 * *Open* sweeps crash orphans: temp files older than the grace window
   were abandoned by a writer that died mid-publish and are deleted;
   younger ones may belong to a live writer and are left alone.
@@ -118,6 +122,16 @@ def shard_of(key: str) -> str:
     """The shard directory name for ``key`` (its first hex chars)."""
     prefix = str(key)[:SHARD_CHARS].lower()
     return prefix.ljust(SHARD_CHARS, "0")
+
+
+def fsync_directory(directory: str | os.PathLike) -> None:
+    """Make a rename inside ``directory`` durable (POSIX; best effort)."""
+    with contextlib.suppress(OSError):
+        directory_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(directory_fd)
+        finally:
+            os.close(directory_fd)
 
 
 class ArtifactStore:
@@ -228,9 +242,11 @@ class ArtifactStore:
         Safe against concurrent publishers of the same key in this or
         any other process: each writer owns a unique temp file and the
         final ``os.replace`` is atomic, so readers see either the old
-        complete entry or the new complete entry, never a mix.  Returns
-        False when the disk tier is unavailable (best-effort semantics:
-        the caller's in-memory tier still serves the current run).
+        complete entry or the new complete entry, never a mix.  The
+        bytes and the rename are both fsynced before this returns.
+        Returns False when the disk tier is unavailable (best-effort
+        semantics: the caller's in-memory tier still serves the current
+        run).
         """
         shard = shard_of(key)
         shard_dir = self._dir / shard
@@ -243,6 +259,8 @@ class ArtifactStore:
             )
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
             existed = path.exists()
             os.replace(tmp, path)
         except OSError:
@@ -250,6 +268,7 @@ class ArtifactStore:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
             return False
+        fsync_directory(shard_dir)
         now = time.time()
         with self._lock:
             self.publishes += 1

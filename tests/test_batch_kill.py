@@ -1,12 +1,13 @@
-"""Mid-batch SIGKILL: the rerun resumes every circuit from its journal.
+"""Mid-batch SIGKILL: the rerun resumes every circuit from the store.
 
 A child process runs :func:`repro.batch.run_quest_batch` over two
-circuits with a batch checkpoint root and a scheduled ``kill`` fault
-that fires partway through the *first* circuit (``window=1`` keeps the
-order deterministic).  The parent verifies the kill landed mid-batch —
-circuit 0 left a partial journal, circuit 1 never started — and that
-rerunning the batch against the same checkpoint root finishes both
-circuits bit-identically to uninterrupted solo runs.
+circuits with a ``store_dir`` and a scheduled ``kill`` fault that fires
+partway through the *first* circuit (``window=1`` keeps the order
+deterministic).  The parent verifies the kill landed mid-batch — the
+store holds one entry per job of circuit 0 that finished — and that
+rerunning the batch over the same store synthesizes only the killed job
+of circuit 0, and finishes both circuits bit-identically to
+uninterrupted solo runs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ FAST = dict(
 SEED = 5
 
 # heisenberg(4, steps=1) runs 3 distinct synthesis jobs in block order;
-# killing at job 2 leaves circuit 0 with blocks 0-1 journaled and the
+# killing at job 2 leaves circuit 0's blocks 0-1 in the store and the
 # batch's second circuit untouched.
 KILL_BLOCK = 2
 
@@ -52,13 +53,12 @@ from repro.batch import run_quest_batch
 from repro.core.quest import QuestConfig
 from repro.resilience import FaultInjector, FaultSpec
 
-config = QuestConfig(seed={seed}, **{fast!r})
+config = QuestConfig(seed={seed}, store_dir={store_dir!r}, **{fast!r})
 injector = FaultInjector(specs=(FaultSpec("kill", {kill_block}, 0),))
 run_quest_batch(
     [heisenberg(4, steps=1), tfim(4, steps=1)],
     config,
     window=1,
-    checkpoint_dir={checkpoint_dir!r},
     fault_injector=injector,
 )
 print("UNREACHABLE: the kill fault did not fire", file=sys.stderr)
@@ -92,14 +92,14 @@ def _assert_identical(clean, resumed):
 
 @pytest.mark.slow
 def test_batch_resumes_after_sigkill_bit_identically(tmp_path):
-    checkpoint_dir = tmp_path / "batch-ckpt"
+    store_dir = tmp_path / "store"
     script = tmp_path / "killed_batch.py"
     script.write_text(
         _CHILD_SCRIPT.format(
             seed=SEED,
             fast=FAST,
             kill_block=KILL_BLOCK,
-            checkpoint_dir=str(checkpoint_dir),
+            store_dir=str(store_dir),
         )
     )
     env = dict(os.environ)
@@ -112,41 +112,35 @@ def test_batch_resumes_after_sigkill_bit_identically(tmp_path):
         timeout=300,
         env=env,
     )
-    circuit0 = checkpoint_dir / "circuit-0000"
-    circuit1 = checkpoint_dir / "circuit-0001"
-    journaled = sorted(circuit0.glob("block_*.qckpt"))
+    published = sorted(p.name for p in store_dir.rglob("*.qpool"))
     _dump_artifacts(
         "sigkill_batch_child",
         {
             "returncode": proc.returncode,
             "stdout": proc.stdout,
             "stderr": proc.stderr,
-            "journaled": [p.name for p in journaled],
+            "published": published,
         },
     )
 
     # The child died by SIGKILL mid-batch, not by finishing or erroring.
     assert proc.returncode == -signal.SIGKILL, proc.stderr
-    # Circuit 0 got partway (a partial journal in its own subdirectory);
+    # Circuit 0 got partway: one store entry per finished job (2 of 3);
     # the sequential window means circuit 1 never started.
-    assert (circuit0 / "manifest.json").exists()
-    names = [p.name for p in journaled]
-    assert names, "no blocks were journaled before the kill"
-    assert f"block_{KILL_BLOCK:04d}.qckpt" not in names
-    assert not circuit1.exists()
+    assert len(published) == KILL_BLOCK
 
-    # Rerun the batch against the same checkpoint root: circuit 0 resumes
-    # from its journal, circuit 1 compiles fresh, both bit-identical to
+    # Rerun the batch over the same store: circuit 0 synthesizes only
+    # its killed job, circuit 1 compiles fresh, both bit-identical to
     # uninterrupted solo runs.
     config = QuestConfig(seed=SEED, **FAST)
     batch = run_quest_batch(
         [heisenberg(4, steps=1), tfim(4, steps=1)],
-        config,
+        QuestConfig(seed=SEED, store_dir=str(store_dir), **FAST),
         window=1,
-        checkpoint_dir=str(checkpoint_dir),
     )
     resumed_heis, fresh_tfim = batch.results
-    assert resumed_heis.checkpoint_hits == len(names)
-    assert resumed_heis.checkpoint_corrupt_entries == 0
+    assert resumed_heis.cache_misses == 1
+    assert resumed_heis.cache_hits == len(published)
+    assert resumed_heis.cache_corrupt_entries == 0
     _assert_identical(run_quest(heisenberg(4, steps=1), config), resumed_heis)
     _assert_identical(run_quest(tfim(4, steps=1), config), fresh_tfim)

@@ -36,7 +36,7 @@ def test_cli_parallel_and_cache_flags(tmp_path, capsys):
     circuit = tfim(4, steps=2)
     qasm_path = tmp_path / "tfim.qasm"
     qasm_path.write_text(circuit_to_qasm(circuit))
-    cache_dir = tmp_path / "cache"
+    store_dir = tmp_path / "store"
     args = [
         str(qasm_path),
         "--out-dir", str(tmp_path / "out"),
@@ -46,12 +46,12 @@ def test_cli_parallel_and_cache_flags(tmp_path, capsys):
         "--time-budget", "10",
         "--seed", "1",
         "--workers", "2",
-        "--cache-dir", str(cache_dir),
+        "--store-dir", str(store_dir),
     ]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert "cache hit" in first
-    assert any(cache_dir.iterdir())  # the persistent tier was populated
+    assert any(store_dir.iterdir())  # the persistent tier was populated
     # Second run: everything served from the on-disk cache.
     assert main(args) == 0
     second = capsys.readouterr().out

@@ -85,7 +85,7 @@ def test_trotterized_repeats_hit_the_cache(reference):
 
 
 def test_disk_cache_preserves_results(tmp_path, reference):
-    config = QuestConfig(**BASE, cache_dir=str(tmp_path))
+    config = QuestConfig(**BASE, store_dir=str(tmp_path))
     cold = run_quest(CIRCUITS["tfim"](), config)
     warm = run_quest(CIRCUITS["tfim"](), config)
     assert _signature(cold) == _signature(reference["tfim"])
@@ -114,8 +114,8 @@ def test_full_matrix_determinism_at_scale(tmp_path):
         QuestConfig(**heavy, workers=4),
         QuestConfig(**heavy, cache=False),
         QuestConfig(**heavy, workers=4, cache=False),
-        QuestConfig(**heavy, cache_dir=str(tmp_path)),
-        QuestConfig(**heavy, workers=4, cache_dir=str(tmp_path)),
+        QuestConfig(**heavy, store_dir=str(tmp_path)),
+        QuestConfig(**heavy, workers=4, store_dir=str(tmp_path)),
     ]
     for config in variants:
         assert _signature(run_quest(circuit, config)) == _signature(

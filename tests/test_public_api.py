@@ -58,7 +58,6 @@ def test_exception_hierarchy():
         exceptions.SynthesisError,
         exceptions.SelectionError,
         exceptions.ValidationError,
-        exceptions.CheckpointError,
         exceptions.BlockTimeoutError,
         exceptions.StoreError,
     ]

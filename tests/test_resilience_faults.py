@@ -16,7 +16,7 @@ import pytest
 
 from repro.algorithms import tfim
 from repro.core.pool import exact_pool
-from repro.core.quest import QuestConfig, run_quest
+from repro.core.quest import QuestConfig
 from repro.exceptions import BlockTimeoutError, ValidationError
 from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
@@ -314,40 +314,6 @@ def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Matrix leg: torn checkpoint write
-# ----------------------------------------------------------------------
-def test_torn_checkpoint_is_quarantined_on_resume(tmp_path):
-    circuit = tfim(4, steps=1)
-    config = QuestConfig(seed=5, **FAST)
-    clean = run_quest(circuit, config)
-
-    # Tear every journal entry as it is written (crash mid-checkpoint).
-    injector = FaultInjector(specs=(FaultSpec("torn-checkpoint", None),), seed=9)
-    run_quest(
-        circuit,
-        config,
-        checkpoint_dir=tmp_path / "ckpt",
-        fault_injector=injector,
-    )
-    assert any(kind == "torn-checkpoint" for kind, _, _ in injector.fired)
-
-    # Resume: torn entries fail their checksum, are quarantined, and the
-    # blocks resynthesize under the journaled seed stream — identical.
-    resumed = run_quest(circuit, config, checkpoint_dir=tmp_path / "ckpt")
-    assert resumed.checkpoint_corrupt_entries > 0
-    assert resumed.checkpoint_hits == 0
-    assert clean.selection.bounds == resumed.selection.bounds
-    for ca, cb in zip(clean.circuits, resumed.circuits):
-        assert ca.cnot_count() == cb.cnot_count()
-        assert np.array_equal(ca.unitary(), cb.unitary())
-    # The re-journaled entries are whole: a second resume skips synthesis.
-    again = run_quest(circuit, config, checkpoint_dir=tmp_path / "ckpt")
-    assert again.checkpoint_corrupt_entries == 0
-    assert again.checkpoint_hits > 0
-    assert again.cache_misses == 0
-
-
-# ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------
 def test_cli_inject_faults_flag(tmp_path, capsys):
@@ -384,14 +350,3 @@ def test_cli_rejects_a_bad_fault_spec(tmp_path, capsys):
     code = main([str(qasm_path), "--inject-faults", "explode@1"])
     assert code == 2
     assert "unknown fault kind" in capsys.readouterr().err
-
-
-def test_cli_resume_requires_checkpoint_dir(tmp_path, capsys):
-    from repro.circuits import circuit_to_qasm
-    from repro.cli import main
-
-    qasm_path = tmp_path / "tfim.qasm"
-    qasm_path.write_text(circuit_to_qasm(tfim(3, steps=1)))
-    code = main([str(qasm_path), "--resume"])
-    assert code == 2
-    assert "--resume requires --checkpoint-dir" in capsys.readouterr().err

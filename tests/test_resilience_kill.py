@@ -1,12 +1,13 @@
-"""Mid-run SIGKILL: resume must be bit-identical to an uninterrupted run.
+"""Mid-run SIGKILL: the rerun over the store is bit-identical.
 
 The harshest leg of the fault matrix.  A child process runs the full
-pipeline with a checkpoint directory and a scheduled ``kill`` fault
-that SIGKILLs it at the start of the *last* synthesis job — after the
-earlier blocks journaled, before the run could finish.  The parent then
-verifies the kill actually happened (exit by SIGKILL, a partial
-journal on disk) and that resuming from the journal reproduces an
-uninterrupted run bit for bit.
+pipeline over a ``store_dir`` with a scheduled ``kill`` fault that
+SIGKILLs it at the start of the *last* synthesis job — after the
+earlier jobs published their blocks, before the run could finish.  The
+parent verifies the kill actually happened (exit by SIGKILL, one store
+entry per finished job) and that rerunning over the same store
+synthesizes only the killed job and reproduces an uninterrupted run bit
+for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ SEED = 5
 
 # heisenberg(4, steps=1) partitions into 3 nontrivial blocks with 3
 # distinct content keys, so the inline executor runs 3 synthesis jobs in
-# block order; killing at job 2 leaves blocks 0 and 1 journaled.
+# block order; killing at job 2 leaves blocks 0 and 1 in the store.
 KILL_BLOCK = 2
 
 _CHILD_SCRIPT = """\
@@ -50,14 +51,9 @@ from repro.algorithms import heisenberg
 from repro.core.quest import QuestConfig, run_quest
 from repro.resilience import FaultInjector, FaultSpec
 
-config = QuestConfig(seed={seed}, **{fast!r})
+config = QuestConfig(seed={seed}, store_dir={store_dir!r}, **{fast!r})
 injector = FaultInjector(specs=(FaultSpec("kill", {kill_block}, 0),))
-run_quest(
-    heisenberg(4, steps=1),
-    config,
-    checkpoint_dir={checkpoint_dir!r},
-    fault_injector=injector,
-)
+run_quest(heisenberg(4, steps=1), config, fault_injector=injector)
 print("UNREACHABLE: the kill fault did not fire", file=sys.stderr)
 sys.exit(3)
 """
@@ -75,14 +71,14 @@ def _dump_artifacts(name: str, payload: dict) -> None:
 
 @pytest.mark.slow
 def test_resume_after_sigkill_is_bit_identical(tmp_path):
-    checkpoint_dir = tmp_path / "ckpt"
+    store_dir = tmp_path / "store"
     script = tmp_path / "killed_run.py"
     script.write_text(
         _CHILD_SCRIPT.format(
             seed=SEED,
             fast=FAST,
             kill_block=KILL_BLOCK,
-            checkpoint_dir=str(checkpoint_dir),
+            store_dir=str(store_dir),
         )
     )
     env = dict(os.environ)
@@ -95,33 +91,33 @@ def test_resume_after_sigkill_is_bit_identical(tmp_path):
         timeout=300,
         env=env,
     )
-    journaled = sorted(checkpoint_dir.glob("block_*.qckpt"))
+    published = sorted(p.name for p in store_dir.rglob("*.qpool"))
     _dump_artifacts(
         "sigkill_child",
         {
             "returncode": proc.returncode,
             "stdout": proc.stdout,
             "stderr": proc.stderr,
-            "journaled": [p.name for p in journaled],
+            "published": published,
         },
     )
 
     # The child died by SIGKILL, not by finishing or erroring out.
     assert proc.returncode == -signal.SIGKILL, proc.stderr
-    # It got partway: earlier blocks journaled, the killed one did not.
-    assert (checkpoint_dir / "manifest.json").exists()
-    names = [p.name for p in journaled]
-    assert names, "no blocks were journaled before the kill"
-    assert f"block_{KILL_BLOCK:04d}.qckpt" not in names
+    # It got partway: one store entry per job that finished (2 of 3).
+    assert len(published) == KILL_BLOCK
 
-    # Resume and compare with an uninterrupted run, bit for bit.
+    # Rerun over the same store and compare with an uninterrupted run.
     config = QuestConfig(seed=SEED, **FAST)
     clean = run_quest(heisenberg(4, steps=1), config)
     resumed = run_quest(
-        heisenberg(4, steps=1), config, checkpoint_dir=checkpoint_dir
+        heisenberg(4, steps=1),
+        QuestConfig(seed=SEED, store_dir=str(store_dir), **FAST),
     )
-    assert resumed.checkpoint_hits == len(names)
-    assert resumed.checkpoint_corrupt_entries == 0
+    # Only the killed job synthesizes; the finished ones are disk hits.
+    assert resumed.cache_misses == 1
+    assert resumed.cache_hits == len(published)
+    assert resumed.cache_corrupt_entries == 0
     assert clean.selection.bounds == resumed.selection.bounds
     assert len(clean.selection.choices) == len(resumed.selection.choices)
     for a, b in zip(clean.selection.choices, resumed.selection.choices):

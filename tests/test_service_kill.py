@@ -1,12 +1,13 @@
-"""SIGKILL the daemon mid-job: a warm restart resumes from the ledger.
+"""SIGKILL the daemon mid-job: a warm restart resumes from the store.
 
 A child process runs a real daemon (socket, dispatcher, the works) with
 a scheduled ``kill`` fault that fires partway through the submitted
-job's synthesis.  The parent verifies the kill landed mid-compile — the
-ledger holds the job in ``running`` with a partial per-job checkpoint
-journal — then restarts a daemon on the *same ledger* with no injector
-and asserts the job is re-admitted, resumes from the journal (nonzero
-``checkpoint_hits``), and lands bit-identical to an uninterrupted solo
+job's synthesis.  The daemon has no ``store_dir``, so its store lives in
+``<ledger>/store``.  The parent verifies the kill landed mid-compile —
+the ledger holds the job in ``running`` and the store one entry per
+finished synthesis job — then restarts a daemon on the *same ledger*
+with no injector and asserts the job is re-admitted, synthesizes only
+the killed job, and lands bit-identical to an uninterrupted solo
 :func:`run_quest`.
 """
 
@@ -46,8 +47,8 @@ FAST = dict(
 SEED = 5
 
 # heisenberg(4, steps=1) runs 3 distinct synthesis jobs in block order;
-# killing at job 2 leaves the service job's checkpoint journal holding
-# blocks 0-1 and its ledger record stuck in "running".
+# killing at job 2 leaves blocks 0-1 in the daemon's store and the
+# job's ledger record stuck in "running".
 KILL_BLOCK = 2
 
 _CHILD_SCRIPT = """\
@@ -97,7 +98,7 @@ def _dump_artifacts(name: str, payload: dict) -> None:
 
 
 @pytest.mark.slow
-def test_daemon_resumes_killed_job_from_ledger_bit_identically(tmp_path):
+def test_daemon_resumes_killed_job_from_the_store_bit_identically(tmp_path):
     ledger_dir = tmp_path / "ledger"
     sock_dir = tempfile.mkdtemp(dir="/tmp", prefix="qkil-")
     script = tmp_path / "killed_daemon.py"
@@ -120,16 +121,10 @@ def test_daemon_resumes_killed_job_from_ledger_bit_identically(tmp_path):
         timeout=300,
         env=env,
     )
-    ledger = JobLedger(ledger_dir)
-    records = ledger.load_all()
-    journaled = []
-    if records:
-        journaled = sorted(
-            p.name
-            for p in ledger.checkpoint_dir(records[0].job_id).glob(
-                "block_*.qckpt"
-            )
-        )
+    records = JobLedger(ledger_dir).load_all()
+    published = sorted(
+        p.name for p in (ledger_dir / "store").rglob("*.qpool")
+    )
     _dump_artifacts(
         "sigkill_daemon_child",
         {
@@ -137,7 +132,7 @@ def test_daemon_resumes_killed_job_from_ledger_bit_identically(tmp_path):
             "stdout": proc.stdout,
             "stderr": proc.stderr,
             "ledger_states": {r.job_id: r.state for r in records},
-            "journaled": journaled,
+            "published": published,
         },
     )
 
@@ -145,17 +140,16 @@ def test_daemon_resumes_killed_job_from_ledger_bit_identically(tmp_path):
     assert proc.returncode == -signal.SIGKILL, proc.stderr
     assert "SUBMITTED" in proc.stdout
     job_id = proc.stdout.split()[1]
-    # The ledger survived the crash: the job is durably mid-flight, with
-    # a partial checkpoint journal short of the killed block.
+    # The ledger survived the crash: the job is durably mid-flight, and
+    # the default store holds one entry per finished job (2 of 3).
     assert [r.job_id for r in records] == [job_id]
     assert records[0].state == "running"
     assert records[0].attempts == 1
-    assert journaled, "no blocks were journaled before the kill"
-    assert f"block_{KILL_BLOCK:04d}.qckpt" not in journaled
+    assert len(published) == KILL_BLOCK
 
     # Warm restart on the same ledger, injector gone: the job re-admits,
-    # resumes from its journal, and completes bit-identically to a solo
-    # uninterrupted run.
+    # synthesizes only the killed job, and completes bit-identically to
+    # a solo uninterrupted run.
     config = QuestConfig(seed=SEED, **FAST)
     service = QuestService(
         str(Path(sock_dir) / "restart.sock"), ledger_dir, config=config
@@ -171,7 +165,8 @@ def test_daemon_resumes_killed_job_from_ledger_bit_identically(tmp_path):
         assert reply["state"] == "done", reply
         assert reply["attempts"] == 2
         payload = reply["result"]
-        assert payload["checkpoint_hits"] == len(journaled)
+        assert payload["cache_misses"] == 1
+        assert payload["cache_hits"] == len(published)
         solo = run_quest(heisenberg(4, steps=1), config)
         assert payload["choices"] == [
             [int(i) for i in c] for c in solo.selection.choices
