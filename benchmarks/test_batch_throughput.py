@@ -7,8 +7,8 @@ re-run) two ways at ``workers=4``:
 * **sequential** — eight independent :func:`repro.run_quest` calls,
   each paying its own worker pool, cache, and synthesis;
 * **batch** — one :func:`repro.batch.run_quest_batch` call sharing the
-  persistent pool, content-addressed cache, in-flight registry, and the
-  shared-memory result transport across all eight circuits.
+  persistent pool, content-addressed cache and in-flight registry across
+  all eight circuits.
 
 Records ``BENCH_batch.json`` at the repo root and asserts the batch
 layer's three claims: per-circuit selections bit-identical to solo,
@@ -101,28 +101,19 @@ def _planned_entry_keys(circuit, config):
 
 
 def test_batch_throughput(tmp_path):
-    sequential_config = QuestConfig(**BATCH_CONFIG, workers=WORKERS)
-    batch_config = QuestConfig(
-        **BATCH_CONFIG,
-        workers=WORKERS,
-        shm_transport=True,
-        shm_min_bytes=1,
-    )
+    config = QuestConfig(**BATCH_CONFIG, workers=WORKERS)
 
     start = time.perf_counter()
-    solo = [run_quest(circuit, sequential_config) for circuit in _family()]
+    solo = [run_quest(circuit, config) for circuit in _family()]
     sequential_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    batch = run_quest_batch(_family(), batch_config, window=WINDOW)
+    batch = run_quest_batch(_family(), config, window=WINDOW)
     batch_wall = time.perf_counter() - start
     speedup = sequential_wall / batch_wall
 
     # Expected dedup structure, computed independently of the runtime.
-    per_circuit = [
-        _planned_entry_keys(circuit, sequential_config)
-        for circuit in _family()
-    ]
+    per_circuit = [_planned_entry_keys(circuit, config) for circuit in _family()]
     total_nontrivial = sum(len(keys) for keys in per_circuit)
     unique_global = len(set().union(*map(set, per_circuit)))
     expected_collisions = total_nontrivial - unique_global
@@ -132,23 +123,21 @@ def test_batch_throughput(tmp_path):
 
     print_table(
         "Batch vs sequential (8-circuit Trotter family, 4 workers)",
-        ["mode", "wall s", "synthesized", "dedup hits", "shm bytes"],
+        ["mode", "wall s", "synthesized", "dedup hits"],
         [
             [
                 "sequential x8",
                 f"{sequential_wall:.2f}",
                 sum(r.cache_misses for r in solo),
                 sum(r.cache_hits + r.dedup_joins for r in solo),
-                0,
             ],
             [
                 "batch",
                 f"{batch_wall:.2f}",
                 synthesized,
                 batch.cache_hits + batch.dedup_joins,
-                batch.shm_bytes_saved,
             ],
-            ["speedup", f"{speedup:.2f}x", "", "", ""],
+            ["speedup", f"{speedup:.2f}x", "", ""],
         ],
     )
 
@@ -160,7 +149,6 @@ def test_batch_throughput(tmp_path):
     # The dedup counters account for every expected collision.
     assert batch.cache_hits + batch.dedup_joins == expected_collisions
     assert expected_collisions > 0
-    assert batch.shm_bytes_saved > 0
     assert batch.pools_created >= 1
     # The headline claim: >= 2x over sequential at 4 workers.
     assert speedup >= 2.0, f"batch speedup {speedup:.2f}x < 2x"
@@ -180,7 +168,6 @@ def test_batch_throughput(tmp_path):
                 "dedup_hits": batch.cache_hits + batch.dedup_joins,
                 "inflight_joins": batch.inflight_joins,
                 "cache_hits": batch.cache_hits,
-                "shm_bytes_saved": batch.shm_bytes_saved,
                 "pools_created": batch.pools_created,
                 "pool_reuses": batch.pool_reuses,
             },

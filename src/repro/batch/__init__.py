@@ -1,19 +1,11 @@
-"""Batch compilation layer: shared worker pool, dedup, shm transport.
+"""Batch compilation layer: shared worker pool and in-flight dedup.
 
 See :mod:`repro.batch.driver` for the entry point
-(:func:`run_quest_batch`), :mod:`repro.batch.workqueue` for the
-in-flight dedup registry, and :mod:`repro.batch.shm` for the
-shared-memory candidate transport.
+(:func:`run_quest_batch`) and :mod:`repro.batch.workqueue` for the
+in-flight dedup registry.
 """
 
 from repro.batch.driver import BatchResources, BatchResult, run_quest_batch
-from repro.batch.shm import (
-    ShmEnvelope,
-    ShmTransportError,
-    decode_payload,
-    encode_payload,
-    shm_available,
-)
 from repro.batch.workqueue import InflightRegistry
 
 __all__ = [
@@ -21,9 +13,4 @@ __all__ = [
     "BatchResult",
     "BatchResources",
     "InflightRegistry",
-    "ShmEnvelope",
-    "ShmTransportError",
-    "encode_payload",
-    "decode_payload",
-    "shm_available",
 ]

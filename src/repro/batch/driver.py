@@ -59,8 +59,8 @@ class BatchResult:
     """Everything a batch compilation produced.
 
     ``results`` preserves input order regardless of completion order.
-    The dedup/pool/shm counters aggregate over every circuit and are
-    what the throughput benchmark asserts on.
+    The dedup/pool counters aggregate over every circuit and are what
+    the throughput benchmark asserts on.
     """
 
     results: list[QuestResult] = field(default_factory=list)
@@ -79,8 +79,6 @@ class BatchResult:
     pools_created: int = 0
     pool_recycles: int = 0
     pool_reuses: int = 0
-    #: Array bytes that rode shared memory instead of the result pipe.
-    shm_bytes_saved: int = 0
     #: Merged metrics snapshot across every circuit of the batch.
     metrics: dict = field(default_factory=dict)
 
@@ -99,8 +97,6 @@ class BatchResult:
                 f"; worker pool created {self.pools_created}x, "
                 f"reused {self.pool_reuses} rounds"
             )
-        if self.shm_bytes_saved:
-            text += f"; {self.shm_bytes_saved} bytes via shared memory"
         return text
 
 
@@ -199,9 +195,6 @@ def run_quest_batch(
         batch.pools_created = worker_pool.pools_created
         batch.pool_recycles = worker_pool.recycles
         batch.pool_reuses = worker_pool.reuses
-    batch.shm_bytes_saved = int(
-        merged.snapshot().get("counters", {}).get("shm.bytes_saved", 0)
-    )
     # Fold the batch-level aggregates into the merged snapshot so a
     # ``--metrics-json`` dump is self-contained even when the caller has
     # no ambient metrics registry installed.
@@ -211,7 +204,6 @@ def run_quest_batch(
                 "batch.circuits": len(circuits),
                 "batch.dedup_joins": batch.dedup_joins,
                 "batch.inflight_joins": batch.inflight_joins,
-                "batch.shm_bytes_saved": batch.shm_bytes_saved,
                 # Must be 0: a nonzero value means a joiner timed out on
                 # an owner that never published, failed, or released.
                 "registry.stranded_joiners": resources.inflight.stranded_joiners,
@@ -226,5 +218,4 @@ def run_quest_batch(
         metrics.inc("batch.dedup_joins", batch.dedup_joins)
         metrics.inc("batch.inflight_joins", batch.inflight_joins)
         metrics.gauge("batch.pool_reuses", batch.pool_reuses)
-        metrics.inc("batch.shm_bytes_saved", batch.shm_bytes_saved)
     return batch

@@ -23,11 +23,6 @@ published, and the same block synthesizes twice.  The
 
 Resolved entries are retained for the registry's lifetime, so a batch
 running with the cache disabled still synthesizes each unique key once.
-
-The registry stores ``(solutions, unitaries)`` pairs — the optional
-``unitaries`` are the worker-computed candidate matrices moved through
-the shared-memory transport (:mod:`repro.batch.shm`), shared with
-joiners so deduped blocks skip the parent-side unitary rebuild too.
 """
 
 from __future__ import annotations
@@ -40,12 +35,11 @@ from repro.observability import get_metrics, get_tracer
 class InflightEntry:
     """One key's in-flight state: an event plus the published result."""
 
-    __slots__ = ("event", "solutions", "unitaries", "ok")
+    __slots__ = ("event", "solutions", "ok")
 
     def __init__(self) -> None:
         self.event = threading.Event()
         self.solutions = None
-        self.unitaries = None
         self.ok = False
 
     @property
@@ -105,7 +99,7 @@ class InflightRegistry:
             )
         return entry
 
-    def publish(self, key: str, owner: object, solutions, unitaries=None) -> None:
+    def publish(self, key: str, owner: object, solutions) -> None:
         """Publish ``owner``'s baseline result for ``key``.
 
         The entry stays in the registry (resolved) so later claims adopt
@@ -117,7 +111,6 @@ class InflightRegistry:
                 return
             entry = held[1]
             entry.solutions = solutions
-            entry.unitaries = unitaries
             entry.ok = True
             # Resolved entries no longer need an owner: nothing will
             # release them, and release(owner) must not drop them.

@@ -33,9 +33,7 @@ from pathlib import Path
 
 from repro.circuits import circuit_from_qasm, circuit_to_qasm
 from repro.core import QuestConfig, run_quest
-from repro.exceptions import ArrayBackendError, ReproError, StoreError
-from repro.linalg.array_api import BACKEND_NAMES, get_backend
-from repro.noise import NOISE_ENGINES
+from repro.exceptions import ReproError, StoreError
 from repro.observability import (
     JsonlSink,
     Tracer,
@@ -61,13 +59,6 @@ def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-    return parsed
-
-
-def _nonnegative_float(value: str) -> float:
-    parsed = float(value)
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
     return parsed
 
 
@@ -169,14 +160,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "different namespaces never mix (default 'default')",
     )
     parser.add_argument(
-        "--shm-transport",
-        action="store_true",
-        help="move candidate arrays from worker processes through "
-        "checksummed shared-memory envelopes instead of the result "
-        "pipe (workers > 1 only; falls back to pickle when shared "
-        "memory is unavailable)",
-    )
-    parser.add_argument(
         "--retry-attempts",
         type=_positive_int,
         default=2,
@@ -190,15 +173,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         default=1.0,
         help="grow the per-block time budget by this factor on each "
         "retry attempt (default 1.0 = flat)",
-    )
-    parser.add_argument(
-        "--retry-backoff",
-        type=_nonnegative_float,
-        default=0.0,
-        metavar="SECONDS",
-        help="base delay of the full-jitter exponential backoff before "
-        "each synthesis retry (default 0 = retry immediately); affects "
-        "wall time only, never results",
     )
     parser.add_argument(
         "--inject-faults",
@@ -249,23 +223,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "certification: rebuild every worker/cache "
         "candidate's unitary through the certifier's own contraction "
         "path (slower)",
-    )
-    parser.add_argument(
-        "--noise-engine",
-        choices=NOISE_ENGINES,
-        default="auto",
-        help="engine for post-run noisy-ensemble evaluation: 'ptm' "
-        "contracts the whole ensemble as one batched superoperator "
-        "pass; 'auto' (default) keeps the density/trajectories "
-        "dispatch",
-    )
-    parser.add_argument(
-        "--array-backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="array library for the ptm engine (default: "
-        "$REPRO_ARRAY_BACKEND, falling back to numpy); exits 2 if the "
-        "requested library is not installed",
     )
 
 
@@ -376,17 +333,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "namespace nor a tenant-derived one (default 'default')",
     )
     parser.add_argument(
-        "--shm-transport", action="store_true",
-        help="ship worker results through shared memory",
-    )
-    parser.add_argument(
         "--retry-attempts", type=_positive_int, default=2,
         help="default synthesis attempts per block",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=_nonnegative_float, default=0.0,
-        metavar="SECONDS",
-        help="default full-jitter retry backoff base (0 = immediate)",
     )
     parser.add_argument(
         "--log-level",
@@ -523,9 +471,7 @@ def _serve_main(argv: list[str]) -> int:
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
-        shm_transport=args.shm_transport,
         retry_attempts=args.retry_attempts,
-        retry_backoff_seconds=args.retry_backoff,
     )
     try:
         serve(
@@ -819,14 +765,10 @@ def _config_from_args(args) -> QuestConfig:
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
-        shm_transport=args.shm_transport,
         retry_attempts=args.retry_attempts,
         retry_budget_multiplier=args.retry_budget_multiplier,
-        retry_backoff_seconds=args.retry_backoff,
         certify=args.certify,
         certify_candidates=args.certify_candidates,
-        noise_engine=args.noise_engine,
-        array_backend=args.array_backend,
     )
 
 
@@ -845,13 +787,6 @@ def _compile_preflight(args, logger) -> int:
         except OSError as exc:
             logger.error(f"error: store dir {args.store_dir}: {exc}")
             return 2
-    try:
-        # Resolve eagerly so a missing array library (e.g. --array-backend
-        # cupy on a CPU-only host) fails before any synthesis work starts.
-        get_backend(args.array_backend)
-    except ArrayBackendError as exc:
-        logger.error(f"error: --array-backend: {exc}")
-        return 2
     return 0
 
 

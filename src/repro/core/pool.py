@@ -1,9 +1,12 @@
 """Per-block approximation pools.
 
 A :class:`BlockPool` holds every candidate approximation LEAP produced
-for one block, plus the exact original block as a guaranteed-feasible
-candidate (distance zero, original CNOT count) — this is why QUEST
-"never performs worse than the Baseline" (paper Sec. 4.2).
+for one block, plus the exact original block as a distance-zero
+candidate at the original CNOT count.  That candidate guarantees only
+that selection is always feasible (paper Sec. 4.2); it does not make
+QUEST's noisy output at least as good as the Baseline's.  A selected
+approximation can still have a worse noisy TVD than the original
+circuit.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ def build_pool(
     solutions: list[SynthesisSolution],
     max_candidates: int = 24,
     distance_cap: float | None = None,
-    solution_unitaries: list[np.ndarray] | None = None,
 ) -> BlockPool:
     """Assemble a pool from LEAP solutions plus the original block.
 
@@ -74,20 +76,7 @@ def build_pool(
     lower CNOT counts then lower distances; candidates above
     ``distance_cap`` (when given) are discarded up front — the analogue of
     Algorithm 1's threshold rejection, applied per block.
-
-    ``solution_unitaries`` optionally carries a pre-instantiated unitary
-    per solution (same order as ``solutions``) — the shared-memory
-    transport ships worker-computed matrices so assembly need not
-    rebuild them.  ``circuit.unitary()`` is deterministic, so the two
-    sources are byte-identical; any solution without a shipped matrix
-    falls back to recomputing.
     """
-    shipped: dict[int, np.ndarray] = {}
-    if solution_unitaries is not None:
-        shipped = {
-            id(solution): unitary
-            for solution, unitary in zip(solutions, solution_unitaries)
-        }
     original_unitary = block.unitary()
     original_cnots = block.circuit.cnot_count()
     pool = BlockPool(block=block, original_unitary=original_unitary)
@@ -108,9 +97,7 @@ def build_pool(
         if solution.cnot_count >= original_cnots and solution.distance > 1e-9:
             # Longer *and* worse than the original: never useful.
             continue
-        unitary = shipped.get(id(solution))
-        if unitary is None:
-            unitary = solution.circuit.unitary()
+        unitary = solution.circuit.unitary()
         # Re-measure the distance from the concrete circuit (the optimizer
         # cost is a lower bound on what the built circuit achieves).
         distance = hs_distance(unitary, original_unitary)

@@ -93,13 +93,6 @@ class QuestConfig:
     #: Tenant namespace inside the artifact store; entries of different
     #: namespaces never mix even when their content keys collide.
     namespace: str = "default"
-    #: Ship candidate arrays from workers through checksummed
-    #: shared-memory envelopes instead of the result pipe (workers > 1
-    #: only; falls back to pickle where shared memory is unavailable).
-    shm_transport: bool = False
-    #: Array-bytes threshold below which the shm transport keeps the
-    #: plain pickle (None = repro.batch.shm.DEFAULT_MIN_BYTES).
-    shm_min_bytes: int | None = None
     #: Synthesis attempts per block before the exact-pool downgrade
     #: (1 = no retries).  The first retry reuses the block's seed, so
     #: recovery from transient faults is bit-identical; later attempts
@@ -108,11 +101,6 @@ class QuestConfig:
     #: Per-attempt growth factor of the block time budget (and hard
     #: timeout) under retries; 1.0 keeps the budget flat.
     retry_budget_multiplier: float = 1.0
-    #: Base delay (seconds) of the full-jitter exponential backoff
-    #: before each retry round; 0.0 (default) re-dispatches immediately.
-    #: Backoff affects wall time only — retry seeds and budgets, and
-    #: therefore results, are identical with it on or off.
-    retry_backoff_seconds: float = 0.0
     #: Health-check candidates from workers/cache (finite, unitary,
     #: distances recompute) and quarantine failures.
     validate_candidates: bool = True
@@ -132,14 +120,6 @@ class QuestConfig:
     #: with the recorded artifacts.  Catches corruption the plain
     #: health checks cannot (a tampered-but-still-unitary matrix).
     certify_candidates: bool = False
-    #: Engine for :meth:`QuestResult.noisy_ensemble` (one of
-    #: :data:`repro.noise.NOISE_ENGINES`).  ``auto`` keeps the historical
-    #: density/trajectories dispatch; ``ptm`` evaluates the whole
-    #: ensemble as one batched superoperator contraction.
-    noise_engine: str = "auto"
-    #: Array library for the ``ptm`` engine (``numpy``/``cupy``/``torch``;
-    #: None defers to ``$REPRO_ARRAY_BACKEND``, default numpy).
-    array_backend: str | None = None
 
 
 @dataclass
@@ -228,10 +208,6 @@ class QuestResult:
     #: (same order as ``circuits``); populated only when
     #: ``QuestConfig.certify`` is set.
     certifications: list[CertificationReport] = field(default_factory=list)
-    #: Default engine/backend for :meth:`noisy_ensemble`, copied from the
-    #: config that produced this result.
-    noise_engine: str = "auto"
-    array_backend: str | None = None
 
     @property
     def original_cnot_count(self) -> int:
@@ -312,18 +288,16 @@ class QuestResult:
         trajectories: int = 1000,
         rng: np.random.Generator | int | None = None,
         batched: bool = True,
-        engine: str | None = None,
-        array_backend: str | None = None,
+        engine: str = "auto",
     ) -> np.ndarray:
         """Averaged noisy output distribution of the selected ensemble.
 
         Evaluates every selected approximation under ``noise`` and
         returns the pointwise mean — the quantity the paper compares
-        against the ideal distribution in Sec. 5.  ``engine`` (default:
-        the ``noise_engine`` the result was configured with) picks the
-        evaluator: ``ptm`` contracts the whole ensemble as one batched
-        superoperator pass on ``array_backend``; the other engines
-        evaluate circuit by circuit via
+        against the ideal distribution in Sec. 5.  ``engine`` (one of
+        :data:`repro.noise.NOISE_ENGINES`) picks the evaluator: ``ptm``
+        contracts the whole ensemble as one batched superoperator pass;
+        the other engines evaluate circuit by circuit via
         :func:`repro.noise.noisy_distribution`.  Wall time is
         accumulated into ``timings.noisy_eval_seconds``.
         """
@@ -332,9 +306,6 @@ class QuestResult:
 
         if not self.circuits:
             raise SelectionError("no selected circuits to evaluate")
-        engine = engine if engine is not None else self.noise_engine
-        if array_backend is None:
-            array_backend = self.array_backend
         rng = np.random.default_rng(rng)
         tracer = get_tracer()
         metrics = get_metrics()
@@ -349,11 +320,7 @@ class QuestResult:
                 # One batched contraction over the whole ensemble: the
                 # selected approximations share block structure, so they
                 # collapse into a handful of PTM batch groups.
-                distributions = list(
-                    run_ptm_ensemble(
-                        self.circuits, noise, backend=array_backend
-                    )
-                )
+                distributions = list(run_ptm_ensemble(self.circuits, noise))
             else:
                 distributions = [
                     noisy_distribution(
@@ -363,7 +330,6 @@ class QuestResult:
                         rng=rng,
                         batched=batched,
                         engine=engine,
-                        array_backend=array_backend,
                     )
                     for circuit in self.circuits
                 ]
@@ -452,24 +418,12 @@ def _run_pipeline(
     shared=None,
 ) -> QuestResult:
     """The pipeline body; runs under the ambient tracer/metrics pair."""
-    from repro.noise import NOISE_ENGINES
-
-    if config.noise_engine not in NOISE_ENGINES:
-        raise SelectionError(
-            f"unknown noise engine {config.noise_engine!r}; choose from "
-            f"{', '.join(NOISE_ENGINES)}"
-        )
     rng = np.random.default_rng(config.seed)
     baseline = lower_to_basis(circuit.without_measurements())
     if baseline.cnot_count() == 0:
         raise SelectionError("circuit has no CNOTs; nothing for QUEST to reduce")
 
-    result = QuestResult(
-        original=circuit,
-        baseline=baseline,
-        noise_engine=config.noise_engine,
-        array_backend=config.array_backend,
-    )
+    result = QuestResult(original=circuit, baseline=baseline)
 
     start = time.perf_counter()
     with tracer.span("quest.partition"):
@@ -503,15 +457,12 @@ def _run_pipeline(
             retry_policy=RetryPolicy(
                 max_attempts=config.retry_attempts,
                 budget_multiplier=config.retry_budget_multiplier,
-                backoff_base=config.retry_backoff_seconds,
             ),
             fault_injector=fault_injector,
             validate=config.validate_candidates,
             independent_validation=config.certify_candidates,
             worker_pool=getattr(shared, "worker_pool", None),
             inflight=getattr(shared, "inflight", None),
-            shm_transport=config.shm_transport,
-            shm_min_bytes=config.shm_min_bytes,
         )
         result.pools, synthesis_stats = executor.run(
             result.blocks, config, block_seeds

@@ -65,15 +65,6 @@ class NoiseModelError(ReproError):
     """Raised for inconsistent noise-model definitions."""
 
 
-class ArrayBackendError(ReproError):
-    """Raised when a requested array backend cannot be provided.
-
-    Either the name is unknown or the backing library (cupy, torch) is
-    not installed in this environment.  The message always names the
-    backends that *are* available so callers can fall back cleanly.
-    """
-
-
 class TranspilerError(ReproError):
     """Raised when a transpilation pass cannot complete."""
 

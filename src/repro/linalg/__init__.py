@@ -1,10 +1,5 @@
 """Linear-algebra substrate: embedding, unitary metrics, decompositions."""
 
-from repro.linalg.array_api import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-)
 from repro.linalg.embed import (
     apply_gate_to_matrix,
     apply_gate_to_state,
@@ -32,9 +27,6 @@ from repro.linalg.weyl import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "get_backend",
-    "available_backends",
     "apply_gate_to_state",
     "apply_gate_to_states",
     "apply_gate_to_matrix",

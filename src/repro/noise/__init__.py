@@ -4,10 +4,8 @@ Three noisy-evaluation engines share one channel structure:
 
 * ``density`` — exact density matrix, practical to ~9 qubits;
 * ``ptm`` — exact superoperator (Pauli-transfer-matrix) contraction,
-  batched over the ensemble axis and routed through the
-  :mod:`repro.linalg.array_api` backend shim (numpy/cupy/torch),
-  practical to ~12 qubits and an order of magnitude faster than both
-  alternatives at evaluation scale;
+  batched over the ensemble axis, practical to ~12 qubits and an order
+  of magnitude faster than both alternatives at evaluation scale;
 * ``trajectories`` — Monte-Carlo Pauli trajectories, for anything wider.
 """
 
@@ -38,9 +36,10 @@ from repro.noise.ptm import (
 from repro.noise.trajectories import run_trajectories
 
 #: Engine names accepted by :func:`noisy_distribution` and
-#: ``QuestConfig.noise_engine``.  ``auto`` preserves the historical
-#: dispatch (density below its cap, trajectories above), so existing
-#: results stay bit-identical unless an engine is chosen explicitly.
+#: :meth:`repro.core.quest.QuestResult.noisy_ensemble`.  ``auto``
+#: preserves the historical dispatch (density below its cap,
+#: trajectories above), so existing results stay bit-identical unless
+#: an engine is chosen explicitly.
 NOISE_ENGINES: tuple[str, ...] = ("auto", "ptm", "density", "trajectories")
 
 
@@ -51,7 +50,6 @@ def noisy_distribution(
     rng=None,
     batched=True,
     engine="auto",
-    array_backend=None,
 ):
     """Noisy output distribution via the selected engine.
 
@@ -59,9 +57,8 @@ def noisy_distribution(
     density-matrix simulator up to its qubit cap and falls back to
     Monte-Carlo Pauli trajectories beyond it (batched by default;
     ``batched=False`` selects the scalar reference engine).  ``ptm``
-    runs the exact superoperator engine on the ``array_backend`` array
-    library (default numpy / ``$REPRO_ARRAY_BACKEND``); ``trajectories``
-    and ``density`` force those engines regardless of size.
+    runs the exact superoperator engine; ``trajectories`` and
+    ``density`` force those engines regardless of size.
     """
     if engine not in NOISE_ENGINES:
         raise SimulationError(
@@ -77,7 +74,7 @@ def noisy_distribution(
     if engine == "density":
         return run_density(circuit, noise)
     if engine == "ptm":
-        return run_ptm(circuit, noise, backend=array_backend)
+        return run_ptm(circuit, noise)
     return run_trajectories(
         circuit, noise, trajectories=trajectories, rng=rng, batched=batched
     )

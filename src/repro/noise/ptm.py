@@ -33,11 +33,6 @@ reshaped to ``(4,) * n`` has axis ``a`` for qubit ``n - 1 - a``, and a
 with the state axis of qubit ``qubits[k - 1 - i]`` (Pauli labels are
 little-endian strings, like :func:`repro.noise.model.pauli_matrix`).
 
-All contraction kernels run through the :mod:`repro.linalg.array_api`
-shim, so selecting the ``cupy`` or ``torch`` backend moves the identical
-code path onto a GPU; compilation stays on host numpy (tiny matrices,
-runs once per distinct gate).
-
 Compiled PTMs cross into the evolution loop exactly once per cache
 miss, and are health-checked there: trace preservation (first row
 ``e_0``) and complete positivity (Choi matrix PSD) via
@@ -56,7 +51,6 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import SimulationCapacityError, SimulationError
-from repro.linalg.array_api import ArrayBackend, get_backend
 from repro.noise.model import (
     ONE_QUBIT_PAULIS,
     NoiseModel,
@@ -310,11 +304,6 @@ class PtmCache:
 _DEFAULT_CACHE = PtmCache()
 
 
-def default_cache() -> PtmCache:
-    """The process-wide compile cache (exposed for tests/inspection)."""
-    return _DEFAULT_CACHE
-
-
 @dataclass(frozen=True)
 class PtmOp:
     """One compiled superoperator application.
@@ -434,7 +423,6 @@ def _apply_matrix_ptm(
     num_qubits: int,
     batch: int,
     per_member: bool,
-    xb: ArrayBackend,
 ):
     """One batched PTM contraction; ``ptm`` is shared or ``(B, ...)``."""
     k = len(qubits)
@@ -447,14 +435,14 @@ def _apply_matrix_ptm(
     out_sub = state_sub
     for src, dst in zip(in_letters, out_letters):
         out_sub = out_sub.replace(src, dst)
-    tensor = xb.reshape(states, (batch,) + (4,) * num_qubits)
+    tensor = states.reshape((batch,) + (4,) * num_qubits)
     ptm_shape = ((batch,) if per_member else ()) + (4,) * (2 * k)
-    result = xb.einsum(
+    result = np.einsum(
         f"{ptm_sub},{state_sub}->{out_sub}",
-        xb.reshape(ptm, ptm_shape),
+        ptm.reshape(ptm_shape),
         tensor,
     )
-    return xb.reshape(result, (batch, 4**num_qubits))
+    return result.reshape((batch, 4**num_qubits))
 
 
 def _apply_diag_ptm(
@@ -464,7 +452,6 @@ def _apply_diag_ptm(
     num_qubits: int,
     batch: int,
     per_member: bool,
-    xb: ArrayBackend,
 ):
     """Broadcast-multiply a diagonal channel along its target axes."""
     k = len(qubits)
@@ -472,18 +459,18 @@ def _apply_diag_ptm(
     diag_sub = ("Z" if per_member else "") + "".join(
         _target_letters(qubits, num_qubits)
     )
-    tensor = xb.reshape(states, (batch,) + (4,) * num_qubits)
+    tensor = states.reshape((batch,) + (4,) * num_qubits)
     diag_shape = ((batch,) if per_member else ()) + (4,) * k
-    result = xb.einsum(
+    result = np.einsum(
         f"{diag_sub},{state_sub}->{state_sub}",
-        xb.reshape(diag, diag_shape),
+        diag.reshape(diag_shape),
         tensor,
     )
-    return xb.reshape(result, (batch, 4**num_qubits))
+    return result.reshape((batch, 4**num_qubits))
 
 
 def _pauli_to_probabilities(
-    states, num_qubits: int, batch: int, xb: ArrayBackend
+    states: np.ndarray, num_qubits: int, batch: int
 ) -> np.ndarray:
     """Computational-basis probabilities from a batch of Pauli vectors.
 
@@ -491,18 +478,18 @@ def _pauli_to_probabilities(
     out and transforming each axis by ``[[1, 1], [1, -1]]`` (a
     Walsh-Hadamard pass) yields ``p(b) = 2^-n sum_z r_z prod (-1)^(b.z)``.
     """
-    tensor = xb.reshape(states, (batch,) + (4,) * num_qubits)
+    tensor = states.reshape((batch,) + (4,) * num_qubits)
     for axis in range(1, num_qubits + 1):
-        tensor = xb.take(tensor, (0, 3), axis)
-    transform = xb.asarray([[1.0, 1.0], [1.0, -1.0]], dtype="float64")
+        tensor = np.take(tensor, np.asarray([0, 3]), axis=axis)
+    transform = np.asarray([[1.0, 1.0], [1.0, -1.0]], dtype="float64")
     state_sub = "Z" + _LETTERS[:num_qubits]
     for letter in _LETTERS[:num_qubits]:
-        tensor = xb.einsum(
+        tensor = np.einsum(
             f"y{letter},{state_sub}->{state_sub.replace(letter, 'y')}",
             transform,
             tensor,
         )
-    probs = xb.to_numpy(xb.reshape(tensor, (batch, 2**num_qubits)))
+    probs = tensor.reshape((batch, 2**num_qubits))
     return probs / 2**num_qubits
 
 
@@ -521,7 +508,6 @@ def run_ptm_ensemble(
     circuits: list[Circuit],
     noise: NoiseModel,
     *,
-    backend: str | ArrayBackend | None = None,
     cache: PtmCache | None = None,
 ) -> np.ndarray:
     """Exact noisy output distribution of every circuit in one batch.
@@ -529,7 +515,7 @@ def run_ptm_ensemble(
     Returns a ``(len(circuits), 2^n)`` array of distributions (rows in
     input order).  Circuits are grouped by structural signature; within
     a group the ensemble axis is a leading batch dimension and every
-    operation position is a single backend contraction.  A QUEST
+    operation position is a single contraction.  A QUEST
     ensemble — selections over shared block pools — collapses into a
     handful of such groups.
     """
@@ -542,7 +528,6 @@ def run_ptm_ensemble(
         )
     num_qubits = widths.pop()
     _check_capacity(num_qubits)
-    xb = get_backend(backend)
     cache = _DEFAULT_CACHE if cache is None else cache
     tracer = get_tracer()
     metrics = get_metrics()
@@ -550,7 +535,6 @@ def run_ptm_ensemble(
         "ptm.ensemble",
         circuits=len(circuits),
         qubits=num_qubits,
-        backend=xb.name,
     ):
         programs = [
             compile_circuit(circuit, noise, cache) for circuit in circuits
@@ -564,7 +548,7 @@ def run_ptm_ensemble(
         out = np.empty((len(circuits), 2**num_qubits))
         for members in groups.values():
             batch = len(members)
-            states = xb.asarray(
+            states = np.asarray(
                 np.tile(initial, (batch, 1)), dtype="float64"
             )
             contractions = 0
@@ -573,7 +557,7 @@ def run_ptm_ensemble(
                 first = ops_at[0]
                 if first.is_diag:
                     shared = all(op.diag is first.diag for op in ops_at)
-                    operand = xb.asarray(
+                    operand = np.asarray(
                         first.diag
                         if shared
                         else np.stack([op.diag for op in ops_at]),
@@ -581,11 +565,11 @@ def run_ptm_ensemble(
                     )
                     states = _apply_diag_ptm(
                         states, operand, first.qubits, num_qubits, batch,
-                        not shared, xb,
+                        not shared,
                     )
                 else:
                     shared = all(op.matrix is first.matrix for op in ops_at)
-                    operand = xb.asarray(
+                    operand = np.asarray(
                         first.matrix
                         if shared
                         else np.stack([op.matrix for op in ops_at]),
@@ -593,12 +577,12 @@ def run_ptm_ensemble(
                     )
                     states = _apply_matrix_ptm(
                         states, operand, first.qubits, num_qubits, batch,
-                        not shared, xb,
+                        not shared,
                     )
                 contractions += 1
             if metrics.is_enabled:
                 metrics.inc("ptm.contractions", contractions)
-            probs = _pauli_to_probabilities(states, num_qubits, batch, xb)
+            probs = _pauli_to_probabilities(states, num_qubits, batch)
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum(axis=1, keepdims=True)
             for row, member in enumerate(members):
@@ -612,7 +596,6 @@ def run_ptm(
     circuit: Circuit,
     noise: NoiseModel,
     *,
-    backend: str | ArrayBackend | None = None,
     cache: PtmCache | None = None,
 ) -> np.ndarray:
     """Exact noisy output distribution of one circuit via the PTM engine.
@@ -622,7 +605,7 @@ def run_ptm(
     precision while running an order of magnitude fewer contractions per
     noisy gate (one ``16 x 16`` PTM instead of ~32 conjugations).
     """
-    return run_ptm_ensemble([circuit], noise, backend=backend, cache=cache)[0]
+    return run_ptm_ensemble([circuit], noise, cache=cache)[0]
 
 
 __all__ = [
@@ -633,7 +616,6 @@ __all__ = [
     "channel_diagonal",
     "choi_matrix",
     "compile_circuit",
-    "default_cache",
     "run_ptm",
     "run_ptm_ensemble",
     "trace_preservation_defect",

@@ -27,7 +27,6 @@ from repro.parallel.executor import (
     BlockSynthesisStats,
     assemble_pool,
     leap_config_for_block,
-    synthesize_block_pool,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "BlockSynthesisStats",
     "assemble_pool",
     "leap_config_for_block",
-    "synthesize_block_pool",
 ]

@@ -39,6 +39,14 @@ block downgrade to the exact-block singleton pool — the distance-zero
 fallback QUEST always keeps — with a :class:`RuntimeWarning`, so one bad
 block costs approximation quality, never the run.
 
+A run is plan → dispatch → assemble.  The plan step routes each block:
+trivial, a validated cache hit, a within-run repeat, or a synthesis
+job.  The dispatch step runs the jobs in retry rounds, inline when
+``workers == 1`` and over a process pool otherwise.  The assemble step
+builds the pools in block order.  Both kinds of round settle every
+attempt through one function, which validates the candidates,
+classifies a failure, and publishes and caches a success.
+
 Timeouts come in two flavors: worker processes are bounded by the
 future's hard result timeout, while the inline (``workers == 1``) path
 arms a *cooperative* deadline (:mod:`repro.resilience.deadline`) that
@@ -49,9 +57,7 @@ Worker processes live in a :class:`~repro.parallel.pool_manager.
 PersistentWorkerPool` that is reused across retry rounds (and, when the
 batch driver supplies one, across circuits); a round that observes a
 hung or killed worker marks the pool for recycling rather than paying
-construction every round.  With ``shm_transport`` the candidate arrays
-come home through checksummed shared-memory envelopes
-(:mod:`repro.batch.shm`) instead of the result pipe.
+construction every round.
 """
 
 from __future__ import annotations
@@ -60,9 +66,9 @@ import time
 import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
-
-import numpy as np
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.pool import (
     BlockPool,
@@ -121,26 +127,6 @@ def leap_config_for_block(
     )
 
 
-class _ScaledBudgetConfig:
-    """Duck-typed config view with a replaced ``block_time_budget``.
-
-    Retry attempts may grow the per-block budget; everything else
-    delegates to the wrapped config.  Note the budget is part of the
-    LEAP fingerprint, so escalated-budget results are never written to
-    the content-addressed cache under the base key.
-    """
-
-    def __init__(self, base, block_time_budget) -> None:
-        self._base = base
-        self.block_time_budget = block_time_budget
-
-    def __getattr__(self, name):
-        base = self.__dict__.get("_base")
-        if base is None:
-            raise AttributeError(name)
-        return getattr(base, name)
-
-
 def _synthesize_solutions_task(
     block: CircuitBlock, config, seed: int
 ) -> tuple[list[SynthesisSolution], float]:
@@ -157,54 +143,37 @@ def _synthesize_solutions_task(
     return report.solutions, time.perf_counter() - start
 
 
-def _faulted_task(task, injector, index, attempt, block, config, seed):
-    """Worker-side wrapper firing scheduled faults around ``task``."""
-    injector.on_synthesis_start(index, attempt)
-    solutions, elapsed = task(block, config, seed)
-    return injector.corrupt_solutions(index, attempt, solutions), elapsed
+def _attempt_task(task, injector, observed, index, attempt, block, config, seed):
+    """One synthesis attempt: ``task`` between the injector's fault hooks.
 
-
-def _observed_task(task, injector, index, attempt, block, config, seed):
-    """Worker-side wrapper that marshals observability back to the parent.
-
-    A worker process cannot write the parent's trace sink, so it records
-    into a local buffer under its own tracer/metrics pair and ships the
-    records home with the candidate payload; the parent replays them into
-    the real sink (stamped ``origin="worker"``) and folds the metrics
-    snapshot into the run registry.  Only reached when the parent tracer
-    or metrics is enabled, so untraced runs keep the plain task pickle.
+    Runs in a worker process, or inline in the parent.  A worker process
+    cannot write the parent's trace sink, so with ``observed`` set the
+    attempt records into a local buffer under its own tracer/metrics
+    pair and ships the records and a metrics snapshot home with the
+    candidates; the parent replays them into the real sink (stamped
+    ``origin="worker"``) and folds the snapshot into the run registry.
+    Returns ``(solutions, elapsed, telemetry)``; ``telemetry`` is
+    ``None`` unless ``observed``.
     """
-    sink = ListSink()
-    tracer = Tracer(sink, origin="worker")
-    metrics = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
-        with tracer.span(
-            "synthesis.block", block=index, attempt=attempt, seed=seed
-        ):
-            if injector is not None:
-                injector.on_synthesis_start(index, attempt)
-            solutions, elapsed = task(block, config, seed)
-            if injector is not None:
-                solutions = injector.corrupt_solutions(
-                    index, attempt, solutions
+    with ExitStack() as scope:
+        if observed:
+            sink = ListSink()
+            tracer = Tracer(sink, origin="worker")
+            metrics = MetricsRegistry()
+            scope.enter_context(use_tracer(tracer))
+            scope.enter_context(use_metrics(metrics))
+            scope.enter_context(
+                tracer.span(
+                    "synthesis.block", block=index, attempt=attempt, seed=seed
                 )
-    return solutions, elapsed, sink.records, metrics.snapshot()
-
-
-def _discard_late_envelope(future) -> None:
-    """Done-callback for abandoned (timed-out) shm tasks.
-
-    The driver gave up on this future; if the worker nonetheless
-    finishes and hands back an envelope, unlink its segment so abandoned
-    results cannot accumulate in ``/dev/shm``.
-    """
-    try:
-        envelope = future.result(timeout=0)
-    except Exception:
-        return
-    from repro.batch.shm import discard_envelope
-
-    discard_envelope(envelope)
+            )
+        if injector is not None:
+            injector.on_synthesis_start(index, attempt)
+        solutions, elapsed = task(block, config, seed)
+        if injector is not None:
+            solutions = injector.corrupt_solutions(index, attempt, solutions)
+    telemetry = (sink.records, metrics.snapshot()) if observed else None
+    return solutions, elapsed, telemetry
 
 
 def _note_failure(
@@ -228,14 +197,11 @@ def assemble_pool(
     solutions: list[SynthesisSolution],
     config,
     seed: int,
-    solution_unitaries=None,
 ) -> BlockPool:
     """Build the block's candidate pool from raw LEAP solutions.
 
     Runs in the parent process: the pool embeds the (position-specific)
     block, so only the solutions themselves are shareable across blocks.
-    ``solution_unitaries`` optionally reuses worker-instantiated
-    matrices shipped through the shared-memory transport.
     """
     # No single block may eat more than its per-block share of the total
     # threshold — the per-block analogue of Algorithm 1's rejection line.
@@ -244,7 +210,6 @@ def assemble_pool(
         solutions,
         max_candidates=config.max_candidates_per_block,
         distance_cap=config.threshold_per_block,
-        solution_unitaries=solution_unitaries,
     )
     if config.sphere_variants_per_count > 0:
         augment_with_sphere_variants(
@@ -257,15 +222,6 @@ def assemble_pool(
     if metrics.is_enabled:
         metrics.observe("synthesis.pool_size", pool.size)
     return pool
-
-
-def synthesize_block_pool(block: CircuitBlock, config, seed: int) -> BlockPool:
-    """Synthesize one block end-to-end, inline (no pool, no cache)."""
-    if block.num_qubits == 1 or block.circuit.cnot_count() == 0:
-        # Nothing to approximate: the pool is just the block itself.
-        return exact_pool(block)
-    solutions, _ = _synthesize_solutions_task(block, config, seed)
-    return assemble_pool(block, solutions, config, seed)
 
 
 @dataclass
@@ -305,6 +261,36 @@ class _BlockPlan:
     trivial: bool
     key: str | None = None  # entry key (None for trivial blocks)
     seed: int = 0  # canonical synthesis seed
+
+
+@dataclass
+class _RunState:
+    """Everything one :meth:`BlockSynthesisExecutor.run` call mutates."""
+
+    config: object
+    task: object
+    policy: RetryPolicy
+    stats: BlockSynthesisStats
+    log: RetryLog = field(default_factory=RetryLog)
+    #: Synthesis jobs by entry key: (first block index, block, seed).
+    jobs: dict[str, tuple[int, CircuitBlock, int]] = field(default_factory=dict)
+    #: Solutions by entry key, from the cache, a job or a joined job.
+    resolved: dict[str, list[SynthesisSolution]] = field(default_factory=dict)
+    #: Latest failure by entry key.
+    failures: dict[str, BaseException] = field(default_factory=dict)
+    #: The in-flight registry keys claims by this token, so a crashed
+    #: run releases all of its claims at once.
+    claim_token: object = field(default_factory=object)
+    #: The process pool of the dispatch rounds; None when inline.
+    pool: PersistentWorkerPool | None = None
+
+    def attempt_config(self, attempt: int):
+        """``config`` under the policy's time budget for ``attempt``."""
+        base = self.config.block_time_budget
+        budget = self.policy.attempt_budget(base, attempt)
+        if budget == base:
+            return self.config
+        return replace(self.config, block_time_budget=budget)
 
 
 class BlockSynthesisExecutor:
@@ -354,13 +340,6 @@ class BlockSynthesisExecutor:
         for cross-executor dedup: blocks whose entry key another
         executor already has in flight join that job instead of racing
         it to a cache miss.
-    shm_transport:
-        Ship worker results through checksummed shared-memory envelopes
-        (:mod:`repro.batch.shm`) instead of pickling candidate arrays
-        through the result pipe.  Ignored on the inline path.
-    shm_min_bytes:
-        Array-bytes threshold below which the shm transport falls back
-        to an inline pickle (default ``DEFAULT_MIN_BYTES``).
     """
 
     def __init__(
@@ -375,10 +354,6 @@ class BlockSynthesisExecutor:
         independent_validation: bool = False,
         worker_pool: PersistentWorkerPool | None = None,
         inflight=None,
-        shm_transport: bool = False,
-        shm_min_bytes: int | None = None,
-        sleep_fn=None,
-        backoff_rng=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -396,17 +371,6 @@ class BlockSynthesisExecutor:
         #: Shared :class:`~repro.batch.workqueue.InflightRegistry`, or
         #: None for solo runs (no cross-executor dedup).
         self.inflight = inflight
-        #: Ship worker results through shared-memory envelopes
-        #: (:mod:`repro.batch.shm`); ignored on the inline path.
-        self.shm_transport = bool(shm_transport)
-        self.shm_min_bytes = shm_min_bytes
-        #: Injectable clock sleep for the retry backoff (tests pin the
-        #: schedule under a fake clock); the backoff RNG is separate
-        #: from every synthesis RNG, so jitter cannot perturb results.
-        self._sleep = time.sleep if sleep_fn is None else sleep_fn
-        self._backoff_rng = (
-            np.random.default_rng() if backoff_rng is None else backoff_rng
-        )
 
     def run(
         self,
@@ -419,354 +383,212 @@ class BlockSynthesisExecutor:
             raise ValueError(
                 f"got {len(seeds)} seeds for {len(blocks)} blocks"
             )
-        task = (
-            self._synthesize_fn
-            if self._synthesize_fn is not None
-            else _synthesize_solutions_task
+        state = _RunState(
+            config=config,
+            task=(
+                self._synthesize_fn
+                if self._synthesize_fn is not None
+                else _synthesize_solutions_task
+            ),
+            policy=self.retry_policy or RetryPolicy(max_attempts=1),
+            stats=BlockSynthesisStats(block_seconds=[0.0] * len(blocks)),
         )
-        policy = self.retry_policy or RetryPolicy(max_attempts=1)
-        stats = BlockSynthesisStats(block_seconds=[0.0] * len(blocks))
-        log = RetryLog()
-        tracer = get_tracer()
-        metrics = get_metrics()
-        base_budget = getattr(config, "block_time_budget", None)
         cache_corrupt_before = (
             self.cache.corrupt_entries if self.cache is not None else 0
         )
+        plans = self._plan(state, blocks, seeds)
+        self._dispatch(state)
+        pools = self._assemble(state, blocks, plans)
+        state.stats.failure_log = state.log.records
+        if self.cache is not None:
+            state.stats.cache_corrupt_entries = (
+                self.cache.corrupt_entries - cache_corrupt_before
+            )
+        return pools, state.stats
 
-        # Phase 1: plan. Canonicalize seeds per content key; decide, per
-        # entry key, whether a synthesis job is needed.
+    # ------------------------------------------------------------------
+    # Plan
+    # ------------------------------------------------------------------
+    def _plan(
+        self, state: _RunState, blocks: list[CircuitBlock], seeds: list[int]
+    ) -> list[_BlockPlan]:
+        """Route every block; each new entry key becomes one job.
+
+        Seeds are canonicalized per content key, so repeats of a block
+        share its entry key.  A key planned before is a within-run
+        repeat; a key the cache holds a valid entry for is a cache hit.
+        """
+        tracer = get_tracer()
+        metrics = get_metrics()
         plans: list[_BlockPlan] = []
         canonical_seed: dict[str, int] = {}
-        resolved: dict[str, list[SynthesisSolution]] = {}
-        resolved_unitaries: dict[str, list] = {}
-        jobs: dict[str, tuple[int, CircuitBlock, int]] = {}
         for index, (block, seed) in enumerate(zip(blocks, seeds)):
             if block.num_qubits == 1 or block.circuit.cnot_count() == 0:
                 plans.append(_BlockPlan(trivial=True))
                 continue
             fingerprint = leap_config_for_block(
-                block.circuit.cnot_count(), config, seed=None
+                block.circuit.cnot_count(), state.config, seed=None
             ).fingerprint()
             content = content_key(block.unitary(), fingerprint)
             seed = canonical_seed.setdefault(content, seed)
             key = entry_key(content, seed)
             plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
-            if self.cache is not None:
-                if key in resolved or key in jobs:
-                    stats.cache_hits += 1  # within-run repeat
+            if key in state.resolved or key in state.jobs:
+                if self.cache is not None:
+                    state.stats.cache_hits += 1  # within-run repeat
                     if tracer.is_enabled:
                         tracer.event("cache.hit", block=index, source="run")
                     if metrics.is_enabled:
                         metrics.inc("cache.hit")
-                    continue
-                cached = self.cache.get(key)
-                if cached is not None and self.validate:
-                    try:
-                        validate_solutions(
-                            block.unitary(),
-                            cached,
-                            independent=self.independent_validation,
-                        )
-                    except ValidationError as exc:
-                        _note_failure(
-                            log,
-                            index,
-                            0,
-                            FAILURE_VALIDATION,
-                            f"cache entry quarantined: {exc}",
-                        )
-                        cached = None
-                if cached is not None:
-                    resolved[key] = cached
-                    stats.cache_hits += 1
-                    if tracer.is_enabled:
-                        tracer.event("cache.hit", block=index, source="disk")
-                    if metrics.is_enabled:
-                        metrics.inc("cache.hit")
-                    continue
-                jobs[key] = (index, block, seed)
-            else:
-                # Cache disabled: within-run repeats still dedup to one
-                # job (the canonical seed makes their results identical
-                # anyway); nothing is persisted.
-                if key in jobs:
-                    stats.dedup_joins += 1
+                else:
+                    # Cache disabled: within-run repeats still dedup to
+                    # one job (the canonical seed makes their results
+                    # identical anyway); nothing is persisted.
+                    state.stats.dedup_joins += 1
                     if tracer.is_enabled:
                         tracer.event("dedup.hit", block=index, source="run")
                     if metrics.is_enabled:
                         metrics.inc("dedup.hits")
-                    continue
-                jobs[key] = (index, block, seed)
-            stats.cache_misses += 1
+                continue
+            if self._cache_hit(state, index, block, key):
+                continue
+            state.jobs[key] = (index, block, seed)
+            state.stats.cache_misses += 1
             if metrics.is_enabled:
                 metrics.inc("cache.miss")
+        return plans
 
-        # Phase 2: execute the synthesis jobs, retrying under the policy.
-        failures: dict[str, BaseException] = {}
-        pending = dict(jobs)
+    def _cache_hit(
+        self, state: _RunState, index: int, block: CircuitBlock, key: str
+    ) -> bool:
+        """Resolve ``key`` from the cache; a failing entry is quarantined."""
+        if self.cache is None:
+            return False
+        cached = self.cache.get(key)
+        if cached is not None and self.validate:
+            try:
+                validate_solutions(
+                    block.unitary(),
+                    cached,
+                    independent=self.independent_validation,
+                )
+            except ValidationError as exc:
+                _note_failure(
+                    state.log,
+                    index,
+                    0,
+                    FAILURE_VALIDATION,
+                    f"cache entry quarantined: {exc}",
+                )
+                return False
+        if cached is None:
+            return False
+        state.resolved[key] = cached
+        state.stats.cache_hits += 1
+        tracer = get_tracer()
+        if tracer.is_enabled:
+            tracer.event("cache.hit", block=index, source="disk")
+        metrics = get_metrics()
+        if metrics.is_enabled:
+            metrics.inc("cache.hit")
+        return True
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
+    def _dispatch(self, state: _RunState) -> None:
+        """Run the jobs in retry rounds until each resolves or runs out.
+
+        Each round splits the pending jobs into the ones this executor
+        owns and the ones another executor has in flight (joined through
+        the shared registry).  The owned jobs run, the joins adopt the
+        owner's published result, and a join that came back empty runs
+        as this executor's own attempt in the *same* round, so retry and
+        seed semantics match a solo run exactly.
+        """
+        tracer = get_tracer()
+        metrics = get_metrics()
+        pending = dict(state.jobs)
         own_pool: PersistentWorkerPool | None = None
-        pool_manager = self.worker_pool
-        if self.workers > 1 and pool_manager is None and pending:
-            # Run-scoped pool: constructed once, reused across retry
-            # rounds, recycled only when a round marks it unhealthy
-            # (hung or killed worker — see PersistentWorkerPool).
-            own_pool = PersistentWorkerPool(self.workers)
-            pool_manager = own_pool
-        # One opaque token per run() call: the in-flight registry keys
-        # claims by it, so a crashed run releases wholesale in `finally`.
-        claim_token = object()
+        if self.workers > 1 and pending:
+            # Run-scoped unless shared: constructed once, reused across
+            # retry rounds, recycled only when a round marks it
+            # unhealthy (hung or killed worker — see PersistentWorkerPool).
+            state.pool = self.worker_pool
+            if state.pool is None:
+                state.pool = own_pool = PersistentWorkerPool(self.workers)
         try:
-            for attempt in range(policy.max_attempts):
+            for attempt in range(state.policy.max_attempts):
                 if not pending:
                     break
                 if attempt > 0:
-                    stats.retries += len(pending)
+                    state.stats.retries += len(pending)
                     if metrics.is_enabled:
                         metrics.inc("retry.attempts", len(pending))
                     if tracer.is_enabled:
-                        for pending_key in pending:
+                        for index, _, _ in pending.values():
                             tracer.event(
-                                "retry.attempt",
-                                block=pending[pending_key][0],
-                                attempt=attempt,
+                                "retry.attempt", block=index, attempt=attempt
                             )
-                    # Full-jitter backoff before the round re-dispatches
-                    # (one delay per round, not per block: the round's
-                    # jobs fan out together anyway).  Affects wall time
-                    # only; seeds and budgets are untouched.
-                    delay = policy.backoff_seconds(attempt, self._backoff_rng)
-                    if delay > 0:
-                        if tracer.is_enabled:
-                            tracer.event(
-                                "retry.backoff",
-                                attempt=attempt,
-                                seconds=round(delay, 4),
-                            )
-                        if metrics.is_enabled:
-                            metrics.observe("retry.backoff_seconds", delay)
-                        self._sleep(delay)
-
-                # Split this round into jobs we own (we dispatch them)
-                # and jobs another executor has in flight (we join and
-                # adopt their published result).
                 owned = dict(pending)
                 joined: dict[str, tuple] = {}
                 if self.inflight is not None:
                     for key in list(owned):
-                        entry = self.inflight.claim(key, claim_token)
+                        entry = self.inflight.claim(key, state.claim_token)
                         if entry is not None:
                             joined[key] = (entry, owned.pop(key))
-
-                def on_success(
-                    key: str,
-                    attempt: int = attempt,
-                    owned: dict = owned,
-                ) -> None:
-                    # Fires as each job lands (not at round end), so a
-                    # run killed mid-round has already published every
-                    # finished block.  Only baseline-attempt results
-                    # (attempt 0's seed and budget) are interchangeable
-                    # with a solo, unfaulted run's, so only those are
-                    # shared with joiners or put under the entry key.
-                    baseline = policy.is_baseline_attempt(
-                        jobs[key][2], attempt, base_budget
-                    )
-                    if self.inflight is not None and key in owned:
-                        if baseline:
-                            self.inflight.publish(
-                                key,
-                                claim_token,
-                                resolved[key],
-                                resolved_unitaries.get(key),
-                            )
-                        else:
-                            self.inflight.fail(key, claim_token)
-                    if baseline and self.cache is not None:
-                        self.cache.put(key, resolved[key])
-
-                def run_round(round_jobs, on_success=on_success, attempt=attempt):
-                    if not round_jobs:
-                        return []
-                    if self.workers == 1:
-                        return self._run_round_inline(
-                            task, config, round_jobs, attempt, policy,
-                            base_budget, resolved, stats, log, failures,
-                            on_success,
-                        )
-                    return self._run_round_pool(
-                        task, config, round_jobs, attempt, policy,
-                        base_budget, resolved, resolved_unitaries, stats,
-                        log, failures, on_success, pool_manager,
-                    )
-
-                succeeded = run_round(owned)
+                succeeded = self._run_round(state, owned, attempt)
                 if joined:
-                    adopted, leftover = self._adopt_joined(
-                        joined, policy, resolved, resolved_unitaries, stats,
-                    )
+                    adopted, leftover = self._adopt_joined(state, joined)
                     succeeded += adopted
-                    # A join that came back empty (owner failed, or its
-                    # result was not publishable) falls back to this
-                    # executor's own attempt in the *same* round, so
-                    # retry/seed semantics match a solo run exactly.
-                    succeeded += run_round(leftover)
+                    succeeded += self._run_round(state, leftover, attempt)
                 for key in succeeded:
                     del pending[key]
         finally:
             if self.inflight is not None:
-                self.inflight.release(claim_token)
+                self.inflight.release(state.claim_token)
             if own_pool is not None:
                 own_pool.shutdown()
 
-        # Phase 3: assemble pools (parent process, block order).
-        pools: list[BlockPool] = []
-        for index, (block, plan) in enumerate(zip(blocks, plans)):
-            if plan.trivial:
-                pools.append(exact_pool(block))
-                continue
-            solutions = resolved.get(plan.key)
-            if solutions is None:
-                cause = failures.get(plan.key)
-                reason = (
-                    f"{type(cause).__name__ if cause else 'worker failure'}: "
-                    f"{cause}"
-                )
-                warnings.warn(
-                    f"block {index}: synthesis unavailable ({reason}); "
-                    "falling back to the exact block",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                # The degradation itself is a structured outcome, not
-                # just a warning: downstream consumers (CLI, artifacts,
-                # trace) must be able to see *which* blocks shipped the
-                # exact fallback and why.
-                log.record(
-                    index,
-                    policy.max_attempts,
-                    FAILURE_FALLBACK,
-                    f"degraded to exact block after {policy.max_attempts} "
-                    f"attempt(s): {reason}",
-                )
-                if tracer.is_enabled:
-                    tracer.event(
-                        "executor.fallback",
-                        block=index,
-                        attempts=policy.max_attempts,
-                    )
-                if metrics.is_enabled:
-                    metrics.inc("synthesis.fallbacks")
-                stats.fallback_blocks.append(index)
-                pools.append(exact_pool(block))
-                continue
-            pool = assemble_pool(
-                block, solutions, config, plan.seed,
-                solution_unitaries=resolved_unitaries.get(plan.key),
-            )
-            pools.append(pool)
-
-        stats.failure_log = log.records
-        if self.cache is not None:
-            stats.cache_corrupt_entries = (
-                self.cache.corrupt_entries - cache_corrupt_before
-            )
-        return pools, stats
-
-    # ------------------------------------------------------------------
-    # Attempt rounds
-    # ------------------------------------------------------------------
-    def _attempt_config(self, config, policy: RetryPolicy, base_budget, attempt):
-        budget = policy.attempt_budget(base_budget, attempt)
-        if budget == base_budget:
-            return config
-        return _ScaledBudgetConfig(config, budget)
+    def _run_round(
+        self, state: _RunState, jobs: dict, attempt: int
+    ) -> list[str]:
+        """Run one attempt of each job; returns the keys that succeeded."""
+        if not jobs:
+            return []
+        if self.workers == 1:
+            return self._run_round_inline(state, jobs, attempt)
+        return self._run_round_pool(state, jobs, attempt)
 
     def _run_round_inline(
-        self,
-        task,
-        config,
-        round_jobs: dict[str, tuple[int, CircuitBlock, int]],
-        attempt: int,
-        policy: RetryPolicy,
-        base_budget,
-        resolved,
-        stats: BlockSynthesisStats,
-        log: RetryLog,
-        failures: dict[str, BaseException],
-        on_success,
+        self, state: _RunState, jobs: dict, attempt: int
     ) -> list[str]:
-        """Run one attempt round inline; returns the keys that succeeded."""
-        attempt_config = self._attempt_config(config, policy, base_budget, attempt)
-        timeout = policy.attempt_budget(self.hard_timeout, attempt)
+        """One round in the parent, each attempt under the deadline."""
+        config = state.attempt_config(attempt)
+        timeout = state.policy.attempt_budget(self.hard_timeout, attempt)
         tracer = get_tracer()
         succeeded: list[str] = []
-        for key, (index, block, seed) in round_jobs.items():
-            attempt_seed = policy.attempt_seed(seed, attempt)
-            try:
-                # The span wraps synthesis *and* validation, so a block
-                # that fails either way closes with status="error"; the
-                # except clauses below still see the original exception.
-                with tracer.span(
-                    "synthesis.block",
-                    block=index,
-                    attempt=attempt,
-                    seed=attempt_seed,
-                ):
-                    with block_deadline(timeout):
-                        if self.fault_injector is not None:
-                            self.fault_injector.on_synthesis_start(
-                                index, attempt
-                            )
-                        solutions, elapsed = task(
-                            block, attempt_config, attempt_seed
-                        )
-                    if self.fault_injector is not None:
-                        solutions = self.fault_injector.corrupt_solutions(
-                            index, attempt, solutions
-                        )
-                    if self.validate:
-                        validate_solutions(
-                            block.unitary(),
-                            solutions,
-                            independent=self.independent_validation,
-                        )
-            except BlockTimeoutError as exc:
-                _note_failure(log, index, attempt, FAILURE_TIMEOUT, str(exc))
-                failures[key] = exc
-            except ValidationError as exc:
-                _note_failure(log, index, attempt, FAILURE_VALIDATION, str(exc))
-                failures[key] = exc
-            except Exception as exc:
-                _note_failure(
-                    log, index, attempt, FAILURE_EXCEPTION,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                failures[key] = exc
-            else:
-                resolved[key] = solutions
-                stats.block_seconds[index] = elapsed
+        for key, (index, block, seed) in jobs.items():
+            seed = state.policy.attempt_seed(seed, attempt)
+
+            def fetch():
+                with block_deadline(timeout):
+                    return _attempt_task(
+                        state.task, self.fault_injector, False,
+                        index, attempt, block, config, seed,
+                    )
+
+            span = tracer.span(
+                "synthesis.block", block=index, attempt=attempt, seed=seed
+            )
+            if self._settle(state, key, attempt, fetch, span):
                 succeeded.append(key)
-                on_success(key)
         return succeeded
 
     def _run_round_pool(
-        self,
-        task,
-        config,
-        round_jobs: dict[str, tuple[int, CircuitBlock, int]],
-        attempt: int,
-        policy: RetryPolicy,
-        base_budget,
-        resolved,
-        resolved_unitaries,
-        stats: BlockSynthesisStats,
-        log: RetryLog,
-        failures: dict[str, BaseException],
-        on_success,
-        pool_manager: PersistentWorkerPool,
+        self, state: _RunState, jobs: dict, attempt: int
     ) -> list[str]:
-        """Run one attempt round over the persistent process pool.
+        """One round over the persistent process pool.
 
         The pool outlives the round.  A round that observes a hard
         timeout (the hung worker still occupies its process) or a broken
@@ -775,120 +597,106 @@ class BlockSynthesisExecutor:
         merely raised — are reused across rounds and, in batch mode,
         across circuits.
         """
-        attempt_config = self._attempt_config(config, policy, base_budget, attempt)
-        timeout = policy.attempt_budget(self.hard_timeout, attempt)
-        tracer = get_tracer()
-        metrics = get_metrics()
-        # When observability is on, ship the worker-instrumented wrapper
-        # instead of the bare task; disabled runs keep the smaller pickle
-        # and pay nothing.
-        observed = tracer.is_enabled or metrics.is_enabled
-        shm = self.shm_transport
-        if shm:
-            from repro.batch.shm import (
-                DEFAULT_MIN_BYTES,
-                decode_payload,
-                shm_synthesis_task,
+        config = state.attempt_config(attempt)
+        timeout = state.policy.attempt_budget(self.hard_timeout, attempt)
+        # Workers ship telemetry home only when the parent records it;
+        # disabled runs pay nothing.
+        observed = get_tracer().is_enabled or get_metrics().is_enabled
+        state.pool.begin_round()
+        futures = {
+            key: state.pool.submit(
+                _attempt_task, state.task, self.fault_injector, observed,
+                index, attempt, block, config,
+                state.policy.attempt_seed(seed, attempt),
             )
-
-            min_bytes = (
-                DEFAULT_MIN_BYTES
-                if self.shm_min_bytes is None
-                else self.shm_min_bytes
-            )
+            for key, (index, block, seed) in jobs.items()
+        }
         succeeded: list[str] = []
-        pool_manager.begin_round()
-        futures = {}
-        for key, (index, block, seed) in round_jobs.items():
-            attempt_seed = policy.attempt_seed(seed, attempt)
-            if observed:
-                call = (
-                    _observed_task, task, self.fault_injector,
-                    index, attempt, block, attempt_config, attempt_seed,
-                )
-            elif self.fault_injector is not None:
-                call = (
-                    _faulted_task, task, self.fault_injector,
-                    index, attempt, block, attempt_config, attempt_seed,
-                )
-            else:
-                call = (task, block, attempt_config, attempt_seed)
-            if shm:
-                futures[key] = pool_manager.submit(
-                    shm_synthesis_task, call[0], min_bytes, *call[1:]
-                )
-            else:
-                futures[key] = pool_manager.submit(*call)
         for key, future in futures.items():
-            index = round_jobs[key][0]
-            unitaries = None
-            try:
-                payload = future.result(timeout=timeout)
-                if shm:
-                    payload, unitaries = decode_payload(payload)
-                if observed:
-                    solutions, elapsed, records, snapshot = payload
-                    # Replay before validation: worker-side events
-                    # must land in the trace even when the returned
-                    # candidates are quarantined below.
-                    tracer.replay(records)
-                    metrics.merge(snapshot)
-                else:
-                    solutions, elapsed = payload
+            if self._settle(
+                state, key, attempt, partial(future.result, timeout)
+            ):
+                succeeded.append(key)
+            else:
+                # A timed-out task may still wait in the queue: it must
+                # never start.  Cancelling a finished future is a no-op.
+                future.cancel()
+        return succeeded
+
+    def _settle(
+        self, state: _RunState, key: str, attempt: int, fetch, span=None
+    ) -> bool:
+        """Settle one attempt of job ``key``; True iff it succeeded.
+
+        ``fetch`` returns the attempt's :func:`_attempt_task` payload.
+        Fetching, replaying worker telemetry and validating all run
+        inside ``span``, so an inline ``synthesis.block`` span closes
+        with status ``error`` whichever step fails.  A failure is
+        logged as a timeout, a validation failure or an exception; a
+        pool timeout or a broken pool also marks the pool unhealthy.
+        A success is recorded, published to joiners and put into the
+        cache as its job lands, so a run killed mid-round has already
+        published every finished block.
+        """
+        index, block, seed = state.jobs[key]
+        try:
+            with span or nullcontext():
+                solutions, elapsed, telemetry = fetch()
+                if telemetry is not None:
+                    # Replay before validation: worker-side events must
+                    # land in the trace even when the returned candidates
+                    # are quarantined below.
+                    records, snapshot = telemetry
+                    get_tracer().replay(records)
+                    get_metrics().merge(snapshot)
                 if self.validate:
                     validate_solutions(
-                        round_jobs[key][1].unitary(),
+                        block.unitary(),
                         solutions,
                         independent=self.independent_validation,
                     )
-            except FutureTimeoutError as exc:
-                future.cancel()
-                # The hung worker still occupies its process; flag the
-                # pool so the next submission recycles it.
-                pool_manager.mark_unhealthy()
-                if shm:
-                    # Should the abandoned task ever finish, unlink its
-                    # segment instead of leaking it in /dev/shm.
-                    future.add_done_callback(_discard_late_envelope)
-                _note_failure(
-                    log, index, attempt, FAILURE_TIMEOUT,
-                    f"hard timeout after {timeout}s",
-                )
-                failures[key] = exc
-            except BrokenExecutor as exc:  # worker process died
-                pool_manager.mark_unhealthy()
-                _note_failure(
-                    log, index, attempt, FAILURE_EXCEPTION,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                failures[key] = exc
-            except ValidationError as exc:
-                _note_failure(
-                    log, index, attempt, FAILURE_VALIDATION, str(exc)
-                )
-                failures[key] = exc
-            except Exception as exc:  # worker raised
-                _note_failure(
-                    log, index, attempt, FAILURE_EXCEPTION,
-                    f"{type(exc).__name__}: {exc}",
-                )
-                failures[key] = exc
+        except Exception as exc:
+            kind, message = FAILURE_EXCEPTION, f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, ValidationError):
+                kind, message = FAILURE_VALIDATION, str(exc)
+            elif isinstance(exc, BlockTimeoutError):
+                kind, message = FAILURE_TIMEOUT, str(exc)
+            elif state.pool is not None and isinstance(
+                exc, (FutureTimeoutError, BrokenExecutor)
+            ):
+                # A hung worker still occupies its process and a killed
+                # one broke the pool: the next submission recycles it.
+                state.pool.mark_unhealthy()
+                if isinstance(exc, FutureTimeoutError):
+                    timeout = state.policy.attempt_budget(
+                        self.hard_timeout, attempt
+                    )
+                    kind = FAILURE_TIMEOUT
+                    message = f"hard timeout after {timeout}s"
+            _note_failure(state.log, index, attempt, kind, message)
+            state.failures[key] = exc
+            return False
+        state.resolved[key] = solutions
+        state.stats.block_seconds[index] = elapsed
+        # Only baseline-attempt results (attempt 0's seed and budget) are
+        # interchangeable with a solo, unfaulted run's, so only those are
+        # shared with joiners or put under the entry key.  The registry
+        # ignores keys this run does not hold (a join re-run as its own
+        # attempt), so those are never published or failed.
+        baseline = state.policy.is_baseline_attempt(
+            seed, attempt, state.config.block_time_budget
+        )
+        if self.inflight is not None:
+            if baseline:
+                self.inflight.publish(key, state.claim_token, solutions)
             else:
-                resolved[key] = solutions
-                if unitaries is not None:
-                    resolved_unitaries[key] = unitaries
-                stats.block_seconds[index] = elapsed
-                succeeded.append(key)
-                on_success(key)
-        return succeeded
+                self.inflight.fail(key, state.claim_token)
+        if baseline and self.cache is not None:
+            self.cache.put(key, solutions)
+        return True
 
     def _adopt_joined(
-        self,
-        joined: dict[str, tuple],
-        policy: RetryPolicy,
-        resolved,
-        resolved_unitaries,
-        stats: BlockSynthesisStats,
+        self, state: _RunState, joined: dict[str, tuple]
     ) -> tuple[list[str], dict[str, tuple[int, CircuitBlock, int]]]:
         """Adopt results published by other executors' in-flight jobs.
 
@@ -905,20 +713,20 @@ class BlockSynthesisExecutor:
             # Generous: the owner may burn through its whole retry
             # budget before the claim resolves either way.  The owner's
             # `finally` release guarantees the event fires eventually.
-            timeout = self.hard_timeout * max(policy.max_attempts, 1) + 60.0
+            timeout = (
+                self.hard_timeout * max(state.policy.max_attempts, 1) + 60.0
+            )
         adopted: list[str] = []
         leftover: dict[str, tuple[int, CircuitBlock, int]] = {}
         for key, (entry, job) in joined.items():
             if self.inflight.wait_for(entry, timeout):
-                resolved[key] = entry.solutions
-                if entry.unitaries is not None:
-                    resolved_unitaries[key] = entry.unitaries
+                state.resolved[key] = entry.solutions
                 # Published results are baseline by construction, so
                 # they are put under the plain entry key too: in the
                 # daemon the owner may have filled another tenant's cache.
                 if self.cache is not None:
                     self.cache.put(key, entry.solutions)
-                stats.dedup_joins += 1
+                state.stats.dedup_joins += 1
                 if tracer.is_enabled:
                     tracer.event("dedup.adopt", block=job[0])
                 if metrics.is_enabled:
@@ -927,3 +735,62 @@ class BlockSynthesisExecutor:
             else:
                 leftover[key] = job
         return adopted, leftover
+
+    # ------------------------------------------------------------------
+    # Assemble
+    # ------------------------------------------------------------------
+    def _assemble(
+        self,
+        state: _RunState,
+        blocks: list[CircuitBlock],
+        plans: list[_BlockPlan],
+    ) -> list[BlockPool]:
+        """Build every block's pool in the parent, in block order.
+
+        A block whose entry key never resolved falls back to its exact
+        pool.
+        """
+        tracer = get_tracer()
+        metrics = get_metrics()
+        attempts = state.policy.max_attempts
+        pools: list[BlockPool] = []
+        for index, (block, plan) in enumerate(zip(blocks, plans)):
+            if plan.trivial:
+                pools.append(exact_pool(block))
+                continue
+            solutions = state.resolved.get(plan.key)
+            if solutions is not None:
+                pools.append(
+                    assemble_pool(block, solutions, state.config, plan.seed)
+                )
+                continue
+            cause = state.failures.get(plan.key)
+            reason = (
+                f"{type(cause).__name__ if cause else 'worker failure'}: "
+                f"{cause}"
+            )
+            # stacklevel 3 attributes the warning to run()'s caller.
+            warnings.warn(
+                f"block {index}: synthesis unavailable ({reason}); "
+                "falling back to the exact block",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            # The degradation itself is a structured outcome, not
+            # just a warning: downstream consumers (CLI, artifacts,
+            # trace) must be able to see *which* blocks shipped the
+            # exact fallback and why.
+            state.log.record(
+                index,
+                attempts,
+                FAILURE_FALLBACK,
+                f"degraded to exact block after {attempts} "
+                f"attempt(s): {reason}",
+            )
+            if tracer.is_enabled:
+                tracer.event("executor.fallback", block=index, attempts=attempts)
+            if metrics.is_enabled:
+                metrics.inc("synthesis.fallbacks")
+            state.stats.fallback_blocks.append(index)
+            pools.append(exact_pool(block))
+        return pools

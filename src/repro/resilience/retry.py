@@ -19,16 +19,8 @@ pipeline's determinism contract:
 (cooperative LEAP budget and the hard timeout alike) geometrically, so a
 block that timed out gets more room instead of timing out identically.
 
-``backoff_base`` optionally delays each retry with *full-jitter
-exponential backoff* (delay drawn uniformly from ``[0, min(cap,
-base * 2**(attempt-1))]``) so a burst of correlated failures — a
-briefly-broken worker pool, a filesystem blip under the cache — is not
-hammered with an immediate synchronized re-dispatch.  Backoff changes
-only *when* an attempt runs, never *what* it computes: the attempt's
-seed and budget come from :meth:`attempt_seed` / :meth:`attempt_budget`
-exactly as before, so the first (same-seed) retry stays bit-identical
-to an unfaulted run.  The default of ``0.0`` preserves the historical
-immediate re-dispatch.
+Retry rounds re-dispatch immediately: a delay could change only when
+an attempt runs, never what it computes.
 """
 
 from __future__ import annotations
@@ -85,12 +77,6 @@ class RetryPolicy:
     #: Number of *retries* (attempts beyond the first) that reuse the
     #: block's original seed before escalation kicks in.
     same_seed_retries: int = 1
-    #: Base delay (seconds) of the full-jitter exponential backoff
-    #: applied before each retry round; 0.0 = immediate re-dispatch
-    #: (the historical behaviour).
-    backoff_base: float = 0.0
-    #: Ceiling on the un-jittered exponential delay.
-    backoff_cap: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -102,14 +88,6 @@ class RetryPolicy:
         if self.same_seed_retries < 0:
             raise ValueError(
                 f"same_seed_retries must be >= 0, got {self.same_seed_retries}"
-            )
-        if self.backoff_base < 0:
-            raise ValueError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_cap <= 0:
-            raise ValueError(
-                f"backoff_cap must be > 0, got {self.backoff_cap}"
             )
 
     def attempt_seed(self, block_seed: int, attempt: int) -> int:
@@ -125,28 +103,6 @@ class RetryPolicy:
         if base is None:
             return None
         return float(base) * self.budget_multiplier**attempt
-
-    def backoff_seconds(
-        self, attempt: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """Full-jitter delay before dispatching ``attempt`` (0-based).
-
-        Attempt 0 (the first try) never waits.  Retry ``k`` draws
-        uniformly from ``[0, min(backoff_cap, backoff_base * 2**(k-1))]``
-        — AWS-style full jitter, which decorrelates a thundering herd of
-        retries better than equal-jitter at the same expected delay.
-        The draw uses the *caller's* RNG (a fresh one when omitted), so
-        it can never perturb the synthesis seed stream.
-        """
-        if attempt < 1 or self.backoff_base <= 0:
-            return 0.0
-        ceiling = min(
-            float(self.backoff_cap),
-            float(self.backoff_base) * 2.0 ** (attempt - 1),
-        )
-        if rng is None:
-            rng = np.random.default_rng()
-        return float(rng.uniform(0.0, ceiling))
 
     def is_baseline_attempt(self, block_seed: int, attempt: int, base_budget) -> bool:
         """Whether ``attempt`` reproduces attempt 0's (seed, budget).

@@ -72,8 +72,6 @@ SUBSTRATE_FIELDS = frozenset(
         "cache_max_entries",
         "store_dir",
         "namespace",
-        "shm_transport",
-        "shm_min_bytes",
     }
 )
 

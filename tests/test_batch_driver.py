@@ -81,24 +81,15 @@ def test_sequential_window_matches_solo(solo_reference):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("shm", [False, True], ids=["pickle", "shm"])
 @pytest.mark.parametrize("workers", [1, 4])
-def test_batch_matrix_bit_identity(solo_reference, workers, shm):
-    """The acceptance matrix: workers x transport, all bit-identical."""
-    config = QuestConfig(
-        **FAST,
-        workers=workers,
-        cache=True,
-        shm_transport=shm,
-        shm_min_bytes=1 if shm else None,
-    )
+def test_batch_matrix_bit_identity(solo_reference, workers):
+    """The acceptance matrix: every worker count bit-identical."""
+    config = QuestConfig(**FAST, workers=workers, cache=True)
     batch = run_quest_batch(_circuits(), config, window=3)
     for got, want in zip(batch.results, solo_reference):
         assert _signature(got) == _signature(want)
     if workers > 1:
         assert batch.pools_created >= 1
-        if shm:
-            assert batch.shm_bytes_saved > 0
 
 
 # ----------------------------------------------------------------------
@@ -175,10 +166,9 @@ def test_inflight_claim_join_publish_cycle():
     assert registry.claim("k", owner) is None
     entry = registry.claim("k", other)
     assert entry is not None and not entry.resolved
-    registry.publish("k", owner, ["solutions"], ["unitaries"])
+    registry.publish("k", owner, ["solutions"])
     assert entry.wait(1.0)
     assert entry.solutions == ["solutions"]
-    assert entry.unitaries == ["unitaries"]
     assert registry.joins == 1 and registry.published == 1
     # Resolved entries persist: later claims adopt without waiting.
     late = registry.claim("k", object())

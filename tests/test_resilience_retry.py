@@ -7,6 +7,7 @@ import pytest
 
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig
+from repro.observability import ListSink, Tracer, use_tracer
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
 from repro.resilience import FaultInjector, FaultSpec, RetryPolicy
@@ -50,6 +51,17 @@ def _pools_equal(pools_a, pools_b):
         assert a.distances().tolist() == b.distances().tolist()
         for ca, cb in zip(a.candidates, b.candidates):
             assert np.array_equal(ca.unitary, cb.unitary)
+
+
+def _log_keys(stats):
+    return [(r.block_index, r.attempt, r.kind) for r in stats.failure_log]
+
+
+def _assert_matches_inline(run, pools, stats):
+    """Inline and pool rounds settle alike: same failure log, same pools."""
+    inline_pools, inline_stats = run(1)
+    assert _log_keys(stats) == _log_keys(inline_stats)
+    _pools_equal(inline_pools, pools)
 
 
 # ----------------------------------------------------------------------
@@ -140,33 +152,68 @@ def test_transient_raise_recovers_bit_identically(workers):
     _pools_equal(clean_pools, pools)
 
 
-def test_nan_corruption_is_quarantined_then_recovered():
+def _nan_run(workers):
+    blocks = _blocks()
+    runner = BlockSynthesisExecutor(
+        workers=workers,
+        retry_policy=RetryPolicy(max_attempts=2),
+        fault_injector=FaultInjector(
+            specs=(FaultSpec("nan", None, 0),), seed=11
+        ),
+    )
+    return runner.run(blocks, CONFIG, _seeds(blocks))
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
+def test_nan_corruption_is_quarantined_then_recovered(workers):
     blocks = _blocks()
     seeds = _seeds(blocks)
     clean_pools, _ = BlockSynthesisExecutor().run(blocks, CONFIG, seeds)
 
-    injector = FaultInjector(specs=(FaultSpec("nan", None, 0),), seed=11)
-    runner = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(max_attempts=2), fault_injector=injector
-    )
-    pools, stats = runner.run(blocks, CONFIG, seeds)
+    pools, stats = _nan_run(workers)
     assert not stats.fallback_blocks
     assert stats.failure_log
     assert all(r.kind == FAILURE_VALIDATION for r in stats.failure_log)
+    assert all(r.attempt == 0 for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
+    _assert_matches_inline(_nan_run, pools, stats)
 
 
-def test_exhausted_retries_still_fall_back():
-    """Faults on every attempt: the exact-pool downgrade still guards."""
+def test_inline_validation_failure_closes_the_block_span_as_error():
+    """The inline span wraps validation: a quarantined attempt is an error."""
+    sink = ListSink()
+    with use_tracer(Tracer(sink)):
+        _, stats = _nan_run(1)
+    spans = {
+        (r["attrs"]["block"], r["attrs"]["attempt"]): r
+        for r in sink.records
+        if r["type"] == "span" and r["name"] == "synthesis.block"
+    }
+    failed = {r.block_index for r in stats.failure_log}
+    assert failed
+    for index in failed:
+        assert spans[(index, 0)]["status"] == "error"
+        assert "ValidationError" in spans[(index, 0)]["error"]
+        assert spans[(index, 1)]["status"] == "ok"
+
+
+def _exhausted_run(workers):
     blocks = _blocks()
-    seeds = _seeds(blocks)
     specs = tuple(FaultSpec("raise", None, attempt) for attempt in range(3))
     runner = BlockSynthesisExecutor(
+        workers=workers,
         retry_policy=RetryPolicy(max_attempts=3),
         fault_injector=FaultInjector(specs=specs),
     )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
-        pools, stats = runner.run(blocks, CONFIG, seeds)
+        return runner.run(blocks, CONFIG, _seeds(blocks))
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
+def test_exhausted_retries_still_fall_back(workers):
+    """Faults on every attempt: the exact-pool downgrade still guards."""
+    blocks = _blocks()
+    pools, stats = _exhausted_run(workers)
     nontrivial = [
         i
         for i, b in enumerate(blocks)
@@ -195,116 +242,7 @@ def test_exhausted_retries_still_fall_back():
     for record in fallback_records:
         assert record.attempt == 3
         assert "degraded to exact block" in record.message
-
-
-# ----------------------------------------------------------------------
-# Full-jitter exponential backoff
-# ----------------------------------------------------------------------
-class _RecordingRng:
-    """Jitter RNG stand-in: real draws, but the ceilings are recorded."""
-
-    def __init__(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
-        self.ceilings: list[float] = []
-
-    def uniform(self, low: float, high: float) -> float:
-        assert low == 0.0
-        self.ceilings.append(high)
-        return self._rng.uniform(low, high)
-
-
-def test_backoff_disabled_by_default():
-    policy = RetryPolicy(max_attempts=3)
-    assert policy.backoff_seconds(1) == 0.0
-    assert policy.backoff_seconds(5) == 0.0
-
-
-def test_backoff_zero_before_the_first_retry():
-    policy = RetryPolicy(max_attempts=3, backoff_base=1.0)
-    assert policy.backoff_seconds(0) == 0.0
-
-
-def test_backoff_validation():
-    with pytest.raises(ValueError, match="backoff_base"):
-        RetryPolicy(backoff_base=-0.5)
-    with pytest.raises(ValueError, match="backoff_cap"):
-        RetryPolicy(backoff_cap=0.0)
-
-
-def test_backoff_full_jitter_is_bounded_by_the_capped_exponential():
-    policy = RetryPolicy(max_attempts=8, backoff_base=0.5, backoff_cap=4.0)
-    rng = np.random.default_rng(0)
-    for attempt in range(1, 8):
-        ceiling = min(4.0, 0.5 * 2.0 ** (attempt - 1))
-        for _ in range(25):
-            delay = policy.backoff_seconds(attempt, rng)
-            assert 0.0 <= delay <= ceiling
-
-
-def test_backoff_deterministic_under_a_pinned_rng():
-    policy = RetryPolicy(max_attempts=3, backoff_base=0.5)
-    first = policy.backoff_seconds(2, np.random.default_rng(7))
-    second = policy.backoff_seconds(2, np.random.default_rng(7))
-    assert first == second
-
-
-def test_executor_backoff_schedule_under_fake_clock():
-    """The executor sleeps exactly the policy's full-jitter schedule.
-
-    A fake ``sleep_fn`` records every delay instead of sleeping and an
-    injected jitter RNG makes the draws replayable: the observed sleep
-    list must match a fresh replay of the same RNG stream against the
-    recorded ceilings, and the ceilings must follow the capped
-    exponential ``min(cap, base * 2**(attempt-1))``.
-    """
-    blocks = _blocks()
-    seeds = _seeds(blocks)
-    # Fault on attempts 0 and 1: every faulted block retries at
-    # attempts 1 and 2, so both backoff tiers are exercised.
-    specs = tuple(FaultSpec("raise", None, attempt) for attempt in range(2))
-    sleeps: list[float] = []
-    recorder = _RecordingRng(123)
-    runner = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(
-            max_attempts=3, backoff_base=0.25, backoff_cap=1.0
-        ),
-        fault_injector=FaultInjector(specs=specs),
-        sleep_fn=sleeps.append,
-        backoff_rng=recorder,
-    )
-    _, stats = runner.run(blocks, CONFIG, seeds)
-    assert stats.retries > 0
-    assert sleeps, "no backoff sleeps were recorded"
-    # Every recorded ceiling is one of the capped exponential tiers, and
-    # both tiers fired (attempt 1 -> 0.25, attempt 2 -> 0.5).
-    assert set(recorder.ceilings) == {0.25, 0.5}
-    # The delays are the pinned RNG's stream, verbatim.
-    replay = np.random.default_rng(123)
-    expected = [replay.uniform(0.0, c) for c in recorder.ceilings]
-    assert sleeps == expected
-    # Nothing ever waited for real: the fake clock absorbed it all.
-    assert all(0.0 < s <= 0.5 for s in sleeps)
-
-
-def test_backoff_never_perturbs_results():
-    """Backoff on vs. off: identical pools (jitter RNG is separate)."""
-    blocks = _blocks()
-    seeds = _seeds(blocks)
-    specs = (FaultSpec("raise", None, 0),)
-    plain_pools, _ = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(max_attempts=2),
-        fault_injector=FaultInjector(specs=specs),
-    ).run(blocks, CONFIG, seeds)
-    sleeps: list[float] = []
-    backoff_pools, stats = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(max_attempts=2, backoff_base=0.5),
-        fault_injector=FaultInjector(specs=specs),
-        sleep_fn=sleeps.append,
-        backoff_rng=np.random.default_rng(99),
-    ).run(blocks, CONFIG, seeds)
-    assert stats.retries > 0
-    assert sleeps
-    _pools_equal(plain_pools, backoff_pools)
+    _assert_matches_inline(_exhausted_run, pools, stats)
 
 
 def test_escalated_seed_changes_the_synthesis_stream():

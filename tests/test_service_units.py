@@ -297,6 +297,15 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         merge_config(base, {"workers": 8})
     with pytest.raises(ServiceError, match="unknown QuestConfig field"):
         merge_config(base, {"checkpoint_dir": "/tmp/x"})
+    # Removed knobs are unknown fields, not silently ignored ones.
+    for removed in (
+        "shm_transport",
+        "noise_engine",
+        "array_backend",
+        "retry_backoff_seconds",
+    ):
+        with pytest.raises(ServiceError, match="unknown QuestConfig field"):
+            merge_config(base, {removed: None})
     with pytest.raises(ServiceError, match="must be an object"):
         merge_config(base, ["not", "a", "dict"])
 
