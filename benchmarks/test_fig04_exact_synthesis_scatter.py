@@ -30,7 +30,6 @@ def _collect_solutions():
         solutions_per_layer=3,
         instantiation_starts=3,
         max_optimizer_iterations=400,
-        time_budget=240.0,
     )
     report = synthesize(target, config)
     truth = ideal_distribution(circuit)

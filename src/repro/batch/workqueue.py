@@ -9,17 +9,17 @@ compiled concurrently, both can probe the cache before either has
 published, and the same block synthesizes twice.  The
 :class:`InflightRegistry` closes that window:
 
-* the first executor to reach a key **claims** it and synthesizes;
+* the first executor to reach a key **claims** it and synthesizes,
+  keeping the claim across its retry rounds;
 * any other executor reaching the same key while it is in flight
   **joins** — it blocks on the owner's result instead of racing to a
   cache miss;
-* results are **published** only when they are baseline-attempt results
-  (same rule as the cache: escalated-seed or escalated-budget retry
-  results are not interchangeable with a clean run's), so a joiner can
-  adopt them without breaking per-circuit bit-identity;
-* a failed or non-publishable attempt **releases** the key — the joiner
-  wakes, runs its own attempt (so retry/seed semantics match a solo
-  run exactly), and the key can be re-claimed on a later round.
+* the owner **publishes** its first successful attempt.  Every attempt
+  reruns the key's seed under the same config, so a joiner adopts a
+  result identical to its own solo run's;
+* an owner that ends without a result (it fell back or crashed)
+  **releases** its keys — the joiner wakes, runs its own attempt, and
+  the key can be re-claimed.
 
 Resolved entries are retained for the registry's lifetime, so a batch
 running with the cache disabled still synthesizes each unique key once.
@@ -100,7 +100,7 @@ class InflightRegistry:
         return entry
 
     def publish(self, key: str, owner: object, solutions) -> None:
-        """Publish ``owner``'s baseline result for ``key``.
+        """Publish ``owner``'s result for ``key``; other owners are ignored.
 
         The entry stays in the registry (resolved) so later claims adopt
         it without waiting — the cache-off cross-circuit dedup path.
@@ -118,35 +118,15 @@ class InflightRegistry:
             self.published += 1
         entry.event.set()
 
-    def fail(self, key: str, owner: object) -> None:
-        """Release ``key`` after a failed / non-publishable attempt.
-
-        Joiners wake with no result and fall back to their own attempt;
-        the key becomes claimable again for the next retry round.
-
-        Idempotent: a second invocation (the owner's ``finally`` release
-        racing an explicit fail during shutdown), a fail after
-        :meth:`publish`, or a fail against a key another owner has since
-        re-claimed are all no-ops — a token can only ever drop entries
-        it still holds.
-        """
-        with self._lock:
-            held = self._entries.get(key)
-            if held is None or held[0] is not owner:
-                return
-            entry = held[1]
-            del self._entries[key]
-        entry.event.set()
-
     def release(self, owner: object) -> None:
         """Release every unresolved key still claimed by ``owner``.
 
         Called in the executor's ``finally`` so an exception between
-        claim and publish can never strand a joiner.  Idempotent for the
-        same reason :meth:`fail` is: the second invocation of a
-        shutdown race finds no entries held by ``owner`` and does
-        nothing, and resolved (published) entries — whose owner slot is
-        cleared — are never dropped.
+        claim and publish can never strand a joiner.  Idempotent: a
+        token can only ever drop entries it still holds, so a second
+        invocation (a shutdown race) finds nothing, resolved (published)
+        entries — whose owner slot is cleared — are never dropped, and a
+        key another owner has since re-claimed is left alone.
         """
         with self._lock:
             stale = [

@@ -123,7 +123,9 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "--time-budget",
         type=float,
         default=30.0,
-        help="per-block synthesis budget in seconds",
+        help="per-block synthesis budget in seconds: an attempt running "
+        "past 4x this plus 30 s fails, and a block whose attempts all "
+        "fail falls back to its exact circuit (default 30)",
     )
     parser.add_argument(
         "--workers",
@@ -164,15 +166,7 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=2,
         help="synthesis attempts per block before the exact-pool "
-        "fallback; the first retry reuses the block seed, later ones "
-        "escalate deterministically (default 2)",
-    )
-    parser.add_argument(
-        "--retry-budget-multiplier",
-        type=float,
-        default=1.0,
-        help="grow the per-block time budget by this factor on each "
-        "retry attempt (default 1.0 = flat)",
+        "fallback; every attempt reruns the block's seed (default 2)",
     )
     parser.add_argument(
         "--inject-faults",
@@ -308,7 +302,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--time-budget", type=float, default=30.0,
-        help="default per-block synthesis budget in seconds",
+        help="default per-block synthesis budget in seconds: an attempt "
+        "running past 4x this plus 30 s fails",
     )
     parser.add_argument(
         "--workers", type=_positive_int, default=1,
@@ -766,7 +761,6 @@ def _config_from_args(args) -> QuestConfig:
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
         retry_attempts=args.retry_attempts,
-        retry_budget_multiplier=args.retry_budget_multiplier,
         certify=args.certify,
         certify_candidates=args.certify_candidates,
     )

@@ -39,14 +39,15 @@ from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.blocks import CircuitBlock, stitch_blocks
 from repro.partition.scan import scan_partition
-from repro.resilience.retry import FailureRecord, RetryPolicy
+from repro.resilience.retry import FailureRecord
 from repro.transpile.basis import lower_to_basis
 from repro.verify.certifier import CertificationReport, certify_result
 from repro.verify.independent import DEFAULT_MAX_EXACT_QUBITS
 
-#: Hard per-block timeout is this multiple of the cooperative LEAP budget
-#: (plus a grace constant) — generous, because LEAP only checks its
-#: budget between layers and a worker should die only when truly stuck.
+#: Hard per-block timeout is this multiple of ``block_time_budget`` (plus
+#: a grace constant) — generous, because a timed-out attempt discards the
+#: block's whole pool: it should fire on a stuck attempt, never on a
+#: merely slow host.
 _HARD_TIMEOUT_FACTOR = 4.0
 _HARD_TIMEOUT_GRACE = 30.0
 
@@ -72,6 +73,9 @@ class QuestConfig:
     annealing_maxiter: int = 200
     seed: int | None = None
     #: Per-block synthesis wall-clock budget in seconds (None = unbounded).
+    #: It bounds an attempt, never shapes its result: an attempt running
+    #: past the hard timeout (4 x this budget + 30 s) fails, and a block
+    #: whose attempts all fail falls back to its exact pool.
     block_time_budget: float | None = 30.0
     #: Epsilon-sphere variants added per kept CNOT count (0 disables).
     sphere_variants_per_count: int = 4
@@ -94,13 +98,10 @@ class QuestConfig:
     #: namespaces never mix even when their content keys collide.
     namespace: str = "default"
     #: Synthesis attempts per block before the exact-pool downgrade
-    #: (1 = no retries).  The first retry reuses the block's seed, so
-    #: recovery from transient faults is bit-identical; later attempts
-    #: escalate seeds deterministically via SeedSequence.spawn.
+    #: (1 = no retries).  Every attempt reruns the block's seed under the
+    #: same config, so a block that recovers is bit-identical to a clean
+    #: run's.
     retry_attempts: int = 2
-    #: Per-attempt growth factor of the block time budget (and hard
-    #: timeout) under retries; 1.0 keeps the budget flat.
-    retry_budget_multiplier: float = 1.0
     #: Health-check candidates from workers/cache (finite, unitary,
     #: distances recompute) and quarantine failures.
     validate_candidates: bool = True
@@ -454,10 +455,7 @@ def _run_pipeline(
                 else _HARD_TIMEOUT_FACTOR * config.block_time_budget
                 + _HARD_TIMEOUT_GRACE
             ),
-            retry_policy=RetryPolicy(
-                max_attempts=config.retry_attempts,
-                budget_multiplier=config.retry_budget_multiplier,
-            ),
+            max_attempts=config.retry_attempts,
             fault_injector=fault_injector,
             validate=config.validate_candidates,
             independent_validation=config.certify_candidates,

@@ -24,14 +24,14 @@ Results are put as each job lands, so a run killed mid-synthesis has
 already published every finished block; rerunning it over the same
 store is a resume, made of disk hits.
 
-**Resilience.**  With a :class:`~repro.resilience.retry.RetryPolicy`, a
-block whose synthesis raises, hangs past the hard timeout, or returns
-candidates that fail validation is *retried* — first with the same seed
-(so transient faults recover bit-identically), then with
-deterministically escalated seeds and optionally larger budgets — before
-any downgrade.  Candidate sets from workers or the cache are
-health-checked via :mod:`repro.resilience.validation` and quarantined on
-failure; every failure lands in a structured
+**Resilience.**  With ``max_attempts > 1``, a block whose synthesis
+raises, hangs past the hard timeout, or returns candidates that fail
+validation is *retried* before any downgrade.  Every attempt reruns the
+block's own seed under the same config, so a recovered block is
+bit-identical to a clean run's and every success can be published.
+Candidate sets from workers or the cache are health-checked via
+:mod:`repro.resilience.validation` and quarantined on failure; every
+failure lands in a structured
 :class:`~repro.resilience.retry.FailureRecord` log.
 
 **Graceful degradation.**  Only when every attempt is exhausted does a
@@ -47,11 +47,17 @@ builds the pools in block order.  Both kinds of round settle every
 attempt through one function, which validates the candidates,
 classifies a failure, and publishes and caches a success.
 
-Timeouts come in two flavors: worker processes are bounded by the
-future's hard result timeout, while the inline (``workers == 1``) path
-arms a *cooperative* deadline (:mod:`repro.resilience.deadline`) that
-the synthesis loops check between optimizer runs — the only way to bound
-work that runs in the parent process itself.
+Wall-clock time bounds an attempt, never shapes its result.  Timeouts
+come in two flavors: worker processes are bounded by the future's hard
+result timeout, while the inline (``workers == 1``) path arms a
+*cooperative* deadline (:mod:`repro.resilience.deadline`) that the
+synthesis loops check between optimizer rounds — the only way to bound
+work that runs in the parent process itself.  A timed-out attempt is a
+failure, so a block ends with its full pool or its flagged exact
+fallback, never a truncated pool.  An enclosing deadline armed by the
+caller (the service's job deadline) also binds the inline path; when it
+lapses, the run raises :class:`~repro.exceptions.BlockTimeoutError`
+instead of falling back.
 
 Worker processes live in a :class:`~repro.parallel.pool_manager.
 PersistentWorkerPool` that is reused across retry rounds (and, when the
@@ -67,7 +73,7 @@ import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from repro.core.pool import (
@@ -89,15 +95,13 @@ from repro.observability import (
 from repro.parallel.cache import PoolCache, content_key, entry_key
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.blocks import CircuitBlock
-from repro.resilience.deadline import block_deadline
+from repro.resilience.deadline import block_deadline, check_deadline
 from repro.resilience.retry import (
     FAILURE_EXCEPTION,
     FAILURE_FALLBACK,
     FAILURE_TIMEOUT,
     FAILURE_VALIDATION,
     FailureRecord,
-    RetryLog,
-    RetryPolicy,
 )
 # No caller here: the benchmark harness (benchmarks/harness/layers.py)
 # wraps validate_pool at this lookup site and requires the name.
@@ -120,7 +124,6 @@ def leap_config_for_block(
         instantiation_starts=config.instantiation_starts,
         max_optimizer_iterations=config.max_optimizer_iterations,
         seed=seed,
-        time_budget=config.block_time_budget,
         # Threshold stopping: secondary optimizer starts halt at the
         # per-block threshold, producing dissimilar on-sphere solutions.
         target_distance=config.threshold_per_block,
@@ -177,10 +180,10 @@ def _attempt_task(task, injector, observed, index, attempt, block, config, seed)
 
 
 def _note_failure(
-    log: RetryLog, index: int, attempt: int, kind: str, message: str
+    log: list[FailureRecord], index: int, attempt: int, kind: str, message: str
 ) -> None:
     """Record a failure in the structured log and mirror it as telemetry."""
-    log.record(index, attempt, kind, message)
+    log.append(FailureRecord(index, attempt, kind, message))
     tracer = get_tracer()
     if tracer.is_enabled:
         tracer.event(
@@ -269,9 +272,7 @@ class _RunState:
 
     config: object
     task: object
-    policy: RetryPolicy
     stats: BlockSynthesisStats
-    log: RetryLog = field(default_factory=RetryLog)
     #: Synthesis jobs by entry key: (first block index, block, seed).
     jobs: dict[str, tuple[int, CircuitBlock, int]] = field(default_factory=dict)
     #: Solutions by entry key, from the cache, a job or a joined job.
@@ -283,14 +284,6 @@ class _RunState:
     claim_token: object = field(default_factory=object)
     #: The process pool of the dispatch rounds; None when inline.
     pool: PersistentWorkerPool | None = None
-
-    def attempt_config(self, attempt: int):
-        """``config`` under the policy's time budget for ``attempt``."""
-        base = self.config.block_time_budget
-        budget = self.policy.attempt_budget(base, attempt)
-        if budget == base:
-            return self.config
-        return replace(self.config, block_time_budget=budget)
 
 
 class BlockSynthesisExecutor:
@@ -304,20 +297,21 @@ class BlockSynthesisExecutor:
     cache:
         Optional :class:`PoolCache`.  When given, blocks sharing an entry
         key synthesize once per run and may persist across runs; each
-        baseline result is put as its job lands.
+        result is put as its job lands.
     hard_timeout:
         Hard per-block wall-clock cap in seconds.  Enforced via the
         future's result timeout when ``workers > 1`` and via the
         cooperative deadline (:mod:`repro.resilience.deadline`) on the
-        inline path.  A block that exceeds it is retried (under the
-        retry policy) and ultimately falls back to its exact pool.
+        inline path.  A block that exceeds it is retried and ultimately
+        falls back to its exact pool.
     synthesize_fn:
         Override of the worker task, for testing/instrumentation.  Must
         be a module-level callable with the signature of
         :func:`_synthesize_solutions_task`.
-    retry_policy:
-        Optional :class:`RetryPolicy`.  ``None`` (the default) means one
-        attempt per block — the executor's historical behaviour.
+    max_attempts:
+        Synthesis attempts per block before the exact-pool fallback
+        (``1``, the default, means no retries).  Every attempt reruns
+        the block's seed under the same config.
     fault_injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` whose
         scheduled faults fire around each synthesis attempt (tests/CI).
@@ -348,7 +342,7 @@ class BlockSynthesisExecutor:
         cache: PoolCache | None = None,
         hard_timeout: float | None = None,
         synthesize_fn=None,
-        retry_policy: RetryPolicy | None = None,
+        max_attempts: int = 1,
         fault_injector=None,
         validate: bool = True,
         independent_validation: bool = False,
@@ -357,11 +351,13 @@ class BlockSynthesisExecutor:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.workers = int(workers)
         self.cache = cache
         self.hard_timeout = hard_timeout
         self._synthesize_fn = synthesize_fn
-        self.retry_policy = retry_policy
+        self.max_attempts = int(max_attempts)
         self.fault_injector = fault_injector
         self.validate = validate
         self.independent_validation = independent_validation
@@ -390,7 +386,6 @@ class BlockSynthesisExecutor:
                 if self._synthesize_fn is not None
                 else _synthesize_solutions_task
             ),
-            policy=self.retry_policy or RetryPolicy(max_attempts=1),
             stats=BlockSynthesisStats(block_seconds=[0.0] * len(blocks)),
         )
         cache_corrupt_before = (
@@ -399,7 +394,6 @@ class BlockSynthesisExecutor:
         plans = self._plan(state, blocks, seeds)
         self._dispatch(state)
         pools = self._assemble(state, blocks, plans)
-        state.stats.failure_log = state.log.records
         if self.cache is not None:
             state.stats.cache_corrupt_entries = (
                 self.cache.corrupt_entries - cache_corrupt_before
@@ -474,7 +468,7 @@ class BlockSynthesisExecutor:
                 )
             except ValidationError as exc:
                 _note_failure(
-                    state.log,
+                    state.stats.failure_log,
                     index,
                     0,
                     FAILURE_VALIDATION,
@@ -503,8 +497,8 @@ class BlockSynthesisExecutor:
         owns and the ones another executor has in flight (joined through
         the shared registry).  The owned jobs run, the joins adopt the
         owner's published result, and a join that came back empty runs
-        as this executor's own attempt in the *same* round, so retry and
-        seed semantics match a solo run exactly.
+        as this executor's own attempt in the *same* round, so retry
+        semantics match a solo run exactly.
         """
         tracer = get_tracer()
         metrics = get_metrics()
@@ -518,7 +512,7 @@ class BlockSynthesisExecutor:
             if state.pool is None:
                 state.pool = own_pool = PersistentWorkerPool(self.workers)
         try:
-            for attempt in range(state.policy.max_attempts):
+            for attempt in range(self.max_attempts):
                 if not pending:
                     break
                 if attempt > 0:
@@ -564,18 +558,14 @@ class BlockSynthesisExecutor:
         self, state: _RunState, jobs: dict, attempt: int
     ) -> list[str]:
         """One round in the parent, each attempt under the deadline."""
-        config = state.attempt_config(attempt)
-        timeout = state.policy.attempt_budget(self.hard_timeout, attempt)
         tracer = get_tracer()
         succeeded: list[str] = []
         for key, (index, block, seed) in jobs.items():
-            seed = state.policy.attempt_seed(seed, attempt)
-
             def fetch():
-                with block_deadline(timeout):
+                with block_deadline(self.hard_timeout):
                     return _attempt_task(
                         state.task, self.fault_injector, False,
-                        index, attempt, block, config, seed,
+                        index, attempt, block, state.config, seed,
                     )
 
             span = tracer.span(
@@ -597,8 +587,6 @@ class BlockSynthesisExecutor:
         merely raised — are reused across rounds and, in batch mode,
         across circuits.
         """
-        config = state.attempt_config(attempt)
-        timeout = state.policy.attempt_budget(self.hard_timeout, attempt)
         # Workers ship telemetry home only when the parent records it;
         # disabled runs pay nothing.
         observed = get_tracer().is_enabled or get_metrics().is_enabled
@@ -606,15 +594,14 @@ class BlockSynthesisExecutor:
         futures = {
             key: state.pool.submit(
                 _attempt_task, state.task, self.fault_injector, observed,
-                index, attempt, block, config,
-                state.policy.attempt_seed(seed, attempt),
+                index, attempt, block, state.config, seed,
             )
             for key, (index, block, seed) in jobs.items()
         }
         succeeded: list[str] = []
         for key, future in futures.items():
             if self._settle(
-                state, key, attempt, partial(future.result, timeout)
+                state, key, attempt, partial(future.result, self.hard_timeout)
             ):
                 succeeded.append(key)
             else:
@@ -633,12 +620,15 @@ class BlockSynthesisExecutor:
         inside ``span``, so an inline ``synthesis.block`` span closes
         with status ``error`` whichever step fails.  A failure is
         logged as a timeout, a validation failure or an exception; a
-        pool timeout or a broken pool also marks the pool unhealthy.
-        A success is recorded, published to joiners and put into the
-        cache as its job lands, so a run killed mid-round has already
-        published every finished block.
+        pool timeout or a broken pool also marks the pool unhealthy.  An
+        inline timeout whose cause is a lapsed *enclosing* deadline ends
+        the run with :class:`BlockTimeoutError` instead: the attempt's
+        own deadline is disarmed by now, so only an enclosing one can
+        still fire.  A success is recorded, published to joiners and put
+        into the cache as its job lands, so a run killed mid-round has
+        already published every finished block.
         """
-        index, block, seed = state.jobs[key]
+        index, block, _ = state.jobs[key]
         try:
             with span or nullcontext():
                 solutions, elapsed, telemetry = fetch()
@@ -660,6 +650,7 @@ class BlockSynthesisExecutor:
             if isinstance(exc, ValidationError):
                 kind, message = FAILURE_VALIDATION, str(exc)
             elif isinstance(exc, BlockTimeoutError):
+                check_deadline()
                 kind, message = FAILURE_TIMEOUT, str(exc)
             elif state.pool is not None and isinstance(
                 exc, (FutureTimeoutError, BrokenExecutor)
@@ -668,30 +659,18 @@ class BlockSynthesisExecutor:
                 # one broke the pool: the next submission recycles it.
                 state.pool.mark_unhealthy()
                 if isinstance(exc, FutureTimeoutError):
-                    timeout = state.policy.attempt_budget(
-                        self.hard_timeout, attempt
-                    )
                     kind = FAILURE_TIMEOUT
-                    message = f"hard timeout after {timeout}s"
-            _note_failure(state.log, index, attempt, kind, message)
+                    message = f"hard timeout after {self.hard_timeout}s"
+            _note_failure(state.stats.failure_log, index, attempt, kind, message)
             state.failures[key] = exc
             return False
         state.resolved[key] = solutions
         state.stats.block_seconds[index] = elapsed
-        # Only baseline-attempt results (attempt 0's seed and budget) are
-        # interchangeable with a solo, unfaulted run's, so only those are
-        # shared with joiners or put under the entry key.  The registry
-        # ignores keys this run does not hold (a join re-run as its own
-        # attempt), so those are never published or failed.
-        baseline = state.policy.is_baseline_attempt(
-            seed, attempt, state.config.block_time_budget
-        )
+        # The registry ignores keys this run does not hold (a join re-run
+        # as its own attempt), so only claimed keys are published.
         if self.inflight is not None:
-            if baseline:
-                self.inflight.publish(key, state.claim_token, solutions)
-            else:
-                self.inflight.fail(key, state.claim_token)
-        if baseline and self.cache is not None:
+            self.inflight.publish(key, state.claim_token, solutions)
+        if self.cache is not None:
             self.cache.put(key, solutions)
         return True
 
@@ -701,29 +680,26 @@ class BlockSynthesisExecutor:
         """Adopt results published by other executors' in-flight jobs.
 
         Returns ``(adopted_keys, leftover_jobs)``.  Leftover jobs are
-        joins whose owner failed (or published nothing usable); the
-        caller re-dispatches them as this executor's own attempt in the
-        same round.
+        joins whose owner released the key without a result (it fell
+        back or crashed); the caller re-dispatches them as this
+        executor's own attempt in the same round.
         """
         tracer = get_tracer()
         metrics = get_metrics()
         if self.hard_timeout is None:
             timeout = None
         else:
-            # Generous: the owner may burn through its whole retry
-            # budget before the claim resolves either way.  The owner's
+            # Generous: the owner may burn through all of its attempts
+            # before the claim resolves either way.  The owner's
             # `finally` release guarantees the event fires eventually.
-            timeout = (
-                self.hard_timeout * max(state.policy.max_attempts, 1) + 60.0
-            )
+            timeout = self.hard_timeout * self.max_attempts + 60.0
         adopted: list[str] = []
         leftover: dict[str, tuple[int, CircuitBlock, int]] = {}
         for key, (entry, job) in joined.items():
             if self.inflight.wait_for(entry, timeout):
                 state.resolved[key] = entry.solutions
-                # Published results are baseline by construction, so
-                # they are put under the plain entry key too: in the
-                # daemon the owner may have filled another tenant's cache.
+                # Put under this run's cache too: in the daemon the owner
+                # may have filled another tenant's cache.
                 if self.cache is not None:
                     self.cache.put(key, entry.solutions)
                 state.stats.dedup_joins += 1
@@ -752,7 +728,7 @@ class BlockSynthesisExecutor:
         """
         tracer = get_tracer()
         metrics = get_metrics()
-        attempts = state.policy.max_attempts
+        attempts = self.max_attempts
         pools: list[BlockPool] = []
         for index, (block, plan) in enumerate(zip(blocks, plans)):
             if plan.trivial:
@@ -780,12 +756,14 @@ class BlockSynthesisExecutor:
             # just a warning: downstream consumers (CLI, artifacts,
             # trace) must be able to see *which* blocks shipped the
             # exact fallback and why.
-            state.log.record(
-                index,
-                attempts,
-                FAILURE_FALLBACK,
-                f"degraded to exact block after {attempts} "
-                f"attempt(s): {reason}",
+            state.stats.failure_log.append(
+                FailureRecord(
+                    index,
+                    attempts,
+                    FAILURE_FALLBACK,
+                    f"degraded to exact block after {attempts} "
+                    f"attempt(s): {reason}",
+                )
             )
             if tracer.is_enabled:
                 tracer.event("executor.fallback", block=index, attempts=attempts)

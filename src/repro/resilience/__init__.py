@@ -6,10 +6,10 @@ process gets OOM-killed — and without this package every one of those
 silently downgraded a block to its distance-zero fallback (or lost the
 run entirely).  Three cooperating pieces close those holes:
 
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: failed blocks
-  retry with deterministic per-attempt seeds (same seed first, then
-  ``SeedSequence.spawn`` escalation) and optional budget growth before
-  the exact-pool downgrade; every failure lands in a structured log.
+* :mod:`~repro.resilience.retry` — the failure taxonomy: failed blocks
+  retry, each attempt rerunning the block's own seed and config, before
+  the exact-pool downgrade; every failure lands in a structured log of
+  :class:`FailureRecord` entries.
 * :mod:`~repro.resilience.validation` — candidates from workers or the
   cache are health-checked (finite, unitary, distance recomputes) and
   quarantined on failure.
@@ -20,8 +20,8 @@ run entirely).  Three cooperating pieces close those holes:
 A killed run needs no journal to resume: the executor publishes each
 block's solutions to the content-addressed artifact store
 (:mod:`repro.store`) as its job lands, and a rerun over the same store
-finds them as disk hits.  Only baseline-attempt results are published,
-so a block that needed an escalated retry is re-run, not restored.
+finds them as disk hits.  Every attempt computes the same solutions, so
+every success is published, whichever attempt it came from.
 
 :mod:`~repro.resilience.deadline` supplies the cooperative per-block
 deadline that bounds inline (``workers == 1``) synthesis, which the hard
@@ -40,12 +40,7 @@ from repro.resilience.faults import (
     InjectedFault,
     parse_fault_spec,
 )
-from repro.resilience.retry import (
-    FAILURE_KINDS,
-    FailureRecord,
-    RetryLog,
-    RetryPolicy,
-)
+from repro.resilience.retry import FAILURE_KINDS, FailureRecord
 from repro.resilience.validation import (
     DEFAULT_DISTANCE_TOL,
     DEFAULT_UNITARITY_TOL,
@@ -64,8 +59,6 @@ __all__ = [
     "parse_fault_spec",
     "FAILURE_KINDS",
     "FailureRecord",
-    "RetryLog",
-    "RetryPolicy",
     "DEFAULT_DISTANCE_TOL",
     "DEFAULT_UNITARITY_TOL",
     "validate_pool",

@@ -33,10 +33,10 @@ Schedules parse from a compact CLI syntax (``--inject-faults``)::
     kind@block[:attempt][,kind@block[:attempt]...]
 
 e.g. ``raise@0,hang@2:1,nan@*,flip-cache@0``.  ``*`` matches every
-block; the attempt defaults to 0 so a default retry policy recovers on
-its first (same-seed) retry.  For ``flip-cache`` the "block" field is the
-0-based ordinal of the disk write, since cache entries are content-keyed
-rather than block-keyed.
+block; the attempt defaults to 0 so the default two attempts recover on
+the retry.  For ``flip-cache`` the "block" field is the 0-based ordinal
+of the disk write, since cache entries are content-keyed rather than
+block-keyed.
 """
 
 from __future__ import annotations

@@ -21,9 +21,12 @@ Robustness model (the reason this module exists):
 * **Deadline propagation** — a client's relative deadline is stored as
   an *absolute* wall-clock instant and, at execution time, the
   remaining budget wraps the whole pipeline via
-  :func:`repro.resilience.deadline.block_deadline`, so the cooperative
-  deadline checks inside synthesis/instantiation loops enforce it.
-  A job whose deadline lapses while queued fails structurally without
+  :func:`repro.resilience.deadline.block_deadline`.  It binds inline
+  (``workers == 1``) synthesis only, through the cooperative deadline
+  checks inside the instantiation loop: a lapse there ends the job
+  ``deadline_expired``.  Worker processes never see it; their blocks
+  are bounded by the executor's hard per-block timeout alone.  A job
+  whose deadline lapses while queued fails structurally without
   burning a worker.
 * **Circuit breaker + graceful degradation** — consecutive jobs that
   trip worker-pool recycles (or fail outright) open a

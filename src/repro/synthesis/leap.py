@@ -58,7 +58,10 @@ class LeapConfig:
     """Tuning knobs for the LEAP synthesis loop.
 
     ``solutions_per_layer`` is QUEST's ``M``: how many of the per-layer
-    instantiations to keep in the returned pool.
+    instantiations to keep in the returned pool.  ``max_layers``,
+    ``instantiation_starts`` and ``max_optimizer_iterations`` bound the
+    work; no knob reads the wall clock, so a run's pool is a function of
+    (target, config, seed) alone.
     """
 
     max_layers: int = 14
@@ -70,8 +73,6 @@ class LeapConfig:
     coupling: list[tuple[int, int]] | None = None
     stop_when_exact: bool = False
     seed: int | None = None
-    #: Wall-clock budget in seconds; the layer loop exits once exceeded.
-    time_budget: float | None = None
     #: Approximate-synthesis threshold (HS distance): secondary starts
     #: stop optimizing once below it, scattering solutions over the
     #: epsilon-sphere (the dissimilar approximations of paper Fig. 6).
@@ -108,7 +109,6 @@ class LeapConfig:
             ("layer_rotations", tuple(self.layer_rotations)),
             ("coupling", coupling),
             ("stop_when_exact", bool(self.stop_when_exact)),
-            ("time_budget", self.time_budget),
             ("target_distance", self.target_distance),
         )
         return repr(fields)
@@ -151,10 +151,6 @@ def synthesize(
         raise SynthesisError(f"target dimension {dim} is not a power of two")
     tracer = get_tracer()
     metrics = get_metrics()
-    # The time budget is measured on the same monotonic clock the
-    # cooperative deadline (repro.resilience.deadline) enforces, so the
-    # two bounds can never drift apart the way a perf_counter/monotonic
-    # mix could.
     start_time = time.monotonic()
     report = SynthesisReport()
     if num_qubits == 1:
@@ -209,8 +205,7 @@ def synthesize(
         # warm start is the previous optimum extended with small random
         # angles for the new layer's rotations.  An expired cooperative
         # deadline (inline executor path) raises from inside the call and
-        # aborts the block for a retry or fallback, unlike the graceful
-        # ``time_budget`` exit below.
+        # aborts the block for a retry or fallback.
         layer_fits = instantiate_multi(
             ansatze,
             target,
@@ -253,20 +248,6 @@ def synthesize(
         if metrics.is_enabled:
             metrics.inc("leap.layers")
         if best_distance <= config.success_threshold and config.stop_when_exact:
-            break
-        if (
-            config.time_budget is not None
-            and time.monotonic() - start_time > config.time_budget
-        ):
-            if tracer.is_enabled:
-                tracer.event(
-                    "leap.budget_exhausted",
-                    layer=layer,
-                    elapsed=time.monotonic() - start_time,
-                    budget=config.time_budget,
-                )
-            if metrics.is_enabled:
-                metrics.inc("leap.budget_exhausted")
             break
     pool.sort(key=lambda s: (s.cnot_count, s.distance))
     report.solutions = pool

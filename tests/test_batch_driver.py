@@ -175,26 +175,15 @@ def test_inflight_claim_join_publish_cycle():
     assert late is not None and late.resolved
 
 
-def test_inflight_fail_wakes_joiner_empty_handed():
-    registry = InflightRegistry()
-    owner, other = object(), object()
-    registry.claim("k", owner)
-    entry = registry.claim("k", other)
-    registry.fail("k", owner)
-    assert entry.wait(1.0) is False
-    # The key is claimable again — by anyone.
-    assert registry.claim("k", other) is None
-    assert registry.published == 0
-
-
-def test_inflight_publish_and_fail_require_ownership():
+def test_inflight_publish_and_release_require_ownership():
     registry = InflightRegistry()
     owner, other = object(), object()
     registry.claim("k", owner)
     entry = registry.claim("k", other)
     registry.publish("k", other, ["stolen"])
-    registry.fail("k", other)
+    registry.release(other)
     assert not entry.event.is_set()
+    assert registry.published == 0
 
 
 def test_inflight_release_wakes_unresolved_keeps_resolved():
@@ -210,34 +199,31 @@ def test_inflight_release_wakes_unresolved_keeps_resolved():
     assert kept is not None and kept.resolved
 
 
-def test_inflight_fail_is_idempotent_under_double_invocation():
-    """Regression: fail-then-fail (an explicit fail racing the owner's
-    ``finally`` release) must be a no-op, and must never drop an entry
-    another owner has since re-claimed."""
+def test_inflight_stale_release_cannot_evict_a_reclaimed_key():
+    """Regression: once a key is released and re-claimed, a late
+    duplicate release from the stale owner must not drop the new claim."""
     registry = InflightRegistry()
     owner = object()
     registry.claim("k", owner)
-    registry.fail("k", owner)
-    registry.fail("k", owner)  # double fail: no-op
-    registry.release(owner)    # release after fail: no-op
+    registry.release(owner)
     # A new owner re-claims the key...
     successor = object()
     assert registry.claim("k", successor) is None
-    # ...and the stale owner's late duplicate fail must not evict it.
-    registry.fail("k", owner)
+    # ...and the stale owner's late duplicate release must not evict it.
+    registry.release(owner)
     joiner = registry.claim("k", object())
     assert joiner is not None and not joiner.event.is_set()
     assert registry.stranded_joiners == 0
 
 
-def test_inflight_fail_after_publish_keeps_the_result():
+def test_inflight_release_after_publish_keeps_the_result():
     """Regression: publish resolves the entry and clears its owner slot,
-    so a late fail/release from the original owner cannot drop it."""
+    so late releases from the original owner cannot drop it."""
     registry = InflightRegistry()
     owner = object()
     registry.claim("k", owner)
     registry.publish("k", owner, ["s"])
-    registry.fail("k", owner)
+    registry.release(owner)
     registry.release(owner)
     adopted = registry.claim("k", object())
     assert adopted is not None and adopted.resolved
@@ -264,7 +250,7 @@ def test_wait_for_counts_stranded_joiners():
     owner, other = object(), object()
     registry.claim("k", owner)
     entry = registry.claim("k", other)
-    # Owner vanishes without publish/fail/release: the joiner strands.
+    # Owner vanishes without publish or release: the joiner strands.
     assert registry.wait_for(entry, timeout=0.01) is False
     assert registry.stranded_joiners == 1
     # A released entry is not stranded: the wait finished, just empty.

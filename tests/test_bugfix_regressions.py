@@ -2,8 +2,8 @@
 
 Each test pins one fixed bug:
 
-* LEAP's time budget measured on ``perf_counter`` while the cooperative
-  deadline used ``monotonic`` — unified on ``monotonic``;
+* LEAP's elapsed time measured on ``perf_counter`` while the
+  cooperative deadline used ``monotonic`` — unified on ``monotonic``;
 * per-run dual-annealing seeds drawn as bounded ``rng.integers`` (weak,
   collision-prone single-integer seeding) — now spawned
   ``SeedSequence`` children;
@@ -26,7 +26,7 @@ from repro.core.annealing import select_approximations
 from repro.core.quest import QuestConfig
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
-from repro.resilience.retry import FAILURE_FALLBACK, RetryPolicy
+from repro.resilience.retry import FAILURE_FALLBACK
 from repro.synthesis.leap import LeapConfig, synthesize
 from repro.transpile.basis import lower_to_basis
 
@@ -34,15 +34,15 @@ from repro.transpile.basis import lower_to_basis
 # ----------------------------------------------------------------------
 # Clock unification (leap.py)
 # ----------------------------------------------------------------------
-def test_leap_time_budget_uses_monotonic_not_perf_counter(monkeypatch):
-    """A perf_counter discontinuity must not exhaust the LEAP budget.
+def test_leap_elapsed_seconds_uses_monotonic_not_perf_counter(monkeypatch):
+    """A perf_counter discontinuity must not show in LEAP's elapsed time.
 
-    The cooperative deadline layer measures on ``time.monotonic``; the
-    budget check used ``time.perf_counter``.  The two clocks can drift
-    (perf_counter may or may not tick across suspend, and their epochs
-    differ), so mixing them let one bound fire hours before the other.
-    Here perf_counter jumps an hour per call: on the fixed clock the
-    two-layer search still completes inside its generous budget.
+    The cooperative deadline layer measures on ``time.monotonic``; LEAP
+    used ``time.perf_counter``.  The two clocks can drift (perf_counter
+    may or may not tick across suspend, and their epochs differ), so
+    mixing them let one reading run hours ahead of the other.  Here
+    perf_counter jumps an hour per call, and the report's elapsed time
+    stays real.
     """
     fake_now = [0.0]
 
@@ -58,7 +58,6 @@ def test_leap_time_budget_uses_monotonic_not_perf_counter(monkeypatch):
         instantiation_starts=1,
         max_optimizer_iterations=40,
         seed=0,
-        time_budget=120.0,
     )
     report = synthesize(target, config)
     assert report.layers_explored == config.max_layers
@@ -182,7 +181,7 @@ def test_fallback_degradation_is_recorded_structurally():
     seeds = [int(rng.integers(2**31 - 1)) for _ in blocks]
     runner = BlockSynthesisExecutor(
         synthesize_fn=_always_fails,
-        retry_policy=RetryPolicy(max_attempts=2),
+        max_attempts=2,
     )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
         pools, stats = runner.run(blocks, CONFIG, seeds)

@@ -89,7 +89,7 @@ def test_tiny_perturbations_below_resolution_collide(rng):
         LeapConfig(
             max_layers=3, target_distance=0.2, max_optimizer_iterations=9
         ),
-        LeapConfig(max_layers=3, target_distance=0.2, time_budget=1.0),
+        LeapConfig(max_layers=3, target_distance=0.2, success_threshold=1e-6),
         LeapConfig(max_layers=3, target_distance=0.2, stop_when_exact=True),
         LeapConfig(max_layers=3, target_distance=0.2, coupling=[(0, 1)]),
     ],

@@ -29,9 +29,7 @@ BASE = dict(
     annealing_maxiter=40,
     threshold_per_block=0.25,
     sphere_variants_per_count=2,
-    block_time_budget=None,  # a binding wall-clock budget is the one
-    # legitimate source of nondeterminism, so determinism tests run
-    # unbounded
+    block_time_budget=None,
 )
 
 CIRCUITS = {
@@ -99,6 +97,36 @@ def test_repeated_runs_are_reproducible(reference):
         CIRCUITS["qft"](), QuestConfig(**BASE, workers=1, cache=True)
     )
     assert _signature(again) == _signature(reference["qft"])
+
+
+def test_time_budget_cannot_change_the_output():
+    """The time budget bounds an attempt but never shapes its result.
+
+    A 1e-9 s budget once stopped LEAP after its first layer and kept the
+    truncated pool.  Only the hard timeout (4 x budget + 30 s) reads the
+    clock now, so the pools equal an unbounded run's.  The blocks are
+    three-qubit, as in the paper workload: two-qubit blocks reach their
+    layer cap before such a stop could bind.
+    """
+    settings = dict(
+        seed=2022,
+        max_samples=8,
+        max_block_qubits=3,
+        threshold_per_block=0.2,
+        max_layers_per_block=5,
+        solutions_per_layer=3,
+        instantiation_starts=2,
+        max_optimizer_iterations=150,
+    )
+    circuit = tfim(4, steps=2)
+    unbounded = run_quest(circuit, QuestConfig(**settings, block_time_budget=None))
+    tight = run_quest(circuit, QuestConfig(**settings, block_time_budget=1e-9))
+    assert not tight.synthesis_fallbacks
+    assert _signature(tight) == _signature(unbounded)
+    for a, b in zip(tight.pools, unbounded.pools):
+        assert len(a.candidates) == len(b.candidates)
+        for ca, cb in zip(a.candidates, b.candidates):
+            assert np.array_equal(ca.unitary, cb.unitary)
 
 
 @pytest.mark.slow

@@ -21,7 +21,6 @@ from repro.parallel.executor import (
 )
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.scan import scan_partition
-from repro.resilience.retry import RetryPolicy
 from repro.transpile.basis import lower_to_basis
 
 CONFIG = QuestConfig(
@@ -154,7 +153,7 @@ def test_retry_rounds_reuse_one_persistent_pool():
     runner = BlockSynthesisExecutor(
         workers=2,
         synthesize_fn=raises_for_first_block,
-        retry_policy=RetryPolicy(max_attempts=2),
+        max_attempts=2,
         worker_pool=pool,
     )
     try:
@@ -178,7 +177,7 @@ def test_hard_timeout_recycles_the_persistent_pool():
         workers=2,
         hard_timeout=0.3,
         synthesize_fn=sleeps_forever,
-        retry_policy=RetryPolicy(max_attempts=2),
+        max_attempts=2,
         worker_pool=pool,
     )
     try:

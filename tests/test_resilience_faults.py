@@ -2,9 +2,9 @@
 
 Every recovery path gets a scheduled fault and must recover — retry,
 quarantine, or recompute — with results bit-identical to an unfaulted
-run whenever the retry succeeds under the original seed.  The mid-run
-SIGKILL leg of the matrix lives in ``test_resilience_kill.py`` (it
-needs a subprocess harness).
+run whenever a retry succeeds: every attempt reruns the block's seed.
+The mid-run SIGKILL leg of the matrix lives in
+``test_resilience_kill.py`` (it needs a subprocess harness).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro.algorithms import tfim
 from repro.core.pool import exact_pool
-from repro.core.quest import QuestConfig
+from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
 from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
@@ -24,7 +24,6 @@ from repro.partition.scan import scan_partition
 from repro.resilience import (
     FaultInjector,
     FaultSpec,
-    RetryPolicy,
     block_deadline,
     check_deadline,
     deadline_remaining,
@@ -240,7 +239,7 @@ def test_inline_hang_times_out_and_recovers_bit_identically():
     runner = BlockSynthesisExecutor(
         workers=1,
         hard_timeout=0.5,
-        retry_policy=RetryPolicy(max_attempts=2),
+        max_attempts=2,
         fault_injector=injector,
     )
     start = time.monotonic()
@@ -252,6 +251,24 @@ def test_inline_hang_times_out_and_recovers_bit_identically():
     assert stats.failure_log
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
+
+
+def test_lapsed_enclosing_deadline_ends_the_inline_run():
+    """A caller's deadline (the service's job deadline) that lapses
+    mid-synthesis raises instead of falling back silently.
+
+    The hang on attempt 0 outlasts the enclosing deadline.  Retrying
+    could only time out at once and ship exact fallbacks as a normal
+    result, so the run ends with :class:`BlockTimeoutError`.
+    """
+    injector = FaultInjector(
+        specs=(FaultSpec("hang", None, 0),), hang_seconds=60.0
+    )
+    start = time.monotonic()
+    with block_deadline(0.5):
+        with pytest.raises(BlockTimeoutError):
+            run_quest(tfim(4, steps=2), CONFIG, fault_injector=injector)
+    assert time.monotonic() - start < 30.0
 
 
 @pytest.mark.slow
@@ -267,7 +284,7 @@ def test_pool_hang_hits_the_hard_timeout_and_recovers():
     runner = BlockSynthesisExecutor(
         workers=2,
         hard_timeout=3.0,
-        retry_policy=RetryPolicy(max_attempts=2),
+        max_attempts=2,
         fault_injector=injector,
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)

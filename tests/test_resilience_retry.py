@@ -1,4 +1,4 @@
-"""Retry policy: deterministic seed escalation and executor retry flow."""
+"""Executor retry flow: every attempt reruns the block's own seed."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.core.quest import QuestConfig
 from repro.observability import ListSink, Tracer, use_tracer
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
-from repro.resilience import FaultInjector, FaultSpec, RetryPolicy
+from repro.resilience import FaultInjector, FaultSpec
 from repro.resilience.retry import (
     FAILURE_EXCEPTION,
     FAILURE_FALLBACK,
@@ -64,55 +64,9 @@ def _assert_matches_inline(run, pools, stats):
     _pools_equal(inline_pools, pools)
 
 
-# ----------------------------------------------------------------------
-# RetryPolicy unit behaviour
-# ----------------------------------------------------------------------
-def test_attempt_zero_uses_the_block_seed():
-    policy = RetryPolicy(max_attempts=4)
-    assert policy.attempt_seed(12345, 0) == 12345
-
-
-def test_first_retry_reuses_the_seed_then_escalates():
-    policy = RetryPolicy(max_attempts=4, same_seed_retries=1)
-    assert policy.attempt_seed(12345, 1) == 12345
-    escalated = policy.attempt_seed(12345, 2)
-    assert escalated != 12345
-    # Deterministic: same (seed, attempt) -> same escalated seed.
-    assert policy.attempt_seed(12345, 2) == escalated
-    assert policy.attempt_seed(12345, 3) != escalated
-    # Matches the documented SeedSequence.spawn derivation.
-    expected = int(
-        np.random.SeedSequence(12345).spawn(1)[-1].generate_state(1)[0]
-        % (2**31 - 1)
-    )
-    assert escalated == expected
-
-
-def test_budget_multiplier_scales_geometrically():
-    policy = RetryPolicy(max_attempts=3, budget_multiplier=2.0)
-    assert policy.attempt_budget(10.0, 0) == 10.0
-    assert policy.attempt_budget(10.0, 1) == 20.0
-    assert policy.attempt_budget(10.0, 2) == 40.0
-    assert policy.attempt_budget(None, 2) is None
-
-
-def test_baseline_attempt_detection():
-    flat = RetryPolicy(max_attempts=3, budget_multiplier=1.0)
-    assert flat.is_baseline_attempt(7, 0, 10.0)
-    assert flat.is_baseline_attempt(7, 1, 10.0)  # same seed, flat budget
-    assert not flat.is_baseline_attempt(7, 2, 10.0)  # escalated seed
-    scaled = RetryPolicy(max_attempts=3, budget_multiplier=2.0)
-    assert scaled.is_baseline_attempt(7, 0, 10.0)
-    assert not scaled.is_baseline_attempt(7, 1, 10.0)  # budget grew
-
-
-def test_policy_validation():
+def test_max_attempts_must_be_positive():
     with pytest.raises(ValueError, match="max_attempts"):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError, match="budget_multiplier"):
-        RetryPolicy(budget_multiplier=0.0)
-    with pytest.raises(ValueError, match="same_seed_retries"):
-        RetryPolicy(same_seed_retries=-1)
+        BlockSynthesisExecutor(max_attempts=0)
 
 
 def test_failure_record_round_trips_to_dict():
@@ -130,7 +84,7 @@ def test_failure_record_round_trips_to_dict():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
 def test_transient_raise_recovers_bit_identically(workers):
-    """A fault on attempt 0 retries on the same seed: results identical."""
+    """A fault on attempt 0 reruns the same seed: results identical."""
     blocks = _blocks()
     seeds = _seeds(blocks)
     clean_pools, clean_stats = BlockSynthesisExecutor(workers=workers).run(
@@ -141,7 +95,7 @@ def test_transient_raise_recovers_bit_identically(workers):
     injector = FaultInjector(specs=(FaultSpec("raise", None, 0),))
     runner = BlockSynthesisExecutor(
         workers=workers,
-        retry_policy=RetryPolicy(max_attempts=2),
+        max_attempts=2,
         fault_injector=injector,
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
@@ -156,7 +110,7 @@ def _nan_run(workers):
     blocks = _blocks()
     runner = BlockSynthesisExecutor(
         workers=workers,
-        retry_policy=RetryPolicy(max_attempts=2),
+        max_attempts=2,
         fault_injector=FaultInjector(
             specs=(FaultSpec("nan", None, 0),), seed=11
         ),
@@ -202,7 +156,7 @@ def _exhausted_run(workers):
     specs = tuple(FaultSpec("raise", None, attempt) for attempt in range(3))
     runner = BlockSynthesisExecutor(
         workers=workers,
-        retry_policy=RetryPolicy(max_attempts=3),
+        max_attempts=3,
         fault_injector=FaultInjector(specs=specs),
     )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
@@ -245,22 +199,29 @@ def test_exhausted_retries_still_fall_back(workers):
     _assert_matches_inline(_exhausted_run, pools, stats)
 
 
-def test_escalated_seed_changes_the_synthesis_stream():
-    """Attempts past same_seed_retries genuinely explore a new seed."""
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
+def test_late_recovery_equals_the_clean_run(workers):
+    """Faults on attempts 0 and 1: attempt 2 still reruns the block seed.
+
+    No attempt escalates the seed or the budget, so a block that
+    recovers on its third attempt is bit-identical to a clean run's.
+    """
     blocks = _blocks()
     seeds = _seeds(blocks)
-    clean_pools, _ = BlockSynthesisExecutor().run(blocks, CONFIG, seeds)
-    # Fail attempts 0 and 1 so the success lands on the escalated seed.
+    clean_pools, _ = BlockSynthesisExecutor(workers=workers).run(
+        blocks, CONFIG, seeds
+    )
     specs = tuple(FaultSpec("raise", None, attempt) for attempt in range(2))
     runner = BlockSynthesisExecutor(
-        retry_policy=RetryPolicy(max_attempts=3),
+        workers=workers,
+        max_attempts=3,
         fault_injector=FaultInjector(specs=specs),
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
     assert not stats.fallback_blocks
     assert stats.retries > 0
-    # Pools exist for every block and remain healthy (validated), even
-    # though candidate sets may differ from the attempt-0 stream.
-    assert len(pools) == len(clean_pools)
-    for pool in pools:
-        assert pool.size >= 1
+    per_block = {}
+    for record in stats.failure_log:
+        per_block.setdefault(record.block_index, []).append(record.attempt)
+    assert per_block and all(a == [0, 1] for a in per_block.values())
+    _pools_equal(clean_pools, pools)

@@ -26,6 +26,7 @@ from repro.algorithms import qft, tfim
 from repro.circuits import circuit_to_qasm
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import AdmissionRejected, ServiceError
+from repro.resilience import FaultInjector, FaultSpec
 from repro.service import QuestService, ServiceClient
 
 FAST = dict(
@@ -235,6 +236,23 @@ def test_expired_deadline_fails_structurally_without_compiling(tmp_path):
         reply = client.wait(job_id, timeout=60.0)
         assert reply["state"] == "failed"
         assert reply["error"]["kind"] == "deadline_expired"
+
+
+def test_deadline_lapsing_mid_synthesis_ends_the_job_expired(tmp_path):
+    """Inline synthesis runs under the job deadline; a lapse there must
+    not ship exact fallbacks as a ``done`` job."""
+    injector = FaultInjector(
+        specs=(FaultSpec("hang", None, 0),), hang_seconds=60.0
+    )
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    with running_service(
+        tmp_path / "ledger", fault_injector=injector
+    ) as (service, client):
+        job_id = client.submit(qasm, deadline_seconds=0.5)
+        reply = client.wait(job_id, timeout=60.0)
+        assert reply["state"] == "failed"
+        assert reply["error"]["kind"] == "deadline_expired"
+        _assert_no_stranded(client)
 
 
 def test_generous_deadline_does_not_perturb_results(

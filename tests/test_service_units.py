@@ -303,6 +303,7 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         "noise_engine",
         "array_backend",
         "retry_backoff_seconds",
+        "retry_budget_multiplier",
     ):
         with pytest.raises(ServiceError, match="unknown QuestConfig field"):
             merge_config(base, {removed: None})

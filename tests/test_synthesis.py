@@ -103,12 +103,6 @@ class TestLeap:
         with pytest.raises(SynthesisError):
             synthesize(np.eye(3))
 
-    def test_time_budget_stops_early(self, rng):
-        target = random_unitary(8, rng)
-        config = LeapConfig(max_layers=30, seed=0, time_budget=1.0)
-        report = synthesize(target, config)
-        assert report.layers_explored < 30
-
 
 class TestTwoQubitDecomposition:
     def test_random_unitaries(self, rng):
