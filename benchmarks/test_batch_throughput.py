@@ -5,10 +5,9 @@ two step counts, two instances each — the shape of a parameter sweep
 re-run) two ways at ``workers=4``:
 
 * **sequential** — eight independent :func:`repro.run_quest` calls,
-  each paying its own worker pool, cache, and synthesis;
+  each paying its own worker pool and synthesis;
 * **batch** — one :func:`repro.batch.run_quest_batch` call sharing the
-  persistent pool, content-addressed cache and in-flight registry across
-  all eight circuits.
+  persistent pool and in-flight registry across all eight circuits.
 
 Records ``BENCH_batch.json`` at the repo root and asserts the batch
 layer's three claims: per-circuit selections bit-identical to solo,

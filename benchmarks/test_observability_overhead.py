@@ -47,7 +47,6 @@ SCALING_CONFIG = dict(
     annealing_maxiter=80,
     block_time_budget=20.0,
     sphere_variants_per_count=2,
-    cache=False,  # every run does full synthesis work
 )
 
 #: Disabled-path overhead budget (fractional). The no-op tracer is a

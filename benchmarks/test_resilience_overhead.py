@@ -1,7 +1,8 @@
 """Smoke benchmark: what resilience costs — and what resume saves.
 
 Runs the same 5-qubit Trotterized TFIM circuit through QUEST four ways —
-baseline (cache off, validation on), validation off, a cold run over a
+baseline (no store, validation on), validation off (the executor's
+``validate_solutions`` replaced by a no-op), a cold run over a
 ``store_dir``, and a rerun over that store (the resume) — and records
 the timings to ``BENCH_resilience.json`` at the repo root.  Asserts the
 layer's two core claims:
@@ -25,6 +26,7 @@ from pathlib import Path
 
 from conftest import print_table
 
+import repro.parallel.executor as executor_module
 from repro import QuestConfig, run_quest
 from repro.algorithms import tfim
 
@@ -43,7 +45,6 @@ SCALING_CONFIG = dict(
     annealing_maxiter=80,
     block_time_budget=20.0,
     sphere_variants_per_count=2,
-    cache=False,  # isolate validation effects from the cache
 )
 
 
@@ -54,22 +55,25 @@ def _timed_run(circuit, **overrides):
     return result, time.perf_counter() - start
 
 
-def test_resilience_overhead_smoke(tmp_path):
+def test_resilience_overhead_smoke(tmp_path, monkeypatch):
     circuit = tfim(5, steps=2)
 
     baseline, baseline_wall = _timed_run(circuit)
-    unvalidated, unvalidated_wall = _timed_run(
-        circuit, validate_candidates=False
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            executor_module, "validate_solutions", lambda *a, **k: None
+        )
+        unvalidated, unvalidated_wall = _timed_run(circuit)
     store = str(tmp_path / "store")
-    cold, cold_wall = _timed_run(circuit, cache=True, store_dir=store)
-    resumed, resumed_wall = _timed_run(circuit, cache=True, store_dir=store)
+    cold, cold_wall = _timed_run(circuit, store_dir=store)
+    resumed, resumed_wall = _timed_run(circuit, store_dir=store)
 
     rows = [
         ["baseline", f"{baseline_wall:.2f}",
-         f"{baseline.timings.synthesis_seconds:.2f}", 0],
+         f"{baseline.timings.synthesis_seconds:.2f}", baseline.cache_hits],
         ["validation off", f"{unvalidated_wall:.2f}",
-         f"{unvalidated.timings.synthesis_seconds:.2f}", 0],
+         f"{unvalidated.timings.synthesis_seconds:.2f}",
+         unvalidated.cache_hits],
         ["store cold", f"{cold_wall:.2f}",
          f"{cold.timings.synthesis_seconds:.2f}", cold.cache_hits],
         ["resumed", f"{resumed_wall:.2f}",

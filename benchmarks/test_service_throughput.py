@@ -1,7 +1,7 @@
 """Service throughput: concurrent clients against one live daemon.
 
 Boots a :class:`~repro.service.server.QuestService` (dispatcher
-concurrency 2, shared cache/registry substrate) and drives it with four
+concurrency 2, shared store/registry substrate) and drives it with four
 client threads submitting a 12-job mixed workload — a Trotter-family
 sweep with deliberate duplicates, the shape of a parameter-sweep re-run
 hitting a compilation service.  Records end-to-end submit→result
@@ -60,14 +60,14 @@ def _workload() -> list[str]:
         xy_model(4, steps=2),
     ]
     # Each circuit submitted three times: the duplicate-heavy shape that
-    # the shared cache + in-flight registry exist to collapse.
+    # the shared store + in-flight registry exist to collapse.
     return [circuit_to_qasm(c) for c in sweep * 3]
 
 
 def test_service_throughput(tmp_path):
     sock_dir = tempfile.mkdtemp(dir="/tmp", prefix="qbench-")
     socket_path = str(Path(sock_dir) / "s.sock")
-    config = QuestConfig(**SERVICE_CONFIG, workers=1, cache=True)
+    config = QuestConfig(**SERVICE_CONFIG, workers=1)
     service = QuestService(
         socket_path,
         tmp_path / "ledger",

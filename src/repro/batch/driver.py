@@ -7,12 +7,12 @@ sharing the expensive runtime state across every circuit:
 * **one persistent worker pool** — worker processes fork and warm up
   once for the whole batch instead of once per synthesis round
   (:class:`~repro.parallel.pool_manager.PersistentWorkerPool`);
-* **one content-addressed cache** — blocks identical across circuits
-  resolve from memory/disk instead of re-synthesizing
-  (:class:`~repro.parallel.cache.PoolCache`, now thread-safe);
-* **one in-flight registry** — blocks identical across *concurrently
-  compiling* circuits dedup even before either lands in the cache
-  (:class:`~repro.batch.workqueue.InflightRegistry`).
+* **one in-flight registry** — blocks identical across circuits
+  synthesize once: a circuit joins another's job while it is in flight
+  and adopts its result once resolved
+  (:class:`~repro.batch.workqueue.InflightRegistry`);
+* **one store**, with ``config.store_dir`` — a thread-safe
+  :class:`~repro.parallel.cache.PoolCache` over the artifact store.
 
 Circuits run on a bounded thread window (``window``), so synthesis of
 circuit *i+1* overlaps the parent-side selection/annealing of circuit
@@ -46,7 +46,7 @@ class BatchResources:
 
     Duck-typed by :func:`repro.core.quest._run_pipeline`: any object
     with these three attributes works, ``None`` fields simply disable
-    that kind of sharing.
+    that kind of sharing (a ``None`` cache means nothing persists).
     """
 
     cache: PoolCache | None = None
@@ -65,15 +65,16 @@ class BatchResult:
 
     results: list[QuestResult] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Blocks served by attaching to an existing job instead of
-    #: synthesizing (within-circuit repeats + cross-circuit joins).
+    #: Planned jobs served by another circuit's result instead of
+    #: synthesizing (registry joins, in flight or resolved).
     dedup_joins: int = 0
     #: Subset of ``dedup_joins`` that joined another circuit's
     #: *in-flight* job through the registry.
     inflight_joins: int = 0
-    #: Synthesis jobs actually dispatched, batch-wide.
+    #: Synthesis jobs planned, batch-wide (joins included).
     cache_misses: int = 0
-    #: Blocks served from the shared cache (memory or disk tier).
+    #: Blocks planned without a job: within-circuit repeats and store
+    #: hits.
     cache_hits: int = 0
     #: Persistent-pool accounting (0 when ``workers == 1``).
     pools_created: int = 0
@@ -84,7 +85,7 @@ class BatchResult:
 
     def summary(self) -> str:
         """One-line human-readable batch summary."""
-        synthesized = self.cache_misses
+        synthesized = self.cache_misses - self.dedup_joins
         text = (
             f"{len(self.results)} circuits in {self.wall_seconds:.2f}s: "
             f"{synthesized} blocks synthesized, "
@@ -138,7 +139,7 @@ def run_quest_batch(
         raise ValueError(f"window must be >= 1, got {window}")
 
     cache = None
-    if config.cache:
+    if config.store_dir is not None:
         cache = PoolCache(
             config.store_dir,
             fault_injector=fault_injector,

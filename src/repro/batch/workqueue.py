@@ -3,17 +3,17 @@
 Blocks are content-addressed (see :mod:`repro.parallel.cache`): the
 entry key pins the global-phase-canonical unitary, the LeapConfig
 fingerprint, and the synthesis seed, so two blocks with equal keys have
-byte-identical results.  The warm :class:`~repro.parallel.cache.PoolCache`
-already dedupes *resolved* work — but when two circuits of a batch are
-compiled concurrently, both can probe the cache before either has
-published, and the same block synthesizes twice.  The
-:class:`InflightRegistry` closes that window:
+byte-identical results.  The :class:`InflightRegistry` is the only
+in-process reuse across the runs of a batch or daemon; the artifact
+store only persists.  Without it, two circuits compiled concurrently
+would both miss the store before either had published, and the same
+block would synthesize twice.  The registry closes that window:
 
 * the first executor to reach a key **claims** it and synthesizes,
   keeping the claim across its retry rounds;
 * any other executor reaching the same key while it is in flight
-  **joins** — it blocks on the owner's result instead of racing to a
-  cache miss;
+  **joins** — it blocks on the owner's result instead of synthesizing
+  the key again;
 * the owner **publishes** its first successful attempt.  Every attempt
   reruns the key's seed under the same config, so a joiner adopts a
   result identical to its own solo run's;
@@ -22,7 +22,9 @@ published, and the same block synthesizes twice.  The
   the key can be re-claimed.
 
 Resolved entries are retained for the registry's lifetime, so a batch
-running with the cache disabled still synthesizes each unique key once.
+or daemon synthesizes each unique key once, with or without a store.
+They are never evicted: a daemon's registry grows with the distinct
+keys it has resolved.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class InflightRegistry:
         """Publish ``owner``'s result for ``key``; other owners are ignored.
 
         The entry stays in the registry (resolved) so later claims adopt
-        it without waiting — the cache-off cross-circuit dedup path.
+        it without waiting — the cross-circuit reuse path.
         """
         with self._lock:
             held = self._entries.get(key)

@@ -76,8 +76,8 @@ def build_compile_batch_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro compile-batch",
         description="Compile a batch of circuits through one shared "
-        "substrate: a persistent worker pool, a cross-circuit "
-        "content-addressed cache, and in-flight block dedup.  "
+        "substrate: a persistent worker pool and cross-circuit block "
+        "dedup (plus the artifact store, with --store-dir).  "
         "Per-circuit results are bit-identical to solo runs.",
     )
     parser.add_argument(
@@ -106,68 +106,7 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         default=Path("quest_output"),
         help="directory for the approximation .qasm files",
     )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.2,
-        help="per-block process-distance threshold (default 0.2)",
-    )
-    parser.add_argument(
-        "--max-samples", type=int, default=16, help="max approximations (M)"
-    )
-    parser.add_argument(
-        "--block-qubits", type=int, default=3, help="max qubits per block"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--time-budget",
-        type=float,
-        default=30.0,
-        help="per-block synthesis budget in seconds: an attempt running "
-        "past 4x this plus 30 s fails, and a block whose attempts all "
-        "fail falls back to its exact circuit (default 30)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker processes for block synthesis (1 = inline)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable reuse of synthesis results across identical blocks",
-    )
-    parser.add_argument(
-        "--cache-max-entries",
-        type=_positive_int,
-        default=None,
-        help="bound the disk tier to this many entries per namespace, "
-        "evicting least-recently-used files (default: unbounded)",
-    )
-    parser.add_argument(
-        "--store-dir",
-        type=Path,
-        default=None,
-        help="root of the sharded multi-tenant artifact store, the "
-        "persistent block-synthesis cache (default: in-memory only); "
-        "rerunning a killed compile over the same store resumes it, and "
-        "several runs/daemon replicas may share one store root and "
-        "reuse each other's published synthesis results",
-    )
-    parser.add_argument(
-        "--namespace",
-        default="default",
-        help="tenant namespace inside the artifact store; entries of "
-        "different namespaces never mix (default 'default')",
-    )
-    parser.add_argument(
-        "--retry-attempts",
-        type=_positive_int,
-        default=2,
-        help="synthesis attempts per block before the exact-pool "
-        "fallback; every attempt reruns the block's seed (default 2)",
-    )
+    _add_config_options(parser, store_default="nothing persists")
     parser.add_argument(
         "--inject-faults",
         metavar="SPEC",
@@ -214,9 +153,75 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         "--certify-candidates",
         action="store_true",
         help="harden candidate health checks into independent "
-        "certification: rebuild every worker/cache "
+        "certification: rebuild every worker/store "
         "candidate's unitary through the certifier's own contraction "
         "path (slower)",
+    )
+
+
+def _add_config_options(
+    parser: argparse.ArgumentParser, *, store_default: str
+) -> None:
+    """The QuestConfig flags of every compiling entry point (``repro``,
+    ``compile-batch`` and ``serve``); :func:`_config_from_args` reads
+    them.  ``store_default`` describes what happens without
+    ``--store-dir``."""
+    parser.add_argument(
+        "--threshold",
+        type=float,
+        default=0.2,
+        help="per-block process-distance threshold (default 0.2)",
+    )
+    parser.add_argument(
+        "--max-samples", type=int, default=16, help="max approximations (M)"
+    )
+    parser.add_argument(
+        "--block-qubits", type=int, default=3, help="max qubits per block"
+    )
+    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--time-budget",
+        type=float,
+        default=30.0,
+        help="per-block synthesis budget in seconds: an attempt running "
+        "past 4x this plus 30 s fails, and a block whose attempts all "
+        "fail falls back to its exact circuit (default 30)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker processes for block synthesis (1 = inline)",
+    )
+    parser.add_argument(
+        "--cache-max-entries",
+        type=_positive_int,
+        default=None,
+        help="bound the store to this many entries per namespace, "
+        "evicting least-recently-used files (default: unbounded)",
+    )
+    parser.add_argument(
+        "--store-dir",
+        type=Path,
+        default=None,
+        help="root of the sharded multi-tenant artifact store, where "
+        f"synthesized block solutions persist (default: {store_default}); "
+        "rerunning a killed compile over the same store resumes it, and "
+        "several runs/daemon replicas may share one store root and "
+        "reuse each other's published synthesis results",
+    )
+    parser.add_argument(
+        "--namespace",
+        default="default",
+        help="tenant namespace inside the artifact store; entries of "
+        "different namespaces never mix (default 'default')",
+    )
+    parser.add_argument(
+        "--retry-attempts",
+        type=_positive_int,
+        default=2,
+        help="synthesis attempts per block before the exact-pool "
+        "fallback; every attempt reruns the block's seed (default 2)",
     )
 
 
@@ -225,8 +230,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Run the compilation daemon: accepts compile jobs "
         "(QASM + config overrides) over a Unix socket, shares one "
-        "worker pool / cache / dedup registry across all jobs, and "
-        "journals every job in a crash-safe ledger so a killed daemon "
+        "worker pool / artifact store / dedup registry across all jobs, "
+        "and journals every job in a crash-safe ledger so a killed daemon "
         "warm-restarts and resumes mid-flight jobs bit-identically.",
     )
     parser.add_argument(
@@ -284,53 +289,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "path again (default 30)",
     )
     # Substrate + default-compile knobs (requests may override the
-    # non-substrate ones per job).
-    parser.add_argument(
-        "--threshold", type=float, default=0.2,
-        help="default per-block process-distance threshold",
-    )
-    parser.add_argument(
-        "--max-samples", type=int, default=16,
-        help="default max approximations (M)",
-    )
-    parser.add_argument(
-        "--block-qubits", type=int, default=3,
-        help="default max qubits per block",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="default random seed"
-    )
-    parser.add_argument(
-        "--time-budget", type=float, default=30.0,
-        help="default per-block synthesis budget in seconds: an attempt "
-        "running past 4x this plus 30 s fails",
-    )
-    parser.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="worker processes of the shared pool (1 = inline)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the shared block-synthesis cache",
-    )
-    parser.add_argument(
-        "--cache-max-entries", type=_positive_int, default=None,
-        help="LRU bound on the disk tier, per namespace",
-    )
-    parser.add_argument(
-        "--store-dir", type=Path, default=None,
-        help="sharded artifact-store root shared by daemon replicas "
-        "(default: <ledger-dir>/store)",
-    )
-    parser.add_argument(
-        "--namespace", default="default",
-        help="store namespace for jobs whose submit carries neither a "
-        "namespace nor a tenant-derived one (default 'default')",
-    )
-    parser.add_argument(
-        "--retry-attempts", type=_positive_int, default=2,
-        help="default synthesis attempts per block",
-    )
+    # non-substrate ones per job; the namespace applies to jobs whose
+    # submit names none).
+    _add_config_options(parser, store_default="<ledger-dir>/store")
     parser.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
@@ -448,31 +409,14 @@ def _serve_main(argv: list[str]) -> int:
     )
     if code:
         return code
-    from repro.store import validate_namespace
-
-    try:
-        validate_namespace(args.namespace)
-    except StoreError as exc:
-        logger.error(f"error: --namespace: {exc}")
-        return 2
-    config = QuestConfig(
-        seed=args.seed,
-        max_samples=args.max_samples,
-        max_block_qubits=args.block_qubits,
-        threshold_per_block=args.threshold,
-        block_time_budget=args.time_budget,
-        workers=args.workers,
-        cache=not args.no_cache,
-        cache_max_entries=args.cache_max_entries,
-        store_dir=None if args.store_dir is None else str(args.store_dir),
-        namespace=args.namespace,
-        retry_attempts=args.retry_attempts,
-    )
+    code = _config_preflight(args, logger)
+    if code:
+        return code
     try:
         serve(
             str(args.socket),
             str(args.ledger_dir),
-            config,
+            _config_from_args(args),
             capacity=args.capacity,
             max_concurrency=args.max_concurrency,
             tenant_weights=weights or None,
@@ -748,7 +692,9 @@ def _trace_summary_main(argv: list[str]) -> int:
 
 
 def _config_from_args(args) -> QuestConfig:
-    """Build the QuestConfig both compile entry points share."""
+    """The QuestConfig of every compiling entry point: the
+    :func:`_add_config_options` flags plus the certify flags, which
+    ``serve`` does not define."""
     return QuestConfig(
         seed=args.seed,
         max_samples=args.max_samples,
@@ -756,18 +702,17 @@ def _config_from_args(args) -> QuestConfig:
         threshold_per_block=args.threshold,
         block_time_budget=args.time_budget,
         workers=args.workers,
-        cache=not args.no_cache,
         cache_max_entries=args.cache_max_entries,
         store_dir=None if args.store_dir is None else str(args.store_dir),
         namespace=args.namespace,
         retry_attempts=args.retry_attempts,
-        certify=args.certify,
-        certify_candidates=args.certify_candidates,
+        certify=getattr(args, "certify", False),
+        certify_candidates=getattr(args, "certify_candidates", False),
     )
 
 
-def _compile_preflight(args, logger) -> int:
-    """Shared argument validation; returns 0 or the exit code."""
+def _config_preflight(args, logger) -> int:
+    """Validation of the config flags; returns 0 or the exit code."""
     from repro.store import validate_namespace
 
     try:
@@ -775,7 +720,7 @@ def _compile_preflight(args, logger) -> int:
     except StoreError as exc:
         logger.error(f"error: --namespace: {exc}")
         return 2
-    if args.store_dir is not None and not args.no_cache:
+    if args.store_dir is not None:
         try:
             args.store_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -833,7 +778,7 @@ def _compile_batch_main(argv: list[str]) -> int:
         except (OSError, ReproError) as exc:
             logger.error(f"error reading {path}: {exc}")
             return 2
-    code = _compile_preflight(args, logger)
+    code = _config_preflight(args, logger)
     if code:
         return code
     fault_injector, code = _parse_fault_injector(args, logger)
@@ -912,7 +857,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ReproError) as exc:
         logger.error(f"error reading {args.input}: {exc}")
         return 2
-    code = _compile_preflight(args, logger)
+    code = _config_preflight(args, logger)
     if code:
         return code
     fault_injector, code = _parse_fault_injector(args, logger)

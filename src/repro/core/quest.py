@@ -67,7 +67,6 @@ class QuestConfig:
     weight: float = 0.5
     max_layers_per_block: int = 8
     solutions_per_layer: int = 3
-    max_candidates_per_block: int = 24
     instantiation_starts: int = 2
     max_optimizer_iterations: int = 200
     annealing_maxiter: int = 200
@@ -81,15 +80,13 @@ class QuestConfig:
     sphere_variants_per_count: int = 4
     #: Worker processes for block synthesis (1 = inline, no process pool).
     workers: int = 1
-    #: Reuse synthesis results across identical blocks within a run.
-    cache: bool = True
-    #: Size bound on the disk cache tier (entries, LRU-evicted by mtime;
-    #: None = unbounded).  Only meaningful with ``store_dir``; applied
-    #: per namespace.
+    #: Size bound on the store (entries, LRU-evicted by mtime; None =
+    #: unbounded).  Only meaningful with ``store_dir``; applied per
+    #: namespace.
     cache_max_entries: int | None = None
     #: Root of the sharded multi-tenant artifact store
-    #: (:class:`repro.store.ArtifactStore`), the persistent cross-run
-    #: cache tier (None = memory only; ignored when ``cache`` is False).
+    #: (:class:`repro.store.ArtifactStore`), the one switch for
+    #: persisting block solutions across runs (None = nothing persists).
     #: A killed run rerun over the same store resumes from every block
     #: it published; several daemon replicas may point at one store
     #: root and share published synthesis results.
@@ -102,9 +99,6 @@ class QuestConfig:
     #: same config, so a block that recovers is bit-identical to a clean
     #: run's.
     retry_attempts: int = 2
-    #: Health-check candidates from workers/cache (finite, unitary,
-    #: distances recompute) and quarantine failures.
-    validate_candidates: bool = True
     #: Independently certify every selected approximation after
     #: stitching (see :mod:`repro.verify`): per-block epsilon claims are
     #: re-derived from the artifacts through the certifier's own
@@ -116,7 +110,7 @@ class QuestConfig:
     #: fall to the random-stimulus regime.
     certify_max_exact_qubits: int = DEFAULT_MAX_EXACT_QUBITS
     #: Harden candidate validation: additionally rebuild every
-    #: worker/cache candidate's unitary through the
+    #: worker/store candidate's unitary through the
     #: certifier's independent contraction path and require agreement
     #: with the recorded artifacts.  Catches corruption the plain
     #: health checks cannot (a tampered-but-still-unitary matrix).
@@ -183,9 +177,9 @@ class QuestResult:
     circuits: list[Circuit] = field(default_factory=list)
     threshold: float = 0.0
     timings: QuestTimings = field(default_factory=QuestTimings)
-    #: Blocks served without a fresh synthesis job (within-run repeats and
-    #: persistent-cache hits, which include every block a killed run
-    #: published before it died) vs. jobs actually synthesized.
+    #: Blocks planned without a synthesis job (within-run repeats and
+    #: store hits, which include every block a killed run published
+    #: before it died) vs. synthesis jobs planned.
     cache_hits: int = 0
     cache_misses: int = 0
     #: Indices of blocks that fell back to their exact singleton pool
@@ -196,10 +190,10 @@ class QuestResult:
     failure_log: list[FailureRecord] = field(default_factory=list)
     #: Synthesis attempts beyond each block's first (retry count).
     retries: int = 0
-    #: Duplicate blocks served by attaching to an existing synthesis job
-    #: (cache-off repeats, and in-flight joins in batch mode).
+    #: Planned jobs served by another run's result through the shared
+    #: in-flight registry (batch and daemon runs), in flight or resolved.
     dedup_joins: int = 0
-    #: Disk cache entries that existed but failed integrity checks.
+    #: Store entries that existed but failed integrity checks.
     cache_corrupt_entries: int = 0
     #: Snapshot of the run's metrics registry (counters / gauges /
     #: histograms; see :mod:`repro.observability.metrics`), dumped by the
@@ -296,17 +290,23 @@ class QuestResult:
         Evaluates every selected approximation under ``noise`` and
         returns the pointwise mean — the quantity the paper compares
         against the ideal distribution in Sec. 5.  ``engine`` (one of
-        :data:`repro.noise.NOISE_ENGINES`) picks the evaluator: ``ptm``
+        :data:`repro.noise.NOISE_ENGINES`, resolved by
+        :func:`repro.noise.resolve_engine`) picks the evaluator: ``ptm``
         contracts the whole ensemble as one batched superoperator pass;
-        the other engines evaluate circuit by circuit via
+        ``trajectories`` evaluates circuit by circuit via
         :func:`repro.noise.noisy_distribution`.  Wall time is
         accumulated into ``timings.noisy_eval_seconds``.
         """
         from repro.metrics.distances import average_distributions
-        from repro.noise import noisy_distribution, run_ptm_ensemble
+        from repro.noise import (
+            noisy_distribution,
+            resolve_engine,
+            run_ptm_ensemble,
+        )
 
         if not self.circuits:
             raise SelectionError("no selected circuits to evaluate")
+        engine = resolve_engine(engine, self.baseline.num_qubits)
         rng = np.random.default_rng(rng)
         tracer = get_tracer()
         metrics = get_metrics()
@@ -387,7 +387,7 @@ def run_quest(
     ``shared`` optionally carries batch-scoped resources (duck-typed:
     any object with ``cache`` / ``worker_pool`` / ``inflight``
     attributes, see :class:`repro.batch.driver.BatchResources`) so
-    concurrent runs reuse one worker pool, one cache, and one in-flight
+    concurrent runs reuse one worker pool, one store, and one in-flight
     dedup registry.  Sharing never changes results: the dedup key pins
     the synthesis seed, so a shared run's selections stay bit-identical
     to a solo run's.
@@ -436,16 +436,14 @@ def _run_pipeline(
     start = time.perf_counter()
     with tracer.span("quest.synthesis", blocks=len(result.blocks)):
         block_seeds = _draw_block_seeds(rng, len(result.blocks))
-        cache = None
-        if config.cache:
-            cache = getattr(shared, "cache", None)
-            if cache is None:
-                cache = PoolCache(
-                    config.store_dir,
-                    fault_injector=fault_injector,
-                    max_entries=config.cache_max_entries,
-                    namespace=config.namespace,
-                )
+        cache = getattr(shared, "cache", None)
+        if cache is None and config.store_dir is not None:
+            cache = PoolCache(
+                config.store_dir,
+                fault_injector=fault_injector,
+                max_entries=config.cache_max_entries,
+                namespace=config.namespace,
+            )
         executor = BlockSynthesisExecutor(
             workers=config.workers,
             cache=cache,
@@ -457,7 +455,6 @@ def _run_pipeline(
             ),
             max_attempts=config.retry_attempts,
             fault_injector=fault_injector,
-            validate=config.validate_candidates,
             independent_validation=config.certify_candidates,
             worker_pool=getattr(shared, "worker_pool", None),
             inflight=getattr(shared, "inflight", None),

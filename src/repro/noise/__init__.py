@@ -1,12 +1,14 @@
 """Noise substrate: Pauli models, fake backends, noisy simulators.
 
-Three noisy-evaluation engines share one channel structure:
+Two noisy-evaluation engines share one channel structure:
 
-* ``density`` — exact density matrix, practical to ~9 qubits;
 * ``ptm`` — exact superoperator (Pauli-transfer-matrix) contraction,
-  batched over the ensemble axis, practical to ~12 qubits and an order
-  of magnitude faster than both alternatives at evaluation scale;
+  batched over the ensemble axis, practical to ~12 qubits;
 * ``trajectories`` — Monte-Carlo Pauli trajectories, for anything wider.
+
+The exact density-matrix simulator (:func:`run_density`, ~9 qubits) is
+not an engine: it stays as the reference the PTM engine is tested
+against.
 """
 
 from repro.exceptions import SimulationError
@@ -36,11 +38,25 @@ from repro.noise.ptm import (
 from repro.noise.trajectories import run_trajectories
 
 #: Engine names accepted by :func:`noisy_distribution` and
-#: :meth:`repro.core.quest.QuestResult.noisy_ensemble`.  ``auto``
-#: preserves the historical dispatch (density below its cap,
-#: trajectories above), so existing results stay bit-identical unless
-#: an engine is chosen explicitly.
-NOISE_ENGINES: tuple[str, ...] = ("auto", "ptm", "density", "trajectories")
+#: :meth:`repro.core.quest.QuestResult.noisy_ensemble`.
+NOISE_ENGINES: tuple[str, ...] = ("auto", "ptm", "trajectories")
+
+
+def resolve_engine(engine: str, num_qubits: int) -> str:
+    """The concrete engine ``engine`` names for a ``num_qubits`` circuit.
+
+    ``auto`` resolves by width: ``ptm`` up to :data:`MAX_PTM_QUBITS`,
+    ``trajectories`` above.  A name outside :data:`NOISE_ENGINES`
+    raises :class:`SimulationError`.
+    """
+    if engine not in NOISE_ENGINES:
+        raise SimulationError(
+            f"unknown noise engine {engine!r}; choose from "
+            f"{', '.join(NOISE_ENGINES)}"
+        )
+    if engine != "auto":
+        return engine
+    return "ptm" if num_qubits <= MAX_PTM_QUBITS else "trajectories"
 
 
 def noisy_distribution(
@@ -53,27 +69,14 @@ def noisy_distribution(
 ):
     """Noisy output distribution via the selected engine.
 
-    ``engine`` is one of :data:`NOISE_ENGINES`.  ``auto`` uses the exact
-    density-matrix simulator up to its qubit cap and falls back to
-    Monte-Carlo Pauli trajectories beyond it (batched by default;
-    ``batched=False`` selects the scalar reference engine).  ``ptm``
-    runs the exact superoperator engine; ``trajectories`` and
-    ``density`` force those engines regardless of size.
+    ``engine`` is one of :data:`NOISE_ENGINES`, resolved by
+    :func:`resolve_engine`: ``auto`` runs the exact superoperator engine
+    up to its qubit cap and Monte-Carlo Pauli trajectories beyond it
+    (batched by default; ``batched=False`` selects the scalar reference
+    engine).  ``ptm`` and ``trajectories`` force those engines
+    regardless of size.
     """
-    if engine not in NOISE_ENGINES:
-        raise SimulationError(
-            f"unknown noise engine {engine!r}; choose from "
-            f"{', '.join(NOISE_ENGINES)}"
-        )
-    if engine == "auto":
-        engine = (
-            "density"
-            if circuit.num_qubits <= MAX_DENSITY_QUBITS
-            else "trajectories"
-        )
-    if engine == "density":
-        return run_density(circuit, noise)
-    if engine == "ptm":
+    if resolve_engine(engine, circuit.num_qubits) == "ptm":
         return run_ptm(circuit, noise)
     return run_trajectories(
         circuit, noise, trajectories=trajectories, rng=rng, batched=batched
@@ -93,6 +96,7 @@ __all__ = [
     "run_ptm_ensemble",
     "PtmCache",
     "noisy_distribution",
+    "resolve_engine",
     "NOISE_ENGINES",
     "MAX_DENSITY_QUBITS",
     "MAX_PTM_QUBITS",

@@ -5,10 +5,11 @@ the blocks are independent by construction, so this package fans the
 per-block work out over a process pool and reuses results across the
 many identical blocks that Trotterized circuits produce:
 
-* :mod:`repro.parallel.cache` — a content-addressed store keyed by a
-  canonical (global-phase-invariant) hash of the block unitary plus the
-  :class:`~repro.synthesis.leap.LeapConfig` fingerprint and seed, with an
-  optional checksummed on-disk tier that persists across runs.
+* :mod:`repro.parallel.cache` — content keys (a canonical,
+  global-phase-invariant hash of the block unitary plus the
+  :class:`~repro.synthesis.leap.LeapConfig` fingerprint and seed) and
+  the checksummed entry format in which the artifact store persists
+  solutions across runs.
 * :mod:`repro.parallel.executor` — :class:`BlockSynthesisExecutor`, which
   dispatches blocks to workers (``workers=1`` runs inline), preserves the
   deterministic per-block seed stream so parallel and serial runs select

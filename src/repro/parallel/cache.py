@@ -17,18 +17,21 @@ synthesis produced, addressed by content:
   stored entry must too; the executor canonicalizes seeds per content key
   (first occurrence wins) so that repeats within a run share an entry.
 
-Entries live in memory for the duration of a run and, when a store (or
-``store_dir``) is given, in the sharded multi-tenant
+Entries live in the sharded multi-tenant
 :class:`~repro.store.ArtifactStore` — one file per entry under
-``<root>/<namespace>/<shard>/<key>.qpool``.  Disk entries are a pickled
-envelope carrying a format version, the key, and a SHA-256 checksum of
-the payload; anything that fails to load, fails the checksum, or carries
-the wrong version/key is treated as a miss and recomputed — a corrupt or
-partially-written file can cost time, never correctness.  The store
-owns all cross-process concerns (atomic publish with writer-unique temp
-files, crash-orphan sweeps, per-namespace LRU quotas with an mtime
-grace window), so N daemon replicas can share one store root and dedupe
-synthesis across replicas.
+``<root>/<namespace>/<shard>/<key>.qpool`` — and nowhere else: a
+:class:`PoolCache` is only the store's entry format.  Each entry is a
+pickled envelope carrying a format version, the key, and a SHA-256
+checksum of the payload; anything that fails to load, fails the
+checksum, or carries the wrong version/key is treated as a miss and
+recomputed — a corrupt or partially-written file can cost time, never
+correctness.  The store owns all cross-process concerns (atomic publish
+with writer-unique temp files, crash-orphan sweeps, per-namespace LRU
+quotas with an mtime grace window), so N daemon replicas can share one
+store root and dedupe synthesis across replicas.  In-process reuse
+lives elsewhere: a run's own repeats in the executor, and the runs of a
+batch or daemon in the shared
+:class:`~repro.batch.workqueue.InflightRegistry`.
 """
 
 from __future__ import annotations
@@ -94,12 +97,14 @@ def entry_key(content: str, seed: int) -> str:
 
 
 class PoolCache:
-    """Two-tier (memory + optional sharded store) cache of solutions.
+    """The artifact store's entry format for block solutions.
 
-    ``hits``/``misses`` count :meth:`get` probes for the lifetime of the
-    instance; :func:`repro.core.quest.run_quest` creates one instance per
-    run, so the counters it reports are per-run.  The disk tier's own
-    counters (raw loads, publishes, evictions) live on :attr:`store`.
+    Wraps one :class:`~repro.store.ArtifactStore` namespace — adopted
+    from the caller (service replicas share per-tenant stores) or built
+    over ``store_dir`` — and owns the entry envelope and the probe
+    counters.  ``hits``/``misses`` count :meth:`get` probes for the
+    lifetime of the instance; the store's own counters (raw loads,
+    publishes, evictions) live on :attr:`store`.
     """
 
     def __init__(
@@ -112,90 +117,52 @@ class PoolCache:
         store: ArtifactStore | None = None,
         grace_seconds: float | None = None,
     ) -> None:
-        if store is not None and store_dir is not None:
-            raise ValueError("pass either store_dir or store, not both")
-        if store is None and max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._memory: dict[str, list[SynthesisSolution]] = {}
-        #: The sharded disk tier (None = memory only).  Either adopted
-        #: from the caller (service replicas share per-tenant stores) or
-        #: built over ``store_dir``.
-        self.store = store
-        if store is None and store_dir is not None:
+        if (store is None) == (store_dir is None):
+            raise ValueError("pass exactly one of store_dir or store")
+        if store is None:
             kwargs = {}
             if grace_seconds is not None:
                 kwargs["grace_seconds"] = grace_seconds
-            self.store = ArtifactStore(
+            store = ArtifactStore(
                 store_dir,
                 namespace=namespace,
                 max_entries=max_entries,
                 **kwargs,
             )
+        self.store = store
         # Several executors may share one cache in batch/service mode;
-        # the lock covers the memory dict and every counter.
+        # the lock covers every counter.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: Disk entries that existed but failed an integrity check
-        #: (checksum, key, payload type, or unpicklable bytes).  Stale
-        #: format versions and missing files are plain misses, not
-        #: corruption.
+        #: Entries that existed but failed an integrity check (checksum,
+        #: key, payload type, or unpicklable bytes).  Stale format
+        #: versions and missing files are plain misses, not corruption.
         self.corrupt_entries = 0
         #: Optional :class:`repro.resilience.faults.FaultInjector` whose
         #: ``flip-cache`` faults corrupt entries after publish (tests/CI).
         self.fault_injector = fault_injector
 
     @property
-    def namespace(self) -> str:
-        """The tenant namespace of the disk tier (default namespace
-        when the cache is memory only)."""
-        return DEFAULT_NAMESPACE if self.store is None else self.store.namespace
-
-    @property
-    def max_entries(self) -> int | None:
-        """Disk-tier entry quota (None = unbounded or memory only)."""
-        return None if self.store is None else self.store.max_entries
-
-    @property
     def evictions(self) -> int:
-        """Disk entries evicted to honour the store quota."""
-        return 0 if self.store is None else self.store.evictions
-
-    def __len__(self) -> int:
-        return len(self._memory)
+        """Entries evicted to honour the store quota."""
+        return self.store.evictions
 
     def get(self, key: str) -> list[SynthesisSolution] | None:
         """Return the stored solutions for ``key``, or None on a miss."""
+        solutions = self._load(key)
         with self._lock:
-            solutions = self._memory.get(key)
-        if solutions is None and self.store is not None:
-            solutions = self._load_disk(key)
-            if solutions is not None:
-                with self._lock:
-                    self._memory[key] = solutions
-        if solutions is None:
-            with self._lock:
+            if solutions is None:
                 self.misses += 1
-            return None
-        with self._lock:
+                return None
             self.hits += 1
-        if self.store is not None:
-            # LRU refresh: a hit keeps the backing disk entry young so
-            # eviction targets genuinely cold keys.
-            self.store.touch(key)
+        # LRU refresh: a hit keeps the entry young so eviction targets
+        # genuinely cold keys.
+        self.store.touch(key)
         return solutions
 
     def put(self, key: str, solutions: list[SynthesisSolution]) -> None:
-        """Store ``solutions`` under ``key`` (memory, and disk if enabled)."""
-        with self._lock:
-            self._memory[key] = list(solutions)
-        if self.store is not None:
-            self._store_disk(key, solutions)
-
-    # ------------------------------------------------------------------
-    # Disk tier
-    # ------------------------------------------------------------------
-    def _store_disk(self, key: str, solutions: list[SynthesisSolution]) -> None:
+        """Publish ``solutions`` under ``key``."""
         payload = pickle.dumps(list(solutions), protocol=pickle.HIGHEST_PROTOCOL)
         envelope = {
             "version": CACHE_VERSION,
@@ -205,14 +172,12 @@ class PoolCache:
         }
         blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
         # The store owns atomicity (writer-unique temp file + rename)
-        # and quota eviction; False means the disk tier is best-effort
-        # unavailable and the in-memory entry still serves this run.
-        if not self.store.publish(key, blob):
-            return
-        if self.fault_injector is not None:
+        # and quota eviction; False means the store is unavailable and
+        # the entry is simply not persisted.
+        if self.store.publish(key, blob) and self.fault_injector is not None:
             self.fault_injector.on_cache_write(self.store.path_for(key))
 
-    def _load_disk(self, key: str) -> list[SynthesisSolution] | None:
+    def _load(self, key: str) -> list[SynthesisSolution] | None:
         raw = self.store.load(key)
         if raw is None:
             return None  # Missing (or unreadable) file: a plain miss.

@@ -11,27 +11,30 @@ which seed a block synthesizes under.  Blocks whose content key (see
 :mod:`repro.parallel.cache`) collides are canonicalized to the seed of
 the *first* occurrence; since LEAP is deterministic given (target,
 config, seed), repeated blocks dedup to one synthesis job with
-byte-identical results, cache or no cache — and, through a shared
-:class:`~repro.batch.workqueue.InflightRegistry`, across concurrently
-compiling circuits of a batch.
+byte-identical results, with or without a store — and, through a shared
+:class:`~repro.batch.workqueue.InflightRegistry`, across the runs of a
+batch or daemon.
 
-**Caching.**  With a :class:`~repro.parallel.cache.PoolCache`, each
-unique entry key synthesizes at most once per run; repeats and disk hits
-skip straight to pool assembly.  Only the LEAP solution list is cached —
-pool assembly (original-block candidate, distance re-measurement, sphere
-variants) is cheap and block-specific, so it always runs in the parent.
-Results are put as each job lands, so a run killed mid-synthesis has
+**Reuse.**  Each unique entry key synthesizes at most once per run:
+within-run repeats share the first occurrence's result.  With a
+:class:`~repro.parallel.cache.PoolCache` (a run with a store), a key the
+store holds a valid entry for skips straight to pool assembly, and each
+result is published as its job lands, so a run killed mid-synthesis has
 already published every finished block; rerunning it over the same
-store is a resume, made of disk hits.
+store is a resume, made of store hits.  Only the LEAP solution list is
+shared — pool assembly (original-block candidate, distance
+re-measurement, sphere variants) is cheap and block-specific, so it
+always runs in the parent.
 
 **Resilience.**  With ``max_attempts > 1``, a block whose synthesis
 raises, hangs past the hard timeout, or returns candidates that fail
 validation is *retried* before any downgrade.  Every attempt reruns the
 block's own seed under the same config, so a recovered block is
 bit-identical to a clean run's and every success can be published.
-Candidate sets from workers or the cache are health-checked via
-:mod:`repro.resilience.validation` and quarantined on failure; every
-failure lands in a structured
+Candidate sets from workers or the store are health-checked via
+:mod:`repro.resilience.validation` and quarantined on failure; results
+adopted through the registry never left the process and are not checked
+again.  Every failure lands in a structured
 :class:`~repro.resilience.retry.FailureRecord` log.
 
 **Graceful degradation.**  Only when every attempt is exhausted does a
@@ -40,12 +43,12 @@ fallback QUEST always keeps — with a :class:`RuntimeWarning`, so one bad
 block costs approximation quality, never the run.
 
 A run is plan → dispatch → assemble.  The plan step routes each block:
-trivial, a validated cache hit, a within-run repeat, or a synthesis
+trivial, a within-run repeat, a validated store hit, or a synthesis
 job.  The dispatch step runs the jobs in retry rounds, inline when
 ``workers == 1`` and over a process pool otherwise.  The assemble step
 builds the pools in block order.  Both kinds of round settle every
 attempt through one function, which validates the candidates,
-classifies a failure, and publishes and caches a success.
+classifies a failure, and publishes a success.
 
 Wall-clock time bounds an attempt, never shapes its result.  Timeouts
 come in two flavors: worker processes are bounded by the future's hard
@@ -208,12 +211,7 @@ def assemble_pool(
     """
     # No single block may eat more than its per-block share of the total
     # threshold — the per-block analogue of Algorithm 1's rejection line.
-    pool = build_pool(
-        block,
-        solutions,
-        max_candidates=config.max_candidates_per_block,
-        distance_cap=config.threshold_per_block,
-    )
+    pool = build_pool(block, solutions, distance_cap=config.threshold_per_block)
     if config.sphere_variants_per_count > 0:
         augment_with_sphere_variants(
             pool,
@@ -231,10 +229,12 @@ def assemble_pool(
 class BlockSynthesisStats:
     """What the executor did, for the run's telemetry.
 
-    ``cache_hits`` counts blocks served without a synthesis job (within-
-    run repeats and disk hits, including the blocks a killed run
-    published before it died); ``cache_misses`` counts jobs actually
-    dispatched.  Trivial (1-qubit / CNOT-free) blocks count as neither.
+    ``cache_hits`` counts blocks planned without a synthesis job:
+    within-run repeats and store hits, including the blocks a killed run
+    published before it died.  ``cache_misses`` counts the jobs planned;
+    a job another run of a batch or daemon resolves is also counted in
+    ``dedup_joins``.  Trivial (1-qubit / CNOT-free) blocks count as
+    neither.
     """
 
     cache_hits: int = 0
@@ -246,12 +246,12 @@ class BlockSynthesisStats:
     block_seconds: list[float] = field(default_factory=list)
     #: Synthesis attempts beyond each block's first, across the run.
     retries: int = 0
-    #: Duplicate blocks served by attaching to an existing job instead
-    #: of dispatching their own: within-run repeats with the cache
-    #: disabled, plus in-flight joins against a shared
-    #: :class:`~repro.batch.workqueue.InflightRegistry` (batch mode).
+    #: Jobs served by another run's result instead of being dispatched:
+    #: joins against a shared
+    #: :class:`~repro.batch.workqueue.InflightRegistry`, in flight or
+    #: already resolved (batch and daemon runs).
     dedup_joins: int = 0
-    #: Disk cache entries that existed but failed integrity checks.
+    #: Store entries that existed but failed integrity checks.
     cache_corrupt_entries: int = 0
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
@@ -275,7 +275,7 @@ class _RunState:
     stats: BlockSynthesisStats
     #: Synthesis jobs by entry key: (first block index, block, seed).
     jobs: dict[str, tuple[int, CircuitBlock, int]] = field(default_factory=dict)
-    #: Solutions by entry key, from the cache, a job or a joined job.
+    #: Solutions by entry key, from the store, a job or a joined job.
     resolved: dict[str, list[SynthesisSolution]] = field(default_factory=dict)
     #: Latest failure by entry key.
     failures: dict[str, BaseException] = field(default_factory=dict)
@@ -287,7 +287,7 @@ class _RunState:
 
 
 class BlockSynthesisExecutor:
-    """Fans per-block synthesis out over a process pool, with caching.
+    """Fans per-block synthesis out over a process pool.
 
     Parameters
     ----------
@@ -295,9 +295,9 @@ class BlockSynthesisExecutor:
         Process count.  ``1`` (the default) runs every block inline in
         the parent — same results, single process, easiest to debug.
     cache:
-        Optional :class:`PoolCache`.  When given, blocks sharing an entry
-        key synthesize once per run and may persist across runs; each
-        result is put as its job lands.
+        Optional :class:`PoolCache` over the run's store.  When given,
+        valid stored entries skip synthesis and each result is published
+        as its job lands, so results persist across runs.
     hard_timeout:
         Hard per-block wall-clock cap in seconds.  Enforced via the
         future's result timeout when ``workers > 1`` and via the
@@ -315,15 +315,12 @@ class BlockSynthesisExecutor:
     fault_injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` whose
         scheduled faults fire around each synthesis attempt (tests/CI).
-    validate:
-        Health-check candidate sets from workers and the cache (on by
-        default; see :mod:`repro.resilience.validation`).
     independent_validation:
-        Harden those health checks into independent certification:
-        every candidate's unitary is rebuilt through the certifier's
-        own contraction path and must agree with the recorded
-        artifacts.  Slower, so off by default; ignored when
-        ``validate`` is off.
+        Harden the health checks of candidate sets from workers and the
+        store (see :mod:`repro.resilience.validation`) into independent
+        certification: every candidate's unitary is rebuilt through the
+        certifier's own contraction path and must agree with the
+        recorded artifacts.  Slower, so off by default.
     worker_pool:
         Optional externally owned :class:`PersistentWorkerPool` (the
         batch driver shares one across every circuit of a sweep).
@@ -332,8 +329,8 @@ class BlockSynthesisExecutor:
     inflight:
         Optional shared :class:`~repro.batch.workqueue.InflightRegistry`
         for cross-executor dedup: blocks whose entry key another
-        executor already has in flight join that job instead of racing
-        it to a cache miss.
+        executor has in flight, or has resolved, join that job instead
+        of synthesizing it again.
     """
 
     def __init__(
@@ -344,7 +341,6 @@ class BlockSynthesisExecutor:
         synthesize_fn=None,
         max_attempts: int = 1,
         fault_injector=None,
-        validate: bool = True,
         independent_validation: bool = False,
         worker_pool: PersistentWorkerPool | None = None,
         inflight=None,
@@ -359,7 +355,6 @@ class BlockSynthesisExecutor:
         self._synthesize_fn = synthesize_fn
         self.max_attempts = int(max_attempts)
         self.fault_injector = fault_injector
-        self.validate = validate
         self.independent_validation = independent_validation
         #: Externally owned pool (the batch driver shares one across
         #: circuits); None constructs a run-scoped pool on demand.
@@ -410,7 +405,8 @@ class BlockSynthesisExecutor:
 
         Seeds are canonicalized per content key, so repeats of a block
         share its entry key.  A key planned before is a within-run
-        repeat; a key the cache holds a valid entry for is a cache hit.
+        repeat and a key the store holds a valid entry for is a store
+        hit; both count as cache hits.
         """
         tracer = get_tracer()
         metrics = get_metrics()
@@ -428,21 +424,11 @@ class BlockSynthesisExecutor:
             key = entry_key(content, seed)
             plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
             if key in state.resolved or key in state.jobs:
-                if self.cache is not None:
-                    state.stats.cache_hits += 1  # within-run repeat
-                    if tracer.is_enabled:
-                        tracer.event("cache.hit", block=index, source="run")
-                    if metrics.is_enabled:
-                        metrics.inc("cache.hit")
-                else:
-                    # Cache disabled: within-run repeats still dedup to
-                    # one job (the canonical seed makes their results
-                    # identical anyway); nothing is persisted.
-                    state.stats.dedup_joins += 1
-                    if tracer.is_enabled:
-                        tracer.event("dedup.hit", block=index, source="run")
-                    if metrics.is_enabled:
-                        metrics.inc("dedup.hits")
+                state.stats.cache_hits += 1  # within-run repeat
+                if tracer.is_enabled:
+                    tracer.event("cache.hit", block=index, source="run")
+                if metrics.is_enabled:
+                    metrics.inc("cache.hit")
                 continue
             if self._cache_hit(state, index, block, key):
                 continue
@@ -455,27 +441,24 @@ class BlockSynthesisExecutor:
     def _cache_hit(
         self, state: _RunState, index: int, block: CircuitBlock, key: str
     ) -> bool:
-        """Resolve ``key`` from the cache; a failing entry is quarantined."""
+        """Resolve ``key`` from the store; a failing entry is quarantined."""
         if self.cache is None:
             return False
         cached = self.cache.get(key)
-        if cached is not None and self.validate:
-            try:
-                validate_solutions(
-                    block.unitary(),
-                    cached,
-                    independent=self.independent_validation,
-                )
-            except ValidationError as exc:
-                _note_failure(
-                    state.stats.failure_log,
-                    index,
-                    0,
-                    FAILURE_VALIDATION,
-                    f"cache entry quarantined: {exc}",
-                )
-                return False
         if cached is None:
+            return False
+        try:
+            validate_solutions(
+                block.unitary(), cached, independent=self.independent_validation
+            )
+        except ValidationError as exc:
+            _note_failure(
+                state.stats.failure_log,
+                index,
+                0,
+                FAILURE_VALIDATION,
+                f"cache entry quarantined: {exc}",
+            )
             return False
         state.resolved[key] = cached
         state.stats.cache_hits += 1
@@ -625,7 +608,7 @@ class BlockSynthesisExecutor:
         the run with :class:`BlockTimeoutError` instead: the attempt's
         own deadline is disarmed by now, so only an enclosing one can
         still fire.  A success is recorded, published to joiners and put
-        into the cache as its job lands, so a run killed mid-round has
+        into the store as its job lands, so a run killed mid-round has
         already published every finished block.
         """
         index, block, _ = state.jobs[key]
@@ -639,12 +622,11 @@ class BlockSynthesisExecutor:
                     records, snapshot = telemetry
                     get_tracer().replay(records)
                     get_metrics().merge(snapshot)
-                if self.validate:
-                    validate_solutions(
-                        block.unitary(),
-                        solutions,
-                        independent=self.independent_validation,
-                    )
+                validate_solutions(
+                    block.unitary(),
+                    solutions,
+                    independent=self.independent_validation,
+                )
         except Exception as exc:
             kind, message = FAILURE_EXCEPTION, f"{type(exc).__name__}: {exc}"
             if isinstance(exc, ValidationError):
@@ -698,8 +680,8 @@ class BlockSynthesisExecutor:
         for key, (entry, job) in joined.items():
             if self.inflight.wait_for(entry, timeout):
                 state.resolved[key] = entry.solutions
-                # Put under this run's cache too: in the daemon the owner
-                # may have filled another tenant's cache.
+                # Put under this run's store too: in the daemon the owner
+                # may have filled another tenant's namespace.
                 if self.cache is not None:
                     self.cache.put(key, entry.solutions)
                 state.stats.dedup_joins += 1

@@ -11,7 +11,7 @@ run entirely).  Three cooperating pieces close those holes:
   the exact-pool downgrade; every failure lands in a structured log of
   :class:`FailureRecord` entries.
 * :mod:`~repro.resilience.validation` — candidates from workers or the
-  cache are health-checked (finite, unitary, distance recomputes) and
+  store are health-checked (finite, unitary, distance recomputes) and
   quarantined on failure.
 * :mod:`~repro.resilience.faults` — a deterministic fault injector
   (raise / hang / NaN / kill / flip-cache) so each recovery path above

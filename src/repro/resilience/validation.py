@@ -1,9 +1,11 @@
 """Health checks for synthesis candidates.
 
-Every candidate set that enters a pool crosses a trust boundary: it came
-back from a worker process or the content-addressed disk cache.  A
-crashed worker, a bit-flipped cache file that slipped
-past its checksum, or a non-converging optimizer can all hand the
+A candidate set crosses a trust boundary on its way into a pool when it
+comes back from a worker process or is loaded from the artifact store;
+each such set is checked once.  Sets shared within the process (a run's
+repeats, the in-flight registry) never left it and are not checked
+again.  A crashed worker, a bit-flipped store file that slipped past its
+checksum, or a non-converging optimizer can all hand the
 pipeline data that *parses* fine but is numerically garbage — and a
 garbage candidate silently poisons every downstream selection.
 

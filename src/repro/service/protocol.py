@@ -68,7 +68,6 @@ REJECTION_REASONS = (
 SUBSTRATE_FIELDS = frozenset(
     {
         "workers",
-        "cache",
         "cache_max_entries",
         "store_dir",
         "namespace",

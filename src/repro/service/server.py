@@ -4,8 +4,8 @@
 compile jobs (QASM + config overrides in, selected ensemble + Σε
 certificate out) over a Unix domain socket and runs them on **one**
 shared substrate — the same :class:`~repro.batch.driver.BatchResources`
-(persistent worker pool, thread-safe pool cache, in-flight registry)
-that batch mode uses.  Concurrent duplicate submissions therefore dedup
+(persistent worker pool, artifact store, in-flight registry) that batch
+mode uses.  Concurrent duplicate submissions therefore dedup
 at the block level, and every served selection is bit-identical to a
 solo :func:`~repro.core.quest.run_quest` of the same circuit/config,
 because sharing is keyed by the content-addressed entry key that pins
@@ -173,9 +173,11 @@ class QuestService:
         # The shared substrate — one worker pool and one in-flight
         # registry for the daemon's lifetime, plus one PoolCache *per
         # tenant namespace*, all rooted in one sharded artifact store
-        # that any number of replicas may share.  Without a configured
-        # root the store lives beside the ledger, so a killed job always
-        # resumes from the blocks it published.
+        # that any number of replicas may share.  The registry is the
+        # only in-process reuse across jobs; the store is the only
+        # persistence.  Without a configured root the store lives beside
+        # the ledger, so a killed job always resumes from the blocks it
+        # published.
         self._store_root = self.config.store_dir or str(
             self.ledger.directory / "store"
         )
@@ -187,11 +189,7 @@ class QuestService:
             else None
         )
         self.resources = BatchResources(
-            cache=(
-                self._cache_for(self.config.namespace)
-                if self.config.cache
-                else None
-            ),
+            cache=self._cache_for(self.config.namespace),
             worker_pool=worker_pool,
             inflight=InflightRegistry(),
         )
@@ -220,10 +218,9 @@ class QuestService:
     def _cache_for(self, namespace: str) -> PoolCache:
         """The (lazily created) pool cache of one tenant namespace.
 
-        Every namespace gets its own memory tier and its own
-        per-namespace quota inside the shared store root, so tenants
-        never observe each other's artifacts and one tenant's traffic
-        cannot evict another's.
+        Every namespace gets its own directory and its own quota inside
+        the shared store root, so tenants never observe each other's
+        artifacts and one tenant's traffic cannot evict another's.
         """
         with self._caches_lock:
             cache = self._caches.get(namespace)
@@ -239,8 +236,6 @@ class QuestService:
     def _resources_for(self, record: JobRecord) -> BatchResources:
         """The substrate view a job runs on: shared pool + registry,
         tenant-scoped cache."""
-        if not self.config.cache:
-            return self.resources
         namespace = record.namespace or namespace_for_tenant(record.tenant)
         return BatchResources(
             cache=self._cache_for(namespace),
@@ -703,11 +698,12 @@ class QuestService:
     def _store_status(self) -> dict:
         """Per-namespace cache/store counters for ``service-status``.
 
-        ``hits``/``misses``/``corrupt_entries`` are cache-level (memory
-        + disk probes); ``disk_hits``/``disk_misses``/``evictions``/
-        ``publishes`` are the sharded store tier alone, so a nonzero
-        ``disk_hits`` on a freshly started replica means entries
-        published by *another* replica were served from the shared root.
+        ``hits``/``misses``/``corrupt_entries`` count entry probes
+        (``hits`` only entries that passed the integrity envelope);
+        ``disk_hits``/``disk_misses``/``evictions``/``publishes`` are
+        raw store file operations, so a nonzero ``disk_hits`` on a
+        freshly started replica means entries published by *another*
+        replica were read from the shared root.
         """
         with self._caches_lock:
             caches = dict(self._caches)

@@ -1,4 +1,4 @@
-"""Sharded multi-tenant artifact store (the cache's disk tier)."""
+"""Sharded multi-tenant artifact store, where block solutions persist."""
 
 from repro.exceptions import StoreError
 from repro.store.artifact import (

@@ -245,8 +245,8 @@ class ArtifactStore:
         complete entry or the new complete entry, never a mix.  The
         bytes and the rename are both fsynced before this returns.
         Returns False when the disk tier is unavailable (best-effort
-        semantics: the caller's in-memory tier still serves the current
-        run).
+        semantics: the entry is not persisted, and the run that produced
+        it still uses its result).
         """
         shard = shard_of(key)
         shard_dir = self._dir / shard

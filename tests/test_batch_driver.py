@@ -2,9 +2,9 @@
 
 The contract under test: :func:`repro.batch.run_quest_batch` is a pure
 performance layer.  Per-circuit selections, CNOT counts, and bounds are
-byte-identical to running each circuit alone, while the shared cache,
-in-flight registry, and persistent worker pool collapse duplicate
-synthesis work across the whole batch.
+byte-identical to running each circuit alone, while the shared in-flight
+registry and persistent worker pool collapse duplicate synthesis work
+across the whole batch.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _signature(result):
 @pytest.fixture(scope="module")
 def solo_reference():
     """Each circuit compiled alone: the baseline a batch must match."""
-    config = QuestConfig(**FAST, workers=1, cache=True)
+    config = QuestConfig(**FAST, workers=1)
     return [run_quest(circuit, config) for circuit in _circuits()]
 
 
@@ -63,7 +63,7 @@ def solo_reference():
 # Bit-identity
 # ----------------------------------------------------------------------
 def test_batch_matches_solo_bit_for_bit(solo_reference):
-    config = QuestConfig(**FAST, workers=1, cache=True)
+    config = QuestConfig(**FAST, workers=1)
     batch = run_quest_batch(_circuits(), config, window=2)
     assert len(batch.results) == len(solo_reference)
     for got, want in zip(batch.results, solo_reference):
@@ -73,8 +73,8 @@ def test_batch_matches_solo_bit_for_bit(solo_reference):
 
 
 def test_sequential_window_matches_solo(solo_reference):
-    """window=1 (no overlap) still shares cache/pool and stays identical."""
-    config = QuestConfig(**FAST, workers=1, cache=True)
+    """window=1 (no overlap) still shares the registry and stays identical."""
+    config = QuestConfig(**FAST, workers=1)
     batch = run_quest_batch(_circuits(), config, window=1)
     for got, want in zip(batch.results, solo_reference):
         assert _signature(got) == _signature(want)
@@ -84,7 +84,7 @@ def test_sequential_window_matches_solo(solo_reference):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_batch_matrix_bit_identity(solo_reference, workers):
     """The acceptance matrix: every worker count bit-identical."""
-    config = QuestConfig(**FAST, workers=workers, cache=True)
+    config = QuestConfig(**FAST, workers=workers)
     batch = run_quest_batch(_circuits(), config, window=3)
     for got, want in zip(batch.results, solo_reference):
         assert _signature(got) == _signature(want)
@@ -96,7 +96,7 @@ def test_batch_matrix_bit_identity(solo_reference, workers):
 # Dedup accounting (the in-flight regression test)
 # ----------------------------------------------------------------------
 def test_duplicate_circuits_synthesize_each_key_exactly_once(monkeypatch):
-    """Two copies of one circuit, cache off: every unique key dispatches
+    """Two copies of one circuit, no store: every unique key dispatches
     one synthesis; the twin's blocks all resolve through the registry."""
     dispatched = []
     real_task = executor_module._synthesize_solutions_task
@@ -108,38 +108,63 @@ def test_duplicate_circuits_synthesize_each_key_exactly_once(monkeypatch):
     monkeypatch.setattr(
         executor_module, "_synthesize_solutions_task", recording_task
     )
-    config = QuestConfig(**FAST, workers=1, cache=False)
+    config = QuestConfig(**FAST, workers=1)
     solo = run_quest(tfim(4, steps=2), config)
-    unique = solo.cache_misses  # cache off: misses == unique planned jobs
+    unique = solo.cache_misses  # no store: misses == unique planned jobs
     assert unique > 0
+    assert solo.cache_hits > 0  # Trotter repeats within the circuit
 
     dispatched.clear()
     batch = run_quest_batch(
         [tfim(4, steps=2), tfim(4, steps=2)], config, window=2
     )
-    # Zero duplicate syntheses batch-wide, even with no cache to lean on.
+    # Zero duplicate syntheses batch-wide, with no store to lean on.
     assert len(dispatched) == unique
     # Each run still *plans* its own jobs; the twin's jobs all attach to
-    # the first circuit's (in-flight or resolved) registry entries.
+    # the first circuit's (in-flight or resolved) registry entries, and
+    # within-circuit repeats count as cache hits in both runs.
     assert batch.cache_misses == 2 * unique
     assert batch.inflight_joins == unique
-    assert batch.cache_hits == 0
-    assert batch.dedup_joins >= unique
+    assert batch.cache_hits == 2 * solo.cache_hits
+    assert batch.dedup_joins == unique
     for result in batch.results:
         assert _signature(result) == _signature(solo)
 
 
-def test_batch_shares_cache_across_circuits(solo_reference):
-    """Identical circuits with the cache on: the second costs no misses."""
-    config = QuestConfig(**FAST, workers=1, cache=True)
+def test_batch_reuse_validates_each_synthesized_job_once(
+    monkeypatch, solo_reference
+):
+    """Two identical circuits, window 1: the second dispatches nothing,
+    and results reused in-process are not validated again."""
+    dispatched = []
+    validated = []
+    real_task = executor_module._synthesize_solutions_task
+    real_validate = executor_module.validate_solutions
+
+    def recording_task(block, config, seed):
+        dispatched.append(block.index)
+        return real_task(block, config, seed)
+
+    def counting_validate(*args, **kwargs):
+        validated.append(1)
+        return real_validate(*args, **kwargs)
+
+    monkeypatch.setattr(
+        executor_module, "_synthesize_solutions_task", recording_task
+    )
+    monkeypatch.setattr(executor_module, "validate_solutions", counting_validate)
+    config = QuestConfig(**FAST, workers=1)
     batch = run_quest_batch(
         [tfim(4, steps=2), tfim(4, steps=2)], config, window=1
     )
     first, second = batch.results
     assert _signature(first) == _signature(solo_reference[0])
     assert _signature(second) == _signature(solo_reference[0])
-    assert second.cache_misses == 0
-    assert batch.cache_misses == first.cache_misses
+    assert first.cache_misses > 0 and first.dedup_joins == 0
+    assert len(dispatched) == first.cache_misses
+    assert len(validated) == len(dispatched)
+    # Every job the second circuit planned joined the first's result.
+    assert second.dedup_joins == second.cache_misses == first.cache_misses
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +286,7 @@ def test_wait_for_counts_stranded_joiners():
 
 def test_batch_metrics_surface_zero_stranded_joiners(solo_reference):
     """Every batch run exports registry.stranded_joiners — and it is 0."""
-    config = QuestConfig(**FAST, workers=1, cache=True)
+    config = QuestConfig(**FAST, workers=1)
     batch = run_quest_batch(
         [tfim(4, steps=2), tfim(4, steps=2)], config, window=2
     )

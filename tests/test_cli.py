@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.circuits import circuit_from_qasm, circuit_to_qasm
 from repro.algorithms import tfim
 from repro.cli import main
@@ -56,9 +58,28 @@ def test_cli_parallel_and_cache_flags(tmp_path, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert "0 block(s) synthesized" in second
-    # Disabling the cache is accepted and still completes.
-    assert main(args[:-2] + ["--no-cache"]) == 0
-    assert "0 cache hit(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["missing.qasm"],
+        ["compile-batch", "missing.qasm"],
+        ["serve", "--socket", "s", "--ledger-dir", "l", "--tenant-weight", "x"],
+    ],
+    ids=["repro", "compile-batch", "serve"],
+)
+def test_no_cache_flag_is_gone(argv, tmp_path, monkeypatch, capsys):
+    """``--store-dir`` is the one persistence switch.
+
+    Each argv fails its command's own checks right after parsing, so a
+    parser that still accepted the flag would return, not start work.
+    """
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--no-cache"])
+    assert excinfo.value.code == 2
+    assert "--no-cache" in capsys.readouterr().err
 
 
 def test_cli_missing_file(tmp_path, capsys):

@@ -13,6 +13,7 @@ from repro.exceptions import (
     SimulationError,
     ValidationError,
 )
+from repro.metrics.distances import average_distributions
 from repro.metrics.tolerances import PTM_DENSITY_AGREEMENT_ATOL
 from repro.noise import (
     MAX_DENSITY_QUBITS,
@@ -20,6 +21,7 @@ from repro.noise import (
     NoiseModel,
     PtmCache,
     noisy_distribution,
+    resolve_engine,
     run_density,
     run_ptm,
     run_ptm_ensemble,
@@ -330,17 +332,27 @@ def test_capacity_error_is_a_simulation_error():
 def test_noisy_distribution_engine_dispatch():
     circuit = tfim(3, steps=1)
     via_ptm = noisy_distribution(circuit, NOISE, engine="ptm")
-    via_density = noisy_distribution(circuit, NOISE, engine="density")
     via_auto = noisy_distribution(circuit, NOISE, engine="auto")
-    np.testing.assert_array_equal(via_auto, via_density)  # auto == legacy
+    np.testing.assert_array_equal(via_auto, via_ptm)  # auto == ptm here
     np.testing.assert_allclose(
-        via_ptm, via_density, atol=PTM_DENSITY_AGREEMENT_ATOL, rtol=0.0
+        via_ptm,
+        run_density(circuit, NOISE),
+        atol=PTM_DENSITY_AGREEMENT_ATOL,
+        rtol=0.0,
     )
 
 
+def test_auto_engine_resolves_by_width():
+    assert resolve_engine("auto", MAX_PTM_QUBITS) == "ptm"
+    assert resolve_engine("auto", MAX_PTM_QUBITS + 1) == "trajectories"
+    assert resolve_engine("trajectories", 2) == "trajectories"
+
+
 def test_noisy_distribution_rejects_unknown_engine():
-    with pytest.raises(SimulationError, match="unknown noise engine"):
-        noisy_distribution(tfim(3, steps=1), NOISE, engine="exact")
+    # The density simulator is the PTM engine's oracle, not an engine.
+    for engine in ("exact", "density"):
+        with pytest.raises(SimulationError, match="unknown noise engine"):
+            noisy_distribution(tfim(3, steps=1), NOISE, engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +382,15 @@ def test_selections_bit_identical_across_engines(circuit_factory):
     choices = _choices(result)
 
     # The PTM evaluation of the selected ensemble agrees with the exact
-    # density reference while attributing its wall time, and noisy
-    # evaluation leaves the selection untouched.
+    # density reference while attributing its wall time, ``auto`` takes
+    # the same batched PTM path, and noisy evaluation leaves the
+    # selection untouched.
     ptm_avg = result.noisy_ensemble(NOISE, engine="ptm")
     assert result.timings.noisy_eval_seconds > 0.0
-    density_avg = result.noisy_ensemble(NOISE, engine="density")
+    np.testing.assert_array_equal(result.noisy_ensemble(NOISE), ptm_avg)
+    density_avg = average_distributions(
+        [run_density(circuit, NOISE) for circuit in result.circuits]
+    )
     np.testing.assert_allclose(
         ptm_avg, density_avg, atol=PTM_DENSITY_AGREEMENT_ATOL, rtol=0.0
     )

@@ -17,7 +17,7 @@ from repro.parallel.cache import (
     content_key,
     entry_key,
 )
-from repro.store import ENTRY_SUFFIX, shard_of
+from repro.store import ENTRY_SUFFIX, ArtifactStore, shard_of
 from repro.synthesis.leap import LeapConfig, SynthesisSolution
 
 
@@ -116,15 +116,12 @@ def test_seed_is_not_part_of_the_fingerprint():
 # ----------------------------------------------------------------------
 # Store behaviour
 # ----------------------------------------------------------------------
-def test_memory_roundtrip():
-    cache = PoolCache()
-    key = entry_key("c" * 64, 3)
-    assert cache.get(key) is None
-    cache.put(key, _solutions())
-    got = cache.get(key)
-    assert got is not None and len(got) == 1
-    assert got[0].cnot_count == 1
-    assert cache.hits == 1 and cache.misses == 1
+def test_cache_needs_exactly_one_store(tmp_path):
+    """A PoolCache is the store's entry format: it has no tier of its own."""
+    with pytest.raises(ValueError, match="exactly one"):
+        PoolCache()
+    with pytest.raises(ValueError, match="exactly one"):
+        PoolCache(tmp_path, store=ArtifactStore(tmp_path))
 
 
 def test_disk_roundtrip_across_instances(tmp_path):
@@ -292,21 +289,6 @@ def test_lru_hit_refreshes_recency(tmp_path):
     assert cache.evictions == 1
     assert _entry_path(tmp_path, keys[0]).exists()
     assert not _entry_path(tmp_path, keys[1]).exists()
-
-
-def test_eviction_does_not_touch_memory_tier(tmp_path):
-    """An evicted key this run already cached in memory still hits."""
-    keys = [entry_key("a1" * 32, seed) for seed in range(3)]
-    cache = PoolCache(tmp_path, max_entries=1)
-    for index, key in enumerate(keys):
-        cache.put(key, _solutions())
-        _age(tmp_path, key, 100 + index)
-    on_disk = sorted(path.name for path in _entries(tmp_path))
-    assert on_disk == [f"{keys[2]}.qpool"]
-    assert cache.evictions == 2
-    for key in keys:
-        assert cache.get(key) is not None
-    assert cache.misses == 0
 
 
 def test_unbounded_cache_never_evicts(tmp_path):

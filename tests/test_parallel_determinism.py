@@ -1,6 +1,6 @@
-"""Determinism regression tests for parallel/cached synthesis.
+"""Determinism regression tests for parallel and stored synthesis.
 
-The contract: for a fixed ``QuestConfig.seed``, worker count and cache
+The contract: for a fixed ``QuestConfig.seed``, worker count and store
 state are pure performance knobs — selections, CNOT counts, and bounds
 are byte-identical across every combination.  This holds because
 (a) per-block seeds are drawn up front in block order, (b) blocks with
@@ -56,21 +56,24 @@ def _signature(result):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Serial, cache-on runs: the baseline every variant must match."""
+    """Serial runs without a store: the baseline every variant must match."""
     return {
-        name: run_quest(make(), QuestConfig(**BASE, workers=1, cache=True))
+        name: run_quest(make(), QuestConfig(**BASE, workers=1))
         for name, make in CIRCUITS.items()
     }
 
 
 @pytest.mark.parametrize("name", list(CIRCUITS))
 @pytest.mark.parametrize(
-    "workers,cache",
-    [(1, False), (4, True), (4, False)],
-    ids=["serial-nocache", "parallel-cache", "parallel-nocache"],
+    "workers,store",
+    [(1, True), (4, False), (4, True)],
+    ids=["serial-store", "parallel", "parallel-store"],
 )
-def test_selections_identical_across_modes(reference, name, workers, cache):
-    config = QuestConfig(**BASE, workers=workers, cache=cache)
+def test_selections_identical_across_modes(
+    reference, tmp_path, name, workers, store
+):
+    store_dir = str(tmp_path) if store else None
+    config = QuestConfig(**BASE, workers=workers, store_dir=store_dir)
     result = run_quest(CIRCUITS[name](), config)
     assert _signature(result) == _signature(reference[name])
 
@@ -93,9 +96,7 @@ def test_disk_cache_preserves_results(tmp_path, reference):
 
 
 def test_repeated_runs_are_reproducible(reference):
-    again = run_quest(
-        CIRCUITS["qft"](), QuestConfig(**BASE, workers=1, cache=True)
-    )
+    again = run_quest(CIRCUITS["qft"](), QuestConfig(**BASE, workers=1))
     assert _signature(again) == _signature(reference["qft"])
 
 
@@ -131,7 +132,8 @@ def test_time_budget_cannot_change_the_output():
 
 @pytest.mark.slow
 def test_full_matrix_determinism_at_scale(tmp_path):
-    """Heavier cross-product (TFIM-5, disk tier, 4 workers): same contract.
+    """Heavier cross-product (TFIM-5, cold and warm store, 4 workers): same
+    contract.
 
     Excluded from tier-1 by the ``slow`` marker; run with ``-m slow``.
     """
@@ -140,10 +142,9 @@ def test_full_matrix_determinism_at_scale(tmp_path):
     reference = run_quest(circuit, QuestConfig(**heavy))
     variants = [
         QuestConfig(**heavy, workers=4),
-        QuestConfig(**heavy, cache=False),
-        QuestConfig(**heavy, workers=4, cache=False),
-        QuestConfig(**heavy, store_dir=str(tmp_path)),
-        QuestConfig(**heavy, workers=4, store_dir=str(tmp_path)),
+        QuestConfig(**heavy, store_dir=str(tmp_path / "serial")),
+        QuestConfig(**heavy, workers=4, store_dir=str(tmp_path / "parallel")),
+        QuestConfig(**heavy, workers=4, store_dir=str(tmp_path / "serial")),
     ]
     for config in variants:
         assert _signature(run_quest(circuit, config)) == _signature(
@@ -189,7 +190,7 @@ def test_blocks_receive_position_pinned_canonical_seeds(monkeypatch):
     monkeypatch.setattr(
         executor_module, "_synthesize_solutions_task", recording_task
     )
-    config = QuestConfig(**BASE, workers=1, cache=False)
+    config = QuestConfig(**BASE, workers=1)
     result = run_quest(CIRCUITS["tfim"](), config)
 
     drawn = _draw_block_seeds(
@@ -197,7 +198,7 @@ def test_blocks_receive_position_pinned_canonical_seeds(monkeypatch):
     )
     # Recompute the canonicalization independently: the first occurrence
     # of each content key claims its positional draw and dispatches the
-    # one job that serves every repeat (repeats dedup, even cache-off).
+    # one job that serves every repeat (repeats dedup, with no store).
     from repro.parallel.cache import content_key
 
     expected: dict[int, int] = {}
@@ -220,4 +221,5 @@ def test_blocks_receive_position_pinned_canonical_seeds(monkeypatch):
     # TFIM Trotter steps repeat blocks, so dedup must have actually
     # collapsed some jobs (the test would be vacuous otherwise).
     assert len(expected) < nontrivial
-    assert result.dedup_joins == nontrivial - len(expected)
+    assert result.cache_hits == nontrivial - len(expected)
+    assert result.dedup_joins == 0

@@ -45,7 +45,7 @@ FAST = dict(
 
 
 def _config() -> QuestConfig:
-    return QuestConfig(**FAST, workers=1, cache=True)
+    return QuestConfig(**FAST, workers=1)
 
 
 def _payload_signature(payload: dict) -> dict:

@@ -58,7 +58,7 @@ def _dump_artifact(name: str, payload: dict) -> None:
 def test_queue_saturation_rejects_structurally_and_drains_clean(tmp_path):
     sock_dir = tempfile.mkdtemp(dir="/tmp", prefix="qovl-")
     socket_path = str(Path(sock_dir) / "s.sock")
-    config = QuestConfig(**FAST, workers=1, cache=True)
+    config = QuestConfig(**FAST, workers=1)
     service = QuestService(
         socket_path,
         tmp_path / "ledger",

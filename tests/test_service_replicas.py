@@ -46,7 +46,7 @@ FAST = dict(
 
 def _config(store_root) -> QuestConfig:
     return QuestConfig(
-        **FAST, workers=1, cache=True, store_dir=str(store_root)
+        **FAST, workers=1, store_dir=str(store_root)
     )
 
 

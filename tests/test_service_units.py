@@ -304,6 +304,9 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         "array_backend",
         "retry_backoff_seconds",
         "retry_budget_multiplier",
+        "cache",
+        "validate_candidates",
+        "max_candidates_per_block",
     ):
         with pytest.raises(ServiceError, match="unknown QuestConfig field"):
             merge_config(base, {removed: None})

@@ -93,7 +93,7 @@ def test_same_key_put_storm_single_process(tmp_path):
     cache = PoolCache(tmp_path)
     key = entry_key("cd" * 32, 7)
     writers = [
-        lambda n=n: cache._store_disk(key, _solutions(cnots=n + 1))
+        lambda n=n: cache.put(key, _solutions(cnots=n + 1))
         for n in range(12)
     ]
     _run_threads(writers)
@@ -115,10 +115,8 @@ def test_put_storm_with_concurrent_readers(tmp_path):
     torn = []
 
     def read_loop():
-        # A private cache per reader so every get() probes the disk.
         mine = PoolCache(tmp_path)
         for _ in range(50):
-            mine._memory.clear()
             got = mine.get(key)
             if got is not None and not got[0].circuit.num_qubits == 2:
                 torn.append(got)
@@ -126,7 +124,7 @@ def test_put_storm_with_concurrent_readers(tmp_path):
             torn.append(f"{mine.corrupt_entries} corrupt loads")
 
     workers = [
-        lambda n=n: writer_cache._store_disk(key, _solutions(cnots=n + 1))
+        lambda n=n: writer_cache.put(key, _solutions(cnots=n + 1))
         for n in range(8)
     ] + [read_loop for _ in range(4)]
     _run_threads(workers)
