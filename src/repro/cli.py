@@ -274,20 +274,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="max queued jobs of a tenant (repeatable; default: the "
         "full queue capacity)",
     )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=_positive_int,
-        default=3,
-        help="consecutive failing/recycling jobs that open the circuit "
-        "breaker and switch to degraded exact-block compiles (default 3)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=30.0,
-        help="seconds the breaker stays open before probing the full "
-        "path again (default 30)",
-    )
     # Substrate + default-compile knobs (requests may override the
     # non-substrate ones per job; the namespace applies to jobs whose
     # submit names none).
@@ -363,8 +349,8 @@ def build_service_status_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro service-status",
         description="Query a running daemon's health, readiness, queue "
-        "depths, breaker state, and metrics.  Exit 0: ready; 1: up but "
-        "not ready (draining); 2: unreachable.",
+        "depths, degraded-job count, and metrics.  Exit 0: ready; 1: up "
+        "but not ready (draining); 2: unreachable.",
     )
     parser.add_argument(
         "--socket", type=Path, required=True, help="daemon Unix socket path"
@@ -421,8 +407,6 @@ def _serve_main(argv: list[str]) -> int:
             max_concurrency=args.max_concurrency,
             tenant_weights=weights or None,
             tenant_quotas=quotas or None,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown_seconds=args.breaker_cooldown,
         )
     except ReproError as exc:
         logger.error(f"daemon failed: {exc}")
@@ -471,7 +455,7 @@ def _submit_main(argv: list[str]) -> int:
             logger.error(f"{path.name}: {exc}")
             failures += 1
             continue
-        degraded = " [DEGRADED: exact reassembly]" if payload["degraded"] else ""
+        degraded = " [DEGRADED: exact-block fallback]" if payload["degraded"] else ""
         logger.info(f"{path.name}: {payload.get('summary', 'done')}{degraded}")
         out_dir = args.out_dir / path.stem
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -503,14 +487,12 @@ def _service_status_main(argv: list[str]) -> int:
     if args.json:
         print(json.dumps(status, indent=1, default=str))
     else:
-        breaker = status.get("breaker", {})
         print(
             f"ready={status.get('ready')} "
             f"uptime={status.get('uptime_seconds', 0):.0f}s "
             f"queue={status.get('queue_depth')}/{status.get('capacity')} "
             f"active={status.get('active_jobs')}"
             f"/{status.get('max_concurrency')} "
-            f"breaker={breaker.get('state')} "
             f"degraded_jobs={status.get('degraded_jobs')} "
             f"stranded_joiners={status.get('stranded_joiners')}"
         )

@@ -127,11 +127,11 @@ class AdmissionRejected(ServiceError):
 
     Structured, not stringly: ``reason`` is one of the admission-control
     verdicts (``queue_full``, ``tenant_quota``, ``shutting_down``,
-    ``invalid_request``, ``deadline_expired``), and the queue context a
-    caller needs for backoff decisions rides along.  Rejection is
-    backpressure working as designed — the queue is bounded, so an
-    overloaded daemon says "no" immediately instead of growing without
-    bound and failing everyone late.
+    ``invalid_request``), and the queue context a caller needs for
+    backoff decisions rides along.  Rejection is backpressure working as
+    designed — the queue is bounded, so an overloaded daemon says "no"
+    immediately instead of growing without bound and failing everyone
+    late.
     """
 
     def __init__(
@@ -142,14 +142,12 @@ class AdmissionRejected(ServiceError):
         tenant: str | None = None,
         queue_depth: int | None = None,
         capacity: int | None = None,
-        retry_after_seconds: float | None = None,
     ) -> None:
         self.reason = reason
         self.detail = detail
         self.tenant = tenant
         self.queue_depth = queue_depth
         self.capacity = capacity
-        self.retry_after_seconds = retry_after_seconds
         message = f"admission rejected ({reason})"
         if detail:
             message += f": {detail}"

@@ -2,9 +2,12 @@
 
 The service layer turns the library into a long-lived daemon
 (``python -m repro serve``) with bounded admission, weighted-fair
-multi-tenant scheduling, client deadline propagation, a circuit breaker
-with graceful degradation, and a crash-safe job ledger enabling
-warm restarts that resume mid-flight jobs bit-identically.
+multi-tenant scheduling, client deadline propagation, and a crash-safe
+job ledger enabling warm restarts that resume mid-flight jobs
+bit-identically.  Every admitted job runs ``run_quest``, so a served
+job's output depends on that job alone; the executor's per-block exact
+fallback is the only degradation, and a job that used it says so in its
+``degraded`` flag.
 
 Modules
 -------
@@ -13,8 +16,6 @@ Modules
     validation.
 :mod:`repro.service.scheduler`
     Bounded admission + stride-based weighted-fair queueing.
-:mod:`repro.service.breaker`
-    The worker-pool circuit breaker (closed/open/half-open).
 :mod:`repro.service.ledger`
     Atomic, checksummed job records.
 :mod:`repro.service.server`
@@ -23,7 +24,6 @@ Modules
     Synchronous Unix-socket client (CLI, tests, benchmarks).
 """
 
-from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceClient
 from repro.service.ledger import JobLedger
 from repro.service.protocol import (
@@ -41,7 +41,6 @@ from repro.service.scheduler import FairScheduler
 from repro.service.server import QuestService, serve
 
 __all__ = [
-    "CircuitBreaker",
     "FairScheduler",
     "JobLedger",
     "JobRecord",

@@ -128,8 +128,9 @@ class ServiceClient:
         """Block until ``job_id`` is terminal; returns the result message.
 
         The reply carries ``state`` / ``result`` / ``error`` /
-        ``degraded``; with a timeout, a non-terminal job comes back with
-        ``timed_out: true`` instead of raising.
+        ``degraded`` (true when at least one block of the result shipped
+        its exact fallback); with a timeout, a non-terminal job comes
+        back with ``timed_out: true`` instead of raising.
         """
         wire_timeout = None if timeout is None else timeout + 5.0
         return self._request(

@@ -16,7 +16,8 @@ Server -> client
     1:1 onto :class:`~repro.exceptions.AdmissionRejected`);
     ``result`` for a wait (terminal job state, approximations + per-block
     epsilon-claim manifests — the Σε certificate — and the ``degraded``
-    flag); ``status`` / ``ok`` / ``error`` for the rest.
+    flag, true when at least one block shipped its exact fallback);
+    ``status`` / ``ok`` / ``error`` for the rest.
 
 The job model (:class:`JobRecord`) is shared with the crash-safe ledger
 (:mod:`repro.service.ledger`): everything in it is plain JSON so a
@@ -50,13 +51,11 @@ REJECT_QUEUE_FULL = "queue_full"
 REJECT_TENANT_QUOTA = "tenant_quota"
 REJECT_SHUTTING_DOWN = "shutting_down"
 REJECT_INVALID_REQUEST = "invalid_request"
-REJECT_DEADLINE_EXPIRED = "deadline_expired"
 REJECTION_REASONS = (
     REJECT_QUEUE_FULL,
     REJECT_TENANT_QUOTA,
     REJECT_SHUTTING_DOWN,
     REJECT_INVALID_REQUEST,
-    REJECT_DEADLINE_EXPIRED,
 )
 
 #: QuestConfig knobs a request may *not* override: they configure the
@@ -133,8 +132,8 @@ class JobRecord:
     #: a structured error {"kind": ..., "message": ...}.
     result: dict | None = None
     error: dict | None = None
-    #: Whether the result was produced by the degraded (exact-block)
-    #: path while the circuit breaker was open.
+    #: Whether at least one block of the result shipped its exact
+    #: fallback (the run's ``synthesis_fallbacks`` is non-empty).
     degraded: bool = False
     #: Times the daemon started executing this job (a job interrupted by
     #: a crash and resumed after a warm restart counts 2).
@@ -176,7 +175,6 @@ def rejection_to_message(rejection: AdmissionRejected) -> dict:
         "tenant": rejection.tenant,
         "queue_depth": rejection.queue_depth,
         "capacity": rejection.capacity,
-        "retry_after_seconds": rejection.retry_after_seconds,
     }
 
 
@@ -188,7 +186,6 @@ def rejection_from_message(message: dict) -> AdmissionRejected:
         tenant=message.get("tenant"),
         queue_depth=message.get("queue_depth"),
         capacity=message.get("capacity"),
-        retry_after_seconds=message.get("retry_after_seconds"),
     )
 
 

@@ -64,16 +64,10 @@ class FairScheduler:
         *,
         tenant_weights: dict[str, float] | None = None,
         tenant_quotas: dict[str, int] | None = None,
-        default_weight: float = 1.0,
-        default_quota: int | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if default_weight <= 0:
-            raise ValueError(f"default_weight must be > 0, got {default_weight}")
         self.capacity = int(capacity)
-        self.default_weight = float(default_weight)
-        self.default_quota = default_quota
         self._weights = dict(tenant_weights or {})
         self._quotas = dict(tenant_quotas or {})
         for tenant, weight in self._weights.items():
@@ -101,8 +95,8 @@ class FairScheduler:
         if state is None:
             state = TenantState(
                 name=name,
-                weight=self._weights.get(name, self.default_weight),
-                quota=self._quotas.get(name, self.default_quota),
+                weight=self._weights.get(name, 1.0),
+                quota=self._quotas.get(name),
                 pass_value=self._virtual_time,
             )
             self._tenants[name] = state

@@ -28,12 +28,12 @@ Robustness model (the reason this module exists):
   are bounded by the executor's hard per-block timeout alone.  A job
   whose deadline lapses while queued fails structurally without
   burning a worker.
-* **Circuit breaker + graceful degradation** — consecutive jobs that
-  trip worker-pool recycles (or fail outright) open a
-  :class:`~repro.service.breaker.CircuitBreaker`; while it is open,
-  jobs run the *degraded* path — inline exact block synthesis, no
-  approximation search — returning a correct, ε=0-certified circuit
-  flagged ``degraded`` instead of an error.
+* **Per-block degradation** — every admitted job runs
+  :func:`~repro.core.quest.run_quest`.  The executor's retry and exact
+  fallback is the only degradation: a block whose attempts all fail
+  ships its exact (ε=0) circuit, the run records it in
+  ``synthesis_fallbacks`` and ``failure_log``, and the job's payload
+  says ``degraded``.  No job's failures change another job's output.
 * **Crash safety** — every job transition is journaled in the
   :class:`~repro.service.ledger.JobLedger` (atomic rename + checksum),
   and every synthesized block is published to the artifact store
@@ -56,7 +56,6 @@ from pathlib import Path
 from repro.batch.driver import BatchResources
 from repro.batch.workqueue import InflightRegistry
 from repro.circuits import circuit_from_qasm, circuit_to_qasm
-from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, QuestResult, run_quest
 from repro.exceptions import (
     AdmissionRejected,
@@ -67,10 +66,7 @@ from repro.exceptions import (
 from repro.observability import MetricsRegistry, get_logger
 from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
-from repro.partition.blocks import stitch_blocks
-from repro.partition.scan import scan_partition
 from repro.resilience.deadline import block_deadline
-from repro.service.breaker import CircuitBreaker
 from repro.service.ledger import JobLedger
 from repro.service.protocol import (
     JOB_DONE,
@@ -88,7 +84,6 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import FairScheduler
 from repro.store import StoreError, namespace_for_tenant, validate_namespace
-from repro.transpile.basis import lower_to_basis
 from repro.verify.certifier import claims_for_choice, claims_to_manifest
 
 _log = get_logger("service.server")
@@ -97,15 +92,14 @@ _log = get_logger("service.server")
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
 
 
-def result_payload(
-    result: QuestResult, config: QuestConfig, *, degraded: bool = False
-) -> dict:
+def result_payload(result: QuestResult, config: QuestConfig) -> dict:
     """JSON-ready terminal payload of a successful compile.
 
     Carries everything the bit-identity tests compare against a solo
     run (choices, bounds, CNOT counts, QASM of every selected circuit)
     plus the per-circuit Σε claims manifests — the certificate the
-    service exists to hand out.
+    service exists to hand out.  ``degraded`` says whether at least one
+    block shipped its exact fallback (``result.synthesis_fallbacks``).
     """
     claims = [
         claims_to_manifest(
@@ -122,7 +116,7 @@ def result_payload(
         "cnot_counts": list(result.cnot_counts),
         "original_cnot_count": result.original_cnot_count,
         "threshold": float(result.threshold),
-        "degraded": degraded,
+        "degraded": bool(result.synthesis_fallbacks),
         "cache_hits": result.cache_hits,
         "cache_misses": result.cache_misses,
         "dedup_joins": result.dedup_joins,
@@ -143,8 +137,6 @@ class QuestService:
         max_concurrency: int = 2,
         tenant_weights: dict[str, float] | None = None,
         tenant_quotas: dict[str, int] | None = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown_seconds: float = 30.0,
         clock=time.time,
         fault_injector=None,
     ) -> None:
@@ -159,9 +151,6 @@ class QuestService:
             capacity,
             tenant_weights=tenant_weights,
             tenant_quotas=tenant_quotas,
-        )
-        self.breaker = CircuitBreaker(
-            breaker_threshold, breaker_cooldown_seconds
         )
         self.max_concurrency = int(max_concurrency)
         self._clock = clock
@@ -449,10 +438,30 @@ class QuestService:
                 })
                 return
 
-            if self.breaker.allow_full_path():
-                self._run_full(record, circuit, config, remaining)
-            else:
-                self._run_degraded(record, circuit, config)
+            try:
+                with block_deadline(remaining):
+                    result = run_quest(
+                        circuit,
+                        config,
+                        fault_injector=self.fault_injector,
+                        shared=self._resources_for(record),
+                    )
+            except BlockTimeoutError as exc:
+                self._finish(record, error={
+                    "kind": "deadline_expired",
+                    "message": str(exc),
+                })
+                return
+            except ReproError as exc:
+                self._finish(record, error={
+                    "kind": type(exc).__name__,
+                    "message": str(exc),
+                })
+                return
+            if result.metrics:
+                self.metrics.merge(result.metrics)
+            payload = result_payload(result, config)
+            self._finish(record, result=payload, degraded=payload["degraded"])
         except BaseException as exc:  # noqa: BLE001 - daemon must survive
             _log.error(
                 f"job {record.job_id}: unexpected failure: {exc!r}"
@@ -461,88 +470,6 @@ class QuestService:
                 "kind": "internal",
                 "message": repr(exc),
             })
-
-    def _run_full(
-        self,
-        record: JobRecord,
-        circuit,
-        config: QuestConfig,
-        remaining: float | None,
-    ) -> None:
-        pool = self.resources.worker_pool
-        recycles_before = pool.recycles if pool is not None else 0
-        try:
-            with block_deadline(remaining):
-                result = run_quest(
-                    circuit,
-                    config,
-                    fault_injector=self.fault_injector,
-                    shared=self._resources_for(record),
-                )
-        except BlockTimeoutError as exc:
-            self.breaker.record_failure()
-            self._finish(record, error={
-                "kind": "deadline_expired",
-                "message": str(exc),
-            })
-            return
-        except ReproError as exc:
-            self.breaker.record_failure()
-            self._finish(record, error={
-                "kind": type(exc).__name__,
-                "message": str(exc),
-            })
-            return
-        recycles_after = pool.recycles if pool is not None else 0
-        if recycles_after > recycles_before:
-            # The job finished, but only by recycling wedged workers —
-            # that is the breaker's failure signal.
-            self.breaker.record_failure()
-        else:
-            self.breaker.record_success()
-        if result.metrics:
-            self.metrics.merge(result.metrics)
-        self._finish(record, result=result_payload(result, config))
-
-    def _run_degraded(self, record: JobRecord, circuit, config) -> None:
-        """Exact-block fallback: correct, fast, flagged.
-
-        Partition + singleton exact pools + stitch reassembles the
-        baseline circuit without touching the worker pool — every block
-        claim is ε=0, so the Σε certificate is trivially honest and the
-        client learns via ``degraded`` that no approximation search ran.
-        """
-        baseline = lower_to_basis(circuit.without_measurements())
-        blocks = scan_partition(baseline, config.max_block_qubits)
-        pools = [exact_pool(block) for block in blocks]
-        chosen = [
-            pool.block.with_circuit(pool.candidates[0].circuit)
-            for pool in pools
-        ]
-        stitched = stitch_blocks(chosen, baseline.num_qubits)
-        choice = [0] * len(pools)
-        claims = claims_to_manifest(
-            claims_for_choice(pools, choice),
-            block_qubits=config.max_block_qubits,
-        )
-        payload = {
-            "circuits": [circuit_to_qasm(stitched)],
-            "claims": [claims],
-            "choices": [choice],
-            "bounds": [0.0],
-            "cnot_counts": [stitched.cnot_count()],
-            "original_cnot_count": baseline.cnot_count(),
-            "threshold": config.threshold_per_block * len(blocks),
-            "degraded": True,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "dedup_joins": 0,
-            "summary": (
-                f"degraded: exact reassembly, {len(blocks)} blocks, "
-                f"{stitched.cnot_count()} CNOTs (breaker open)"
-            ),
-        }
-        self._finish(record, result=payload, degraded=True)
 
     # ------------------------------------------------------------------
     # Connection handling (event loop)
@@ -744,7 +671,6 @@ class QuestService:
             "rejected": dict(self.scheduler.rejected),
             "degraded_jobs": self._degraded_jobs,
             "tenants": self.scheduler.tenant_summary(),
-            "breaker": self.breaker.snapshot(),
             "ledger": {
                 "directory": str(self.ledger.directory),
                 "corrupt_entries": self.ledger.corrupt_entries,

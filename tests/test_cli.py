@@ -82,6 +82,26 @@ def test_no_cache_flag_is_gone(argv, tmp_path, monkeypatch, capsys):
     assert "--no-cache" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [["--breaker-threshold", "3"], ["--breaker-cooldown", "30"]],
+    ids=["threshold", "cooldown"],
+)
+def test_serve_breaker_flags_are_gone(flag, tmp_path, monkeypatch, capsys):
+    """``serve`` has no circuit breaker to configure.
+
+    The argv fails ``serve``'s own ``--tenant-weight`` check right after
+    parsing, so a parser that still accepted the flag would return, not
+    start a daemon.
+    """
+    monkeypatch.chdir(tmp_path)
+    argv = ["serve", "--socket", "s", "--ledger-dir", "l", "--tenant-weight", "x"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + flag)
+    assert excinfo.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_cli_missing_file(tmp_path, capsys):
     code = main([str(tmp_path / "nope.qasm")])
     assert code == 2

@@ -18,15 +18,16 @@ import contextlib
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.algorithms import qft, tfim
-from repro.circuits import circuit_to_qasm
+from repro.circuits import Circuit, circuit_to_qasm
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import AdmissionRejected, ServiceError
-from repro.resilience import FaultInjector, FaultSpec
+from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
 from repro.service import QuestService, ServiceClient
 
 FAST = dict(
@@ -271,33 +272,54 @@ def test_generous_deadline_does_not_perturb_results(
 
 
 # ----------------------------------------------------------------------
-# Circuit breaker and degradation
+# Degradation is per job
 # ----------------------------------------------------------------------
-def test_open_breaker_degrades_to_flagged_exact_reassembly(
+def test_failed_jobs_leave_another_tenants_output_unchanged(
     tmp_path, solo_reference
 ):
-    qasm = circuit_to_qasm(tfim(4, steps=2))
+    """A served job's output depends on that job alone: a run of failed
+    jobs from one tenant leaves the next tenant's selection
+    bit-identical to solo."""
+    cnot_free = Circuit(2)
+    cnot_free.h(0)
     with running_service(tmp_path / "ledger") as (service, client):
-        for _ in range(service.breaker.failure_threshold):
-            service.breaker.record_failure()
-        assert service.breaker.state == "open"
-        payload = client.submit_and_wait(qasm, timeout=120.0)
-        # Flagged, correct, conservative: the exact reassembly carries
-        # zero epsilon claims and the baseline CNOT count.
-        assert payload["degraded"] is True
-        assert payload["cnot_counts"] == [payload["original_cnot_count"]]
-        assert payload["claims"][0]["total_epsilon"] == 0.0
-        assert payload["bounds"] == [0.0]
-        status = client.status()
-        assert status["degraded_jobs"] == 1
-        assert status["breaker"]["state"] == "open"
-        # Recovery: a success closes the breaker and full fidelity is back.
-        service.breaker.record_success()
-        payload = client.submit_and_wait(qasm, timeout=300.0)
+        for _ in range(3):
+            job_id = client.submit(circuit_to_qasm(cnot_free), tenant="mallory")
+            reply = client.wait(job_id, timeout=60.0)
+            assert reply["state"] == "failed"
+            assert reply["error"]["kind"] == "SelectionError"
+        payload = client.submit_and_wait(
+            circuit_to_qasm(tfim(4, steps=2)), tenant="alice", timeout=300.0
+        )
         assert payload["degraded"] is False
         assert _payload_signature(payload) == _solo_signature(
             solo_reference["tfim"]
         )
+        _assert_no_stranded(client)
+
+
+def test_degraded_flags_the_jobs_own_exact_fallbacks(tmp_path):
+    """Every attempt of every block fails, so every block ships its
+    exact fallback: the job says ``degraded`` and equals a solo run
+    under the same fault schedule."""
+    schedule = "raise@*:0,raise@*:1"
+    config = replace(_config(), retry_attempts=2)
+    circuit = tfim(4, steps=2)
+    solo = run_quest(
+        circuit, config, fault_injector=parse_fault_spec(schedule)
+    )
+    assert solo.synthesis_fallbacks
+    with running_service(
+        tmp_path / "ledger",
+        config=config,
+        fault_injector=parse_fault_spec(schedule),
+    ) as (service, client):
+        payload = client.submit_and_wait(
+            circuit_to_qasm(circuit), timeout=300.0
+        )
+        assert payload["degraded"] is True
+        assert _payload_signature(payload) == _solo_signature(solo)
+        assert client.status()["degraded_jobs"] == 1
         _assert_no_stranded(client)
 
 
@@ -353,7 +375,7 @@ def test_status_reports_health_and_accounting(tmp_path):
         assert status["healthy"] and status["ready"]
         assert status["queue_depth"] == 0
         assert status["capacity"] == 64
-        assert status["breaker"]["state"] == "closed"
+        assert status["degraded_jobs"] == 0
         assert status["ledger"]["corrupt_entries"] == 0
         client.submit_and_wait(qasm, tenant="alice", timeout=300.0)
         status = client.status()

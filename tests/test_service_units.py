@@ -1,7 +1,7 @@
-"""Service-layer units: scheduler, breaker, ledger, protocol.
+"""Service-layer units: scheduler, ledger, protocol.
 
-Everything here runs without a daemon: the scheduler and breaker are
-plain lock-guarded state, the ledger is a directory, and the protocol
+Everything here runs without a daemon: the scheduler is plain
+lock-guarded state, the ledger is a directory, and the protocol
 is pure serialization — which is exactly why they are separable from
 the asyncio front end and testable at this granularity.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.quest import QuestConfig
 from repro.exceptions import AdmissionRejected, ServiceError
-from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.service.ledger import JobLedger
 from repro.service.protocol import (
     JOB_DONE,
@@ -80,8 +79,6 @@ def test_scheduler_validation():
         FairScheduler(capacity=0)
     with pytest.raises(ValueError, match="weight"):
         FairScheduler(tenant_weights={"t": 0.0})
-    with pytest.raises(ValueError, match="default_weight"):
-        FairScheduler(default_weight=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -142,79 +139,6 @@ def test_tenant_summary_reports_accounting():
     assert summary["a"]["dispatched"] == 1
     assert summary["a"]["queued"] == 0
     assert summary["a"]["weight"] == 2.0
-
-
-# ----------------------------------------------------------------------
-# CircuitBreaker
-# ----------------------------------------------------------------------
-class _FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-def test_breaker_opens_after_threshold_consecutive_failures():
-    clock = _FakeClock()
-    breaker = CircuitBreaker(3, 10.0, clock=clock)
-    assert breaker.state == CLOSED
-    breaker.record_failure()
-    breaker.record_failure()
-    assert breaker.state == CLOSED
-    assert breaker.allow_full_path()
-    breaker.record_failure()
-    assert breaker.state == OPEN
-    assert not breaker.allow_full_path()
-    assert breaker.times_opened == 1
-
-
-def test_breaker_success_resets_the_consecutive_count():
-    breaker = CircuitBreaker(2, 10.0, clock=_FakeClock())
-    breaker.record_failure()
-    breaker.record_success()
-    breaker.record_failure()
-    assert breaker.state == CLOSED  # never two *consecutive* failures
-
-
-def test_breaker_half_open_admits_exactly_one_probe():
-    clock = _FakeClock()
-    breaker = CircuitBreaker(1, 10.0, clock=clock)
-    breaker.record_failure()
-    assert breaker.state == OPEN
-    clock.now = 10.0
-    assert breaker.state == HALF_OPEN
-    assert breaker.allow_full_path()       # the probe
-    assert not breaker.allow_full_path()   # everyone else stays degraded
-    breaker.record_success()
-    assert breaker.state == CLOSED
-    assert breaker.allow_full_path()
-
-
-def test_breaker_failed_probe_reopens_for_another_cooldown():
-    clock = _FakeClock()
-    breaker = CircuitBreaker(1, 10.0, clock=clock)
-    breaker.record_failure()
-    clock.now = 10.0
-    assert breaker.allow_full_path()
-    breaker.record_failure()
-    assert breaker.state == OPEN
-    clock.now = 19.0
-    assert breaker.state == OPEN  # the cooldown restarted at t=10
-    clock.now = 20.0
-    assert breaker.state == HALF_OPEN
-    assert breaker.times_opened == 2
-
-
-def test_breaker_validation_and_snapshot():
-    with pytest.raises(ValueError, match="failure_threshold"):
-        CircuitBreaker(0)
-    with pytest.raises(ValueError, match="cooldown_seconds"):
-        CircuitBreaker(1, 0.0)
-    snapshot = CircuitBreaker(3, 5.0).snapshot()
-    assert snapshot["state"] == CLOSED
-    assert snapshot["failure_threshold"] == 3
-    assert snapshot["cooldown_seconds"] == 5.0
 
 
 # ----------------------------------------------------------------------
