@@ -6,8 +6,9 @@ in-memory sink, and tracing to a JSON-lines file — and records the
 timings to ``BENCH_observability.json`` at the repo root.  Asserts the
 layer's two core claims:
 
-* the disabled path is effectively free: wall-clock overhead versus the
-  median of repeated baseline runs stays under 2%, and
+* the disabled path is effectively free: the median wall-clock overhead
+  over interleaved pairs of baseline and disabled runs stays under 2%,
+  and
 * tracing never changes results — all modes produce bit-identical
   selections.
 
@@ -23,7 +24,7 @@ import statistics
 import time
 from pathlib import Path
 
-from conftest import print_table
+from conftest import interleaved_overhead, print_table
 
 from repro import QuestConfig, run_quest
 from repro.algorithms import tfim
@@ -76,14 +77,16 @@ def test_observability_overhead_smoke(tmp_path):
     # they don't land on whichever mode happens to run first.
     _timed_run(circuit)
 
-    baseline_walls = []
-    baseline = None
-    for _ in range(3):
-        baseline, wall = _timed_run(circuit)
-        baseline_walls.append(wall)
+    # Both sides run the default no-op tracer: the gate asks whether the
+    # disabled path costs anything against a baseline taken alongside it.
+    disabled_overhead, baseline_runs, disabled_runs = interleaved_overhead(
+        lambda: _timed_run(circuit), lambda: _timed_run(circuit)
+    )
+    baseline_walls = [wall for _, wall in baseline_runs]
+    disabled_walls = [wall for _, wall in disabled_runs]
     baseline_wall = statistics.median(baseline_walls)
-
-    disabled, disabled_wall = _timed_run(circuit)
+    disabled_wall = statistics.median(disabled_walls)
+    baseline, disabled = baseline_runs[-1][0], disabled_runs[-1][0]
     list_sink = ListSink()
     listed, listed_wall = _timed_run(circuit, tracer=Tracer(list_sink))
     trace_path = tmp_path / "bench.trace"
@@ -92,11 +95,11 @@ def test_observability_overhead_smoke(tmp_path):
     file_tracer.close()
     trace_records = len(trace_path.read_text().strip().splitlines())
 
-    disabled_overhead = disabled_wall / baseline_wall - 1.0
     rows = [
-        ["baseline (median of 3)", f"{baseline_wall:.2f}", "-", "-"],
-        ["tracing disabled", f"{disabled_wall:.2f}",
-         f"{disabled_overhead * 100:+.2f}%", "-"],
+        [f"baseline (median of {len(baseline_walls)})",
+         f"{baseline_wall:.2f}", "-", "-"],
+        [f"tracing disabled (median of {len(disabled_walls)})",
+         f"{disabled_wall:.2f}", f"{disabled_overhead * 100:+.2f}% paired", "-"],
         ["tracing to memory", f"{listed_wall:.2f}",
          f"{(listed_wall / baseline_wall - 1.0) * 100:+.2f}%",
          len(list_sink.records)],
@@ -133,6 +136,7 @@ def test_observability_overhead_smoke(tmp_path):
                 "baseline_seconds": baseline_wall,
                 "baseline_runs_seconds": baseline_walls,
                 "disabled_seconds": disabled_wall,
+                "disabled_runs_seconds": disabled_walls,
                 "disabled_overhead_fraction": disabled_overhead,
                 "list_sink_seconds": listed_wall,
                 "jsonl_sink_seconds": filed_wall,

@@ -5,8 +5,9 @@ certification disabled (the default) and enabled, and records the
 timings to ``BENCH_verify.json`` at the repo root.  Asserts the
 certifier's two core claims:
 
-* the disabled path is effectively free: wall-clock overhead versus the
-  median of repeated baseline runs stays under 5%, and
+* the disabled path is effectively free: the median wall-clock overhead
+  over interleaved pairs of baseline and certify-off runs stays under
+  5%, and
 * certification is an observer, never a participant — enabling it
   produces bit-identical selections, and the honest pipeline output
   certifies clean.
@@ -24,7 +25,7 @@ import statistics
 import time
 from pathlib import Path
 
-from conftest import print_table
+from conftest import interleaved_overhead, print_table
 
 from repro import QuestConfig, run_quest
 from repro.algorithms import tfim
@@ -75,31 +76,26 @@ def test_verify_overhead_smoke():
     # they don't land on whichever mode happens to run first.
     _timed_run(circuit)
 
-    baseline_walls = []
-    baseline = None
-    for _ in range(3):
-        baseline, wall = _timed_run(circuit)
-        baseline_walls.append(wall)
+    # ``certify=False`` is the default: the gate asks whether the off
+    # path costs anything against a baseline taken alongside it.
+    disabled_overhead, baseline_runs, disabled_runs = interleaved_overhead(
+        lambda: _timed_run(circuit), lambda: _timed_run(circuit, certify=False)
+    )
+    baseline_walls = [wall for _, wall in baseline_runs]
+    disabled_walls = [wall for _, wall in disabled_runs]
     baseline_wall = statistics.median(baseline_walls)
-
-    # Median of 3 on both sides: at this circuit size a run is well
-    # under a second, so a single sample is scheduler noise.
-    disabled_walls = []
-    disabled = None
-    for _ in range(3):
-        disabled, wall = _timed_run(circuit, certify=False)
-        disabled_walls.append(wall)
     disabled_wall = statistics.median(disabled_walls)
+    baseline, disabled = baseline_runs[-1][0], disabled_runs[-1][0]
     certified, certified_wall = _timed_run(
         circuit, certify=True, certify_candidates=True
     )
 
-    disabled_overhead = disabled_wall / baseline_wall - 1.0
     certify_stage = certified.timings.certify_seconds
     rows = [
-        ["baseline (median of 3)", f"{baseline_wall:.2f}", "-", "-"],
-        ["certify off (median of 3)", f"{disabled_wall:.2f}",
-         f"{disabled_overhead * 100:+.2f}%", "-"],
+        [f"baseline (median of {len(baseline_walls)})",
+         f"{baseline_wall:.2f}", "-", "-"],
+        [f"certify off (median of {len(disabled_walls)})",
+         f"{disabled_wall:.2f}", f"{disabled_overhead * 100:+.2f}% paired", "-"],
         ["certify on", f"{certified_wall:.2f}",
          f"{(certified_wall / baseline_wall - 1.0) * 100:+.2f}%",
          f"{certify_stage:.3f}s stage"],

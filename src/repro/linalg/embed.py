@@ -1,10 +1,18 @@
 """Tensor-network style gate application and dense embedding.
 
 These routines define the library's single source of truth for how a
-k-qubit gate acts inside an n-qubit system.  Everything else — the
-statevector simulator, the unitary simulator, the synthesis gradient code
-— goes through these functions, so the little-endian convention is
-enforced in exactly one place.
+k-qubit gate acts on amplitudes inside an n-qubit system.  The
+statevector, unitary and density-matrix simulators, the trajectory
+sampler, the synthesis code and the certifier go through these
+functions, and the three ``apply_gate_to_*`` functions share one kernel,
+so the little-endian convention is enforced in one place for all of
+them.  (The PTM engine contracts Pauli-transfer matrices with its own
+``einsum``, and readout confusion acts on probability tensors with
+``np.tensordot``: neither applies a gate to amplitudes.)  The kernel
+runs the transposes and the single ``np.dot`` of ``np.tensordot`` +
+``np.moveaxis`` (so it returns the same bits) from a cached plan,
+without their per-call axis bookkeeping, which cost more than the
+product on the 8x8 to 64x64 operands of block unitaries.
 
 Convention: basis index ``k = sum_q b_q * 2**q`` (qubit 0 is the
 least-significant bit).  A state of ``n`` qubits reshaped to ``(2,)*n``
@@ -12,6 +20,8 @@ has axis ``a`` corresponding to qubit ``n - 1 - a``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,29 +37,84 @@ def _check_targets(qubits: tuple[int, ...], num_qubits: int) -> None:
         )
 
 
-def apply_gate_to_state(
-    state: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], num_qubits: int
-) -> np.ndarray:
-    """Apply a ``2^k x 2^k`` gate to ``qubits`` of a statevector.
+@functools.lru_cache(maxsize=4096)
+def _plan(
+    qubits: tuple[int, ...], num_qubits: int, layout: str
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Transpose plan for one gate placement on one operand layout.
 
-    Returns a new array; the input is not modified.
+    The operand is viewed as a tensor with one size-2 axis per qubit
+    (qubit ``q`` on axis ``n - 1 - q``), preceded by the batch axis for
+    ``"states"`` or followed by the column axis for ``"matrix"``; that
+    extra axis has size ``-1`` in the plan's shapes.  The gate index is
+    little-endian in ``qubits`` like the state is in qubit numbers (its
+    most significant bit acts on ``qubits[-1]``), so the plan brings the
+    target axes to the front in reversed ``qubits`` order, leaving the
+    rest in place.  The product's leading ``k`` axes are the gate's
+    outputs, and the output permutation moves them back.  Both are the
+    permutations ``np.tensordot`` and ``np.moveaxis`` derive, which is
+    what makes the kernel bit-identical to them.
+
+    Returns ``(gate_dim, in_shape, in_perm, out_shape, out_perm)``.
+    Invalid targets raise here, so they are never cached.
     """
     _check_targets(qubits, num_qubits)
     k = len(qubits)
-    if gate.shape != (2**k, 2**k):
+    twos = (2,) * num_qubits
+    if layout == "state":
+        offset, in_shape = 0, twos
+    elif layout == "states":
+        offset, in_shape = 1, (-1,) + twos
+    else:
+        offset, in_shape = 0, twos + (-1,)
+    ndim = len(in_shape)
+    axes = [offset + num_qubits - 1 - q for q in reversed(qubits)]
+    rest = [a for a in range(ndim) if a not in axes]
+    out_shape = (2,) * k + tuple(in_shape[a] for a in rest)
+    # np.moveaxis(product, range(k), axes), as a permutation.
+    out_perm = list(range(k, ndim))
+    for dest, src in sorted(zip(axes, range(k))):
+        out_perm.insert(dest, src)
+    return 2**k, in_shape, tuple(axes + rest), out_shape, tuple(out_perm)
+
+
+def _apply(
+    operand: np.ndarray,
+    gate: np.ndarray,
+    qubits: tuple[int, ...],
+    num_qubits: int,
+    layout: str,
+) -> np.ndarray:
+    """Shared body of the three ``apply_gate_to_*`` functions."""
+    gate_dim, in_shape, in_perm, out_shape, out_perm = _plan(
+        tuple(qubits), num_qubits, layout
+    )
+    if gate.shape != (gate_dim, gate_dim):
         raise SimulationError(
-            f"gate shape {gate.shape} does not match {k} target qubit(s)"
+            f"gate shape {gate.shape} does not match {len(qubits)} target qubit(s)"
         )
-    tensor = state.reshape((2,) * num_qubits)
-    gate_tensor = gate.reshape((2,) * (2 * k))
-    # Gate input axis k + i corresponds to gate qubit (k - 1 - i), i.e. the
-    # qubit qubits[k - 1 - i]; in the state tensor that qubit lives on axis
-    # num_qubits - 1 - qubits[k - 1 - i].
-    state_axes = [num_qubits - 1 - qubits[k - 1 - i] for i in range(k)]
-    out = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), state_axes))
-    # Output axes 0..k-1 correspond to qubits[k-1], ..., qubits[0].
-    out = np.moveaxis(out, range(k), state_axes)
-    return np.ascontiguousarray(out.reshape(state.shape))
+    # The transposed copy of the operand is a temporary, freed before the
+    # output copy is made, as inside np.tensordot: holding it would add
+    # an operand-sized array to every call's peak.
+    product = np.dot(
+        gate, operand.reshape(in_shape).transpose(in_perm).reshape(gate_dim, -1)
+    )
+    out = product.reshape(out_shape).transpose(out_perm)
+    return np.ascontiguousarray(out.reshape(operand.shape))
+
+
+def apply_gate_to_state(
+    state: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], num_qubits: int
+) -> np.ndarray:
+    """Apply a ``2^k x 2^k`` gate to ``qubits`` of a ``(2^n,)`` statevector.
+
+    Returns a new array; the input is not modified.
+    """
+    if state.shape != (2**num_qubits,):
+        raise SimulationError(
+            f"state shape {state.shape} is not (2**{num_qubits},)"
+        )
+    return _apply(state, gate, qubits, num_qubits, "state")
 
 
 def apply_gate_to_states(
@@ -57,58 +122,33 @@ def apply_gate_to_states(
 ) -> np.ndarray:
     """Apply a ``2^k x 2^k`` gate to every row of a ``(T, 2^n)`` batch.
 
-    The batched analogue of :func:`apply_gate_to_state`: one ``tensordot``
+    The batched analogue of :func:`apply_gate_to_state`: one product
     evolves all ``T`` statevectors at once, which is what makes the
-    Monte-Carlo trajectory sampler fast (the whole trajectory batch moves
-    through each gate in a single contraction instead of ``T`` Python
-    calls).  Returns a new ``(T, 2^n)`` array; the input is not modified.
+    Monte-Carlo trajectory sampler and the certifier's unitary rebuild
+    fast (the whole batch moves through each gate in a single
+    contraction instead of ``T`` Python calls).  Returns a new
+    ``(T, 2^n)`` array; the input is not modified.
     """
-    _check_targets(qubits, num_qubits)
-    k = len(qubits)
-    if gate.shape != (2**k, 2**k):
-        raise SimulationError(
-            f"gate shape {gate.shape} does not match {k} target qubit(s)"
-        )
     if states.ndim != 2 or states.shape[1] != 2**num_qubits:
         raise SimulationError(
             f"batch shape {states.shape} is not (T, 2**{num_qubits})"
         )
-    batch = states.shape[0]
-    tensor = states.reshape((batch,) + (2,) * num_qubits)
-    gate_tensor = gate.reshape((2,) * (2 * k))
-    # Same axis bookkeeping as apply_gate_to_state, shifted by the leading
-    # batch axis: qubit q lives on axis 1 + (num_qubits - 1 - q).
-    state_axes = [1 + num_qubits - 1 - qubits[k - 1 - i] for i in range(k)]
-    out = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), state_axes))
-    # tensordot leaves the k gate-output axes in front and the remaining
-    # tensor axes (batch first) in their original relative order; moving
-    # the gate outputs back to state_axes restores the layout.
-    out = np.moveaxis(out, range(k), state_axes)
-    return np.ascontiguousarray(out.reshape(states.shape))
+    return _apply(states, gate, qubits, num_qubits, "states")
 
 
 def apply_gate_to_matrix(
     matrix: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], num_qubits: int
 ) -> np.ndarray:
-    """Left-multiply an ``2^n x m`` matrix by the embedded gate.
+    """Left-multiply a ``2^n x m`` matrix by the embedded gate.
 
     Computes ``embed(gate) @ matrix`` without materializing the embedded
     operator.  Used to accumulate circuit unitaries column-block-wise.
     """
-    _check_targets(qubits, num_qubits)
-    k = len(qubits)
-    dim = 2**num_qubits
-    if matrix.shape[0] != dim:
+    if matrix.ndim != 2 or matrix.shape[0] != 2**num_qubits:
         raise SimulationError(
-            f"matrix row dimension {matrix.shape[0]} != 2**{num_qubits}"
+            f"matrix shape {matrix.shape} is not (2**{num_qubits}, m)"
         )
-    cols = matrix.shape[1]
-    tensor = matrix.reshape((2,) * num_qubits + (cols,))
-    gate_tensor = gate.reshape((2,) * (2 * k))
-    row_axes = [num_qubits - 1 - qubits[k - 1 - i] for i in range(k)]
-    out = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), row_axes))
-    out = np.moveaxis(out, range(k), row_axes)
-    return np.ascontiguousarray(out.reshape(dim, cols))
+    return _apply(matrix, gate, qubits, num_qubits, "matrix")
 
 
 _IDENTITIES = {k: np.eye(2**k, dtype=complex) for k in range(0, 12)}

@@ -210,6 +210,7 @@ class PoolCache:
             AttributeError,
             ImportError,
             IndexError,
+            OverflowError,
         ):
             # Corrupt entry: count it (under the lock — batch/service
             # substrates probe one cache from many threads) and

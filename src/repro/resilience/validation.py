@@ -21,14 +21,15 @@ candidate:
   circuit agrees with the recorded one to ``distance_tol``.
 
 With ``independent=True`` the checks harden into *certification*: each
-candidate's unitary is additionally rebuilt column-by-column through the
-certifier's own contraction path (:mod:`repro.verify.independent`, which
-shares no accumulation code with the recorded artifacts) and must agree
-elementwise with the stored matrix, and the HS distance re-derived along
-that independent path must agree with the recorded one.  The plain
-checks accept any matrix that is *a* unitary at the recorded distance;
-the independent ones accept only the unitary the candidate's circuit
-actually implements.
+candidate's unitary is additionally rebuilt from its circuit by the
+certifier, which evolves every basis state through it in batched passes
+(:mod:`repro.verify.independent`: the accumulator's own products through
+the same gate kernel, but recomputed rather than read from the stored
+matrix) and must agree elementwise with the stored matrix, and the HS
+distance re-derived along that independent path must agree with the
+recorded one.  The plain checks accept any matrix that is *a* unitary at
+the recorded distance; the independent ones accept only the unitary the
+candidate's circuit actually implements.
 
 Failures raise :class:`~repro.exceptions.ValidationError`; the executor
 quarantines the offending set (records a failure, retries or falls

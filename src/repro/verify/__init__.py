@@ -5,15 +5,18 @@ reported Hilbert-Schmidt budget of the original circuit — but the only
 code that computed that distance used to be the synthesis path itself,
 so a bug there would certify its own output.  Following *Verifying
 Results of the IBM Qiskit Quantum Circuit Compilation Flow*, this
-package re-derives equivalence **from the artifacts alone**, through
-numerics deliberately disjoint from the synthesis path:
+package re-derives equivalence **from the artifacts alone**: every
+unitary and distance is recomputed from the circuits, never read from
+the matrices and distances recorded beside them:
 
-* :mod:`repro.verify.independent` — unitaries rebuilt column-by-column
-  by statevector propagation (not the matrix accumulator), the HS
-  overlap taken as the trace of the explicit matrix product (not the
-  elementwise contraction), Haar/computational-basis stimulus probes
-  with a confidence-bounded distance estimate for circuits too wide to
-  diff exactly;
+* :mod:`repro.verify.independent` — unitaries rebuilt by evolving
+  every basis state through the circuit in batched passes (the matrix
+  accumulator's own products through the same gate kernel, so the two
+  are bit-identical; the kernel is held to a ``tensordot`` oracle by
+  the test suite), the HS overlap taken as the trace of the explicit
+  matrix product (not the elementwise contraction),
+  Haar/computational-basis stimulus probes with a confidence-bounded
+  distance estimate for circuits too wide to diff exactly;
 * :mod:`repro.verify.certifier` — the certification driver: exact
   unitary diff for small ``n``, random-stimulus probes for large ``n``,
   and block-localized diagnosis that slices a stitched circuit along

@@ -13,9 +13,9 @@ from the artifacts alone:
   the process that produced the circuit.
 * **Block localization**: the stitched circuit is sliced back into block
   spans using the claimed operation counts, each span is remapped onto
-  the block's local qubits, and its sub-unitary is diffed (via the
-  certifier's own contraction path, :mod:`repro.verify.independent`)
-  against the matching block of the *original* circuit's partition.
+  the block's local qubits, and its sub-unitary, rebuilt from the span
+  by :mod:`repro.verify.independent`, is diffed against the matching
+  block of the *original* circuit's partition.
   The first block whose span strays outside its claimed qubits or whose
   distance exceeds its epsilon is named in the report.
 * **Whole-circuit check**: exact unitary diff up to

@@ -1,14 +1,17 @@
 """Independently re-derived equivalence primitives.
 
 Everything here exists to *disagree* with the synthesis path when the
-synthesis path is wrong, so the numerics are deliberately disjoint from
-it:
+synthesis path is wrong, so each quantity is recomputed from the
+circuits rather than read from the recorded artifacts:
 
-* :func:`independent_unitary` rebuilds a circuit's unitary column by
-  column through the statevector simulator
-  (:func:`repro.sim.statevector.run_statevector`), never touching the
-  matrix accumulator in :mod:`repro.sim.unitary` that synthesis and
-  validation use.
+* :func:`independent_unitary` rebuilds a circuit's unitary by evolving
+  every basis state through it in batched
+  :func:`repro.linalg.embed.apply_gate_to_states` passes.  It computes
+  the same products as the accumulator in :mod:`repro.sim.unitary`
+  through the same gate kernel, and the two are bit-identical; its
+  independence is that it starts from the circuit, never from a stored
+  matrix, while the kernel itself is held to a ``tensordot`` oracle by
+  the test suite.
 * :func:`independent_hs_distance` takes the Hilbert-Schmidt overlap as
   the trace of the explicit matrix product ``U^dag V`` instead of
   :func:`repro.linalg.unitary.hs_inner`'s elementwise contraction.
@@ -41,6 +44,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import CertificationError
+from repro.linalg.embed import apply_gate_to_states
 from repro.metrics.tolerances import STIMULUS_CONFIDENCE_DELTA
 from repro.sim.statevector import run_statevector
 
@@ -57,24 +61,40 @@ DEFAULT_HAAR_STIMULI = 24
 DEFAULT_BASIS_STIMULI = 8
 
 
-def independent_unitary(circuit: Circuit) -> np.ndarray:
-    """Rebuild a circuit's unitary column-by-column via statevector runs.
+#: Amplitudes :func:`independent_unitary` evolves per batched pass
+#: (16 MiB): the kernel keeps a few copies of the pass alive, so this
+#: caps the transient above the exact-regime default, where the
+#: identity is a single pass.
+_CHUNK_AMPLITUDES = 2**20
 
-    Column ``k`` is the circuit applied to basis state ``|k>``.  This is
-    the certifier's own contraction path: it shares no code with
-    :func:`repro.sim.unitary.circuit_unitary` beyond the single-gate
-    application kernel, so an accumulation bug in either path surfaces
-    as a disagreement instead of certifying itself.
+
+def independent_unitary(circuit: Circuit) -> np.ndarray:
+    """Rebuild a circuit's unitary by evolving the basis states through it.
+
+    Row ``k`` of the identity is the basis state ``|k>``; after passing
+    through every gate it holds column ``k`` of the unitary.  The rows
+    move in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes, one
+    :func:`~repro.linalg.embed.apply_gate_to_states` call per gate and
+    chunk, so memory beyond the result stays bounded.  Each entry gets
+    the same products in the same order as in
+    :func:`repro.sim.unitary.circuit_unitary`, and the result is
+    bit-identical to it.  Measurements and barriers are ignored.
     """
-    stripped = circuit.without_measurements()
-    dim = 2**circuit.num_qubits
-    columns = np.empty((dim, dim), dtype=complex)
-    basis = np.zeros(dim, dtype=complex)
-    for k in range(dim):
-        basis[k] = 1.0
-        columns[:, k] = run_statevector(stripped, basis)
-        basis[k] = 0.0
-    return columns
+    num_qubits = circuit.num_qubits
+    dim = 2**num_qubits
+    gates = [
+        (op.gate.matrix(), op.qubits)
+        for op in circuit.operations
+        if op.name not in ("measure", "barrier")
+    ]
+    rows = max(1, _CHUNK_AMPLITUDES // dim)
+    unitary = np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, rows):
+        states = np.eye(min(rows, dim - start), dim, k=start, dtype=complex)
+        for gate, qubits in gates:
+            states = apply_gate_to_states(states, gate, qubits, num_qubits)
+        unitary[:, start : start + len(states)] = states.T
+    return unitary
 
 
 def independent_overlap(u: np.ndarray, v: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from repro.linalg import (
     apply_gate_to_states,
     embed_unitary,
 )
+from tests import embed_oracle
 
 
 def test_one_qubit_embedding_matches_kron(rng):
@@ -195,3 +196,90 @@ def test_batched_property_matches_per_state(seed, num_qubits, batch, gate_arity)
                 states[row], gate, qubits[::-1], num_qubits
             )
             assert np.allclose(reversed_out[row], expected, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# The plan-cached kernel against the tensordot + moveaxis oracle
+# ----------------------------------------------------------------------
+_KERNELS = {
+    "state": (apply_gate_to_state, embed_oracle.apply_gate_to_state),
+    "states": (apply_gate_to_states, embed_oracle.apply_gate_to_states),
+    "matrix": (apply_gate_to_matrix, embed_oracle.apply_gate_to_matrix),
+}
+
+
+def _target_tuples(num_qubits: int, arity: int, rng) -> set:
+    """Adjacent, reversed, spread-out and random placements."""
+    ascending = tuple(range(arity))
+    spread = tuple(sorted({0, num_qubits - 1, num_qubits // 2}))[:arity]
+    tuples = {ascending, ascending[::-1], tuple(range(num_qubits - arity, num_qubits))}
+    if len(spread) == arity:
+        tuples |= {spread, spread[::-1]}
+    for _ in range(4):
+        tuples.add(tuple(int(q) for q in rng.permutation(num_qubits)[:arity]))
+    return tuples
+
+
+def _operands(layout: str, dim: int, rng) -> list:
+    """C-ordered and strided operands, with T = 1 and m = 1 included."""
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if layout == "state":
+        return [draw(dim), draw(2 * dim)[::2]]
+    if layout == "states":
+        return [draw((1, dim)), draw((3, dim)), draw((dim, 3)).T]
+    return [draw((dim, 1)), draw((dim, 3)), draw((3, dim)).T]
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 9))
+def test_kernel_matches_tensordot_oracle(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    dim = 2**num_qubits
+    for arity in range(1, min(3, num_qubits) + 1):
+        for qubits in _target_tuples(num_qubits, arity, rng):
+            gate = random_unitary(2**arity, rng)
+            for layout, (kernel, oracle) in _KERNELS.items():
+                for operand in _operands(layout, dim, rng):
+                    # A transposed gate is not C-contiguous.
+                    for g in (gate, gate.T):
+                        before = operand.copy()
+                        out = kernel(operand, g, qubits, num_qubits)
+                        assert np.array_equal(
+                            out, oracle(operand, g, qubits, num_qubits)
+                        ), (layout, qubits, operand.shape)
+                        assert out.flags.c_contiguous
+                        assert out.shape == operand.shape
+                        assert np.array_equal(operand, before)
+
+
+@pytest.mark.parametrize("layout", sorted(_KERNELS))
+def test_kernel_error_paths_raise_simulation_error(layout):
+    kernel = _KERNELS[layout][0]
+    operand = {
+        "state": np.zeros(8, dtype=complex),
+        "states": np.zeros((2, 8), dtype=complex),
+        "matrix": np.zeros((8, 2), dtype=complex),
+    }[layout]
+    one, two = gate_matrix("h"), gate_matrix("cx")
+    bad_calls = [
+        (operand, two, (1, 1), 3),  # duplicate target
+        (operand, one, (3,), 3),  # out of range
+        (operand, one, (-1,), 3),  # negative
+        (operand, two, (0,), 3),  # gate wider than its targets
+        (operand, one, (0, 1), 3),  # gate narrower than its targets
+        (operand, one, (0,), 2),  # operand does not hold 2**n amplitudes
+        # A wrong-length 1-D operand, and an extra axis: a "state" of
+        # shape (8, 1) used to come back as (8, 1), and one of length 6
+        # raised numpy's ValueError.
+        (operand.reshape(-1)[:6], one, (0,), 3),
+        (operand[..., None], one, (0,), 3),
+    ]
+    for args in bad_calls:
+        with pytest.raises(SimulationError):
+            kernel(*args)
+    # A rejected placement is not cached: the same key stays rejected,
+    # and valid calls still work.
+    with pytest.raises(SimulationError):
+        kernel(operand, two, (1, 1), 3)
+    assert kernel(operand, one, (0,), 3).shape == operand.shape

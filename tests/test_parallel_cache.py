@@ -140,8 +140,9 @@ def test_disk_roundtrip_across_instances(tmp_path):
         b"",  # empty file
         b"not a pickle at all",
         os.urandom(64),  # random bytes
+        b"\x8d" + b"\xff" * 8,  # a string length past sys.maxsize
     ],
-    ids=["empty", "text", "random"],
+    ids=["empty", "text", "random", "overflow"],
 )
 def test_corrupt_disk_entries_are_misses(tmp_path, corruption):
     key = entry_key("e" * 64, 5)

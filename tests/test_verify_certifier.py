@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms import heisenberg, qft, tfim
 from repro.circuits import Circuit, random_circuit
 from repro.core.pool import Candidate, exact_pool
 from repro.exceptions import CertificationError, ValidationError
 from repro.metrics.tolerances import INDEPENDENT_AGREEMENT_TOL
 from repro.partition.blocks import CircuitBlock
+from repro.partition.scan import scan_partition
 from repro.resilience.validation import validate_pool
 from repro.sim import circuit_unitary
+from repro.transpile.basis import lower_to_basis
 from repro.verify import (
     BlockClaim,
     certify_equivalence,
@@ -22,6 +25,8 @@ from repro.verify import (
     independent_unitary,
     stimulus_evidence,
 )
+from repro.verify import independent
+from tests import independent_oracle
 
 
 # ----------------------------------------------------------------------
@@ -38,6 +43,48 @@ def test_independent_unitary_ignores_measurements(bell_circuit):
     assert np.allclose(
         independent_unitary(measured), independent_unitary(bell_circuit)
     )
+
+
+def _rebuild_cases():
+    """Random circuits at 1-4 qubits, plus Trotter/QFT circuits, their
+    lowered forms and their 3-qubit partition blocks."""
+    cases = [random_circuit(n, 6, rng=seed) for n in (1, 2, 3, 4) for seed in range(3)]
+    measured = random_circuit(3, 4, rng=9)
+    measured.measure_all()
+    cases.append(measured)
+    for circuit in (qft(4), tfim(4, steps=2), heisenberg(4, steps=1)):
+        lowered = lower_to_basis(circuit)
+        cases += [circuit, lowered]
+        cases += [block.circuit for block in scan_partition(lowered, 3)]
+    return cases
+
+
+def test_batched_rebuild_matches_per_column_oracle():
+    full_width = 0
+    for circuit in _rebuild_cases():
+        rebuilt = independent_unitary(circuit)
+        expected = independent_oracle.independent_unitary(circuit)
+        assert rebuilt.flags.c_contiguous
+        if any(len(op.qubits) == circuit.num_qubits for op in circuit.operations):
+            # A gate spanning every qubit meets a single column as a
+            # matrix-vector product in the oracle, and as a matrix-matrix
+            # product in the batch: BLAS may round the two differently.
+            full_width += 1
+            assert np.max(np.abs(rebuilt - expected)) <= 1e-14
+        else:
+            assert np.array_equal(rebuilt, expected)
+    assert full_width > 0
+
+
+@pytest.mark.parametrize("chunk_amplitudes", [2**20, 40])
+def test_rebuild_is_bit_identical_to_the_accumulator(monkeypatch, chunk_amplitudes):
+    """The rebuild computes ``circuit_unitary``'s own products, whether
+    the identity moves in one pass or in chunks (40 amplitudes: rows
+    5 + 3 at three qubits, two-row chunks at four)."""
+    monkeypatch.setattr(independent, "_CHUNK_AMPLITUDES", chunk_amplitudes)
+    for circuit in _rebuild_cases():
+        expected = circuit_unitary(circuit.without_measurements())
+        assert np.array_equal(independent_unitary(circuit), expected)
 
 
 def test_independent_hs_distance_rejects_shape_mismatch():
