@@ -13,8 +13,6 @@ Every generator is parameterized, so larger scales are a constant change.
 
 from __future__ import annotations
 
-import statistics
-
 import numpy as np
 import pytest
 
@@ -122,34 +120,3 @@ def print_table(title: str, header: list[str], rows: list[list]) -> None:
     print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-
-
-def interleaved_overhead(baseline, candidate, pairs: int = 40):
-    """Median relative wall-time overhead of ``candidate`` over ``baseline``.
-
-    Each callable runs once and returns ``(result, wall_seconds)``.  The
-    two run back to back ``pairs`` times, and the overhead is the median
-    per-pair ratio minus one.  A shared host's core speed swings by up to
-    1.8x within seconds, so comparing one run against a median of runs
-    made earlier measures the host; two adjacent runs see nearly the
-    same speed, and the median discards the pairs a swing splits.  Which
-    side runs first repeats baseline, candidate, candidate, baseline, so
-    each side takes every run position modulo 4 equally often: on a
-    2-vCPU host, repeated identical runs in one process differed
-    systematically by their position modulo 4, and plain alternation
-    handed that difference to one side (+2 to +3 % on identical
-    configurations).  Returns the overhead and both sides'
-    ``(result, wall_seconds)`` runs in order.
-    """
-    runs = {"baseline": [], "candidate": []}
-    sides = [("baseline", baseline), ("candidate", candidate)]
-    for pair in range(pairs):
-        for side, run in sides if pair % 4 in (0, 3) else sides[::-1]:
-            runs[side].append(run())
-    ratios = [
-        candidate_wall / baseline_wall
-        for (_, baseline_wall), (_, candidate_wall) in zip(
-            runs["baseline"], runs["candidate"]
-        )
-    ]
-    return statistics.median(ratios) - 1.0, runs["baseline"], runs["candidate"]

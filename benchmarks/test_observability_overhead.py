@@ -1,30 +1,27 @@
-"""Smoke benchmark: what observability costs when off — and when on.
+"""Smoke benchmark: what observability costs when on, and that it never
+changes a result.
 
 Runs the same 5-qubit Trotterized TFIM circuit through QUEST three
 ways — tracing disabled (the default no-op tracer), tracing to an
 in-memory sink, and tracing to a JSON-lines file — and records the
-timings to ``BENCH_observability.json`` at the repo root.  Asserts the
-layer's two core claims:
+timings to ``BENCH_observability.json`` at the repo root.  Asserts that
+tracing never changes results (all modes produce bit-identical
+selections) and that the traced runs produce a trace.
 
-* the disabled path is effectively free: the median wall-clock overhead
-  over interleaved pairs of baseline and disabled runs stays under 2%,
-  and
-* tracing never changes results — all modes produce bit-identical
-  selections.
-
-The enabled-path cost is recorded but not asserted: it depends on how
-chatty the run is (events scale with layers and retries), and the
-contract is only that *disabled* observability costs nothing.
+No timing is asserted.  Tracing disabled is the default configuration,
+so a gate on its overhead would time identical code on both sides and
+measure only the host.  The enabled-path cost is recorded for reading:
+it depends on how chatty the run is (events scale with layers and
+retries).
 """
 
 from __future__ import annotations
 
 import json
-import statistics
 import time
 from pathlib import Path
 
-from conftest import interleaved_overhead, print_table
+from conftest import print_table
 
 from repro import QuestConfig, run_quest
 from repro.algorithms import tfim
@@ -50,10 +47,6 @@ SCALING_CONFIG = dict(
     sphere_variants_per_count=2,
 )
 
-#: Disabled-path overhead budget (fractional). The no-op tracer is a
-#: single ``is_enabled`` check per call site, so 2% is generous.
-MAX_DISABLED_OVERHEAD = 0.02
-
 
 def _timed_run(circuit, tracer=None):
     config = QuestConfig(**SCALING_CONFIG)
@@ -77,16 +70,7 @@ def test_observability_overhead_smoke(tmp_path):
     # they don't land on whichever mode happens to run first.
     _timed_run(circuit)
 
-    # Both sides run the default no-op tracer: the gate asks whether the
-    # disabled path costs anything against a baseline taken alongside it.
-    disabled_overhead, baseline_runs, disabled_runs = interleaved_overhead(
-        lambda: _timed_run(circuit), lambda: _timed_run(circuit)
-    )
-    baseline_walls = [wall for _, wall in baseline_runs]
-    disabled_walls = [wall for _, wall in disabled_runs]
-    baseline_wall = statistics.median(baseline_walls)
-    disabled_wall = statistics.median(disabled_walls)
-    baseline, disabled = baseline_runs[-1][0], disabled_runs[-1][0]
+    baseline, baseline_wall = _timed_run(circuit)
     list_sink = ListSink()
     listed, listed_wall = _timed_run(circuit, tracer=Tracer(list_sink))
     trace_path = tmp_path / "bench.trace"
@@ -96,10 +80,7 @@ def test_observability_overhead_smoke(tmp_path):
     trace_records = len(trace_path.read_text().strip().splitlines())
 
     rows = [
-        [f"baseline (median of {len(baseline_walls)})",
-         f"{baseline_wall:.2f}", "-", "-"],
-        [f"tracing disabled (median of {len(disabled_walls)})",
-         f"{disabled_wall:.2f}", f"{disabled_overhead * 100:+.2f}% paired", "-"],
+        ["tracing disabled", f"{baseline_wall:.2f}", "-", "-"],
         ["tracing to memory", f"{listed_wall:.2f}",
          f"{(listed_wall / baseline_wall - 1.0) * 100:+.2f}%",
          len(list_sink.records)],
@@ -115,14 +96,8 @@ def test_observability_overhead_smoke(tmp_path):
 
     # Tracing is an observer, never a participant.
     signature = _signature(baseline)
-    for other in (disabled, listed, filed):
+    for other in (listed, filed):
         assert _signature(other) == signature
-
-    # Disabled observability is effectively free.
-    assert disabled_overhead < MAX_DISABLED_OVERHEAD, (
-        f"disabled-tracer overhead {disabled_overhead:.1%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%}"
-    )
 
     # The traced runs actually produced a trace.
     assert len(list_sink.records) > 0
@@ -134,10 +109,6 @@ def test_observability_overhead_smoke(tmp_path):
                 "circuit": "tfim(5, steps=2)",
                 "blocks": len(baseline.blocks),
                 "baseline_seconds": baseline_wall,
-                "baseline_runs_seconds": baseline_walls,
-                "disabled_seconds": disabled_wall,
-                "disabled_runs_seconds": disabled_walls,
-                "disabled_overhead_fraction": disabled_overhead,
                 "list_sink_seconds": listed_wall,
                 "jsonl_sink_seconds": filed_wall,
                 "trace_records": trace_records,

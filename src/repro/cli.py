@@ -44,6 +44,7 @@ from repro.observability import (
     use_tracer,
 )
 from repro.resilience.faults import parse_fault_spec
+from repro.sim.unitary import MAX_UNITARY_QUBITS
 from repro.verify import (
     DEFAULT_BASIS_STIMULI,
     DEFAULT_HAAR_STIMULI,
@@ -148,14 +149,6 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         help="independently certify every selected approximation "
         "against its epsilon claims before exiting (exit code 1 on a "
         "violated claim)",
-    )
-    parser.add_argument(
-        "--certify-candidates",
-        action="store_true",
-        help="harden candidate health checks into independent "
-        "certification: rebuild every worker/store "
-        "candidate's unitary through the certifier's own contraction "
-        "path (slower)",
     )
 
 
@@ -563,7 +556,8 @@ def build_verify_run_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_EXACT_QUBITS,
         help="widest circuit certified by exact unitary diff; wider "
         f"ones use random-stimulus probes (default "
-        f"{DEFAULT_MAX_EXACT_QUBITS})",
+        f"{DEFAULT_MAX_EXACT_QUBITS}); an exact diff wider than "
+        f"{MAX_UNITARY_QUBITS} qubits is refused (exit 2)",
     )
     parser.add_argument(
         "--haar-stimuli",
@@ -675,7 +669,7 @@ def _trace_summary_main(argv: list[str]) -> int:
 
 def _config_from_args(args) -> QuestConfig:
     """The QuestConfig of every compiling entry point: the
-    :func:`_add_config_options` flags plus the certify flags, which
+    :func:`_add_config_options` flags plus ``--certify``, which
     ``serve`` does not define."""
     return QuestConfig(
         seed=args.seed,
@@ -689,7 +683,6 @@ def _config_from_args(args) -> QuestConfig:
         namespace=args.namespace,
         retry_attempts=args.retry_attempts,
         certify=getattr(args, "certify", False),
-        certify_candidates=getattr(args, "certify_candidates", False),
     )
 
 

@@ -101,20 +101,16 @@ class QuestConfig:
     retry_attempts: int = 2
     #: Independently certify every selected approximation after
     #: stitching (see :mod:`repro.verify`): per-block epsilon claims are
-    #: re-derived from the artifacts through the certifier's own
-    #: contraction path, and the whole-circuit distance is checked
-    #: against the claimed total.  Reports land in
-    #: ``QuestResult.certifications``; a violation never raises.
+    #: re-derived from unitaries rebuilt from the emitted circuits, and
+    #: the whole-circuit distance is checked against the claimed total.
+    #: Reports land in ``QuestResult.certifications``; a violation never
+    #: raises.
     certify: bool = False
     #: Widest circuit the post-run certifier diffs exactly; wider ones
-    #: fall to the random-stimulus regime.
+    #: fall to the random-stimulus regime.  An exact diff wider than
+    #: :data:`~repro.sim.unitary.MAX_UNITARY_QUBITS` raises
+    #: :class:`~repro.exceptions.SimulationError`.
     certify_max_exact_qubits: int = DEFAULT_MAX_EXACT_QUBITS
-    #: Harden candidate validation: additionally rebuild every
-    #: worker/store candidate's unitary through the
-    #: certifier's independent contraction path and require agreement
-    #: with the recorded artifacts.  Catches corruption the plain
-    #: health checks cannot (a tampered-but-still-unitary matrix).
-    certify_candidates: bool = False
 
 
 @dataclass
@@ -455,7 +451,6 @@ def _run_pipeline(
             ),
             max_attempts=config.retry_attempts,
             fault_injector=fault_injector,
-            independent_validation=config.certify_candidates,
             worker_pool=getattr(shared, "worker_pool", None),
             inflight=getattr(shared, "inflight", None),
         )

@@ -124,10 +124,9 @@ def apply_gate_to_states(
 
     The batched analogue of :func:`apply_gate_to_state`: one product
     evolves all ``T`` statevectors at once, which is what makes the
-    Monte-Carlo trajectory sampler and the certifier's unitary rebuild
-    fast (the whole batch moves through each gate in a single
-    contraction instead of ``T`` Python calls).  Returns a new
-    ``(T, 2^n)`` array; the input is not modified.
+    Monte-Carlo trajectory sampler fast (the whole batch moves through
+    each gate in a single contraction instead of ``T`` Python calls).
+    Returns a new ``(T, 2^n)`` array; the input is not modified.
     """
     if states.ndim != 2 or states.shape[1] != 2**num_qubits:
         raise SimulationError(
@@ -142,7 +141,7 @@ def apply_gate_to_matrix(
     """Left-multiply a ``2^n x m`` matrix by the embedded gate.
 
     Computes ``embed(gate) @ matrix`` without materializing the embedded
-    operator.  Used to accumulate circuit unitaries column-block-wise.
+    operator.  Used to accumulate circuit unitaries slab by slab.
     """
     if matrix.ndim != 2 or matrix.shape[0] != 2**num_qubits:
         raise SimulationError(

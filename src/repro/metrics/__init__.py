@@ -11,7 +11,6 @@ from repro.metrics.tolerances import (
     CERTIFICATION_SLACK,
     DISTANCE_CONSISTENCY_TOL,
     DISTRIBUTION_NORM_TOL,
-    INDEPENDENT_AGREEMENT_TOL,
     NEGATIVE_PROBABILITY_TOL,
     POOL_UNITARY_MATCH_TOL,
     STIMULUS_CONFIDENCE_DELTA,
@@ -27,7 +26,6 @@ __all__ = [
     "DISTANCE_CONSISTENCY_TOL",
     "POOL_UNITARY_MATCH_TOL",
     "CERTIFICATION_SLACK",
-    "INDEPENDENT_AGREEMENT_TOL",
     "DISTRIBUTION_NORM_TOL",
     "NEGATIVE_PROBABILITY_TOL",
     "BOUND_SLACK",

@@ -29,23 +29,19 @@ UNITARITY_TOL = 1e-6
 #: is built from, so honest candidates agree to float precision.
 DISTANCE_CONSISTENCY_TOL = 1e-6
 
-#: Max elementwise deviation between a pool's stored original unitary
-#: and the unitary rebuilt from its block circuit (same code path, so
-#: only serialization corruption can separate them).
+#: Max elementwise deviation between a matrix a pool stores (its
+#: original unitary, each candidate's) and the unitary rebuilt from the
+#: matching circuit (same code path, so only corruption or tampering can
+#: separate them).
 POOL_UNITARY_MATCH_TOL = 1e-9
 
 #: Float slack added to every claimed distance bound during
 #: certification: a measured distance may exceed its claim by this much
-#: before the claim counts as violated.  Covers accumulated rounding
-#: between the synthesis path's contraction and the certifier's
-#: independent one, nothing more.
+#: before the claim counts as violated.  Covers rounding between the
+#: two derivations of one distance from unitaries built by
+#: ``circuit_unitary`` (the synthesis path's elementwise overlap and the
+#: certifier's trace of the explicit product), nothing more.
 CERTIFICATION_SLACK = 1e-7
-
-#: Max disagreement tolerated between the certifier's independently
-#: reconstructed quantities and the synthesis path's recorded ones
-#: (unitary entries, HS distances).  Two correct float implementations
-#: of the same quantity agree far below this.
-INDEPENDENT_AGREEMENT_TOL = 1e-9
 
 #: Probability vectors must sum to 1 within this before any
 #: distribution distance is computed.
@@ -89,7 +85,6 @@ __all__ = [
     "DISTANCE_CONSISTENCY_TOL",
     "POOL_UNITARY_MATCH_TOL",
     "CERTIFICATION_SLACK",
-    "INDEPENDENT_AGREEMENT_TOL",
     "DISTRIBUTION_NORM_TOL",
     "NEGATIVE_PROBABILITY_TOL",
     "BOUND_SLACK",

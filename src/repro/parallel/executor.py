@@ -315,12 +315,6 @@ class BlockSynthesisExecutor:
     fault_injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` whose
         scheduled faults fire around each synthesis attempt (tests/CI).
-    independent_validation:
-        Harden the health checks of candidate sets from workers and the
-        store (see :mod:`repro.resilience.validation`) into independent
-        certification: every candidate's unitary is rebuilt through the
-        certifier's own contraction path and must agree with the
-        recorded artifacts.  Slower, so off by default.
     worker_pool:
         Optional externally owned :class:`PersistentWorkerPool` (the
         batch driver shares one across every circuit of a sweep).
@@ -341,7 +335,6 @@ class BlockSynthesisExecutor:
         synthesize_fn=None,
         max_attempts: int = 1,
         fault_injector=None,
-        independent_validation: bool = False,
         worker_pool: PersistentWorkerPool | None = None,
         inflight=None,
     ) -> None:
@@ -355,7 +348,6 @@ class BlockSynthesisExecutor:
         self._synthesize_fn = synthesize_fn
         self.max_attempts = int(max_attempts)
         self.fault_injector = fault_injector
-        self.independent_validation = independent_validation
         #: Externally owned pool (the batch driver shares one across
         #: circuits); None constructs a run-scoped pool on demand.
         self.worker_pool = worker_pool
@@ -448,9 +440,7 @@ class BlockSynthesisExecutor:
         if cached is None:
             return False
         try:
-            validate_solutions(
-                block.unitary(), cached, independent=self.independent_validation
-            )
+            validate_solutions(block.unitary(), cached)
         except ValidationError as exc:
             _note_failure(
                 state.stats.failure_log,
@@ -622,11 +612,7 @@ class BlockSynthesisExecutor:
                     records, snapshot = telemetry
                     get_tracer().replay(records)
                     get_metrics().merge(snapshot)
-                validate_solutions(
-                    block.unitary(),
-                    solutions,
-                    independent=self.independent_validation,
-                )
+                validate_solutions(block.unitary(), solutions)
         except Exception as exc:
             kind, message = FAILURE_EXCEPTION, f"{type(exc).__name__}: {exc}"
             if isinstance(exc, ValidationError):

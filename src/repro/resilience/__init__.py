@@ -11,8 +11,8 @@ run entirely).  Three cooperating pieces close those holes:
   the exact-pool downgrade; every failure lands in a structured log of
   :class:`FailureRecord` entries.
 * :mod:`~repro.resilience.validation` — candidates from workers or the
-  store are health-checked (finite, unitary, distance recomputes) and
-  quarantined on failure.
+  store are health-checked (block width, finite, unitary, distance
+  recomputes) and quarantined on failure.
 * :mod:`~repro.resilience.faults` — a deterministic fault injector
   (raise / hang / NaN / kill / flip-cache) so each recovery path above
   is exercised in CI, not discovered in production.
@@ -42,8 +42,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.retry import FAILURE_KINDS, FailureRecord
 from repro.resilience.validation import (
-    DEFAULT_DISTANCE_TOL,
-    DEFAULT_UNITARITY_TOL,
     validate_pool,
     validate_solutions,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "parse_fault_spec",
     "FAILURE_KINDS",
     "FailureRecord",
-    "DEFAULT_DISTANCE_TOL",
-    "DEFAULT_UNITARITY_TOL",
     "validate_pool",
     "validate_solutions",
 ]

@@ -12,24 +12,24 @@ garbage candidate silently poisons every downstream selection.
 ``validate_solutions`` / ``validate_pool`` therefore check, for each
 candidate:
 
+* **shape** — a solution is a
+  :class:`~repro.synthesis.leap.SynthesisSolution` whose unitary has
+  the block's width;
 * **finiteness** — no NaN/Inf in the recorded distance or the circuit's
   unitary;
-* **unitarity** — ``U^dag U = I`` to ``unitarity_tol`` (a circuit built
+* **unitarity** — ``U^dag U = I`` to ``UNITARITY_TOL`` (a circuit built
   from rotation gates is unitary by construction, so any violation means
   corrupted parameters or a corrupted matrix);
 * **distance consistency** — the HS distance recomputed from the
-  circuit agrees with the recorded one to ``distance_tol``.
+  unitary agrees with the recorded one to ``DISTANCE_CONSISTENCY_TOL``.
 
-With ``independent=True`` the checks harden into *certification*: each
-candidate's unitary is additionally rebuilt from its circuit by the
-certifier, which evolves every basis state through it in batched passes
-(:mod:`repro.verify.independent`: the accumulator's own products through
-the same gate kernel, but recomputed rather than read from the stored
-matrix) and must agree elementwise with the stored matrix, and the HS
-distance re-derived along that independent path must agree with the
-recorded one.  The plain checks accept any matrix that is *a* unitary at
-the recorded distance; the independent ones accept only the unitary the
-candidate's circuit actually implements.
+A solution's unitary is built from its circuit by
+:func:`~repro.sim.unitary.circuit_unitary`.  A pool also stores each
+candidate's matrix, so ``validate_pool`` additionally requires every
+stored matrix — the original's and each candidate's — to match the one
+rebuilt from its circuit to ``POOL_UNITARY_MATCH_TOL``: the plain checks
+accept any matrix that is *a* unitary at the recorded distance, this one
+only the unitary the circuit actually implements.
 
 Failures raise :class:`~repro.exceptions.ValidationError`; the executor
 quarantines the offending set (records a failure, retries or falls
@@ -44,21 +44,11 @@ from repro.exceptions import ValidationError
 from repro.linalg.unitary import hs_distance
 from repro.metrics.tolerances import (
     DISTANCE_CONSISTENCY_TOL,
-    INDEPENDENT_AGREEMENT_TOL,
     POOL_UNITARY_MATCH_TOL,
     PTM_CP_TOL,
     PTM_TRACE_PRESERVATION_TOL,
     UNITARITY_TOL,
 )
-from repro.verify.independent import (
-    independent_hs_distance,
-    independent_unitary,
-)
-
-#: Historical aliases; the canonical values live in
-#: :mod:`repro.metrics.tolerances` so every layer shares one definition.
-DEFAULT_UNITARITY_TOL = UNITARITY_TOL
-DEFAULT_DISTANCE_TOL = DISTANCE_CONSISTENCY_TOL
 
 
 def _unitarity_defect(unitary: np.ndarray) -> float:
@@ -70,58 +60,44 @@ def _unitarity_defect(unitary: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(dim))))
 
 
+def _matches(stored: np.ndarray, rebuilt: np.ndarray) -> bool:
+    """Whether a stored matrix equals the one rebuilt from its circuit,
+    elementwise to ``POOL_UNITARY_MATCH_TOL`` (NaN never matches)."""
+    return stored.shape == rebuilt.shape and bool(
+        np.all(np.abs(stored - rebuilt) <= POOL_UNITARY_MATCH_TOL)
+    )
+
+
 def validate_candidate_unitary(
     unitary: np.ndarray,
     target: np.ndarray,
     recorded_distance: float,
     *,
     label: str,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    distance_tol: float = DEFAULT_DISTANCE_TOL,
-    circuit=None,
-    independent: bool = False,
 ) -> None:
-    """Validate one candidate unitary against its target block unitary.
-
-    With ``independent=True`` (and the candidate's ``circuit``), the
-    unitary is also rebuilt through the certifier's independent
-    contraction path and both the matrix and its distance must agree
-    with the recorded artifacts — the check that catches a matrix which
-    is still perfectly unitary but no longer the circuit's.
-    """
+    """Validate one candidate unitary against its target block unitary."""
+    if unitary.shape != target.shape:
+        raise ValidationError(
+            f"{label}: unitary shape {unitary.shape} does not match the "
+            f"block's {target.shape}"
+        )
     if not np.isfinite(recorded_distance):
         raise ValidationError(f"{label}: recorded distance is not finite")
     if not np.all(np.isfinite(unitary)):
         raise ValidationError(f"{label}: unitary contains non-finite entries")
     defect = _unitarity_defect(unitary)
-    if defect > unitarity_tol:
+    if defect > UNITARITY_TOL:
         raise ValidationError(
             f"{label}: unitarity defect {defect:.3e} exceeds "
-            f"tolerance {unitarity_tol:.1e}"
+            f"tolerance {UNITARITY_TOL:.1e}"
         )
     recomputed = hs_distance(unitary, target)
-    if abs(recomputed - recorded_distance) > distance_tol:
+    if abs(recomputed - recorded_distance) > DISTANCE_CONSISTENCY_TOL:
         raise ValidationError(
             f"{label}: recomputed HS distance {recomputed:.6e} disagrees "
             f"with recorded {recorded_distance:.6e} "
-            f"(tolerance {distance_tol:.1e})"
+            f"(tolerance {DISTANCE_CONSISTENCY_TOL:.1e})"
         )
-    if independent and circuit is not None:
-        rebuilt = independent_unitary(circuit)
-        disagreement = float(np.max(np.abs(rebuilt - unitary)))
-        if disagreement > INDEPENDENT_AGREEMENT_TOL:
-            raise ValidationError(
-                f"{label}: recorded unitary disagrees with the "
-                f"independently rebuilt one by {disagreement:.3e} "
-                f"(tolerance {INDEPENDENT_AGREEMENT_TOL:.1e})"
-            )
-        rederived = independent_hs_distance(rebuilt, target)
-        if abs(rederived - recorded_distance) > distance_tol:
-            raise ValidationError(
-                f"{label}: independently re-derived HS distance "
-                f"{rederived:.6e} disagrees with recorded "
-                f"{recorded_distance:.6e} (tolerance {distance_tol:.1e})"
-            )
 
 
 def validate_ptm(
@@ -129,8 +105,6 @@ def validate_ptm(
     arity: int,
     *,
     label: str = "PTM",
-    trace_tol: float = PTM_TRACE_PRESERVATION_TOL,
-    cp_tol: float = PTM_CP_TOL,
 ) -> None:
     """Health-check a compiled Pauli-transfer matrix.
 
@@ -161,91 +135,81 @@ def validate_ptm(
     if not np.all(np.isfinite(ptm)):
         raise ValidationError(f"{label}: contains non-finite entries")
     defect = trace_preservation_defect(ptm)
-    if defect > trace_tol:
+    if defect > PTM_TRACE_PRESERVATION_TOL:
         raise ValidationError(
             f"{label}: trace-preservation defect {defect:.3e} exceeds "
-            f"tolerance {trace_tol:.1e}"
+            f"tolerance {PTM_TRACE_PRESERVATION_TOL:.1e}"
         )
     choi = choi_matrix(ptm, arity)
     hermiticity = float(np.max(np.abs(choi - choi.conj().T)))
-    if hermiticity > cp_tol:
+    if hermiticity > PTM_CP_TOL:
         raise ValidationError(
             f"{label}: Choi matrix Hermiticity defect {hermiticity:.3e} "
-            f"exceeds tolerance {cp_tol:.1e}"
+            f"exceeds tolerance {PTM_CP_TOL:.1e}"
         )
     min_eigenvalue = float(
         np.linalg.eigvalsh((choi + choi.conj().T) / 2.0).min()
     )
-    if min_eigenvalue < -cp_tol:
+    if min_eigenvalue < -PTM_CP_TOL:
         raise ValidationError(
             f"{label}: Choi matrix eigenvalue {min_eigenvalue:.3e} breaks "
-            f"complete positivity (tolerance {cp_tol:.1e})"
+            f"complete positivity (tolerance {PTM_CP_TOL:.1e})"
         )
 
 
-def validate_solutions(
-    target: np.ndarray,
-    solutions,
-    *,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    distance_tol: float = DEFAULT_DISTANCE_TOL,
-    independent: bool = False,
-) -> None:
+def validate_solutions(target: np.ndarray, solutions) -> None:
     """Validate a worker's / the cache's raw LEAP solution list.
 
     Raises :class:`ValidationError` naming the first offending solution;
     an empty list is valid (the pool degenerates to the exact block).
     """
+    # Imported lazily: repro.synthesis.instantiate imports
+    # repro.resilience.deadline, which loads this package, so a
+    # module-level import would be circular.
+    from repro.synthesis.leap import SynthesisSolution
+
     if not isinstance(solutions, list):
         raise ValidationError(
             f"solution payload is {type(solutions).__name__}, expected list"
         )
     for position, solution in enumerate(solutions):
-        label = f"solution {position} (cnots={solution.cnot_count})"
+        if not isinstance(solution, SynthesisSolution):
+            raise ValidationError(
+                f"solution {position} is {type(solution).__name__}, "
+                f"expected SynthesisSolution"
+            )
         validate_candidate_unitary(
             solution.circuit.unitary(),
             target,
             solution.distance,
-            label=label,
-            unitarity_tol=unitarity_tol,
-            distance_tol=distance_tol,
-            circuit=solution.circuit,
-            independent=independent,
+            label=f"solution {position} (cnots={solution.cnot_count})",
         )
 
 
-def validate_pool(
-    pool,
-    *,
-    unitarity_tol: float = DEFAULT_UNITARITY_TOL,
-    distance_tol: float = DEFAULT_DISTANCE_TOL,
-    independent: bool = False,
-) -> None:
+def validate_pool(pool) -> None:
     """Validate an assembled :class:`BlockPool`.
 
     Checks the stored original unitary against the block circuit it
-    claims to represent, then every candidate against it.
+    claims to represent, then every candidate against it and its stored
+    matrix against the one rebuilt from the candidate's circuit.
     """
     if not pool.candidates:
         raise ValidationError("pool has no candidates (not even the exact block)")
     target = pool.original_unitary
     if not np.all(np.isfinite(target)):
         raise ValidationError("pool original unitary contains non-finite entries")
-    if _unitarity_defect(target) > unitarity_tol:
+    if _unitarity_defect(target) > UNITARITY_TOL:
         raise ValidationError("pool original unitary is not unitary")
-    if not np.allclose(target, pool.block.unitary(), atol=POOL_UNITARY_MATCH_TOL):
+    if not _matches(target, pool.block.unitary()):
         raise ValidationError(
             "pool original unitary disagrees with its block circuit"
         )
     for position, candidate in enumerate(pool.candidates):
         label = f"candidate {position} (cnots={candidate.cnot_count})"
         validate_candidate_unitary(
-            candidate.unitary,
-            target,
-            candidate.distance,
-            label=label,
-            unitarity_tol=unitarity_tol,
-            distance_tol=distance_tol,
-            circuit=candidate.circuit,
-            independent=independent,
+            candidate.unitary, target, candidate.distance, label=label
         )
+        if not _matches(candidate.unitary, candidate.circuit.unitary()):
+            raise ValidationError(
+                f"{label}: stored unitary disagrees with its circuit"
+            )

@@ -1,8 +1,14 @@
 """Full-circuit unitary computation (the "Qiskit unitary simulator" role).
 
-Accumulates ``U = U_K ... U_1`` by contracting each gate into a running
-``2^n x 2^n`` matrix — no gate is ever embedded into a dense full-width
-operator on its own.
+The library's one unitary builder: the pipeline, candidate validation
+and the certifier all build circuit unitaries here.  It accumulates
+``U = U_K ... U_1`` by contracting each gate into the identity's columns
+— no gate is ever embedded into a dense full-width operator on its own.
+The columns move in slabs of at most ``_SLAB_AMPLITUDES`` amplitudes, so
+up to 10 qubits the whole matrix is one slab, and above that the
+kernel's transient copies stay bounded by a slab.  Slabs of two or more
+columns give the single-matrix products bit for bit; the width cap
+keeps every slab at 64 columns or more.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from repro.linalg.embed import apply_gate_to_matrix
 #: paper itself declares full-unitary treatment infeasible at this scale.
 MAX_UNITARY_QUBITS = 14
 
+#: Amplitudes per column slab (16 MiB of complex128).
+_SLAB_AMPLITUDES = 2**20
+
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Compute the dense unitary of a measurement-free circuit."""
@@ -29,12 +38,20 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise SimulationError(
             "circuit contains measurements; call without_measurements() first"
         )
-    dim = 2**circuit.num_qubits
-    unitary = np.eye(dim, dtype=complex)
-    for op in circuit.operations:
-        if op.name == "barrier":
-            continue
-        unitary = apply_gate_to_matrix(
-            unitary, op.gate.matrix(), op.qubits, circuit.num_qubits
-        )
+    num_qubits = circuit.num_qubits
+    dim = 2**num_qubits
+    gates = [
+        (op.gate.matrix(), op.qubits)
+        for op in circuit.operations
+        if op.name != "barrier"
+    ]
+    columns = min(dim, max(1, _SLAB_AMPLITUDES // dim))
+    unitary = None if columns == dim else np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, columns):
+        slab = np.eye(dim, min(columns, dim - start), k=-start, dtype=complex)
+        for gate, qubits in gates:
+            slab = apply_gate_to_matrix(slab, gate, qubits, num_qubits)
+        if unitary is None:
+            return slab
+        unitary[:, start : start + columns] = slab
     return unitary

@@ -9,12 +9,10 @@ package re-derives equivalence **from the artifacts alone**: every
 unitary and distance is recomputed from the circuits, never read from
 the matrices and distances recorded beside them:
 
-* :mod:`repro.verify.independent` — unitaries rebuilt by evolving
-  every basis state through the circuit in batched passes (the matrix
-  accumulator's own products through the same gate kernel, so the two
-  are bit-identical; the kernel is held to a ``tensordot`` oracle by
-  the test suite), the HS overlap taken as the trace of the explicit
-  matrix product (not the elementwise contraction),
+* :mod:`repro.verify.independent` — unitaries rebuilt from the
+  circuits through :func:`repro.sim.unitary.circuit_unitary`, never
+  read from a stored matrix; the HS overlap taken as the trace of the
+  explicit matrix product (not the elementwise contraction); and
   Haar/computational-basis stimulus probes with a confidence-bounded
   distance estimate for circuits too wide to diff exactly;
 * :mod:`repro.verify.certifier` — the certification driver: exact
@@ -23,9 +21,8 @@ the matrices and distances recorded beside them:
   its partition structure to name the first block whose sub-unitary
   drifts past its claimed epsilon.
 
-Three seams consume it: ``run_quest`` (``QuestConfig.certify``),
-candidate validation (:mod:`repro.resilience.validation` with
-``independent=True``), and the ``python -m repro verify-run`` CLI.
+Two seams consume it: ``run_quest`` (``QuestConfig.certify``) and the
+``python -m repro verify-run`` CLI.
 """
 
 from repro.verify.certifier import (
@@ -48,7 +45,6 @@ from repro.verify.independent import (
     circuit_hs_distance,
     haar_states,
     independent_hs_distance,
-    independent_unitary,
     per_state_deviation_cap,
     stimulus_evidence,
 )
@@ -62,7 +58,6 @@ __all__ = [
     "claims_for_choice",
     "claims_to_manifest",
     "claims_from_manifest",
-    "independent_unitary",
     "independent_hs_distance",
     "circuit_hs_distance",
     "haar_states",

@@ -4,14 +4,9 @@ Everything here exists to *disagree* with the synthesis path when the
 synthesis path is wrong, so each quantity is recomputed from the
 circuits rather than read from the recorded artifacts:
 
-* :func:`independent_unitary` rebuilds a circuit's unitary by evolving
-  every basis state through it in batched
-  :func:`repro.linalg.embed.apply_gate_to_states` passes.  It computes
-  the same products as the accumulator in :mod:`repro.sim.unitary`
-  through the same gate kernel, and the two are bit-identical; its
-  independence is that it starts from the circuit, never from a stored
-  matrix, while the kernel itself is held to a ``tensordot`` oracle by
-  the test suite.
+* :func:`circuit_hs_distance` rebuilds both circuits' unitaries from
+  their operations through :func:`repro.sim.unitary.circuit_unitary`,
+  the library's one unitary builder, never from a stored matrix.
 * :func:`independent_hs_distance` takes the Hilbert-Schmidt overlap as
   the trace of the explicit matrix product ``U^dag V`` instead of
   :func:`repro.linalg.unitary.hs_inner`'s elementwise contraction.
@@ -44,13 +39,14 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import CertificationError
-from repro.linalg.embed import apply_gate_to_states
 from repro.metrics.tolerances import STIMULUS_CONFIDENCE_DELTA
 from repro.sim.statevector import run_statevector
+from repro.sim.unitary import circuit_unitary
 
 #: Widths up to this get the exact unitary diff; wider circuits fall to
 #: the random-stimulus regime.  The dense reconstruction is O(4^n) per
-#: circuit, so the default stays well below the simulator's hard cap.
+#: circuit, so the default stays well below the builder's hard cap
+#: (``MAX_UNITARY_QUBITS``), past which an exact diff raises.
 DEFAULT_MAX_EXACT_QUBITS = 10
 
 #: Haar-random stimuli per stimulus-mode certification.
@@ -61,67 +57,31 @@ DEFAULT_HAAR_STIMULI = 24
 DEFAULT_BASIS_STIMULI = 8
 
 
-#: Amplitudes :func:`independent_unitary` evolves per batched pass
-#: (16 MiB): the kernel keeps a few copies of the pass alive, so this
-#: caps the transient above the exact-regime default, where the
-#: identity is a single pass.
-_CHUNK_AMPLITUDES = 2**20
-
-
-def independent_unitary(circuit: Circuit) -> np.ndarray:
-    """Rebuild a circuit's unitary by evolving the basis states through it.
-
-    Row ``k`` of the identity is the basis state ``|k>``; after passing
-    through every gate it holds column ``k`` of the unitary.  The rows
-    move in chunks of at most ``_CHUNK_AMPLITUDES`` amplitudes, one
-    :func:`~repro.linalg.embed.apply_gate_to_states` call per gate and
-    chunk, so memory beyond the result stays bounded.  Each entry gets
-    the same products in the same order as in
-    :func:`repro.sim.unitary.circuit_unitary`, and the result is
-    bit-identical to it.  Measurements and barriers are ignored.
-    """
-    num_qubits = circuit.num_qubits
-    dim = 2**num_qubits
-    gates = [
-        (op.gate.matrix(), op.qubits)
-        for op in circuit.operations
-        if op.name not in ("measure", "barrier")
-    ]
-    rows = max(1, _CHUNK_AMPLITUDES // dim)
-    unitary = np.empty((dim, dim), dtype=complex)
-    for start in range(0, dim, rows):
-        states = np.eye(min(rows, dim - start), dim, k=start, dtype=complex)
-        for gate, qubits in gates:
-            states = apply_gate_to_states(states, gate, qubits, num_qubits)
-        unitary[:, start : start + len(states)] = states.T
-    return unitary
-
-
-def independent_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """Normalized HS overlap ``|Tr(U^dag V)| / N`` via full matrix product."""
+def independent_hs_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """Global-phase-canonical HS distance from the overlap
+    ``|Tr(U^dag V)| / N`` of the full matrix product."""
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise CertificationError(
             f"cannot compare operators of shapes {u.shape} and {v.shape}"
         )
-    product = u.conj().T @ v
-    return float(abs(np.trace(product))) / u.shape[0]
-
-
-def independent_hs_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Global-phase-canonical HS distance, certifier's own derivation."""
-    overlap = independent_overlap(u, v)
+    overlap = float(abs(np.trace(u.conj().T @ v))) / u.shape[0]
     return math.sqrt(max(0.0, 1.0 - overlap * overlap))
 
 
 def circuit_hs_distance(original: Circuit, approximate: Circuit) -> float:
-    """Exact HS distance between two circuits, fully independent path."""
+    """Exact HS distance between two circuits, rebuilt from the circuits.
+
+    Measurements are ignored; circuits wider than ``MAX_UNITARY_QUBITS``
+    raise :class:`~repro.exceptions.SimulationError`.
+    """
     if original.num_qubits != approximate.num_qubits:
         raise CertificationError(
             f"circuit widths differ: {original.num_qubits} vs "
             f"{approximate.num_qubits} qubits"
         )
     return independent_hs_distance(
-        independent_unitary(original), independent_unitary(approximate)
+        circuit_unitary(original.without_measurements()),
+        circuit_unitary(approximate.without_measurements()),
     )
 
 

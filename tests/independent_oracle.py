@@ -1,9 +1,9 @@
-"""Frozen per-column reference for the certifier's unitary rebuild.
+"""Frozen per-column reference for :func:`repro.sim.unitary.circuit_unitary`.
 
-:func:`repro.verify.independent.independent_unitary` evolves the
-identity's rows through a circuit in batched passes.  This module keeps
-the loop it replaced — one statevector run per column — as the oracle
-the tests hold it to.
+The library builds a circuit's unitary by contracting every gate into
+slabs of the identity's columns.  This module keeps the loop the
+certifier once used instead — one statevector run per column — as the
+oracle the tests hold the builder to.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.circuits.circuit import Circuit
 from repro.sim.statevector import run_statevector
 
 
-def independent_unitary(circuit: Circuit) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Column ``k`` is the circuit applied to basis state ``|k>``."""
     stripped = circuit.without_measurements()
     dim = 2**circuit.num_qubits

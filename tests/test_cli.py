@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import pytest
 
 from repro.circuits import circuit_from_qasm, circuit_to_qasm
@@ -118,3 +121,149 @@ def test_cli_rejects_cnot_free_circuit(tmp_path, capsys):
     code = main([str(path)])
     assert code == 1
     assert "QUEST failed" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Certification: --certify and verify-run
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def certified_run(tmp_path_factory):
+    """One ``--certify`` compile of ``tfim(4, 2)``: (exit code, input
+    QASM, out dir)."""
+    root = tmp_path_factory.mktemp("certify")
+    qasm_path = root / "tfim.qasm"
+    qasm_path.write_text(circuit_to_qasm(tfim(4, steps=2)))
+    out_dir = root / "out"
+    code = main(
+        [
+            str(qasm_path),
+            "--out-dir", str(out_dir),
+            "--threshold", "0.25",
+            "--block-qubits", "2",
+            "--max-samples", "4",
+            "--seed", "3",
+            "--certify",
+        ]
+    )
+    return code, qasm_path, out_dir
+
+
+def _verify_run(certified_run, approx_path, *extra):
+    _, qasm_path, out_dir = certified_run
+    return main(["verify-run", str(qasm_path), str(approx_path), *extra])
+
+
+def test_cli_certify_writes_a_manifest_per_approximation(certified_run):
+    code, _, out_dir = certified_run
+    assert code == 0
+    approximations = sorted(p.stem for p in out_dir.glob("approx_*.qasm"))
+    manifests = sorted(
+        p.name.removesuffix(".claims.json")
+        for p in out_dir.glob("approx_*.claims.json")
+    )
+    assert approximations
+    assert manifests == approximations
+
+
+def test_verify_run_certifies_the_emitted_approximation(certified_run, capsys):
+    out_dir = certified_run[2]
+    code = _verify_run(
+        certified_run,
+        out_dir / "approx_00.qasm",
+        "--claims", str(out_dir / "approx_00.claims.json"),
+    )
+    assert code == 0
+    assert "CERTIFIED: exact regime" in capsys.readouterr().out
+
+
+def test_verify_run_names_the_block_of_a_nudged_rotation(
+    certified_run, tmp_path, capsys
+):
+    """A rotation nudged by +1.0 moves its block by sin(0.5) ~ 0.48, past
+    any epsilon under the 0.25 threshold."""
+    from dataclasses import replace
+
+    from repro.circuits import Circuit, Operation
+
+    out_dir = certified_run[2]
+    approximate = circuit_from_qasm((out_dir / "approx_00.qasm").read_text())
+    manifest = json.loads((out_dir / "approx_00.claims.json").read_text())
+    ops = list(approximate.operations)
+    position = next(i for i, op in enumerate(ops) if op.gate.params)
+    gate = ops[position].gate
+    nudged = replace(gate, params=(gate.params[0] + 1.0,) + gate.params[1:])
+    ops[position] = Operation(nudged, ops[position].qubits)
+    nudged_path = tmp_path / "nudged.qasm"
+    nudged_path.write_text(circuit_to_qasm(Circuit(approximate.num_qubits, ops)))
+
+    # The manifest's op counts tile the stitched circuit in block order.
+    ends = list(
+        itertools.accumulate(block["op_count"] for block in manifest["blocks"])
+    )
+    block = next(b for b, end in enumerate(ends) if position < end)
+
+    code = _verify_run(
+        certified_run,
+        nudged_path,
+        "--claims", str(out_dir / "approx_00.claims.json"),
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "VIOLATED" in captured.out
+    assert f"first at block {block}" in captured.out
+    assert f"block {block} (qubits" in captured.err
+
+
+def test_verify_run_needs_claims_or_a_budget(certified_run, capsys):
+    code = _verify_run(certified_run, certified_run[2] / "approx_00.qasm")
+    assert code == 2
+    assert "nothing to certify against" in capsys.readouterr().err
+
+
+def test_verify_run_max_exact_qubits_selects_the_stimulus_regime(
+    certified_run, tmp_path, capsys
+):
+    out_dir = certified_run[2]
+    report_path = tmp_path / "report.json"
+    code = _verify_run(
+        certified_run,
+        out_dir / "approx_00.qasm",
+        "--claims", str(out_dir / "approx_00.claims.json"),
+        "--max-exact-qubits", "2",
+        "--json", str(report_path),
+    )
+    assert code == 0
+    assert "CERTIFIED: stimulus regime" in capsys.readouterr().out
+    assert json.loads(report_path.read_text())["regime"] == "stimulus"
+
+
+def test_verify_run_refuses_an_exact_diff_past_the_builder_cap(
+    certified_run, monkeypatch, capsys
+):
+    from repro.sim import unitary as sim_unitary
+
+    monkeypatch.setattr(sim_unitary, "MAX_UNITARY_QUBITS", 3)
+    code = _verify_run(
+        certified_run,
+        certified_run[2] / "approx_00.qasm",
+        "--budget", "1.0",
+        "--max-exact-qubits", "4",
+    )
+    assert code == 2
+    assert "certification could not run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["missing.qasm"], ["compile-batch", "missing.qasm"]],
+    ids=["repro", "compile-batch"],
+)
+def test_certify_candidates_flag_is_gone(argv, tmp_path, monkeypatch, capsys):
+    """Candidate validation has one mode, so there is no flag to harden
+    it.  A parser that still accepted the flag would fail on the missing
+    input instead, with exit 2 but no mention of the flag."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--certify-candidates"])
+    assert excinfo.value.code == 2
+    assert "--certify-candidates" in capsys.readouterr().err

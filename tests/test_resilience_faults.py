@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import tfim
+from repro.circuits import Circuit
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
@@ -30,7 +31,7 @@ from repro.resilience import (
     parse_fault_spec,
 )
 from repro.resilience.faults import InjectedFault
-from repro.resilience.retry import FAILURE_TIMEOUT
+from repro.resilience.retry import FAILURE_TIMEOUT, FAILURE_VALIDATION
 from repro.resilience.validation import validate_pool, validate_solutions
 from repro.synthesis.leap import SynthesisSolution
 from repro.transpile.basis import lower_to_basis
@@ -146,6 +147,25 @@ def test_non_list_payload_is_rejected():
     block = next(b for b in _blocks() if b.num_qubits > 1)
     with pytest.raises(ValidationError, match="expected list"):
         validate_solutions(block.unitary(), "garbage")
+
+
+def _narrow_solution():
+    """A well-formed 2-qubit solution: one CNOT at distance 0 from itself."""
+    circuit = Circuit(2)
+    circuit.cx(0, 1)
+    return SynthesisSolution(circuit=circuit, distance=0.0, cnot_count=1)
+
+
+def test_wrong_width_solution_is_rejected():
+    target = np.eye(8, dtype=complex)
+    with pytest.raises(ValidationError, match="does not match the block"):
+        validate_solutions(target, [_narrow_solution()])
+
+
+def test_non_solution_element_is_rejected():
+    block = next(b for b in _blocks() if b.num_qubits > 1)
+    with pytest.raises(ValidationError, match="expected SynthesisSolution"):
+        validate_solutions(block.unitary(), [object()])
 
 
 def test_non_unitary_candidate_is_rejected():
@@ -328,6 +348,32 @@ def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
     assert cache.corrupt_entries == 0
     assert stats.cache_misses == 0
     _pools_equal(clean_pools, pools)
+
+
+def test_wrong_width_store_entries_are_quarantined(tmp_path):
+    """A store entry that parses fine but holds a narrower block's
+    solution fails validation: the warm run quarantines every such
+    entry, recomputes, and equals the cold run."""
+    config = QuestConfig(seed=3, **{**FAST, "max_block_qubits": 3})
+    baseline = lower_to_basis(tfim(4, steps=1).without_measurements())
+    blocks = scan_partition(baseline, 3)
+    assert max(block.num_qubits for block in blocks) == 3
+    seeds = _seeds(blocks)
+    cache = PoolCache(tmp_path)
+    cold_pools, _ = BlockSynthesisExecutor(cache=cache).run(blocks, config, seeds)
+
+    keys = [path.stem for path in cache.store.directory.rglob("*.qpool")]
+    assert keys
+    for key in keys:
+        cache.put(key, [_narrow_solution()])
+    warm_pools, stats = BlockSynthesisExecutor(cache=PoolCache(tmp_path)).run(
+        blocks, config, seeds
+    )
+    _pools_equal(cold_pools, warm_pools)
+    assert stats.cache_misses == len(keys)
+    assert stats.failure_log
+    assert {record.kind for record in stats.failure_log} == {FAILURE_VALIDATION}
+    assert not stats.fallback_blocks
 
 
 # ----------------------------------------------------------------------

@@ -231,6 +231,7 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         "cache",
         "validate_candidates",
         "max_candidates_per_block",
+        "certify_candidates",
     ):
         with pytest.raises(ServiceError, match="unknown QuestConfig field"):
             merge_config(base, {removed: None})

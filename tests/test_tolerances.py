@@ -64,10 +64,3 @@ def test_every_exported_tolerance_is_a_positive_float():
         value = getattr(tolerances, name)
         assert isinstance(value, float), name
         assert 0 < value < 1, name
-
-
-def test_validation_aliases_point_at_the_shared_constants():
-    from repro.resilience import validation
-
-    assert validation.DEFAULT_UNITARITY_TOL is tolerances.UNITARITY_TOL
-    assert validation.DEFAULT_DISTANCE_TOL is tolerances.DISTANCE_CONSISTENCY_TOL

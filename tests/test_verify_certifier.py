@@ -8,12 +8,14 @@ import pytest
 from repro.algorithms import heisenberg, qft, tfim
 from repro.circuits import Circuit, random_circuit
 from repro.core.pool import Candidate, exact_pool
-from repro.exceptions import CertificationError, ValidationError
-from repro.metrics.tolerances import INDEPENDENT_AGREEMENT_TOL
+from repro.exceptions import CertificationError, SimulationError, ValidationError
+from repro.linalg.embed import apply_gate_to_matrix
+from repro.metrics.tolerances import POOL_UNITARY_MATCH_TOL
 from repro.partition.blocks import CircuitBlock
 from repro.partition.scan import scan_partition
 from repro.resilience.validation import validate_pool
 from repro.sim import circuit_unitary
+from repro.sim import unitary as sim_unitary
 from repro.transpile.basis import lower_to_basis
 from repro.verify import (
     BlockClaim,
@@ -22,26 +24,22 @@ from repro.verify import (
     claims_from_manifest,
     claims_to_manifest,
     independent_hs_distance,
-    independent_unitary,
     stimulus_evidence,
 )
-from repro.verify import independent
 from tests import independent_oracle
 
 
 # ----------------------------------------------------------------------
 # Independent primitives
 # ----------------------------------------------------------------------
-def test_independent_unitary_matches_simulator_path(ghz3_circuit):
-    rebuilt = independent_unitary(ghz3_circuit)
-    assert np.allclose(rebuilt, circuit_unitary(ghz3_circuit), atol=1e-12)
-
-
-def test_independent_unitary_ignores_measurements(bell_circuit):
+def test_circuit_hs_distance_ignores_measurements(bell_circuit):
+    other = random_circuit(2, 3, rng=5)
     measured = bell_circuit.copy()
     measured.measure_all()
-    assert np.allclose(
-        independent_unitary(measured), independent_unitary(bell_circuit)
+    expected = circuit_hs_distance(bell_circuit, other)
+    assert circuit_hs_distance(measured, other) == expected
+    assert circuit_hs_distance(other, measured) == circuit_hs_distance(
+        other, bell_circuit
     )
 
 
@@ -62,13 +60,13 @@ def _rebuild_cases():
 def test_batched_rebuild_matches_per_column_oracle():
     full_width = 0
     for circuit in _rebuild_cases():
-        rebuilt = independent_unitary(circuit)
-        expected = independent_oracle.independent_unitary(circuit)
+        rebuilt = circuit_unitary(circuit.without_measurements())
+        expected = independent_oracle.circuit_unitary(circuit)
         assert rebuilt.flags.c_contiguous
         if any(len(op.qubits) == circuit.num_qubits for op in circuit.operations):
             # A gate spanning every qubit meets a single column as a
             # matrix-vector product in the oracle, and as a matrix-matrix
-            # product in the batch: BLAS may round the two differently.
+            # product in the builder: BLAS may round the two differently.
             full_width += 1
             assert np.max(np.abs(rebuilt - expected)) <= 1e-14
         else:
@@ -76,15 +74,30 @@ def test_batched_rebuild_matches_per_column_oracle():
     assert full_width > 0
 
 
-@pytest.mark.parametrize("chunk_amplitudes", [2**20, 40])
-def test_rebuild_is_bit_identical_to_the_accumulator(monkeypatch, chunk_amplitudes):
-    """The rebuild computes ``circuit_unitary``'s own products, whether
-    the identity moves in one pass or in chunks (40 amplitudes: rows
-    5 + 3 at three qubits, two-row chunks at four)."""
-    monkeypatch.setattr(independent, "_CHUNK_AMPLITUDES", chunk_amplitudes)
+def _single_matrix_unitary(circuit):
+    """The accumulator without column slabs: every gate contracted into
+    the whole ``2^n x 2^n`` matrix at once."""
+    num_qubits = circuit.num_qubits
+    unitary = np.eye(2**num_qubits, dtype=complex)
+    for op in circuit.operations:
+        unitary = apply_gate_to_matrix(
+            unitary, op.gate.matrix(), op.qubits, num_qubits
+        )
+    return unitary
+
+
+@pytest.mark.parametrize("slab_amplitudes", [2**20, 40])
+def test_rebuild_is_bit_identical_to_the_accumulator(monkeypatch, slab_amplitudes):
+    """``circuit_unitary`` computes the single-matrix products whether
+    the identity's columns move in one slab or in several (40
+    amplitudes: columns 5 + 3 at three qubits, two-column slabs at
+    four)."""
+    monkeypatch.setattr(sim_unitary, "_SLAB_AMPLITUDES", slab_amplitudes)
     for circuit in _rebuild_cases():
-        expected = circuit_unitary(circuit.without_measurements())
-        assert np.array_equal(independent_unitary(circuit), expected)
+        stripped = circuit.without_measurements()
+        assert np.array_equal(
+            circuit_unitary(stripped), _single_matrix_unitary(stripped)
+        )
 
 
 def test_independent_hs_distance_rejects_shape_mismatch():
@@ -95,6 +108,21 @@ def test_independent_hs_distance_rejects_shape_mismatch():
 def test_circuit_hs_distance_rejects_width_mismatch():
     with pytest.raises(CertificationError):
         circuit_hs_distance(Circuit(2), Circuit(3))
+
+
+def test_exact_regime_refuses_circuits_past_the_builder_cap(monkeypatch):
+    """The exact regime builds through ``circuit_unitary``, so its width
+    cap binds however high ``max_exact_qubits`` is set; the stimulus
+    regime builds no unitary."""
+    monkeypatch.setattr(sim_unitary, "MAX_UNITARY_QUBITS", 3)
+    original = random_circuit(4, 3, rng=1)
+    approximate = random_circuit(4, 3, rng=2)
+    with pytest.raises(SimulationError, match="refusing"):
+        certify_equivalence(original, approximate, budget=1.0, max_exact_qubits=4)
+    report = certify_equivalence(
+        original, approximate, budget=1.0, max_exact_qubits=3, rng=0
+    )
+    assert report.regime == "stimulus"
 
 
 # ----------------------------------------------------------------------
@@ -240,11 +268,11 @@ def test_report_to_dict_is_json_ready(ghz3_circuit):
 
 
 # ----------------------------------------------------------------------
-# Independent candidate validation (the resilience seam)
+# Pool validation against the candidates' circuits
 # ----------------------------------------------------------------------
 def _tampered_pool():
     """A pool whose candidate unitary was replaced by a *different*
-    unitary, close enough to pass every plain health check."""
+    unitary, close enough to pass the unitarity and distance checks."""
     block_circuit = Circuit(2)
     block_circuit.h(0)
     block_circuit.cx(0, 1)
@@ -265,13 +293,11 @@ def _tampered_pool():
     return pool
 
 
-def test_plain_validation_misses_a_tampered_unitary():
-    validate_pool(_tampered_pool())  # passes: still unitary, distance ok
-
-
 def test_independent_validation_catches_a_tampered_unitary():
-    with pytest.raises(ValidationError, match="independently rebuilt"):
-        validate_pool(_tampered_pool(), independent=True)
+    """Every stored candidate matrix is checked against the unitary
+    rebuilt from its circuit."""
+    with pytest.raises(ValidationError, match="disagrees with its circuit"):
+        validate_pool(_tampered_pool())
 
 
 def test_independent_validation_accepts_honest_pools():
@@ -279,11 +305,11 @@ def test_independent_validation_accepts_honest_pools():
     block_circuit.h(0)
     block_circuit.cx(0, 1)
     block = CircuitBlock(index=0, qubits=(0, 1), circuit=block_circuit)
-    validate_pool(exact_pool(block), independent=True)
+    validate_pool(exact_pool(block))
 
 
 def test_tampering_is_above_the_agreement_tolerance():
     pool = _tampered_pool()
-    rebuilt = independent_unitary(pool.candidates[0].circuit)
+    rebuilt = circuit_unitary(pool.candidates[0].circuit)
     drift = float(np.max(np.abs(rebuilt - pool.candidates[0].unitary)))
-    assert drift > INDEPENDENT_AGREEMENT_TOL
+    assert drift > POOL_UNITARY_MATCH_TOL
