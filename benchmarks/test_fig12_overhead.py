@@ -25,7 +25,7 @@ def _collect(quest_cache):
                 timings.total_seconds,
                 timings.partition_seconds,
                 timings.synthesis_seconds,
-                timings.annealing_seconds,
+                timings.selection_seconds,
             )
         )
     return rows

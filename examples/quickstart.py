@@ -33,7 +33,7 @@ def main() -> None:
         % (
             result.timings.partition_seconds,
             result.timings.synthesis_seconds,
-            result.timings.annealing_seconds,
+            result.timings.selection_seconds,
         )
     )
     for index, (circ, bound) in enumerate(

@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 
 from repro.batch.workqueue import InflightRegistry
 from repro.core.quest import QuestConfig, QuestResult, run_quest
-from repro.observability import MetricsRegistry, get_metrics, get_tracer
+from repro.observability import (
+    MetricsRegistry,
+    counter_property,
+    get_metrics,
+    get_tracer,
+    use_metrics,
+)
 from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
 
@@ -59,29 +65,32 @@ class BatchResult:
     """Everything a batch compilation produced.
 
     ``results`` preserves input order regardless of completion order.
-    The dedup/pool counters aggregate over every circuit and are what
-    the throughput benchmark asserts on.
+    The dedup/pool counters are read-only views of ``metrics`` and are
+    what the throughput benchmark asserts on.
     """
 
     results: list[QuestResult] = field(default_factory=list)
     wall_seconds: float = 0.0
-    #: Planned jobs served by another circuit's result instead of
-    #: synthesizing (registry joins, in flight or resolved).
-    dedup_joins: int = 0
-    #: Subset of ``dedup_joins`` that joined another circuit's
-    #: *in-flight* job through the registry.
-    inflight_joins: int = 0
-    #: Synthesis jobs planned, batch-wide (joins included).
-    cache_misses: int = 0
-    #: Blocks planned without a job: within-circuit repeats and store
-    #: hits.
-    cache_hits: int = 0
-    #: Persistent-pool accounting (0 when ``workers == 1``).
-    pools_created: int = 0
-    pool_recycles: int = 0
-    pool_reuses: int = 0
-    #: Merged metrics snapshot across every circuit of the batch.
+    #: The batch's one record of counts: the store's opening counts
+    #: merged with every circuit's snapshot, in input order.
     metrics: dict = field(default_factory=dict)
+
+    #: Planned jobs another circuit's result served, and registry joins.
+    dedup_joins = counter_property("dedup.hits")
+    inflight_joins = counter_property("dedup.inflight_joins")
+    #: Synthesis jobs planned (joins included), and blocks planned
+    #: without one (within-circuit repeats and store hits).
+    cache_misses = counter_property("cache.miss")
+    cache_hits = counter_property("cache.hit")
+    #: Persistent-pool accounting (0 when ``workers == 1``).
+    pools_created = counter_property("pool.created")
+    pool_recycles = counter_property("pool.recycles")
+
+    @property
+    def pool_reuses(self) -> int:
+        """Pool rounds served without paying pool construction."""
+        counters = self.metrics.get("counters", {})
+        return max(counters.get("pool.rounds", 0) - self.pools_created, 0)
 
     def summary(self) -> str:
         """One-line human-readable batch summary."""
@@ -138,14 +147,17 @@ def run_quest_batch(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
+    registry = MetricsRegistry()
     cache = None
     if config.store_dir is not None:
-        cache = PoolCache(
-            config.store_dir,
-            fault_injector=fault_injector,
-            max_entries=config.cache_max_entries,
-            namespace=config.namespace,
-        )
+        # Opening the store sweeps orphans, which it counts.
+        with use_metrics(registry):
+            cache = PoolCache(
+                config.store_dir,
+                fault_injector=fault_injector,
+                max_entries=config.cache_max_entries,
+                namespace=config.namespace,
+            )
     worker_pool = (
         PersistentWorkerPool(config.workers) if config.workers > 1 else None
     )
@@ -183,40 +195,13 @@ def run_quest_batch(
                 worker_pool.shutdown()
     wall = time.perf_counter() - start
 
-    batch = BatchResult(results=results, wall_seconds=wall)
-    merged = MetricsRegistry()
+    # Input order keeps the merged gauges and float sums deterministic.
     for result in results:
-        batch.dedup_joins += result.dedup_joins
-        batch.cache_hits += result.cache_hits
-        batch.cache_misses += result.cache_misses
-        if result.metrics:
-            merged.merge(result.metrics)
-    batch.inflight_joins = resources.inflight.joins
-    if worker_pool is not None:
-        batch.pools_created = worker_pool.pools_created
-        batch.pool_recycles = worker_pool.recycles
-        batch.pool_reuses = worker_pool.reuses
-    # Fold the batch-level aggregates into the merged snapshot so a
-    # ``--metrics-json`` dump is self-contained even when the caller has
-    # no ambient metrics registry installed.
-    merged.merge(
-        {
-            "counters": {
-                "batch.circuits": len(circuits),
-                "batch.dedup_joins": batch.dedup_joins,
-                "batch.inflight_joins": batch.inflight_joins,
-                # Must be 0: a nonzero value means a joiner timed out on
-                # an owner that never published, failed, or released.
-                "registry.stranded_joiners": resources.inflight.stranded_joiners,
-            },
-            "gauges": {"batch.pool_reuses": batch.pool_reuses},
-        }
+        registry.merge(result.metrics)
+    batch = BatchResult(
+        results=results, wall_seconds=wall, metrics=registry.snapshot()
     )
-    batch.metrics = merged.snapshot()
-    metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.inc("batch.circuits", len(circuits))
-        metrics.inc("batch.dedup_joins", batch.dedup_joins)
-        metrics.inc("batch.inflight_joins", batch.inflight_joins)
-        metrics.gauge("batch.pool_reuses", batch.pool_reuses)
+    enclosing = get_metrics()
+    if enclosing.is_enabled:
+        enclosing.merge(batch.metrics)
     return batch

@@ -24,7 +24,9 @@ block would synthesize twice.  The registry closes that window:
 Resolved entries are retained for the registry's lifetime, so a batch
 or daemon synthesizes each unique key once, with or without a store.
 They are never evicted: a daemon's registry grows with the distinct
-keys it has resolved.
+keys it has resolved.  The registry keeps no tallies: joins and
+stranded joiners are counted into the ambient metrics registry as
+``dedup.inflight_joins`` and ``registry.stranded_joiners``.
 """
 
 from __future__ import annotations
@@ -67,13 +69,6 @@ class InflightRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[object | None, InflightEntry]] = {}
-        #: Keys resolved through the registry (lifetime counters).
-        self.published = 0
-        self.joins = 0
-        #: Joiners whose wait timed out with the entry still unresolved
-        #: and unreleased — an owner went missing without its ``finally``
-        #: release firing.  Must stay 0; batch/service suites assert it.
-        self.stranded_joiners = 0
 
     def claim(self, key: str, owner: object) -> InflightEntry | None:
         """Claim ``key`` for ``owner``; ``None`` means the caller owns it.
@@ -90,7 +85,6 @@ class InflightRegistry:
                 # Re-claim across retry rounds: still ours to resolve.
                 return None
             entry = held[1]
-            self.joins += 1
         metrics = get_metrics()
         if metrics.is_enabled:
             metrics.inc("dedup.inflight_joins")
@@ -117,7 +111,6 @@ class InflightRegistry:
             # Resolved entries no longer need an owner: nothing will
             # release them, and release(owner) must not drop them.
             self._entries[key] = (None, entry)
-            self.published += 1
         entry.event.set()
 
     def release(self, owner: object) -> None:
@@ -147,15 +140,12 @@ class InflightRegistry:
         Returns True iff a publishable result landed.  A wait that
         *times out* with the entry still unresolved means the owner
         vanished without releasing — the invariant the owner-token
-        ``finally`` exists to prevent — so it is counted in
-        :attr:`stranded_joiners` and mirrored to the ambient metrics as
+        ``finally`` exists to prevent — so it is counted as
         ``registry.stranded_joiners``; test suites assert the counter
         stays 0.
         """
         ok = entry.wait(timeout)
         if not ok and not entry.event.is_set():
-            with self._lock:
-                self.stranded_joiners += 1
             metrics = get_metrics()
             if metrics.is_enabled:
                 metrics.inc("registry.stranded_joiners")

@@ -500,13 +500,8 @@ def _service_status_main(argv: list[str]) -> int:
             print(f"  rejected {reason}: {count}")
         store = status.get("store", {})
         for namespace, info in sorted(store.get("namespaces", {}).items()):
-            print(
-                f"  store {namespace}: hits={info.get('hits', 0)} "
-                f"misses={info.get('misses', 0)} "
-                f"disk_hits={info.get('disk_hits', 0)} "
-                f"evictions={info.get('evictions', 0)} "
-                f"corrupt={info.get('corrupt_entries', 0)}"
-            )
+            counts = " ".join(f"{name}={value}" for name, value in info.items())
+            print(f"  store {namespace}: {counts}")
     return 0 if status.get("ready") else 1
 
 

@@ -30,6 +30,7 @@ from repro.core.pool import BlockPool
 from repro.exceptions import SelectionError
 from repro.observability import (
     MetricsRegistry,
+    counter_property,
     get_metrics,
     get_tracer,
     use_metrics,
@@ -119,7 +120,8 @@ class QuestTimings:
 
     partition_seconds: float = 0.0
     synthesis_seconds: float = 0.0
-    annealing_seconds: float = 0.0
+    #: Wall time of the selection phase (Fig. 12's "annealing" bar).
+    selection_seconds: float = 0.0
     #: Per-block synthesis seconds measured inside the worker; 0.0 for
     #: trivial blocks and cache hits.  With ``workers > 1`` the entries
     #: overlap in wall time, so their sum can exceed ``synthesis_seconds``.
@@ -136,17 +138,6 @@ class QuestTimings:
     certify_seconds: float = 0.0
 
     @property
-    def selection_seconds(self) -> float:
-        """Wall time of the selection phase (Fig. 12's "annealing" bar).
-
-        Alias for ``annealing_seconds``: since the exhaustive batched
-        path can replace the annealer entirely, "selection" is the
-        accurate name for the phase; the original field is kept for
-        backward compatibility.
-        """
-        return self.annealing_seconds
-
-    @property
     def total_seconds(self) -> float:
         """Total pipeline time.
 
@@ -157,7 +148,7 @@ class QuestTimings:
         return (
             self.partition_seconds
             + self.synthesis_seconds
-            + self.annealing_seconds
+            + self.selection_seconds
         )
 
 
@@ -173,24 +164,12 @@ class QuestResult:
     circuits: list[Circuit] = field(default_factory=list)
     threshold: float = 0.0
     timings: QuestTimings = field(default_factory=QuestTimings)
-    #: Blocks planned without a synthesis job (within-run repeats and
-    #: store hits, which include every block a killed run published
-    #: before it died) vs. synthesis jobs planned.
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Indices of blocks that fell back to their exact singleton pool
     #: because synthesis failed or exceeded the hard time budget.
     synthesis_fallbacks: list[int] = field(default_factory=list)
     #: Structured log of every failed synthesis attempt (block index,
     #: attempt, failure kind, exception text); empty on a clean run.
     failure_log: list[FailureRecord] = field(default_factory=list)
-    #: Synthesis attempts beyond each block's first (retry count).
-    retries: int = 0
-    #: Planned jobs served by another run's result through the shared
-    #: in-flight registry (batch and daemon runs), in flight or resolved.
-    dedup_joins: int = 0
-    #: Store entries that existed but failed integrity checks.
-    cache_corrupt_entries: int = 0
     #: Snapshot of the run's metrics registry (counters / gauges /
     #: histograms; see :mod:`repro.observability.metrics`), dumped by the
     #: CLI via ``--metrics-json``.
@@ -199,6 +178,19 @@ class QuestResult:
     #: (same order as ``circuits``); populated only when
     #: ``QuestConfig.certify`` is set.
     certifications: list[CertificationReport] = field(default_factory=list)
+
+    #: Read-only views of ``metrics``, the run's one record of counts:
+    #: blocks planned without a synthesis job (within-run repeats and
+    #: store hits, which include every block a killed run published) vs.
+    #: jobs planned, attempts beyond each block's first, planned jobs
+    #: another run's result served through the shared in-flight
+    #: registry, and store entries this run loaded that failed
+    #: integrity checks.
+    cache_hits = counter_property("cache.hit")
+    cache_misses = counter_property("cache.miss")
+    retries = counter_property("retry.attempts")
+    dedup_joins = counter_property("dedup.hits")
+    cache_corrupt_entries = counter_property("cache.corrupt_entries")
 
     @property
     def original_cnot_count(self) -> int:
@@ -356,7 +348,6 @@ def run_quest(
     *,
     fault_injector=None,
     tracer=None,
-    metrics=None,
     shared=None,
 ) -> QuestResult:
     """Run the full QUEST pipeline on ``circuit``.
@@ -377,8 +368,9 @@ def run_quest(
     ambient tracer, usually disabled) receives a span per pipeline
     phase plus the inner synthesis/selection events; tracing never
     touches an RNG, so results are bit-identical with it on or off.
-    ``metrics`` (default: a fresh per-run registry) accumulates the run
-    counters snapshotted into ``QuestResult.metrics``.
+    The run counts into a fresh metrics registry, snapshotted into
+    ``QuestResult.metrics`` and, raised or not, merged into an enabled
+    ambient registry.
 
     ``shared`` optionally carries batch-scoped resources (duck-typed:
     any object with ``cache`` / ``worker_pool`` / ``inflight``
@@ -390,19 +382,23 @@ def run_quest(
     """
     config = config or QuestConfig()
     tracer = tracer if tracer is not None else get_tracer()
-    if metrics is None:
-        ambient = get_metrics()
-        metrics = ambient if ambient.is_enabled else MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
-        with tracer.span(
-            "quest.run",
-            qubits=circuit.num_qubits,
-            workers=config.workers,
-        ):
-            result = _run_pipeline(
-                circuit, config, fault_injector, tracer, metrics, shared
-            )
-    result.metrics = metrics.snapshot()
+    enclosing = get_metrics()
+    metrics = MetricsRegistry()
+    try:
+        with use_tracer(tracer), use_metrics(metrics):
+            with tracer.span(
+                "quest.run",
+                qubits=circuit.num_qubits,
+                workers=config.workers,
+            ):
+                result = _run_pipeline(
+                    circuit, config, fault_injector, tracer, metrics, shared
+                )
+    finally:
+        snapshot = metrics.snapshot()
+        if enclosing.is_enabled:
+            enclosing.merge(snapshot)
+    result.metrics = snapshot
     return result
 
 
@@ -457,13 +453,8 @@ def _run_pipeline(
         result.pools, synthesis_stats = executor.run(
             result.blocks, config, block_seeds
         )
-    result.cache_hits = synthesis_stats.cache_hits
-    result.cache_misses = synthesis_stats.cache_misses
     result.synthesis_fallbacks = synthesis_stats.fallback_blocks
     result.failure_log = synthesis_stats.failure_log
-    result.retries = synthesis_stats.retries
-    result.dedup_joins = synthesis_stats.dedup_joins
-    result.cache_corrupt_entries = synthesis_stats.cache_corrupt_entries
     result.timings.block_synthesis_seconds = synthesis_stats.block_seconds
     result.timings.synthesis_seconds = time.perf_counter() - start
 
@@ -482,7 +473,7 @@ def _run_pipeline(
             maxiter=config.annealing_maxiter,
             seed=int(rng.integers(2**31 - 1)),
         )
-    result.timings.annealing_seconds = time.perf_counter() - start
+    result.timings.selection_seconds = time.perf_counter() - start
 
     with tracer.span("quest.stitch", circuits=result.selection.num_selected):
         for choice in result.selection.choices:

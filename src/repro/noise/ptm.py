@@ -204,19 +204,19 @@ class PtmCache:
     fingerprint of the attached Pauli channel.  Every miss is validated
     (trace preservation + complete positivity) before it is stored, so
     nothing unphysical can enter the evolution loop, cached or not.
+    Lookups count as ``ptm.compile_cache_hits`` and
+    ``ptm.compile_cache_misses`` in the ambient metrics registry.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple, np.ndarray] = {}
         self._programs: dict[tuple, PtmProgram] = {}
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (counters survive; they describe the run)."""
+        """Drop every entry."""
         self._entries.clear()
         self._programs.clear()
 
@@ -237,11 +237,9 @@ class PtmCache:
         metrics = get_metrics()
         entry = self._entries.get(key)
         if entry is not None:
-            self.hits += 1
             if metrics.is_enabled:
                 metrics.inc("ptm.compile_cache_hits")
             return entry
-        self.misses += 1
         if metrics.is_enabled:
             metrics.inc("ptm.compile_cache_misses")
         entry = build()

@@ -21,6 +21,7 @@ from repro.observability.metrics import (
     NULL_METRICS,
     MetricsRegistry,
     NullMetrics,
+    counter_property,
     get_metrics,
     use_metrics,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
+    "counter_property",
     "get_metrics",
     "use_metrics",
     "configure_logging",

@@ -9,9 +9,12 @@ A :class:`MetricsRegistry` accumulates three shapes of telemetry:
 * **histograms** (``observe``) — streaming summaries (count / sum /
   min / max) of a distribution, e.g. ``synthesis.pool_size``.
 
-:func:`repro.core.quest.run_quest` creates one registry per run (or
-adopts the ambient one installed with :func:`use_metrics`), snapshots it
-into ``QuestResult.metrics``, and the CLI dumps the same snapshot via
+The registry is the only place a count lives: components increment the
+ambient one (see :func:`use_metrics`) and keep no tallies, so a count
+made outside any registry is dropped.  :func:`repro.core.quest.run_quest`
+counts every run into a fresh registry, snapshots it into
+``QuestResult.metrics`` and merges it into the enclosing registry when
+the run ends, raised or not.  The CLI dumps the same snapshot via
 ``--metrics-json``.  Worker processes accumulate into their own registry
 and return ``snapshot()`` with the synthesis payload; the parent folds
 it in with :meth:`MetricsRegistry.merge`.
@@ -133,6 +136,16 @@ class NullMetrics:
 
 
 NULL_METRICS = NullMetrics()
+
+
+def counter_property(name: str) -> property:
+    """Read-only attribute: counter ``name`` of the ``self.metrics``
+    snapshot, 0 when absent."""
+    return property(
+        lambda self: self.metrics.get("counters", {}).get(name, 0),
+        doc=f"The ``{name}`` counter of ``metrics`` (read-only).",
+    )
+
 
 #: The ambient registry; :data:`NULL_METRICS` unless a run installs one.
 _CURRENT_METRICS: ContextVar = ContextVar("repro_metrics", default=NULL_METRICS)

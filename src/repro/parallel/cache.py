@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import threading
 
 import numpy as np
 
@@ -101,10 +100,10 @@ class PoolCache:
 
     Wraps one :class:`~repro.store.ArtifactStore` namespace — adopted
     from the caller (service replicas share per-tenant stores) or built
-    over ``store_dir`` — and owns the entry envelope and the probe
-    counters.  ``hits``/``misses`` count :meth:`get` probes for the
-    lifetime of the instance; the store's own counters (raw loads,
-    publishes, evictions) live on :attr:`store`.
+    over ``store_dir`` — and owns the entry envelope.  It keeps no
+    counters: a stored entry failing its integrity checks counts as
+    ``cache.corrupt_entries`` in the ambient metrics registry, and the
+    store counts its raw loads, publishes and evictions there too.
     """
 
     def __init__(
@@ -130,35 +129,17 @@ class PoolCache:
                 **kwargs,
             )
         self.store = store
-        # Several executors may share one cache in batch/service mode;
-        # the lock covers every counter.
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        #: Entries that existed but failed an integrity check (checksum,
-        #: key, payload type, or unpicklable bytes).  Stale format
-        #: versions and missing files are plain misses, not corruption.
-        self.corrupt_entries = 0
         #: Optional :class:`repro.resilience.faults.FaultInjector` whose
         #: ``flip-cache`` faults corrupt entries after publish (tests/CI).
         self.fault_injector = fault_injector
 
-    @property
-    def evictions(self) -> int:
-        """Entries evicted to honour the store quota."""
-        return self.store.evictions
-
     def get(self, key: str) -> list[SynthesisSolution] | None:
         """Return the stored solutions for ``key``, or None on a miss."""
         solutions = self._load(key)
-        with self._lock:
-            if solutions is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-        # LRU refresh: a hit keeps the entry young so eviction targets
-        # genuinely cold keys.
-        self.store.touch(key)
+        if solutions is not None:
+            # LRU refresh: a hit keeps the entry young so eviction
+            # targets genuinely cold keys.
+            self.store.touch(key)
         return solutions
 
     def put(self, key: str, solutions: list[SynthesisSolution]) -> None:
@@ -212,11 +193,10 @@ class PoolCache:
             IndexError,
             OverflowError,
         ):
-            # Corrupt entry: count it (under the lock — batch/service
-            # substrates probe one cache from many threads) and
-            # recompute.  The next put() overwrites the bad file.
-            with self._lock:
-                self.corrupt_entries += 1
+            # Corrupt entry (a failed checksum, key or payload check, or
+            # unpicklable bytes): count it and recompute.  Stale format
+            # versions and missing files are plain misses, not
+            # corruption.  The next put() overwrites the bad file.
             tracer = get_tracer()
             if tracer.is_enabled:
                 tracer.event("cache.corrupt_entry", key=key)

@@ -227,32 +227,21 @@ def assemble_pool(
 
 @dataclass
 class BlockSynthesisStats:
-    """What the executor did, for the run's telemetry.
+    """Per-block records of what the executor did.
 
-    ``cache_hits`` counts blocks planned without a synthesis job:
-    within-run repeats and store hits, including the blocks a killed run
-    published before it died.  ``cache_misses`` counts the jobs planned;
-    a job another run of a batch or daemon resolves is also counted in
-    ``dedup_joins``.  Trivial (1-qubit / CNOT-free) blocks count as
-    neither.
+    Counts go to the ambient metrics registry only: ``cache.hit`` per
+    block planned without a synthesis job (a within-run repeat or a
+    store hit), ``cache.miss`` per job planned, ``dedup.hits`` per job
+    another run of a batch or daemon resolved, ``retry.attempts`` per
+    attempt beyond a block's first, and ``pool.rounds`` per process-pool
+    round.  Trivial (1-qubit / CNOT-free) blocks count as neither.
     """
 
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Indices of blocks downgraded to their exact-block fallback pool.
     fallback_blocks: list[int] = field(default_factory=list)
     #: Per-block synthesis seconds, measured inside the worker; 0.0 for
     #: trivial blocks and cache/repeat hits.
     block_seconds: list[float] = field(default_factory=list)
-    #: Synthesis attempts beyond each block's first, across the run.
-    retries: int = 0
-    #: Jobs served by another run's result instead of being dispatched:
-    #: joins against a shared
-    #: :class:`~repro.batch.workqueue.InflightRegistry`, in flight or
-    #: already resolved (batch and daemon runs).
-    dedup_joins: int = 0
-    #: Store entries that existed but failed integrity checks.
-    cache_corrupt_entries: int = 0
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
 
@@ -375,17 +364,9 @@ class BlockSynthesisExecutor:
             ),
             stats=BlockSynthesisStats(block_seconds=[0.0] * len(blocks)),
         )
-        cache_corrupt_before = (
-            self.cache.corrupt_entries if self.cache is not None else 0
-        )
         plans = self._plan(state, blocks, seeds)
         self._dispatch(state)
-        pools = self._assemble(state, blocks, plans)
-        if self.cache is not None:
-            state.stats.cache_corrupt_entries = (
-                self.cache.corrupt_entries - cache_corrupt_before
-            )
-        return pools, state.stats
+        return self._assemble(state, blocks, plans), state.stats
 
     # ------------------------------------------------------------------
     # Plan
@@ -398,7 +379,7 @@ class BlockSynthesisExecutor:
         Seeds are canonicalized per content key, so repeats of a block
         share its entry key.  A key planned before is a within-run
         repeat and a key the store holds a valid entry for is a store
-        hit; both count as cache hits.
+        hit; both count as ``cache.hit``.
         """
         tracer = get_tracer()
         metrics = get_metrics()
@@ -416,7 +397,7 @@ class BlockSynthesisExecutor:
             key = entry_key(content, seed)
             plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
             if key in state.resolved or key in state.jobs:
-                state.stats.cache_hits += 1  # within-run repeat
+                # A within-run repeat.
                 if tracer.is_enabled:
                     tracer.event("cache.hit", block=index, source="run")
                 if metrics.is_enabled:
@@ -425,7 +406,6 @@ class BlockSynthesisExecutor:
             if self._cache_hit(state, index, block, key):
                 continue
             state.jobs[key] = (index, block, seed)
-            state.stats.cache_misses += 1
             if metrics.is_enabled:
                 metrics.inc("cache.miss")
         return plans
@@ -451,7 +431,6 @@ class BlockSynthesisExecutor:
             )
             return False
         state.resolved[key] = cached
-        state.stats.cache_hits += 1
         tracer = get_tracer()
         if tracer.is_enabled:
             tracer.event("cache.hit", block=index, source="disk")
@@ -489,7 +468,6 @@ class BlockSynthesisExecutor:
                 if not pending:
                     break
                 if attempt > 0:
-                    state.stats.retries += len(pending)
                     if metrics.is_enabled:
                         metrics.inc("retry.attempts", len(pending))
                     if tracer.is_enabled:
@@ -562,8 +540,10 @@ class BlockSynthesisExecutor:
         """
         # Workers ship telemetry home only when the parent records it;
         # disabled runs pay nothing.
-        observed = get_tracer().is_enabled or get_metrics().is_enabled
-        state.pool.begin_round()
+        metrics = get_metrics()
+        observed = get_tracer().is_enabled or metrics.is_enabled
+        if metrics.is_enabled:
+            metrics.inc("pool.rounds")
         futures = {
             key: state.pool.submit(
                 _attempt_task, state.task, self.fault_injector, observed,
@@ -670,7 +650,6 @@ class BlockSynthesisExecutor:
                 # may have filled another tenant's namespace.
                 if self.cache is not None:
                     self.cache.put(key, entry.solutions)
-                state.stats.dedup_joins += 1
                 if tracer.is_enabled:
                     tracer.event("dedup.adopt", block=job[0])
                 if metrics.is_enabled:

@@ -25,7 +25,9 @@ one.  A truly hung worker's process is abandoned, never awaited — the
 same policy the per-round pools always had.
 
 Thread safety: all state transitions take a lock, so the batch driver's
-circuit threads can share one instance.
+circuit threads can share one instance.  The pool keeps no tallies: it
+counts ``pool.created`` and ``pool.recycles`` into the ambient metrics
+registry, and the executor counts ``pool.rounds``.
 """
 
 from __future__ import annotations
@@ -62,12 +64,6 @@ class PersistentWorkerPool:
         self._pool: ProcessPoolExecutor | None = None
         self._unhealthy = False
         self._closed = False
-        #: Pools constructed over the lifetime of this manager.
-        self.pools_created = 0
-        #: Pools torn down because a round marked them unhealthy.
-        self.recycles = 0
-        #: Synthesis rounds served (a round = one ``begin_round`` call).
-        self.rounds_served = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -82,7 +78,6 @@ class PersistentWorkerPool:
             # thread) keep draining in the old pool's processes.
             self._pool.shutdown(wait=False)
             self._pool = None
-            self.recycles += 1
             metrics = get_metrics()
             if metrics.is_enabled:
                 metrics.inc("pool.recycles")
@@ -91,20 +86,10 @@ class PersistentWorkerPool:
                 max_workers=self.workers, initializer=_warm_worker
             )
             self._unhealthy = False
-            self.pools_created += 1
             metrics = get_metrics()
             if metrics.is_enabled:
                 metrics.inc("pool.created")
         return self._pool
-
-    def begin_round(self) -> None:
-        """Mark the start of a synthesis round (accounting only)."""
-        with self._lock:
-            self.rounds_served += 1
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("pool.rounds")
-                metrics.gauge("pool.reuses", self.reuses)
 
     def submit(self, fn, /, *args) -> Future:
         """Submit work to the (possibly freshly recycled) pool."""
@@ -128,14 +113,6 @@ class PersistentWorkerPool:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
                 self._pool = None
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    @property
-    def reuses(self) -> int:
-        """Rounds served without paying pool construction."""
-        return max(self.rounds_served - self.pools_created, 0)
 
     def __enter__(self) -> "PersistentWorkerPool":
         return self

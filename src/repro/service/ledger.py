@@ -6,7 +6,8 @@ JobRecord`, published atomically: write temp, flush, ``fsync``,
 ``rename``, then fsync the directory.  A SIGKILL at any instant leaves
 either the previous record or the new one, never a torn file under the
 final name; an entry that *does* fail its checksum (bit rot, a partial
-copy) is quarantined — counted, renamed aside, ignored — never trusted.
+copy) is quarantined — counted as ``ledger.quarantined`` in the ambient
+metrics registry, renamed aside, ignored — never trusted.
 
 The ledger is what makes the daemon warm-restartable:
 
@@ -73,8 +74,6 @@ class JobLedger:
     def __init__(self, directory: str | os.PathLike) -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        #: Entries that existed but failed integrity checks.
-        self.corrupt_entries = 0
 
     @property
     def directory(self) -> Path:
@@ -136,8 +135,8 @@ class JobLedger:
         return record
 
     def _quarantine(self, path: Path, exc: Exception) -> None:
-        """Count + set aside a corrupt entry so restart can proceed."""
-        self.corrupt_entries += 1
+        """Count (``ledger.quarantined``) and set aside a corrupt entry so
+        restart can proceed."""
         get_logger("service.ledger").warning(
             f"quarantining corrupt ledger entry {path.name}: {exc}"
         )

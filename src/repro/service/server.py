@@ -40,6 +40,10 @@ Robustness model (the reason this module exists):
   (``store_dir``, or ``<ledger_dir>/store``) as it lands.  A SIGKILLed
   daemon warm-restarts: pending/running jobs are re-admitted and
   resume from the store, bit-identically.
+
+The daemon's metrics registry is its one record of counts: it is the
+ambient registry around ledger recovery, namespace opening, every
+request and every job, so a job's counts reach it, failed or not.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from repro.exceptions import (
     ReproError,
     ServiceError,
 )
-from repro.observability import MetricsRegistry, get_logger
+from repro.observability import MetricsRegistry, get_logger, use_metrics
 from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.resilience.deadline import block_deadline
@@ -83,7 +87,12 @@ from repro.service.protocol import (
     rejection_to_message,
 )
 from repro.service.scheduler import FairScheduler
-from repro.store import StoreError, namespace_for_tenant, validate_namespace
+from repro.store import (
+    STORE_COUNTERS,
+    StoreError,
+    namespace_for_tenant,
+    validate_namespace,
+)
 from repro.verify.certifier import claims_for_choice, claims_to_manifest
 
 _log = get_logger("service.server")
@@ -187,7 +196,6 @@ class QuestService:
         self._job_events: dict[str, asyncio.Event] = {}
         self._next_job_number = 0
         self._active = 0
-        self._degraded_jobs = 0
         self._started_at = 0.0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
@@ -199,7 +207,8 @@ class QuestService:
             thread_name_prefix="quest-service",
         )
 
-        self._recover_ledger()
+        with use_metrics(self.metrics):
+            self._recover_ledger()
 
     # ------------------------------------------------------------------
     # Tenant namespaces
@@ -211,7 +220,7 @@ class QuestService:
         the shared store root, so tenants never observe each other's
         artifacts and one tenant's traffic cannot evict another's.
         """
-        with self._caches_lock:
+        with self._caches_lock, use_metrics(self.metrics):
             cache = self._caches.get(namespace)
             if cache is None:
                 cache = PoolCache(
@@ -409,11 +418,16 @@ class QuestService:
             "service.jobs_done" if error is None else "service.jobs_failed"
         )
         if degraded:
-            self._degraded_jobs += 1
             self.metrics.inc("service.jobs_degraded")
         self._signal_waiters(record.job_id)
 
     def _execute_job(self, record: JobRecord) -> None:
+        """Run one job under the daemon's registry (job threads do not
+        inherit the loop's context)."""
+        with use_metrics(self.metrics):
+            self._run_job(record)
+
+    def _run_job(self, record: JobRecord) -> None:
         """Run one job to a terminal state.  Never raises."""
         try:
             record.state = JOB_RUNNING
@@ -458,8 +472,6 @@ class QuestService:
                     "message": str(exc),
                 })
                 return
-            if result.metrics:
-                self.metrics.merge(result.metrics)
             payload = result_payload(result, config)
             self._finish(record, result=payload, degraded=payload["degraded"])
         except BaseException as exc:  # noqa: BLE001 - daemon must survive
@@ -505,7 +517,8 @@ class QuestService:
                 break
             try:
                 message = decode_message(line)
-                response = await self._handle_message(message)
+                with use_metrics(self.metrics):
+                    response = await self._handle_message(message)
             except ServiceError as exc:
                 response = {"type": "error", "message": str(exc)}
             writer.write(encode_message(response))
@@ -622,40 +635,23 @@ class QuestService:
             "error": record.error,
         }
 
-    def _store_status(self) -> dict:
-        """Per-namespace cache/store counters for ``service-status``.
-
-        ``hits``/``misses``/``corrupt_entries`` count entry probes
-        (``hits`` only entries that passed the integrity envelope);
-        ``disk_hits``/``disk_misses``/``evictions``/``publishes`` are
-        raw store file operations, so a nonzero ``disk_hits`` on a
-        freshly started replica means entries published by *another*
-        replica were read from the shared root.
-        """
-        with self._caches_lock:
-            caches = dict(self._caches)
-        report: dict[str, dict] = {}
-        for namespace, cache in sorted(caches.items()):
-            store_counters = cache.store.counters()
-            report[namespace] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "corrupt_entries": cache.corrupt_entries,
-                "evictions": cache.evictions,
-                "disk_hits": store_counters["hits"],
-                "disk_misses": store_counters["misses"],
-                "publishes": store_counters["publishes"],
-                "orphans_swept": store_counters["orphans_swept"],
-            }
-        return report
-
     def _handle_status(self) -> dict:
+        """The ``service-status`` digest; its counts read ``self.metrics``.
+
+        A nonzero store ``hits`` on a freshly started replica means
+        entries *another* replica published were read from the shared
+        root.
+        """
         jobs_by_state: dict[str, int] = {}
         for record in self._jobs.values():
             jobs_by_state[record.state] = jobs_by_state.get(record.state, 0) + 1
         self.metrics.gauge("service.queue_depth", self.scheduler.depth)
         for tenant, depth in self.scheduler.depths().items():
             self.metrics.gauge(f"service.queue_depth.{tenant}", depth)
+        snapshot = self.metrics.snapshot()
+        count = snapshot["counters"].get
+        with self._caches_lock:
+            namespaces = sorted(self._caches)
         return {
             "type": "status",
             "version": PROTOCOL_VERSION,
@@ -669,18 +665,24 @@ class QuestService:
             "jobs_by_state": jobs_by_state,
             "admitted": self.scheduler.admitted,
             "rejected": dict(self.scheduler.rejected),
-            "degraded_jobs": self._degraded_jobs,
+            "degraded_jobs": count("service.jobs_degraded", 0),
             "tenants": self.scheduler.tenant_summary(),
             "ledger": {
                 "directory": str(self.ledger.directory),
-                "corrupt_entries": self.ledger.corrupt_entries,
+                "corrupt_entries": count("ledger.quarantined", 0),
             },
-            "stranded_joiners": self.resources.inflight.stranded_joiners,
+            "stranded_joiners": count("registry.stranded_joiners", 0),
             "store": {
                 "root": self._store_root,
-                "namespaces": self._store_status(),
+                "namespaces": {
+                    namespace: {
+                        name: count(f"store.{name}.{namespace}", 0)
+                        for name in STORE_COUNTERS
+                    }
+                    for namespace in namespaces
+                },
             },
-            "metrics": self.metrics.snapshot(),
+            "metrics": snapshot,
         }
 
 

@@ -6,6 +6,7 @@ from repro.store.artifact import (
     DEFAULT_NAMESPACE,
     ENTRY_SUFFIX,
     SHARD_CHARS,
+    STORE_COUNTERS,
     TMP_SUFFIX,
     ArtifactStore,
     namespace_for_tenant,
@@ -19,6 +20,7 @@ __all__ = [
     "DEFAULT_NAMESPACE",
     "ENTRY_SUFFIX",
     "SHARD_CHARS",
+    "STORE_COUNTERS",
     "StoreError",
     "TMP_SUFFIX",
     "namespace_for_tenant",

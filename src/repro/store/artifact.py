@@ -47,9 +47,8 @@ Eviction approximates a *global* LRU while scanning only one shard at a
 time: the store keeps a per-shard ``(count, oldest mtime)`` table (built
 once per process, then maintained incrementally), picks the shard whose
 oldest entry is globally oldest, and scans just that shard.  All file
-I/O happens outside the store lock — the lock only guards counters and
-the shard table — so concurrent readers never stall behind an eviction
-scan.
+I/O happens outside the store lock — the lock only guards the shard
+table — so concurrent readers never stall behind an eviction scan.
 """
 
 from __future__ import annotations
@@ -81,6 +80,9 @@ ENTRY_SUFFIX = ".qpool"
 
 #: Suffix of in-flight (not yet renamed) publish temp files.
 TMP_SUFFIX = ".tmp"
+
+#: What the store counts, as ``store.<counter>.<namespace>`` metrics.
+STORE_COUNTERS = ("hits", "misses", "publishes", "evictions", "orphans_swept")
 
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -137,13 +139,11 @@ def fsync_directory(directory: str | os.PathLike) -> None:
 class ArtifactStore:
     """One namespace's sharded on-disk artifact tier.
 
-    ``hits``/``misses`` count :meth:`load` probes (a hit means a file
-    existed and was read — integrity is the caller's business),
-    ``evictions`` counts entries deleted to honour ``max_entries``, and
-    ``orphans_swept`` counts abandoned temp files removed at open.
-    All counters are instance-lifetime and also emitted as
-    ``store.{hits,misses,evictions}.<namespace>`` metrics when an
-    ambient :class:`~repro.observability.MetricsRegistry` is enabled.
+    It keeps no tallies: it counts ``store.<counter>.<namespace>``
+    (:data:`STORE_COUNTERS`) into the ambient metrics registry — load
+    ``hits`` (a file existed and was read; integrity is the caller's
+    business) and ``misses``, ``publishes``, ``evictions`` to honour
+    ``max_entries``, and ``orphans_swept`` at open.
     """
 
     def __init__(
@@ -168,14 +168,9 @@ class ArtifactStore:
         self.grace_seconds = float(grace_seconds)
         self._dir = self.root / self.namespace
         self._dir.mkdir(parents=True, exist_ok=True)
-        # The lock guards counters and the shard table only — never
-        # held across file I/O.
+        # The lock guards the shard table only — never held across file
+        # I/O.
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.publishes = 0
-        self.orphans_swept = 0
         #: shard name -> [entry count, oldest entry mtime].  Built by
         #: one full scan the first time eviction needs it, then
         #: maintained incrementally; other replicas' activity makes it
@@ -198,22 +193,10 @@ class ArtifactStore:
         return self._dir / shard_of(key) / f"{key}{ENTRY_SUFFIX}"
 
     def _count(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
+        """Count ``store.<counter>.<namespace>`` in the ambient registry."""
         metrics = get_metrics()
         if metrics.is_enabled:
             metrics.inc(f"store.{counter}.{self.namespace}", amount)
-
-    def counters(self) -> dict:
-        """Snapshot of this instance's counters (JSON-ready)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "publishes": self.publishes,
-                "orphans_swept": self.orphans_swept,
-            }
 
     # ------------------------------------------------------------------
     # Read path
@@ -271,15 +254,12 @@ class ArtifactStore:
         fsync_directory(shard_dir)
         now = time.time()
         with self._lock:
-            self.publishes += 1
             if self._meta_ready:
                 meta = self._shard_meta.setdefault(shard, [0, now])
                 if not existed:
                     meta[0] += 1
                 meta[1] = min(meta[1], now)
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc(f"store.publishes.{self.namespace}")
+        self._count("publishes")
         if self.max_entries is not None:
             self.evict()
         return True
@@ -417,20 +397,13 @@ class ArtifactStore:
                     ]
                 else:
                     self._shard_meta.pop(shard, None)
-                self.evictions += evicted
             total_evicted += evicted
             if evicted == 0:
                 # The globally-oldest shard had nothing evictable
                 # (grace window or lost races): stop for this round.
                 break
         if total_evicted:
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc(
-                    f"store.evictions.{self.namespace}", total_evicted
-                )
-                # Legacy alias kept for pre-store dashboards/tests.
-                metrics.inc("cache.evictions", total_evicted)
+            self._count("evictions", total_evicted)
             tracer = get_tracer()
             if tracer.is_enabled:
                 tracer.event(

@@ -6,12 +6,26 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
+from repro.observability import MetricsRegistry, use_metrics
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic RNG for reproducible tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def counters():
+    """Install a fresh ambient metrics registry for the test.
+
+    The registry is the only record of counts; calling the fixture's
+    value returns its counters so far.  Threads a test starts do not
+    inherit it: they must install a registry of their own.
+    """
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        yield lambda: registry.snapshot()["counters"]
 
 
 @pytest.fixture

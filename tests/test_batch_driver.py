@@ -9,14 +9,19 @@ across the whole batch.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import repro.parallel.executor as executor_module
-from repro.algorithms import qft, tfim
+from repro.algorithms import heisenberg, qft, tfim
 from repro.batch import run_quest_batch
+from repro.batch.driver import BatchResources
 from repro.batch.workqueue import InflightRegistry
 from repro.circuits.random_circuits import random_circuit
 from repro.core.quest import QuestConfig, run_quest
+from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
 
 FAST = dict(
@@ -167,6 +172,46 @@ def test_batch_reuse_validates_each_synthesized_job_once(
     assert second.dedup_joins == second.cache_misses == first.cache_misses
 
 
+def test_shared_store_corruption_counts_only_in_the_run_that_loaded_it(
+    monkeypatch, tmp_path
+):
+    """Two runs share one store, as the runs of a batch or of a daemon
+    namespace do.  Run B is parked inside its first synthesis job while
+    run A loads rotted store entries: only A reports them."""
+    run_quest(tfim(4, steps=1), QuestConfig(**FAST, store_dir=str(tmp_path)))
+    entries = list(tmp_path.rglob("*.qpool"))
+    assert entries
+    for path in entries:
+        path.write_bytes(b"rotted")
+
+    parked, release = threading.Event(), threading.Event()
+    real_task = executor_module._synthesize_solutions_task
+
+    def parking_task(block, config, seed):
+        if threading.current_thread().name.startswith("run-b"):
+            parked.set()
+            release.wait(60)
+        return real_task(block, config, seed)
+
+    monkeypatch.setattr(
+        executor_module, "_synthesize_solutions_task", parking_task
+    )
+    config = QuestConfig(**FAST, workers=1)
+    shared = BatchResources(cache=PoolCache(tmp_path))
+    with ThreadPoolExecutor(1, thread_name_prefix="run-b") as thread:
+        run_b = thread.submit(
+            run_quest, heisenberg(4, steps=1), config, shared=shared
+        )
+        assert parked.wait(60)
+        try:
+            result_a = run_quest(tfim(4, steps=1), config, shared=shared)
+        finally:
+            release.set()
+        result_b = run_b.result(timeout=120)
+    assert result_a.cache_corrupt_entries == len(entries)
+    assert result_b.cache_corrupt_entries == 0
+
+
 # ----------------------------------------------------------------------
 # Driver validation
 # ----------------------------------------------------------------------
@@ -183,7 +228,7 @@ def test_window_must_be_positive():
 # ----------------------------------------------------------------------
 # InflightRegistry unit behaviour
 # ----------------------------------------------------------------------
-def test_inflight_claim_join_publish_cycle():
+def test_inflight_claim_join_publish_cycle(counters):
     registry = InflightRegistry()
     owner, other = object(), object()
     assert registry.claim("k", owner) is None
@@ -194,7 +239,7 @@ def test_inflight_claim_join_publish_cycle():
     registry.publish("k", owner, ["solutions"])
     assert entry.wait(1.0)
     assert entry.solutions == ["solutions"]
-    assert registry.joins == 1 and registry.published == 1
+    assert counters() == {"dedup.inflight_joins": 1}
     # Resolved entries persist: later claims adopt without waiting.
     late = registry.claim("k", object())
     assert late is not None and late.resolved
@@ -208,7 +253,7 @@ def test_inflight_publish_and_release_require_ownership():
     registry.publish("k", other, ["stolen"])
     registry.release(other)
     assert not entry.event.is_set()
-    assert registry.published == 0
+    assert entry.solutions is None
 
 
 def test_inflight_release_wakes_unresolved_keeps_resolved():
@@ -224,7 +269,7 @@ def test_inflight_release_wakes_unresolved_keeps_resolved():
     assert kept is not None and kept.resolved
 
 
-def test_inflight_stale_release_cannot_evict_a_reclaimed_key():
+def test_inflight_stale_release_cannot_evict_a_reclaimed_key(counters):
     """Regression: once a key is released and re-claimed, a late
     duplicate release from the stale owner must not drop the new claim."""
     registry = InflightRegistry()
@@ -238,10 +283,10 @@ def test_inflight_stale_release_cannot_evict_a_reclaimed_key():
     registry.release(owner)
     joiner = registry.claim("k", object())
     assert joiner is not None and not joiner.event.is_set()
-    assert registry.stranded_joiners == 0
+    assert "registry.stranded_joiners" not in counters()
 
 
-def test_inflight_release_after_publish_keeps_the_result():
+def test_inflight_release_after_publish_keeps_the_result(counters):
     """Regression: publish resolves the entry and clears its owner slot,
     so late releases from the original owner cannot drop it."""
     registry = InflightRegistry()
@@ -253,10 +298,10 @@ def test_inflight_release_after_publish_keeps_the_result():
     adopted = registry.claim("k", object())
     assert adopted is not None and adopted.resolved
     assert adopted.solutions == ["s"]
-    assert registry.stranded_joiners == 0
+    assert "registry.stranded_joiners" not in counters()
 
 
-def test_inflight_double_release_is_idempotent():
+def test_inflight_double_release_is_idempotent(counters):
     registry = InflightRegistry()
     owner, other = object(), object()
     registry.claim("k", owner)
@@ -265,10 +310,10 @@ def test_inflight_double_release_is_idempotent():
     registry.release(owner)  # second shutdown pass: no-op
     assert pending.event.is_set() and not pending.ok
     assert registry.claim("k", other) is None
-    assert registry.stranded_joiners == 0
+    assert "registry.stranded_joiners" not in counters()
 
 
-def test_wait_for_counts_stranded_joiners():
+def test_wait_for_counts_stranded_joiners(counters):
     """A join that times out on an unresolved, unreleased entry is the
     invariant violation the counter exists to surface."""
     registry = InflightRegistry()
@@ -277,21 +322,21 @@ def test_wait_for_counts_stranded_joiners():
     entry = registry.claim("k", other)
     # Owner vanishes without publish or release: the joiner strands.
     assert registry.wait_for(entry, timeout=0.01) is False
-    assert registry.stranded_joiners == 1
+    assert counters()["registry.stranded_joiners"] == 1
     # A released entry is not stranded: the wait finished, just empty.
     registry.release(owner)
     assert registry.wait_for(entry, timeout=0.01) is False
-    assert registry.stranded_joiners == 1
+    assert counters()["registry.stranded_joiners"] == 1
 
 
 def test_batch_metrics_surface_zero_stranded_joiners(solo_reference):
-    """Every batch run exports registry.stranded_joiners — and it is 0."""
+    """A batch's registry.stranded_joiners is 0 (absent reads as 0)."""
     config = QuestConfig(**FAST, workers=1)
     batch = run_quest_batch(
         [tfim(4, steps=2), tfim(4, steps=2)], config, window=2
     )
     counters = batch.metrics["counters"]
-    assert counters["registry.stranded_joiners"] == 0
+    assert counters.get("registry.stranded_joiners", 0) == 0
     for got in batch.results:
         assert _signature(got) == _signature(solo_reference[0])
 
@@ -308,20 +353,14 @@ def test_pool_requires_at_least_two_workers():
         PersistentWorkerPool(1)
 
 
-def test_pool_reuse_and_recycle_accounting():
+def test_pool_reuse_and_recycle_accounting(counters):
     with PersistentWorkerPool(2) as pool:
-        pool.begin_round()
         assert pool.submit(_identity, 7).result(timeout=60) == 7
-        pool.begin_round()
         assert pool.submit(_identity, 8).result(timeout=60) == 8
-        # Second round rode the first round's pool.
-        assert pool.pools_created == 1
-        assert pool.reuses == 1
-        assert pool.recycles == 0
+        # The second submission rode the first one's pool.
+        assert counters() == {"pool.created": 1}
         pool.mark_unhealthy()
-        pool.begin_round()
         assert pool.submit(_identity, 9).result(timeout=60) == 9
-        assert pool.pools_created == 2
-        assert pool.recycles == 1
+        assert counters() == {"pool.created": 2, "pool.recycles": 1}
     with pytest.raises(RuntimeError, match="shut down"):
         pool.submit(_identity, 0)

@@ -180,26 +180,37 @@ def test_ensemble_rejects_empty_and_mixed_widths():
 # Compile cache
 
 
+def _compile_counts(registry: MetricsRegistry) -> tuple[int, int]:
+    counters = registry.snapshot()["counters"]
+    return (
+        counters.get("ptm.compile_cache_hits", 0),
+        counters.get("ptm.compile_cache_misses", 0),
+    )
+
+
 def test_compile_cache_hits_on_repeated_gates():
     cache = PtmCache()
     circuit = tfim(3, steps=3)  # Trotter layers repeat the same gates
-    program = compile_circuit(circuit, NOISE, cache)
-    assert isinstance(program, PtmProgram)
-    assert cache.misses > 0
-    assert cache.hits > cache.misses  # repeats dominate distinct gates
-    misses_before = cache.misses
-    compile_circuit(circuit, NOISE, cache)  # fully cached second pass
-    assert cache.misses == misses_before
+    with use_metrics(MetricsRegistry()) as registry:
+        program = compile_circuit(circuit, NOISE, cache)
+        assert isinstance(program, PtmProgram)
+        hits, misses = _compile_counts(registry)
+        assert misses > 0
+        assert hits > misses  # repeats dominate distinct gates
+        compile_circuit(circuit, NOISE, cache)  # fully cached second pass
+        assert _compile_counts(registry)[1] == misses
 
 
 def test_compile_cache_distinguishes_noise_models():
     cache = PtmCache()
     circuit = Circuit(1)
     circuit.h(0)
-    compile_circuit(circuit, NoiseModel.from_noise_level(0.01), cache)
-    misses = cache.misses
-    compile_circuit(circuit, NoiseModel.from_noise_level(0.05), cache)
-    assert cache.misses > misses  # different channel => different entry
+    with use_metrics(MetricsRegistry()) as registry:
+        compile_circuit(circuit, NoiseModel.from_noise_level(0.01), cache)
+        _, misses = _compile_counts(registry)
+        compile_circuit(circuit, NoiseModel.from_noise_level(0.05), cache)
+        # A different channel is a different entry.
+        assert _compile_counts(registry)[1] > misses
 
 
 def test_compile_cache_does_not_merge_nearby_gates():

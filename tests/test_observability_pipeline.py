@@ -84,6 +84,20 @@ def test_untraced_run_still_snapshots_metrics():
     assert result.metrics["counters"]["selection.rounds"] >= 1
 
 
+def test_each_run_keeps_its_own_counts_under_an_ambient_registry(counters):
+    """An enclosing registry receives every count of every run, while
+    each result's snapshot, and the counter attributes read from it,
+    hold that run's counts alone."""
+    config = QuestConfig(**CONFIG)
+    first = run_quest(_circuit(), config)
+    second = run_quest(_circuit(), config)
+    assert second.metrics == first.metrics
+    assert second.cache_misses == first.metrics["counters"]["cache.miss"] > 0
+    assert counters() == {
+        name: 2 * value for name, value in first.metrics["counters"].items()
+    }
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_selections_bit_identical_with_tracing(workers):
     config = QuestConfig(workers=workers, **CONFIG)

@@ -124,14 +124,14 @@ def test_cache_needs_exactly_one_store(tmp_path):
         PoolCache(tmp_path, store=ArtifactStore(tmp_path))
 
 
-def test_disk_roundtrip_across_instances(tmp_path):
+def test_disk_roundtrip_across_instances(tmp_path, counters):
     key = entry_key("d" * 64, 5)
     PoolCache(tmp_path).put(key, _solutions())
     fresh = PoolCache(tmp_path)
     got = fresh.get(key)
     assert got is not None
     assert got[0].circuit.cnot_count() == 1
-    assert fresh.hits == 1
+    assert counters()["store.hits.default"] == 1
 
 
 @pytest.mark.parametrize(
@@ -217,7 +217,7 @@ def test_payload_type_is_validated(tmp_path):
     assert PoolCache(tmp_path).get(key) is None
 
 
-def test_leftover_tmp_files_are_ignored(tmp_path):
+def test_leftover_tmp_files_are_ignored(tmp_path, counters):
     """An abandoned temp file from a crashed writer is not an entry,
     and once past the grace window it is swept at open."""
     key = entry_key("7" * 64, 5)
@@ -229,10 +229,10 @@ def test_leftover_tmp_files_are_ignored(tmp_path):
     cache = PoolCache(tmp_path)
     assert cache.get(key) is None
     assert not orphan.exists()
-    assert cache.store.orphans_swept == 1
+    assert counters()["store.orphans_swept.default"] == 1
 
 
-def test_young_tmp_files_survive_the_sweep(tmp_path):
+def test_young_tmp_files_survive_the_sweep(tmp_path, counters):
     """A temp file inside the grace window may belong to a live writer
     in another replica, so opening the store leaves it alone."""
     key = entry_key("8" * 64, 5)
@@ -240,9 +240,9 @@ def test_young_tmp_files_survive_the_sweep(tmp_path):
     shard_dir.mkdir(parents=True)
     live = shard_dir / f".{key[:16]}-live.tmp"
     live.write_bytes(b"mid-publish")
-    cache = PoolCache(tmp_path)
+    PoolCache(tmp_path)
     assert live.exists()
-    assert cache.store.orphans_swept == 0
+    assert "store.orphans_swept.default" not in counters()
 
 
 # ----------------------------------------------------------------------
@@ -259,23 +259,23 @@ def test_max_entries_must_be_positive(tmp_path):
         PoolCache(tmp_path, max_entries=-3)
 
 
-def test_lru_evicts_oldest_by_mtime(tmp_path):
+def test_lru_evicts_oldest_by_mtime(tmp_path, counters):
     cache = PoolCache(tmp_path, max_entries=2)
     keys = [entry_key("e" * 64, seed) for seed in range(3)]
     cache.put(keys[0], _solutions())
     cache.put(keys[1], _solutions())
-    assert cache.evictions == 0
+    assert "store.evictions.default" not in counters()
     # Pin ages so the victim choice is deterministic, then overflow.
     _age(tmp_path, keys[0], 100)
     _age(tmp_path, keys[1], 200)
     cache.put(keys[2], _solutions())
-    assert cache.evictions == 1
+    assert counters()["store.evictions.default"] == 1
     assert not _entry_path(tmp_path, keys[0]).exists()
     assert _entry_path(tmp_path, keys[1]).exists()
     assert _entry_path(tmp_path, keys[2]).exists()
 
 
-def test_lru_hit_refreshes_recency(tmp_path):
+def test_lru_hit_refreshes_recency(tmp_path, counters):
     keys = [entry_key("f" * 64, seed) for seed in range(3)]
     seeded = PoolCache(tmp_path, max_entries=2)
     seeded.put(keys[0], _solutions())
@@ -287,20 +287,20 @@ def test_lru_hit_refreshes_recency(tmp_path):
     # the coldest entry and gets evicted by the overflowing put.
     assert cache.get(keys[0]) is not None
     cache.put(keys[2], _solutions())
-    assert cache.evictions == 1
+    assert counters()["store.evictions.default"] == 1
     assert _entry_path(tmp_path, keys[0]).exists()
     assert not _entry_path(tmp_path, keys[1]).exists()
 
 
-def test_unbounded_cache_never_evicts(tmp_path):
+def test_unbounded_cache_never_evicts(tmp_path, counters):
     cache = PoolCache(tmp_path)
     for seed in range(8):
         cache.put(entry_key("b2" * 32, seed), _solutions())
-    assert cache.evictions == 0
+    assert "store.evictions.default" not in counters()
     assert len(_entries(tmp_path)) == 8
 
 
-def test_bound_survives_across_instances(tmp_path):
+def test_bound_survives_across_instances(tmp_path, counters):
     """A fresh bounded instance over a pre-populated dir enforces the cap
     on its next store (startup itself does not scan)."""
     for seed in range(4):
@@ -310,14 +310,14 @@ def test_bound_survives_across_instances(tmp_path):
     bounded = PoolCache(tmp_path, max_entries=2)
     bounded.put(entry_key("c3" * 32, 99), _solutions())
     assert len(_entries(tmp_path)) == 2
-    assert bounded.evictions == 3
+    assert counters()["store.evictions.default"] == 3
 
 
-def test_corrupt_entries_counter(tmp_path):
+def test_corrupt_entries_counter(tmp_path, counters):
     """Integrity failures are *counted*; plain misses are not.
 
-    The counter surfaces through the executor's stats as
-    ``cache_corrupt_entries`` and from there into ``QuestResult``, so a
+    The ``cache.corrupt_entries`` counter lands in the run's registry
+    and from there in ``QuestResult.cache_corrupt_entries``, so a
     rotting cache directory is visible instead of silently slow.
     """
     key = entry_key("c" * 64, 5)
@@ -326,30 +326,33 @@ def test_corrupt_entries_counter(tmp_path):
     (path,) = _entries(tmp_path)
     good = path.read_bytes()
 
+    def corrupt():
+        return counters().get("cache.corrupt_entries", 0)
+
     # Missing entry: a miss, not corruption.
     fresh = PoolCache(tmp_path)
     assert fresh.get(entry_key("d" * 64, 5)) is None
-    assert fresh.corrupt_entries == 0
+    assert corrupt() == 0
 
     # Stale format version: a miss, not corruption.
     stale = dict(pickle.loads(good), version=CACHE_VERSION + 1)
     path.write_bytes(pickle.dumps(stale))
     fresh = PoolCache(tmp_path)
     assert fresh.get(key) is None
-    assert fresh.corrupt_entries == 0
+    assert corrupt() == 0
 
     # Garbled bytes: counted.
     path.write_bytes(b"rotted")
     fresh = PoolCache(tmp_path)
     assert fresh.get(key) is None
-    assert fresh.corrupt_entries == 1
+    assert corrupt() == 1
     # Repeated probes of the same bad entry keep counting (each get()
-    # re-reads disk after the memory miss).
+    # re-reads disk).
     assert fresh.get(key) is None
-    assert fresh.corrupt_entries == 2
+    assert corrupt() == 2
 
-    # Repair by put(): the counter is a high-water history, not state.
+    # Repair by put(): a good entry loads without counting.
     path.write_bytes(good)
     fresh = PoolCache(tmp_path)
     assert fresh.get(key) is not None
-    assert fresh.corrupt_entries == 0
+    assert corrupt() == 2

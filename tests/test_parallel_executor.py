@@ -14,6 +14,7 @@ import pytest
 import repro.parallel.executor as executor_module
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig, QuestTimings, run_quest
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache
 from repro.parallel.executor import (
     BlockSynthesisExecutor,
@@ -138,14 +139,14 @@ def test_run_quest_completes_despite_universal_worker_failure(monkeypatch):
     assert timings.total_seconds == pytest.approx(
         timings.partition_seconds
         + timings.synthesis_seconds
-        + timings.annealing_seconds
+        + timings.selection_seconds
     )
 
 
 # ----------------------------------------------------------------------
 # Persistent pool reuse / recycling
 # ----------------------------------------------------------------------
-def test_retry_rounds_reuse_one_persistent_pool():
+def test_retry_rounds_reuse_one_persistent_pool(counters):
     """A plain worker exception leaves the pool healthy: the retry round
     reuses it instead of paying pool construction again."""
     blocks = _blocks()
@@ -162,13 +163,12 @@ def test_retry_rounds_reuse_one_persistent_pool():
     finally:
         pool.shutdown()
     assert stats.fallback_blocks  # the injected failure did exhaust retries
-    assert pool.rounds_served == 2
-    assert pool.pools_created == 1
-    assert pool.recycles == 0
-    assert pool.reuses == 1
+    assert counters()["pool.rounds"] == 2
+    assert counters()["pool.created"] == 1  # so 1 round reused the pool
+    assert "pool.recycles" not in counters()
 
 
-def test_hard_timeout_recycles_the_persistent_pool():
+def test_hard_timeout_recycles_the_persistent_pool(counters):
     """A hung worker marks the pool unhealthy; the next round gets a
     fresh pool rather than inheriting the occupied process."""
     blocks = _blocks()[:1]
@@ -186,9 +186,9 @@ def test_hard_timeout_recycles_the_persistent_pool():
     finally:
         pool.shutdown()
     assert stats.fallback_blocks == [0]
-    assert pool.rounds_served == 2
-    assert pool.pools_created == 2
-    assert pool.recycles == 1
+    assert counters()["pool.rounds"] == 2
+    assert counters()["pool.created"] == 2
+    assert counters()["pool.recycles"] == 1
 
 
 def test_executor_without_external_pool_owns_its_lifecycle():
@@ -210,7 +210,7 @@ def test_timings_total_reconciles_with_per_block_list():
     timings = QuestTimings(
         partition_seconds=0.5,
         synthesis_seconds=2.0,
-        annealing_seconds=1.0,
+        selection_seconds=1.0,
         block_synthesis_seconds=[0.9, 0.0, 0.8],
     )
     # The per-block entries are detail *within* synthesis_seconds, not an
@@ -226,22 +226,27 @@ def test_stats_counters_partition_the_blocks(tmp_path):
         for b in blocks
         if b.num_qubits == 1 or b.circuit.cnot_count() == 0
     )
-    pools, stats = BlockSynthesisExecutor(
-        workers=1, cache=PoolCache(tmp_path)
-    ).run(blocks, CONFIG, seeds)
-    assert stats.cache_hits + stats.cache_misses + trivial == len(blocks)
+    with use_metrics(MetricsRegistry()) as registry:
+        pools, stats = BlockSynthesisExecutor(
+            workers=1, cache=PoolCache(tmp_path)
+        ).run(blocks, CONFIG, seeds)
+    counts = registry.snapshot()["counters"]
+    hits, misses = counts["cache.hit"], counts["cache.miss"]
+    assert hits + misses + trivial == len(blocks)
     assert len(stats.block_seconds) == len(blocks)
     # Only synthesized blocks carry nonzero per-block time.
-    assert sum(1 for s in stats.block_seconds if s > 0) == stats.cache_misses
+    assert sum(1 for s in stats.block_seconds if s > 0) == misses
 
-    pools_nc, stats_nc = BlockSynthesisExecutor(workers=1).run(
-        blocks, CONFIG, seeds
-    )
+    with use_metrics(MetricsRegistry()) as registry:
+        pools_nc, _ = BlockSynthesisExecutor(workers=1).run(
+            blocks, CONFIG, seeds
+        )
+    counts_nc = registry.snapshot()["counters"]
     # Without a store, repeats still dedup to one dispatched job each
     # and count as cache hits; nothing joins without a registry.
-    assert stats_nc.cache_hits == stats.cache_hits
-    assert stats_nc.cache_misses == stats.cache_misses
-    assert stats_nc.dedup_joins == 0
+    assert counts_nc["cache.hit"] == hits
+    assert counts_nc["cache.miss"] == misses
+    assert "dedup.hits" not in counts_nc
     # With and without a store, the pools are identical.
     for a, b in zip(pools, pools_nc):
         assert a.cnot_counts().tolist() == b.cnot_counts().tolist()

@@ -27,6 +27,6 @@ def test_leap_target_cost_conversion():
 
 def test_timings_total():
     timings = QuestTimings(
-        partition_seconds=1.0, synthesis_seconds=2.0, annealing_seconds=0.5
+        partition_seconds=1.0, synthesis_seconds=2.0, selection_seconds=0.5
     )
     assert timings.total_seconds == pytest.approx(3.5)

@@ -105,7 +105,7 @@ def test_noisy_ensemble_records_timing(tfim_result):
     assert tfim_result.timings.total_seconds == pytest.approx(
         tfim_result.timings.partition_seconds
         + tfim_result.timings.synthesis_seconds
-        + tfim_result.timings.annealing_seconds
+        + tfim_result.timings.selection_seconds
     )
 
 

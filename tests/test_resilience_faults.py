@@ -19,6 +19,7 @@ from repro.circuits import Circuit
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
@@ -242,7 +243,7 @@ def test_hang_fault_honours_the_cooperative_deadline():
 # ----------------------------------------------------------------------
 # Matrix leg: hang -> cooperative timeout on the inline path
 # ----------------------------------------------------------------------
-def test_inline_hang_times_out_and_recovers_bit_identically():
+def test_inline_hang_times_out_and_recovers_bit_identically(counters):
     """Satellite (c): the inline path enforces the block time budget.
 
     A hang on attempt 0 is cut off by the cooperative deadline (no
@@ -267,7 +268,7 @@ def test_inline_hang_times_out_and_recovers_bit_identically():
     # Cut off cooperatively: nowhere near the 60s the hang would take.
     assert time.monotonic() - start < 30.0
     assert not stats.fallback_blocks
-    assert stats.retries > 0
+    assert counters()["retry.attempts"] > 0
     assert stats.failure_log
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
@@ -292,7 +293,7 @@ def test_lapsed_enclosing_deadline_ends_the_inline_run():
 
 
 @pytest.mark.slow
-def test_pool_hang_hits_the_hard_timeout_and_recovers():
+def test_pool_hang_hits_the_hard_timeout_and_recovers(counters):
     """The process-pool path bounds a hung worker via the future timeout."""
     blocks = _blocks()
     seeds = _seeds(blocks)
@@ -309,7 +310,7 @@ def test_pool_hang_hits_the_hard_timeout_and_recovers():
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
     assert not stats.fallback_blocks
-    assert stats.retries > 0
+    assert counters()["retry.attempts"] > 0
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
 
@@ -335,18 +336,22 @@ def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
 
     # Run 2 reads the poisoned tier: the checksum catches the flip, the
     # entry is counted corrupt and recomputed, results stay identical.
-    cache = PoolCache(cache_dir)
-    pools, stats = BlockSynthesisExecutor(cache=cache).run(blocks, CONFIG, seeds)
-    assert cache.corrupt_entries == 1
-    assert stats.cache_corrupt_entries == 1
+    with use_metrics(MetricsRegistry()) as registry:
+        pools, stats = BlockSynthesisExecutor(cache=PoolCache(cache_dir)).run(
+            blocks, CONFIG, seeds
+        )
+    assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 1
     assert not stats.fallback_blocks
     _pools_equal(clean_pools, pools)
 
     # Run 3: the recompute overwrote the bad file, so the tier is clean.
-    cache = PoolCache(cache_dir)
-    pools, stats = BlockSynthesisExecutor(cache=cache).run(blocks, CONFIG, seeds)
-    assert cache.corrupt_entries == 0
-    assert stats.cache_misses == 0
+    with use_metrics(MetricsRegistry()) as registry:
+        pools, _ = BlockSynthesisExecutor(cache=PoolCache(cache_dir)).run(
+            blocks, CONFIG, seeds
+        )
+    counts = registry.snapshot()["counters"]
+    assert "cache.corrupt_entries" not in counts
+    assert "cache.miss" not in counts
     _pools_equal(clean_pools, pools)
 
 
@@ -366,11 +371,12 @@ def test_wrong_width_store_entries_are_quarantined(tmp_path):
     assert keys
     for key in keys:
         cache.put(key, [_narrow_solution()])
-    warm_pools, stats = BlockSynthesisExecutor(cache=PoolCache(tmp_path)).run(
-        blocks, config, seeds
-    )
+    with use_metrics(MetricsRegistry()) as registry:
+        warm_pools, stats = BlockSynthesisExecutor(
+            cache=PoolCache(tmp_path)
+        ).run(blocks, config, seeds)
     _pools_equal(cold_pools, warm_pools)
-    assert stats.cache_misses == len(keys)
+    assert registry.snapshot()["counters"]["cache.miss"] == len(keys)
     assert stats.failure_log
     assert {record.kind for record in stats.failure_log} == {FAILURE_VALIDATION}
     assert not stats.fallback_blocks

@@ -83,7 +83,7 @@ def test_failure_record_round_trips_to_dict():
 # Executor retry flow
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
-def test_transient_raise_recovers_bit_identically(workers):
+def test_transient_raise_recovers_bit_identically(workers, counters):
     """A fault on attempt 0 reruns the same seed: results identical."""
     blocks = _blocks()
     seeds = _seeds(blocks)
@@ -99,7 +99,7 @@ def test_transient_raise_recovers_bit_identically(workers):
         fault_injector=injector,
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
-    assert stats.retries > 0
+    assert counters()["retry.attempts"] > 0
     assert not stats.fallback_blocks
     assert all(r.kind == FAILURE_EXCEPTION for r in stats.failure_log)
     assert all(r.attempt == 0 for r in stats.failure_log)
@@ -200,7 +200,7 @@ def test_exhausted_retries_still_fall_back(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
-def test_late_recovery_equals_the_clean_run(workers):
+def test_late_recovery_equals_the_clean_run(workers, counters):
     """Faults on attempts 0 and 1: attempt 2 still reruns the block seed.
 
     No attempt escalates the seed or the budget, so a block that
@@ -219,7 +219,7 @@ def test_late_recovery_equals_the_clean_run(workers):
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
     assert not stats.fallback_blocks
-    assert stats.retries > 0
+    assert counters()["retry.attempts"] > 0
     per_block = {}
     for record in stats.failure_log:
         per_block.setdefault(record.block_index, []).append(record.attempt)

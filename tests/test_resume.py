@@ -21,6 +21,7 @@ import pytest
 from repro.algorithms import heisenberg, tfim
 from repro.batch.workqueue import InflightRegistry
 from repro.core.quest import QuestConfig, run_quest
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache, content_key, entry_key
 from repro.parallel.executor import (
     BlockSynthesisExecutor,
@@ -150,15 +151,19 @@ def test_adopted_in_flight_result_is_put_in_the_joiners_store(tmp_path):
     seeds = [int(rng.integers(2**31 - 1)) for _ in blocks]
     registry = InflightRegistry()
 
-    owner_pools, owner = BlockSynthesisExecutor(
-        cache=PoolCache(tmp_path, namespace="alice"), inflight=registry
-    ).run(blocks, config, seeds)
-    joiner_pools, joiner = BlockSynthesisExecutor(
-        cache=PoolCache(tmp_path, namespace="bob"), inflight=registry
-    ).run(blocks, config, seeds)
+    with use_metrics(MetricsRegistry()) as owner_metrics:
+        owner_pools, _ = BlockSynthesisExecutor(
+            cache=PoolCache(tmp_path, namespace="alice"), inflight=registry
+        ).run(blocks, config, seeds)
+    with use_metrics(MetricsRegistry()) as joiner_metrics:
+        joiner_pools, joiner = BlockSynthesisExecutor(
+            cache=PoolCache(tmp_path, namespace="bob"), inflight=registry
+        ).run(blocks, config, seeds)
 
     # The joiner synthesized nothing: every job adopted the owner's.
-    assert joiner.dedup_joins == owner.cache_misses > 0
+    owner_misses = owner_metrics.snapshot()["counters"]["cache.miss"]
+    assert joiner_metrics.snapshot()["counters"]["dedup.hits"] == owner_misses
+    assert owner_misses > 0
     assert not joiner.failure_log
     assert set(joiner.block_seconds) == {0.0}
     assert _published(tmp_path / "bob") == _published(tmp_path / "alice")

@@ -80,9 +80,6 @@ def test_selection_counters_populated(name):
         result.selection.scalar_evaluations
         + result.selection.batched_evaluations
     )
-    assert result.timings.selection_seconds == (
-        result.timings.annealing_seconds
-    )
     summary = result.summary()
     assert "selection scored" in summary
     assert str(result.objective_evaluations) in summary

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +26,7 @@ import pytest
 
 from repro.algorithms import qft, tfim
 from repro.circuits import Circuit, circuit_to_qasm
+from repro.cli import main
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import AdmissionRejected, ServiceError
 from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
@@ -253,6 +255,9 @@ def test_deadline_lapsing_mid_synthesis_ends_the_job_expired(tmp_path):
         reply = client.wait(job_id, timeout=60.0)
         assert reply["state"] == "failed"
         assert reply["error"]["kind"] == "deadline_expired"
+        # The failed job's own counts still reach the daemon's record.
+        counters = client.status()["metrics"]["counters"]
+        assert counters["faults.injected"] >= 1
         _assert_no_stranded(client)
 
 
@@ -387,3 +392,28 @@ def test_status_reports_health_and_accounting(tmp_path):
         histograms = status["metrics"]["histograms"]
         assert "service.latency_seconds.alice" in histograms
         _assert_no_stranded(client)
+
+
+def test_service_status_cli_reads_the_daemons_counters(tmp_path, capsys):
+    """``service-status`` renders the status digest: a one-line summary
+    plus one line per opened store namespace; ``--json`` prints the
+    whole document; an unreachable daemon exits 2."""
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    with running_service(tmp_path / "ledger") as (service, client):
+        client.submit_and_wait(qasm, timeout=300.0)
+        argv = ["service-status", "--socket", service.socket_path]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "ready=True" in text
+        assert "degraded_jobs=0 stranded_joiners=0" in text
+        (store_line,) = [
+            line for line in text.splitlines() if "store default:" in line
+        ]
+        publishes = int(store_line.split("publishes=")[1].split()[0])
+        assert publishes > 0
+
+        assert main([*argv, "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["store"]["namespaces"]["default"]["publishes"] > 0
+    assert main(argv) == 2
+    assert "unreachable" in capsys.readouterr().err

@@ -7,7 +7,7 @@ driven with a duplicate-heavy workload.  The contracts:
 
 * every replica's results are bit-identical to solo ``run_quest``;
 * the second replica serves entries the first one published —
-  cross-replica ``disk_hits > 0`` — instead of re-synthesizing;
+  cross-replica store ``hits > 0`` — instead of re-synthesizing;
 * per-tenant namespaces stay isolated over the shared root, and the
   per-namespace counters surface in ``service-status``.
 """
@@ -124,11 +124,12 @@ def test_replicas_share_store_and_stay_bit_identical(
             assert _payload_signature(payload_b) == _solo_signature(
                 solo_reference
             )
-            ns_b = _default_ns(b.status())
+            status_b = b.status()
             # B never compiled this circuit before: every one of its
-            # disk hits is an entry replica A published.
-            assert ns_b["disk_hits"] > 0
-            assert ns_b["corrupt_entries"] == 0
+            # store hits is an entry replica A published.
+            assert _default_ns(status_b)["hits"] > 0
+            counters_b = status_b["metrics"]["counters"]
+            assert counters_b.get("cache.corrupt_entries", 0) == 0
 
     # The shared root holds sharded entries: <root>/<ns>/<shard>/<key>.
     entries = list(store_root.rglob(f"*{ENTRY_SUFFIX}"))
@@ -150,7 +151,7 @@ def test_store_survives_replica_restart(tmp_path, solo_reference):
         assert _payload_signature(payload) == _solo_signature(
             solo_reference
         )
-        assert _default_ns(b.status())["disk_hits"] > 0
+        assert _default_ns(b.status())["hits"] > 0
 
 
 def test_tenant_namespaces_isolated_over_shared_root(
@@ -174,7 +175,7 @@ def test_tenant_namespaces_isolated_over_shared_root(
         # so bob re-published everything rather than reading alice's.
         assert namespaces["alice"]["publishes"] > 0
         assert namespaces["bob"]["publishes"] > 0
-        assert namespaces["bob"]["disk_hits"] == 0
+        assert namespaces["bob"]["hits"] == 0
         assert (store_root / "alice").is_dir()
         assert (store_root / "bob").is_dir()
 

@@ -178,7 +178,7 @@ def test_ledger_load_all_orders_by_submission(tmp_path):
     assert [r.job_id for r in ledger.load_all()] == ["a", "b", "c"]
 
 
-def test_ledger_quarantines_corrupt_entries(tmp_path):
+def test_ledger_quarantines_corrupt_entries(tmp_path, counters):
     ledger = JobLedger(tmp_path)
     ledger.store(JobRecord(job_id="good", tenant="t", qasm="q"))
     ledger.store(JobRecord(job_id="bad", tenant="t", qasm="q"))
@@ -188,7 +188,7 @@ def test_ledger_quarantines_corrupt_entries(tmp_path):
     path.write_text(json.dumps(envelope))
     survivors = ledger.load_all()
     assert [r.job_id for r in survivors] == ["good"]
-    assert ledger.corrupt_entries == 1
+    assert counters()["ledger.quarantined"] == 1
     assert list(tmp_path.glob("*.corrupt"))
     # The quarantined entry no longer shadows the id.
     assert ledger.load("bad") is None

@@ -95,17 +95,15 @@ def test_publish_lands_in_shard_directory(tmp_path):
     assert not list(tmp_path.rglob(f"*{TMP_SUFFIX}"))
 
 
-def test_load_roundtrip_and_counters(tmp_path):
+def test_load_roundtrip_and_counters(tmp_path, counters):
     store = ArtifactStore(tmp_path)
     assert store.load(KEY_A) is None
     store.publish(KEY_A, b"blob")
     assert store.load(KEY_A) == b"blob"
-    assert store.counters() == {
-        "hits": 1,
-        "misses": 1,
-        "evictions": 0,
-        "publishes": 1,
-        "orphans_swept": 0,
+    assert counters() == {
+        "store.hits.default": 1,
+        "store.misses.default": 1,
+        "store.publishes.default": 1,
     }
 
 
@@ -122,13 +120,15 @@ def test_cross_instance_reuse(tmp_path):
     assert ArtifactStore(tmp_path).load(KEY_A) == b"persisted"
 
 
-def test_namespaces_are_isolated(tmp_path):
+def test_namespaces_are_isolated(tmp_path, counters):
     alice = ArtifactStore(tmp_path, namespace="alice")
     bob = ArtifactStore(tmp_path, namespace="bob")
     alice.publish(KEY_A, b"alice-data")
     assert bob.load(KEY_A) is None
     assert alice.load(KEY_A) == b"alice-data"
-    assert bob.misses == 1 and alice.hits == 1
+    assert counters()["store.misses.bob"] == 1
+    assert counters()["store.hits.alice"] == 1
+    assert "store.hits.bob" not in counters()
 
 
 def test_constructor_validation(tmp_path):
@@ -143,7 +143,7 @@ def test_constructor_validation(tmp_path):
 # ----------------------------------------------------------------------
 # Orphan sweep
 # ----------------------------------------------------------------------
-def test_open_sweeps_stale_orphans_only(tmp_path):
+def test_open_sweeps_stale_orphans_only(tmp_path, counters):
     store = ArtifactStore(tmp_path)
     shard_dir = store.path_for(KEY_A).parent
     shard_dir.mkdir(parents=True, exist_ok=True)
@@ -153,25 +153,25 @@ def test_open_sweeps_stale_orphans_only(tmp_path):
     fresh = shard_dir / f".{KEY_A[:16]}-fresh{TMP_SUFFIX}"
     fresh.write_bytes(b"mid-publish")
 
-    reopened = ArtifactStore(tmp_path)
+    ArtifactStore(tmp_path)
     assert not stale.exists()
     assert fresh.exists()
-    assert reopened.orphans_swept == 1
+    assert counters()["store.orphans_swept.default"] == 1
 
 
-def test_sweep_never_touches_entries(tmp_path):
+def test_sweep_never_touches_entries(tmp_path, counters):
     store = ArtifactStore(tmp_path)
     store.publish(KEY_A, b"entry")
     _age(store, KEY_A, 100)  # far older than any grace window
     reopened = ArtifactStore(tmp_path)
     assert reopened.load(KEY_A) == b"entry"
-    assert reopened.orphans_swept == 0
+    assert "store.orphans_swept.default" not in counters()
 
 
 # ----------------------------------------------------------------------
 # Quota eviction
 # ----------------------------------------------------------------------
-def test_eviction_respects_grace_window(tmp_path):
+def test_eviction_respects_grace_window(tmp_path, counters):
     """Freshly published entries are never evicted, even over quota."""
     store = ArtifactStore(tmp_path, max_entries=1)
     store.publish(KEY_A, b"one")
@@ -179,7 +179,7 @@ def test_eviction_respects_grace_window(tmp_path):
     # Both entries are younger than the grace window: the bound is
     # allowed to overshoot rather than delete what a concurrent
     # replica may be mid-publish on.
-    assert store.evictions == 0
+    assert "store.evictions.default" not in counters()
     assert store.load(KEY_A) == b"one"
     assert store.load(KEY_B) == b"two"
 
@@ -222,7 +222,7 @@ def test_unbounded_store_never_evicts(tmp_path):
     assert store.entry_count() == 6
 
 
-def test_quota_is_per_namespace(tmp_path):
+def test_quota_is_per_namespace(tmp_path, counters):
     """One tenant filling its quota cannot evict another's entries."""
     bob = ArtifactStore(tmp_path, namespace="bob", max_entries=1)
     bob.publish(KEY_B, b"bob-data")
@@ -235,7 +235,8 @@ def test_quota_is_per_namespace(tmp_path):
     alice = ArtifactStore(tmp_path, namespace="alice", max_entries=1)
     assert alice.evict() == 2
     assert bob.load(KEY_B) == b"bob-data"
-    assert bob.evictions == 0
+    assert counters()["store.evictions.alice"] == 2
+    assert "store.evictions.bob" not in counters()
 
 
 def test_entry_count_tracks_disk(tmp_path):

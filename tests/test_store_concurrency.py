@@ -4,8 +4,9 @@ Each test here pins a concurrency bug class the flat ``PoolCache`` disk
 tier had (or could have had) when batch/service substrates hammer one
 cache from many threads:
 
-* the ``corrupt_entries`` counter was incremented outside the cache
-  lock, so concurrent corrupt loads could lose increments;
+* the corrupt-entry counter was incremented outside the cache lock, so
+  concurrent corrupt loads could lose increments (every count now goes
+  through the metrics registry's lock);
 * the publish temp name was ``<key>.tmp.<pid>`` — unique per *process*,
   not per writer — so two threads of one daemon publishing the same key
   clobbered each other's half-written temp file;
@@ -21,6 +22,7 @@ import threading
 import pytest
 
 from repro.circuits import Circuit
+from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache, entry_key
 from repro.store import ArtifactStore
 from repro.synthesis.leap import SynthesisSolution
@@ -36,15 +38,20 @@ def _solutions(cnots: int = 1) -> list[SynthesisSolution]:
     ]
 
 
-def _run_threads(workers):
-    """Start ``workers`` near-simultaneously; re-raise their failures."""
+def _run_threads(workers, metrics=None):
+    """Start ``workers`` near-simultaneously; re-raise their failures.
+
+    Each thread counts into ``metrics``: threads do not inherit the
+    ambient registry, so the registry is installed inside each one.
+    """
     barrier = threading.Barrier(len(workers))
     errors: list[BaseException] = []
 
     def runner(work):
         barrier.wait()
         try:
-            work()
+            with use_metrics(metrics):
+                work()
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
 
@@ -60,7 +67,7 @@ def _run_threads(workers):
 
 
 def test_corrupt_entry_counter_is_exact_under_threads(tmp_path):
-    """Regression: ``corrupt_entries += 1`` must happen under the lock.
+    """Regression: every corrupt load is counted under a lock.
 
     16 threads each probe a distinct corrupt disk entry once; without
     the lock, concurrent read-modify-write cycles lose increments and
@@ -74,14 +81,18 @@ def test_corrupt_entry_counter_is_exact_under_threads(tmp_path):
         cache.store.path_for(key).write_bytes(b"rotted")
 
     fresh = PoolCache(tmp_path)
-    _run_threads(
-        [lambda key=key: fresh.get(key) for key in keys]
-    )
-    assert fresh.corrupt_entries == threads
-    assert fresh.misses == threads
+
+    def probe(key):
+        assert fresh.get(key) is None
+
+    registry = MetricsRegistry()
+    _run_threads([lambda key=key: probe(key) for key in keys], registry)
+    counters = registry.snapshot()["counters"]
+    assert counters["cache.corrupt_entries"] == threads
+    assert counters["store.hits.default"] == threads
 
 
-def test_same_key_put_storm_single_process(tmp_path):
+def test_same_key_put_storm_single_process(tmp_path, counters):
     """Regression: publish temp files must be unique per *writer*.
 
     With the old ``<key>.tmp.<pid>`` naming, every thread of one process
@@ -102,7 +113,7 @@ def test_same_key_put_storm_single_process(tmp_path):
     got = fresh.get(key)
     assert got is not None, "published entry failed integrity checks"
     assert got[0].cnot_count in range(1, 13)
-    assert fresh.corrupt_entries == 0
+    assert "cache.corrupt_entries" not in counters()
     # No temp litter left behind by the storm.
     assert not list(tmp_path.rglob("*.tmp"))
 
@@ -120,15 +131,15 @@ def test_put_storm_with_concurrent_readers(tmp_path):
             got = mine.get(key)
             if got is not None and not got[0].circuit.num_qubits == 2:
                 torn.append(got)
-        if mine.corrupt_entries:
-            torn.append(f"{mine.corrupt_entries} corrupt loads")
 
     workers = [
         lambda n=n: writer_cache.put(key, _solutions(cnots=n + 1))
         for n in range(8)
     ] + [read_loop for _ in range(4)]
-    _run_threads(workers)
+    registry = MetricsRegistry()
+    _run_threads(workers, registry)
     assert not torn
+    assert "cache.corrupt_entries" not in registry.snapshot()["counters"]
 
 
 def test_put_vs_evict_race(tmp_path):
@@ -145,15 +156,17 @@ def test_put_vs_evict_race(tmp_path):
         for _ in range(20):
             store.evict()
 
+    registry = MetricsRegistry()
     _run_threads(
         [
             lambda: publisher(keys[:12]),
             lambda: publisher(keys[12:]),
             evictor,
-        ]
+        ],
+        registry,
     )
     # Every key is within the grace window, so nothing was evictable.
-    assert store.evictions == 0
+    assert "store.evictions.default" not in registry.snapshot()["counters"]
     for key in keys:
         assert store.load(key) == b"payload-" + key.encode()
 
@@ -173,14 +186,17 @@ def test_hits_plus_misses_equals_gets_under_threads(tmp_path):
             got = cache.get(key)
             assert (got is not None) == expect_hit
 
+    registry = MetricsRegistry()
     _run_threads(
         [lambda k=k: prober(k, True) for k in present]
-        + [lambda k=k: prober(k, False) for k in absent]
+        + [lambda k=k: prober(k, False) for k in absent],
+        registry,
     )
-    total_gets = (len(present) + len(absent)) * rounds
-    assert cache.hits == len(present) * rounds
-    assert cache.misses == len(absent) * rounds
-    assert cache.hits + cache.misses == total_gets
+    counters = registry.snapshot()["counters"]
+    hits, misses = counters["store.hits.default"], counters["store.misses.default"]
+    assert hits == len(present) * rounds
+    assert misses == len(absent) * rounds
+    assert hits + misses == (len(present) + len(absent)) * rounds
 
 
 def test_concurrent_corrupt_storm_then_repair(tmp_path):
@@ -199,13 +215,15 @@ def test_concurrent_corrupt_storm_then_repair(tmp_path):
         for _ in range(probes):
             assert shared.get(key) is None
 
-    _run_threads([prober for _ in range(4)])
-    assert shared.corrupt_entries == 4 * probes
+    registry = MetricsRegistry()
+    _run_threads([prober for _ in range(4)], registry)
+    assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 4 * probes
 
     shared.put(key, _solutions())
     repaired = PoolCache(tmp_path)
-    assert repaired.get(key) is not None
-    assert repaired.corrupt_entries == 0
+    with use_metrics(registry):
+        assert repaired.get(key) is not None
+    assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 4 * probes
 
 
 def test_eviction_scan_does_not_block_readers(tmp_path):
