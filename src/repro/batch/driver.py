@@ -19,7 +19,10 @@ circuit *i+1* overlaps the parent-side selection/annealing of circuit
 *i* while memory stays bounded.  Each circuit still runs the full,
 unchanged pipeline: per-circuit selections are **bit-identical** to
 running that circuit alone, because every shared result is keyed by the
-content-addressed entry key that pins the synthesis seed.
+content-addressed entry key that pins the synthesis seed.  Pool threads
+do not inherit context variables, so each run is handed the caller's
+tracer (a trace keeps every circuit's spans), while each run counts
+into its own registry and the batch merges them in input order.
 
 With ``config.store_dir``, every block is published to the store as its
 job lands; a killed batch rerun over the same store finds every block
@@ -184,6 +187,7 @@ def run_quest_batch(
                         circuit,
                         config,
                         fault_injector=fault_injector,
+                        tracer=tracer,
                         shared=resources,
                     )
                     for circuit in circuits

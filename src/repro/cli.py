@@ -7,7 +7,10 @@ approximation files)::
     python -m repro input.qasm --out-dir approx/ --threshold 0.2
 
 writes ``approx/approx_00.qasm``, ``approx_01.qasm``, ... plus a summary
-line per approximation.
+line per approximation.  ``compile-batch a.qasm b.qasm`` runs the same
+body over ``run_quest_batch``, one ``--out-dir/<stem>`` tree per input,
+and ``submit`` writes a daemon's results: all three write
+:func:`~repro.core.quest.result_payload` through one writer.
 
 Observability: ``--trace-file run.trace`` streams span/event JSON lines
 for the whole run (render with ``python -m repro trace-summary
@@ -28,11 +31,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
-from repro.circuits import circuit_from_qasm, circuit_to_qasm
+from repro.batch import run_quest_batch
+from repro.circuits import circuit_from_qasm
 from repro.core import QuestConfig, run_quest
+from repro.core.quest import result_payload
 from repro.exceptions import ReproError, StoreError
 from repro.observability import (
     JsonlSink,
@@ -50,9 +55,7 @@ from repro.verify import (
     DEFAULT_HAAR_STIMULI,
     DEFAULT_MAX_EXACT_QUBITS,
     certify_equivalence,
-    claims_for_choice,
     claims_from_manifest,
-    claims_to_manifest,
 )
 
 
@@ -136,19 +139,24 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
         help="write the run's metrics snapshot (counters/gauges/"
         "histograms) to this JSON file",
     )
-    parser.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        default="info",
-        help="minimum level of diagnostics (default info); records "
-        "below warning go to stdout, warning and above to stderr",
-    )
+    _add_log_level(parser)
     parser.add_argument(
         "--certify",
         action="store_true",
         help="independently certify every selected approximation "
         "against its epsilon claims before exiting (exit code 1 on a "
         "violated claim)",
+    )
+
+
+def _add_log_level(parser: argparse.ArgumentParser) -> None:
+    """The ``--log-level`` flag of every command that logs."""
+    parser.add_argument(
+        "--log-level",
+        choices=("debug", "info", "warning", "error"),
+        default="info",
+        help="minimum level of diagnostics (default info); records "
+        "below warning go to stdout, warning and above to stderr",
     )
 
 
@@ -271,12 +279,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     # non-substrate ones per job; the namespace applies to jobs whose
     # submit names none).
     _add_config_options(parser, store_default="<ledger-dir>/store")
-    parser.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        default="info",
-        help="minimum level of diagnostics (default info)",
-    )
+    _add_log_level(parser)
     return parser
 
 
@@ -329,12 +332,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         default=600.0,
         help="seconds to wait for each job (default 600)",
     )
-    parser.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        default="info",
-        help="minimum level of diagnostics (default info)",
-    )
+    _add_log_level(parser)
     return parser
 
 
@@ -449,21 +447,8 @@ def _submit_main(argv: list[str]) -> int:
             failures += 1
             continue
         degraded = " [DEGRADED: exact-block fallback]" if payload["degraded"] else ""
-        logger.info(f"{path.name}: {payload.get('summary', 'done')}{degraded}")
-        out_dir = args.out_dir / path.stem
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for index, (qasm_text, claims) in enumerate(
-            zip(payload["circuits"], payload["claims"])
-        ):
-            (out_dir / f"approx_{index:02d}.qasm").write_text(qasm_text)
-            (out_dir / f"approx_{index:02d}.claims.json").write_text(
-                json.dumps(claims, indent=1) + "\n"
-            )
-            logger.info(
-                f"  {out_dir / f'approx_{index:02d}.qasm'}: "
-                f"{payload['cnot_counts'][index]} CNOTs "
-                f"(baseline {payload['original_cnot_count']})"
-            )
+        logger.info(f"{path.name}: {payload['summary']}{degraded}")
+        _write_payload(payload, args.out_dir / path.stem, logger)
     return 1 if failures else 0
 
 
@@ -581,12 +566,7 @@ def build_verify_run_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the full certification report to this file",
     )
-    parser.add_argument(
-        "--log-level",
-        choices=("debug", "info", "warning", "error"),
-        default="info",
-        help="minimum level of diagnostics (default info)",
-    )
+    _add_log_level(parser)
     return parser
 
 
@@ -699,50 +679,43 @@ def _config_preflight(args, logger) -> int:
     return 0
 
 
-def _parse_fault_injector(args, logger):
-    """Returns (injector, exit_code); exit_code nonzero on bad spec."""
-    if args.inject_faults is None:
-        return None, 0
-    try:
-        return parse_fault_spec(args.inject_faults, seed=args.fault_seed), 0
-    except ValueError as exc:
-        logger.error(f"error: --inject-faults: {exc}")
-        return None, 2
-
-
-def _write_approximations(result, out_dir: Path, block_qubits: int, logger) -> None:
-    """Write approx_XX.qasm + claims manifests for one QuestResult."""
+def _write_payload(payload: dict, out_dir: Path, logger) -> None:
+    """Write one compile's :func:`~repro.core.quest.result_payload` as
+    ``approx_XX.qasm`` plus ``approx_XX.claims.json`` files."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    for index, (approx, bound) in enumerate(
-        zip(result.circuits, result.selection.bounds)
+    for index, (qasm, claims, cnots, bound) in enumerate(
+        zip(
+            payload["circuits"],
+            payload["claims"],
+            payload["cnot_counts"],
+            payload["bounds"],
+        )
     ):
         path = out_dir / f"approx_{index:02d}.qasm"
-        path.write_text(circuit_to_qasm(approx))
-        claims = claims_for_choice(
-            result.pools, result.selection.choices[index]
-        )
-        claims_path = out_dir / f"approx_{index:02d}.claims.json"
-        claims_path.write_text(
-            json.dumps(
-                claims_to_manifest(claims, block_qubits=block_qubits),
-                indent=1,
-            )
-            + "\n"
+        path.write_text(qasm)
+        (out_dir / f"approx_{index:02d}.claims.json").write_text(
+            json.dumps(claims, indent=1) + "\n"
         )
         logger.info(
-            f"  {path}: {approx.cnot_count()} CNOTs "
-            f"(bound {bound:.4f}, baseline {result.original_cnot_count})"
+            f"  {path}: {cnots} CNOTs "
+            f"(bound {bound:.4f}, baseline {payload['original_cnot_count']})"
         )
 
 
-def _compile_batch_main(argv: list[str]) -> int:
-    from repro.batch import run_quest_batch
-
-    args = build_compile_batch_parser().parse_args(argv)
+def _compile_main(argv: list[str], *, batch: bool) -> int:
+    """The body of ``repro`` and ``compile-batch``, which differ only in
+    the run call and the output directory (``--out-dir``, or
+    ``--out-dir/<stem>`` per input).  Every result gets the same report:
+    summary, synthesis line, fault records, certification reports.
+    Exit 2: unusable input; 1: a failed run or violated certification.
+    """
+    parser = build_compile_batch_parser() if batch else build_parser()
+    args = parser.parse_args(argv)
     configure_logging(args.log_level)
     logger = get_logger("cli")
+    paths = args.inputs if batch else [args.input]
     circuits = []
-    for path in args.inputs:
+    for path in paths:
         try:
             circuits.append(circuit_from_qasm(path.read_text()))
         except (OSError, ReproError) as exc:
@@ -751,88 +724,13 @@ def _compile_batch_main(argv: list[str]) -> int:
     code = _config_preflight(args, logger)
     if code:
         return code
-    fault_injector, code = _parse_fault_injector(args, logger)
-    if code:
-        return code
-    config = _config_from_args(args)
-    tracer = None
-    if args.trace_file is not None:
+    fault_injector = None
+    if args.inject_faults is not None:
         try:
-            tracer = Tracer(JsonlSink(args.trace_file))
-        except OSError as exc:
-            logger.error(f"error: --trace-file {args.trace_file}: {exc}")
+            fault_injector = parse_fault_spec(args.inject_faults, seed=args.fault_seed)
+        except ValueError as exc:
+            logger.error(f"error: --inject-faults: {exc}")
             return 2
-    try:
-        with use_tracer(tracer) if tracer is not None else nullcontext():
-            batch = run_quest_batch(
-                circuits,
-                config,
-                window=args.batch_window,
-                fault_injector=fault_injector,
-            )
-    except ReproError as exc:
-        logger.error(f"QUEST batch failed: {exc}")
-        return 1
-    finally:
-        if tracer is not None:
-            tracer.close()
-    logger.info(batch.summary())
-    for path, result in zip(args.inputs, batch.results):
-        logger.info(f"{path.name}: {result.summary()}")
-        _write_approximations(
-            result, args.out_dir / path.stem, args.block_qubits, logger
-        )
-    if args.metrics_json is not None:
-        try:
-            args.metrics_json.write_text(
-                json.dumps(batch.metrics, indent=1, default=str) + "\n"
-            )
-        except OSError as exc:
-            logger.error(f"error: --metrics-json {args.metrics_json}: {exc}")
-            return 1
-        logger.info(f"  metrics: wrote batch snapshot to {args.metrics_json}")
-    if config.certify:
-        violated = [
-            path.name
-            for path, result in zip(args.inputs, batch.results)
-            if result.certified is False
-        ]
-        if violated:
-            logger.error(
-                f"certification VIOLATED for {', '.join(violated)}"
-            )
-            return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "trace-summary":
-        return _trace_summary_main(argv[1:])
-    if argv and argv[0] == "verify-run":
-        return _verify_run_main(argv[1:])
-    if argv and argv[0] == "compile-batch":
-        return _compile_batch_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "submit":
-        return _submit_main(argv[1:])
-    if argv and argv[0] == "service-status":
-        return _service_status_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    configure_logging(args.log_level)
-    logger = get_logger("cli")
-    try:
-        circuit = circuit_from_qasm(args.input.read_text())
-    except (OSError, ReproError) as exc:
-        logger.error(f"error reading {args.input}: {exc}")
-        return 2
-    code = _config_preflight(args, logger)
-    if code:
-        return code
-    fault_injector, code = _parse_fault_injector(args, logger)
-    if code:
-        return code
     tracer = None
     if args.trace_file is not None:
         try:
@@ -842,39 +740,59 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     config = _config_from_args(args)
     try:
-        result = run_quest(
-            circuit,
-            config,
-            fault_injector=fault_injector,
-            tracer=tracer,
-        )
+        with use_tracer(tracer):
+            if batch:
+                run = run_quest_batch(
+                    circuits,
+                    config,
+                    window=args.batch_window,
+                    fault_injector=fault_injector,
+                )
+                results = run.results
+            else:
+                run = run_quest(circuits[0], config, fault_injector=fault_injector)
+                results = [run]
     except ReproError as exc:
         logger.error(f"QUEST failed: {exc}")
         return 1
     finally:
         if tracer is not None:
             tracer.close()
-    logger.info(result.summary())
-    logger.info(
-        f"  synthesis: {result.cache_misses} block(s) synthesized, "
-        f"{result.cache_hits} cache hit(s), "
-        f"{len(result.synthesis_fallbacks)} fallback(s) "
-        f"in {result.timings.synthesis_seconds:.1f}s"
-    )
-    if result.cache_corrupt_entries:
+    if batch:
+        logger.info(run.summary())
+    violated = []
+    for path, result in zip(paths, results):
+        logger.info(f"{path.name}: {result.summary()}" if batch else result.summary())
         logger.info(
-            f"  cache: {result.cache_corrupt_entries} corrupt disk "
-            "entr(ies) quarantined and recomputed"
+            f"  synthesis: {result.cache_misses - result.dedup_joins} "
+            f"block(s) synthesized, {result.cache_hits} cache hit(s), "
+            f"{len(result.synthesis_fallbacks)} fallback(s) "
+            f"in {result.timings.synthesis_seconds:.1f}s"
         )
-    for record in result.failure_log:
-        logger.warning(
-            f"  fault: block {record.block_index} attempt {record.attempt} "
-            f"[{record.kind}] {record.message}"
+        if result.cache_corrupt_entries:
+            logger.info(
+                f"  cache: {result.cache_corrupt_entries} corrupt disk "
+                "entr(ies) quarantined and recomputed"
+            )
+        for record in result.failure_log:
+            logger.warning(
+                f"  fault: block {record.block_index} attempt {record.attempt} "
+                f"[{record.kind}] {record.message}"
+            )
+        _write_payload(
+            result_payload(result, config),
+            args.out_dir / path.stem if batch else args.out_dir,
+            logger,
         )
+        for index, report in enumerate(result.certifications):
+            line = f"  certify approx_{index:02d}: {report.summary()}"
+            (logger.info if report.ok else logger.warning)(line)
+        if result.certified is False:
+            violated.append(path.name)
     if args.metrics_json is not None:
         try:
             args.metrics_json.write_text(
-                json.dumps(result.metrics, indent=1, default=str) + "\n"
+                json.dumps(run.metrics, indent=1, default=str) + "\n"
             )
         except OSError as exc:
             logger.error(f"error: --metrics-json {args.metrics_json}: {exc}")
@@ -882,18 +800,28 @@ def main(argv: list[str] | None = None) -> int:
         logger.info(f"  metrics: wrote snapshot to {args.metrics_json}")
     if args.trace_file is not None:
         logger.info(f"  trace: wrote span/event stream to {args.trace_file}")
-    _write_approximations(result, args.out_dir, args.block_qubits, logger)
-    if result.certifications:
-        for index, report in enumerate(result.certifications):
-            line = f"  certify approx_{index:02d}: {report.summary()}"
-            if report.ok:
-                logger.info(line)
-            else:
-                logger.warning(line)
-        if not result.certified:
-            logger.error("certification VIOLATED; see reports above")
-            return 1
+    if violated:
+        logger.error(
+            f"certification VIOLATED for {', '.join(violated)}; "
+            "see reports above"
+        )
+        return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    subcommands = {
+        "trace-summary": _trace_summary_main,
+        "verify-run": _verify_run_main,
+        "compile-batch": partial(_compile_main, batch=True),
+        "serve": _serve_main,
+        "submit": _submit_main,
+        "service-status": _service_status_main,
+    }
+    if argv and argv[0] in subcommands:
+        return subcommands[argv[0]](argv[1:])
+    return _compile_main(argv, batch=False)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests

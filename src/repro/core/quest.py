@@ -13,7 +13,8 @@
    and stitch each selection into a runnable circuit.
 
 The result carries per-step wall times (Fig. 12) and the Sec. 3.8 bound
-of every selected approximation.
+of every selected approximation.  :func:`result_payload` is its one
+serialized form: the CLI writes it to disk and the daemon returns it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuits.circuit import Circuit
+from repro.circuits.qasm import circuit_to_qasm
 from repro.core.annealing import SelectionResult, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool
@@ -40,9 +42,14 @@ from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.blocks import CircuitBlock, stitch_blocks
 from repro.partition.scan import scan_partition
-from repro.resilience.retry import FailureRecord
+from repro.resilience.retry import FAILURE_FALLBACK, FailureRecord
 from repro.transpile.basis import lower_to_basis
-from repro.verify.certifier import CertificationReport, certify_result
+from repro.verify.certifier import (
+    CertificationReport,
+    certify_result,
+    claims_for_choice,
+    claims_to_manifest,
+)
 from repro.verify.independent import DEFAULT_MAX_EXACT_QUBITS
 
 #: Hard per-block timeout is this multiple of ``block_time_budget`` (plus
@@ -164,9 +171,6 @@ class QuestResult:
     circuits: list[Circuit] = field(default_factory=list)
     threshold: float = 0.0
     timings: QuestTimings = field(default_factory=QuestTimings)
-    #: Indices of blocks that fell back to their exact singleton pool
-    #: because synthesis failed or exceeded the hard time budget.
-    synthesis_fallbacks: list[int] = field(default_factory=list)
     #: Structured log of every failed synthesis attempt (block index,
     #: attempt, failure kind, exception text); empty on a clean run.
     failure_log: list[FailureRecord] = field(default_factory=list)
@@ -191,6 +195,12 @@ class QuestResult:
     retries = counter_property("retry.attempts")
     dedup_joins = counter_property("dedup.hits")
     cache_corrupt_entries = counter_property("cache.corrupt_entries")
+
+    @property
+    def synthesis_fallbacks(self) -> list[int]:
+        """Blocks that shipped their exact singleton pool after every
+        attempt failed: the ``fallback`` records of ``failure_log``."""
+        return [r.block_index for r in self.failure_log if r.kind == FAILURE_FALLBACK]
 
     @property
     def original_cnot_count(self) -> int:
@@ -329,6 +339,35 @@ class QuestResult:
         return averaged
 
 
+def result_payload(result: QuestResult, config: QuestConfig) -> dict:
+    """The one serialized form of a compile, JSON-ready: what the daemon
+    returns and every CLI front end writes.  Per selected circuit it
+    holds the QASM, choice vector, bound, CNOT count and Σε claims
+    manifest (paper Sec. 3.8), which ``verify-run`` certifies from the
+    files alone; ``degraded`` says a block shipped its exact fallback.
+    """
+    return {
+        "circuits": [circuit_to_qasm(c) for c in result.circuits],
+        "claims": [
+            claims_to_manifest(
+                claims_for_choice(result.pools, choice),
+                block_qubits=config.max_block_qubits,
+            )
+            for choice in result.selection.choices
+        ],
+        "choices": [[int(i) for i in choice] for choice in result.selection.choices],
+        "bounds": [float(b) for b in result.selection.bounds],
+        "cnot_counts": list(result.cnot_counts),
+        "original_cnot_count": result.original_cnot_count,
+        "threshold": float(result.threshold),
+        "degraded": bool(result.synthesis_fallbacks),
+        "cache_hits": result.cache_hits,
+        "cache_misses": result.cache_misses,
+        "dedup_joins": result.dedup_joins,
+        "summary": result.summary(),
+    }
+
+
 def _draw_block_seeds(
     rng: np.random.Generator, num_blocks: int
 ) -> list[int]:
@@ -453,7 +492,6 @@ def _run_pipeline(
         result.pools, synthesis_stats = executor.run(
             result.blocks, config, block_seeds
         )
-    result.synthesis_fallbacks = synthesis_stats.fallback_blocks
     result.failure_log = synthesis_stats.failure_log
     result.timings.block_synthesis_seconds = synthesis_stats.block_seconds
     result.timings.synthesis_seconds = time.perf_counter() - start

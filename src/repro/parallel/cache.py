@@ -98,9 +98,8 @@ def entry_key(content: str, seed: int) -> str:
 class PoolCache:
     """The artifact store's entry format for block solutions.
 
-    Wraps one :class:`~repro.store.ArtifactStore` namespace — adopted
-    from the caller (service replicas share per-tenant stores) or built
-    over ``store_dir`` — and owns the entry envelope.  It keeps no
+    Wraps the :class:`~repro.store.ArtifactStore` namespace it opens
+    under ``store_dir`` and owns the entry envelope.  It keeps no
     counters: a stored entry failing its integrity checks counts as
     ``cache.corrupt_entries`` in the ambient metrics registry, and the
     store counts its raw loads, publishes and evictions there too.
@@ -108,27 +107,15 @@ class PoolCache:
 
     def __init__(
         self,
-        store_dir: str | os.PathLike | None = None,
+        store_dir: str | os.PathLike,
         fault_injector=None,
         max_entries: int | None = None,
         *,
         namespace: str = DEFAULT_NAMESPACE,
-        store: ArtifactStore | None = None,
-        grace_seconds: float | None = None,
     ) -> None:
-        if (store is None) == (store_dir is None):
-            raise ValueError("pass exactly one of store_dir or store")
-        if store is None:
-            kwargs = {}
-            if grace_seconds is not None:
-                kwargs["grace_seconds"] = grace_seconds
-            store = ArtifactStore(
-                store_dir,
-                namespace=namespace,
-                max_entries=max_entries,
-                **kwargs,
-            )
-        self.store = store
+        self.store = ArtifactStore(
+            store_dir, namespace=namespace, max_entries=max_entries
+        )
         #: Optional :class:`repro.resilience.faults.FaultInjector` whose
         #: ``flip-cache`` faults corrupt entries after publish (tests/CI).
         self.fault_injector = fault_injector

@@ -237,13 +237,17 @@ class BlockSynthesisStats:
     round.  Trivial (1-qubit / CNOT-free) blocks count as neither.
     """
 
-    #: Indices of blocks downgraded to their exact-block fallback pool.
-    fallback_blocks: list[int] = field(default_factory=list)
     #: Per-block synthesis seconds, measured inside the worker; 0.0 for
     #: trivial blocks and cache/repeat hits.
     block_seconds: list[float] = field(default_factory=list)
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
+
+    @property
+    def fallback_blocks(self) -> list[int]:
+        """Blocks downgraded to their exact-block fallback pool: the
+        ``fallback`` records of ``failure_log``."""
+        return [r.block_index for r in self.failure_log if r.kind == FAILURE_FALLBACK]
 
 
 @dataclass(frozen=True)
@@ -716,6 +720,5 @@ class BlockSynthesisExecutor:
                 tracer.event("executor.fallback", block=index, attempts=attempts)
             if metrics.is_enabled:
                 metrics.inc("synthesis.fallbacks")
-            state.stats.fallback_blocks.append(index)
             pools.append(exact_pool(block))
         return pools

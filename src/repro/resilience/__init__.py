@@ -28,11 +28,7 @@ deadline that bounds inline (``workers == 1``) synthesis, which the hard
 process-pool timeout cannot reach.
 """
 
-from repro.resilience.deadline import (
-    block_deadline,
-    check_deadline,
-    deadline_remaining,
-)
+from repro.resilience.deadline import block_deadline, check_deadline
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -49,7 +45,6 @@ from repro.resilience.validation import (
 __all__ = [
     "block_deadline",
     "check_deadline",
-    "deadline_remaining",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultSpec",

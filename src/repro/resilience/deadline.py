@@ -59,11 +59,3 @@ def check_deadline() -> None:
             "cooperative block deadline exceeded "
             f"(by {time.monotonic() - deadline:.2f}s)"
         )
-
-
-def deadline_remaining() -> float | None:
-    """Seconds until the armed deadline, or ``None`` when unarmed."""
-    deadline = _DEADLINE.get()
-    if deadline is None:
-        return None
-    return deadline - time.monotonic()

@@ -22,7 +22,8 @@ rule).  Within a tenant, jobs are FIFO.
 
 The scheduler is plain synchronous state behind a lock (the daemon
 calls it from one event loop; unit tests drive it directly), with no
-dependency on asyncio.
+dependency on asyncio.  It keeps no tallies: the daemon counts each
+verdict and each dispatch in its metrics registry.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class TenantState:
     queue: deque = field(default_factory=deque)
     #: Stride-scheduling virtual time; advanced by 1/weight per dispatch.
     pass_value: float = 0.0
-    #: Lifetime dispatch counter (status/metrics).
-    dispatched: int = 0
 
 
 class FairScheduler:
@@ -83,9 +82,6 @@ class FairScheduler:
         #: they spent idle.
         self._virtual_time = 0.0
         self._draining = False
-        #: Lifetime admission counters (status/metrics).
-        self.admitted = 0
-        self.rejected: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Admission
@@ -103,7 +99,6 @@ class FairScheduler:
         return state
 
     def _reject(self, reason: str, detail: str, tenant: str) -> AdmissionRejected:
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
         return AdmissionRejected(
             reason,
             detail,
@@ -145,7 +140,6 @@ class FairScheduler:
                 state.pass_value = max(state.pass_value, self._virtual_time)
             state.queue.append(job)
             self._depth += 1
-            self.admitted += 1
             return None
 
     # ------------------------------------------------------------------
@@ -169,7 +163,6 @@ class FairScheduler:
             self._depth -= 1
             self._virtual_time = best.pass_value
             best.pass_value += 1.0 / best.weight
-            best.dispatched += 1
             return job
 
     # ------------------------------------------------------------------
@@ -189,14 +182,13 @@ class FairScheduler:
             }
 
     def tenant_summary(self) -> dict[str, dict]:
-        """Status-endpoint view: depth, weight, quota, dispatch count."""
+        """Status-endpoint view: depth, weight and quota per tenant."""
         with self._lock:
             return {
                 name: {
                     "queued": len(state.queue),
                     "weight": state.weight,
                     "quota": state.quota,
-                    "dispatched": state.dispatched,
                 }
                 for name, state in self._tenants.items()
             }
@@ -204,8 +196,8 @@ class FairScheduler:
     def drain(self) -> list[JobRecord]:
         """Stop admitting; return (and clear) every still-queued job.
 
-        The daemon marks the returned jobs pending in the ledger — they
-        are not lost, they resume after the next start.
+        The returned jobs stay pending in the daemon's ledger, so they
+        are not lost: they resume after the next start.
         """
         with self._lock:
             self._draining = True

@@ -31,9 +31,9 @@ Robustness model (the reason this module exists):
 * **Per-block degradation** — every admitted job runs
   :func:`~repro.core.quest.run_quest`.  The executor's retry and exact
   fallback is the only degradation: a block whose attempts all fail
-  ships its exact (ε=0) circuit, the run records it in
-  ``synthesis_fallbacks`` and ``failure_log``, and the job's payload
-  says ``degraded``.  No job's failures change another job's output.
+  ships its exact (ε=0) circuit, the run's ``failure_log`` records it,
+  and the job's payload says ``degraded``.  No job's failures change
+  another job's output.
 * **Crash safety** — every job transition is journaled in the
   :class:`~repro.service.ledger.JobLedger` (atomic rename + checksum),
   and every synthesized block is published to the artifact store
@@ -41,9 +41,16 @@ Robustness model (the reason this module exists):
   daemon warm-restarts: pending/running jobs are re-admitted and
   resume from the store, bit-identically.
 
+A done job's result is :func:`~repro.core.quest.result_payload`, the
+serialized form the CLI writes for ``repro`` and ``compile-batch`` too;
+``submit`` writes it through the same writer.
+
 The daemon's metrics registry is its one record of counts: it is the
 ambient registry around ledger recovery, namespace opening, every
-request and every job, so a job's counts reach it, failed or not.
+request and every job, so a job's counts reach it, failed or not.  The
+server counts each admission (``service.jobs_admitted``), each
+rejection (``service.rejected_<reason>``) and each dispatch
+(``service.dispatched.<tenant>``); the scheduler keeps no tallies.
 """
 
 from __future__ import annotations
@@ -59,8 +66,8 @@ from pathlib import Path
 
 from repro.batch.driver import BatchResources
 from repro.batch.workqueue import InflightRegistry
-from repro.circuits import circuit_from_qasm, circuit_to_qasm
-from repro.core.quest import QuestConfig, QuestResult, run_quest
+from repro.circuits import circuit_from_qasm
+from repro.core.quest import QuestConfig, result_payload, run_quest
 from repro.exceptions import (
     AdmissionRejected,
     BlockTimeoutError,
@@ -79,6 +86,7 @@ from repro.service.protocol import (
     JOB_RUNNING,
     PROTOCOL_VERSION,
     REJECT_INVALID_REQUEST,
+    REJECTION_REASONS,
     TERMINAL_STATES,
     JobRecord,
     decode_message,
@@ -93,44 +101,11 @@ from repro.store import (
     namespace_for_tenant,
     validate_namespace,
 )
-from repro.verify.certifier import claims_for_choice, claims_to_manifest
 
 _log = get_logger("service.server")
 
 #: Cap on one wire frame (QASM payloads are text; 32 MiB is generous).
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
-
-
-def result_payload(result: QuestResult, config: QuestConfig) -> dict:
-    """JSON-ready terminal payload of a successful compile.
-
-    Carries everything the bit-identity tests compare against a solo
-    run (choices, bounds, CNOT counts, QASM of every selected circuit)
-    plus the per-circuit Σε claims manifests — the certificate the
-    service exists to hand out.  ``degraded`` says whether at least one
-    block shipped its exact fallback (``result.synthesis_fallbacks``).
-    """
-    claims = [
-        claims_to_manifest(
-            claims_for_choice(result.pools, choice),
-            block_qubits=config.max_block_qubits,
-        )
-        for choice in result.selection.choices
-    ]
-    return {
-        "circuits": [circuit_to_qasm(c) for c in result.circuits],
-        "claims": claims,
-        "choices": [[int(i) for i in choice] for choice in result.selection.choices],
-        "bounds": [float(b) for b in result.selection.bounds],
-        "cnot_counts": list(result.cnot_counts),
-        "original_cnot_count": result.original_cnot_count,
-        "threshold": float(result.threshold),
-        "degraded": bool(result.synthesis_fallbacks),
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "dedup_joins": result.dedup_joins,
-        "summary": result.summary(),
-    }
 
 
 class QuestService:
@@ -265,10 +240,12 @@ class QuestService:
             if record.state == JOB_RUNNING:
                 record.state = JOB_PENDING
                 self.ledger.store(record)
-            rejection = self.scheduler.admit(record)
-            if rejection is not None:
+            try:
+                self._admit(record)
+            except AdmissionRejected as rejection:
                 # Capacity shrank across the restart; fail structurally
                 # rather than drop silently.
+                self.metrics.inc(f"service.rejected_{rejection.reason}")
                 self._finish(record, error={
                     "kind": rejection.reason,
                     "message": str(rejection),
@@ -278,6 +255,14 @@ class QuestService:
         if recovered:
             _log.info(f"warm restart: re-admitted {recovered} job(s)")
             self.metrics.inc("service.recovered_jobs", recovered)
+
+    def _admit(self, record: JobRecord) -> None:
+        """Offer ``record`` to the scheduler and count its admission;
+        a rejection is raised for the caller to count and report."""
+        rejection = self.scheduler.admit(record)
+        if rejection is not None:
+            raise rejection
+        self.metrics.inc("service.jobs_admitted")
 
     @staticmethod
     def _parse_job_number(job_id: str) -> int | None:
@@ -364,6 +349,7 @@ class QuestService:
                 job = self.scheduler.next_job()
                 if job is None:
                     break
+                self.metrics.inc(f"service.dispatched.{job.tenant}")
                 dispatched = True
                 self._active += 1
                 future = self._loop.run_in_executor(
@@ -538,11 +524,31 @@ class QuestService:
         raise ServiceError(f"unknown message type {kind!r}")
 
     def _handle_submit(self, message: dict) -> dict:
+        try:
+            record = self._job_record(message)
+            self._admit(record)
+        except AdmissionRejected as rejection:
+            self.metrics.inc(f"service.rejected_{rejection.reason}")
+            return rejection_to_message(rejection)
+        # Journal *after* admission: a rejected job leaves no trace.
+        self.ledger.store(record)
+        self._jobs[record.job_id] = record
+        self.metrics.gauge("service.queue_depth", self.scheduler.depth)
+        assert self._wake is not None
+        self._wake.set()
+        return {
+            "type": "accepted",
+            "version": PROTOCOL_VERSION,
+            "job_id": record.job_id,
+            "queue_depth": self.scheduler.depth,
+        }
+
+    def _job_record(self, message: dict) -> JobRecord:
+        """The job a ``submit`` message asks for, numbered; raises an
+        ``invalid_request`` rejection for a malformed one."""
         qasm = message.get("qasm")
         if not isinstance(qasm, str) or not qasm.strip():
-            return rejection_to_message(AdmissionRejected(
-                REJECT_INVALID_REQUEST, "submit needs a non-empty 'qasm'",
-            ))
+            raise AdmissionRejected(REJECT_INVALID_REQUEST, "submit needs a non-empty 'qasm'")
         tenant = str(message.get("tenant") or "default")
         namespace = message.get("namespace")
         if namespace is None:
@@ -551,32 +557,26 @@ class QuestService:
             try:
                 namespace = validate_namespace(str(namespace))
             except StoreError as exc:
-                self.metrics.inc("service.rejected_invalid")
-                return rejection_to_message(AdmissionRejected(
-                    REJECT_INVALID_REQUEST, str(exc), tenant=tenant,
-                ))
+                raise AdmissionRejected(REJECT_INVALID_REQUEST, str(exc), tenant=tenant) from exc
         overrides = message.get("config") or {}
         try:
             merge_config(self.config, overrides)
         except ServiceError as exc:
-            self.metrics.inc("service.rejected_invalid")
-            return rejection_to_message(AdmissionRejected(
-                REJECT_INVALID_REQUEST, str(exc), tenant=tenant,
-            ))
+            raise AdmissionRejected(REJECT_INVALID_REQUEST, str(exc), tenant=tenant) from exc
         deadline_seconds = message.get("deadline_seconds")
         deadline_at = None
         if deadline_seconds is not None:
             try:
                 deadline_at = self._clock() + float(deadline_seconds)
-            except (TypeError, ValueError):
-                return rejection_to_message(AdmissionRejected(
+            except (TypeError, ValueError) as exc:
+                raise AdmissionRejected(
                     REJECT_INVALID_REQUEST,
                     f"bad deadline_seconds {deadline_seconds!r}",
                     tenant=tenant,
-                ))
+                ) from exc
         job_id = f"job{self._next_job_number:06d}"
         self._next_job_number += 1
-        record = JobRecord(
+        return JobRecord(
             job_id=job_id,
             tenant=tenant,
             qasm=qasm,
@@ -585,23 +585,6 @@ class QuestService:
             submitted_at=self._clock(),
             deadline_at=deadline_at,
         )
-        rejection = self.scheduler.admit(record)
-        if rejection is not None:
-            self.metrics.inc(f"service.rejected_{rejection.reason}")
-            return rejection_to_message(rejection)
-        # Journal *after* admission: a rejected job leaves no trace.
-        self.ledger.store(record)
-        self._jobs[job_id] = record
-        self.metrics.inc("service.jobs_admitted")
-        self.metrics.gauge("service.queue_depth", self.scheduler.depth)
-        assert self._wake is not None
-        self._wake.set()
-        return {
-            "type": "accepted",
-            "version": PROTOCOL_VERSION,
-            "job_id": job_id,
-            "queue_depth": self.scheduler.depth,
-        }
 
     async def _handle_wait(self, message: dict) -> dict:
         job_id = str(message.get("job_id", ""))
@@ -663,10 +646,17 @@ class QuestService:
             "active_jobs": self._active,
             "max_concurrency": self.max_concurrency,
             "jobs_by_state": jobs_by_state,
-            "admitted": self.scheduler.admitted,
-            "rejected": dict(self.scheduler.rejected),
+            "admitted": count("service.jobs_admitted", 0),
+            "rejected": {
+                reason: rejected
+                for reason in REJECTION_REASONS
+                if (rejected := count(f"service.rejected_{reason}", 0))
+            },
             "degraded_jobs": count("service.jobs_degraded", 0),
-            "tenants": self.scheduler.tenant_summary(),
+            "tenants": {
+                tenant: {**info, "dispatched": count(f"service.dispatched.{tenant}", 0)}
+                for tenant, info in self.scheduler.tenant_summary().items()
+            },
             "ledger": {
                 "directory": str(self.ledger.directory),
                 "corrupt_entries": count("ledger.quarantined", 0),

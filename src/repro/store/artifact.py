@@ -153,7 +153,6 @@ class ArtifactStore:
         namespace: str = DEFAULT_NAMESPACE,
         max_entries: int | None = None,
         grace_seconds: float = DEFAULT_GRACE_SECONDS,
-        sweep_on_open: bool = True,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -177,8 +176,7 @@ class ArtifactStore:
         #: approximate, and every shard scan re-trues its row.
         self._shard_meta: dict[str, list[float]] = {}
         self._meta_ready = False
-        if sweep_on_open:
-            self.sweep_orphans()
+        self.sweep_orphans()
 
     # ------------------------------------------------------------------
     # Layout

@@ -21,6 +21,7 @@ from repro.batch.driver import BatchResources
 from repro.batch.workqueue import InflightRegistry
 from repro.circuits.random_circuits import random_circuit
 from repro.core.quest import QuestConfig, run_quest
+from repro.observability import ListSink, MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
 
@@ -339,6 +340,27 @@ def test_batch_metrics_surface_zero_stranded_joiners(solo_reference):
     assert counters.get("registry.stranded_joiners", 0) == 0
     for got in batch.results:
         assert _signature(got) == _signature(solo_reference[0])
+
+
+def test_batch_trace_keeps_every_circuit_and_counts_once():
+    """Pool threads do not inherit context variables: each run is handed
+    the caller's tracer, so the trace holds one ``quest.run`` span per
+    circuit, while an enclosing registry still receives every count
+    exactly once (the batch's merged snapshot, not each run's again)."""
+    sink = ListSink()
+    registry = MetricsRegistry()
+    config = QuestConfig(**FAST, workers=1)
+    with use_tracer(Tracer(sink)), use_metrics(registry):
+        batch = run_quest_batch([tfim(4, steps=2), qft(4)], config, window=2)
+    runs = [
+        record
+        for record in sink.records
+        if record["type"] == "span" and record["name"] == "quest.run"
+    ]
+    assert len(runs) == 2
+    names = {record["name"] for record in sink.records}
+    assert {"quest.batch", "quest.synthesis", "synthesis.block"} <= names
+    assert registry.snapshot()["counters"] == batch.metrics["counters"]
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -267,3 +268,87 @@ def test_certify_candidates_flag_is_gone(argv, tmp_path, monkeypatch, capsys):
         main(argv + ["--certify-candidates"])
     assert excinfo.value.code == 2
     assert "--certify-candidates" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# One front end: repro and compile-batch share one body and one writer
+# ----------------------------------------------------------------------
+FRONT_END_FLAGS = ["--block-qubits", "2", "--max-samples", "2", "--seed", "7"]
+
+
+@pytest.fixture
+def two_inputs(tmp_path):
+    """``a.qasm`` holds ``tfim(3, 1)``, ``b.qasm`` holds ``tfim(4, 1)``."""
+    paths = []
+    for name, circuit in (("a", tfim(3, steps=1)), ("b", tfim(4, steps=1))):
+        path = tmp_path / f"{name}.qasm"
+        path.write_text(circuit_to_qasm(circuit))
+        paths.append(path)
+    return paths
+
+
+def _tree(root):
+    """Every file under ``root``: relative path -> bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+def test_compile_batch_writes_the_trees_of_solo_runs(tmp_path, two_inputs):
+    for path in two_inputs:
+        out_dir = tmp_path / "solo" / path.stem
+        assert main([str(path), "--out-dir", str(out_dir), *FRONT_END_FLAGS]) == 0
+    batch_argv = ["compile-batch", *map(str, two_inputs)]
+    out_dir = tmp_path / "batch"
+    assert main([*batch_argv, "--out-dir", str(out_dir), *FRONT_END_FLAGS]) == 0
+    solo = _tree(tmp_path / "solo")
+    assert {"a/approx_00.qasm", "a/approx_00.claims.json", "b/approx_00.qasm"} <= set(solo)
+    assert _tree(out_dir) == solo
+
+
+def test_compile_batch_reports_faults_and_certifications(
+    tmp_path, two_inputs, capsys
+):
+    """Each input's report lists its fault records and certification
+    reports, as a solo run's does."""
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "compile-batch", *map(str, two_inputs),
+            "--out-dir", str(out_dir), *FRONT_END_FLAGS,
+            "--inject-faults", "raise@0:0", "--certify",
+        ]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "fault: block 0" in captured.err
+    approximations = list(out_dir.rglob("approx_*.qasm"))
+    assert len(approximations) >= 2
+    assert captured.out.count("certify approx_") == len(approximations)
+
+
+def test_batch_synthesis_lines_sum_to_the_batch_total(
+    tmp_path, two_inputs, capsys
+):
+    """A circuit's synthesis line counts its jobs less those another
+    circuit's result served, so a dedup join is counted once."""
+    original = two_inputs[1]
+    twin = tmp_path / "twin.qasm"
+    twin.write_text(original.read_text())
+    code = main(
+        [
+            "compile-batch", str(original), str(twin),
+            "--out-dir", str(tmp_path / "out"), *FRONT_END_FLAGS,
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    total, joins = re.search(
+        r"(\d+) blocks synthesized, \d+ cache hits, (\d+) dedup joins", out
+    ).groups()
+    assert int(joins) > 0
+    per_circuit = re.findall(r"synthesis: (\d+) block\(s\) synthesized", out)
+    assert len(per_circuit) == 2
+    assert sum(map(int, per_circuit)) == int(total)

@@ -17,7 +17,7 @@ from repro.parallel.cache import (
     content_key,
     entry_key,
 )
-from repro.store import ENTRY_SUFFIX, ArtifactStore, shard_of
+from repro.store import ENTRY_SUFFIX, shard_of
 from repro.synthesis.leap import LeapConfig, SynthesisSolution
 
 
@@ -117,11 +117,12 @@ def test_seed_is_not_part_of_the_fingerprint():
 # Store behaviour
 # ----------------------------------------------------------------------
 def test_cache_needs_exactly_one_store(tmp_path):
-    """A PoolCache is the store's entry format: it has no tier of its own."""
-    with pytest.raises(ValueError, match="exactly one"):
+    """A PoolCache is the store's entry format: it has no tier of its
+    own, and it opens exactly one store namespace, under ``store_dir``."""
+    with pytest.raises(TypeError):
         PoolCache()
-    with pytest.raises(ValueError, match="exactly one"):
-        PoolCache(tmp_path, store=ArtifactStore(tmp_path))
+    cache = PoolCache(tmp_path, namespace="alice")
+    assert cache.store.directory == tmp_path / "alice"
 
 
 def test_disk_roundtrip_across_instances(tmp_path, counters):

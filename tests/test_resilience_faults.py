@@ -28,9 +28,9 @@ from repro.resilience import (
     FaultSpec,
     block_deadline,
     check_deadline,
-    deadline_remaining,
     parse_fault_spec,
 )
+from repro.resilience.deadline import _DEADLINE
 from repro.resilience.faults import InjectedFault
 from repro.resilience.retry import FAILURE_TIMEOUT, FAILURE_VALIDATION
 from repro.resilience.validation import validate_pool, validate_solutions
@@ -76,13 +76,13 @@ def _pools_equal(pools_a, pools_b):
 # ----------------------------------------------------------------------
 def test_check_deadline_is_a_noop_without_a_deadline():
     check_deadline()
-    assert deadline_remaining() is None
+    assert _DEADLINE.get() is None
 
 
 def test_block_deadline_none_is_a_noop():
     with block_deadline(None):
         check_deadline()
-        assert deadline_remaining() is None
+        assert _DEADLINE.get() is None
 
 
 def test_expired_deadline_raises():
@@ -99,13 +99,15 @@ def test_deadline_restores_on_exit():
 
 def test_nested_deadlines_take_the_minimum():
     with block_deadline(60.0):
-        outer = deadline_remaining()
+        outer = _DEADLINE.get()
         with block_deadline(0.0):
             with pytest.raises(BlockTimeoutError):
                 check_deadline()
-        # Inner expiry never tightens the outer deadline.
-        assert deadline_remaining() is not None
-        assert abs(deadline_remaining() - outer) < 1.0
+        # Inner expiry never tightens the outer deadline, and a looser
+        # inner deadline never extends it.
+        assert _DEADLINE.get() == outer
+        with block_deadline(3600.0):
+            assert _DEADLINE.get() == outer
         check_deadline()
 
 

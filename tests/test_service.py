@@ -31,6 +31,8 @@ from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import AdmissionRejected, ServiceError
 from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
 from repro.service import QuestService, ServiceClient
+from repro.service.ledger import JobLedger
+from repro.service.protocol import JobRecord
 
 FAST = dict(
     seed=11,
@@ -223,6 +225,24 @@ def test_invalid_requests_are_rejected_structurally(tmp_path):
         assert reply["error"]["kind"] == "invalid_request"
 
 
+def test_status_counts_rejections_made_before_the_queue(tmp_path):
+    """A submit without QASM and one with a bad deadline never reach the
+    scheduler; both still count as ``invalid_request``."""
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    with running_service(tmp_path / "ledger") as (service, client):
+        for bad_submit in (
+            lambda: client.submit(""),
+            lambda: client.submit(qasm, deadline_seconds="soon"),
+        ):
+            with pytest.raises(AdmissionRejected):
+                bad_submit()
+        status = client.status()
+        assert status["rejected"]["invalid_request"] == 2
+        assert status["admitted"] == 0
+        counters = status["metrics"]["counters"]
+        assert counters["service.rejected_invalid_request"] == 2
+
+
 def test_wait_for_unknown_job_is_an_error(tmp_path):
     with running_service(tmp_path / "ledger") as (service, client):
         with pytest.raises(ServiceError, match="unknown job"):
@@ -353,6 +373,34 @@ def test_warm_restart_answers_old_jobs_and_resumes_numbering(
         _assert_no_stranded(client)
 
 
+def test_warm_restart_counts_its_admissions_and_rejections(tmp_path):
+    """Re-admitting the ledger's unfinished jobs counts each verdict in
+    the registry, which ``status`` reads."""
+    ledger_dir = tmp_path / "ledger"
+    ledger = JobLedger(ledger_dir)
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    for number in range(2):
+        ledger.store(JobRecord(
+            job_id=f"job{number:06d}",
+            tenant="t",
+            qasm=qasm,
+            submitted_at=float(number),
+        ))
+    with running_service(
+        ledger_dir, capacity=1, max_concurrency=1
+    ) as (service, client):
+        assert client.wait("job000000", timeout=300.0)["state"] == "done"
+        reply = client.wait("job000001", timeout=10.0)
+        assert reply["error"]["kind"] == "queue_full"
+        status = client.status()
+        assert status["admitted"] == 1
+        assert status["rejected"] == {"queue_full": 1}
+        assert status["tenants"]["t"]["dispatched"] == 1
+        counters = status["metrics"]["counters"]
+        assert counters["service.jobs_admitted"] == 1
+        assert counters["service.rejected_queue_full"] == 1
+
+
 def test_shutdown_drains_and_preserves_queued_jobs(tmp_path):
     """Jobs still queued at drain survive in the ledger as pending and
     complete after the next start — a graceful stop loses nothing."""
@@ -385,6 +433,7 @@ def test_status_reports_health_and_accounting(tmp_path):
         client.submit_and_wait(qasm, tenant="alice", timeout=300.0)
         status = client.status()
         assert status["jobs_by_state"]["done"] == 1
+        assert status["admitted"] == 1
         assert status["tenants"]["alice"]["dispatched"] == 1
         counters = status["metrics"]["counters"]
         assert counters["service.jobs_admitted"] == 1
@@ -417,3 +466,34 @@ def test_service_status_cli_reads_the_daemons_counters(tmp_path, capsys):
         assert status["store"]["namespaces"]["default"]["publishes"] > 0
     assert main(argv) == 2
     assert "unreachable" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# submit writes through the CLI's one writer
+# ----------------------------------------------------------------------
+def test_submit_writes_the_tree_of_a_solo_run(tmp_path, capsys):
+    """``submit`` writes the daemon's payload through the writer
+    ``repro`` uses: the ``<stem>`` tree equals a solo run's byte for
+    byte, and each approximation's line carries its bound."""
+    qasm_path = tmp_path / "tfim.qasm"
+    qasm_path.write_text(circuit_to_qasm(tfim(3, steps=1)))
+    flags = ["--threshold", "0.3", "--block-qubits", "2", "--max-samples", "2"]
+    assert main([str(qasm_path), "--out-dir", str(tmp_path / "solo"), *flags]) == 0
+    capsys.readouterr()
+    config = QuestConfig(
+        seed=0, max_samples=2, max_block_qubits=2, threshold_per_block=0.3
+    )
+    with running_service(tmp_path / "ledger", config=config) as (service, client):
+        argv = ["submit", str(qasm_path), "--socket", service.socket_path]
+        assert main([*argv, "--out-dir", str(tmp_path / "served")]) == 0
+    solo, served = tmp_path / "solo", tmp_path / "served" / "tfim"
+    names = sorted(path.name for path in solo.iterdir())
+    assert "approx_00.claims.json" in names
+    assert sorted(path.name for path in served.iterdir()) == names
+    for name in names:
+        assert (served / name).read_bytes() == (solo / name).read_bytes()
+    lines = [
+        line for line in capsys.readouterr().out.splitlines()
+        if "approx_" in line
+    ]
+    assert lines and all("(bound " in line for line in lines)

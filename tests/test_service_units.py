@@ -49,7 +49,6 @@ def test_admit_within_capacity_then_structured_queue_full():
     assert rejection.queue_depth == 2
     assert rejection.capacity == 2
     assert scheduler.depth == 2
-    assert scheduler.rejected == {REJECT_QUEUE_FULL: 1}
 
 
 def test_tenant_quota_rejects_before_global_capacity():
@@ -132,13 +131,14 @@ def test_fifo_within_a_tenant():
 
 
 def test_tenant_summary_reports_accounting():
+    """Depth, weight and quota per tenant; the daemon's status adds the
+    dispatch count from its registry."""
     scheduler = FairScheduler(capacity=8, tenant_weights={"a": 2.0})
     scheduler.admit(_job("x", "a"))
-    scheduler.next_job()
+    assert scheduler.tenant_summary()["a"]["queued"] == 1
+    assert scheduler.next_job().job_id == "x"
     summary = scheduler.tenant_summary()
-    assert summary["a"]["dispatched"] == 1
-    assert summary["a"]["queued"] == 0
-    assert summary["a"]["weight"] == 2.0
+    assert summary["a"] == {"queued": 0, "weight": 2.0, "quota": None}
 
 
 # ----------------------------------------------------------------------
