@@ -12,6 +12,13 @@ Builds a 14-block TFIM-8 partition with a two-candidate pool per block
 * times both scorers over the full 2^14-point search space and asserts
   the batched path delivers >= 10x objective-evaluation throughput.
 
+An annealed case gives each block its exact circuit and two CNOT
+truncations of it, a search space far above the exhaustive cutoff.  It
+selects once with the compiled ``SelectionObjective.__call__`` and once
+with the frozen per-call scorer of ``tests/objective_oracle.py`` in its
+place, asserts identical selections, and records the microseconds per
+scalar call of each, replayed over the compiled run's annealer points.
+
 Results are recorded to ``BENCH_selection.json`` at the repo root.
 """
 
@@ -26,13 +33,14 @@ from conftest import print_table
 
 from repro.algorithms import tfim
 from repro.circuits import Circuit
-from repro.core.annealing import select_approximations
+from repro.core.annealing import DEFAULT_EXHAUSTIVE_CUTOFF, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
 from repro.core.similarity import are_similar
 from repro.linalg import hs_distance
 from repro.partition.scan import scan_partition
 from repro.transpile.basis import lower_to_basis
+from tests.objective_oracle import FrozenObjective
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_selection.json"
 
@@ -155,21 +163,22 @@ def _seed_select(objective, sizes, max_samples):
 # Pool construction (no LEAP: truncated blocks as cheap approximations)
 # ----------------------------------------------------------------------
 
-def _truncated_variant(circuit: Circuit) -> Circuit:
-    """Prefix of ``circuit`` keeping all but its last CNOT."""
+def _truncated_variant(circuit: Circuit, dropped: int = 1) -> Circuit:
+    """Prefix of ``circuit`` ending before its ``dropped``-th last CNOT."""
     kept = []
     cnots_seen = 0
     total = circuit.cnot_count()
     for op in circuit.operations:
         if op.name == "cx":
             cnots_seen += 1
-            if cnots_seen == total:
+            if cnots_seen > total - dropped:
                 break
         kept.append(op)
     return Circuit(circuit.num_qubits, kept)
 
 
-def _build_pools(blocks) -> list[BlockPool]:
+def _build_pools(blocks, levels: int = 1) -> list[BlockPool]:
+    """The exact block plus ``levels`` CNOT truncations of it."""
     pools = []
     for block in blocks:
         original_unitary = block.unitary()
@@ -182,18 +191,28 @@ def _build_pools(blocks) -> list[BlockPool]:
                 cnot_count=block.circuit.cnot_count(),
             )
         )
-        variant = _truncated_variant(block.circuit)
-        unitary = variant.unitary()
-        pool.candidates.append(
-            Candidate(
-                circuit=variant,
-                unitary=unitary,
-                distance=hs_distance(unitary, original_unitary),
-                cnot_count=variant.cnot_count(),
+        for dropped in range(1, levels + 1):
+            variant = _truncated_variant(block.circuit, dropped)
+            unitary = variant.unitary()
+            pool.candidates.append(
+                Candidate(
+                    circuit=variant,
+                    unitary=unitary,
+                    distance=hs_distance(unitary, original_unitary),
+                    cnot_count=variant.cnot_count(),
+                )
             )
-        )
         pools.append(pool)
     return pools
+
+
+def _record(entries: dict) -> None:
+    """Merge ``entries`` into ``BENCH_selection.json``."""
+    record = (
+        json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
+    )
+    record.update(entries)
+    RESULTS_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def test_selection_scaling_smoke():
@@ -274,9 +293,8 @@ def test_selection_scaling_smoke():
 
     assert throughput_speedup >= 10.0
 
-    RESULTS_PATH.write_text(
-        json.dumps(
-            {
+    _record(
+        {
                 "circuit": "tfim(8, steps=2), max_block_qubits=2",
                 "num_blocks": num_blocks,
                 "search_space": space,
@@ -297,8 +315,108 @@ def test_selection_scaling_smoke():
                     "scalar": result.scalar_evaluations,
                     "batched": result.batched_evaluations,
                 },
-            },
-            indent=2,
+        }
+    )
+
+
+class _RecordingObjective(SelectionObjective):
+    """The compiled objective, keeping each scalar point and its priors."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.points: list[tuple[np.ndarray, int]] = []
+
+    def __call__(self, x):
+        self.points.append((np.array(x, dtype=float), len(self.selected)))
+        return super().__call__(x)
+
+
+def _us_per_call(score, objective, points, choices) -> float:
+    """Best-of-3 microseconds per call of ``score`` over ``points``."""
+    best = np.inf
+    for _ in range(3):
+        elapsed = 0.0
+        for x, num_priors in points:
+            objective.selected = list(choices[:num_priors])
+            start = time.perf_counter()
+            score(x)
+            elapsed += time.perf_counter() - start
+        best = min(best, elapsed)
+    return 1e6 * best / len(points)
+
+
+def test_annealed_selection_compiled_vs_oracle(monkeypatch):
+    baseline = lower_to_basis(tfim(8, steps=2).without_measurements())
+    pools = _build_pools(scan_partition(baseline, 2), levels=2)
+    sizes = [pool.size for pool in pools]
+    space = int(np.prod(sizes))
+    assert space > DEFAULT_EXHAUSTIVE_CUTOFF  # so both runs anneal
+    threshold = THRESHOLD_PER_BLOCK * len(pools)
+    original_cnots = baseline.cnot_count()
+
+    def select(objective):
+        start = time.perf_counter()
+        result = select_approximations(
+            objective, max_samples=MAX_SAMPLES, seed=0
         )
-        + "\n"
+        return result, time.perf_counter() - start
+
+    compiled = _RecordingObjective(
+        pools=pools, threshold=threshold, original_cnot_count=original_cnots
+    )
+    result, compiled_seconds = select(compiled)
+    frozen_objective = SelectionObjective(
+        pools=pools, threshold=threshold, original_cnot_count=original_cnots
+    )
+    oracle = FrozenObjective(frozen_objective)
+    with monkeypatch.context() as patch:
+        patch.setattr(SelectionObjective, "__call__", lambda self, x: oracle(x))
+        frozen, frozen_seconds = select(frozen_objective)
+
+    identical = (
+        result.objective_values == frozen.objective_values
+        and result.scalar_evaluations == frozen.scalar_evaluations
+        and len(result.choices) == len(frozen.choices)
+        and all(np.array_equal(a, b) for a, b in zip(result.choices, frozen.choices))
+    )
+    assert identical
+
+    # Replay the compiled run's points through both scorers, each
+    # against the priors that were selected when the point was scored.
+    points = compiled.points
+    replay = SelectionObjective(
+        pools=pools, threshold=threshold, original_cnot_count=original_cnots
+    )
+    compiled_us = _us_per_call(replay, replay, points, result.choices)
+    oracle_us = _us_per_call(FrozenObjective(replay), replay, points, result.choices)
+
+    print_table(
+        f"Annealed selection (TFIM-8, {len(pools)} blocks, {space} points)",
+        ["scorer", "scalar calls", "us/call", "selection s", "speedup"],
+        [
+            ["frozen per-call oracle", f"{frozen.scalar_evaluations}",
+             f"{oracle_us:.1f}", f"{frozen_seconds:.3f}", ""],
+            ["compiled __call__", f"{result.scalar_evaluations}",
+             f"{compiled_us:.1f}", f"{compiled_seconds:.3f}",
+             f"{oracle_us / compiled_us:.1f}x"],
+        ],
+    )
+    _record(
+        {
+            "annealed": {
+                "circuit": "tfim(8, steps=2), max_block_qubits=2, "
+                "exact block + 2 CNOT truncations",
+                "num_blocks": len(pools),
+                "search_space": space,
+                "threshold": threshold,
+                "scalar_evaluations": result.scalar_evaluations,
+                "selected_cnot_counts": [int(c) for c in result.cnot_counts],
+                "selected_choices_identical": bool(identical),
+                "oracle_us_per_scalar_call": oracle_us,
+                "compiled_us_per_scalar_call": compiled_us,
+                "scalar_call_speedup": oracle_us / compiled_us,
+                "oracle_selection_seconds": frozen_seconds,
+                "compiled_selection_seconds": compiled_seconds,
+            }
+        }
     )

@@ -10,10 +10,15 @@ Scores a full-circuit approximation (one candidate chosen per block):
   similar to with the normalized CNOT count, weighted ``weight`` /
   ``1 - weight`` (0.5 each in the paper).
 
-Per-block CNOT counts and distances are padded into
-``(num_blocks, max_pool_size)`` matrices at construction, so both the
-single-point accessors and the batched ``evaluate_batch`` entry point
-are single fancy-indexed gathers instead of per-block Python loops.
+The annealer scores thousands of points one at a time, so everything a
+call reads is compiled ahead of it.  Per-block CNOT counts and distances
+are flattened into one row each at construction, with per-block offsets,
+and the selected priors are stacked, validated and compiled into one row
+of similarity hits per candidate once per change of ``selected``.  A
+call then decodes its point, does one gather per table and one against
+the compiled priors, and reduces each with ``np.add.reduce`` over the
+same elements in the same order as the batched ``evaluate_batch`` entry
+point.
 """
 
 from __future__ import annotations
@@ -23,13 +28,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.pool import BlockPool
-from repro.core.similarity import BlockSimilarityTables
+from repro.core.similarity import BlockSimilarityTables, validate_choices
 from repro.exceptions import SelectionError
 
 
 @dataclass
 class SelectionObjective:
-    """Callable objective over integer choice vectors."""
+    """Callable objective over integer choice vectors.
+
+    ``selected`` holds the priors the similarity term scores against.
+    Append to it, clear it, replace its elements or reassign it freely;
+    the compiled priors follow on the next call.  An element is read as
+    a value when it joins: replace it rather than write into it.
+    """
 
     pools: list[BlockPool]
     threshold: float
@@ -55,17 +66,25 @@ class SelectionObjective:
                 [pool.original_unitary for pool in self.pools],
             )
         self._sizes = np.array([pool.size for pool in self.pools])
-        # Padded per-block tables: row b holds pool b's candidate values,
-        # padded to the widest pool.  Distance padding is +inf (a padded
-        # index, were one ever gathered, scores infeasible); CNOT padding
-        # is 0 and unreachable because choices are clipped to pool sizes.
-        max_size = int(self._sizes.max())
-        self._cnot_matrix = np.zeros((len(self.pools), max_size), dtype=np.int64)
-        self._distance_matrix = np.full((len(self.pools), max_size), np.inf)
-        for b, pool in enumerate(self.pools):
-            self._cnot_matrix[b, : pool.size] = pool.cnot_counts()
-            self._distance_matrix[b, : pool.size] = pool.distances()
-        self._block_index = np.arange(len(self.pools))
+        self._max_choice = self._sizes - 1
+        # Flat per-block rows: pool b's values sit at
+        # _offsets[b] : _offsets[b] + size_b, so choice vector c reads
+        # table[_offsets + c], one entry per block in block order.
+        self._offsets = np.concatenate(([0], np.cumsum(self._sizes)[:-1]))
+        self._cnots = np.concatenate(
+            [pool.cnot_counts() for pool in self.pools]
+        ).astype(np.int64)
+        self._distances = np.concatenate(
+            [pool.distances() for pool in self.pools]
+        ).astype(float)
+        # Every in-pool choice must also index the similarity tables.
+        self.tables.prior_hits(self._max_choice)
+        # The priors as compiled by the tables, keyed on the ids of the
+        # held references to ``selected``'s elements: held, those ids
+        # cannot be reused by new arrays while the key is live.
+        self._prior_refs: list[np.ndarray] = []
+        self._prior_key: tuple[int, ...] = ()
+        self._prior_hits: np.ndarray | None = None
 
     @property
     def num_blocks(self) -> int:
@@ -79,38 +98,45 @@ class SelectionObjective:
     def decode(self, x: np.ndarray) -> np.ndarray:
         """Floor a continuous annealer point to an integer choice vector."""
         choice = np.floor(np.asarray(x)).astype(int)
-        return np.clip(choice, 0, self._sizes - 1)
+        np.maximum(choice, 0, out=choice)
+        return np.minimum(choice, self._max_choice, out=choice)
+
+    def _sum_chosen(self, table: np.ndarray, choices: np.ndarray):
+        """Sum of ``table``'s entries at each choice vector, in block order."""
+        return np.add.reduce(table[self._offsets + choices], axis=-1)
 
     def choice_cnot_count(self, choice: np.ndarray) -> int:
         """Total CNOTs of the stitched approximation."""
-        return int(self._cnot_matrix[self._block_index, choice].sum())
+        choice = validate_choices(choice, self._sizes)
+        return int(self._sum_chosen(self._cnots, choice))
 
     def choice_bound(self, choice: np.ndarray) -> float:
         """Sec. 3.8 upper bound: sum of chosen block distances."""
-        return float(self._distance_matrix[self._block_index, choice].sum())
+        choice = validate_choices(choice, self._sizes)
+        return float(self._sum_chosen(self._distances, choice))
 
-    def selected_matrix(self) -> np.ndarray:
-        """The ``(S, num_blocks)`` stack of already-selected choices."""
-        return np.stack(self.selected)
-
-    def similarity_to_selected(self, choice: np.ndarray) -> float:
-        """Fraction of already-selected samples similar to ``choice``."""
-        if not self.selected:
-            return 0.0
-        fractions = self.tables.similarity_fractions(
-            choice, self.selected_matrix()
-        )
-        return float(fractions.sum()) / len(self.selected)
+    def _compiled_priors(self) -> np.ndarray | None:
+        """Similarity rows of ``selected``, recompiled when it changes."""
+        if tuple(map(id, self.selected)) != self._prior_key:
+            refs = list(self.selected)
+            hits = self.tables.prior_hits(np.stack(refs)) if refs else None
+            self._prior_refs, self._prior_key = refs, tuple(map(id, refs))
+            self._prior_hits = hits
+        return self._prior_hits
 
     def __call__(self, x: np.ndarray) -> float:
+        # ``decode`` clips into every pool, so the choice needs no check.
         choice = self.decode(x)
         self.scalar_evaluations += 1
-        if self.choice_bound(choice) > self.threshold:
+        if float(self._sum_chosen(self._distances, choice)) > self.threshold:
             return 1.0
-        c_norm = self.choice_cnot_count(choice) / self.original_cnot_count
-        if not self.selected:
+        cnots = int(self._sum_chosen(self._cnots, choice))
+        c_norm = cnots / self.original_cnot_count
+        prior_hits = self._compiled_priors()
+        if prior_hits is None:
             return c_norm
-        m = self.similarity_to_selected(choice)
+        fractions = self.tables.fractions_at(choice, prior_hits)
+        m = float(np.add.reduce(fractions)) / len(fractions)
         return self.weight * m + (1.0 - self.weight) * c_norm
 
     def evaluate_batch(self, choices: np.ndarray) -> np.ndarray:
@@ -121,18 +147,15 @@ class SelectionObjective:
         per-row reduction), so the exhaustive path and the annealed path
         share one scoring implementation.
         """
-        choices = np.atleast_2d(np.asarray(choices, dtype=np.intp))
-        if choices.shape[1] != self.num_blocks:
-            raise SelectionError("choice matrix width != number of blocks")
+        choices = validate_choices(np.atleast_2d(choices), self._sizes)
         self.batched_evaluations += choices.shape[0]
-        bounds = self._distance_matrix[self._block_index, choices].sum(axis=1)
-        cnots = self._cnot_matrix[self._block_index, choices].sum(axis=1)
+        bounds = self._sum_chosen(self._distances, choices)
+        cnots = self._sum_chosen(self._cnots, choices)
         values = cnots / self.original_cnot_count
-        if self.selected:
-            fractions = self.tables.similarity_fractions_batch(
-                choices, self.selected_matrix()
-            )
-            m = fractions.sum(axis=1) / len(self.selected)
+        prior_hits = self._compiled_priors()
+        if prior_hits is not None:
+            fractions = self.tables.fractions_at(choices, prior_hits)
+            m = fractions.sum(axis=1) / fractions.shape[1]
             values = self.weight * m + (1.0 - self.weight) * values
         values[bounds > self.threshold] = 1.0
         return values

@@ -82,16 +82,31 @@ def _block_table(candidates: np.ndarray, original: np.ndarray) -> np.ndarray:
     return table
 
 
+def validate_choices(choices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``choices`` as an index array, or ``SelectionError`` if any is invalid.
+
+    ``choices`` is one choice vector or a stack of them; entry ``b`` of
+    each must index block ``b``'s ``counts[b]`` candidates.
+    """
+    choices = np.asarray(choices, dtype=np.intp)
+    if choices.shape[-1] != len(counts):
+        raise SelectionError("choice vector length != number of blocks")
+    if np.any(choices < 0) or np.any(choices >= counts):
+        raise SelectionError("choice index outside its block's pool")
+    return choices
+
+
 class BlockSimilarityTables:
     """Precomputed per-block similarity lookups for the annealing objective.
 
     For every block, stores a boolean matrix ``similar[i, j]`` over its
     candidate approximations; the per-block tables are additionally
-    packed into one flat array with per-block offsets, so scoring a
-    choice vector against a whole stack of prior selections is a single
-    fancy-indexed gather (the annealer calls the objective thousands of
-    times, and the batched exhaustive path scores thousands of choices
-    per call).
+    packed into one flat array with per-block offsets.  A stack of prior
+    selections compiles once into one row of hits per candidate
+    (:meth:`prior_hits`), so scoring a choice vector, or a batch of
+    them, against every prior is a single fancy-indexed gather (the
+    annealer calls the objective thousands of times, and the batched
+    exhaustive path scores thousands of choices per call).
     """
 
     def __init__(
@@ -120,44 +135,62 @@ class BlockSimilarityTables:
         self._flat = np.concatenate(
             [table.ravel() for table in self._tables]
         )
+        # Candidates in block order: candidate i of block b is number
+        # _starts[b] + i.  Per candidate, _row_blocks holds its block and
+        # _row_cells the flat index where its table row starts,
+        # _offsets[b] + i * count_b (see ``prior_hits``).
+        self._starts = np.concatenate(
+            ([0], np.cumsum(self._counts)[:-1])
+        ).astype(np.intp)
+        self._row_blocks = np.repeat(np.arange(self.num_blocks), self._counts)
+        self._row_cells = np.concatenate(
+            [
+                offset + count * np.arange(count)
+                for offset, count in zip(self._offsets, self._counts)
+            ]
+        )
 
     def candidates_similar(self, block: int, i: int, j: int) -> bool:
         """Whether candidates ``i`` and ``j`` of ``block`` are similar."""
         return bool(self._tables[block][i, j])
 
-    def _validate_choices(self, choices: np.ndarray) -> np.ndarray:
-        choices = np.asarray(choices, dtype=np.intp)
-        if choices.shape[-1] != self.num_blocks:
-            raise SelectionError("choice vector length != number of blocks")
-        if np.any(choices < 0) or np.any(choices >= self._counts):
-            raise SelectionError("choice index outside its block's pool")
-        return choices
-
     def similarity_fraction(
         self, choice_a: np.ndarray, choice_b: np.ndarray
     ) -> float:
         """Fraction of blocks whose chosen candidates are similar."""
-        choice_a = self._validate_choices(choice_a)
-        choice_b = self._validate_choices(choice_b)
+        choice_a = validate_choices(choice_a, self._counts)
+        choice_b = validate_choices(choice_b, self._counts)
         hits = self._flat[
             self._offsets + choice_a * self._counts + choice_b
         ]
         return int(hits.sum()) / self.num_blocks
 
-    def similarity_fractions(
-        self, choice: np.ndarray, priors: np.ndarray
-    ) -> np.ndarray:
-        """Similarity fraction of ``choice`` against each stacked prior.
+    def prior_hits(self, priors: np.ndarray) -> np.ndarray:
+        """Validate stacked priors once, as one similarity row per candidate.
 
         ``priors`` is an ``(S, num_blocks)`` matrix of selected choice
-        vectors; the result is the length-``S`` vector of fractions, via
-        a single gather (no Python loop over priors).
+        vectors.  Returns the ``(sum(counts), S)`` boolean matrix whose
+        row ``starts[b] + i`` says, per prior, whether candidate ``i`` of
+        block ``b`` is similar to that prior's candidate there.  Scoring
+        choices against the priors is then one gather of their rows
+        (:meth:`fractions_at`).
         """
-        choice = self._validate_choices(choice)
-        priors = self._validate_choices(np.atleast_2d(priors))
-        cells = self._offsets + choice * self._counts  # (num_blocks,)
-        hits = self._flat[cells[None, :] + priors]  # (S, num_blocks)
-        return hits.sum(axis=1) / self.num_blocks
+        priors = validate_choices(np.atleast_2d(priors), self._counts)
+        return self._flat[
+            self._row_cells[:, None] + priors[:, self._row_blocks].T
+        ]
+
+    def fractions_at(
+        self, choices: np.ndarray, prior_hits: np.ndarray
+    ) -> np.ndarray:
+        """Fractions of ``choices`` against priors compiled by :meth:`prior_hits`.
+
+        ``choices`` is one choice vector or a ``(B, num_blocks)`` matrix,
+        and is not validated: the caller passes in-range indices.
+        Returns the ``(S,)`` or ``(B, S)`` fractions.
+        """
+        hits = prior_hits[self._starts + choices]
+        return np.add.reduce(hits, axis=-2) / self.num_blocks
 
     def similarity_fractions_batch(
         self, choices: np.ndarray, priors: np.ndarray
@@ -168,8 +201,5 @@ class BlockSimilarityTables:
         ``(S, num_blocks)``; returns the ``(B, S)`` fraction matrix in
         one gather over the packed tables.
         """
-        choices = self._validate_choices(np.atleast_2d(choices))
-        priors = self._validate_choices(np.atleast_2d(priors))
-        cells = self._offsets[None, :] + choices * self._counts  # (B, nb)
-        hits = self._flat[cells[:, None, :] + priors[None, :, :]]
-        return hits.sum(axis=2) / self.num_blocks
+        choices = validate_choices(np.atleast_2d(choices), self._counts)
+        return self.fractions_at(choices, self.prior_hits(priors))

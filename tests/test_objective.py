@@ -116,3 +116,20 @@ def test_choice_accounting(pools):
 def test_validation():
     with pytest.raises(SelectionError):
         SelectionObjective(pools=[], threshold=1.0, original_cnot_count=4)
+
+
+@pytest.mark.parametrize("choice", [[-1, 0], [4, 0]])
+@pytest.mark.parametrize("with_prior", [False, True])
+def test_public_entry_points_reject_out_of_pool_choices(pools, choice, with_prior):
+    # A negative index must not wrap around to the pool's last
+    # candidate, and a past-the-end one must not reach numpy's
+    # IndexError, whether or not a prior is selected.
+    objective = _objective(pools)
+    if with_prior:
+        objective.selected.append(np.array([1, 1]))
+    with pytest.raises(SelectionError):
+        objective.evaluate_batch([choice])
+    with pytest.raises(SelectionError):
+        objective.choice_bound(np.array(choice))
+    with pytest.raises(SelectionError):
+        objective.choice_cnot_count(np.array(choice))

@@ -95,3 +95,23 @@ class TestTables:
             BlockSimilarityTables([[np.eye(2)]], [])
         with pytest.raises(SelectionError):
             BlockSimilarityTables([[]], [np.eye(2)])
+
+    def test_batch_fractions_match_pairwise_fractions(self, rng):
+        # Unequal pool sizes, so every block's rows sit at their own
+        # offsets in the compiled prior hits.
+        sizes = [3, 1, 5, 2]
+        originals = [random_unitary(2, rng) for _ in sizes]
+        candidates = [
+            [original] + [random_unitary(2, rng) for _ in range(size - 1)]
+            for original, size in zip(originals, sizes)
+        ]
+        tables = BlockSimilarityTables(candidates, originals)
+        choices = np.column_stack([rng.integers(0, s, 9) for s in sizes])
+        priors = np.column_stack([rng.integers(0, s, 4) for s in sizes])
+        batch = tables.similarity_fractions_batch(choices, priors)
+        assert batch.shape == (9, 4)
+        for r, choice in enumerate(choices):
+            for s, prior in enumerate(priors):
+                assert batch[r, s] == tables.similarity_fraction(choice, prior)
+        with pytest.raises(SelectionError):
+            tables.similarity_fractions_batch(choices, [[0, 1, 0, 0]])
