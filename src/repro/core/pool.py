@@ -69,6 +69,9 @@ def build_pool(
     solutions: list[SynthesisSolution],
     max_candidates: int = 24,
     distance_cap: float | None = None,
+    *,
+    original_unitary: np.ndarray | None = None,
+    unitaries: list[np.ndarray] | None = None,
 ) -> BlockPool:
     """Assemble a pool from LEAP solutions plus the original block.
 
@@ -76,8 +79,15 @@ def build_pool(
     lower CNOT counts then lower distances; candidates above
     ``distance_cap`` (when given) are discarded up front — the analogue of
     Algorithm 1's threshold rejection, applied per block.
+
+    ``original_unitary`` (the block's) and ``unitaries`` (the solutions',
+    in solution order) are matrices the caller already built from those
+    circuits; either one left out is built here.
     """
-    original_unitary = block.unitary()
+    if original_unitary is None:
+        original_unitary = block.unitary()
+    if unitaries is None:
+        unitaries = [None] * len(solutions)
     original_cnots = block.circuit.cnot_count()
     pool = BlockPool(block=block, original_unitary=original_unitary)
     pool.candidates.append(
@@ -89,7 +99,11 @@ def build_pool(
         )
     )
     kept = 0
-    for solution in sorted(solutions, key=lambda s: (s.cnot_count, s.distance)):
+    ranked = sorted(
+        zip(solutions, unitaries, strict=True),
+        key=lambda pair: (pair[0].cnot_count, pair[0].distance),
+    )
+    for solution, unitary in ranked:
         if kept >= max_candidates:
             break
         if distance_cap is not None and solution.distance > distance_cap:
@@ -97,7 +111,8 @@ def build_pool(
         if solution.cnot_count >= original_cnots and solution.distance > 1e-9:
             # Longer *and* worse than the original: never useful.
             continue
-        unitary = solution.circuit.unitary()
+        if unitary is None:
+            unitary = solution.circuit.unitary()
         # Re-measure the distance from the concrete circuit (the optimizer
         # cost is a lower bound on what the built circuit achieves).
         distance = hs_distance(unitary, original_unitary)
@@ -122,14 +137,17 @@ def build_pool(
     return pool
 
 
-def exact_pool(block: CircuitBlock) -> BlockPool:
+def exact_pool(
+    block: CircuitBlock, original_unitary: np.ndarray | None = None
+) -> BlockPool:
     """The singleton pool holding only the exact original block.
 
     This is the guaranteed-feasible degenerate pool: used for blocks with
     nothing to approximate (1 qubit, CNOT-free) and as the graceful
     fallback when a block's synthesis fails or times out.
+    ``original_unitary`` is the block's matrix when the caller holds it.
     """
-    return build_pool(block, [])
+    return build_pool(block, [], original_unitary=original_unitary)
 
 
 def augment_with_sphere_variants(
@@ -161,11 +179,10 @@ def augment_with_sphere_variants(
     added = 0
     for cnot_count in sorted(best_by_count)[:max_counts]:
         base = best_by_count[cnot_count]
-        for variant in sphere_variants(
+        for variant, unitary in sphere_variants(
             base.circuit, pool.original_unitary, threshold,
-            count=per_count, rng=rng,
+            count=per_count, rng=rng, unitary=base.unitary,
         ):
-            unitary = variant.unitary()
             pool.candidates.append(
                 Candidate(
                     circuit=variant,

@@ -191,15 +191,3 @@ class BlockSimilarityTables:
         """
         hits = prior_hits[self._starts + choices]
         return np.add.reduce(hits, axis=-2) / self.num_blocks
-
-    def similarity_fractions_batch(
-        self, choices: np.ndarray, priors: np.ndarray
-    ) -> np.ndarray:
-        """Fractions of every choice row against every prior row.
-
-        ``choices`` is ``(B, num_blocks)``, ``priors`` is
-        ``(S, num_blocks)``; returns the ``(B, S)`` fraction matrix in
-        one gather over the packed tables.
-        """
-        choices = validate_choices(np.atleast_2d(choices), self._counts)
-        return self.fractions_at(choices, self.prior_hits(priors))

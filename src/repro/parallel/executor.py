@@ -42,13 +42,18 @@ block downgrade to the exact-block singleton pool — the distance-zero
 fallback QUEST always keeps — with a :class:`RuntimeWarning`, so one bad
 block costs approximation quality, never the run.
 
-A run is plan → dispatch → assemble.  The plan step routes each block:
-trivial, a within-run repeat, a validated store hit, or a synthesis
-job.  The dispatch step runs the jobs in retry rounds, inline when
-``workers == 1`` and over a process pool otherwise.  The assemble step
-builds the pools in block order.  Both kinds of round settle every
-attempt through one function, which validates the candidates,
-classifies a failure, and publishes a success.
+A run is plan → dispatch → assemble.  The plan step builds each block's
+unitary and routes the block: trivial, a within-run repeat, a validated
+store hit, or a synthesis job.  The dispatch step runs the jobs in retry
+rounds, inline when ``workers == 1`` and over a process pool otherwise.
+The assemble step builds the pools in block order.  Both kinds of round
+settle every attempt through one function, which validates the
+candidates, classifies a failure, and publishes a success.  Matrices
+are handed on as values, each built once: validation checks candidates
+against the plan's block unitary, and pool assembly takes that unitary
+and the solution matrices validation rebuilt.  Nothing is memoized on a
+circuit, so whatever crosses a process or the store is still rebuilt
+from its circuit on arrival.
 
 Wall-clock time bounds an attempt, never shapes its result.  Timeouts
 come in two flavors: worker processes are bounded by the future's hard
@@ -78,6 +83,8 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
+
+import numpy as np
 
 from repro.core.pool import (
     BlockPool,
@@ -203,15 +210,27 @@ def assemble_pool(
     solutions: list[SynthesisSolution],
     config,
     seed: int,
+    *,
+    original_unitary: np.ndarray | None = None,
+    unitaries: list[np.ndarray] | None = None,
 ) -> BlockPool:
     """Build the block's candidate pool from raw LEAP solutions.
 
     Runs in the parent process: the pool embeds the (position-specific)
     block, so only the solutions themselves are shareable across blocks.
+    ``original_unitary`` and ``unitaries`` are the block's and the
+    solutions' matrices when the caller built them already (see
+    :func:`~repro.core.pool.build_pool`).
     """
     # No single block may eat more than its per-block share of the total
     # threshold — the per-block analogue of Algorithm 1's rejection line.
-    pool = build_pool(block, solutions, distance_cap=config.threshold_per_block)
+    pool = build_pool(
+        block,
+        solutions,
+        distance_cap=config.threshold_per_block,
+        original_unitary=original_unitary,
+        unitaries=unitaries,
+    )
     if config.sphere_variants_per_count > 0:
         augment_with_sphere_variants(
             pool,
@@ -252,9 +271,10 @@ class BlockSynthesisStats:
 
 @dataclass(frozen=True)
 class _BlockPlan:
-    """Routing decision for one block."""
+    """Routing decision for one block, with the block's own unitary."""
 
     trivial: bool
+    unitary: np.ndarray
     key: str | None = None  # entry key (None for trivial blocks)
     seed: int = 0  # canonical synthesis seed
 
@@ -266,10 +286,15 @@ class _RunState:
     config: object
     task: object
     stats: BlockSynthesisStats
+    #: One plan per block, in block order.
+    plans: list[_BlockPlan] = field(default_factory=list)
     #: Synthesis jobs by entry key: (first block index, block, seed).
     jobs: dict[str, tuple[int, CircuitBlock, int]] = field(default_factory=dict)
     #: Solutions by entry key, from the store, a job or a joined job.
     resolved: dict[str, list[SynthesisSolution]] = field(default_factory=dict)
+    #: The solutions' unitaries by entry key, as validation rebuilt them
+    #: (joined results are not validated, so their pools build their own).
+    unitaries: dict[str, list[np.ndarray]] = field(default_factory=dict)
     #: Latest failure by entry key.
     failures: dict[str, BaseException] = field(default_factory=dict)
     #: The in-flight registry keys claims by this token, so a crashed
@@ -368,38 +393,43 @@ class BlockSynthesisExecutor:
             ),
             stats=BlockSynthesisStats(block_seconds=[0.0] * len(blocks)),
         )
-        plans = self._plan(state, blocks, seeds)
+        self._plan(state, blocks, seeds)
         self._dispatch(state)
-        return self._assemble(state, blocks, plans), state.stats
+        return self._assemble(state, blocks), state.stats
 
     # ------------------------------------------------------------------
     # Plan
     # ------------------------------------------------------------------
     def _plan(
         self, state: _RunState, blocks: list[CircuitBlock], seeds: list[int]
-    ) -> list[_BlockPlan]:
+    ) -> None:
         """Route every block; each new entry key becomes one job.
 
-        Seeds are canonicalized per content key, so repeats of a block
-        share its entry key.  A key planned before is a within-run
+        Each plan lands in ``state.plans`` with its block's unitary,
+        built here for every later reader: the key, validation and the
+        pool.  Seeds are canonicalized per content key, so repeats of a
+        block share its entry key.  A key planned before is a within-run
         repeat and a key the store holds a valid entry for is a store
         hit; both count as ``cache.hit``.
         """
         tracer = get_tracer()
         metrics = get_metrics()
-        plans: list[_BlockPlan] = []
+        plans = state.plans
         canonical_seed: dict[str, int] = {}
         for index, (block, seed) in enumerate(zip(blocks, seeds)):
+            unitary = block.unitary()
             if block.num_qubits == 1 or block.circuit.cnot_count() == 0:
-                plans.append(_BlockPlan(trivial=True))
+                plans.append(_BlockPlan(trivial=True, unitary=unitary))
                 continue
             fingerprint = leap_config_for_block(
                 block.circuit.cnot_count(), state.config, seed=None
             ).fingerprint()
-            content = content_key(block.unitary(), fingerprint)
+            content = content_key(unitary, fingerprint)
             seed = canonical_seed.setdefault(content, seed)
             key = entry_key(content, seed)
-            plans.append(_BlockPlan(trivial=False, key=key, seed=seed))
+            plans.append(
+                _BlockPlan(trivial=False, unitary=unitary, key=key, seed=seed)
+            )
             if key in state.resolved or key in state.jobs:
                 # A within-run repeat.
                 if tracer.is_enabled:
@@ -407,24 +437,26 @@ class BlockSynthesisExecutor:
                 if metrics.is_enabled:
                     metrics.inc("cache.hit")
                 continue
-            if self._cache_hit(state, index, block, key):
+            if self._cache_hit(state, index, unitary, key):
                 continue
             state.jobs[key] = (index, block, seed)
             if metrics.is_enabled:
                 metrics.inc("cache.miss")
-        return plans
 
     def _cache_hit(
-        self, state: _RunState, index: int, block: CircuitBlock, key: str
+        self, state: _RunState, index: int, target: np.ndarray, key: str
     ) -> bool:
-        """Resolve ``key`` from the store; a failing entry is quarantined."""
+        """Resolve ``key`` from the store; a failing entry is quarantined.
+
+        ``target`` is the block's unitary, from its plan.
+        """
         if self.cache is None:
             return False
         cached = self.cache.get(key)
         if cached is None:
             return False
         try:
-            validate_solutions(block.unitary(), cached)
+            unitaries = validate_solutions(target, cached)
         except ValidationError as exc:
             _note_failure(
                 state.stats.failure_log,
@@ -435,6 +467,7 @@ class BlockSynthesisExecutor:
             )
             return False
         state.resolved[key] = cached
+        state.unitaries[key] = unitaries
         tracer = get_tracer()
         if tracer.is_enabled:
             tracer.event("cache.hit", block=index, source="disk")
@@ -585,7 +618,7 @@ class BlockSynthesisExecutor:
         into the store as its job lands, so a run killed mid-round has
         already published every finished block.
         """
-        index, block, _ = state.jobs[key]
+        index = state.jobs[key][0]
         try:
             with span or nullcontext():
                 solutions, elapsed, telemetry = fetch()
@@ -596,7 +629,9 @@ class BlockSynthesisExecutor:
                     records, snapshot = telemetry
                     get_tracer().replay(records)
                     get_metrics().merge(snapshot)
-                validate_solutions(block.unitary(), solutions)
+                unitaries = validate_solutions(
+                    state.plans[index].unitary, solutions
+                )
         except Exception as exc:
             kind, message = FAILURE_EXCEPTION, f"{type(exc).__name__}: {exc}"
             if isinstance(exc, ValidationError):
@@ -617,6 +652,7 @@ class BlockSynthesisExecutor:
             state.failures[key] = exc
             return False
         state.resolved[key] = solutions
+        state.unitaries[key] = unitaries
         state.stats.block_seconds[index] = elapsed
         # The registry ignores keys this run does not hold (a join re-run
         # as its own attempt), so only claimed keys are published.
@@ -667,28 +703,35 @@ class BlockSynthesisExecutor:
     # Assemble
     # ------------------------------------------------------------------
     def _assemble(
-        self,
-        state: _RunState,
-        blocks: list[CircuitBlock],
-        plans: list[_BlockPlan],
+        self, state: _RunState, blocks: list[CircuitBlock]
     ) -> list[BlockPool]:
         """Build every block's pool in the parent, in block order.
 
-        A block whose entry key never resolved falls back to its exact
-        pool.
+        Each pool takes its own block's unitary from the plan (blocks
+        under one content key can differ by a global phase) and the
+        solution matrices validation rebuilt, which a within-run repeat
+        shares with its first occurrence.  A block whose entry key never
+        resolved falls back to its exact pool.
         """
         tracer = get_tracer()
         metrics = get_metrics()
         attempts = self.max_attempts
         pools: list[BlockPool] = []
-        for index, (block, plan) in enumerate(zip(blocks, plans)):
+        for index, (block, plan) in enumerate(zip(blocks, state.plans)):
             if plan.trivial:
-                pools.append(exact_pool(block))
+                pools.append(exact_pool(block, plan.unitary))
                 continue
             solutions = state.resolved.get(plan.key)
             if solutions is not None:
                 pools.append(
-                    assemble_pool(block, solutions, state.config, plan.seed)
+                    assemble_pool(
+                        block,
+                        solutions,
+                        state.config,
+                        plan.seed,
+                        original_unitary=plan.unitary,
+                        unitaries=state.unitaries.get(plan.key),
+                    )
                 )
                 continue
             cause = state.failures.get(plan.key)
@@ -720,5 +763,5 @@ class BlockSynthesisExecutor:
                 tracer.event("executor.fallback", block=index, attempts=attempts)
             if metrics.is_enabled:
                 metrics.inc("synthesis.fallbacks")
-            pools.append(exact_pool(block))
+            pools.append(exact_pool(block, plan.unitary))
         return pools

@@ -24,10 +24,12 @@ candidate:
   unitary agrees with the recorded one to ``DISTANCE_CONSISTENCY_TOL``.
 
 A solution's unitary is built from its circuit by
-:func:`~repro.sim.unitary.circuit_unitary`.  A pool also stores each
-candidate's matrix, so ``validate_pool`` additionally requires every
-stored matrix — the original's and each candidate's — to match the one
-rebuilt from its circuit to ``POOL_UNITARY_MATCH_TOL``: the plain checks
+:func:`~repro.sim.unitary.circuit_unitary`; ``validate_solutions``
+returns the matrices it built, and pool assembly uses them instead of
+building them again.  A pool also stores each candidate's matrix, so
+``validate_pool`` additionally requires every stored matrix — the
+original's and each candidate's — to match the one rebuilt from its
+circuit to ``POOL_UNITARY_MATCH_TOL``: the plain checks
 accept any matrix that is *a* unitary at the recorded distance, this one
 only the unitary the circuit actually implements.
 
@@ -157,11 +159,15 @@ def validate_ptm(
         )
 
 
-def validate_solutions(target: np.ndarray, solutions) -> None:
+def validate_solutions(target: np.ndarray, solutions) -> list[np.ndarray]:
     """Validate a worker's / the cache's raw LEAP solution list.
 
-    Raises :class:`ValidationError` naming the first offending solution;
-    an empty list is valid (the pool degenerates to the exact block).
+    Returns each solution's unitary, in solution order: the matrices
+    this check rebuilt from the circuits, never one read from a store
+    entry or a worker's reply, so a pool assembled from them holds what
+    the circuits implement.  Raises :class:`ValidationError` naming the
+    first offending solution; an empty list is valid (the pool
+    degenerates to the exact block).
     """
     # Imported lazily: repro.synthesis.instantiate imports
     # repro.resilience.deadline, which loads this package, so a
@@ -172,18 +178,22 @@ def validate_solutions(target: np.ndarray, solutions) -> None:
         raise ValidationError(
             f"solution payload is {type(solutions).__name__}, expected list"
         )
+    unitaries = []
     for position, solution in enumerate(solutions):
         if not isinstance(solution, SynthesisSolution):
             raise ValidationError(
                 f"solution {position} is {type(solution).__name__}, "
                 f"expected SynthesisSolution"
             )
+        unitary = solution.circuit.unitary()
         validate_candidate_unitary(
-            solution.circuit.unitary(),
+            unitary,
             target,
             solution.distance,
             label=f"solution {position} (cnots={solution.cnot_count})",
         )
+        unitaries.append(unitary)
+    return unitaries
 
 
 def validate_pool(pool) -> None:

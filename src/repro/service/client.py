@@ -42,11 +42,12 @@ class ServiceClient:
     # Wire plumbing
     # ------------------------------------------------------------------
     def _request(self, message: dict, timeout: float | None) -> dict:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(self.connect_timeout)
             sock.connect(self.socket_path)
         except OSError as exc:
+            sock.close()
             raise ServiceError(
                 f"cannot reach daemon at {self.socket_path}: {exc}"
             ) from exc

@@ -1,7 +1,9 @@
 """Full-circuit unitary computation (the "Qiskit unitary simulator" role).
 
 The library's one unitary builder: the pipeline, candidate validation
-and the certifier all build circuit unitaries here.  It accumulates
+and the certifier all build circuit unitaries here, and the
+epsilon-sphere probes run the same loop (:func:`accumulate_unitary`) on
+gate matrices they compiled once per base circuit.  It accumulates
 ``U = U_K ... U_1`` by contracting each gate into the identity's columns
 — no gate is ever embedded into a dense full-width operator on its own.
 The columns move in slabs of at most ``_SLAB_AMPLITUDES`` amplitudes, so
@@ -38,13 +40,26 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise SimulationError(
             "circuit contains measurements; call without_measurements() first"
         )
-    num_qubits = circuit.num_qubits
+    return accumulate_unitary(
+        [
+            (op.gate.matrix(), op.qubits)
+            for op in circuit.operations
+            if op.name != "barrier"
+        ],
+        circuit.num_qubits,
+    )
+
+
+def accumulate_unitary(
+    gates: list[tuple[np.ndarray, tuple[int, ...]]], num_qubits: int
+) -> np.ndarray:
+    """Accumulate ``U = U_K ... U_1`` over ``(matrix, qubits)`` pairs.
+
+    The loop behind :func:`circuit_unitary`, for callers that already
+    hold the gate matrices (the epsilon-sphere probes): the same pairs
+    give the same bits.  Width is not checked here.
+    """
     dim = 2**num_qubits
-    gates = [
-        (op.gate.matrix(), op.qubits)
-        for op in circuit.operations
-        if op.name != "barrier"
-    ]
     columns = min(dim, max(1, _SLAB_AMPLITUDES // dim))
     unitary = None if columns == dim else np.empty((dim, dim), dtype=complex)
     for start in range(0, dim, columns):

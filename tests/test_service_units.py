@@ -1,19 +1,23 @@
-"""Service-layer units: scheduler, ledger, protocol.
+"""Service-layer units: scheduler, ledger, protocol, client.
 
 Everything here runs without a daemon: the scheduler is plain
 lock-guarded state, the ledger is a directory, and the protocol
 is pure serialization — which is exactly why they are separable from
-the asyncio front end and testable at this granularity.
+the asyncio front end and testable at this granularity.  The client is
+checked only where no daemon listens.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import pytest
 
 from repro.core.quest import QuestConfig
 from repro.exceptions import AdmissionRejected, ServiceError
+from repro.service.client import ServiceClient
 from repro.service.ledger import JobLedger
 from repro.service.protocol import (
     JOB_DONE,
@@ -282,3 +286,15 @@ def test_encode_decode_message_round_trip_and_garbage():
         decode_message(b"not json\n")
     with pytest.raises(ServiceError, match="'type'"):
         decode_message(b'{"no": "type"}\n')
+
+
+def test_unreachable_daemon_leaks_no_socket(tmp_path):
+    # wait_until_ready polls through this path until the daemon listens.
+    client = ServiceClient(str(tmp_path / "missing.sock"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ServiceError, match="cannot reach daemon"):
+            client.status()
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []

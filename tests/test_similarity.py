@@ -108,10 +108,10 @@ class TestTables:
         tables = BlockSimilarityTables(candidates, originals)
         choices = np.column_stack([rng.integers(0, s, 9) for s in sizes])
         priors = np.column_stack([rng.integers(0, s, 4) for s in sizes])
-        batch = tables.similarity_fractions_batch(choices, priors)
+        batch = tables.fractions_at(choices, tables.prior_hits(priors))
         assert batch.shape == (9, 4)
         for r, choice in enumerate(choices):
             for s, prior in enumerate(priors):
                 assert batch[r, s] == tables.similarity_fraction(choice, prior)
         with pytest.raises(SelectionError):
-            tables.similarity_fractions_batch(choices, [[0, 1, 0, 0]])
+            tables.prior_hits([[0, 1, 0, 0]])
