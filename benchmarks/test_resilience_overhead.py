@@ -12,7 +12,7 @@ layer's two core claims:
 * the resumed run synthesizes nothing (every nontrivial block is a store
   hit) and spends less time in synthesis than the cold run.
 
-The store's publish overhead itself (pickle + fsync per entry) is
+The store's publish overhead itself (encode + fsync per entry) is
 recorded but only sanity-checked, not asserted small: at bench scale
 blocks take fractions of a second, so fsync latency is a visible
 fraction in a way it never is on real multi-minute blocks.

@@ -11,6 +11,7 @@ circuit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +26,20 @@ from repro.synthesis.sphere import sphere_variants
 
 @dataclass(frozen=True)
 class Candidate:
-    """One approximation of a block."""
+    """One approximation of a block: ``source`` is the block's own circuit
+    (the original candidate) or a LEAP solution, whose :attr:`circuit` is
+    built on first read."""
 
-    circuit: Circuit
     unitary: np.ndarray
     distance: float
     cnot_count: int
+    source: Circuit | SynthesisSolution
+
+    @functools.cached_property
+    def circuit(self) -> Circuit:
+        """The candidate's circuit (over block-local qubit indices)."""
+        source = self.source
+        return source if isinstance(source, Circuit) else source.circuit
 
 
 @dataclass
@@ -92,10 +101,10 @@ def build_pool(
     pool = BlockPool(block=block, original_unitary=original_unitary)
     pool.candidates.append(
         Candidate(
-            circuit=block.circuit,
             unitary=original_unitary,
             distance=0.0,
             cnot_count=original_cnots,
+            source=block.circuit,
         )
     )
     kept = 0
@@ -112,7 +121,7 @@ def build_pool(
             # Longer *and* worse than the original: never useful.
             continue
         if unitary is None:
-            unitary = solution.circuit.unitary()
+            unitary = solution.unitary()
         # Re-measure the distance from the concrete circuit (the optimizer
         # cost is a lower bound on what the built circuit achieves).
         distance = hs_distance(unitary, original_unitary)
@@ -125,10 +134,10 @@ def build_pool(
             continue
         pool.candidates.append(
             Candidate(
-                circuit=solution.circuit,
                 unitary=unitary,
                 distance=distance,
                 cnot_count=solution.cnot_count,
+                source=solution,
             )
         )
         kept += 1
@@ -180,15 +189,15 @@ def augment_with_sphere_variants(
     for cnot_count in sorted(best_by_count)[:max_counts]:
         base = best_by_count[cnot_count]
         for variant, unitary in sphere_variants(
-            base.circuit, pool.original_unitary, threshold,
+            base.source, pool.original_unitary, threshold,
             count=per_count, rng=rng, unitary=base.unitary,
         ):
             pool.candidates.append(
                 Candidate(
-                    circuit=variant,
                     unitary=unitary,
-                    distance=hs_distance(unitary, pool.original_unitary),
+                    distance=variant.distance,
                     cnot_count=cnot_count,
+                    source=variant,
                 )
             )
             added += 1

@@ -18,36 +18,44 @@ synthesis produced, addressed by content:
   (first occurrence wins) so that repeats within a run share an entry.
 
 Entries live in the sharded multi-tenant
-:class:`~repro.store.ArtifactStore` — one file per entry under
-``<root>/<namespace>/<shard>/<key>.qpool`` — and nowhere else: a
-:class:`PoolCache` is only the store's entry format.  Each entry is a
-pickled envelope carrying a format version, the key, and a SHA-256
-checksum of the payload; anything that fails to load, fails the
-checksum, or carries the wrong version/key is treated as a miss and
-recomputed — a corrupt or partially-written file can cost time, never
-correctness.  The store owns all cross-process concerns (atomic publish
-with writer-unique temp files, crash-orphan sweeps, per-namespace LRU
-quotas with an mtime grace window), so N daemon replicas can share one
-store root and dedupe synthesis across replicas.  In-process reuse
-lives elsewhere: a run's own repeats in the executor, and the runs of a
-batch or daemon in the shared
-:class:`~repro.batch.workqueue.InflightRegistry`.
+:class:`~repro.store.ArtifactStore`, one file per entry under
+``<root>/<namespace>/<shard>/<key>.qpool``; a :class:`PoolCache` is only
+the entry format.  An entry is data (layout at :func:`_encode`), read
+with :mod:`struct` and :func:`numpy.frombuffer`, never executed.  One
+whose magic and checksum hold but whose version differs is a stale
+miss; any other failure to decode is a corrupt entry, counted and
+recomputed, so a bad file can cost time, never correctness.  The store
+owns every cross-process concern, so N daemon replicas can share one
+root.  In-process reuse lives in the executor (a run's repeats) and the
+shared :class:`~repro.batch.workqueue.InflightRegistry` (the runs of a
+batch or daemon).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
-import pickle
+import struct
 
 import numpy as np
 
+from repro.exceptions import ValidationError
 from repro.observability import get_metrics, get_tracer
+from repro.resilience.validation import validate_structure
 from repro.store import DEFAULT_NAMESPACE, ArtifactStore
 from repro.synthesis.leap import SynthesisSolution
 
-#: Bump when the entry payload layout changes; old files become misses.
-CACHE_VERSION = 1
+#: Bump when the entry layout changes; entries of another version that
+#: pass their checksum are stale misses.
+CACHE_VERSION = 2
+
+#: An entry's first bytes, then its u32 format version, key length and
+#: solution count; a file that does not start with the magic is corrupt.
+_MAGIC, _HEADER = b"QPOOL\x00\r\n", struct.Struct("<8sIII")
+
+#: Rotation names by their code in an entry's rotation table.
+_ROTATION_NAMES = ("rx", "ry", "rz")
 
 #: Decimal places kept when canonicalizing a unitary for hashing.  Two
 #: unitaries closer than ~1e-8 element-wise hash identically, which is far
@@ -95,11 +103,83 @@ def entry_key(content: str, seed: int) -> str:
     return digest.hexdigest()
 
 
+def _encode(key: str, solutions: list[SynthesisSolution]) -> bytes:
+    """An entry's bytes, little-endian: magic, then u32 version, key length
+    and solution count ``S``; the key; an int32 ``(S, 4)`` table of each
+    solution's qubit, placement, layer-rotation and angle counts; int32
+    placement pairs; int32 rotation codes; float64 distances; float64
+    angles; and a SHA-256 of everything before it."""
+    key_bytes = key.encode()
+    tables = (
+        [
+            (s.num_qubits, len(s.placements), len(s.layer_rotations), len(s.params))
+            for s in solutions
+        ],
+        [pair for s in solutions for pair in s.placements],
+        [_ROTATION_NAMES.index(name) for s in solutions for name in s.layer_rotations],
+    )
+    floats = (
+        [s.distance for s in solutions],
+        [angle for s in solutions for angle in s.params],
+    )
+    body = b"".join(
+        [_HEADER.pack(_MAGIC, CACHE_VERSION, len(key_bytes), len(solutions)), key_bytes]
+        + [np.array(table, dtype="<i4").tobytes() for table in tables]
+        + [np.asarray(values, dtype="<f8").tobytes() for values in floats]
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+def _decode(raw: bytes, key: str) -> list[SynthesisSolution] | None:
+    """The solutions an entry holds, or None for a stale format version.
+
+    Any other failure raises before a matrix is built: the tables must
+    fill the bytes exactly, and each solution must pass
+    :func:`~repro.resilience.validation.validate_structure`.
+    """
+    body, digest = raw[:-32], raw[-32:]  # SHA-256
+    if (
+        not raw.startswith(_MAGIC)
+        or len(body) < _HEADER.size
+        or hashlib.sha256(body).digest() != digest
+    ):
+        raise ValueError("damaged entry")
+    _, version, key_length, count = _HEADER.unpack_from(body)
+    if version != CACHE_VERSION:
+        return None
+    offset = _HEADER.size + key_length
+    if body[_HEADER.size : offset] != key.encode():
+        raise ValueError("entry key mismatch")
+    table = np.frombuffer(body, "<i4", 4 * count, offset).reshape(count, 4)
+    if np.any(table < 0):
+        raise ValueError("negative table entry")
+    placed, rotated, angled = table[:, 1:].sum(axis=0, dtype=np.int64).tolist()
+    arrays, offset = [], offset + table.nbytes
+    sizes = (2 * placed, rotated, count, angled)
+    for dtype, size in zip(("<i4", "<i4", "<f8", "<f8"), sizes):
+        arrays.append(np.frombuffer(body, dtype, size, offset))
+        offset += arrays[-1].nbytes
+    placements, codes, distances, params = arrays
+    if offset != len(body) or np.any((codes < 0) | (codes >= len(_ROTATION_NAMES))):
+        raise ValueError("trailing bytes or an unknown rotation code")
+    columns = (
+        iter([tuple(pair) for pair in placements.reshape(-1, 2).tolist()]),
+        iter([_ROTATION_NAMES[code] for code in codes.tolist()]),
+        iter(params.tolist()),
+    )
+    solutions = []
+    for (qubits, *counts), distance in zip(table.tolist(), distances.tolist()):
+        fields = [tuple(itertools.islice(c, n)) for c, n in zip(columns, counts)]
+        solutions.append(SynthesisSolution(qubits, *fields, distance))
+        validate_structure(solutions[-1], qubits, label="stored solution")
+    return solutions
+
+
 class PoolCache:
     """The artifact store's entry format for block solutions.
 
     Wraps the :class:`~repro.store.ArtifactStore` namespace it opens
-    under ``store_dir`` and owns the entry envelope.  It keeps no
+    under ``store_dir`` and owns the entry format.  It keeps no
     counters: a stored entry failing its integrity checks counts as
     ``cache.corrupt_entries`` in the ambient metrics registry, and the
     store counts its raw loads, publishes and evictions there too.
@@ -131,18 +211,13 @@ class PoolCache:
 
     def put(self, key: str, solutions: list[SynthesisSolution]) -> None:
         """Publish ``solutions`` under ``key``."""
-        payload = pickle.dumps(list(solutions), protocol=pickle.HIGHEST_PROTOCOL)
-        envelope = {
-            "version": CACHE_VERSION,
-            "key": key,
-            "checksum": hashlib.sha256(payload).hexdigest(),
-            "payload": payload,
-        }
-        blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
         # The store owns atomicity (writer-unique temp file + rename)
         # and quota eviction; False means the store is unavailable and
         # the entry is simply not persisted.
-        if self.store.publish(key, blob) and self.fault_injector is not None:
+        if (
+            self.store.publish(key, _encode(key, solutions))
+            and self.fault_injector is not None
+        ):
             self.fault_injector.on_cache_write(self.store.path_for(key))
 
     def _load(self, key: str) -> list[SynthesisSolution] | None:
@@ -150,38 +225,9 @@ class PoolCache:
         if raw is None:
             return None  # Missing (or unreadable) file: a plain miss.
         try:
-            envelope = pickle.loads(raw)
-            if not isinstance(envelope, dict):
-                raise ValueError("envelope is not a dict")
-            if envelope.get("version") != CACHE_VERSION:
-                # Stale format from an older build: a miss, not corruption.
-                return None
-            if envelope.get("key") != key:
-                raise ValueError("entry key mismatch")
-            payload = envelope["payload"]
-            if hashlib.sha256(payload).hexdigest() != envelope["checksum"]:
-                raise ValueError("payload checksum mismatch")
-            solutions = pickle.loads(payload)
-            if not isinstance(solutions, list) or not all(
-                isinstance(s, SynthesisSolution) for s in solutions
-            ):
-                raise ValueError("payload is not a SynthesisSolution list")
-        except (
-            # Everything a truncated, garbled, or bit-flipped pickle can
-            # raise while loading — deliberately *not* a bare Exception,
-            # so programming errors (and MemoryError etc.) still surface.
-            pickle.UnpicklingError,
-            EOFError,
-            ValueError,
-            TypeError,
-            KeyError,
-            AttributeError,
-            ImportError,
-            IndexError,
-            OverflowError,
-        ):
-            # Corrupt entry (a failed checksum, key or payload check, or
-            # unpicklable bytes): count it and recompute.  Stale format
+            return _decode(raw, key)
+        except (ValueError, ValidationError):
+            # Corrupt entry: count it and recompute.  Stale format
             # versions and missing files are plain misses, not
             # corruption.  The next put() overwrites the bad file.
             tracer = get_tracer()
@@ -191,4 +237,3 @@ class PoolCache:
             if metrics.is_enabled:
                 metrics.inc("cache.corrupt_entries")
             return None
-        return solutions

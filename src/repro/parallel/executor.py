@@ -2,76 +2,55 @@
 
 :class:`BlockSynthesisExecutor` takes the partition's blocks plus one
 pre-drawn seed per block and returns one :class:`BlockPool` per block.
-Four properties make it a drop-in replacement for the old sequential
-loop in :func:`repro.core.quest.run_quest`:
 
-**Determinism.**  Seeds are drawn by the caller *before* dispatch, in
-block order, so neither worker count nor completion order can change
-which seed a block synthesizes under.  Blocks whose content key (see
-:mod:`repro.parallel.cache`) collides are canonicalized to the seed of
-the *first* occurrence; since LEAP is deterministic given (target,
-config, seed), repeated blocks dedup to one synthesis job with
-byte-identical results, with or without a store — and, through a shared
-:class:`~repro.batch.workqueue.InflightRegistry`, across the runs of a
-batch or daemon.
+**Determinism.**  The caller draws the seeds in block order before
+dispatch, so neither worker count nor completion order can change a
+block's seed.  Blocks whose content key (:mod:`repro.parallel.cache`)
+collides take the first occurrence's seed; LEAP is deterministic given
+(target, config, seed), so repeats dedup to one job with byte-identical
+results, with or without a store, and across the runs of a batch or
+daemon through a shared :class:`~repro.batch.workqueue.InflightRegistry`.
 
-**Reuse.**  Each unique entry key synthesizes at most once per run:
-within-run repeats share the first occurrence's result.  With a
-:class:`~repro.parallel.cache.PoolCache` (a run with a store), a key the
-store holds a valid entry for skips straight to pool assembly, and each
-result is published as its job lands, so a run killed mid-synthesis has
-already published every finished block; rerunning it over the same
-store is a resume, made of store hits.  Only the LEAP solution list is
-shared — pool assembly (original-block candidate, distance
-re-measurement, sphere variants) is cheap and block-specific, so it
-always runs in the parent.
+**Reuse.**  Each entry key synthesizes at most once per run.  With a
+:class:`~repro.parallel.cache.PoolCache`, a key the store holds a valid
+entry for skips to pool assembly, and each result is published as its
+job lands, so rerunning a killed run over its store is a resume made of
+store hits.  Only the solution list is shared; pool assembly is cheap
+and block-specific and always runs in the parent.
 
-**Resilience.**  With ``max_attempts > 1``, a block whose synthesis
-raises, hangs past the hard timeout, or returns candidates that fail
-validation is *retried* before any downgrade.  Every attempt reruns the
-block's own seed under the same config, so a recovered block is
-bit-identical to a clean run's and every success can be published.
-Candidate sets from workers or the store are health-checked via
-:mod:`repro.resilience.validation` and quarantined on failure; results
-adopted through the registry never left the process and are not checked
-again.  Every failure lands in a structured
-:class:`~repro.resilience.retry.FailureRecord` log.
+**Resilience.**  With ``max_attempts > 1`` a block whose synthesis
+raises, hangs past the hard timeout or fails validation is retried
+under its own seed, so a recovered block is bit-identical to a clean
+run's.  Candidate sets from workers or the store are validated
+(:mod:`repro.resilience.validation`) and quarantined on failure; every
+failure lands in a :class:`~repro.resilience.retry.FailureRecord` log.
+Only when every attempt fails does a block fall back to its exact
+singleton pool, with a :class:`RuntimeWarning`: one bad block costs
+approximation quality, never the run.
 
-**Graceful degradation.**  Only when every attempt is exhausted does a
-block downgrade to the exact-block singleton pool — the distance-zero
-fallback QUEST always keeps — with a :class:`RuntimeWarning`, so one bad
-block costs approximation quality, never the run.
-
-A run is plan → dispatch → assemble.  The plan step builds each block's
+A run is plan → dispatch → assemble.  The plan builds each block's
 unitary and routes the block: trivial, a within-run repeat, a validated
-store hit, or a synthesis job.  The dispatch step runs the jobs in retry
-rounds, inline when ``workers == 1`` and over a process pool otherwise.
-The assemble step builds the pools in block order.  Both kinds of round
-settle every attempt through one function, which validates the
-candidates, classifies a failure, and publishes a success.  Matrices
-are handed on as values, each built once: validation checks candidates
-against the plan's block unitary, and pool assembly takes that unitary
-and the solution matrices validation rebuilt.  Nothing is memoized on a
-circuit, so whatever crosses a process or the store is still rebuilt
-from its circuit on arrival.
+store hit, or a synthesis job.  Dispatch runs the jobs in retry rounds,
+inline when ``workers == 1`` and over a process pool otherwise, and
+settles every attempt through one function that validates, classifies
+a failure, and publishes a success.  Assembly builds the pools in block
+order.  Matrices are handed on as values, each built once: validation
+checks candidates against the plan's block unitary, and the pool takes
+that unitary and the matrices validation built.  Nothing is memoized on
+a solution, so whatever crosses a process or the store is rebuilt from
+its structure and angles on arrival.
 
-Wall-clock time bounds an attempt, never shapes its result.  Timeouts
-come in two flavors: worker processes are bounded by the future's hard
-result timeout, while the inline (``workers == 1``) path arms a
-*cooperative* deadline (:mod:`repro.resilience.deadline`) that the
-synthesis loops check between optimizer rounds — the only way to bound
-work that runs in the parent process itself.  A timed-out attempt is a
-failure, so a block ends with its full pool or its flagged exact
-fallback, never a truncated pool.  An enclosing deadline armed by the
-caller (the service's job deadline) also binds the inline path; when it
-lapses, the run raises :class:`~repro.exceptions.BlockTimeoutError`
-instead of falling back.
-
-Worker processes live in a :class:`~repro.parallel.pool_manager.
-PersistentWorkerPool` that is reused across retry rounds (and, when the
-batch driver supplies one, across circuits); a round that observes a
-hung or killed worker marks the pool for recycling rather than paying
-construction every round.
+Wall-clock time bounds an attempt, never shapes its result.  Workers
+are bounded by the future's hard result timeout; the inline path arms a
+cooperative deadline (:mod:`repro.resilience.deadline`) that synthesis
+checks between optimizer rounds.  A timed-out attempt is a failure, so
+a block ends with its full pool or its flagged exact fallback.  When an
+enclosing deadline (the service's job deadline) lapses on the inline
+path, the run raises :class:`~repro.exceptions.BlockTimeoutError`
+instead of falling back.  Workers live in a :class:`~repro.parallel.
+pool_manager.PersistentWorkerPool`, reused across retry rounds (and
+circuits, when the batch driver supplies one) and recycled only after a
+round observes a hung or killed worker.
 """
 
 from __future__ import annotations

@@ -12,26 +12,26 @@ garbage candidate silently poisons every downstream selection.
 ``validate_solutions`` / ``validate_pool`` therefore check, for each
 candidate:
 
-* **shape** — a solution is a
-  :class:`~repro.synthesis.leap.SynthesisSolution` whose unitary has
-  the block's width;
-* **finiteness** — no NaN/Inf in the recorded distance or the circuit's
-  unitary;
+* **structure** — a solution is a
+  :class:`~repro.synthesis.leap.SynthesisSolution` on the block's
+  qubits whose CNOTs and angles fit its template
+  (:func:`validate_structure`); its CNOT count is its placements';
+* **finiteness** — no NaN/Inf in the distance, angles or unitary;
 * **unitarity** — ``U^dag U = I`` to ``UNITARITY_TOL`` (a circuit built
   from rotation gates is unitary by construction, so any violation means
   corrupted parameters or a corrupted matrix);
 * **distance consistency** — the HS distance recomputed from the
   unitary agrees with the recorded one to ``DISTANCE_CONSISTENCY_TOL``.
 
-A solution's unitary is built from its circuit by
-:func:`~repro.sim.unitary.circuit_unitary`; ``validate_solutions``
-returns the matrices it built, and pool assembly uses them instead of
-building them again.  A pool also stores each candidate's matrix, so
-``validate_pool`` additionally requires every stored matrix — the
-original's and each candidate's — to match the one rebuilt from its
-circuit to ``POOL_UNITARY_MATCH_TOL``: the plain checks
-accept any matrix that is *a* unitary at the recorded distance, this one
-only the unitary the circuit actually implements.
+A solution's unitary is built from its structure and angles once the
+structure checks pass; ``validate_solutions`` returns the matrices it
+built, and pool assembly uses them instead of building them again.  A
+pool also stores each candidate's matrix, so ``validate_pool``
+additionally requires every stored matrix — the original's and each
+candidate's — to match the one rebuilt from its source to
+``POOL_UNITARY_MATCH_TOL``: the plain checks accept any matrix that is
+*a* unitary at the recorded distance, this one only the unitary the
+candidate actually implements.
 
 Failures raise :class:`~repro.exceptions.ValidationError`; the executor
 quarantines the offending set (records a failure, retries or falls
@@ -39,6 +39,8 @@ back) instead of admitting it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -159,15 +161,35 @@ def validate_ptm(
         )
 
 
+def validate_structure(solution, num_qubits: int, *, label: str) -> None:
+    """Check a LEAP solution before a matrix is built from it: the block's
+    qubits, distinct in-range CNOTs, the template's finite float64 angles."""
+    if solution.num_qubits != num_qubits:
+        raise ValidationError(
+            f"{label}: a {solution.num_qubits}-qubit structure does not "
+            f"match the block's {num_qubits} qubit(s)"
+        )
+    qubits, cnots = range(num_qubits), solution.placements
+    for control, target in cnots:
+        if control == target or control not in qubits or target not in qubits:
+            raise ValidationError(f"{label}: bad CNOT placement {(control, target)}")
+    angles = 3 * num_qubits + 2 * len(solution.layer_rotations) * len(cnots)
+    if len(solution.params) != angles:
+        raise ValidationError(f"{label}: {len(solution.params)} angles, not {angles}")
+    values = (*solution.params, solution.distance)
+    if not all(isinstance(v, float) and math.isfinite(v) for v in values):
+        raise ValidationError(f"{label}: angles or distance not finite float64")
+
+
 def validate_solutions(target: np.ndarray, solutions) -> list[np.ndarray]:
     """Validate a worker's / the cache's raw LEAP solution list.
 
     Returns each solution's unitary, in solution order: the matrices
-    this check rebuilt from the circuits, never one read from a store
-    entry or a worker's reply, so a pool assembled from them holds what
-    the circuits implement.  Raises :class:`ValidationError` naming the
-    first offending solution; an empty list is valid (the pool
-    degenerates to the exact block).
+    this check built from the solutions' structures and angles, never
+    one read from a store entry or a worker's reply, so a pool assembled
+    from them holds what the solutions implement.  Raises
+    :class:`ValidationError` naming the first offending solution; an
+    empty list is valid (the pool degenerates to the exact block).
     """
     # Imported lazily: repro.synthesis.instantiate imports
     # repro.resilience.deadline, which loads this package, so a
@@ -178,6 +200,7 @@ def validate_solutions(target: np.ndarray, solutions) -> list[np.ndarray]:
         raise ValidationError(
             f"solution payload is {type(solutions).__name__}, expected list"
         )
+    num_qubits = target.shape[0].bit_length() - 1
     unitaries = []
     for position, solution in enumerate(solutions):
         if not isinstance(solution, SynthesisSolution):
@@ -185,12 +208,11 @@ def validate_solutions(target: np.ndarray, solutions) -> list[np.ndarray]:
                 f"solution {position} is {type(solution).__name__}, "
                 f"expected SynthesisSolution"
             )
-        unitary = solution.circuit.unitary()
+        label = f"solution {position} (cnots={solution.cnot_count})"
+        validate_structure(solution, num_qubits, label=label)
+        unitary = solution.unitary()
         validate_candidate_unitary(
-            unitary,
-            target,
-            solution.distance,
-            label=f"solution {position} (cnots={solution.cnot_count})",
+            unitary, target, solution.distance, label=label
         )
         unitaries.append(unitary)
     return unitaries
@@ -201,7 +223,7 @@ def validate_pool(pool) -> None:
 
     Checks the stored original unitary against the block circuit it
     claims to represent, then every candidate against it and its stored
-    matrix against the one rebuilt from the candidate's circuit.
+    matrix against the one rebuilt from the candidate's source.
     """
     if not pool.candidates:
         raise ValidationError("pool has no candidates (not even the exact block)")
@@ -219,7 +241,7 @@ def validate_pool(pool) -> None:
         validate_candidate_unitary(
             candidate.unitary, target, candidate.distance, label=label
         )
-        if not _matches(candidate.unitary, candidate.circuit.unitary()):
+        if not _matches(candidate.unitary, candidate.source.unitary()):
             raise ValidationError(
                 f"{label}: stored unitary disagrees with its circuit"
             )

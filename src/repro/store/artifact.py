@@ -1,54 +1,29 @@
 """Sharded, multi-tenant, multi-process artifact store.
 
 One :class:`ArtifactStore` manages the on-disk tier that several daemon
-replicas (and every thread inside each of them) can share.  It subsumes
-what used to be the flat ``PoolCache`` disk directory, with three
-structural upgrades:
+replicas (and every thread inside each of them) can share.  It stores
+opaque bytes per key; :class:`~repro.parallel.cache.PoolCache` owns
+what they mean.
 
-**Sharding.**  Entries live under prefix directories derived from the
-entry key — ``<root>/<namespace>/<shard>/<key>.qpool`` where ``shard``
-is the first :data:`SHARD_CHARS` hex characters of the key.  Keys are
-SHA-256 digests, so entries spread uniformly over at most 256 shards and
-any maintenance scan (eviction, orphan sweep) touches one small
-directory instead of the whole tier.
-
-**Namespaces.**  Every store instance is bound to one *namespace* (for
-the compilation service: the tenant), which scopes both the directory
-tree and the per-namespace quota.  Two tenants never observe each
-other's artifacts even when their circuits hash identically, and one
-tenant filling its quota cannot evict another tenant's entries.
-:func:`namespace_for_tenant` derives a filesystem-safe namespace from an
-arbitrary tenant string.
-
-**Cross-process safety.**  N replicas sharing one root is the supported
-deployment, so every mutation tolerates concurrent mutators in other
-processes:
-
-* *Publish* writes to a :func:`tempfile.mkstemp` file inside the target
-  shard (unique per writer — two threads of one process, or two
-  processes, can publish the same key simultaneously without clobbering
-  each other's temp file) and ``os.replace``\\ s it into place, so a
-  reader only ever observes a complete entry under its final name.  The
-  temp file is fsynced before the rename and the shard directory after
-  it, so an entry that was published survives a crash of the process
-  or host: a killed run's published entries are what its rerun resumes
-  from.
-* *Open* sweeps crash orphans: temp files older than the grace window
-  were abandoned by a writer that died mid-publish and are deleted;
-  younger ones may belong to a live writer and are left alone.
-* *Eviction* is guarded by mtime: an entry younger than
-  ``grace_seconds`` is never deleted, so a concurrent publisher or
-  LRU-refreshing reader in another replica cannot have its entry
-  evicted out from under it in the instant it is created or touched.
-  Losing any other race (an entry vanishing mid-scan) costs a future
+* **Sharding.**  An entry lives at ``<root>/<namespace>/<shard>/
+  <key>.qpool``, ``shard`` being the key's first :data:`SHARD_CHARS`
+  hex characters, so a maintenance scan touches one small directory.
+* **Namespaces.**  A store is bound to one namespace (the service's
+  tenant, via :func:`namespace_for_tenant`), which scopes its directory
+  tree and its quota: tenants never see or evict each other's entries.
+* **Cross-process safety.**  *Publish* writes a :func:`tempfile.mkstemp`
+  file in the shard (unique per writer), fsyncs it, moves it into place
+  with ``os.replace`` and fsyncs the shard, so readers see only complete
+  entries and a published entry survives a crash.  *Open* deletes temp
+  files older than the grace window, left by a dead writer.  *Eviction* never
+  deletes an entry younger than ``grace_seconds``, so another replica's
+  fresh publish or LRU touch is safe; losing any other race costs a
   recomputation, never correctness.
 
-Eviction approximates a *global* LRU while scanning only one shard at a
-time: the store keeps a per-shard ``(count, oldest mtime)`` table (built
-once per process, then maintained incrementally), picks the shard whose
-oldest entry is globally oldest, and scans just that shard.  All file
-I/O happens outside the store lock — the lock only guards the shard
-table — so concurrent readers never stall behind an eviction scan.
+Eviction approximates a global LRU while scanning one shard at a time,
+from a per-shard ``(count, oldest mtime)`` table built once per process
+and then kept up to date.  File I/O happens outside the store lock,
+which guards only that table, so readers never stall behind a scan.
 """
 
 from __future__ import annotations

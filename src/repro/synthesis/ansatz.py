@@ -203,15 +203,7 @@ class Ansatz:
             raise SynthesisError(
                 f"expected {self.num_params} parameters, got {len(params)}"
             )
-        circuit = Circuit(self.num_qubits)
-        for slot in self.slots:
-            if slot.param_index is None:
-                circuit.add_gate(slot.name, slot.qubits)
-            else:
-                circuit.add_gate(
-                    slot.name, slot.qubits, (float(params[slot.param_index]),)
-                )
-        return circuit
+        return bind_slots(self.num_qubits, self.slots, params)
 
     def unitary(self, params: np.ndarray) -> np.ndarray:
         """Evaluate only the unitary (no gradients)."""
@@ -361,16 +353,40 @@ def _embedding_layouts(num_qubits: int) -> tuple[np.ndarray, ...]:
     )
 
 
+def bind_slots(num_qubits: int, slots, params) -> Circuit:
+    """The circuit of ``slots`` with each rotation bound to its angle."""
+    angles = np.asarray(params, dtype=float).tolist()
+    circuit = Circuit(num_qubits)
+    for slot in slots:
+        if slot.param_index is None:
+            circuit.add_gate(slot.name, slot.qubits)
+        else:
+            circuit.add_gate(slot.name, slot.qubits, (angles[slot.param_index],))
+    return circuit
+
+
 def build_leap_ansatz(
     num_qubits: int,
     placements: list[tuple[int, int]],
     layer_rotations: tuple[str, ...] = DEFAULT_LAYER_ROTATIONS,
 ) -> Ansatz:
-    """Build the LEAP template for a given CNOT placement sequence.
+    """Build the LEAP template for a given CNOT placement sequence."""
+    placements = tuple(map(tuple, placements))
+    return Ansatz(num_qubits, leap_slots(num_qubits, placements, tuple(layer_rotations)))
+
+
+@functools.lru_cache(maxsize=1024)
+def leap_slots(
+    num_qubits: int,
+    placements: tuple[tuple[int, int], ...],
+    layer_rotations: tuple[str, ...],
+) -> tuple[Slot, ...]:
+    """The slots of the LEAP template for a CNOT placement sequence.
 
     The template starts with a full ZYZ triple on every qubit, then for
     each placement ``(control, target)`` adds a CNOT followed by
     ``layer_rotations`` on both touched qubits (paper Fig. 5).
+    Parameter indices follow slot order.  Cached: structures recur.
     """
     slots: list[Slot] = []
     index = 0
@@ -386,7 +402,7 @@ def build_leap_ansatz(
             for name in layer_rotations:
                 slots.append(Slot(name, (qubit,), index))
                 index += 1
-    return Ansatz(num_qubits, slots)
+    return tuple(slots)
 
 
 def all_placements(

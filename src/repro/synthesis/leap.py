@@ -17,34 +17,65 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuits.circuit import Circuit
+from repro.circuits.gates import gate_matrix
 from repro.exceptions import SynthesisError
 from repro.linalg.su2 import zyz_decompose
 from repro.observability import get_metrics, get_tracer
+from repro.sim.unitary import accumulate_unitary
 from repro.synthesis.ansatz import (
     DEFAULT_LAYER_ROTATIONS,
     all_placements,
+    bind_slots,
     build_leap_ansatz,
+    leap_slots,
 )
 from repro.synthesis.instantiate import instantiate, instantiate_multi
+
+#: The one fixed gate of a LEAP template, shared by every gate list
+#: (:func:`~repro.sim.unitary.accumulate_unitary` only reads it).
+_CX = gate_matrix("cx")
 
 
 @dataclass(frozen=True)
 class SynthesisSolution:
-    """One synthesized circuit for a target unitary.
+    """One synthesized circuit for a target unitary, as data.
 
-    Attributes
-    ----------
-    circuit:
-        The concrete circuit (over block-local qubit indices).
-    distance:
-        HS process distance to the target.
-    cnot_count:
-        CNOTs in the circuit (equals the template's layer count).
+    The circuit is ``build_leap_ansatz(num_qubits, placements,
+    layer_rotations).build_circuit(params)``: ``placements`` holds each
+    layer's ``(control, target)`` CNOT, ``params`` the template's angles
+    (float64) in slot order, and ``distance`` the HS process distance to
+    the target that synthesis recorded.
     """
 
-    circuit: Circuit
+    num_qubits: int
+    placements: tuple[tuple[int, int], ...]
+    layer_rotations: tuple[str, ...]
+    params: tuple[float, ...]
     distance: float
-    cnot_count: int
+
+    @property
+    def cnot_count(self) -> int:
+        """CNOTs in the circuit: one per placement."""
+        return len(self.placements)
+
+    @property
+    def circuit(self) -> Circuit:
+        """The concrete circuit (over block-local qubit indices)."""
+        slots = leap_slots(self.num_qubits, self.placements, self.layer_rotations)
+        return bind_slots(self.num_qubits, slots, self.params)
+
+    def unitary(self) -> np.ndarray:
+        """The circuit's unitary, bit for bit, from the structure's gate
+        list: the shared CX matrix, and each rotation from ``gate_matrix``
+        at its angle, the call ``Gate.matrix()`` makes."""
+        slots = leap_slots(self.num_qubits, self.placements, self.layer_rotations)
+        gates = [
+            (_CX, slot.qubits)
+            if slot.param_index is None
+            else (gate_matrix(slot.name, (self.params[slot.param_index],)), slot.qubits)
+            for slot in slots
+        ]
+        return accumulate_unitary(gates, self.num_qubits)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -126,12 +157,10 @@ class SynthesisReport:
 
 
 def _one_qubit_solution(target: np.ndarray) -> SynthesisSolution:
+    """The 1-qubit LEAP template ``rz ry rz`` at the target's ZYZ angles."""
     theta, phi, lam, _ = zyz_decompose(target)
-    circuit = Circuit(1)
-    circuit.rz(lam, 0)
-    circuit.ry(theta, 0)
-    circuit.rz(phi, 0)
-    return SynthesisSolution(circuit=circuit, distance=0.0, cnot_count=0)
+    angles = (float(lam), float(theta), float(phi))
+    return SynthesisSolution(1, (), DEFAULT_LAYER_ROTATIONS, angles, 0.0)
 
 
 def synthesize(
@@ -180,11 +209,10 @@ def synthesize(
         maxiter=config.max_optimizer_iterations,
     )
     report.instantiations += 1
+    rotations = tuple(config.layer_rotations)
     pool.append(
         SynthesisSolution(
-            circuit=ansatz0.build_circuit(result0.params),
-            distance=result0.distance,
-            cnot_count=0,
+            num_qubits, (), rotations, tuple(result0.params.tolist()), result0.distance
         )
     )
 
@@ -217,15 +245,15 @@ def synthesize(
             warm_spread=0.1,
         )
         report.instantiations += len(placements)
-        for placement, ansatz, fits in zip(placements, ansatze, layer_fits):
+        for placement, fits in zip(placements, layer_fits):
             # Every start's local optimum becomes a candidate: distinct
             # minima at the same CNOT count are naturally dissimilar,
             # which feeds QUEST's selection (the paper's "multiple seeds").
+            structure = tuple(best_structure) + (placement,)
             for fit in fits:
+                angles = tuple(fit.params.tolist())
                 solution = SynthesisSolution(
-                    circuit=ansatz.build_circuit(fit.params),
-                    distance=fit.distance,
-                    cnot_count=layer,
+                    num_qubits, structure, rotations, angles, fit.distance
                 )
                 layer_entries.append(
                     (fit.distance, solution, fit.params, placement)

@@ -113,11 +113,10 @@ def sequential_synthesize(
         log=log,
     )[0]
     report.instantiations += 1
+    rotations = tuple(config.layer_rotations)
     pool.append(
         SynthesisSolution(
-            circuit=ansatz0.build_circuit(result0.params),
-            distance=result0.distance,
-            cnot_count=0,
+            num_qubits, (), rotations, result0.params, result0.distance
         )
     )
     best_structure: list[tuple[int, int]] = []
@@ -143,11 +142,10 @@ def sequential_synthesize(
                 log=log,
             )
             report.instantiations += 1
+            structure = tuple(best_structure) + (placement,)
             for fit in fits:
                 solution = SynthesisSolution(
-                    circuit=ansatz.build_circuit(fit.params),
-                    distance=fit.distance,
-                    cnot_count=layer,
+                    num_qubits, structure, rotations, fit.params, fit.distance
                 )
                 layer_entries.append((fit.distance, solution, fit.params, placement))
         layer_entries.sort(key=lambda entry: entry[0])

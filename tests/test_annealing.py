@@ -34,7 +34,7 @@ def _pool(index: int, qubits, angles_cnots) -> BlockPool:
         unitary = circuit.unitary()
         pool.candidates.append(
             Candidate(
-                circuit=circuit,
+                source=circuit,
                 unitary=unitary,
                 distance=hs_distance(unitary, original_unitary),
                 cnot_count=cnots,

@@ -25,7 +25,7 @@ def _pool_with_only_coarse(index: int) -> BlockPool:
     pool = BlockPool(block=block, original_unitary=original_unitary)
     pool.candidates.append(
         Candidate(
-            circuit=original,
+            source=original,
             unitary=original_unitary,
             distance=0.0,
             cnot_count=original.cnot_count(),
@@ -36,7 +36,7 @@ def _pool_with_only_coarse(index: int) -> BlockPool:
     unitary = coarse.unitary()
     pool.candidates.append(
         Candidate(
-            circuit=coarse,
+            source=coarse,
             unitary=unitary,
             distance=hs_distance(unitary, original_unitary),
             cnot_count=0,
@@ -113,7 +113,7 @@ def test_raises_when_pool_has_no_feasible_candidate():
     coarse.rz(3.0, 1)
     pool.candidates.append(
         Candidate(
-            circuit=coarse,
+            source=coarse,
             unitary=coarse.unitary(),
             distance=hs_distance(coarse.unitary(), original.unitary()),
             cnot_count=0,

@@ -32,7 +32,7 @@ def _make_pool(index: int, qubits: tuple[int, int], angles_cnots) -> BlockPool:
         unitary = circuit.unitary()
         pool.candidates.append(
             Candidate(
-                circuit=circuit,
+                source=circuit,
                 unitary=unitary,
                 distance=hs_distance(unitary, original_unitary),
                 cnot_count=cnots,

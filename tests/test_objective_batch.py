@@ -103,13 +103,13 @@ def _build_pools(
         original = random_unitary(2, rng)
         pool = BlockPool(block=block, original_unitary=original)
         pool.candidates.append(
-            Candidate(circuit=dummy, unitary=original, distance=0.0,
+            Candidate(source=dummy, unitary=original, distance=0.0,
                       cnot_count=int(rng.integers(1, 9)))
         )
         for _ in range(size - 1):
             pool.candidates.append(
                 Candidate(
-                    circuit=dummy,
+                    source=dummy,
                     unitary=random_unitary(2, rng),
                     distance=int(rng.integers(0, 129)) / 64.0,
                     cnot_count=int(rng.integers(0, 9)),

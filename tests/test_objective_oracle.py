@@ -33,13 +33,13 @@ def _pools(rng: np.random.Generator, sizes) -> list[BlockPool]:
         original = random_unitary(2, rng)
         pool = BlockPool(block=block, original_unitary=original)
         pool.candidates.append(
-            Candidate(circuit=dummy, unitary=original, distance=0.0,
+            Candidate(source=dummy, unitary=original, distance=0.0,
                       cnot_count=int(rng.integers(1, 9)))
         )
         for _ in range(size - 1):
             pool.candidates.append(
                 Candidate(
-                    circuit=dummy,
+                    source=dummy,
                     unitary=random_unitary(2, rng),
                     distance=float(rng.uniform(0.0, 0.4)),
                     cnot_count=int(rng.integers(0, 9)),

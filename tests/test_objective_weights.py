@@ -37,7 +37,7 @@ def _pools(blocks: int = 2):
             unitary = circuit.unitary()
             pool.candidates.append(
                 Candidate(
-                    circuit=circuit,
+                    source=circuit,
                     unitary=unitary,
                     distance=hs_distance(unitary, original_unitary),
                     cnot_count=cnots,

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.circuits import Circuit
 from repro.circuits.random_circuits import random_unitary
 from repro.parallel.cache import (
+    _HEADER,
+    _MAGIC,
     CACHE_VERSION,
     PoolCache,
+    _encode,
     canonical_unitary_bytes,
     content_key,
     entry_key,
@@ -32,12 +36,24 @@ def _entries(root):
 
 
 def _solutions() -> list[SynthesisSolution]:
-    circuit = Circuit(2)
-    circuit.ry(0.3, 0)
-    circuit.cx(0, 1)
     return [
-        SynthesisSolution(circuit=circuit, distance=0.01, cnot_count=1),
+        SynthesisSolution(
+            2, ((0, 1),), ("ry", "rz"), tuple(np.linspace(-1.0, 1.0, 10).tolist()), 0.01
+        ),
     ]
+
+
+def _sealed(body: bytes) -> bytes:
+    """``body`` followed by its SHA-256: an entry whose checksum holds."""
+    return body + hashlib.sha256(body).digest()
+
+
+def _resealed(entry: bytes, version: int = CACHE_VERSION) -> bytes:
+    """``entry`` with its format version replaced and its checksum redone."""
+    body = bytearray(entry[: -hashlib.sha256().digest_size])
+    _, _, key_length, count = _HEADER.unpack_from(body)
+    _HEADER.pack_into(body, 0, _MAGIC, version, key_length, count)
+    return _sealed(bytes(body))
 
 
 FINGERPRINT = LeapConfig(max_layers=3, target_distance=0.2).fingerprint()
@@ -139,9 +155,13 @@ def test_disk_roundtrip_across_instances(tmp_path, counters):
     "corruption",
     [
         b"",  # empty file
-        b"not a pickle at all",
+        b"not a pool entry at all",
         os.urandom(64),  # random bytes
-        b"\x8d" + b"\xff" * 8,  # a string length past sys.maxsize
+        # A checksummed header whose solution count runs past the file.
+        _sealed(
+            _HEADER.pack(_MAGIC, CACHE_VERSION, 64, 2**32 - 1)
+            + entry_key("e" * 64, 5).encode()
+        ),
     ],
     ids=["empty", "text", "random", "overflow"],
 )
@@ -170,14 +190,14 @@ def test_truncated_disk_entry_is_a_miss(tmp_path):
 
 
 def test_checksum_mismatch_is_a_miss(tmp_path):
-    """A well-formed envelope with a tampered payload is rejected."""
+    """A well-formed entry with a tampered angle is rejected."""
     key = entry_key("a" * 64, 5)
     cache = PoolCache(tmp_path)
     cache.put(key, _solutions())
     (path,) = _entries(tmp_path)
-    envelope = pickle.loads(path.read_bytes())
-    envelope["payload"] = envelope["payload"][:-1] + b"\x00"
-    path.write_bytes(pickle.dumps(envelope))
+    raw = bytearray(path.read_bytes())
+    raw[-hashlib.sha256().digest_size - 1] ^= 0x40  # last angle's top byte
+    path.write_bytes(bytes(raw))
     assert PoolCache(tmp_path).get(key) is None
 
 
@@ -186,36 +206,140 @@ def test_wrong_version_or_key_is_a_miss(tmp_path):
     cache = PoolCache(tmp_path)
     cache.put(key, _solutions())
     (path,) = _entries(tmp_path)
-    good = pickle.loads(path.read_bytes())
+    good = path.read_bytes()
 
-    stale = dict(good, version=CACHE_VERSION + 1)
-    path.write_bytes(pickle.dumps(stale))
+    path.write_bytes(_resealed(good, version=CACHE_VERSION + 1))
     assert PoolCache(tmp_path).get(key) is None
 
-    mislabeled = dict(good, key=entry_key("b" * 64, 6))
-    path.write_bytes(pickle.dumps(mislabeled))
+    path.write_bytes(_encode(entry_key("b" * 64, 6), _solutions()))
     assert PoolCache(tmp_path).get(key) is None
 
-    # The unmodified envelope still loads, proving the rejections above
+    # The unmodified entry still loads, proving the rejections above
     # came from the tampering and not the roundtrip itself.
-    path.write_bytes(pickle.dumps(good))
-    assert PoolCache(tmp_path).get(key) is not None
+    path.write_bytes(_resealed(good))
+    assert PoolCache(tmp_path).get(key) == _solutions()
 
 
 def test_payload_type_is_validated(tmp_path):
-    """An entry whose payload is not a solution list is a miss."""
+    """An entry whose tables are not a solution list is a miss."""
     key = entry_key("9" * 64, 5)
     cache = PoolCache(tmp_path)
     cache.put(key, _solutions())
     (path,) = _entries(tmp_path)
-    envelope = pickle.loads(path.read_bytes())
-    import hashlib
-
-    payload = pickle.dumps(["definitely", "not", "solutions"])
-    envelope["payload"] = payload
-    envelope["checksum"] = hashlib.sha256(payload).hexdigest()
-    path.write_bytes(pickle.dumps(envelope))
+    header = _HEADER.pack(_MAGIC, CACHE_VERSION, len(key), 3) + key.encode()
+    path.write_bytes(_sealed(header + b"definitely not solutions"))
     assert PoolCache(tmp_path).get(key) is None
+
+
+def test_roundtrip_keeps_every_field_bit_for_bit(tmp_path):
+    """Structure, float64 angles and distances come back exactly, and a
+    solution list without solutions is an entry too."""
+    solutions = _solutions() + [
+        SynthesisSolution(
+            3, ((0, 1), (1, 2), (0, 2)), ("rx", "rz"),
+            tuple(np.random.default_rng(0).normal(size=21).tolist()), 0.123456789,
+        ),
+        SynthesisSolution(
+            2, (), ("ry", "rz"), (-0.0, 1e-300, np.pi, -np.pi, 5.0, 6.0), 0.5,
+        ),
+    ]
+    cache = PoolCache(tmp_path)
+    cache.put("full", solutions)
+    cache.put("empty", [])
+    got = PoolCache(tmp_path).get("full")
+    assert got == solutions
+    for loaded, stored in zip(got, solutions):
+        assert all(type(angle) is float for angle in loaded.params)
+        assert np.array(loaded.params).tobytes() == np.array(stored.params).tobytes()
+        assert loaded.unitary().tobytes() == stored.unitary().tobytes()
+    assert PoolCache(tmp_path).get("empty") == []
+
+
+class _Planted:
+    """Unpickling this runs ``os.mkdir(path)``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def test_the_store_never_runs_the_bytes_of_an_entry(tmp_path, counters):
+    """An entry file holding a pickle whose loading would run code is a
+    corrupt entry, and the code never runs."""
+    key = entry_key("5" * 64, 5)
+    marker = tmp_path / "ran"
+    cache = PoolCache(tmp_path / "store")
+    cache.put(key, _solutions())
+    (path,) = _entries(tmp_path / "store")
+    header = _HEADER.pack(_MAGIC, CACHE_VERSION, len(key), 1) + key.encode()
+    for planted in (
+        pickle.dumps(_Planted(marker)),
+        # Behind this format's own header and a valid checksum, too.
+        _sealed(header + pickle.dumps(_Planted(marker))),
+    ):
+        path.write_bytes(planted)
+        assert PoolCache(tmp_path / "store").get(key) is None
+        assert not marker.exists()
+    assert counters()["cache.corrupt_entries"] == 2
+
+
+def test_every_flipped_bit_is_a_counted_corrupt_entry(tmp_path, counters):
+    key = entry_key("6" * 64, 5)
+    cache = PoolCache(tmp_path)
+    cache.put(key, _solutions())
+    (path,) = _entries(tmp_path)
+    good = path.read_bytes()
+    for offset in range(len(good)):
+        flipped = bytearray(good)
+        flipped[offset] ^= 1 << (offset % 8)
+        path.write_bytes(bytes(flipped))
+        assert cache.get(key) is None, offset
+        assert counters()["cache.corrupt_entries"] == offset + 1
+    path.write_bytes(good)
+    assert cache.get(key) == _solutions()
+
+
+_GOOD = _solutions()[0]
+
+
+def _with_rotation_code(code: int) -> bytes:
+    """A sealed entry of ``_GOOD`` whose first rotation code is ``code``."""
+    body = bytearray(_encode("k", [_GOOD])[: -hashlib.sha256().digest_size])
+    # Past the header, the key "k", one table row and one placement.
+    offset = _HEADER.size + 1 + 16 + 8
+    body[offset : offset + 4] = np.array([code], "<i4").tobytes()
+    return _sealed(bytes(body))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _encode("k", [replace(_GOOD, placements=((0, 2),))]),
+        _encode("k", [replace(_GOOD, placements=((1, 1),))]),
+        _encode("k", [replace(_GOOD, params=np.zeros(11))]),
+        _encode("k", [replace(_GOOD, params=np.full(10, np.nan))]),
+        _encode("k", [replace(_GOOD, distance=np.inf)]),
+        _with_rotation_code(3),
+        _with_rotation_code(-1),
+        _sealed(_encode("k", [_GOOD])[: -hashlib.sha256().digest_size] + b"\0"),
+        _encode("k", [_GOOD]) + b"\0",
+    ],
+    ids=[
+        "placement-out-of-range", "control-is-target", "angle-count",
+        "non-finite-angle", "non-finite-distance", "rotation-code",
+        "negative-rotation-code", "trailing-byte-sealed",
+        "trailing-byte",
+    ],
+)
+def test_malformed_tables_are_counted_corrupt_entries(tmp_path, counters, entry):
+    cache = PoolCache(tmp_path)
+    cache.put("k", _solutions())
+    (path,) = _entries(tmp_path)
+    path.write_bytes(entry)
+    assert cache.get("k") is None
+    assert counters()["cache.corrupt_entries"] == 1
 
 
 def test_leftover_tmp_files_are_ignored(tmp_path, counters):
@@ -336,8 +460,7 @@ def test_corrupt_entries_counter(tmp_path, counters):
     assert corrupt() == 0
 
     # Stale format version: a miss, not corruption.
-    stale = dict(pickle.loads(good), version=CACHE_VERSION + 1)
-    path.write_bytes(pickle.dumps(stale))
+    path.write_bytes(_resealed(good, version=CACHE_VERSION + 1))
     fresh = PoolCache(tmp_path)
     assert fresh.get(key) is None
     assert corrupt() == 0

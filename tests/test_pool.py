@@ -11,7 +11,13 @@ from repro.core.pool import (
     build_pool,
 )
 from repro.partition import scan_partition
-from repro.synthesis import LeapConfig, SynthesisSolution, synthesize
+from repro.sim.unitary import circuit_unitary
+from repro.synthesis import (
+    LeapConfig,
+    SynthesisSolution,
+    build_leap_ansatz,
+    synthesize,
+)
 
 
 def _block():
@@ -70,15 +76,34 @@ def test_useless_solutions_dropped(block_and_solutions):
     block, _ = block_and_solutions
     # A solution with as many CNOTs as the original but nonzero distance
     # should never enter the pool.
-    junk = Circuit(block.num_qubits)
-    for _ in range(block.circuit.cnot_count()):
-        junk.cx(0, 1)
-    junk.ry(0.3, 0)
+    cnots = block.circuit.cnot_count()
     solution = SynthesisSolution(
-        circuit=junk, distance=0.5, cnot_count=block.circuit.cnot_count()
+        block.num_qubits,
+        ((0, 1),) * cnots,
+        ("ry", "rz"),
+        (0.3,) * (3 * block.num_qubits + 4 * cnots),
+        0.5,
     )
     pool = build_pool(block, [solution])
     assert pool.size == 1
+
+
+def test_candidates_build_their_circuits_from_data(block_and_solutions):
+    """A synthesized candidate holds its solution and builds the circuit
+    once, on first read; the original candidate holds the block's."""
+    block, solutions = block_and_solutions
+    pool = build_pool(block, solutions)
+    assert pool.candidates[0].circuit is block.circuit
+    for candidate in pool.candidates[1:]:
+        assert "circuit" not in vars(candidate)
+        solution = candidate.source
+        expected = build_leap_ansatz(
+            solution.num_qubits, list(solution.placements), solution.layer_rotations
+        ).build_circuit(solution.params)
+        assert candidate.circuit == expected
+        assert candidate.circuit is candidate.circuit
+        assert candidate.cnot_count == expected.cnot_count()
+        assert candidate.unitary.tobytes() == circuit_unitary(expected).tobytes()
 
 
 def test_near_duplicates_dropped(block_and_solutions):

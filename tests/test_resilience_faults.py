@@ -10,12 +10,13 @@ The mid-run SIGKILL leg of the matrix lives in
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.synthesis.leap as leap_module
 from repro.algorithms import tfim
-from repro.circuits import Circuit
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
@@ -33,7 +34,9 @@ from repro.resilience import (
 from repro.resilience.deadline import _DEADLINE
 from repro.resilience.faults import InjectedFault
 from repro.resilience.retry import FAILURE_TIMEOUT, FAILURE_VALIDATION
+from repro.linalg import hs_distance
 from repro.resilience.validation import validate_pool, validate_solutions
+from repro.sim.unitary import circuit_unitary
 from repro.synthesis.leap import SynthesisSolution
 from repro.transpile.basis import lower_to_basis
 
@@ -114,34 +117,79 @@ def test_nested_deadlines_take_the_minimum():
 # ----------------------------------------------------------------------
 # Validation primitives
 # ----------------------------------------------------------------------
-def _exact_solution(block):
-    return SynthesisSolution(
-        circuit=block.circuit,
-        distance=0.0,
-        cnot_count=block.circuit.cnot_count(),
+def _honest_solution(block):
+    """A one-CNOT LEAP structure recording its true distance to ``block``."""
+    angles = tuple(np.random.default_rng(7).uniform(-np.pi, np.pi, 10).tolist())
+    solution = SynthesisSolution(2, ((0, 1),), ("ry", "rz"), angles, 0.0)
+    return replace(
+        solution, distance=hs_distance(solution.unitary(), block.unitary())
     )
 
 
 def test_honest_solutions_validate():
     block = next(b for b in _blocks() if b.num_qubits > 1)
-    validate_solutions(block.unitary(), [_exact_solution(block)])
+    solution = _honest_solution(block)
+    (unitary,) = validate_solutions(block.unitary(), [solution])
+    assert unitary.tobytes() == circuit_unitary(solution.circuit).tobytes()
     validate_pool(exact_pool(block))
 
 
-def test_nan_distance_is_rejected():
-    from dataclasses import replace
-
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (dict(placements=((0, 2),)), "bad CNOT placement"),
+        (dict(placements=((-1, 0),)), "bad CNOT placement"),
+        (dict(placements=((1, 1),)), "bad CNOT placement"),
+        (dict(params=np.zeros(9)), "not 10"),
+        (dict(params=np.zeros(11)), "not 10"),
+        (dict(params=np.zeros(10, dtype=np.float32)), "not finite float64"),
+        (dict(params=np.full(10, np.inf)), "not finite float64"),
+        (dict(num_qubits=3), "does not match the block"),
+    ],
+    ids=[
+        "qubit-out-of-range", "negative-qubit", "control-is-target",
+        "short-angles", "long-angles", "float32-angles",
+        "infinite-angles", "wider-structure",
+    ],
+)
+def test_malformed_structures_are_rejected_before_any_build(change, match):
     block = next(b for b in _blocks() if b.num_qubits > 1)
-    bad = replace(_exact_solution(block), distance=float("nan"))
+    bad = replace(_honest_solution(block), **change)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(leap_module, "accumulate_unitary", _never_called)
+        with pytest.raises(ValidationError, match=match):
+            validate_solutions(block.unitary(), [bad])
+
+
+def _never_called(*args):
+    raise AssertionError("a malformed structure reached the matrix build")
+
+
+def test_cnot_count_is_derived_from_the_placements():
+    """A solution cannot claim fewer CNOTs than its circuit has: the count
+    is derived from the placements, and the constructor takes none."""
+    solution = SynthesisSolution(
+        3, ((0, 1), (1, 2)), ("ry", "rz"), (0.0,) * 17, 0.0
+    )
+    assert solution.cnot_count == 2 == solution.circuit.cnot_count()
+    with pytest.raises(TypeError):
+        SynthesisSolution(
+            3, ((0, 1), (1, 2)), ("ry", "rz"), (0.0,) * 17, 0.0, cnot_count=0
+        )
+    with pytest.raises(TypeError):
+        replace(solution, cnot_count=0)
+
+
+def test_nan_distance_is_rejected():
+    block = next(b for b in _blocks() if b.num_qubits > 1)
+    bad = replace(_honest_solution(block), distance=float("nan"))
     with pytest.raises(ValidationError, match="not finite"):
         validate_solutions(block.unitary(), [bad])
 
 
 def test_wrong_distance_is_rejected():
-    from dataclasses import replace
-
     block = next(b for b in _blocks() if b.num_qubits > 1)
-    bad = replace(_exact_solution(block), distance=0.5)
+    bad = replace(_honest_solution(block), distance=0.5)
     with pytest.raises(ValidationError, match="disagrees with recorded"):
         validate_solutions(block.unitary(), [bad])
 
@@ -153,10 +201,8 @@ def test_non_list_payload_is_rejected():
 
 
 def _narrow_solution():
-    """A well-formed 2-qubit solution: one CNOT at distance 0 from itself."""
-    circuit = Circuit(2)
-    circuit.cx(0, 1)
-    return SynthesisSolution(circuit=circuit, distance=0.0, cnot_count=1)
+    """A well-formed 2-qubit solution: one CNOT, recording distance 0."""
+    return SynthesisSolution(2, ((0, 1),), ("ry", "rz"), (0.0,) * 10, 0.0)
 
 
 def test_wrong_width_solution_is_rejected():
@@ -172,8 +218,6 @@ def test_non_solution_element_is_rejected():
 
 
 def test_non_unitary_candidate_is_rejected():
-    from dataclasses import replace
-
     block = next(b for b in _blocks() if b.num_qubits > 1)
     pool = exact_pool(block)
     # The exact candidate shares its array with pool.original_unitary,

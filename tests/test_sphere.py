@@ -10,163 +10,163 @@ from repro.core.similarity import unitaries_similar
 from repro.exceptions import SynthesisError
 from repro.linalg import hs_distance
 from repro.sim.unitary import circuit_unitary
-from repro.synthesis.ansatz import build_leap_ansatz
-from repro.synthesis.sphere import (
-    _rotation_indices,
-    _shifted_unitary,
-    _with_shifted_angles,
-    sphere_variants,
-)
+from repro.synthesis.leap import SynthesisSolution
+from repro.synthesis.sphere import sphere_variants
+from tests.sphere_oracle import rotation_indices, with_shifted_angles
 
 
-def _base_circuit() -> Circuit:
-    circuit = Circuit(2)
-    circuit.ry(0.3, 0)
-    circuit.rz(0.2, 1)
-    circuit.cx(0, 1)
-    circuit.ry(0.5, 0)
-    circuit.rz(0.7, 1)
-    return circuit
+def _base(angles=None) -> SynthesisSolution:
+    """A one-CNOT 2-qubit LEAP solution (10 angles)."""
+    if angles is None:
+        angles = tuple(np.random.default_rng(4).uniform(-np.pi, np.pi, 10).tolist())
+    return SynthesisSolution(2, ((0, 1),), ("ry", "rz"), angles, 0.0)
+
+
+def _assert_built_from_data(variant: SynthesisSolution, unitary: np.ndarray):
+    """The variant's matrix is its own circuit's, bit for bit."""
+    assert unitary.tobytes() == circuit_unitary(variant.circuit).tobytes()
+    assert unitary.tobytes() == variant.unitary().tobytes()
 
 
 def test_variants_land_in_band():
-    circuit = _base_circuit()
-    target = circuit.unitary()
+    base = _base()
+    target = base.unitary()
     threshold = 0.2
-    variants = sphere_variants(circuit, target, threshold, count=4, rng=0)
+    variants = sphere_variants(base, target, threshold, count=4, rng=0)
     assert len(variants) >= 2
     for variant, unitary in variants:
-        assert np.array_equal(unitary, variant.unitary())
-        distance = hs_distance(variant.unitary(), target)
+        _assert_built_from_data(variant, unitary)
+        distance = hs_distance(unitary, target)
+        assert variant.distance == distance
         assert distance <= threshold + 1e-9
         assert distance >= 0.05
 
 
 def test_variants_preserve_structure():
-    circuit = _base_circuit()
-    variants = sphere_variants(circuit, circuit.unitary(), 0.2, count=2, rng=1)
+    base = _base()
+    variants = sphere_variants(base, base.unitary(), 0.2, count=2, rng=1)
+    assert variants
     for variant, unitary in variants:
-        assert np.array_equal(unitary, variant.unitary())
-        assert variant.cnot_count() == circuit.cnot_count()
-        assert [op.name for op in variant] == [op.name for op in circuit]
+        _assert_built_from_data(variant, unitary)
+        assert variant.num_qubits == base.num_qubits
+        assert variant.placements == base.placements
+        assert variant.layer_rotations == base.layer_rotations
+        assert all(type(angle) is float for angle in variant.params)
+        assert variant.cnot_count == base.cnot_count
+        assert [op.name for op in variant.circuit] == [
+            op.name for op in base.circuit
+        ]
 
 
 def test_plus_minus_pairs_are_dissimilar():
     # Variants generated in +v/-v pairs should include mutually
     # dissimilar pairs (the whole point of sphere sampling).
-    circuit = _base_circuit()
-    target = circuit.unitary()
-    variants = sphere_variants(circuit, target, 0.25, count=6, rng=2)
+    base = _base()
+    target = base.unitary()
+    variants = sphere_variants(base, target, 0.25, count=6, rng=2)
     assert len(variants) >= 2
     for variant, unitary in variants:
-        assert np.array_equal(unitary, variant.unitary())
+        _assert_built_from_data(variant, unitary)
     found_dissimilar = False
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
-            if not unitaries_similar(
-                variants[i][0].unitary(), variants[j][0].unitary(), target
-            ):
+            if not unitaries_similar(variants[i][1], variants[j][1], target):
                 found_dissimilar = True
     assert found_dissimilar
 
 
 def test_no_room_returns_empty():
     # If the base is already essentially on the sphere, nothing is made.
-    circuit = _base_circuit()
+    base = _base()
     other = Circuit(2)
     other.cx(0, 1)
     far_target = other.unitary()
-    base_distance = hs_distance(circuit.unitary(), far_target)
+    base_distance = hs_distance(base.unitary(), far_target)
     variants = sphere_variants(
-        circuit, far_target, threshold=base_distance * 1.01, count=4, rng=0
+        base, far_target, threshold=base_distance * 1.01, count=4, rng=0
     )
     assert variants == []
 
 
-def test_no_rotations_returns_empty():
-    circuit = Circuit(2)
-    circuit.cx(0, 1)
-    assert sphere_variants(circuit, circuit.unitary(), 0.2, rng=0) == []
-
-
 def test_threshold_must_be_positive():
-    circuit = _base_circuit()
+    base = _base()
     with pytest.raises(SynthesisError):
-        sphere_variants(circuit, circuit.unitary(), 0.0)
+        sphere_variants(base, base.unitary(), 0.0)
 
 
 def test_deterministic_with_seed():
-    circuit = _base_circuit()
-    target = circuit.unitary()
-    a = sphere_variants(circuit, target, 0.2, count=2, rng=42)
-    b = sphere_variants(circuit, target, 0.2, count=2, rng=42)
-    assert len(a) == len(b)
+    base = _base()
+    target = base.unitary()
+    a = sphere_variants(base, target, 0.2, count=2, rng=42)
+    b = sphere_variants(base, target, 0.2, count=2, rng=42)
+    assert len(a) == len(b) > 0
     for (va, ua), (vb, ub) in zip(a, b):
-        assert np.array_equal(ua, va.unitary())
-        assert np.array_equal(ub, vb.unitary())
-        assert np.allclose(va.unitary(), vb.unitary())
-
-
-def test_held_base_unitary_gives_the_same_variants():
-    circuit = _base_circuit()
-    target = circuit.unitary()
-    built = sphere_variants(circuit, target, 0.2, count=4, rng=5)
-    held = sphere_variants(
-        circuit, target, 0.2, count=4, rng=5, unitary=circuit.unitary()
-    )
-    assert len(built) == len(held) > 0
-    for (va, ua), (vb, ub) in zip(built, held):
-        assert list(va) == list(vb)
+        assert va == vb
         assert ua.tobytes() == ub.tobytes()
 
 
-def _probe_circuits(rng) -> list[Circuit]:
-    """LEAP-shaped circuits with random angles, plus one with a barrier
-    and fixed one-qubit gates between its rotations."""
-    circuits = []
-    for num_qubits, placements in [
-        (2, [(0, 1)]),
-        (2, [(0, 1), (1, 0), (0, 1)]),
-        (3, [(0, 1), (1, 2)]),
-        (3, [(2, 0), (0, 1), (1, 2), (0, 2)]),
-    ]:
-        ansatz = build_leap_ansatz(num_qubits, placements)
-        circuits.append(
-            ansatz.build_circuit(rng.uniform(-np.pi, np.pi, ansatz.num_params))
-        )
-    mixed = Circuit(3)
-    mixed.h(0)
-    mixed.rz(0.4, 1)
-    mixed.sx(2)
-    mixed.barrier()
-    mixed.cx(0, 2)
-    mixed.s(1)
-    mixed.ry(-1.1, 2)
-    mixed.barrier()
-    mixed.t(0)
-    mixed.rx(2.3, 0)
-    mixed.cx(1, 0)
-    mixed.x(2)
-    mixed.rz(-0.7, 2)
-    circuits.append(mixed)
-    return circuits
+def test_held_base_unitary_gives_the_same_variants():
+    base = _base()
+    target = base.unitary()
+    built = sphere_variants(base, target, 0.2, count=4, rng=5)
+    held = sphere_variants(
+        base, target, 0.2, count=4, rng=5, unitary=base.unitary()
+    )
+    assert len(built) == len(held) > 0
+    for (va, ua), (vb, ub) in zip(built, held):
+        assert va == vb
+        assert np.array(va.params).tobytes() == np.array(vb.params).tobytes()
+        assert ua.tobytes() == ub.tobytes()
+
+
+_STRUCTURES = [
+    (2, ((0, 1),), ("ry", "rz")),
+    (2, ((0, 1), (1, 0), (0, 1)), ("ry", "rz")),
+    (3, ((0, 1), (1, 2)), ("ry", "rz")),
+    (3, ((2, 0), (0, 1), (1, 2), (0, 2)), ("rx", "ry", "rz")),
+    (1, (), ("ry", "rz")),
+]
 
 
 def test_probe_matches_the_shifted_circuit_bit_for_bit():
+    """A probe builds the structure at ``params + shifts``; the oracle
+    rebuilds the base circuit with each angle stored as
+    ``op.params[0] + float(shift)``.  Same angles, same matrix."""
     rng = np.random.default_rng(11)
-    for circuit in _probe_circuits(rng):
-        all_rotations = _rotation_indices(circuit)
-        for indices in (all_rotations, all_rotations[::2]):
-            unitary_at = _shifted_unitary(circuit, indices)
-            for _ in range(6):
-                direction = rng.normal(size=len(indices))
-                direction /= np.linalg.norm(direction)
-                scale = rng.choice([-1.0, 1.0]) * 4.0 ** rng.uniform(-6, 2)
-                shifts = scale * direction
-                expected = circuit_unitary(
-                    _with_shifted_angles(circuit, indices, shifts)
-                )
-                probe = unitary_at(shifts)
-                assert probe.dtype == expected.dtype
-                assert probe.shape == expected.shape
-                assert probe.tobytes() == expected.tobytes()
+    for num_qubits, placements, rotations in _STRUCTURES:
+        count = 3 * num_qubits + 2 * len(rotations) * len(placements)
+        base = SynthesisSolution(
+            num_qubits, placements, rotations,
+            tuple(rng.uniform(-np.pi, np.pi, count).tolist()), 0.0,
+        )
+        circuit = base.circuit
+        indices = rotation_indices(circuit)
+        assert len(indices) == count
+        for _ in range(6):
+            direction = rng.normal(size=count)
+            direction /= np.linalg.norm(direction)
+            scale = rng.choice([-1.0, 1.0]) * 4.0 ** rng.uniform(-6, 2)
+            shifts = scale * direction
+            oracle = with_shifted_angles(circuit, indices, shifts)
+            expected = circuit_unitary(oracle)
+            shifted = tuple((np.asarray(base.params) + shifts).tolist())
+            variant = SynthesisSolution(num_qubits, placements, rotations, shifted, 0.0)
+            probe = variant.unitary()
+            assert probe.dtype == expected.dtype
+            assert probe.shape == expected.shape
+            assert probe.tobytes() == expected.tobytes()
+            assert variant.circuit == oracle
+
+
+def test_variants_match_the_circuit_oracle():
+    """From a zero-angle base a variant's angles are its shifts exactly,
+    so each variant must be the oracle's shifted circuit and its matrix
+    that circuit's unitary, bit for bit."""
+    base = _base((0.0,) * 10)
+    variants = sphere_variants(base, base.unitary(), 0.2, count=4, rng=3)
+    assert variants
+    indices = rotation_indices(base.circuit)
+    for variant, unitary in variants:
+        oracle = with_shifted_angles(base.circuit, indices, variant.params)
+        assert variant.circuit == oracle
+        assert unitary.tobytes() == circuit_unitary(oracle).tobytes()

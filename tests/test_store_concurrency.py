@@ -16,25 +16,21 @@ cache from many threads:
 
 from __future__ import annotations
 
-import pickle
 import threading
 
+import numpy as np
 import pytest
 
-from repro.circuits import Circuit
 from repro.observability import MetricsRegistry, use_metrics
-from repro.parallel.cache import PoolCache, entry_key
+from repro.parallel.cache import _HEADER, _MAGIC, CACHE_VERSION, PoolCache, entry_key
 from repro.store import ArtifactStore
 from repro.synthesis.leap import SynthesisSolution
 
 
 def _solutions(cnots: int = 1) -> list[SynthesisSolution]:
-    circuit = Circuit(2)
-    circuit.ry(0.3, 0)
-    for _ in range(cnots):
-        circuit.cx(0, 1)
+    angles = tuple(np.linspace(-1.0, 1.0, 6 + 4 * cnots).tolist())
     return [
-        SynthesisSolution(circuit=circuit, distance=0.01, cnot_count=cnots)
+        SynthesisSolution(2, ((0, 1),) * cnots, ("ry", "rz"), angles, 0.01)
     ]
 
 
@@ -206,7 +202,8 @@ def test_concurrent_corrupt_storm_then_repair(tmp_path):
     cache = PoolCache(tmp_path)
     cache.put(key, _solutions())
     path = cache.store.path_for(key)
-    path.write_bytes(pickle.dumps({"version": 1, "key": key}))  # no payload
+    # A header without tables or checksum.
+    path.write_bytes(_HEADER.pack(_MAGIC, CACHE_VERSION, len(key), 1) + key.encode())
 
     shared = PoolCache(tmp_path)
     probes = 10

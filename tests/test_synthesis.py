@@ -8,6 +8,7 @@ import pytest
 from repro.circuits import Circuit, gate_matrix, random_unitary
 from repro.exceptions import SynthesisError
 from repro.linalg import hs_distance
+from repro.resilience.validation import validate_solutions
 from repro.sim import circuit_unitary
 from repro.synthesis import (
     LeapConfig,
@@ -65,6 +66,36 @@ class TestLeap:
         assert report.best.cnot_count == 0
         built = report.best.circuit.unitary()
         assert hs_distance(built, target) < 1e-7
+
+    def test_one_qubit_solution_is_the_zyz_template(self, rng):
+        target = random_unitary(2, rng)
+        (solution,) = synthesize(target).solutions
+        assert (solution.num_qubits, solution.placements) == (1, ())
+        assert [op.name for op in solution.circuit] == ["rz", "ry", "rz"]
+        assert solution.circuit == build_leap_ansatz(
+            1, [], solution.layer_rotations
+        ).build_circuit(solution.params)
+
+    def test_solutions_are_lossless_data(self, rng):
+        """A solution is its LEAP template and angles: the circuit is the
+        template's, and the matrix built from the compiled gate list (the
+        one validation returns) is that circuit's, bit for bit."""
+        target = random_unitary(8, rng)
+        config = LeapConfig(
+            max_layers=2, seed=2, instantiation_starts=2,
+            max_optimizer_iterations=40,
+        )
+        report = synthesize(target, config)
+        built = validate_solutions(target, report.solutions)
+        for solution, unitary in zip(report.solutions, built, strict=True):
+            assert all(type(angle) is float for angle in solution.params)
+            assert solution.cnot_count == len(solution.placements)
+            circuit = build_leap_ansatz(
+                3, list(solution.placements), solution.layer_rotations
+            ).build_circuit(solution.params)
+            assert solution.circuit == circuit
+            assert circuit.cnot_count() == solution.cnot_count
+            assert unitary.tobytes() == circuit_unitary(circuit).tobytes()
 
     def test_collects_solutions_per_layer(self, rng):
         target = random_unitary(4, rng)

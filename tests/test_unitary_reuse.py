@@ -17,7 +17,7 @@ import pytest
 
 import repro.parallel.executor as executor_module
 import repro.sim.unitary as unitary_module
-import repro.synthesis.sphere as sphere_module
+import repro.synthesis.leap as leap_module
 from repro.algorithms import tfim
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig
@@ -84,7 +84,7 @@ def warm_run(request, tmp_path_factory):
         return pool
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (unitary_module, sphere_module):
+        for module in (unitary_module, leap_module):
             patch.setattr(module, "accumulate_unitary", counting_accumulate)
         patch.setattr(PoolCache, "get", recording_get)
         patch.setattr(executor_module, "assemble_pool", recording_assemble)
@@ -104,17 +104,17 @@ def test_warm_run_builds_each_unitary_once(warm_run):
     owners: Counter = Counter()
     for block in blocks:
         owners[circuit_unitary(block.circuit).tobytes()] += 1
-    solution_circuits = set()
+    stored = set()
     for solutions in loaded:
         for solution in solutions:
             owners[circuit_unitary(solution.circuit).tobytes()] += 1
-            solution_circuits.add(id(solution.circuit))
+            stored.add(id(solution))
     variants = 0
     for pool in pools:
         for candidate in pool.candidates:
-            if candidate.circuit is pool.block.circuit:
+            if candidate.source is pool.block.circuit:
                 continue
-            if id(candidate.circuit) in solution_circuits:
+            if id(candidate.source) in stored:
                 continue
             owners[candidate.unitary.tobytes()] += 1
             variants += 1

@@ -285,10 +285,10 @@ def _tampered_pool():
     # tolerance, but it is no longer the unitary of the circuit.
     drift = np.diag(np.exp(1j * np.array([0.0, 5e-8, 5e-8, 1e-7])))
     pool.candidates[0] = Candidate(
-        circuit=honest.circuit,
         unitary=drift @ honest.unitary,
         distance=honest.distance,
         cnot_count=honest.cnot_count,
+        source=honest.source,
     )
     return pool
 
