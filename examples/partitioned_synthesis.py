@@ -10,12 +10,8 @@ Run with: ``python examples/partitioned_synthesis.py``
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms import xy_model
-from repro.circuits import Circuit
 from repro.core import verify_bound
-from repro.linalg import hs_distance
 from repro.partition import scan_partition, stitch_blocks
 from repro.synthesis import LeapConfig, synthesize
 

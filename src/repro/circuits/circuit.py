@@ -9,7 +9,7 @@ exactly the convention used in the QUEST paper (Sec. 3.2).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -20,7 +20,7 @@ from repro.circuits.circuit import Circuit
 from repro.exceptions import SelectionError
 from repro.linalg.unitary import hs_distance
 from repro.partition.blocks import CircuitBlock
-from repro.synthesis.leap import SynthesisSolution
+from repro.synthesis.leap import SynthesisSolution, solution_unitaries
 from repro.synthesis.sphere import sphere_variants
 
 
@@ -91,13 +91,25 @@ def build_pool(
 
     ``original_unitary`` (the block's) and ``unitaries`` (the solutions',
     in solution order) are matrices the caller already built from those
-    circuits; either one left out is built here.
+    circuits.  Without ``unitaries``, the solutions that pass the cap and
+    the CNOT filter build here as one stack.
     """
     if original_unitary is None:
         original_unitary = block.unitary()
-    if unitaries is None:
-        unitaries = [None] * len(solutions)
     original_cnots = block.circuit.cnot_count()
+    pairs = zip(solutions, unitaries or [None] * len(solutions), strict=True)
+    ranked = [
+        (solution, unitary)
+        for solution, unitary in sorted(
+            pairs, key=lambda pair: (pair[0].cnot_count, pair[0].distance)
+        )
+        if (distance_cap is None or solution.distance <= distance_cap)
+        # Longer *and* worse than the original: never useful.
+        and (solution.cnot_count < original_cnots or solution.distance <= 1e-9)
+    ]
+    if unitaries is None:
+        kept_solutions = [solution for solution, _ in ranked]
+        ranked = list(zip(kept_solutions, solution_unitaries(kept_solutions)))
     pool = BlockPool(block=block, original_unitary=original_unitary)
     pool.candidates.append(
         Candidate(
@@ -108,20 +120,9 @@ def build_pool(
         )
     )
     kept = 0
-    ranked = sorted(
-        zip(solutions, unitaries, strict=True),
-        key=lambda pair: (pair[0].cnot_count, pair[0].distance),
-    )
     for solution, unitary in ranked:
         if kept >= max_candidates:
             break
-        if distance_cap is not None and solution.distance > distance_cap:
-            continue
-        if solution.cnot_count >= original_cnots and solution.distance > 1e-9:
-            # Longer *and* worse than the original: never useful.
-            continue
-        if unitary is None:
-            unitary = solution.unitary()
         # Re-measure the distance from the concrete circuit (the optimizer
         # cost is a lower bound on what the built circuit achieves).
         distance = hs_distance(unitary, original_unitary)

@@ -12,7 +12,9 @@ them.  (The PTM engine contracts Pauli-transfer matrices with its own
 runs the transposes and the single ``np.dot`` of ``np.tensordot`` +
 ``np.moveaxis`` (so it returns the same bits) from a cached plan,
 without their per-call axis bookkeeping, which cost more than the
-product on the 8x8 to 64x64 operands of block unitaries.
+product on the 8x8 to 64x64 operands of block unitaries.  The same plan,
+as flat gathers (:func:`matrix_gathers`), lets the LEAP builder move a
+stack of matrices through one stacked product per gate.
 
 Convention: basis index ``k = sum_q b_q * 2**q`` (qubit 0 is the
 least-significant bit).  A state of ``n`` qubits reshaped to ``(2,)*n``
@@ -76,6 +78,30 @@ def _plan(
     for dest, src in sorted(zip(axes, range(k))):
         out_perm.insert(dest, src)
     return 2**k, in_shape, tuple(axes + rest), out_shape, tuple(out_perm)
+
+
+def matrix_gathers(
+    qubits: tuple[int, ...], num_qubits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gathers that run :func:`apply_gate_to_matrix`'s transposes
+    on a ``2^n x 2^n`` matrix, from the same plan.
+
+    ``matrix.ravel()[into].reshape(2**k, -1)`` is the operand the kernel
+    multiplies the gate into, and ``product.ravel()[back]`` is the
+    returned matrix, flattened: the same elements at the same places, so
+    callers can gather many matrices, each under its own placement, and
+    multiply them as one stack.
+    """
+    _, in_shape, in_perm, out_shape, out_perm = _plan(
+        tuple(qubits), num_qubits, "matrix"
+    )
+    dim = 2**num_qubits
+    cells = np.arange(dim * dim)
+    into = cells.reshape(in_shape[:-1] + (dim,)).transpose(in_perm).ravel()
+    back = cells.reshape(
+        tuple(dim if axis == -1 else axis for axis in out_shape)
+    ).transpose(out_perm).ravel()
+    return into, back
 
 
 def _apply(

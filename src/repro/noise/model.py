@@ -16,7 +16,7 @@ on real devices is about an order of magnitude above the one-qubit rate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

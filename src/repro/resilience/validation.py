@@ -23,15 +23,16 @@ candidate:
 * **distance consistency** — the HS distance recomputed from the
   unitary agrees with the recorded one to ``DISTANCE_CONSISTENCY_TOL``.
 
-A solution's unitary is built from its structure and angles once the
-structure checks pass; ``validate_solutions`` returns the matrices it
-built, and pool assembly uses them instead of building them again.  A
-pool also stores each candidate's matrix, so ``validate_pool``
-additionally requires every stored matrix — the original's and each
-candidate's — to match the one rebuilt from its source to
-``POOL_UNITARY_MATCH_TOL``: the plain checks accept any matrix that is
-*a* unitary at the recorded distance, this one only the unitary the
-candidate actually implements.
+``validate_solutions`` checks every structure of a set first, then
+builds the set's unitaries from their structures and angles as one
+stack (:func:`~repro.synthesis.leap.solution_unitaries`) and checks
+each in order; it returns those matrices, and pool assembly uses them
+instead of building them again.  A pool also stores each candidate's
+matrix, so ``validate_pool`` additionally requires every stored matrix
+— the original's and each candidate's — to match the one rebuilt from
+its source to ``POOL_UNITARY_MATCH_TOL``: the plain checks accept any
+matrix that is *a* unitary at the recorded distance, this one only the
+unitary the candidate actually implements.
 
 Failures raise :class:`~repro.exceptions.ValidationError`; the executor
 quarantines the offending set (records a failure, retries or falls
@@ -184,24 +185,27 @@ def validate_structure(solution, num_qubits: int, *, label: str) -> None:
 def validate_solutions(target: np.ndarray, solutions) -> list[np.ndarray]:
     """Validate a worker's / the cache's raw LEAP solution list.
 
-    Returns each solution's unitary, in solution order: the matrices
-    this check built from the solutions' structures and angles, never
-    one read from a store entry or a worker's reply, so a pool assembled
-    from them holds what the solutions implement.  Raises
-    :class:`ValidationError` naming the first offending solution; an
-    empty list is valid (the pool degenerates to the exact block).
+    Every solution's structure is checked before any matrix is built;
+    then the whole list builds as one stack
+    (:func:`~repro.synthesis.leap.solution_unitaries`) and each matrix is
+    checked in solution order.  Returns those matrices, built from the
+    solutions' structures and angles, never read from a store entry or a
+    worker's reply, so a pool assembled from them holds what the
+    solutions implement.  Raises :class:`ValidationError` naming the
+    first offending solution; an empty list is valid (the pool
+    degenerates to the exact block).
     """
     # Imported lazily: repro.synthesis.instantiate imports
     # repro.resilience.deadline, which loads this package, so a
     # module-level import would be circular.
-    from repro.synthesis.leap import SynthesisSolution
+    from repro.synthesis.leap import SynthesisSolution, solution_unitaries
 
     if not isinstance(solutions, list):
         raise ValidationError(
             f"solution payload is {type(solutions).__name__}, expected list"
         )
     num_qubits = target.shape[0].bit_length() - 1
-    unitaries = []
+    labels = []
     for position, solution in enumerate(solutions):
         if not isinstance(solution, SynthesisSolution):
             raise ValidationError(
@@ -210,11 +214,12 @@ def validate_solutions(target: np.ndarray, solutions) -> list[np.ndarray]:
             )
         label = f"solution {position} (cnots={solution.cnot_count})"
         validate_structure(solution, num_qubits, label=label)
-        unitary = solution.unitary()
+        labels.append(label)
+    unitaries = solution_unitaries(solutions)
+    for solution, unitary, label in zip(solutions, unitaries, labels):
         validate_candidate_unitary(
             unitary, target, solution.distance, label=label
         )
-        unitaries.append(unitary)
     return unitaries
 
 

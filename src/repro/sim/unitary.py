@@ -1,16 +1,16 @@
 """Full-circuit unitary computation (the "Qiskit unitary simulator" role).
 
-The library's one unitary builder: the pipeline, candidate validation
-and the certifier all build circuit unitaries here, and the
-epsilon-sphere probes run the same loop (:func:`accumulate_unitary`) on
-gate matrices they compiled once per base circuit.  It accumulates
-``U = U_K ... U_1`` by contracting each gate into the identity's columns
-— no gate is ever embedded into a dense full-width operator on its own.
-The columns move in slabs of at most ``_SLAB_AMPLITUDES`` amplitudes, so
-up to 10 qubits the whole matrix is one slab, and above that the
-kernel's transient copies stay bounded by a slab.  Slabs of two or more
-columns give the single-matrix products bit for bit; the width cap
-keeps every slab at 64 columns or more.
+The reference builder of circuit unitaries: blocks, the certifier and
+the tests' oracles build here.  It accumulates ``U = U_K ... U_1`` by
+contracting each gate into the identity's columns — no gate is ever
+embedded into a dense full-width operator on its own.  The columns move
+in slabs of at most ``_SLAB_AMPLITUDES`` amplitudes, so up to 10 qubits
+the whole matrix is one slab, and above that the kernel's transient
+copies stay bounded by a slab.  Slabs of two or more columns give the
+single-matrix products bit for bit; the width cap keeps every slab at 64
+columns or more.  LEAP solutions build many at a time
+(:func:`repro.synthesis.leap.solution_unitaries`), with the same
+products, so their rows equal this function's matrices byte for byte.
 """
 
 from __future__ import annotations
@@ -40,25 +40,12 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise SimulationError(
             "circuit contains measurements; call without_measurements() first"
         )
-    return accumulate_unitary(
-        [
-            (op.gate.matrix(), op.qubits)
-            for op in circuit.operations
-            if op.name != "barrier"
-        ],
-        circuit.num_qubits,
-    )
-
-
-def accumulate_unitary(
-    gates: list[tuple[np.ndarray, tuple[int, ...]]], num_qubits: int
-) -> np.ndarray:
-    """Accumulate ``U = U_K ... U_1`` over ``(matrix, qubits)`` pairs.
-
-    The loop behind :func:`circuit_unitary`, for callers that already
-    hold the gate matrices (the epsilon-sphere probes): the same pairs
-    give the same bits.  Width is not checked here.
-    """
+    gates = [
+        (op.gate.matrix(), op.qubits)
+        for op in circuit.operations
+        if op.name != "barrier"
+    ]
+    num_qubits = circuit.num_qubits
     dim = 2**num_qubits
     columns = min(dim, max(1, _SLAB_AMPLITUDES // dim))
     unitary = None if columns == dim else np.empty((dim, dim), dtype=complex)

@@ -7,22 +7,32 @@ instantiates the resulting template, and keeps the best branch to extend
 *collect* the best ``M`` instantiated circuits per layer — across all
 CNOT counts up to the original circuit's count — instead of returning only
 the single exact solution.
+
+A solution is data (:class:`SynthesisSolution`: structure, angles and
+distance).  :func:`solution_unitaries` is the one builder of their
+matrices: it builds a list of solutions as one stack, one stacked
+product per template slot, and each row equals ``circuit_unitary`` of
+the solution's circuit byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import gate_matrix
 from repro.exceptions import SynthesisError
+from repro.linalg.embed import matrix_gathers
 from repro.linalg.su2 import zyz_decompose
 from repro.observability import get_metrics, get_tracer
-from repro.sim.unitary import accumulate_unitary
 from repro.synthesis.ansatz import (
+    _ROTATION_ENTRIES,
     DEFAULT_LAYER_ROTATIONS,
     all_placements,
     bind_slots,
@@ -31,9 +41,12 @@ from repro.synthesis.ansatz import (
 )
 from repro.synthesis.instantiate import instantiate, instantiate_multi
 
-#: The one fixed gate of a LEAP template, shared by every gate list
-#: (:func:`~repro.sim.unitary.accumulate_unitary` only reads it).
+#: The one fixed gate of a LEAP template, shared by every stack.
 _CX = gate_matrix("cx")
+
+#: Cells of a stack's gather arrays (slots x rows x 4**n, 8 MiB of
+#: intp): wider or longer templates split their rows over more stacks.
+_STACK_GATHER_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -65,23 +78,164 @@ class SynthesisSolution:
         return bind_slots(self.num_qubits, slots, self.params)
 
     def unitary(self) -> np.ndarray:
-        """The circuit's unitary, bit for bit, from the structure's gate
-        list: the shared CX matrix, and each rotation from ``gate_matrix``
-        at its angle, the call ``Gate.matrix()`` makes."""
-        slots = leap_slots(self.num_qubits, self.placements, self.layer_rotations)
-        gates = [
-            (_CX, slot.qubits)
-            if slot.param_index is None
-            else (gate_matrix(slot.name, (self.params[slot.param_index],)), slot.qubits)
-            for slot in slots
-        ]
-        return accumulate_unitary(gates, self.num_qubits)
+        """The circuit's unitary, bit for bit: a stack of one row of
+        :func:`solution_unitaries`."""
+        return solution_unitaries([self])[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SynthesisSolution(cnots={self.cnot_count}, "
             f"distance={self.distance:.3e})"
         )
+
+
+def solution_unitaries(solutions: list[SynthesisSolution]) -> list[np.ndarray]:
+    """The unitaries of same-width LEAP solutions, in order, as stacks.
+
+    Each row is ``circuit_unitary(solution.circuit)`` byte for byte.  A
+    stack starts at the identity and takes the template's slots in
+    order: per slot, one gather brings every row into its own placement's
+    operand layout (:func:`~repro.linalg.embed.matrix_gathers`), one
+    stacked ``np.matmul`` multiplies each row by its 2x2 rotation or the
+    shared CX, and one gather brings the rows back.  Each row's product
+    is the BLAS product ``np.dot`` makes for it in
+    :func:`~repro.linalg.embed.apply_gate_to_matrix`, and a gather only
+    copies, so the stack changes no bit.  Rows with as many rotations
+    per layer share a stack, longest first: a slot acts on a prefix.
+    A stack takes as many rows as keep its gather arrays within
+    ``_STACK_GATHER_CELLS``, and at least one.
+    """
+    if not solutions:
+        return []
+    num_qubits = solutions[0].num_qubits
+    if any(solution.num_qubits != num_qubits for solution in solutions):
+        raise SynthesisError("solution_unitaries builds solutions of one width")
+    groups: dict[int, list[int]] = {}
+    for row, solution in enumerate(solutions):
+        groups.setdefault(len(solution.layer_rotations), []).append(row)
+    unitaries: list[np.ndarray] = [None] * len(solutions)
+    for rows in groups.values():
+        rows.sort(key=lambda row: -len(solutions[row].placements))
+        longest = solutions[rows[0]]
+        slots = len(
+            _stack_plan(num_qubits, longest.placements, longest.layer_rotations).rotations
+        )
+        per_stack = max(1, _STACK_GATHER_CELLS // (slots * 4**num_qubits))
+        for start in range(0, len(rows), per_stack):
+            stack_rows = rows[start : start + per_stack]
+            stack = _stack_unitaries([solutions[row] for row in stack_rows])
+            for row, unitary in zip(stack_rows, stack):
+                unitaries[row] = unitary
+    return unitaries
+
+
+class _StackPlan(NamedTuple):
+    """What a stack needs of one LEAP structure, per slot in order."""
+
+    #: Each slot's row of :func:`_gather_table`.
+    codes: np.ndarray
+    #: Whether each slot is a rotation (else the CX).
+    rotations: tuple[bool, ...]
+    #: Each rotation's entry formula, in angle order: the formulas
+    #: ``gate_matrix`` uses, so the stack's rotations are ``Gate.matrix()``'s.
+    formulas: tuple[Callable, ...]
+
+
+def _gather_code(qubits: tuple[int, ...], num_qubits: int) -> int:
+    """A slot's row of :func:`_gather_table`: ``q`` for a rotation on
+    ``q``, ``n + n * c + t`` for the CX ``(c, t)``."""
+    if len(qubits) == 1:
+        return qubits[0]
+    control, target = qubits
+    return num_qubits + num_qubits * control + target
+
+
+@functools.lru_cache(maxsize=8)
+def _gather_table(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gathers into and out of every LEAP placement's operand layout
+    on ``num_qubits`` qubits, one row per :func:`_gather_code` (rows of
+    CXs on one qubit stay zero and are never read)."""
+    size = 4**num_qubits
+    placements = [(q,) for q in range(num_qubits)] + [
+        (c, t) for c in range(num_qubits) for t in range(num_qubits) if c != t
+    ]
+    into = np.zeros((num_qubits + num_qubits**2, size), dtype=np.intp)
+    back = np.zeros_like(into)
+    for qubits in placements:
+        code = _gather_code(qubits, num_qubits)
+        into[code], back[code] = matrix_gathers(qubits, num_qubits)
+    into.flags.writeable = back.flags.writeable = False
+    return into, back
+
+
+@functools.lru_cache(maxsize=1024)
+def _stack_plan(
+    num_qubits: int,
+    placements: tuple[tuple[int, int], ...],
+    layer_rotations: tuple[str, ...],
+) -> _StackPlan:
+    """The cached :class:`_StackPlan` of one LEAP structure."""
+    slots = leap_slots(num_qubits, placements, layer_rotations)
+    if any(not 0 <= q < num_qubits for pair in placements for q in pair):
+        raise SynthesisError(f"placements {placements} leave {num_qubits} qubit(s)")
+    names = [slot.name for slot in slots if slot.param_index is not None]
+    if not set(names) <= _ROTATION_ENTRIES.keys():
+        raise SynthesisError(f"layer rotations {layer_rotations} are not rx/ry/rz")
+    codes = np.array([_gather_code(slot.qubits, num_qubits) for slot in slots])
+    codes.flags.writeable = False
+    return _StackPlan(
+        codes,
+        tuple(slot.param_index is not None for slot in slots),
+        tuple(_ROTATION_ENTRIES[name] for name in names),
+    )
+
+
+def _stack_unitaries(solutions: list[SynthesisSolution]) -> list[np.ndarray]:
+    """One stack: same width and rotations per layer, longest first."""
+    num_qubits, count = solutions[0].num_qubits, len(solutions)
+    dim = 2**num_qubits
+    size = dim * dim
+    plans = [
+        _stack_plan(num_qubits, s.placements, s.layer_rotations) for s in solutions
+    ]
+    lengths = [len(plan.rotations) for plan in plans]
+    if all(plan is plans[0] for plan in plans):
+        codes = plans[0].codes[:, None]
+    else:
+        codes = np.zeros((lengths[0], count), dtype=np.intp)
+        for row, (plan, length) in enumerate(zip(plans, lengths)):
+            codes[:length, row] = plan.codes
+    # Slot-major gathers into the flat stack, where row i's cells start
+    # at i * size: a slot's rows are one contiguous block.
+    offsets = (np.arange(count) * size)[:, None]
+    table_into, table_back = _gather_table(num_qubits)
+    into = table_into[codes] + offsets
+    back = table_back[codes] + offsets
+    entries = np.zeros((count, len(solutions[0].params), 4), dtype=complex)
+    for row, (solution, plan) in enumerate(zip(solutions, plans)):
+        formulas = plan.formulas
+        if len(solution.params) != len(formulas):
+            raise SynthesisError(
+                f"{len(solution.params)} angles for a template of {len(formulas)}"
+            )
+        entries[row, : len(formulas)] = [
+            formula(angle) for formula, angle in zip(formulas, solution.params)
+        ]
+    gates = np.ascontiguousarray(entries.transpose(1, 0, 2)).reshape(-1, count, 2, 2)
+    stack = np.tile(np.eye(dim, dtype=complex).ravel(), (count, 1))
+    cells = stack.ravel()
+    active, angle = count, 0
+    for slot, rotation in enumerate(plans[0].rotations):
+        while lengths[active - 1] <= slot:
+            active -= 1
+        operand = cells[into[slot, :active]]
+        if rotation:
+            gate, angle = gates[angle, :active], angle + 1
+        else:
+            gate = _CX
+        product = np.matmul(gate, operand.reshape(active, gate.shape[-1], -1))
+        stack[:active] = product.ravel()[back[slot, :active]]
+    return list(stack.reshape(count, dim, dim))
 
 
 @dataclass

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from repro.circuits.circuit import Circuit, Operation
-from repro.circuits.gates import Gate
 from repro.linalg.su2 import ANGLE_ATOL, is_identity_angles, zyz_decompose
 
 #: One-qubit gate names the merge pass accumulates.

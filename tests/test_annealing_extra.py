@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.circuits import Circuit
 from repro.core.annealing import select_approximations
 from repro.core.objective import SelectionObjective

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import Circuit, random_circuit
+from repro.circuits import random_circuit
 from repro.linalg import equal_up_to_global_phase, hs_distance, is_unitary
 from repro.sim import circuit_unitary, run_statevector
 

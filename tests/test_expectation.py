@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import average_magnetization
-from repro.circuits import Circuit
 from repro.exceptions import SimulationError
 from repro.metrics import tvd
 from repro.sim import ideal_distribution

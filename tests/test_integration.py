@@ -7,7 +7,6 @@ and compare output distributions.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import QuestConfig, run_quest, transpile, tvd

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.circuits import Circuit, random_circuit
 from repro.linalg import equal_up_to_global_phase

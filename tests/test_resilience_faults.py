@@ -153,12 +153,15 @@ def test_honest_solutions_validate():
     ],
 )
 def test_malformed_structures_are_rejected_before_any_build(change, match):
+    """No row of an entry is built before every structure of the entry
+    passes: an honest solution ahead of the malformed one stays unbuilt."""
     block = next(b for b in _blocks() if b.num_qubits > 1)
-    bad = replace(_honest_solution(block), **change)
+    honest = _honest_solution(block)
+    bad = replace(honest, **change)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(leap_module, "accumulate_unitary", _never_called)
+        patch.setattr(leap_module, "solution_unitaries", _never_called)
         with pytest.raises(ValidationError, match=match):
-            validate_solutions(block.unitary(), [bad])
+            validate_solutions(block.unitary(), [honest, bad])
 
 
 def _never_called(*args):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,11 @@ from repro.linalg import hs_distance
 from repro.sim.unitary import circuit_unitary
 from repro.synthesis.leap import SynthesisSolution
 from repro.synthesis.sphere import sphere_variants
-from tests.sphere_oracle import rotation_indices, with_shifted_angles
+from tests.sphere_oracle import (
+    rotation_indices,
+    sequential_sphere_variants,
+    with_shifted_angles,
+)
 
 
 def _base(angles=None) -> SynthesisSolution:
@@ -170,3 +176,81 @@ def test_variants_match_the_circuit_oracle():
         oracle = with_shifted_angles(base.circuit, indices, variant.params)
         assert variant.circuit == oracle
         assert unitary.tobytes() == circuit_unitary(oracle).tobytes()
+
+
+def _assert_matches_the_sequential_search(solution, target, threshold, count, seed):
+    """Lockstep and sequential searches from equal generators: the same
+    variants (angles and distances bit for bit), the same matrix bytes
+    and the same final generator state.  Returns the variants."""
+    lockstep_rng = np.random.default_rng(seed)
+    sequential_rng = np.random.default_rng(seed)
+    got = sphere_variants(solution, target, threshold, count=count, rng=lockstep_rng)
+    want = sequential_sphere_variants(
+        solution, target, threshold, count=count, rng=sequential_rng
+    )
+    assert len(got) == len(want)
+    for (variant, unitary), (expected, expected_unitary) in zip(got, want):
+        assert variant == expected
+        assert np.array(variant.params).tobytes() == np.array(expected.params).tobytes()
+        assert variant.distance.hex() == expected.distance.hex()
+        assert unitary.tobytes() == expected_unitary.tobytes()
+    assert lockstep_rng.bit_generator.state == sequential_rng.bit_generator.state
+    return got
+
+
+def _three_qubit_base() -> tuple[SynthesisSolution, np.ndarray]:
+    """A two-layer 3-qubit solution and a target near it."""
+    rng = np.random.default_rng(21)
+    base = SynthesisSolution(
+        3, ((0, 1), (1, 2)), ("ry", "rz"),
+        tuple(rng.uniform(-np.pi, np.pi, 17).tolist()), 0.0,
+    )
+    shift = rng.normal(size=17)
+    shifted = np.asarray(base.params) + 0.12 * shift / np.linalg.norm(shift)
+    return base, replace(base, params=tuple(shifted.tolist())).unitary()
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_lockstep_search_matches_the_sequential_oracle(count):
+    base = _base()
+    variants = _assert_matches_the_sequential_search(
+        base, base.unitary(), 0.2, count, seed=count
+    )
+    assert len(variants) == count
+    base, target = _three_qubit_base()
+    assert 0.0 < hs_distance(base.unitary(), target) < 0.9 * 0.3
+    variants = _assert_matches_the_sequential_search(
+        base, target, 0.3, count, seed=10 + count
+    )
+    assert len(variants) == count
+
+
+def test_lockstep_search_with_no_room_draws_nothing():
+    """A base at 0.9 * threshold or beyond gets no variants and leaves
+    the generator where it was."""
+    base, target = _three_qubit_base()
+    threshold = hs_distance(base.unitary(), target) / 0.9
+    for count in (1, 4):
+        assert _assert_matches_the_sequential_search(
+            base, target, threshold, count, seed=5
+        ) == []
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert sphere_variants(base, target, threshold, rng=rng) == []
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_lockstep_search_stops_at_the_attempt_cap(count):
+    """HS distances are at most 1, so at threshold 5 the band floor (0.6
+    * 5) is out of reach: every search grows 12 probes and fails, and
+    both searches run all 4 * count attempts."""
+    base = _base()
+    assert _assert_matches_the_sequential_search(
+        base, base.unitary(), 5.0, count, seed=count
+    ) == []
+    rng = np.random.default_rng(count)
+    sphere_variants(base, base.unitary(), 5.0, count=count, rng=rng)
+    reference = np.random.default_rng(count)
+    reference.normal(size=(4 * count, len(base.params)))
+    assert rng.bit_generator.state == reference.bit_generator.state

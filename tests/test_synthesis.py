@@ -78,8 +78,8 @@ class TestLeap:
 
     def test_solutions_are_lossless_data(self, rng):
         """A solution is its LEAP template and angles: the circuit is the
-        template's, and the matrix built from the compiled gate list (the
-        one validation returns) is that circuit's, bit for bit."""
+        template's, and the matrix built from the structure in the stack
+        validation returns is that circuit's, bit for bit."""
         target = random_unitary(8, rng)
         config = LeapConfig(
             max_layers=2, seed=2, instantiation_starts=2,

@@ -4,7 +4,6 @@ stopping, and LEAP stopping rules."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.circuits import Circuit, random_unitary
 from repro.sim import circuit_unitary

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.circuits import Circuit
 from repro.linalg import equal_up_to_global_phase
 from repro.sim import circuit_unitary

@@ -4,8 +4,9 @@ A warm run (every block a store hit) hands matrices along instead of
 rebuilding them: the plan's block unitary feeds validation and the pool,
 validation's rebuilt solution matrices feed the pool, and an accepted
 epsilon-sphere probe's matrix becomes its variant's.  These tests count
-the builds through the shared accumulation loop and check that the pools
-equal ones assembled with no matrices handed over.
+every matrix the two builders return — ``circuit_unitary`` for circuits,
+``solution_unitaries`` for each row of a LEAP stack — and check that the
+pools equal ones assembled with no matrices handed over.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.core.pool as pool_module
 import repro.parallel.executor as executor_module
 import repro.sim.unitary as unitary_module
 import repro.synthesis.leap as leap_module
+import repro.synthesis.sphere as sphere_module
 from repro.algorithms import tfim
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig
@@ -50,8 +53,9 @@ CONFIG = QuestConfig(
 def warm_run(request, tmp_path_factory):
     """A warm executor run over a store filled by a cold one.
 
-    Records every matrix the shared accumulation loop builds, every
-    solution list the store hands out and every ``assemble_pool`` call.
+    Records every matrix either builder returns (a stack counts each
+    row), every solution list the store hands out and every
+    ``assemble_pool`` call.
     """
     width, block_qubits = request.param
     baseline = lower_to_basis(tfim(width, steps=2).without_measurements())
@@ -64,13 +68,20 @@ def warm_run(request, tmp_path_factory):
     built: Counter = Counter()
     loaded: list = []
     assembled: dict = {}
-    real_accumulate = unitary_module.accumulate_unitary
+    real_circuit_unitary = unitary_module.circuit_unitary
+    real_solution_unitaries = leap_module.solution_unitaries
     real_get = PoolCache.get
 
-    def counting_accumulate(gates, num_qubits):
-        unitary = real_accumulate(gates, num_qubits)
+    def counting_circuit_unitary(circuit):
+        unitary = real_circuit_unitary(circuit)
         built[unitary.tobytes()] += 1
         return unitary
+
+    def counting_solution_unitaries(solutions):
+        unitaries = real_solution_unitaries(solutions)
+        for unitary in unitaries:
+            built[unitary.tobytes()] += 1
+        return unitaries
 
     def recording_get(self, key):
         solutions = real_get(self, key)
@@ -84,8 +95,12 @@ def warm_run(request, tmp_path_factory):
         return pool
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (unitary_module, leap_module):
-            patch.setattr(module, "accumulate_unitary", counting_accumulate)
+        patch.setattr(unitary_module, "circuit_unitary", counting_circuit_unitary)
+        # Every module that binds the stack builder's name.
+        for module in (leap_module, pool_module, sphere_module):
+            patch.setattr(
+                module, "solution_unitaries", counting_solution_unitaries
+            )
         patch.setattr(PoolCache, "get", recording_get)
         patch.setattr(executor_module, "assemble_pool", recording_assemble)
         pools, stats = BlockSynthesisExecutor(cache=PoolCache(store)).run(

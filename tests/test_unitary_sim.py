@@ -7,7 +7,7 @@ import pytest
 
 from repro.circuits import Circuit, gate_matrix, random_circuit
 from repro.exceptions import SimulationError
-from repro.sim import circuit_unitary, run_statevector, zero_state
+from repro.sim import circuit_unitary, run_statevector
 from repro.sim.unitary import MAX_UNITARY_QUBITS
 
 
