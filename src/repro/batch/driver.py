@@ -69,7 +69,7 @@ class BatchResult:
 
     ``results`` preserves input order regardless of completion order.
     The dedup/pool counters are read-only views of ``metrics`` and are
-    what the throughput benchmark asserts on.
+    what the batch tests' dedup accounting asserts on.
     """
 
     results: list[QuestResult] = field(default_factory=list)

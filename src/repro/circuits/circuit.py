@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits.gates import (
-    Gate,
-    TWO_QUBIT_GATES,
-)
+from repro.circuits.gates import Gate
 from repro.exceptions import CircuitError
 
 
@@ -238,10 +235,6 @@ class Circuit:
     def cnot_count(self) -> int:
         """Total CNOT cost: native CX plus the CX cost of other 2q+ gates."""
         return sum(op.gate.cnot_cost() for op in self._ops)
-
-    def two_qubit_count(self) -> int:
-        """Number of native two-qubit operations (any entangling gate)."""
-        return sum(1 for op in self._ops if op.name in TWO_QUBIT_GATES)
 
     def depth(self) -> int:
         """Circuit depth counting unitary gates and measurements."""

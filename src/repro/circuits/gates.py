@@ -278,11 +278,6 @@ class Gate:
         """Number of qubits this gate acts on."""
         return GATE_NUM_QUBITS[self.name]
 
-    @property
-    def is_parametric(self) -> bool:
-        """Whether the gate carries continuous parameters."""
-        return GATE_NUM_PARAMS[self.name] > 0
-
     def matrix(self) -> np.ndarray:
         """Return the gate's unitary matrix (little-endian)."""
         return gate_matrix(self.name, self.params)

@@ -280,7 +280,6 @@ class QuestResult:
         noise,
         trajectories: int = 1000,
         rng: np.random.Generator | int | None = None,
-        batched: bool = True,
         engine: str = "auto",
     ) -> np.ndarray:
         """Averaged noisy output distribution of the selected ensemble.
@@ -327,7 +326,6 @@ class QuestResult:
                         noise,
                         trajectories=trajectories,
                         rng=rng,
-                        batched=batched,
                         engine=engine,
                     )
                     for circuit in self.circuits

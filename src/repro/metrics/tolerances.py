@@ -70,8 +70,7 @@ PTM_CP_TOL = 1e-9
 #: Max pointwise disagreement between the PTM engine's distribution and
 #: the density-matrix reference for the same circuit and noise model.
 #: Both engines are exact, so the gap is pure contraction-order
-#: rounding; the agreement tests and the PTM throughput benchmark pin
-#: it here.
+#: rounding; the agreement tests pin it here.
 PTM_DENSITY_AGREEMENT_ATOL = 1e-10
 
 #: Failure probability budget of the random-stimulus certification

@@ -64,23 +64,18 @@ def noisy_distribution(
     noise,
     trajectories=1000,
     rng=None,
-    batched=True,
     engine="auto",
 ):
     """Noisy output distribution via the selected engine.
 
     ``engine`` is one of :data:`NOISE_ENGINES`, resolved by
     :func:`resolve_engine`: ``auto`` runs the exact superoperator engine
-    up to its qubit cap and Monte-Carlo Pauli trajectories beyond it
-    (batched by default; ``batched=False`` selects the scalar reference
-    engine).  ``ptm`` and ``trajectories`` force those engines
-    regardless of size.
+    up to its qubit cap and Monte-Carlo Pauli trajectories beyond it.
+    ``ptm`` and ``trajectories`` force those engines regardless of size.
     """
     if resolve_engine(engine, circuit.num_qubits) == "ptm":
         return run_ptm(circuit, noise)
-    return run_trajectories(
-        circuit, noise, trajectories=trajectories, rng=rng, batched=batched
-    )
+    return run_trajectories(circuit, noise, trajectories=trajectories, rng=rng)
 
 
 __all__ = [

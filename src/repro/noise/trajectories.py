@@ -5,21 +5,18 @@ and stochastically injects a Pauli error after each gate with the model's
 probability.  Averaging many trajectories converges to the density-matrix
 result (a unit test checks this agreement on small circuits).
 
-Two execution engines share one sampling step:
+The Pauli-error outcome of every (error site, trajectory) pair is
+sampled *before* evolution.  The trajectories then evolve together, as
+``(rows, 2^n)`` slabs of at most :data:`MAX_BATCHED_STATE_BYTES`: every
+gate is one :func:`~repro.linalg.embed.apply_gate_to_states` contraction
+per slab, and each *distinct* sampled Pauli error is applied to its
+trajectory sub-batch, so a slab costs ``ops x (#distinct errors + 1)``
+batched contractions instead of ``rows x ops`` one-state applications.
+A run whose states fit under the cap is a single slab.
 
-* **batched** (default): all ``T`` trajectories evolve as a single
-  ``(T, 2^n)`` block.  Every gate is one
-  :func:`~repro.linalg.embed.apply_gate_to_states` contraction, and each
-  *distinct* sampled Pauli error is applied to its trajectory sub-batch,
-  so the cost is ``ops x (#distinct errors + 1)`` batched contractions
-  instead of the scalar engine's ``T x ops`` Python-level applications.
-* **scalar**: the historical one-trajectory-at-a-time loop, kept for
-  cross-checking and for memory-constrained runs.
-
-Because the Pauli-error outcomes for every (error site, trajectory) pair
-are pre-sampled *before* evolution — by the same routine, in the same RNG
-order — the two engines produce identical results for a fixed seed (up
-to floating-point associativity), which the unit tests pin.
+``tests/trajectory_oracle.py`` keeps the one-trajectory-at-a-time loop
+over the same pre-sampled outcomes as the reference the tests hold this
+engine to.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import SimulationCapacityError, SimulationError
-from repro.linalg.embed import apply_gate_to_state, apply_gate_to_states
+from repro.linalg.embed import apply_gate_to_states
 from repro.noise.model import (
     ONE_QUBIT_PAULIS,
     TWO_QUBIT_PAULIS,
@@ -38,7 +35,6 @@ from repro.noise.model import (
     apply_readout_error,
     pauli_matrix,
 )
-from repro.sim.statevector import probabilities, zero_state
 
 _PAULI_CACHE = {label: pauli_matrix(label) for label in ONE_QUBIT_PAULIS}
 _PAULI_CACHE.update({label: pauli_matrix(label) for label in TWO_QUBIT_PAULIS})
@@ -48,18 +44,15 @@ _PAULI_CACHE.update({label: pauli_matrix(label) for label in TWO_QUBIT_PAULIS})
 #: trajectory thrashes, so refuse with structure instead of hanging.
 MAX_TRAJECTORY_QUBITS = 24
 
-#: Max bytes the batched engine may stage as its ``(T, 2^n)`` block
-#: before refusing; the scalar engine (one state at a time) or a lower
-#: trajectory count still work beyond it.
+#: Max bytes of one ``(rows, 2^n)`` slab of trajectory states; a run
+#: with more trajectories evolves them in successive slabs.
 MAX_BATCHED_STATE_BYTES = 4 * 2**30
 
 _COMPLEX_BYTES = 16
 
 
-def _check_capacity(num_qubits: int, trajectories: int, batched: bool) -> None:
-    """Refuse sizes that would hang or OOM, naming the way out."""
-    from repro.noise.ptm import MAX_PTM_QUBITS
-
+def _check_capacity(num_qubits: int) -> None:
+    """Refuse widths that would hang or OOM, naming the way out."""
     if num_qubits > MAX_TRAJECTORY_QUBITS:
         raise SimulationCapacityError(
             "trajectories",
@@ -69,22 +62,6 @@ def _check_capacity(num_qubits: int, trajectories: int, batched: bool) -> None:
             detail=(
                 f"one statevector is 2^{num_qubits} complexes; partition "
                 "the circuit (see repro.partition) instead"
-            ),
-        )
-    batch_bytes = trajectories * (2**num_qubits) * _COMPLEX_BYTES
-    if batched and batch_bytes > MAX_BATCHED_STATE_BYTES:
-        raise SimulationCapacityError(
-            "trajectories",
-            num_qubits,
-            MAX_TRAJECTORY_QUBITS,
-            suggested_engine=(
-                "ptm" if num_qubits <= MAX_PTM_QUBITS else None
-            ),
-            detail=(
-                f"the ({trajectories}, 2^{num_qubits}) trajectory batch "
-                f"needs {batch_bytes / 2**30:.1f} GiB "
-                f"(cap {MAX_BATCHED_STATE_BYTES / 2**30:.0f} GiB); lower "
-                "the trajectory count or pass batched=False"
             ),
         )
 
@@ -164,8 +141,8 @@ def _sample_outcomes(
 
     Returns an ``(num_sites, T)`` int array: ``-1`` means no error, a
     non-negative entry indexes into that site's label tuple.  Sampling is
-    vectorized per site, and — crucially — independent of which engine
-    consumes it, so scalar and batched runs share one RNG stream.
+    vectorized per site and draws every outcome of the run up front, so
+    the RNG stream does not depend on how the trajectories are slabbed.
     """
     outcomes = np.full((len(sites), trajectories), -1, dtype=np.int64)
     for row, site in enumerate(sites):
@@ -178,17 +155,17 @@ def _sample_outcomes(
     return outcomes
 
 
-def _evolve_batched(
+def _evolve_slab(
     ops: list,
     gate_matrices: list[np.ndarray],
     sites_per_op: list[list[_ErrorSite]],
     outcomes: np.ndarray,
     num_qubits: int,
-    trajectories: int,
 ) -> np.ndarray:
-    """Evolve all trajectories as one batch; returns the summed distribution."""
+    """Evolve one slab, the trajectories of ``outcomes``' columns, as one
+    batch; returns their summed distribution."""
     dim = 2**num_qubits
-    states = np.zeros((trajectories, dim), dtype=complex)
+    states = np.zeros((outcomes.shape[1], dim), dtype=complex)
     states[:, 0] = 1.0
     row = 0
     for op, gate, sites in zip(ops, gate_matrices, sites_per_op):
@@ -214,65 +191,42 @@ def _evolve_batched(
     return (probs / totals[:, None]).sum(axis=0)
 
 
-def _evolve_scalar(
-    ops: list,
-    gate_matrices: list[np.ndarray],
-    sites_per_op: list[list[_ErrorSite]],
-    outcomes: np.ndarray,
-    num_qubits: int,
-    trajectories: int,
-) -> np.ndarray:
-    """One-trajectory-at-a-time evolution over the same sampled outcomes."""
-    accumulated = np.zeros(2**num_qubits)
-    for trajectory in range(trajectories):
-        state = zero_state(num_qubits)
-        row = 0
-        for op, gate, sites in zip(ops, gate_matrices, sites_per_op):
-            state = apply_gate_to_state(state, gate, op.qubits, num_qubits)
-            for site in sites:
-                label_index = outcomes[row, trajectory]
-                row += 1
-                if label_index < 0:
-                    continue
-                matrix, qubits = _pauli_application(
-                    site.labels[int(label_index)], site.qubits
-                )
-                state = apply_gate_to_state(state, matrix, qubits, num_qubits)
-        accumulated += probabilities(state)
-    return accumulated
-
-
 def run_trajectories(
     circuit: Circuit,
     noise: NoiseModel,
     trajectories: int = 1000,
     rng: np.random.Generator | int | None = None,
-    batched: bool = True,
 ) -> np.ndarray:
     """Estimate the noisy output distribution from Pauli trajectories.
 
     Each trajectory contributes its full analytic Born distribution (not a
     single shot), which sharply reduces the sampling variance for a given
-    trajectory budget.  ``batched=True`` (default) evolves all
-    trajectories as one ``(T, 2^n)`` block; ``batched=False`` selects the
-    scalar reference engine.  Both consume the same pre-sampled error
-    outcomes, so the choice does not change the result for a fixed seed.
+    trajectory budget.  All trajectories evolve as one ``(T, 2^n)`` block
+    when it fits in :data:`MAX_BATCHED_STATE_BYTES`, and in successive
+    slabs of at most that size when it does not; the slabs consume the
+    same pre-sampled error outcomes, so slabbing changes the result only
+    by the order of a float sum.
     """
     if trajectories < 1:
         raise SimulationError("need at least one trajectory")
-    _check_capacity(circuit.num_qubits, trajectories, batched)
+    _check_capacity(circuit.num_qubits)
     rng = np.random.default_rng(rng)
     num_qubits = circuit.num_qubits
     ops = [op for op in circuit.operations if op.name not in ("measure", "barrier")]
-    # Hoist the gate matrices: they are per-circuit constants and used to
-    # be rebuilt T x ops times by the scalar loop.
+    # Per-circuit constants, shared by every slab.
     gate_matrices = [op.gate.matrix() for op in ops]
     sites_per_op = _error_sites(ops, num_qubits, noise)
     flat_sites = [site for sites in sites_per_op for site in sites]
     outcomes = _sample_outcomes(flat_sites, trajectories, rng)
-    engine = _evolve_batched if batched else _evolve_scalar
-    accumulated = engine(
-        ops, gate_matrices, sites_per_op, outcomes, num_qubits, trajectories
-    )
+    rows = max(1, MAX_BATCHED_STATE_BYTES // (2**num_qubits * _COMPLEX_BYTES))
+    accumulated = np.zeros(2**num_qubits)
+    for start in range(0, trajectories, rows):
+        accumulated += _evolve_slab(
+            ops,
+            gate_matrices,
+            sites_per_op,
+            outcomes[:, start : start + rows],
+            num_qubits,
+        )
     probs = accumulated / trajectories
     return apply_readout_error(probs, num_qubits, noise.readout_error)

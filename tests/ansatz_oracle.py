@@ -1,10 +1,13 @@
-"""Frozen slot-by-slot reference for ``Ansatz.trace_and_gradient``.
+"""Frozen references for ``Ansatz.trace_and_gradient``.
 
 :class:`repro.synthesis.ansatz.Ansatz` evaluates the instantiation cost
-with stacked per-rotation work.  This module keeps the kernel it
-replaced — one slot at a time, prefix products forward, one suffix
-product backward — as the oracle the tests hold it to, bit for bit.
-It reads only an ansatz's public ``slots``, ``num_qubits`` and
+with stacked per-rotation work.  This module keeps the two kernels it
+replaced as the oracles the tests hold it to, bit for bit:
+:class:`SlotSweep` — one slot at a time, prefix products forward, one
+suffix product backward — and :func:`dense_cost_and_gradient`, the
+package's first cost path, which embedded every slot with ``np.kron``
+and built the whole ``(num_params, dim, dim)`` gradient tensor.  Both
+read only an ansatz's public ``slots``, ``num_qubits`` and
 ``num_params``.
 """
 
@@ -106,3 +109,48 @@ class SlotSweep:
                 )
             suffix = suffix @ embeds[position]
         return trace, dtraces
+
+
+def _kron_embed(gate: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """A one-qubit gate embedded by generic ``np.kron`` products."""
+    return np.kron(
+        np.eye(2 ** (num_qubits - 1 - qubit), dtype=complex),
+        np.kron(gate, np.eye(2**qubit, dtype=complex)),
+    )
+
+
+def dense_cost_and_gradient(params, ansatz, target_conj, dim):
+    """The first cost path: ``1 - |Tr(V^dag U)| / dim`` and its gradient,
+    through the full ``(num_params, dim, dim)`` tensor ``dU/dtheta``."""
+    num_qubits = ansatz.num_qubits
+    embeds = []
+    for slot in ansatz.slots:
+        if slot.param_index is None:
+            embeds.append(embed_unitary(gate_matrix(slot.name), slot.qubits, num_qubits))
+        else:
+            gate = gate_matrix(slot.name, (float(params[slot.param_index]),))
+            embeds.append(_kron_embed(gate, slot.qubits[0], num_qubits))
+    prefixes = [np.eye(dim, dtype=complex)]
+    for embed in embeds:
+        prefixes.append(embed @ prefixes[-1])
+    unitary = prefixes[-1]
+    gradient = np.zeros((ansatz.num_params, dim, dim), dtype=complex)
+    suffix = np.eye(dim, dtype=complex)
+    for position in range(len(ansatz.slots) - 1, -1, -1):
+        slot = ansatz.slots[position]
+        if slot.param_index is not None:
+            theta = float(params[slot.param_index])
+            derivative = -0.5j * _PAULI[slot.name] @ gate_matrix(slot.name, (theta,))
+            gradient[slot.param_index] = (
+                suffix @ _kron_embed(derivative, slot.qubits[0], num_qubits)
+                @ prefixes[position]
+            )
+        suffix = suffix @ embeds[position]
+    trace = np.sum(target_conj * unitary)
+    magnitude = abs(trace)
+    cost = 1.0 - magnitude / dim
+    if magnitude < 1e-14:
+        return cost, np.zeros(ansatz.num_params)
+    phase = np.conj(trace) / magnitude
+    dtraces = np.sum(target_conj[None, :, :] * gradient, axis=(1, 2))
+    return cost, -np.real(phase * dtraces) / dim

@@ -18,7 +18,7 @@ from repro.synthesis import (
 )
 from repro.synthesis.ansatz import AnsatzStack
 from repro.synthesis.instantiate import _cost_and_gradient, instantiate_multi
-from tests.ansatz_oracle import SlotSweep
+from tests.ansatz_oracle import SlotSweep, dense_cost_and_gradient
 
 
 def test_build_structure():
@@ -120,6 +120,27 @@ def test_trace_and_gradient_is_bit_identical_to_slot_sweep(
         assert trace == expected_trace
         assert np.array_equal(dtraces, expected_dtraces)
         assert dtraces.tobytes() == expected_dtraces.tobytes()
+
+
+@pytest.mark.parametrize(
+    "num_qubits, structure", [(2, [(0, 1), (1, 0)]), (3, [(0, 1), (1, 2), (0, 2)])]
+)
+def test_cost_and_gradient_is_bit_identical_to_the_dense_kernel(num_qubits, structure):
+    # The first cost path materialized the whole gradient tensor; every
+    # L-BFGS step depends on each bit of the cost and gradient, so the
+    # optimizer walks the same path on both.
+    ansatz = build_leap_ansatz(num_qubits, structure)
+    dim = 2**num_qubits
+    rng = np.random.default_rng(2022)
+    target_conj = random_unitary(dim, rng).conj()
+    for _ in range(20):
+        params = rng.uniform(-np.pi, np.pi, ansatz.num_params)
+        cost, gradient = _cost_and_gradient(params, ansatz, target_conj, dim)
+        dense_cost, dense_gradient = dense_cost_and_gradient(
+            params, ansatz, target_conj, dim
+        )
+        assert cost == dense_cost
+        assert gradient.tobytes() == dense_gradient.tobytes()
 
 
 def test_trace_and_gradient_handles_any_slot_order(rng):

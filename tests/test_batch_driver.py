@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.parallel.executor as executor_module
-from repro.algorithms import heisenberg, qft, tfim
+from repro.algorithms import heisenberg, qft, tfim, xy_model
 from repro.batch import run_quest_batch
 from repro.batch.driver import BatchResources
 from repro.batch.workqueue import InflightRegistry
@@ -24,6 +24,7 @@ from repro.core.quest import QuestConfig, run_quest
 from repro.observability import ListSink, MetricsRegistry, Tracer, use_metrics, use_tracer
 from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
+from tests.planning_oracle import planned_entry_keys
 
 FAST = dict(
     seed=11,
@@ -135,6 +136,24 @@ def test_duplicate_circuits_synthesize_each_key_exactly_once(monkeypatch):
     assert batch.dedup_joins == unique
     for result in batch.results:
         assert _signature(result) == _signature(solo)
+
+
+@pytest.mark.slow
+def test_trotter_family_repeats_all_resolve_through_the_substrate():
+    """A Trotter sweep run twice over, eight circuits on two workers:
+    every globally unique block key synthesizes once, and every other
+    planned job is a cache hit or a dedup join."""
+    sweep = [tfim(4, steps=2), tfim(4, steps=3), heisenberg(4, steps=2), xy_model(4, steps=2)]
+    family = sweep + [circuit.copy() for circuit in sweep]
+    config = QuestConfig(**FAST, workers=2)
+    planned = [planned_entry_keys(circuit, config) for circuit in family]
+    jobs = sum(len(keys) for keys in planned)
+    unique = len(set().union(*map(set, planned)))
+    batch = run_quest_batch(family, config, window=4)
+    assert jobs > unique
+    assert batch.cache_misses - batch.inflight_joins == unique
+    assert batch.cache_hits + batch.dedup_joins == jobs - unique
+    assert batch.pools_created >= 1
 
 
 def test_batch_reuse_validates_each_synthesized_job_once(

@@ -165,6 +165,40 @@ def test_multi_template_call_matches_per_template_oracle(stop_at_cost):
         assert [f.cost for f in fits] == [r.cost for r in reference]
 
 
+def test_a_layer_evaluates_every_running_row_in_one_kernel_call(monkeypatch):
+    # One LEAP layer, 3 placements x 3 starts.  The sequential oracle
+    # makes one kernel call per evaluation; the lockstep driver makes one
+    # per round, over every row still running, so its calls number the
+    # longest row's evaluations and its rows sum to all of them.
+    rng = np.random.default_rng(7)
+    target = random_unitary(8, rng)
+    ansatze = [build_leap_ansatz(3, [(0, 1), (1, 2), p]) for p in [(0, 1), (0, 2), (1, 2)]]
+    warm = rng.uniform(-np.pi, np.pi, ansatze[0].num_params - 4)
+    kwargs = dict(starts=3, maxiter=400, stop_at_cost=1e-3)
+    log: list = []
+    oracle_rng = np.random.default_rng(5)
+    for ansatz in ansatze:
+        padded = np.concatenate([warm, oracle_rng.uniform(-0.1, 0.1, size=4)])
+        sequential_instantiate_multi(
+            ansatz, target, rng=oracle_rng, initial_params=padded, log=log, **kwargs
+        )
+    evaluations = [fit.nfev for fit in log]
+
+    rows_per_call = []
+    kernel = Ansatz.trace_and_gradient
+
+    def counting(self, params, target_conj):
+        rows_per_call.append(len(params))
+        return kernel(self, params, target_conj)
+
+    monkeypatch.setattr(Ansatz, "trace_and_gradient", counting)
+    instantiate_multi(ansatze, target, rng=5, initial_params=warm, warm_spread=0.1, **kwargs)
+    assert len(evaluations) == rows_per_call[0] == 9
+    assert rows_per_call == sorted(rows_per_call, reverse=True)
+    assert len(rows_per_call) == max(evaluations) < sum(evaluations)
+    assert sum(rows_per_call) == sum(evaluations)
+
+
 def test_work_counters_equal_the_oracle_sums():
     target = random_unitary(8, np.random.default_rng(2))
     config = LeapConfig(max_layers=2, seed=3, target_distance=0.1)

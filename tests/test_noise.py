@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.noise.trajectories as trajectories_module
+from repro.algorithms import tfim
 from repro.circuits import Circuit, random_circuit
 from repro.exceptions import NoiseModelError, SimulationError
 from repro.metrics import tvd
@@ -20,6 +22,7 @@ from repro.noise import (
 )
 from repro.noise.model import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
 from repro.sim import ideal_distribution
+from tests.trajectory_oracle import scalar_trajectories
 
 
 def test_pauli_matrix_labels():
@@ -124,16 +127,14 @@ def test_trajectories_match_density(rng):
 
 
 def test_batched_and_scalar_engines_agree_exactly(rng):
-    # Both engines consume the same pre-sampled error outcomes, so for a
-    # fixed seed they must agree to floating-point associativity — not
-    # just statistically.
+    # The oracle consumes the same pre-sampled error outcomes one
+    # trajectory at a time, so for a fixed seed the two agree to
+    # floating-point associativity — not just statistically.
     circuit = random_circuit(3, 5, rng=rng)
     model = NoiseModel(one_qubit_error=0.02, two_qubit_error=0.08,
                        readout_error=0.03, idle_decoherence=0.01)
-    batched = run_trajectories(circuit, model, trajectories=150, rng=99,
-                               batched=True)
-    scalar = run_trajectories(circuit, model, trajectories=150, rng=99,
-                              batched=False)
+    batched = run_trajectories(circuit, model, trajectories=150, rng=99)
+    scalar = scalar_trajectories(circuit, model, trajectories=150, rng=99)
     assert np.allclose(batched, scalar, atol=1e-12)
 
 
@@ -142,8 +143,7 @@ def test_batched_trajectories_match_density(rng):
     model = NoiseModel(one_qubit_error=0.01, two_qubit_error=0.05,
                        readout_error=0.02)
     exact = run_density(circuit, model)
-    sampled = run_trajectories(circuit, model, trajectories=3000, rng=rng,
-                               batched=True)
+    sampled = run_trajectories(circuit, model, trajectories=3000, rng=rng)
     assert tvd(exact, sampled) < 0.03
 
 
@@ -155,14 +155,70 @@ def test_batched_trajectories_wide_gate(rng):
     circuit.ccx(0, 1, 2)
     model = NoiseModel(two_qubit_error=0.08, readout_error=0.0)
     exact = run_density(circuit, model)
-    sampled = run_trajectories(circuit, model, trajectories=4000, rng=5,
-                               batched=True)
+    sampled = run_trajectories(circuit, model, trajectories=4000, rng=5)
     assert tvd(exact, sampled) < 0.03
-    scalar = run_trajectories(circuit, model, trajectories=200, rng=5,
-                              batched=False)
-    batched = run_trajectories(circuit, model, trajectories=200, rng=5,
-                               batched=True)
+    scalar = scalar_trajectories(circuit, model, trajectories=200, rng=5)
+    batched = run_trajectories(circuit, model, trajectories=200, rng=5)
     assert np.allclose(scalar, batched, atol=1e-12)
+
+
+def _count_contractions(monkeypatch) -> list[int]:
+    """Record the row count of every batched contraction the sampler makes."""
+    rows: list[int] = []
+    real = trajectories_module.apply_gate_to_states
+
+    def counting(states, *args):
+        rows.append(len(states))
+        return real(states, *args)
+
+    monkeypatch.setattr(trajectories_module, "apply_gate_to_states", counting)
+    return rows
+
+
+def test_trajectory_contractions_do_not_grow_with_trajectories(monkeypatch):
+    # All trajectories evolve as one batch: a gate is one contraction
+    # over every trajectory, and each distinct error sampled at a site
+    # one more over the trajectories that drew it.  Evolving trajectory
+    # by trajectory would take at least T contractions per gate.
+    circuit = tfim(4, steps=1)
+    ops = [op for op in circuit.operations if op.name not in ("measure", "barrier")]
+    rows = _count_contractions(monkeypatch)
+    for trajectories in (10, 1000):
+        rows.clear()
+        run_trajectories(circuit, NoiseModel.noiseless(), trajectories, rng=7)
+        assert rows == [trajectories] * len(ops)
+
+    model = NoiseModel(one_qubit_error=0.02, two_qubit_error=0.08,
+                       readout_error=0.03, idle_decoherence=0.01)
+    sites = trajectories_module._error_sites(ops, circuit.num_qubits, model)
+    ceiling = len(ops) + sum(len(site.labels) for per_op in sites for site in per_op)
+    for trajectories in (ceiling + 1, 4 * ceiling):
+        rows.clear()
+        run_trajectories(circuit, model, trajectories, rng=7)
+        assert rows[0] == trajectories
+        assert len(ops) < len(rows) <= ceiling < trajectories
+
+
+def test_trajectories_past_the_batch_cap_evolve_in_slabs(monkeypatch):
+    # Past the state cap the pre-sampled outcomes evolve slab by slab:
+    # the distribution moves only by float summation order, against one
+    # slab and against the one-trajectory-at-a-time oracle.  A cap below
+    # one state still evolves one trajectory per slab.
+    circuit = random_circuit(4, 4, rng=3)
+    model = NoiseModel(one_qubit_error=0.002, two_qubit_error=0.02,
+                       readout_error=0.015, idle_decoherence=0.004)
+    one_slab = run_trajectories(circuit, model, trajectories=500, rng=11)
+    rows = _count_contractions(monkeypatch)
+    for cap_rows in (0, 7, 64):
+        rows.clear()
+        monkeypatch.setattr(
+            trajectories_module, "MAX_BATCHED_STATE_BYTES", cap_rows * 16 * 2**4
+        )
+        slabbed = run_trajectories(circuit, model, trajectories=500, rng=11)
+        assert max(rows) == max(cap_rows, 1)
+        np.testing.assert_allclose(slabbed, one_slab, atol=1e-12, rtol=0.0)
+    oracle = scalar_trajectories(circuit, model, trajectories=500, rng=11)
+    np.testing.assert_allclose(slabbed, oracle, atol=1e-12, rtol=0.0)
 
 
 def test_trajectories_noiseless_exact(rng):

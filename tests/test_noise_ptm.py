@@ -32,11 +32,7 @@ from repro.noise.ptm import (
     compile_circuit,
     unitary_ptm,
 )
-from repro.noise.trajectories import (
-    MAX_BATCHED_STATE_BYTES,
-    MAX_TRAJECTORY_QUBITS,
-    run_trajectories,
-)
+from repro.noise.trajectories import MAX_TRAJECTORY_QUBITS, run_trajectories
 from repro.observability import MetricsRegistry, use_metrics
 from repro.resilience.validation import validate_ptm
 from repro.sim import ideal_distribution
@@ -167,6 +163,24 @@ def test_ensemble_batches_structurally_identical_circuits():
             row, run_density(circuit, NOISE),
             atol=PTM_DENSITY_AGREEMENT_ATOL, rtol=0.0,
         )
+
+
+def test_ensemble_contracts_each_group_once_per_operation():
+    # Sixteen members over five gate skeletons (the trailing rz lands on
+    # qubit index % 5): each skeleton is one group, and a group costs one
+    # contraction per operation position however many members it holds.
+    def member(index):
+        circuit = tfim(5, steps=2)
+        circuit.rz(0.1 + 0.05 * index, index % 5)
+        return circuit
+
+    circuits = [member(index) for index in range(16)]
+    with use_metrics(MetricsRegistry()) as registry:
+        run_ptm_ensemble(circuits, NOISE, cache=PtmCache())
+    counters = registry.snapshot()["counters"]
+    operations = len(compile_circuit(circuits[0], NOISE).ops)
+    assert counters["ptm.ensemble_groups"] == 5
+    assert counters["ptm.contractions"] == 5 * operations
 
 
 def test_ensemble_rejects_empty_and_mixed_widths():
@@ -320,16 +334,6 @@ def test_trajectories_over_qubit_cap_refuses():
         run_trajectories(circuit, NOISE, trajectories=1)
     assert excinfo.value.engine == "trajectories"
     assert "partition" in str(excinfo.value)
-
-
-def test_trajectories_batched_memory_cap():
-    # 20 qubits x enough trajectories to blow the 4 GiB batch cap; the
-    # refusal must fire before any state is allocated.
-    circuit = Circuit(20)
-    circuit.h(0)
-    too_many = MAX_BATCHED_STATE_BYTES // (16 * 2**20) + 1
-    with pytest.raises(SimulationCapacityError, match="batch"):
-        run_trajectories(circuit, NOISE, trajectories=too_many, batched=True)
 
 
 def test_capacity_error_is_a_simulation_error():

@@ -18,15 +18,20 @@ fewer than 8 addends, so every comparison below is ``==``, not
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import tfim
 from repro.circuits import Circuit, random_unitary
+from repro.core.annealing import DEFAULT_EXHAUSTIVE_CUTOFF, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
 from repro.core.similarity import are_similar
 from repro.linalg import hs_distance
 from repro.partition.blocks import CircuitBlock
+from repro.partition.scan import scan_partition
+from repro.transpile.basis import lower_to_basis
 
 
 # ----------------------------------------------------------------------
@@ -214,3 +219,102 @@ def test_evaluation_counters_track_both_entry_points():
     objective.evaluate_batch(np.array([[0, 0], [1, 1], [2, 2]]))
     assert objective.batched_evaluations == 3
     assert objective.scalar_evaluations == 2
+
+
+# ----------------------------------------------------------------------
+# A real partition: TFIM-8 at 2-qubit blocks
+# ----------------------------------------------------------------------
+
+def _truncated(circuit: Circuit, dropped: int) -> Circuit:
+    """Prefix of ``circuit`` ending before its ``dropped``-th last CNOT."""
+    kept = []
+    cnots_seen = 0
+    total = circuit.cnot_count()
+    for op in circuit.operations:
+        if op.name == "cx":
+            cnots_seen += 1
+            if cnots_seen > total - dropped:
+                break
+        kept.append(op)
+    return Circuit(circuit.num_qubits, kept)
+
+
+def _tfim8_objective() -> SelectionObjective:
+    """14 blocks, each pooling its exact circuit and a one-CNOT
+    truncation of it: 2^14 points, inside the exhaustive cutoff."""
+    baseline = lower_to_basis(tfim(8, steps=2).without_measurements())
+    pools = []
+    for block in scan_partition(baseline, 2):
+        original = block.unitary()
+        pool = BlockPool(block=block, original_unitary=original)
+        for circuit in (block.circuit, _truncated(block.circuit, 1)):
+            unitary = circuit.unitary()
+            pool.candidates.append(
+                Candidate(
+                    unitary=unitary,
+                    distance=hs_distance(unitary, original),
+                    cnot_count=circuit.cnot_count(),
+                    source=circuit,
+                )
+            )
+        pools.append(pool)
+    return SelectionObjective(
+        pools=pools,
+        threshold=0.2 * len(pools),
+        original_cnot_count=baseline.cnot_count(),
+    )
+
+
+def _every_choice(sizes: list[int]) -> np.ndarray:
+    """The whole search space in odometer order (block 0 fastest)."""
+    strides = np.concatenate(([1], np.cumprod(sizes[:-1])))
+    points = np.arange(int(np.prod(sizes)))
+    return (points[:, None] // strides[None, :]) % np.array(sizes)[None, :]
+
+
+def test_exhaustive_rounds_score_the_whole_space_in_one_batch():
+    # Every exhaustive round scores its whole space through
+    # evaluate_batch and makes one scalar call, for the winner's value.
+    objective = _tfim8_objective()
+    space = int(np.prod([pool.size for pool in objective.pools]))
+    assert objective.num_blocks == 14 and space <= DEFAULT_EXHAUSTIVE_CUTOFF
+    result = select_approximations(objective, max_samples=4, seed=0)
+    assert result.annealer_runs >= 1
+    assert result.scalar_evaluations == result.annealer_runs
+    assert result.batched_evaluations == result.annealer_runs * space
+
+
+@pytest.mark.slow
+def test_exhaustive_selection_matches_the_seed_engine_at_fourteen_blocks():
+    # The seed engine: an odometer over every point, each scored by the
+    # seed scalar, keeping the first minimum; rounds stop on a repeat.
+    # Fourteen blocks sum more addends than the exactness note above
+    # covers, and this instance still matches bit for bit.
+    objective = _tfim8_objective()
+    tables = seed_tables(
+        [[c.unitary for c in pool.candidates] for pool in objective.pools],
+        [pool.original_unitary for pool in objective.pools],
+    )
+    points = _every_choice([pool.size for pool in objective.pools])
+    seed = SelectionObjective(
+        pools=objective.pools,
+        threshold=objective.threshold,
+        original_cnot_count=objective.original_cnot_count,
+    )
+    seed_choices: list[np.ndarray] = []
+    for _ in range(4):
+        seed.selected = list(seed_choices)
+        values = np.array([seed_objective_value(seed, tables, p) for p in points])
+        objective.selected = list(seed_choices)
+        assert np.array_equal(objective.evaluate_batch(points), values)
+        assert values.min() < 1.0  # a feasible minimum: no fallback round
+        choice = points[int(np.argmin(values))]
+        if any(np.array_equal(choice, prior) for prior in seed_choices):
+            break
+        seed_choices.append(choice)
+
+    objective.selected = []
+    result = select_approximations(objective, max_samples=4, seed=0)
+    assert len(result.choices) == len(seed_choices)
+    for ours, reference in zip(result.choices, seed_choices):
+        assert np.array_equal(ours, reference)

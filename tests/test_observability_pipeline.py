@@ -111,6 +111,20 @@ def test_selections_bit_identical_with_tracing(workers):
     ]
 
 
+def test_file_trace_holds_every_record_of_a_memory_trace(tmp_path):
+    config = QuestConfig(**CONFIG)
+    memory = ListSink()
+    run_quest(_circuit(), config, tracer=Tracer(memory))
+    trace_path = tmp_path / "run.trace"
+    tracer = Tracer(JsonlSink(trace_path))
+    run_quest(_circuit(), config, tracer=tracer)
+    tracer.close()
+    lines = trace_path.read_text().strip().splitlines()
+    assert memory.records
+    assert len(lines) == len(memory.records)
+    assert _span_names(map(json.loads, lines)) == _span_names(memory.records)
+
+
 def test_worker_records_are_marshalled_back():
     sink = ListSink()
     run_quest(

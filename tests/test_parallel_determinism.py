@@ -91,6 +91,8 @@ def test_disk_cache_preserves_results(tmp_path, reference):
     warm = run_quest(CIRCUITS["tfim"](), config)
     assert _signature(cold) == _signature(reference["tfim"])
     assert _signature(warm) == _signature(reference["tfim"])
+    # Within-run Trotter repeats hit with or without a store.
+    assert cold.cache_hits == reference["tfim"].cache_hits > 0
     assert warm.cache_misses == 0
     assert warm.cache_hits > 0
 

@@ -111,9 +111,13 @@ def test_rerun_over_the_store_synthesizes_nothing_bit_identically(tmp_path):
     # Every nontrivial block came from the store: no synthesis at all.
     assert resumed.cache_misses == 0
     assert resumed.cache_hits == first.cache_hits + first.cache_misses
+    assert resumed.cache_corrupt_entries == 0
     counters = resumed.metrics["counters"]
     assert counters["store.hits.default"] == first.cache_misses
     assert counters.get("leap.synthesis_runs", 0) == 0
+    for result in (first, resumed):
+        assert not result.failure_log
+        assert not result.synthesis_fallbacks
 
 
 def test_run_killed_mid_synthesis_resumes_from_the_store(tmp_path):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.algorithms import qft, tfim
+from repro.algorithms import heisenberg, qft, tfim, xy_model
 from repro.circuits import Circuit, circuit_to_qasm
 from repro.cli import main
 from repro.core.quest import QuestConfig, run_quest
@@ -33,6 +33,7 @@ from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
 from repro.service import QuestService, ServiceClient
 from repro.service.ledger import JobLedger
 from repro.service.protocol import JobRecord
+from tests.planning_oracle import planned_entry_keys
 
 FAST = dict(
     seed=11,
@@ -154,6 +155,33 @@ def test_concurrent_duplicate_submissions_dedupe_and_stay_identical(
             p["cache_hits"] + p["dedup_joins"] for p in payloads
         )
         assert reused > 0, "duplicate jobs never shared substrate work"
+        _assert_no_stranded(client)
+
+
+@pytest.mark.slow
+def test_mixed_duplicate_burst_completes_and_shares_work(tmp_path):
+    """Four clients submit a Trotter sweep three times over, twelve jobs
+    against two dispatch slots: every job lands done and undegraded,
+    every distinct block key is synthesized once in the whole burst,
+    and no joiner strands."""
+    sweep = [tfim(4, steps=2), tfim(4, steps=3), heisenberg(4, steps=2), xy_model(4, steps=2)]
+    unique = set().union(*(planned_entry_keys(c, _config()) for c in sweep))
+    workload = [circuit_to_qasm(circuit) for circuit in sweep * 3]
+    with running_service(
+        tmp_path / "ledger", max_concurrency=2
+    ) as (service, client):
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            payloads = list(
+                pool.map(
+                    lambda qasm: client.submit_and_wait(qasm, timeout=300.0),
+                    workload,
+                )
+            )
+        assert not any(payload["degraded"] for payload in payloads)
+        assert sum(p["cache_hits"] + p["dedup_joins"] for p in payloads) > 0
+        synthesized = sum(p["cache_misses"] - p["dedup_joins"] for p in payloads)
+        assert synthesized == len(unique)
+        assert client.status()["jobs_by_state"]["done"] == len(workload)
         _assert_no_stranded(client)
 
 

@@ -12,6 +12,7 @@ pools equal ones assembled with no matrices handed over.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ import repro.synthesis.leap as leap_module
 import repro.synthesis.sphere as sphere_module
 from repro.algorithms import tfim
 from repro.core.pool import exact_pool
-from repro.core.quest import QuestConfig
+from repro.core.quest import QuestConfig, run_quest
 from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor, assemble_pool
 from repro.partition.scan import scan_partition
@@ -157,3 +158,23 @@ def test_warm_pools_equal_pools_assembled_without_handed_matrices(warm_run):
             assert candidate.unitary.tobytes() == expected.unitary.tobytes()
             assert candidate.distance == expected.distance
             assert candidate.cnot_count == expected.cnot_count
+
+
+def test_a_run_without_validation_selects_the_same(monkeypatch):
+    # Validation checks each solution and hands its matrices on; with it
+    # switched off the pools build their own, and nothing moves.
+    config = replace(CONFIG, max_block_qubits=2)
+    validated = run_quest(tfim(4, steps=2), config)
+    monkeypatch.setattr(
+        executor_module, "validate_solutions", lambda *args, **kwargs: None
+    )
+    unvalidated = run_quest(tfim(4, steps=2), config)
+    assert [choice.tolist() for choice in unvalidated.selection.choices] == [
+        choice.tolist() for choice in validated.selection.choices
+    ]
+    assert unvalidated.selection.bounds == validated.selection.bounds
+    assert unvalidated.cnot_counts == validated.cnot_counts
+    for ours, reference in zip(unvalidated.pools, validated.pools):
+        assert [c.unitary.tobytes() for c in ours.candidates] == [
+            c.unitary.tobytes() for c in reference.candidates
+        ]

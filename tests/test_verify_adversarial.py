@@ -248,3 +248,10 @@ def test_certification_does_not_perturb_selections():
         circuit_to_qasm(c) for c in certified.circuits
     ]
     assert np.allclose(baseline.selection.bounds, certified.selection.bounds)
+    # A run that does not ask for certification does not run it; one
+    # that does certifies every kept circuit and times the stage.
+    assert baseline.certified is None
+    assert baseline.timings.certify_seconds == 0.0
+    assert certified.certified is True
+    assert len(certified.certifications) == len(certified.circuits)
+    assert certified.timings.certify_seconds > 0.0
