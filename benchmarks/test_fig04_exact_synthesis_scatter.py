@@ -31,10 +31,10 @@ def _collect_solutions():
         instantiation_starts=3,
         max_optimizer_iterations=400,
     )
-    report = synthesize(target, config)
+    solutions = synthesize(target, config)
     truth = ideal_distribution(circuit)
     rows = []
-    for solution in report.solutions:
+    for solution in solutions:
         output = ideal_distribution(solution.circuit)
         rows.append(
             (solution.cnot_count, solution.distance, tvd(truth, output))

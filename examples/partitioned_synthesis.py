@@ -10,8 +10,11 @@ Run with: ``python examples/partitioned_synthesis.py``
 
 from __future__ import annotations
 
+import time
+
 from repro.algorithms import xy_model
 from repro.core import verify_bound
+from repro.observability import MetricsRegistry, use_metrics
 from repro.partition import scan_partition, stitch_blocks
 from repro.synthesis import LeapConfig, synthesize
 
@@ -29,24 +32,30 @@ def main() -> None:
         )
 
     # Synthesize an approximation pool for the first multi-CNOT block.
+    # The metrics registry counts LEAP's work while it runs.
     target_block = next(b for b in blocks if b.circuit.cnot_count() >= 2)
-    report = synthesize(
-        target_block.unitary(),
-        LeapConfig(max_layers=4, seed=0, solutions_per_layer=3,
-                   target_distance=0.15),
-    )
+    registry = MetricsRegistry()
+    start = time.perf_counter()
+    with use_metrics(registry):
+        solutions = synthesize(
+            target_block.unitary(),
+            LeapConfig(max_layers=4, seed=0, solutions_per_layer=3,
+                       target_distance=0.15),
+        )
+    elapsed = time.perf_counter() - start
+    counters = registry.snapshot()["counters"]
     print(
         f"\nLEAP on block {target_block.index}: "
-        f"{len(report.solutions)} solutions from "
-        f"{report.instantiations} instantiations "
-        f"({report.elapsed_seconds:.1f}s)"
+        f"{len(solutions)} solutions from "
+        f"{counters['leap.instantiations']} instantiations over "
+        f"{counters['leap.layers']} layers ({elapsed:.1f}s)"
     )
-    for solution in report.solutions[:6]:
+    for solution in solutions[:6]:
         print(f"  {solution.cnot_count} CNOTs -> distance {solution.distance:.4f}")
 
     # Swap an approximation in and verify the additive bound.
     chosen = min(
-        (s for s in report.solutions if s.distance < 0.2),
+        (s for s in solutions if s.distance < 0.2),
         key=lambda s: s.cnot_count,
     )
     approx_blocks = [

@@ -44,18 +44,16 @@ from repro.exceptions import ValidationError
 from repro.observability import get_metrics, get_tracer
 from repro.resilience.validation import validate_structure
 from repro.store import DEFAULT_NAMESPACE, ArtifactStore
+from repro.synthesis.ansatz import leap_param_count
 from repro.synthesis.leap import SynthesisSolution
 
 #: Bump when the entry layout changes; entries of another version that
 #: pass their checksum are stale misses.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: An entry's first bytes, then its u32 format version, key length and
 #: solution count; a file that does not start with the magic is corrupt.
 _MAGIC, _HEADER = b"QPOOL\x00\r\n", struct.Struct("<8sIII")
-
-#: Rotation names by their code in an entry's rotation table.
-_ROTATION_NAMES = ("rx", "ry", "rz")
 
 #: Decimal places kept when canonicalizing a unitary for hashing.  Two
 #: unitaries closer than ~1e-8 element-wise hash identically, which is far
@@ -105,18 +103,15 @@ def entry_key(content: str, seed: int) -> str:
 
 def _encode(key: str, solutions: list[SynthesisSolution]) -> bytes:
     """An entry's bytes, little-endian: magic, then u32 version, key length
-    and solution count ``S``; the key; an int32 ``(S, 4)`` table of each
-    solution's qubit, placement, layer-rotation and angle counts; int32
-    placement pairs; int32 rotation codes; float64 distances; float64
-    angles; and a SHA-256 of everything before it."""
+    and solution count ``S``; the key; an int32 ``(S, 2)`` table of each
+    solution's qubit and placement counts; int32 placement pairs; float64
+    distances; float64 angles, as many per solution as its template has
+    (:func:`~repro.synthesis.ansatz.leap_param_count`); and a SHA-256 of
+    everything before it."""
     key_bytes = key.encode()
     tables = (
-        [
-            (s.num_qubits, len(s.placements), len(s.layer_rotations), len(s.params))
-            for s in solutions
-        ],
+        [(s.num_qubits, len(s.placements)) for s in solutions],
         [pair for s in solutions for pair in s.placements],
-        [_ROTATION_NAMES.index(name) for s in solutions for name in s.layer_rotations],
     )
     floats = (
         [s.distance for s in solutions],
@@ -150,25 +145,28 @@ def _decode(raw: bytes, key: str) -> list[SynthesisSolution] | None:
     offset = _HEADER.size + key_length
     if body[_HEADER.size : offset] != key.encode():
         raise ValueError("entry key mismatch")
-    table = np.frombuffer(body, "<i4", 4 * count, offset).reshape(count, 4)
+    table = np.frombuffer(body, "<i4", 2 * count, offset).reshape(count, 2)
     if np.any(table < 0):
         raise ValueError("negative table entry")
-    placed, rotated, angled = table[:, 1:].sum(axis=0, dtype=np.int64).tolist()
+    rows = [
+        (qubits, cnots, leap_param_count(qubits, cnots))
+        for qubits, cnots in table.tolist()
+    ]
+    placed = sum(cnots for _, cnots, _ in rows)
+    angled = sum(angles for _, _, angles in rows)
     arrays, offset = [], offset + table.nbytes
-    sizes = (2 * placed, rotated, count, angled)
-    for dtype, size in zip(("<i4", "<i4", "<f8", "<f8"), sizes):
+    for dtype, size in zip(("<i4", "<f8", "<f8"), (2 * placed, count, angled)):
         arrays.append(np.frombuffer(body, dtype, size, offset))
         offset += arrays[-1].nbytes
-    placements, codes, distances, params = arrays
-    if offset != len(body) or np.any((codes < 0) | (codes >= len(_ROTATION_NAMES))):
-        raise ValueError("trailing bytes or an unknown rotation code")
+    placements, distances, params = arrays
+    if offset != len(body):
+        raise ValueError("trailing bytes")
     columns = (
         iter([tuple(pair) for pair in placements.reshape(-1, 2).tolist()]),
-        iter([_ROTATION_NAMES[code] for code in codes.tolist()]),
         iter(params.tolist()),
     )
     solutions = []
-    for (qubits, *counts), distance in zip(table.tolist(), distances.tolist()):
+    for (qubits, *counts), distance in zip(rows, distances.tolist()):
         fields = [tuple(itertools.islice(c, n)) for c, n in zip(columns, counts)]
         solutions.append(SynthesisSolution(qubits, *fields, distance))
         validate_structure(solutions[-1], qubits, label="stored solution")

@@ -131,8 +131,8 @@ def _synthesize_solutions_task(
     leap_config = leap_config_for_block(
         block.circuit.cnot_count(), config, seed
     )
-    report = synthesize(block.unitary(), leap_config)
-    return report.solutions, time.perf_counter() - start
+    solutions = synthesize(block.unitary(), leap_config)
+    return solutions, time.perf_counter() - start
 
 
 def _attempt_task(task, injector, observed, index, attempt, block, config, seed):

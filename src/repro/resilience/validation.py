@@ -170,11 +170,14 @@ def validate_structure(solution, num_qubits: int, *, label: str) -> None:
             f"{label}: a {solution.num_qubits}-qubit structure does not "
             f"match the block's {num_qubits} qubit(s)"
         )
+    # Imported lazily, as in validate_solutions below.
+    from repro.synthesis.ansatz import leap_param_count
+
     qubits, cnots = range(num_qubits), solution.placements
     for control, target in cnots:
         if control == target or control not in qubits or target not in qubits:
             raise ValidationError(f"{label}: bad CNOT placement {(control, target)}")
-    angles = 3 * num_qubits + 2 * len(solution.layer_rotations) * len(cnots)
+    angles = leap_param_count(num_qubits, len(cnots))
     if len(solution.params) != angles:
         raise ValidationError(f"{label}: {len(solution.params)} angles, not {angles}")
     values = (*solution.params, solution.distance)

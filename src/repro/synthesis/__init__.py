@@ -1,32 +1,18 @@
 """Numerical circuit synthesis: templates, instantiation, LEAP, 2q decomposition."""
 
-from repro.synthesis.ansatz import (
-    DEFAULT_LAYER_ROTATIONS,
-    Ansatz,
-    Slot,
-    all_placements,
-    build_leap_ansatz,
-)
+from repro.synthesis.ansatz import Ansatz, Slot, build_leap_ansatz
 from repro.synthesis.instantiate import InstantiationResult, instantiate
-from repro.synthesis.leap import (
-    LeapConfig,
-    SynthesisReport,
-    SynthesisSolution,
-    synthesize,
-)
+from repro.synthesis.leap import LeapConfig, SynthesisSolution, synthesize
 from repro.synthesis.two_qubit import decompose_two_qubit
 
 __all__ = [
     "Ansatz",
     "Slot",
     "build_leap_ansatz",
-    "all_placements",
-    "DEFAULT_LAYER_ROTATIONS",
     "instantiate",
     "InstantiationResult",
     "synthesize",
     "LeapConfig",
-    "SynthesisReport",
     "SynthesisSolution",
     "decompose_two_qubit",
 ]

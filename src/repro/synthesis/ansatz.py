@@ -1,8 +1,10 @@
-"""Parameterized circuit templates (ansatze) for numerical synthesis.
+"""The LEAP circuit template and its instantiation kernel.
 
-A LEAP/QSearch-style template is a sequence of *slots*: fixed entangling
-gates (CNOTs at chosen placements) interleaved with one-parameter Pauli
-rotations.  The template knows how to
+A LEAP template (paper Fig. 5) is fixed by its qubit count and its CNOT
+placements: a ZYZ triple on every qubit, then, per placement
+``(control, target)``, a CNOT followed by :data:`LAYER_ROTATIONS` on both
+of its qubits.  Its *slots* are those gates in order, each rotation
+owning the next parameter.  The template knows how to
 
 * build a concrete :class:`~repro.circuits.Circuit` from a parameter
   vector, and
@@ -15,7 +17,7 @@ The derivative evaluation is compiled once per template into an
 evaluation plan (:meth:`Ansatz.__init__`), so one call costs two
 sequential chains of ``K`` small matrix products for ``K`` slots plus a
 fixed number of stacked numpy calls.  An :class:`AnsatzStack` runs the
-same plan for several same-shape templates at once, one parameter row
+same plan for several templates of one shape at once, one parameter row
 each, so the numpy call count does not grow with the number of rows.
 """
 
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import gate_matrix, rx_entries, ry_entries, rz_entries
-from repro.exceptions import GateError, SynthesisError
-from repro.linalg.embed import apply_gate_to_matrix, embed_unitary
+from repro.circuits.gates import gate_matrix, ry_entries, rz_entries
+from repro.exceptions import SynthesisError
+from repro.linalg.embed import embed_unitary
 
 _PAULI = {
-    "rx": np.array([[0, 1], [1, 0]], dtype=complex),
     "ry": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "rz": np.array([[1, 0], [0, -1]], dtype=complex),
 }
@@ -45,22 +46,22 @@ _GENERATORS = {name: -0.5j * pauli for name, pauli in _PAULI.items()}
 # Row-major 2x2 entries of each rotation as Python scalars, from the
 # ``math``/``cmath`` formulas of ``gate_matrix`` itself (``np.cos`` runs
 # SIMD loops that need not match libm bit for bit).
-_ROTATION_ENTRIES = {"rx": rx_entries, "ry": ry_entries, "rz": rz_entries}
+_ROTATION_ENTRIES = {"ry": ry_entries, "rz": rz_entries}
 
-#: Default rotation pattern applied to each qubit a CNOT touches: the
-#: paper's "two rotation gates on both the qubits" (Sec. 3.5).  Combined
-#: with the full ZYZ initial layer this is universal in practice and a
-#: third cheaper per layer than a ZYZ triple.
-DEFAULT_LAYER_ROTATIONS: tuple[str, ...] = ("ry", "rz")
+#: The rotations on each qubit a CNOT touches: the paper's "two rotation
+#: gates on both the qubits" (Sec. 3.5).  Combined with the full ZYZ
+#: initial layer this is universal in practice and a third cheaper per
+#: layer than a ZYZ triple.
+LAYER_ROTATIONS: tuple[str, ...] = ("ry", "rz")
+
+#: The rotations every template starts with on each qubit.
+_INITIAL_ROTATIONS = ("rz", "ry", "rz")
 
 
 @dataclass(frozen=True)
 class Slot:
-    """One position in the template.
-
-    ``param_index`` is ``None`` for fixed gates; rotations own exactly one
-    parameter.
-    """
+    """One gate of a template: a CNOT (``param_index`` None) or a
+    rotation owning one parameter."""
 
     name: str
     qubits: tuple[int, ...]
@@ -68,82 +69,46 @@ class Slot:
 
 
 class Ansatz:
-    """A fixed-structure parameterized circuit over ``num_qubits`` qubits.
+    """The LEAP template of ``placements`` over ``num_qubits`` qubits.
 
-    Raises :class:`SynthesisError` for a malformed template: parameter
-    indices other than ``0..P-1``, a rotation other than rx/ry/rz on
-    exactly one qubit, a fixed slot that is no known parameterless gate
-    on its qubit count, or qubits that repeat or lie out of range.
+    Raises :class:`SynthesisError` for a placement whose qubits repeat
+    or lie out of range.
     """
 
-    def __init__(self, num_qubits: int, slots: list[Slot]) -> None:
+    def __init__(self, num_qubits: int, placements) -> None:
         self.num_qubits = int(num_qubits)
-        self.slots = list(slots)
-        indices = [s.param_index for s in slots if s.param_index is not None]
-        if sorted(indices) != list(range(len(indices))):
-            raise SynthesisError("parameter indices must be 0..P-1 in some order")
-        self.num_params = len(indices)
+        self.placements = tuple(map(tuple, placements))
+        self.slots = leap_slots(self.num_qubits, self.placements)
+        self.num_params = leap_param_count(self.num_qubits, len(self.placements))
         self._dim = 2**self.num_qubits
         self._compile_template()
         self._compile_rows([self])
 
     def _compile_template(self) -> None:
-        """Validate every slot and keep what depends on this template alone.
+        """Keep what depends on this template alone.
 
-        Rotations are stacked in slot order ("rotation rows").  Their
-        names, parameter indices and slot positions fix the shape of the
-        plan; their target qubits and the fixed slots' embeddings are what
-        one template of a stack contributes (:meth:`_compile_rows`).
+        Rotations are stacked in slot order ("rotation rows"), which is
+        parameter order.  Their names and slot positions fix the shape
+        of the plan; their target qubits and the CNOTs' embeddings are
+        what one template of a stack contributes (:meth:`_compile_rows`).
         """
         n = self.num_qubits
-        # Per slot: its fixed embed, or None where a rotation goes.
-        self._fixed_embeds: list[np.ndarray | None] = []
-        rotations: list[tuple[int, Slot]] = []
-        for position, slot in enumerate(self.slots):
-            qubits = tuple(slot.qubits)
-            if len(set(qubits)) != len(qubits) or any(
-                not 0 <= q < n for q in qubits
-            ):
-                raise SynthesisError(
-                    f"slot {position} {slot}: qubits must be distinct and in "
-                    f"range for {n} qubit(s)"
-                )
-            if slot.param_index is not None:
-                if slot.name not in _ROTATION_ENTRIES or len(qubits) != 1:
-                    raise SynthesisError(
-                        f"slot {position} {slot}: a parameterized slot must be "
-                        "an rx, ry or rz rotation on one qubit"
-                    )
-                rotations.append((position, slot))
-                self._fixed_embeds.append(None)
-                continue
-            try:
-                gate = gate_matrix(slot.name)
-            except GateError as exc:
-                raise SynthesisError(f"slot {position} {slot}: {exc}") from exc
-            if gate.shape != (2 ** len(qubits),) * 2:
-                raise SynthesisError(
-                    f"slot {position} {slot}: gate {slot.name!r} does not act "
-                    f"on {len(qubits)} qubit(s)"
-                )
-            self._fixed_embeds.append(embed_unitary(gate, qubits, n))
-
+        cx = gate_matrix("cx")
+        # Per slot: its CNOT's embed, or None where a rotation goes.
+        self._fixed_embeds = [
+            None if slot.param_index is not None else embed_unitary(cx, slot.qubits, n)
+            for slot in self.slots
+        ]
+        rotations = [
+            (position, slot)
+            for position, slot in enumerate(self.slots)
+            if slot.param_index is not None
+        ]
         self._rotation_names = [slot.name for _, slot in rotations]
         self._rotation_targets = [slot.qubits[0] for _, slot in rotations]
-        self._rotations = [
-            (_ROTATION_ENTRIES[slot.name], slot.param_index) for _, slot in rotations
-        ]
+        self._rotation_entries = [_ROTATION_ENTRIES[slot.name] for _, slot in rotations]
         self._rotation_positions = np.array(
             [position for position, _ in rotations], dtype=np.intp
-        )
-        # dtraces[:, p] = sums[self._param_rows[p]]
-        self._param_rows = np.empty(len(rotations), dtype=np.intp)
-        self._param_rows[[slot.param_index for _, slot in rotations]] = np.arange(
-            len(rotations)
-        )
-        # The suffix chain is needed only down to the first rotation.
-        self._first_rotation = (
-            int(self._rotation_positions.min()) if rotations else 0
         )
         self._identity = np.eye(self._dim, dtype=complex)
 
@@ -194,8 +159,8 @@ class Ansatz:
     # ------------------------------------------------------------------
     @property
     def cnot_count(self) -> int:
-        """Number of fixed CNOT slots in the template."""
-        return sum(1 for s in self.slots if s.name == "cx")
+        """Number of CNOTs in the template: one per placement."""
+        return len(self.placements)
 
     def build_circuit(self, params: np.ndarray) -> Circuit:
         """Materialize the template with bound angles."""
@@ -204,16 +169,6 @@ class Ansatz:
                 f"expected {self.num_params} parameters, got {len(params)}"
             )
         return bind_slots(self.num_qubits, self.slots, params)
-
-    def unitary(self, params: np.ndarray) -> np.ndarray:
-        """Evaluate only the unitary (no gradients)."""
-        unitary = np.eye(self._dim, dtype=complex)
-        for slot in self.slots:
-            angles = () if slot.param_index is None else (float(params[slot.param_index]),)
-            unitary = apply_gate_to_matrix(
-                unitary, gate_matrix(slot.name, angles), slot.qubits, self.num_qubits
-            )
-        return unitary
 
     def trace_and_gradient(self, params: np.ndarray, target_conj: np.ndarray):
         """Return ``Tr(V^dag U)`` and its derivative for every parameter.
@@ -243,8 +198,8 @@ class Ansatz:
         thetas = np.asarray(params, dtype=float)
         columns = thetas.reshape(batch, self.num_params).T.tolist()
         entries: list = []
-        for build, index in self._rotations:
-            for theta in columns[index]:
+        for build, column in zip(self._rotation_entries, columns):
+            for theta in column:
                 entries += build(theta)
         rotations = self._embed_rows(np.array(entries, dtype=complex))
         embeds = list(self._slot_embeds)
@@ -253,19 +208,20 @@ class Ansatz:
 
         # Slot-major chains: each step is one (B, dim, dim) product whose
         # operands and output are contiguous, ``out=`` writing straight
-        # into the stack.
+        # into the stack.  Slot 0 is a rotation, so the suffix chain runs
+        # down to slot 1.
         prefixes = np.empty((slots + 1, batch, dim, dim), dtype=complex)
         prefixes[0] = self._identity
         prefix_views = list(prefixes)
         for k in range(slots):
             np.matmul(embeds[k], prefix_views[k], out=prefix_views[k + 1])
         suffixes = np.empty((slots, batch, dim, dim), dtype=complex)
-        suffixes[slots - 1 :] = self._identity  # an empty slice if slots == 0
+        suffixes[slots - 1] = self._identity
         suffix_views = list(suffixes)
-        for k in range(slots - 1, self._first_rotation, -1):
+        for k in range(slots - 1, 0, -1):
             np.matmul(suffix_views[k], embeds[k], out=suffix_views[k - 1])
 
-        count = len(self._rotations)
+        count = len(self._rotation_entries)
         positions = self._rotation_positions
         derivatives = np.matmul(self._generators, rotations)
         # Rows 0..R-1 hold (S_k @ D_k) @ P_k; row R holds U for the trace.
@@ -282,7 +238,7 @@ class Ansatz:
         ).reshape(count + 1, batch)
         # Row-major copy: each row's derivatives are contiguous, as a lone
         # template's are, for the elementwise cost formula downstream.
-        dtraces = np.ascontiguousarray(sums[self._param_rows].T)
+        dtraces = np.ascontiguousarray(sums[:count].T)
         if thetas.ndim == 1:
             return complex(sums[count, 0]), dtraces[0]
         return sums[count], dtraces
@@ -291,9 +247,9 @@ class Ansatz:
 class AnsatzStack(Ansatz):
     """Same-shape templates evaluated together, one parameter row each.
 
-    ``members`` must agree on their qubit count, slot names and parameter
-    indices; only the qubits each slot acts on may differ (as between the
-    CNOT placements of one LEAP layer).  :meth:`trace_and_gradient` then
+    ``members`` must agree on their qubit count and CNOT count; only the
+    qubits each slot acts on may differ (as between the CNOT placements
+    of one LEAP layer).  :meth:`trace_and_gradient` then
     takes ``(B, P)`` parameters, row ``b`` binding ``members[b]``, and each
     row's result is bit-identical to that member's own call.  A template
     may appear in several rows.  ``slots`` and the other template
@@ -308,8 +264,7 @@ class AnsatzStack(Ansatz):
         shape = _template_shape(lead)
         if any(_template_shape(member) != shape for member in members[1:]):
             raise SynthesisError(
-                "stacked templates must share qubit count, slot names and "
-                "parameter indices"
+                "stacked templates must share qubit count and CNOT count"
             )
         # The shape and the plan's shared part are the lead's; the per-row
         # part is recompiled over every member.
@@ -318,11 +273,8 @@ class AnsatzStack(Ansatz):
         self._compile_rows(list(members))
 
 
-def _template_shape(ansatz: Ansatz) -> tuple:
-    return (
-        ansatz.num_qubits,
-        tuple((slot.name, slot.param_index) for slot in ansatz.slots),
-    )
+def _template_shape(ansatz: Ansatz) -> tuple[int, int]:
+    return ansatz.num_qubits, len(ansatz.placements)
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,63 +317,47 @@ def bind_slots(num_qubits: int, slots, params) -> Circuit:
     return circuit
 
 
-def build_leap_ansatz(
-    num_qubits: int,
-    placements: list[tuple[int, int]],
-    layer_rotations: tuple[str, ...] = DEFAULT_LAYER_ROTATIONS,
-) -> Ansatz:
+def leap_param_count(num_qubits: int, cnots: int) -> int:
+    """The angle count of the LEAP template with ``cnots`` placements:
+    a ZYZ triple per qubit, then :data:`LAYER_ROTATIONS` on both qubits
+    of each CNOT."""
+    return len(_INITIAL_ROTATIONS) * num_qubits + 2 * len(LAYER_ROTATIONS) * cnots
+
+
+def build_leap_ansatz(num_qubits: int, placements) -> Ansatz:
     """Build the LEAP template for a given CNOT placement sequence."""
-    placements = tuple(map(tuple, placements))
-    return Ansatz(num_qubits, leap_slots(num_qubits, placements, tuple(layer_rotations)))
+    return Ansatz(num_qubits, placements)
 
 
 @functools.lru_cache(maxsize=1024)
 def leap_slots(
-    num_qubits: int,
-    placements: tuple[tuple[int, int], ...],
-    layer_rotations: tuple[str, ...],
+    num_qubits: int, placements: tuple[tuple[int, int], ...]
 ) -> tuple[Slot, ...]:
     """The slots of the LEAP template for a CNOT placement sequence.
 
     The template starts with a full ZYZ triple on every qubit, then for
     each placement ``(control, target)`` adds a CNOT followed by
-    ``layer_rotations`` on both touched qubits (paper Fig. 5).
-    Parameter indices follow slot order.  Cached: structures recur.
+    :data:`LAYER_ROTATIONS` on both touched qubits (paper Fig. 5).
+    Parameter indices follow slot order.  Raises :class:`SynthesisError`
+    for a placement whose qubits repeat or lie out of range.  Cached:
+    structures recur.
     """
     slots: list[Slot] = []
     index = 0
     for qubit in range(num_qubits):
-        for name in ("rz", "ry", "rz"):
+        for name in _INITIAL_ROTATIONS:
             slots.append(Slot(name, (qubit,), index))
             index += 1
     for control, target in placements:
-        if control == target:
-            raise SynthesisError(f"bad placement {(control, target)}")
+        if control == target or not (
+            0 <= control < num_qubits and 0 <= target < num_qubits
+        ):
+            raise SynthesisError(
+                f"bad placement {(control, target)} on {num_qubits} qubit(s)"
+            )
         slots.append(Slot("cx", (control, target), None))
         for qubit in (control, target):
-            for name in layer_rotations:
+            for name in LAYER_ROTATIONS:
                 slots.append(Slot(name, (qubit,), index))
                 index += 1
     return tuple(slots)
-
-
-def all_placements(
-    num_qubits: int, coupling: list[tuple[int, int]] | None = None
-) -> list[tuple[int, int]]:
-    """Enumerate candidate CNOT placements.
-
-    With no coupling constraint, all ordered qubit pairs are allowed; with
-    a coupling list, both orientations of each allowed edge.
-    """
-    if coupling is None:
-        return [
-            (a, b)
-            for a in range(num_qubits)
-            for b in range(num_qubits)
-            if a != b
-        ]
-    placements: list[tuple[int, int]] = []
-    for a, b in coupling:
-        placements.append((a, b))
-        placements.append((b, a))
-    return sorted(set(placements))

@@ -1,26 +1,27 @@
 """LEAP-style bottom-up synthesis with multi-solution collection.
 
 The compiler grows a circuit template one CNOT layer at a time (paper
-Fig. 5).  At each depth it tries every allowed CNOT placement, numerically
+Fig. 5).  At each depth it tries a CNOT on every qubit pair, numerically
 instantiates the resulting template, and keeps the best branch to extend
 (LEAP's tree reconstruction).  QUEST's modification (paper Sec. 3.5) is to
 *collect* the best ``M`` instantiated circuits per layer — across all
 CNOT counts up to the original circuit's count — instead of returning only
 the single exact solution.
 
-A solution is data (:class:`SynthesisSolution`: structure, angles and
-distance).  :func:`solution_unitaries` is the one builder of their
-matrices: it builds a list of solutions as one stack, one stacked
-product per template slot, and each row equals ``circuit_unitary`` of
-the solution's circuit byte for byte.
+A solution is data (:class:`SynthesisSolution`: its qubit count and
+CNOT placements, which fix the template, its angles and its distance).
+:func:`solution_unitaries` is the one builder of their matrices: it
+builds a list of solutions as one stack, one stacked product per
+template slot, and each row equals ``circuit_unitary`` of the
+solution's circuit byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
-import time
+import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +34,6 @@ from repro.linalg.su2 import zyz_decompose
 from repro.observability import get_metrics, get_tracer
 from repro.synthesis.ansatz import (
     _ROTATION_ENTRIES,
-    DEFAULT_LAYER_ROTATIONS,
-    all_placements,
     bind_slots,
     build_leap_ansatz,
     leap_slots,
@@ -53,8 +52,8 @@ _STACK_GATHER_CELLS = 2**20
 class SynthesisSolution:
     """One synthesized circuit for a target unitary, as data.
 
-    The circuit is ``build_leap_ansatz(num_qubits, placements,
-    layer_rotations).build_circuit(params)``: ``placements`` holds each
+    The circuit is ``build_leap_ansatz(num_qubits,
+    placements).build_circuit(params)``: ``placements`` holds each
     layer's ``(control, target)`` CNOT, ``params`` the template's angles
     (float64) in slot order, and ``distance`` the HS process distance to
     the target that synthesis recorded.
@@ -62,7 +61,6 @@ class SynthesisSolution:
 
     num_qubits: int
     placements: tuple[tuple[int, int], ...]
-    layer_rotations: tuple[str, ...]
     params: tuple[float, ...]
     distance: float
 
@@ -74,7 +72,7 @@ class SynthesisSolution:
     @property
     def circuit(self) -> Circuit:
         """The concrete circuit (over block-local qubit indices)."""
-        slots = leap_slots(self.num_qubits, self.placements, self.layer_rotations)
+        slots = leap_slots(self.num_qubits, self.placements)
         return bind_slots(self.num_qubits, slots, self.params)
 
     def unitary(self) -> np.ndarray:
@@ -100,9 +98,9 @@ def solution_unitaries(solutions: list[SynthesisSolution]) -> list[np.ndarray]:
     shared CX, and one gather brings the rows back.  Each row's product
     is the BLAS product ``np.dot`` makes for it in
     :func:`~repro.linalg.embed.apply_gate_to_matrix`, and a gather only
-    copies, so the stack changes no bit.  Rows with as many rotations
-    per layer share a stack, longest first: a slot acts on a prefix.
-    A stack takes as many rows as keep its gather arrays within
+    copies, so the stack changes no bit.  Rows stack longest first: a
+    shorter template's slots are a prefix of a longer one's.  A stack
+    takes as many rows as keep its gather arrays within
     ``_STACK_GATHER_CELLS``, and at least one.
     """
     if not solutions:
@@ -110,22 +108,16 @@ def solution_unitaries(solutions: list[SynthesisSolution]) -> list[np.ndarray]:
     num_qubits = solutions[0].num_qubits
     if any(solution.num_qubits != num_qubits for solution in solutions):
         raise SynthesisError("solution_unitaries builds solutions of one width")
-    groups: dict[int, list[int]] = {}
-    for row, solution in enumerate(solutions):
-        groups.setdefault(len(solution.layer_rotations), []).append(row)
+    rows = sorted(range(len(solutions)), key=lambda r: -len(solutions[r].placements))
+    longest = solutions[rows[0]]
+    slots = len(_stack_plan(num_qubits, longest.placements).rotations)
+    per_stack = max(1, _STACK_GATHER_CELLS // (slots * 4**num_qubits))
     unitaries: list[np.ndarray] = [None] * len(solutions)
-    for rows in groups.values():
-        rows.sort(key=lambda row: -len(solutions[row].placements))
-        longest = solutions[rows[0]]
-        slots = len(
-            _stack_plan(num_qubits, longest.placements, longest.layer_rotations).rotations
-        )
-        per_stack = max(1, _STACK_GATHER_CELLS // (slots * 4**num_qubits))
-        for start in range(0, len(rows), per_stack):
-            stack_rows = rows[start : start + per_stack]
-            stack = _stack_unitaries([solutions[row] for row in stack_rows])
-            for row, unitary in zip(stack_rows, stack):
-                unitaries[row] = unitary
+    for start in range(0, len(rows), per_stack):
+        stack_rows = rows[start : start + per_stack]
+        stack = _stack_unitaries([solutions[row] for row in stack_rows])
+        for row, unitary in zip(stack_rows, stack):
+            unitaries[row] = unitary
     return unitaries
 
 
@@ -169,18 +161,10 @@ def _gather_table(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _stack_plan(
-    num_qubits: int,
-    placements: tuple[tuple[int, int], ...],
-    layer_rotations: tuple[str, ...],
-) -> _StackPlan:
+def _stack_plan(num_qubits: int, placements: tuple[tuple[int, int], ...]) -> _StackPlan:
     """The cached :class:`_StackPlan` of one LEAP structure."""
-    slots = leap_slots(num_qubits, placements, layer_rotations)
-    if any(not 0 <= q < num_qubits for pair in placements for q in pair):
-        raise SynthesisError(f"placements {placements} leave {num_qubits} qubit(s)")
+    slots = leap_slots(num_qubits, placements)
     names = [slot.name for slot in slots if slot.param_index is not None]
-    if not set(names) <= _ROTATION_ENTRIES.keys():
-        raise SynthesisError(f"layer rotations {layer_rotations} are not rx/ry/rz")
     codes = np.array([_gather_code(slot.qubits, num_qubits) for slot in slots])
     codes.flags.writeable = False
     return _StackPlan(
@@ -191,13 +175,11 @@ def _stack_plan(
 
 
 def _stack_unitaries(solutions: list[SynthesisSolution]) -> list[np.ndarray]:
-    """One stack: same width and rotations per layer, longest first."""
+    """One stack: same width, longest first."""
     num_qubits, count = solutions[0].num_qubits, len(solutions)
     dim = 2**num_qubits
     size = dim * dim
-    plans = [
-        _stack_plan(num_qubits, s.placements, s.layer_rotations) for s in solutions
-    ]
+    plans = [_stack_plan(num_qubits, s.placements) for s in solutions]
     lengths = [len(plan.rotations) for plan in plans]
     if all(plan is plans[0] for plan in plans):
         codes = plans[0].codes[:, None]
@@ -250,13 +232,9 @@ class LeapConfig:
     """
 
     max_layers: int = 14
-    success_threshold: float = 1e-8
     solutions_per_layer: int = 3
     instantiation_starts: int = 3
     max_optimizer_iterations: int = 400
-    layer_rotations: tuple[str, ...] = DEFAULT_LAYER_ROTATIONS
-    coupling: list[tuple[int, int]] | None = None
-    stop_when_exact: bool = False
     seed: int | None = None
     #: Approximate-synthesis threshold (HS distance): secondary starts
     #: stop optimizing once below it, scattering solutions over the
@@ -280,81 +258,49 @@ class LeapConfig:
         fingerprint and mixes the seed in separately (see
         :mod:`repro.parallel.cache`).
         """
-        coupling = (
-            None
-            if self.coupling is None
-            else tuple(sorted((int(a), int(b)) for a, b in self.coupling))
-        )
         fields = (
             ("max_layers", int(self.max_layers)),
-            ("success_threshold", float(self.success_threshold)),
             ("solutions_per_layer", int(self.solutions_per_layer)),
             ("instantiation_starts", int(self.instantiation_starts)),
             ("max_optimizer_iterations", int(self.max_optimizer_iterations)),
-            ("layer_rotations", tuple(self.layer_rotations)),
-            ("coupling", coupling),
-            ("stop_when_exact", bool(self.stop_when_exact)),
             ("target_distance", self.target_distance),
         )
         return repr(fields)
-
-
-@dataclass
-class SynthesisReport:
-    """Full output of a synthesis run: the solution pool plus telemetry."""
-
-    solutions: list[SynthesisSolution] = field(default_factory=list)
-    best: SynthesisSolution | None = None
-    layers_explored: int = 0
-    instantiations: int = 0
-    elapsed_seconds: float = 0.0
 
 
 def _one_qubit_solution(target: np.ndarray) -> SynthesisSolution:
     """The 1-qubit LEAP template ``rz ry rz`` at the target's ZYZ angles."""
     theta, phi, lam, _ = zyz_decompose(target)
     angles = (float(lam), float(theta), float(phi))
-    return SynthesisSolution(1, (), DEFAULT_LAYER_ROTATIONS, angles, 0.0)
+    return SynthesisSolution(1, (), angles, 0.0)
 
 
 def synthesize(
     target: np.ndarray, config: LeapConfig | None = None
-) -> SynthesisReport:
+) -> list[SynthesisSolution]:
     """Synthesize circuits for ``target``, collecting an approximation pool.
 
-    Returns a :class:`SynthesisReport` whose ``solutions`` list holds, for
-    every explored CNOT count, up to ``solutions_per_layer`` circuits
-    sorted by (cnot_count, distance).  ``best`` is the lowest-distance
-    entry overall.
+    Returns, for every explored CNOT count, up to ``solutions_per_layer``
+    solutions, sorted by (cnot_count, distance).  The metrics registry
+    counts the work: ``leap.layers`` and ``leap.instantiations``.
     """
     config = config or LeapConfig()
     dim = target.shape[0]
     num_qubits = int(np.log2(dim))
-    if 2**num_qubits != dim:
-        raise SynthesisError(f"target dimension {dim} is not a power of two")
+    if num_qubits < 1 or 2**num_qubits != dim:
+        raise SynthesisError(f"target dimension {dim} is not a power of two above 1")
+    if num_qubits == 1:
+        return [_one_qubit_solution(target)]
     tracer = get_tracer()
     metrics = get_metrics()
-    start_time = time.monotonic()
-    report = SynthesisReport()
-    if num_qubits == 1:
-        solution = _one_qubit_solution(target)
-        report.solutions = [solution]
-        report.best = solution
-        report.elapsed_seconds = time.monotonic() - start_time
-        return report
-
     rng = np.random.default_rng(config.seed)
     # CNOT direction is absorbable into the surrounding rotations, so only
     # one orientation per pair needs to be explored.
-    placements = sorted(
-        {tuple(sorted(p)) for p in all_placements(num_qubits, config.coupling)}
-    )
-    if not placements:
-        raise SynthesisError("no CNOT placements available")
+    placements = list(itertools.combinations(range(num_qubits), 2))
 
     pool: list[SynthesisSolution] = []
     # Depth 0: rotations only.
-    ansatz0 = build_leap_ansatz(num_qubits, [], config.layer_rotations)
+    ansatz0 = build_leap_ansatz(num_qubits, [])
     result0 = instantiate(
         ansatz0,
         target,
@@ -362,25 +308,19 @@ def synthesize(
         starts=config.instantiation_starts,
         maxiter=config.max_optimizer_iterations,
     )
-    report.instantiations += 1
-    rotations = tuple(config.layer_rotations)
+    instantiations = 1
     pool.append(
-        SynthesisSolution(
-            num_qubits, (), rotations, tuple(result0.params.tolist()), result0.distance
-        )
+        SynthesisSolution(num_qubits, (), tuple(result0.params.tolist()), result0.distance)
     )
 
     best_structure: list[tuple[int, int]] = []
     best_params = result0.params
-    best_distance = result0.distance
     for layer in range(1, config.max_layers + 1):
         layer_entries: list[
             tuple[float, SynthesisSolution, np.ndarray, tuple[int, int]]
         ] = []
         ansatze = [
-            build_leap_ansatz(
-                num_qubits, best_structure + [placement], config.layer_rotations
-            )
+            build_leap_ansatz(num_qubits, best_structure + [placement])
             for placement in placements
         ]
         # One lockstep call fits every placement.  LEAP re-seeding: each
@@ -398,7 +338,7 @@ def synthesize(
             stop_at_cost=config.target_cost,
             warm_spread=0.1,
         )
-        report.instantiations += len(placements)
+        instantiations += len(placements)
         for placement, fits in zip(placements, layer_fits):
             # Every start's local optimum becomes a candidate: distinct
             # minima at the same CNOT count are naturally dissimilar,
@@ -406,36 +346,26 @@ def synthesize(
             structure = tuple(best_structure) + (placement,)
             for fit in fits:
                 angles = tuple(fit.params.tolist())
-                solution = SynthesisSolution(
-                    num_qubits, structure, rotations, angles, fit.distance
-                )
-                layer_entries.append(
-                    (fit.distance, solution, fit.params, placement)
-                )
+                solution = SynthesisSolution(num_qubits, structure, angles, fit.distance)
+                layer_entries.append((fit.distance, solution, fit.params, placement))
         layer_entries.sort(key=lambda entry: entry[0])
         pool.extend(
             entry[1] for entry in layer_entries[: config.solutions_per_layer]
         )
         best_distance, _, best_params, best_placement = layer_entries[0]
         best_structure = best_structure + [best_placement]
-        report.layers_explored = layer
         if tracer.is_enabled:
             tracer.event(
                 "leap.layer",
                 layer=layer,
                 best_distance=float(best_distance),
-                instantiations=report.instantiations,
+                instantiations=instantiations,
                 pool_size=len(pool),
             )
         if metrics.is_enabled:
             metrics.inc("leap.layers")
-        if best_distance <= config.success_threshold and config.stop_when_exact:
-            break
     pool.sort(key=lambda s: (s.cnot_count, s.distance))
-    report.solutions = pool
-    report.best = min(pool, key=lambda s: s.distance)
-    report.elapsed_seconds = time.monotonic() - start_time
     if metrics.is_enabled:
-        metrics.inc("leap.instantiations", report.instantiations)
+        metrics.inc("leap.instantiations", instantiations)
         metrics.inc("leap.synthesis_runs")
-    return report
+    return pool

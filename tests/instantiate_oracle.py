@@ -10,20 +10,15 @@ hold it to, bit for bit.  ``log`` (a list) collects every start's
 
 from __future__ import annotations
 
-import time
+import itertools
 
 import numpy as np
 from scipy.optimize import minimize
 
 from repro.exceptions import SynthesisError
-from repro.synthesis.ansatz import all_placements, build_leap_ansatz
+from repro.synthesis.ansatz import build_leap_ansatz
 from repro.synthesis.instantiate import InstantiationResult, _cost_and_gradient
-from repro.synthesis.leap import (
-    LeapConfig,
-    SynthesisReport,
-    SynthesisSolution,
-    _one_qubit_solution,
-)
+from repro.synthesis.leap import LeapConfig, SynthesisSolution, _one_qubit_solution
 
 
 def sequential_instantiate_multi(
@@ -81,29 +76,22 @@ def sequential_instantiate_multi(
 
 def sequential_synthesize(
     target: np.ndarray, config: LeapConfig | None = None, log: list | None = None
-) -> SynthesisReport:
+) -> list[SynthesisSolution]:
     """LEAP with one ``sequential_instantiate_multi`` call per placement.
 
     Covers the pool-building part of :func:`repro.synthesis.synthesize`
-    (no tracer events, metrics or time budget).
+    (no tracer events or metrics).
     """
     config = config or LeapConfig()
     dim = target.shape[0]
     num_qubits = int(np.log2(dim))
-    report = SynthesisReport()
     if num_qubits == 1:
-        solution = _one_qubit_solution(target)
-        report.solutions = [solution]
-        report.best = solution
-        return report
+        return [_one_qubit_solution(target)]
 
-    start_time = time.monotonic()
     rng = np.random.default_rng(config.seed)
-    placements = sorted(
-        {tuple(sorted(p)) for p in all_placements(num_qubits, config.coupling)}
-    )
+    placements = list(itertools.combinations(range(num_qubits), 2))
     pool: list[SynthesisSolution] = []
-    ansatz0 = build_leap_ansatz(num_qubits, [], config.layer_rotations)
+    ansatz0 = build_leap_ansatz(num_qubits, [])
     result0 = sequential_instantiate_multi(
         ansatz0,
         target,
@@ -112,21 +100,13 @@ def sequential_synthesize(
         maxiter=config.max_optimizer_iterations,
         log=log,
     )[0]
-    report.instantiations += 1
-    rotations = tuple(config.layer_rotations)
-    pool.append(
-        SynthesisSolution(
-            num_qubits, (), rotations, result0.params, result0.distance
-        )
-    )
+    pool.append(SynthesisSolution(num_qubits, (), result0.params, result0.distance))
     best_structure: list[tuple[int, int]] = []
     best_params = result0.params
-    for layer in range(1, config.max_layers + 1):
+    for _ in range(config.max_layers):
         layer_entries = []
         for placement in placements:
-            ansatz = build_leap_ansatz(
-                num_qubits, best_structure + [placement], config.layer_rotations
-            )
+            ansatz = build_leap_ansatz(num_qubits, best_structure + [placement])
             new_param_count = ansatz.num_params - len(best_params)
             warm = np.concatenate(
                 [best_params, rng.uniform(-0.1, 0.1, size=new_param_count)]
@@ -141,22 +121,15 @@ def sequential_synthesize(
                 stop_at_cost=config.target_cost,
                 log=log,
             )
-            report.instantiations += 1
             structure = tuple(best_structure) + (placement,)
             for fit in fits:
                 solution = SynthesisSolution(
-                    num_qubits, structure, rotations, fit.params, fit.distance
+                    num_qubits, structure, fit.params, fit.distance
                 )
                 layer_entries.append((fit.distance, solution, fit.params, placement))
         layer_entries.sort(key=lambda entry: entry[0])
         pool.extend(entry[1] for entry in layer_entries[: config.solutions_per_layer])
-        best_distance, _, best_params, best_placement = layer_entries[0]
+        _, _, best_params, best_placement = layer_entries[0]
         best_structure = best_structure + [best_placement]
-        report.layers_explored = layer
-        if best_distance <= config.success_threshold and config.stop_when_exact:
-            break
     pool.sort(key=lambda s: (s.cnot_count, s.distance))
-    report.solutions = pool
-    report.best = min(pool, key=lambda s: s.distance)
-    report.elapsed_seconds = time.monotonic() - start_time
-    return report
+    return pool

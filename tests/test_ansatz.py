@@ -2,30 +2,31 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.circuits import random_unitary
 from repro.exceptions import SynthesisError
-from repro.synthesis import (
-    DEFAULT_LAYER_ROTATIONS,
-    Ansatz,
-    LeapConfig,
-    Slot,
-    all_placements,
-    build_leap_ansatz,
-    synthesize,
-)
+from repro.observability import MetricsRegistry, use_metrics
+from repro.synthesis import Ansatz, LeapConfig, build_leap_ansatz, synthesize
 from repro.synthesis.ansatz import AnsatzStack
 from repro.synthesis.instantiate import _cost_and_gradient, instantiate_multi
 from tests.ansatz_oracle import SlotSweep, dense_cost_and_gradient
 
 
+def _ordered_pairs(num_qubits: int) -> list[tuple[int, int]]:
+    """Every CNOT placement, both orientations."""
+    return list(itertools.permutations(range(num_qubits), 2))
+
+
 def test_build_structure():
-    ansatz = build_leap_ansatz(2, [(0, 1)], layer_rotations=("ry", "rz"))
-    # Initial ZYZ on 2 qubits (6 params) + 1 CNOT + 2x2 rotations.
+    ansatz = build_leap_ansatz(2, [(0, 1)])
+    # Initial ZYZ on 2 qubits (6 params) + 1 CNOT + ry, rz on both qubits.
     assert ansatz.num_params == 6 + 4
     assert ansatz.cnot_count == 1
+    assert [slot.name for slot in ansatz.slots[6:]] == ["cx", "ry", "rz", "ry", "rz"]
 
 
 def test_build_circuit_binds_params(rng):
@@ -46,11 +47,13 @@ def test_build_circuit_checks_length():
 
 
 def test_unitary_matches_circuit(rng):
+    # The kernel's template unitary is the bound circuit's: its overlap
+    # with that circuit's unitary is the full dimension.
     ansatz = build_leap_ansatz(3, [(0, 1), (1, 2)])
     params = rng.uniform(-np.pi, np.pi, ansatz.num_params)
-    direct = ansatz.unitary(params)
     via_circuit = ansatz.build_circuit(params).unitary()
-    assert np.allclose(direct, via_circuit, atol=1e-10)
+    trace, _ = ansatz.trace_and_gradient(params, via_circuit.conj())
+    assert trace == pytest.approx(8.0, abs=1e-10)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -90,18 +93,36 @@ def test_trace_and_gradient_matches_full_gradient(rng):
     assert np.allclose(dtraces, expected, atol=1e-10)
 
 
+def _rotation_angles(rng, count):
+    """Four angle vectors for a template's ``count`` rotations: uniform
+    angles, all zero (every rotation the identity, so exact and signed
+    zeros reach every product), quarter turns, and uniform angles with
+    every other one zero."""
+    uniform = rng.uniform(-np.pi, np.pi, count)
+    quarter_turns = (np.pi / 2) * rng.integers(-4, 5, count)
+    every_other_zero = rng.uniform(-np.pi, np.pi, count)
+    every_other_zero[::2] = 0.0
+    return [
+        tuple(angles.tolist())
+        for angles in (uniform, np.zeros(count), quarter_turns, every_other_zero)
+    ]
+
+
 def _oracle_cases():
+    rng = np.random.default_rng(2022)
     cases = []
     for num_qubits in (1, 2, 3):
-        placements = all_placements(num_qubits)
+        placements = _ordered_pairs(num_qubits)
         for layers in range(6) if placements else (0,):
             # Stride 5 is coprime to both placement counts (2 and 6), so
             # the layers cycle through every placement.
             structure = [placements[(5 * i) % len(placements)] for i in range(layers)]
-            for rotations in (("rx",), ("ry",), ("rz",), DEFAULT_LAYER_ROTATIONS):
+            count = 3 * num_qubits + 4 * layers
+            for rotations in _rotation_angles(rng, count):
                 cases.append((num_qubits, structure, rotations))
-    chain = all_placements(3, coupling=[(0, 1), (1, 2)])
-    cases.append((3, [chain[i % len(chain)] for i in range(5)], DEFAULT_LAYER_ROTATIONS))
+    # A chain: every layer on a nearest-neighbour pair.
+    chain = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 1)]
+    cases.append((3, chain, _rotation_angles(rng, 29)[0]))
     return cases
 
 
@@ -109,12 +130,12 @@ def _oracle_cases():
 def test_trace_and_gradient_is_bit_identical_to_slot_sweep(
     num_qubits, structure, rotations
 ):
-    ansatz = build_leap_ansatz(num_qubits, structure, rotations)
+    ansatz = build_leap_ansatz(num_qubits, structure)
     sweep = SlotSweep(ansatz)
     rng = np.random.default_rng(len(structure))
     for scale in (1e-9, 1.0, 1e3):
         target_conj = random_unitary(2**num_qubits, rng).conj()
-        params = scale * rng.uniform(-np.pi, np.pi, ansatz.num_params)
+        params = scale * np.array(rotations)
         trace, dtraces = ansatz.trace_and_gradient(params, target_conj)
         expected_trace, expected_dtraces = sweep.trace_and_gradient(params, target_conj)
         assert trace == expected_trace
@@ -143,39 +164,11 @@ def test_cost_and_gradient_is_bit_identical_to_the_dense_kernel(num_qubits, stru
         assert gradient.tobytes() == dense_gradient.tobytes()
 
 
-def test_trace_and_gradient_handles_any_slot_order(rng):
-    # Fixed gates other than CNOT, a fixed first slot (so the suffix
-    # chain stops short of slot 0) and parameters out of slot order.
-    ansatz = Ansatz(
-        2,
-        [
-            Slot("h", (1,), None),
-            Slot("rz", (0,), 1),
-            Slot("cz", (0, 1), None),
-            Slot("rx", (1,), 0),
-            Slot("swap", (1, 0), None),
-        ],
-    )
-    target_conj = random_unitary(4, rng).conj()
-    params = rng.uniform(-np.pi, np.pi, 2)
-    trace, dtraces = ansatz.trace_and_gradient(params, target_conj)
-    expected_trace, expected_dtraces = SlotSweep(ansatz).trace_and_gradient(
-        params, target_conj
-    )
-    assert trace == expected_trace
-    assert dtraces.tobytes() == expected_dtraces.tobytes()
-    # A template without rotations still yields the trace.
-    fixed = Ansatz(2, [Slot("cx", (0, 1), None)])
-    trace, dtraces = fixed.trace_and_gradient(np.zeros(0), target_conj)
-    assert trace == SlotSweep(fixed).trace_and_gradient(np.zeros(0), target_conj)[0]
-    assert dtraces.shape == (0,)
-
-
 def test_stack_rows_are_bit_identical_to_their_members():
     # One LEAP layer: every placement after a shared prefix, each twice.
     rng = np.random.default_rng(9)
     for num_qubits in (2, 3):
-        placements = all_placements(num_qubits)
+        placements = _ordered_pairs(num_qubits)
         prefix = [placements[(5 * i) % len(placements)] for i in range(4)]
         members = [
             build_leap_ansatz(num_qubits, prefix + [placement])
@@ -203,7 +196,8 @@ def test_instantiate_multi_is_byte_identical_to_slot_sweep(monkeypatch):
     # the slot-by-slot sweep of that row's own template.
     rng = np.random.default_rng(3)
     ansatze = [build_leap_ansatz(3, [(0, 1), p]) for p in [(0, 1), (0, 2), (1, 2)]]
-    target = ansatze[0].unitary(rng.uniform(-np.pi, np.pi, ansatze[0].num_params))
+    angles = rng.uniform(-np.pi, np.pi, ansatze[0].num_params)
+    target = ansatze[0].build_circuit(angles).unitary()
     kwargs = dict(rng=11, starts=3, maxiter=150, stop_at_cost=1e-4)
     stacked = instantiate_multi(ansatze, target, **kwargs)
     batch_sizes = []
@@ -250,58 +244,56 @@ def test_instantiate_uses_the_trace_kernel(rng, monkeypatch):
     monkeypatch.setattr(Ansatz, "trace_and_gradient", counting)
     ansatz = build_leap_ansatz(2, [(0, 1)])
     truth = rng.uniform(-np.pi, np.pi, ansatz.num_params)
-    target = ansatz.unitary(truth)
+    target = ansatz.build_circuit(truth).unitary()
     result = instantiate(ansatz, target, rng=rng, starts=2)
     assert result.cost < 1e-8
     assert calls
 
 
 def test_bad_placement_rejected():
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match="bad placement"):
         build_leap_ansatz(2, [(1, 1)])
     for placement in [(0, 3), (-1, 0)]:
-        with pytest.raises(SynthesisError, match="slot"):
+        with pytest.raises(SynthesisError, match="bad placement"):
             build_leap_ansatz(3, [placement])
-
-
-def test_bad_param_indices_rejected():
-    with pytest.raises(SynthesisError):
-        Ansatz(1, [Slot("ry", (0,), 5)])
 
 
 @pytest.mark.parametrize(
     "num_qubits, slot",
     [
-        (1, Slot("u3", (0,), 0)),
-        (2, Slot("rx", (0, 1), 0)),
-        (2, Slot("cx", (0, 0), None)),
-        (2, Slot("bogus", (0, 1), None)),
-        (2, Slot("rz", (0,), None)),
-        (2, Slot("cx", (0,), None)),
+        (1, (0, 1)),
+        (2, (0, 2)),
+        (2, (0, 0)),
+        (2, (2, 1)),
+        (2, (-1, 1)),
+        (2, (1, -2)),
     ],
 )
 def test_bad_slots_rejected(num_qubits, slot):
-    with pytest.raises(SynthesisError, match="slot 0"):
-        Ansatz(num_qubits, [slot])
+    """A CNOT slot whose qubits repeat or leave the template is refused,
+    whether it comes first or after a good layer."""
+    for placements in [(slot,), ((0, 1), slot)]:
+        with pytest.raises(SynthesisError, match="bad placement"):
+            Ansatz(num_qubits, placements)
 
 
 def test_bad_leap_config_rejected():
-    # Both knobs reach Ansatz through LEAP.
+    # A config that cannot run reaches the instantiation it starves.
     target = random_unitary(4, np.random.default_rng(0))
-    for config in (
-        LeapConfig(layer_rotations=("u3",), max_layers=1),
-        LeapConfig(coupling=[(0, 5)], max_layers=1),
-    ):
-        with pytest.raises(SynthesisError, match="slot"):
-            synthesize(target, config)
+    with pytest.raises(SynthesisError, match="optimization start"):
+        synthesize(target, LeapConfig(instantiation_starts=0, max_layers=1))
 
 
 def test_all_placements_full_connectivity():
-    placements = all_placements(3)
-    assert len(placements) == 6
-    assert (0, 1) in placements and (1, 0) in placements
-
-
-def test_all_placements_with_coupling():
-    placements = all_placements(3, coupling=[(0, 1)])
-    assert sorted(placements) == [(0, 1), (1, 0)]
+    # Each layer tries every qubit pair once: CNOT direction is absorbed
+    # by the surrounding rotations.
+    target = random_unitary(8, np.random.default_rng(0))
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        solutions = synthesize(
+            target, LeapConfig(max_layers=1, seed=0, instantiation_starts=1)
+        )
+    assert {s.placements for s in solutions if s.cnot_count} == {
+        ((0, 1),), ((0, 2),), ((1, 2),)
+    }
+    assert registry.snapshot()["counters"]["leap.instantiations"] == 1 + 3

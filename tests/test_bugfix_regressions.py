@@ -2,8 +2,6 @@
 
 Each test pins one fixed bug:
 
-* LEAP's elapsed time measured on ``perf_counter`` while the
-  cooperative deadline used ``monotonic`` — unified on ``monotonic``;
 * per-run dual-annealing seeds drawn as bounded ``rng.integers`` (weak,
   collision-prone single-integer seeding) — now spawned
   ``SeedSequence`` children;
@@ -13,56 +11,19 @@ Each test pins one fixed bug:
 
 from __future__ import annotations
 
-import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.algorithms import tfim
-from repro.circuits import random_circuit
 from repro.core import annealing as annealing_module
 from repro.core.annealing import select_approximations
 from repro.core.quest import QuestConfig
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
 from repro.resilience.retry import FAILURE_FALLBACK
-from repro.synthesis.leap import LeapConfig, synthesize
 from repro.transpile.basis import lower_to_basis
-
-
-# ----------------------------------------------------------------------
-# Clock unification (leap.py)
-# ----------------------------------------------------------------------
-def test_leap_elapsed_seconds_uses_monotonic_not_perf_counter(monkeypatch):
-    """A perf_counter discontinuity must not show in LEAP's elapsed time.
-
-    The cooperative deadline layer measures on ``time.monotonic``; LEAP
-    used ``time.perf_counter``.  The two clocks can drift (perf_counter
-    may or may not tick across suspend, and their epochs differ), so
-    mixing them let one reading run hours ahead of the other.  Here
-    perf_counter jumps an hour per call, and the report's elapsed time
-    stays real.
-    """
-    fake_now = [0.0]
-
-    def jumping_perf_counter():
-        fake_now[0] += 3600.0
-        return fake_now[0]
-
-    monkeypatch.setattr(time, "perf_counter", jumping_perf_counter)
-    target = random_circuit(2, 4, rng=1).unitary()
-    config = LeapConfig(
-        max_layers=2,
-        solutions_per_layer=1,
-        instantiation_starts=1,
-        max_optimizer_iterations=40,
-        seed=0,
-    )
-    report = synthesize(target, config)
-    assert report.layers_explored == config.max_layers
-    # elapsed_seconds is real (monotonic) time, not the jumping clock.
-    assert report.elapsed_seconds < 120.0
 
 
 # ----------------------------------------------------------------------

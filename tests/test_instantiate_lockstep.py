@@ -32,7 +32,7 @@ from tests.instantiate_oracle import (
 )
 
 
-def _pool_key(report):
+def _pool_key(solutions):
     return [
         (
             solution.cnot_count,
@@ -42,12 +42,12 @@ def _pool_key(report):
                 [p for op in solution.circuit.operations for p in op.params]
             ).tobytes(),
         )
-        for solution in report.solutions
+        for solution in solutions
     ]
 
 
 _POOL_CASES = [
-    # (qubits, target_distance, starts, max_layers, coupling)
+    # (qubits, target_distance, starts, max_layers, other LeapConfig fields)
     (2, 0.05, 1, 3, None),
     (2, 0.05, 3, 3, None),
     (2, None, 2, 3, None),
@@ -56,15 +56,15 @@ _POOL_CASES = [
     (3, 0.1, 3, 3, None),
     (3, None, 1, 2, None),
     (3, None, 3, 2, None),
-    (3, 0.2, 2, 3, [(0, 1), (1, 2)]),
+    (3, 0.2, 2, 3, dict(solutions_per_layer=5, max_optimizer_iterations=60)),
 ]
 
 
 @pytest.mark.parametrize(
-    "num_qubits, target_distance, starts, max_layers, coupling", _POOL_CASES
+    "num_qubits, target_distance, starts, max_layers, config_fields", _POOL_CASES
 )
 def test_pools_are_byte_identical_to_the_sequential_oracle(
-    num_qubits, target_distance, starts, max_layers, coupling
+    num_qubits, target_distance, starts, max_layers, config_fields
 ):
     target = random_unitary(2**num_qubits, np.random.default_rng(starts + 10 * num_qubits))
     config = LeapConfig(
@@ -72,13 +72,18 @@ def test_pools_are_byte_identical_to_the_sequential_oracle(
         seed=num_qubits + starts,
         instantiation_starts=starts,
         target_distance=target_distance,
-        coupling=coupling,
+        **(config_fields or {}),
     )
-    ours = synthesize(target, config)
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        ours = synthesize(target, config)
     reference = sequential_synthesize(target, config)
     assert _pool_key(ours) == _pool_key(reference)
-    assert ours.instantiations == reference.instantiations
-    assert ours.layers_explored == reference.layers_explored
+    # Every layer runs, and tries every qubit pair once.
+    pairs = num_qubits * (num_qubits - 1) // 2
+    counters = registry.snapshot()["counters"]
+    assert counters["leap.layers"] == max_layers
+    assert counters["leap.instantiations"] == 1 + max_layers * pairs
 
 
 def _driver_rows():
@@ -86,7 +91,8 @@ def _driver_rows():
     ansatz = build_leap_ansatz(2, [(0, 1)])
     # A Clifford target with U(0) = CNOT: Tr(V^dag U(0)) is exactly 0.
     z0 = np.kron(np.eye(2), np.diag([1.0, -1.0]))
-    target = (ansatz.unitary(np.zeros(ansatz.num_params)) @ z0).astype(complex)
+    cnot = ansatz.build_circuit(np.zeros(ansatz.num_params)).unitary()
+    target = (cnot @ z0).astype(complex)
     rng = np.random.default_rng(7)
     rows = {
         "converges": (rng.uniform(-np.pi, np.pi, ansatz.num_params), 400, None),

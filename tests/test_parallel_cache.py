@@ -37,15 +37,32 @@ def _entries(root):
 
 def _solutions() -> list[SynthesisSolution]:
     return [
-        SynthesisSolution(
-            2, ((0, 1),), ("ry", "rz"), tuple(np.linspace(-1.0, 1.0, 10).tolist()), 0.01
-        ),
+        SynthesisSolution(2, ((0, 1),), tuple(np.linspace(-1.0, 1.0, 10).tolist()), 0.01),
     ]
 
 
 def _sealed(body: bytes) -> bytes:
     """``body`` followed by its SHA-256: an entry whose checksum holds."""
     return body + hashlib.sha256(body).digest()
+
+
+def version_2_entry(key: str, solutions: list[SynthesisSolution]) -> bytes:
+    """``solutions`` sealed in the version-2 layout, which also stored
+    each solution's layer rotations: a ``(S, 4)`` count table with a
+    rotation count, and int32 rotation codes (``ry``, ``rz`` = 1, 2)."""
+    tables = (
+        [(s.num_qubits, len(s.placements), 2, len(s.params)) for s in solutions],
+        [pair for s in solutions for pair in s.placements],
+        [1, 2] * len(solutions),
+    )
+    floats = ([s.distance for s in solutions], [a for s in solutions for a in s.params])
+    return _sealed(
+        b"".join(
+            [_HEADER.pack(_MAGIC, 2, len(key), len(solutions)), key.encode()]
+            + [np.array(table, dtype="<i4").tobytes() for table in tables]
+            + [np.array(values, dtype="<f8").tobytes() for values in floats]
+        )
+    )
 
 
 def _resealed(entry: bytes, version: int = CACHE_VERSION) -> bytes:
@@ -105,9 +122,6 @@ def test_tiny_perturbations_below_resolution_collide(rng):
         LeapConfig(
             max_layers=3, target_distance=0.2, max_optimizer_iterations=9
         ),
-        LeapConfig(max_layers=3, target_distance=0.2, success_threshold=1e-6),
-        LeapConfig(max_layers=3, target_distance=0.2, stop_when_exact=True),
-        LeapConfig(max_layers=3, target_distance=0.2, coupling=[(0, 1)]),
     ],
 )
 def test_differing_leap_config_fields_miss(rng, other):
@@ -220,6 +234,21 @@ def test_wrong_version_or_key_is_a_miss(tmp_path):
     assert PoolCache(tmp_path).get(key) == _solutions()
 
 
+def test_a_version_2_entry_is_a_stale_miss(tmp_path, counters):
+    """An entry written before the rotation table was dropped holds the
+    same solutions in another layout: a plain miss, never corruption,
+    and the next put overwrites it."""
+    key = entry_key("e" * 64, 5)
+    cache = PoolCache(tmp_path)
+    cache.put(key, _solutions())
+    (path,) = _entries(tmp_path)
+    path.write_bytes(version_2_entry(key, _solutions()))
+    assert cache.get(key) is None
+    assert "cache.corrupt_entries" not in counters()
+    cache.put(key, _solutions())
+    assert cache.get(key) == _solutions()
+
+
 def test_payload_type_is_validated(tmp_path):
     """An entry whose tables are not a solution list is a miss."""
     key = entry_key("9" * 64, 5)
@@ -236,11 +265,11 @@ def test_roundtrip_keeps_every_field_bit_for_bit(tmp_path):
     solution list without solutions is an entry too."""
     solutions = _solutions() + [
         SynthesisSolution(
-            3, ((0, 1), (1, 2), (0, 2)), ("rx", "rz"),
+            3, ((0, 1), (1, 2), (0, 2)),
             tuple(np.random.default_rng(0).normal(size=21).tolist()), 0.123456789,
         ),
         SynthesisSolution(
-            2, (), ("ry", "rz"), (-0.0, 1e-300, np.pi, -np.pi, 5.0, 6.0), 0.5,
+            2, (), (-0.0, 1e-300, np.pi, -np.pi, 5.0, 6.0), 0.5,
         ),
     ]
     cache = PoolCache(tmp_path)
@@ -304,15 +333,6 @@ def test_every_flipped_bit_is_a_counted_corrupt_entry(tmp_path, counters):
 _GOOD = _solutions()[0]
 
 
-def _with_rotation_code(code: int) -> bytes:
-    """A sealed entry of ``_GOOD`` whose first rotation code is ``code``."""
-    body = bytearray(_encode("k", [_GOOD])[: -hashlib.sha256().digest_size])
-    # Past the header, the key "k", one table row and one placement.
-    offset = _HEADER.size + 1 + 16 + 8
-    body[offset : offset + 4] = np.array([code], "<i4").tobytes()
-    return _sealed(bytes(body))
-
-
 @pytest.mark.parametrize(
     "entry",
     [
@@ -321,15 +341,12 @@ def _with_rotation_code(code: int) -> bytes:
         _encode("k", [replace(_GOOD, params=np.zeros(11))]),
         _encode("k", [replace(_GOOD, params=np.full(10, np.nan))]),
         _encode("k", [replace(_GOOD, distance=np.inf)]),
-        _with_rotation_code(3),
-        _with_rotation_code(-1),
         _sealed(_encode("k", [_GOOD])[: -hashlib.sha256().digest_size] + b"\0"),
         _encode("k", [_GOOD]) + b"\0",
     ],
     ids=[
         "placement-out-of-range", "control-is-target", "angle-count",
-        "non-finite-angle", "non-finite-distance", "rotation-code",
-        "negative-rotation-code", "trailing-byte-sealed",
+        "non-finite-angle", "non-finite-distance", "trailing-byte-sealed",
         "trailing-byte",
     ],
 )

@@ -33,12 +33,12 @@ def _block():
 @pytest.fixture(scope="module")
 def block_and_solutions():
     block = _block()
-    report = synthesize(
+    solutions = synthesize(
         block.unitary(),
         LeapConfig(max_layers=2, seed=0, solutions_per_layer=2,
                    instantiation_starts=2, max_optimizer_iterations=100),
     )
-    return block, report.solutions
+    return block, solutions
 
 
 def test_pool_contains_original_first(block_and_solutions):
@@ -79,7 +79,6 @@ def test_useless_solutions_dropped(block_and_solutions):
     solution = SynthesisSolution(
         block.num_qubits,
         ((0, 1),) * cnots,
-        ("ry", "rz"),
         (0.3,) * (3 * block.num_qubits + 4 * cnots),
         0.5,
     )
@@ -97,7 +96,7 @@ def test_candidates_build_their_circuits_from_data(block_and_solutions):
         assert "circuit" not in vars(candidate)
         solution = candidate.source
         expected = build_leap_ansatz(
-            solution.num_qubits, list(solution.placements), solution.layer_rotations
+            solution.num_qubits, solution.placements
         ).build_circuit(solution.params)
         assert candidate.circuit == expected
         assert candidate.circuit is candidate.circuit

@@ -35,6 +35,9 @@ def test_top_level_exports_resolve(name):
         "repro.resilience",
         "repro.observability",
         "repro.store",
+        "repro.batch",
+        "repro.service",
+        "repro.verify",
     ],
 )
 def test_subpackage_all_exports_resolve(module):

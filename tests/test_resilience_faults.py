@@ -120,7 +120,7 @@ def test_nested_deadlines_take_the_minimum():
 def _honest_solution(block):
     """A one-CNOT LEAP structure recording its true distance to ``block``."""
     angles = tuple(np.random.default_rng(7).uniform(-np.pi, np.pi, 10).tolist())
-    solution = SynthesisSolution(2, ((0, 1),), ("ry", "rz"), angles, 0.0)
+    solution = SynthesisSolution(2, ((0, 1),), angles, 0.0)
     return replace(
         solution, distance=hs_distance(solution.unitary(), block.unitary())
     )
@@ -172,12 +172,12 @@ def test_cnot_count_is_derived_from_the_placements():
     """A solution cannot claim fewer CNOTs than its circuit has: the count
     is derived from the placements, and the constructor takes none."""
     solution = SynthesisSolution(
-        3, ((0, 1), (1, 2)), ("ry", "rz"), (0.0,) * 17, 0.0
+        3, ((0, 1), (1, 2)), (0.0,) * 17, 0.0
     )
     assert solution.cnot_count == 2 == solution.circuit.cnot_count()
     with pytest.raises(TypeError):
         SynthesisSolution(
-            3, ((0, 1), (1, 2)), ("ry", "rz"), (0.0,) * 17, 0.0, cnot_count=0
+            3, ((0, 1), (1, 2)), (0.0,) * 17, 0.0, cnot_count=0
         )
     with pytest.raises(TypeError):
         replace(solution, cnot_count=0)
@@ -205,7 +205,7 @@ def test_non_list_payload_is_rejected():
 
 def _narrow_solution():
     """A well-formed 2-qubit solution: one CNOT, recording distance 0."""
-    return SynthesisSolution(2, ((0, 1),), ("ry", "rz"), (0.0,) * 10, 0.0)
+    return SynthesisSolution(2, ((0, 1),), (0.0,) * 10, 0.0)
 
 
 def test_wrong_width_solution_is_rejected():

@@ -29,8 +29,9 @@ from repro.parallel.executor import (
 )
 from repro.partition.scan import scan_partition
 from repro.resilience import FaultInjector, parse_fault_spec
-from repro.store import ArtifactStore
+from repro.store import ENTRY_SUFFIX, ArtifactStore
 from repro.transpile.basis import lower_to_basis
+from tests.test_parallel_cache import version_2_entry
 
 FAST = dict(
     max_samples=3,
@@ -118,6 +119,33 @@ def test_rerun_over_the_store_synthesizes_nothing_bit_identically(tmp_path):
     for result in (first, resumed):
         assert not result.failure_log
         assert not result.synthesis_fallbacks
+
+
+def test_a_store_of_version_2_entries_resynthesizes_once(tmp_path):
+    """A version-2 entry (which also stored the template's rotation names)
+    met under a current key is a stale miss: the rerun resynthesizes each
+    one, counts no corruption, selects the same and overwrites each with
+    its current bytes.  A real upgrade also moves every key (the config
+    fingerprint changed), so its runs never meet the old files at all."""
+    circuit = tfim(4, steps=1)
+    store = tmp_path / "store"
+    first = run_quest(circuit, _config(store))
+    paths = sorted(store.rglob(f"*{ENTRY_SUFFIX}"))
+    assert len(paths) == first.cache_misses > 0
+    cache = PoolCache(store)
+    current = {}
+    for path in paths:
+        key = path.name[: -len(ENTRY_SUFFIX)]
+        current[key] = path.read_bytes()
+        path.write_bytes(version_2_entry(key, cache.get(key)))
+
+    again = run_quest(circuit, _config(store))
+    _assert_identical(first, again)
+    assert again.cache_misses == first.cache_misses
+    assert again.cache_corrupt_entries == 0
+    assert again.metrics["counters"]["leap.synthesis_runs"] == len(paths)
+    for path in paths:
+        assert path.read_bytes() == current[path.name[: -len(ENTRY_SUFFIX)]]
 
 
 def test_run_killed_mid_synthesis_resumes_from_the_store(tmp_path):

@@ -136,8 +136,10 @@ def test_concurrent_duplicate_submissions_dedupe_and_stay_identical(
 ):
     """Four copies of one circuit at once: every result bit-identical to
     solo, and the shared substrate serves duplicates without fresh
-    synthesis (cache hits and/or in-flight joins)."""
-    qasm = circuit_to_qasm(tfim(4, steps=2))
+    synthesis (cache hits and/or in-flight joins): the four jobs
+    synthesize each distinct block key once between them."""
+    circuit = tfim(4, steps=2)
+    qasm = circuit_to_qasm(circuit)
     want = _solo_signature(solo_reference["tfim"])
     with running_service(
         tmp_path / "ledger", max_concurrency=2
@@ -155,6 +157,8 @@ def test_concurrent_duplicate_submissions_dedupe_and_stay_identical(
             p["cache_hits"] + p["dedup_joins"] for p in payloads
         )
         assert reused > 0, "duplicate jobs never shared substrate work"
+        synthesized = sum(p["cache_misses"] - p["dedup_joins"] for p in payloads)
+        assert synthesized == len(set(planned_entry_keys(circuit, _config())))
         _assert_no_stranded(client)
 
 

@@ -3,7 +3,7 @@
 ``solution_unitaries`` moves a whole list of solutions through one
 stacked product per template slot; each row must still be
 ``circuit_unitary(solution.circuit)``, byte for byte, whatever the mix
-of placements, lengths, rotation patterns and repeats in the stack.
+of placements, lengths and repeats in the stack.
 """
 
 from __future__ import annotations
@@ -16,13 +16,10 @@ from repro.exceptions import SynthesisError
 from repro.sim.unitary import circuit_unitary
 from repro.synthesis.leap import SynthesisSolution, solution_unitaries
 
-_ROTATION_PATTERNS = [("ry", "rz"), ("rx", "ry", "rz"), ("rz",)]
-
-
-def _solution(rng, num_qubits, placements, rotations) -> SynthesisSolution:
-    count = 3 * num_qubits + 2 * len(rotations) * len(placements)
+def _solution(rng, num_qubits, placements) -> SynthesisSolution:
+    count = 3 * num_qubits + 4 * len(placements)
     angles = tuple(rng.uniform(-np.pi, np.pi, count).tolist())
-    return SynthesisSolution(num_qubits, placements, rotations, angles, 0.0)
+    return SynthesisSolution(num_qubits, placements, angles, 0.0)
 
 
 def _placements(rng, num_qubits, layers) -> tuple[tuple[int, int], ...]:
@@ -48,23 +45,20 @@ def test_an_empty_list_builds_nothing():
 
 @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
 def test_mixed_stacks_equal_the_circuit_unitaries(num_qubits):
-    """Distinct and shared placements, 0-6 layers, mixed rotation
-    patterns and repeated rows, in shuffled order."""
+    """Distinct and shared placements, 0-6 layers and repeated rows, in
+    shuffled order."""
     rng = np.random.default_rng(100 + num_qubits)
     for _ in range(12):
         solutions = []
         for _ in range(int(rng.integers(1, 7))):
-            rotations = _ROTATION_PATTERNS[rng.integers(len(_ROTATION_PATTERNS))]
             layers = int(rng.integers(0, 7))
             solutions.append(
-                _solution(rng, num_qubits, _placements(rng, num_qubits, layers), rotations)
+                _solution(rng, num_qubits, _placements(rng, num_qubits, layers))
             )
         # Rows sharing a structure, at their own angles.
         shared = solutions[0]
         for _ in range(int(rng.integers(0, 4))):
-            solutions.append(
-                _solution(rng, num_qubits, shared.placements, shared.layer_rotations)
-            )
+            solutions.append(_solution(rng, num_qubits, shared.placements))
         # Repeated rows.
         solutions += [solutions[i] for i in rng.integers(len(solutions), size=2)]
         order = rng.permutation(len(solutions))
@@ -76,7 +70,7 @@ def test_rows_sharing_one_structure_equal_the_circuit_unitaries():
     rng = np.random.default_rng(7)
     placements = ((0, 1), (1, 2), (2, 0), (0, 1))
     _assert_rows_are_circuit_unitaries(
-        [_solution(rng, 3, placements, ("ry", "rz")) for _ in range(5)]
+        [_solution(rng, 3, placements) for _ in range(5)]
     )
 
 
@@ -98,7 +92,7 @@ def test_rows_split_over_stacks_equal_the_circuit_unitaries(cells, sizes, monkey
     monkeypatch.setattr(leap_module, "_stack_unitaries", recording_stack)
     rng = np.random.default_rng(9)
     solutions = [
-        _solution(rng, 3, _placements(rng, 3, layers), ("ry", "rz"))
+        _solution(rng, 3, _placements(rng, 3, layers))
         for layers in (3, 0, 3, 2, 1, 3, 2)
     ]
     _assert_rows_are_circuit_unitaries(solutions)
@@ -110,31 +104,23 @@ def test_a_stack_of_one_equals_the_circuit_unitary():
     for num_qubits in (1, 2, 3, 4):
         for layers in (0, 1, 6):
             placements = _placements(rng, num_qubits, layers)
-            solution = _solution(rng, num_qubits, placements, ("ry", "rz"))
+            solution = _solution(rng, num_qubits, placements)
             _assert_rows_are_circuit_unitaries([solution])
             assert solution.unitary().tobytes() == (
                 circuit_unitary(solution.circuit).tobytes()
             )
 
 
-@pytest.mark.parametrize(
-    "placements, rotations, match",
-    [
-        (((0, 2),), ("ry", "rz"), "leave 2 qubit"),
-        (((-1, 0),), ("ry", "rz"), "leave 2 qubit"),
-        (((1, 1),), ("ry", "rz"), "bad placement"),
-        (((0, 1),), ("ry", "p"), "not rx/ry/rz"),
-    ],
-)
-def test_malformed_structures_are_refused(placements, rotations, match):
-    angles = (0.1,) * (6 + 2 * len(rotations) * len(placements))
-    solution = SynthesisSolution(2, placements, rotations, angles, 0.0)
-    with pytest.raises(SynthesisError, match=match):
+@pytest.mark.parametrize("placements", [((0, 2),), ((-1, 0),), ((1, 1),)])
+def test_malformed_structures_are_refused(placements):
+    angles = (0.1,) * (6 + 4 * len(placements))
+    solution = SynthesisSolution(2, placements, angles, 0.0)
+    with pytest.raises(SynthesisError, match="bad placement"):
         solution_unitaries([solution])
 
 
 def test_a_wrong_angle_count_is_refused():
-    solution = SynthesisSolution(2, ((0, 1),), ("ry", "rz"), (0.1,) * 9, 0.0)
+    solution = SynthesisSolution(2, ((0, 1),), (0.1,) * 9, 0.0)
     with pytest.raises(SynthesisError, match="9 angles for a template of 10"):
         solution_unitaries([solution])
 
@@ -142,8 +128,8 @@ def test_a_wrong_angle_count_is_refused():
 def test_rows_of_different_widths_are_refused():
     rng = np.random.default_rng(0)
     solutions = [
-        _solution(rng, 2, ((0, 1),), ("ry", "rz")),
-        _solution(rng, 3, ((0, 1),), ("ry", "rz")),
+        _solution(rng, 2, ((0, 1),)),
+        _solution(rng, 3, ((0, 1),)),
     ]
     with pytest.raises(SynthesisError, match="one width"):
         solution_unitaries(solutions)

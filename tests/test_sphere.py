@@ -25,7 +25,7 @@ def _base(angles=None) -> SynthesisSolution:
     """A one-CNOT 2-qubit LEAP solution (10 angles)."""
     if angles is None:
         angles = tuple(np.random.default_rng(4).uniform(-np.pi, np.pi, 10).tolist())
-    return SynthesisSolution(2, ((0, 1),), ("ry", "rz"), angles, 0.0)
+    return SynthesisSolution(2, ((0, 1),), angles, 0.0)
 
 
 def _assert_built_from_data(variant: SynthesisSolution, unitary: np.ndarray):
@@ -56,7 +56,6 @@ def test_variants_preserve_structure():
         _assert_built_from_data(variant, unitary)
         assert variant.num_qubits == base.num_qubits
         assert variant.placements == base.placements
-        assert variant.layer_rotations == base.layer_rotations
         assert all(type(angle) is float for angle in variant.params)
         assert variant.cnot_count == base.cnot_count
         assert [op.name for op in variant.circuit] == [
@@ -126,11 +125,11 @@ def test_held_base_unitary_gives_the_same_variants():
 
 
 _STRUCTURES = [
-    (2, ((0, 1),), ("ry", "rz")),
-    (2, ((0, 1), (1, 0), (0, 1)), ("ry", "rz")),
-    (3, ((0, 1), (1, 2)), ("ry", "rz")),
-    (3, ((2, 0), (0, 1), (1, 2), (0, 2)), ("rx", "ry", "rz")),
-    (1, (), ("ry", "rz")),
+    (2, ((0, 1),)),
+    (2, ((0, 1), (1, 0), (0, 1))),
+    (3, ((0, 1), (1, 2))),
+    (3, ((2, 0), (0, 1), (1, 2), (0, 2))),
+    (1, ()),
 ]
 
 
@@ -139,11 +138,10 @@ def test_probe_matches_the_shifted_circuit_bit_for_bit():
     rebuilds the base circuit with each angle stored as
     ``op.params[0] + float(shift)``.  Same angles, same matrix."""
     rng = np.random.default_rng(11)
-    for num_qubits, placements, rotations in _STRUCTURES:
-        count = 3 * num_qubits + 2 * len(rotations) * len(placements)
+    for num_qubits, placements in _STRUCTURES:
+        count = 3 * num_qubits + 4 * len(placements)
         base = SynthesisSolution(
-            num_qubits, placements, rotations,
-            tuple(rng.uniform(-np.pi, np.pi, count).tolist()), 0.0,
+            num_qubits, placements, tuple(rng.uniform(-np.pi, np.pi, count).tolist()), 0.0
         )
         circuit = base.circuit
         indices = rotation_indices(circuit)
@@ -156,7 +154,7 @@ def test_probe_matches_the_shifted_circuit_bit_for_bit():
             oracle = with_shifted_angles(circuit, indices, shifts)
             expected = circuit_unitary(oracle)
             shifted = tuple((np.asarray(base.params) + shifts).tolist())
-            variant = SynthesisSolution(num_qubits, placements, rotations, shifted, 0.0)
+            variant = SynthesisSolution(num_qubits, placements, shifted, 0.0)
             probe = variant.unitary()
             assert probe.dtype == expected.dtype
             assert probe.shape == expected.shape
@@ -202,8 +200,7 @@ def _three_qubit_base() -> tuple[SynthesisSolution, np.ndarray]:
     """A two-layer 3-qubit solution and a target near it."""
     rng = np.random.default_rng(21)
     base = SynthesisSolution(
-        3, ((0, 1), (1, 2)), ("ry", "rz"),
-        tuple(rng.uniform(-np.pi, np.pi, 17).tolist()), 0.0,
+        3, ((0, 1), (1, 2)), tuple(rng.uniform(-np.pi, np.pi, 17).tolist()), 0.0
     )
     shift = rng.normal(size=17)
     shifted = np.asarray(base.params) + 0.12 * shift / np.linalg.norm(shift)

@@ -30,7 +30,7 @@ from repro.synthesis.leap import SynthesisSolution
 def _solutions(cnots: int = 1) -> list[SynthesisSolution]:
     angles = tuple(np.linspace(-1.0, 1.0, 6 + 4 * cnots).tolist())
     return [
-        SynthesisSolution(2, ((0, 1),) * cnots, ("ry", "rz"), angles, 0.01)
+        SynthesisSolution(2, ((0, 1),) * cnots, angles, 0.01)
     ]
 
 

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit, gate_matrix, random_unitary
 from repro.exceptions import SynthesisError
 from repro.linalg import hs_distance
+from repro.observability import MetricsRegistry, use_metrics
 from repro.resilience.validation import validate_solutions
 from repro.sim import circuit_unitary
 from repro.synthesis import (
     LeapConfig,
+    SynthesisSolution,
     build_leap_ansatz,
     decompose_two_qubit,
     instantiate,
@@ -23,7 +27,7 @@ class TestInstantiate:
     def test_recovers_own_circuit(self, rng):
         ansatz = build_leap_ansatz(2, [(0, 1)])
         truth = rng.uniform(-np.pi, np.pi, ansatz.num_params)
-        target = ansatz.unitary(truth)
+        target = ansatz.build_circuit(truth).unitary()
         result = instantiate(ansatz, target, rng=rng, starts=4)
         assert result.cost < 1e-9
 
@@ -39,7 +43,7 @@ class TestInstantiate:
     def test_warm_start_used(self, rng):
         ansatz = build_leap_ansatz(2, [(0, 1)])
         truth = rng.uniform(-np.pi, np.pi, ansatz.num_params)
-        target = ansatz.unitary(truth)
+        target = ansatz.build_circuit(truth).unitary()
         result = instantiate(
             ansatz, target, rng=rng, starts=1, initial_params=truth
         )
@@ -61,20 +65,19 @@ class TestInstantiate:
 class TestLeap:
     def test_one_qubit_exact(self, rng):
         target = random_unitary(2, rng)
-        report = synthesize(target)
-        assert report.best is not None
-        assert report.best.cnot_count == 0
-        built = report.best.circuit.unitary()
+        (solution,) = synthesize(target)
+        assert solution.cnot_count == 0
+        built = solution.circuit.unitary()
         assert hs_distance(built, target) < 1e-7
 
     def test_one_qubit_solution_is_the_zyz_template(self, rng):
         target = random_unitary(2, rng)
-        (solution,) = synthesize(target).solutions
+        (solution,) = synthesize(target)
         assert (solution.num_qubits, solution.placements) == (1, ())
         assert [op.name for op in solution.circuit] == ["rz", "ry", "rz"]
-        assert solution.circuit == build_leap_ansatz(
-            1, [], solution.layer_rotations
-        ).build_circuit(solution.params)
+        assert solution.circuit == build_leap_ansatz(1, []).build_circuit(
+            solution.params
+        )
 
     def test_solutions_are_lossless_data(self, rng):
         """A solution is its LEAP template and angles: the circuit is the
@@ -85,14 +88,14 @@ class TestLeap:
             max_layers=2, seed=2, instantiation_starts=2,
             max_optimizer_iterations=40,
         )
-        report = synthesize(target, config)
-        built = validate_solutions(target, report.solutions)
-        for solution, unitary in zip(report.solutions, built, strict=True):
+        solutions = synthesize(target, config)
+        built = validate_solutions(target, solutions)
+        for solution, unitary in zip(solutions, built, strict=True):
             assert all(type(angle) is float for angle in solution.params)
             assert solution.cnot_count == len(solution.placements)
-            circuit = build_leap_ansatz(
-                3, list(solution.placements), solution.layer_rotations
-            ).build_circuit(solution.params)
+            circuit = build_leap_ansatz(3, solution.placements).build_circuit(
+                solution.params
+            )
             assert solution.circuit == circuit
             assert circuit.cnot_count() == solution.cnot_count
             assert unitary.tobytes() == circuit_unitary(circuit).tobytes()
@@ -100,8 +103,7 @@ class TestLeap:
     def test_collects_solutions_per_layer(self, rng):
         target = random_unitary(4, rng)
         config = LeapConfig(max_layers=3, seed=1, solutions_per_layer=2)
-        report = synthesize(target, config)
-        cnot_counts = {s.cnot_count for s in report.solutions}
+        cnot_counts = {s.cnot_count for s in synthesize(target, config)}
         assert cnot_counts == {0, 1, 2, 3}
 
     def test_exact_on_structured_circuit(self):
@@ -111,28 +113,51 @@ class TestLeap:
         circuit.rz(0.3, 1)
         target = circuit_unitary(circuit)
         config = LeapConfig(max_layers=2, seed=0, instantiation_starts=4)
-        report = synthesize(target, config)
-        assert report.best.distance < 1e-6
-        assert report.best.cnot_count <= 2
+        best = min(synthesize(target, config), key=lambda s: s.distance)
+        assert best.distance < 1e-6
+        assert best.cnot_count <= 2
 
     def test_distances_decrease_with_depth(self, rng):
         target = random_unitary(8, rng)
         config = LeapConfig(max_layers=4, seed=2, solutions_per_layer=1)
-        report = synthesize(target, config)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            solutions = synthesize(target, config)
         best_by_layer = {}
-        for solution in report.solutions:
+        for solution in solutions:
             best_by_layer[solution.cnot_count] = min(
                 best_by_layer.get(solution.cnot_count, 1.0), solution.distance
             )
         layers = sorted(best_by_layer)
         # Non-strictly decreasing overall trend: last depth beats depth 0.
         assert best_by_layer[layers[-1]] <= best_by_layer[0] + 1e-9
-        assert report.layers_explored == 4
-        assert report.instantiations > 4
+        counters = registry.snapshot()["counters"]
+        assert counters["leap.layers"] == 4
+        assert counters["leap.instantiations"] == 1 + 4 * 3
 
     def test_dimension_must_be_power_of_two(self):
         with pytest.raises(SynthesisError):
             synthesize(np.eye(3))
+        with pytest.raises(SynthesisError):
+            synthesize(np.eye(1))
+
+    def test_a_structure_is_its_placements(self):
+        """The template is fixed, so the search-budget knobs are the whole
+        config and (qubits, placements) the whole structure."""
+        assert [f.name for f in fields(LeapConfig)] == [
+            "max_layers",
+            "solutions_per_layer",
+            "instantiation_starts",
+            "max_optimizer_iterations",
+            "seed",
+            "target_distance",
+        ]
+        assert [f.name for f in fields(SynthesisSolution)] == [
+            "num_qubits",
+            "placements",
+            "params",
+            "distance",
+        ]
 
 
 class TestTwoQubitDecomposition:
