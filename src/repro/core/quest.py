@@ -72,7 +72,6 @@ class QuestConfig:
     max_block_qubits: int = 3
     max_samples: int = 16
     threshold_per_block: float = 0.10
-    weight: float = 0.5
     max_layers_per_block: int = 8
     solutions_per_layer: int = 3
     instantiation_starts: int = 2
@@ -499,7 +498,6 @@ def _run_pipeline(
         pools=result.pools,
         threshold=result.threshold,
         original_cnot_count=baseline.cnot_count(),
-        weight=config.weight,
     )
     start = time.perf_counter()
     with tracer.span("quest.selection", blocks=len(result.pools)):

@@ -1,14 +1,15 @@
 """Noise substrate: Pauli models, fake backends, noisy simulators.
 
-Two noisy-evaluation engines share one channel structure:
+Two noisy-evaluation engines read one channel schedule,
+:func:`repro.noise.model.noise_schedule`:
 
 * ``ptm`` — exact superoperator (Pauli-transfer-matrix) contraction,
   batched over the ensemble axis, practical to ~12 qubits;
 * ``trajectories`` — Monte-Carlo Pauli trajectories, for anything wider.
 
-The exact density-matrix simulator (:func:`run_density`, ~9 qubits) is
-not an engine: it stays as the reference the PTM engine is tested
-against.
+The exact density-matrix simulator (:func:`run_density`, ~9 qubits)
+reads it too.  It is not an engine: it stays as the reference the PTM
+engine is tested against.
 """
 
 from repro.exceptions import SimulationError

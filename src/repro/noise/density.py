@@ -14,7 +14,13 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.exceptions import SimulationCapacityError
 from repro.linalg.embed import apply_gate_to_matrix
-from repro.noise.model import NoiseModel, apply_readout_error, pauli_matrix
+from repro.noise.model import (
+    PAULI_MATRICES,
+    NoiseModel,
+    PauliChannel,
+    apply_readout_error,
+    noise_schedule,
+)
 
 #: Hard cap for exact density-matrix simulation.
 MAX_DENSITY_QUBITS = 9
@@ -30,26 +36,17 @@ def _conjugate_apply(
 
 
 def _apply_pauli_channel(
-    rho: np.ndarray,
-    terms: list[tuple[float, np.ndarray]],
-    qubits: tuple[int, ...],
-    num_qubits: int,
+    rho: np.ndarray, channel: PauliChannel, num_qubits: int
 ) -> np.ndarray:
-    """Apply a Pauli channel given ``(probability, matrix)`` terms."""
-    if not terms:
-        return rho
+    """Apply one scheduled Pauli channel exactly."""
+    terms = channel.terms
     total_error = sum(p for p, _ in terms)
     out = (1.0 - total_error) * rho
-    for probability, pauli in terms:
-        out = out + probability * _conjugate_apply(rho, pauli, qubits, num_qubits)
+    for probability, label in terms:
+        out = out + probability * _conjugate_apply(
+            rho, PAULI_MATRICES[label], channel.qubits, num_qubits
+        )
     return out
-
-
-def _materialized_terms(
-    terms: list[tuple[float, str]],
-) -> list[tuple[float, np.ndarray]]:
-    """Resolve ``(probability, label)`` terms to dense Pauli matrices."""
-    return [(probability, pauli_matrix(label)) for probability, label in terms]
 
 
 def run_density(
@@ -58,8 +55,9 @@ def run_density(
     """Return the exact noisy output distribution of ``circuit``.
 
     Starts in ``|0...0><0...0|``, applies every unitary operation followed
-    by the model's Pauli channel, traces out nothing (all qubits are
-    measured), and finally applies the readout confusion.
+    by the Pauli channels :func:`~repro.noise.model.noise_schedule` puts
+    after it, traces out nothing (all qubits are measured), and finally
+    applies the readout confusion.
     """
     num_qubits = circuit.num_qubits
     if num_qubits > MAX_DENSITY_QUBITS:
@@ -80,62 +78,10 @@ def run_density(
     dim = 2**num_qubits
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
-    idle_terms = (
-        _materialized_terms(
-            [(noise.idle_decoherence / 3.0, p) for p in ("X", "Y", "Z")]
-        )
-        if noise.idle_decoherence > 0.0
-        else []
-    )
-    # Channel terms depend only on gate arity: build the per-arity
-    # (probability, matrix) lists once instead of re-resolving every
-    # Pauli label inside the per-operation loop.
-    terms_by_arity: dict[int, list[tuple[float, np.ndarray]]] = {}
-
-    def _channel_terms(arity: int) -> list[tuple[float, np.ndarray]]:
-        if arity not in terms_by_arity:
-            terms_by_arity[arity] = _materialized_terms(
-                noise.pauli_terms(arity)
-            )
-        return terms_by_arity[arity]
-
-    # Gate matrices depend only on (name, params): Trotterized circuits
-    # repeat a handful of gates hundreds of times, and ``gate.matrix()``
-    # re-materializes a fresh array on every call.
-    gate_matrices: dict[tuple[str, tuple[float, ...]], np.ndarray] = {}
-
-    def _gate_matrix(op) -> np.ndarray:
-        key = (op.name, op.params)
-        matrix = gate_matrices.get(key)
-        if matrix is None:
-            matrix = gate_matrices[key] = op.gate.matrix()
-        return matrix
-
-    for op in circuit.operations:
-        if op.name in ("measure", "barrier"):
-            continue
-        rho = _conjugate_apply(rho, _gate_matrix(op), op.qubits, num_qubits)
-        terms = _channel_terms(len(op.qubits))
-        if terms:
-            if len(op.qubits) <= 2:
-                rho = _apply_pauli_channel(rho, terms, op.qubits, num_qubits)
-            else:
-                # Charge wider gates one two-qubit channel per qubit pair.
-                pairs = [
-                    (op.qubits[i], op.qubits[i + 1])
-                    for i in range(len(op.qubits) - 1)
-                ]
-                for pair in pairs:
-                    rho = _apply_pauli_channel(
-                        rho, _channel_terms(2), pair, num_qubits
-                    )
-        if idle_terms:
-            # Decoherence on the qubits idling while this gate executes.
-            for qubit in range(num_qubits):
-                if qubit not in op.qubits:
-                    rho = _apply_pauli_channel(
-                        rho, idle_terms, (qubit,), num_qubits
-                    )
+    for gate, qubits, channels in noise_schedule(circuit, noise):
+        rho = _conjugate_apply(rho, gate, qubits, num_qubits)
+        for channel in channels:
+            rho = _apply_pauli_channel(rho, channel, num_qubits)
     probs = np.real(np.diag(rho)).copy()
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()

@@ -11,15 +11,20 @@ on real devices is about an order of magnitude above the one-qubit rate.
   non-identity Paulis) with probability ``two_qubit_error``;
 * a symmetric readout bit-flip with probability ``readout_error`` per
   qubit.
+
+:func:`noise_schedule` lists the channels that follow each gate; the
+density, PTM and trajectory engines all read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.circuits.circuit import Circuit
 from repro.exceptions import NoiseModelError
 
 _PAULI_1Q = {
@@ -51,14 +56,23 @@ def pauli_matrix(label: str) -> np.ndarray:
     return matrix
 
 
+#: Dense matrix of every one- and two-qubit Pauli error label, read-only.
+PAULI_MATRICES: dict[str, np.ndarray] = {
+    label: pauli_matrix(label) for label in ONE_QUBIT_PAULIS + TWO_QUBIT_PAULIS
+}
+for _matrix in PAULI_MATRICES.values():
+    _matrix.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Gate-level Pauli noise plus readout error.
 
-    ``idle_decoherence`` adds a small extra one-qubit Pauli error per
-    circuit *layer* on idle qubits, modelling decoherence during long
-    circuits — longer circuits decohere more, which is the mechanism the
-    paper's CNOT-count reduction targets.
+    ``idle_decoherence`` adds a small extra one-qubit Pauli error on
+    every qubit a gate leaves idle, once per operation (see
+    :func:`noise_schedule`), modelling decoherence during long circuits
+    — longer circuits decohere more, which is the mechanism the paper's
+    CNOT-count reduction targets.
     """
 
     one_qubit_error: float = 0.001
@@ -105,25 +119,65 @@ class NoiseModel:
             and self.idle_decoherence == 0.0
         )
 
-    def error_probability(self, gate_qubits: int) -> float:
-        """Pauli-error probability after a gate of the given arity."""
-        if gate_qubits == 1:
-            return self.one_qubit_error
-        if gate_qubits == 2:
-            return self.two_qubit_error
-        # Wider gates are charged the two-qubit rate per constituent CNOT
-        # elsewhere; as a direct channel, use the two-qubit rate.
-        return self.two_qubit_error
 
-    def pauli_terms(self, gate_qubits: int) -> list[tuple[float, str]]:
-        """Return ``(probability, label)`` error terms for a gate arity."""
-        probability = self.error_probability(gate_qubits)
-        if probability == 0.0:
-            return []
-        if gate_qubits == 1:
-            return [(probability / 3.0, p) for p in ONE_QUBIT_PAULIS]
-        labels = TWO_QUBIT_PAULIS
-        return [(probability / len(labels), p) for p in labels]
+class PauliChannel(NamedTuple):
+    """A Pauli error on ``qubits``: with total ``probability``, one of
+    ``labels`` (little-endian, like :func:`pauli_matrix`) uniformly."""
+
+    qubits: tuple[int, ...]
+    probability: float
+    labels: tuple[str, ...]
+
+    @property
+    def terms(self) -> tuple[tuple[float, str], ...]:
+        """``(probability, label)`` per label; the identity keeps the rest."""
+        share = self.probability / len(self.labels)
+        return tuple((share, label) for label in self.labels)
+
+
+def noise_schedule(
+    circuit: Circuit, noise: NoiseModel
+) -> list[tuple[np.ndarray, tuple[int, ...], tuple[PauliChannel, ...]]]:
+    """``(matrix, qubits, channels)`` per unitary operation, in order.
+
+    ``measure`` and ``barrier`` are dropped.  After a one- or two-qubit
+    gate comes its channel of 3 or 15 non-identity Paulis at that
+    arity's rate, after a wider gate one two-qubit channel per
+    consecutive pair of its qubits; then every qubit the gate leaves
+    idle decoheres, in qubit order, once per operation (not per layer).
+    A channel of rate 0 is never built, and each gate matrix is built
+    once per ``(name, params)``.
+    """
+    num_qubits = circuit.num_qubits
+    matrices: dict[tuple, np.ndarray] = {}
+    schedule = []
+    for op in circuit.operations:
+        if op.name in ("measure", "barrier"):
+            continue
+        key = (op.name, op.params)
+        matrix = matrices.get(key)
+        if matrix is None:
+            matrix = matrices[key] = op.gate.matrix()
+        qubits = op.qubits
+        channels: list[PauliChannel] = []
+        if len(qubits) == 1:
+            if noise.one_qubit_error > 0.0:
+                channels.append(
+                    PauliChannel(qubits, noise.one_qubit_error, ONE_QUBIT_PAULIS)
+                )
+        elif noise.two_qubit_error > 0.0:
+            channels += [
+                PauliChannel(pair, noise.two_qubit_error, TWO_QUBIT_PAULIS)
+                for pair in zip(qubits, qubits[1:])
+            ]
+        if noise.idle_decoherence > 0.0:
+            channels += [
+                PauliChannel((qubit,), noise.idle_decoherence, ONE_QUBIT_PAULIS)
+                for qubit in range(num_qubits)
+                if qubit not in qubits
+            ]
+        schedule.append((matrix, qubits, tuple(channels)))
+    return schedule
 
 
 def readout_confusion(readout_error: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Superoperator (Pauli-transfer-matrix) noise engine.
 
-Exact like :func:`repro.noise.density.run_density`, but structured for
+Exact like :func:`repro.noise.density.run_density`, and reading the same
+channels, :func:`repro.noise.model.noise_schedule`, but structured for
 throughput: every gate-plus-channel pair is compiled *once* into a real
 ``4^k x 4^k`` Pauli-transfer matrix (PTM), and a whole noisy ensemble
 then evolves as batched PTM contractions over Pauli-basis density
@@ -52,9 +53,9 @@ import numpy as np
 from repro.circuits.circuit import Circuit
 from repro.exceptions import SimulationCapacityError, SimulationError
 from repro.noise.model import (
-    ONE_QUBIT_PAULIS,
     NoiseModel,
     apply_readout_error,
+    noise_schedule,
     pauli_matrix,
 )
 from repro.observability import get_metrics, get_tracer
@@ -108,9 +109,10 @@ def channel_diagonal(
 ) -> np.ndarray:
     """PTM of a Pauli channel on ``arity`` qubits: a ``4^arity`` diagonal.
 
-    ``terms`` are ``(probability, label)`` pairs as produced by
-    :meth:`NoiseModel.pauli_terms`; the identity keeps the residual
-    weight.  Diagonality is exact: ``P_a P_j P_a = +- P_j``.
+    ``terms`` are ``(probability, label)`` pairs as
+    :attr:`~repro.noise.model.PauliChannel.terms` gives them; the
+    identity keeps the residual weight.  Diagonality is exact:
+    ``P_a P_j P_a = +- P_j``.
     """
     labels = _pauli_labels(arity)
     total = sum(p for p, _ in terms)
@@ -346,10 +348,9 @@ def compile_circuit(
 ) -> PtmProgram:
     """Compile ``circuit`` + ``noise`` into a :class:`PtmProgram`.
 
-    Mirrors the channel structure of ``run_density`` exactly: each
-    gate's Pauli channel follows it (fused into one PTM for arity <= 2),
-    wider gates are charged one two-qubit channel per consecutive pair,
-    and idle qubits decohere once per operation.
+    The ops follow :func:`~repro.noise.model.noise_schedule`: each gate
+    becomes one PTM, and each channel after it a diagonal op, except a
+    one- or two-qubit gate's own channel, which fuses into its PTM.
     """
     cache = _DEFAULT_CACHE if cache is None else cache
     return cache.program(
@@ -361,45 +362,25 @@ def compile_circuit(
 def _compile_circuit(
     circuit: Circuit, noise: NoiseModel, cache: PtmCache
 ) -> PtmProgram:
-    """Program-cache miss path: walk the ops through the gate cache."""
-    num_qubits = circuit.num_qubits
-    idle_diag = None
-    if noise.idle_decoherence > 0.0:
-        idle_terms = tuple(
-            (noise.idle_decoherence / 3.0, p) for p in ONE_QUBIT_PAULIS
-        )
-        idle_diag = cache.channel_diag(idle_terms, 1)
+    """Program-cache miss path: walk the schedule through the gate cache."""
     ops: list[PtmOp] = []
-    for op in circuit.operations:
-        if op.name in ("measure", "barrier"):
-            continue
-        arity = len(op.qubits)
-        if arity <= 2:
-            ptm = cache.gate_channel_ptm(
-                op.gate.matrix(), tuple(noise.pauli_terms(arity)), arity
+    for gate, qubits, channels in noise_schedule(circuit, noise):
+        fused = ()
+        if channels and channels[0].qubits == qubits:
+            # Only a one- or two-qubit gate's own channel sits on its
+            # qubits; channel-after-gate composes into one PTM.
+            fused, channels = channels[0].terms, channels[1:]
+        ops.append(
+            PtmOp(qubits, matrix=cache.gate_channel_ptm(gate, fused, len(qubits)))
+        )
+        ops += [
+            PtmOp(
+                channel.qubits,
+                diag=cache.channel_diag(channel.terms, len(channel.qubits)),
             )
-            ops.append(PtmOp(op.qubits, matrix=ptm))
-        else:
-            ops.append(
-                PtmOp(
-                    op.qubits,
-                    matrix=cache.gate_channel_ptm(op.gate.matrix(), (), arity),
-                )
-            )
-            pair_terms = tuple(noise.pauli_terms(2))
-            if pair_terms:
-                pair_diag = cache.channel_diag(pair_terms, 2)
-                for i in range(arity - 1):
-                    ops.append(
-                        PtmOp(
-                            (op.qubits[i], op.qubits[i + 1]), diag=pair_diag
-                        )
-                    )
-        if idle_diag is not None:
-            for qubit in range(num_qubits):
-                if qubit not in op.qubits:
-                    ops.append(PtmOp((qubit,), diag=idle_diag))
-    return PtmProgram(num_qubits, tuple(ops))
+            for channel in channels
+        ]
+    return PtmProgram(circuit.num_qubits, tuple(ops))
 
 
 def _initial_pauli_vector(num_qubits: int) -> np.ndarray:

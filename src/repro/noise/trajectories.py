@@ -1,11 +1,13 @@
 """Monte-Carlo Pauli-trajectory noisy simulation.
 
 Scales past the density-matrix cap: each trajectory evolves a statevector
-and stochastically injects a Pauli error after each gate with the model's
-probability.  Averaging many trajectories converges to the density-matrix
-result (a unit test checks this agreement on small circuits).
+and stochastically injects a Pauli error at each channel that
+:func:`repro.noise.model.noise_schedule` puts after a gate, with that
+channel's probability.  Averaging many trajectories converges to the
+density-matrix result (a unit test checks this agreement on small
+circuits).
 
-The Pauli-error outcome of every (error site, trajectory) pair is
+The Pauli-error outcome of every (channel, trajectory) pair is
 sampled *before* evolution.  The trajectories then evolve together, as
 ``(rows, 2^n)`` slabs of at most :data:`MAX_BATCHED_STATE_BYTES`: every
 gate is one :func:`~repro.linalg.embed.apply_gate_to_states` contraction
@@ -21,23 +23,18 @@ engine to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.exceptions import SimulationCapacityError, SimulationError
 from repro.linalg.embed import apply_gate_to_states
 from repro.noise.model import (
-    ONE_QUBIT_PAULIS,
-    TWO_QUBIT_PAULIS,
+    PAULI_MATRICES,
     NoiseModel,
+    PauliChannel,
     apply_readout_error,
-    pauli_matrix,
+    noise_schedule,
 )
-
-_PAULI_CACHE = {label: pauli_matrix(label) for label in ONE_QUBIT_PAULIS}
-_PAULI_CACHE.update({label: pauli_matrix(label) for label in TWO_QUBIT_PAULIS})
 
 #: Hard qubit ceiling for the trajectory sampler: one statevector is
 #: ``2^n`` complexes (256 MiB at n=24); past this even a single
@@ -66,15 +63,6 @@ def _check_capacity(num_qubits: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _ErrorSite:
-    """One stochastic Pauli-error insertion point in the unrolled circuit."""
-
-    qubits: tuple[int, ...]
-    probability: float
-    labels: tuple[str, ...]
-
-
 def _pauli_application(
     label: str, qubits: tuple[int, ...]
 ) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -85,82 +73,33 @@ def _pauli_application(
     first listed qubit).
     """
     if len(label) == 2 and label[0] == "I":
-        return _PAULI_CACHE[label[1]], (qubits[0],)
+        return PAULI_MATRICES[label[1]], (qubits[0],)
     if len(label) == 2 and label[1] == "I":
-        return _PAULI_CACHE[label[0]], (qubits[1],)
-    return _PAULI_CACHE[label], qubits
-
-
-def _error_sites(
-    ops: list, num_qubits: int, noise: NoiseModel
-) -> list[list[_ErrorSite]]:
-    """Enumerate the error sites following each operation, in order.
-
-    Mirrors the channel structure of :func:`repro.noise.density.run_density`:
-    one-qubit gates draw from the 3 Paulis, two-qubit gates from the 15,
-    wider gates are charged one two-qubit channel per consecutive pair,
-    and idle qubits decohere once per operation.
-    """
-    per_op: list[list[_ErrorSite]] = []
-    for op in ops:
-        sites: list[_ErrorSite] = []
-        arity = len(op.qubits)
-        if arity == 1:
-            sites.append(
-                _ErrorSite(op.qubits, noise.one_qubit_error, ONE_QUBIT_PAULIS)
-            )
-        elif arity == 2:
-            sites.append(
-                _ErrorSite(op.qubits, noise.two_qubit_error, TWO_QUBIT_PAULIS)
-            )
-        else:
-            for i in range(arity - 1):
-                sites.append(
-                    _ErrorSite(
-                        (op.qubits[i], op.qubits[i + 1]),
-                        noise.two_qubit_error,
-                        TWO_QUBIT_PAULIS,
-                    )
-                )
-        if noise.idle_decoherence > 0.0:
-            for qubit in range(num_qubits):
-                if qubit not in op.qubits:
-                    sites.append(
-                        _ErrorSite(
-                            (qubit,), noise.idle_decoherence, ONE_QUBIT_PAULIS
-                        )
-                    )
-        per_op.append(sites)
-    return per_op
+        return PAULI_MATRICES[label[0]], (qubits[1],)
+    return PAULI_MATRICES[label], qubits
 
 
 def _sample_outcomes(
-    sites: list[_ErrorSite], trajectories: int, rng: np.random.Generator
+    channels: list[PauliChannel], trajectories: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pre-sample every (site, trajectory) error outcome.
+    """Pre-sample every (channel, trajectory) error outcome.
 
-    Returns an ``(num_sites, T)`` int array: ``-1`` means no error, a
-    non-negative entry indexes into that site's label tuple.  Sampling is
-    vectorized per site and draws every outcome of the run up front, so
-    the RNG stream does not depend on how the trajectories are slabbed.
+    Returns an ``(num_channels, T)`` int array: ``-1`` means no error, a
+    non-negative entry indexes into that channel's labels.  Sampling is
+    vectorized per channel and draws every outcome of the run up front,
+    so the RNG stream does not depend on how the trajectories are slabbed.
     """
-    outcomes = np.full((len(sites), trajectories), -1, dtype=np.int64)
-    for row, site in enumerate(sites):
-        if site.probability <= 0.0:
-            continue
-        hits = rng.random(trajectories) < site.probability
+    outcomes = np.full((len(channels), trajectories), -1, dtype=np.int64)
+    for row, channel in enumerate(channels):
+        hits = rng.random(trajectories) < channel.probability
         count = int(np.count_nonzero(hits))
         if count:
-            outcomes[row, hits] = rng.integers(len(site.labels), size=count)
+            outcomes[row, hits] = rng.integers(len(channel.labels), size=count)
     return outcomes
 
 
 def _evolve_slab(
-    ops: list,
-    gate_matrices: list[np.ndarray],
-    sites_per_op: list[list[_ErrorSite]],
-    outcomes: np.ndarray,
-    num_qubits: int,
+    schedule: list, outcomes: np.ndarray, num_qubits: int
 ) -> np.ndarray:
     """Evolve one slab, the trajectories of ``outcomes``' columns, as one
     batch; returns their summed distribution."""
@@ -168,9 +107,9 @@ def _evolve_slab(
     states = np.zeros((outcomes.shape[1], dim), dtype=complex)
     states[:, 0] = 1.0
     row = 0
-    for op, gate, sites in zip(ops, gate_matrices, sites_per_op):
-        states = apply_gate_to_states(states, gate, op.qubits, num_qubits)
-        for site in sites:
+    for gate, qubits, channels in schedule:
+        states = apply_gate_to_states(states, gate, qubits, num_qubits)
+        for channel in channels:
             sampled = outcomes[row]
             row += 1
             hit = sampled >= 0
@@ -178,11 +117,11 @@ def _evolve_slab(
                 continue
             for label_index in np.unique(sampled[hit]):
                 mask = sampled == label_index
-                matrix, qubits = _pauli_application(
-                    site.labels[int(label_index)], site.qubits
+                matrix, targets = _pauli_application(
+                    channel.labels[int(label_index)], channel.qubits
                 )
                 states[mask] = apply_gate_to_states(
-                    states[mask], matrix, qubits, num_qubits
+                    states[mask], matrix, targets, num_qubits
                 )
     probs = np.abs(states) ** 2
     totals = probs.sum(axis=1)
@@ -212,21 +151,17 @@ def run_trajectories(
     _check_capacity(circuit.num_qubits)
     rng = np.random.default_rng(rng)
     num_qubits = circuit.num_qubits
-    ops = [op for op in circuit.operations if op.name not in ("measure", "barrier")]
-    # Per-circuit constants, shared by every slab.
-    gate_matrices = [op.gate.matrix() for op in ops]
-    sites_per_op = _error_sites(ops, num_qubits, noise)
-    flat_sites = [site for sites in sites_per_op for site in sites]
-    outcomes = _sample_outcomes(flat_sites, trajectories, rng)
+    schedule = noise_schedule(circuit, noise)
+    outcomes = _sample_outcomes(
+        [channel for _, _, channels in schedule for channel in channels],
+        trajectories,
+        rng,
+    )
     rows = max(1, MAX_BATCHED_STATE_BYTES // (2**num_qubits * _COMPLEX_BYTES))
     accumulated = np.zeros(2**num_qubits)
     for start in range(0, trajectories, rows):
         accumulated += _evolve_slab(
-            ops,
-            gate_matrices,
-            sites_per_op,
-            outcomes[:, start : start + rows],
-            num_qubits,
+            schedule, outcomes[:, start : start + rows], num_qubits
         )
     probs = accumulated / trajectories
     return apply_readout_error(probs, num_qubits, noise.readout_error)

@@ -135,8 +135,9 @@ def _synthesize_solutions_task(
     return solutions, time.perf_counter() - start
 
 
-def _attempt_task(task, injector, observed, index, attempt, block, config, seed):
-    """One synthesis attempt: ``task`` between the injector's fault hooks.
+def _attempt_task(injector, observed, index, attempt, block, config, seed):
+    """One synthesis attempt: :func:`_synthesize_solutions_task` between
+    the injector's fault hooks.
 
     Runs in a worker process, or inline in the parent.  A worker process
     cannot write the parent's trace sink, so with ``observed`` set the
@@ -161,7 +162,7 @@ def _attempt_task(task, injector, observed, index, attempt, block, config, seed)
             )
         if injector is not None:
             injector.on_synthesis_start(index, attempt)
-        solutions, elapsed = task(block, config, seed)
+        solutions, elapsed = _synthesize_solutions_task(block, config, seed)
         if injector is not None:
             solutions = injector.corrupt_solutions(index, attempt, solutions)
     telemetry = (sink.records, metrics.snapshot()) if observed else None
@@ -263,7 +264,6 @@ class _RunState:
     """Everything one :meth:`BlockSynthesisExecutor.run` call mutates."""
 
     config: object
-    task: object
     stats: BlockSynthesisStats
     #: One plan per block, in block order.
     plans: list[_BlockPlan] = field(default_factory=list)
@@ -301,10 +301,6 @@ class BlockSynthesisExecutor:
         cooperative deadline (:mod:`repro.resilience.deadline`) on the
         inline path.  A block that exceeds it is retried and ultimately
         falls back to its exact pool.
-    synthesize_fn:
-        Override of the worker task, for testing/instrumentation.  Must
-        be a module-level callable with the signature of
-        :func:`_synthesize_solutions_task`.
     max_attempts:
         Synthesis attempts per block before the exact-pool fallback
         (``1``, the default, means no retries).  Every attempt reruns
@@ -329,7 +325,6 @@ class BlockSynthesisExecutor:
         workers: int = 1,
         cache: PoolCache | None = None,
         hard_timeout: float | None = None,
-        synthesize_fn=None,
         max_attempts: int = 1,
         fault_injector=None,
         worker_pool: PersistentWorkerPool | None = None,
@@ -342,7 +337,6 @@ class BlockSynthesisExecutor:
         self.workers = int(workers)
         self.cache = cache
         self.hard_timeout = hard_timeout
-        self._synthesize_fn = synthesize_fn
         self.max_attempts = int(max_attempts)
         self.fault_injector = fault_injector
         #: Externally owned pool (the batch driver shares one across
@@ -365,11 +359,6 @@ class BlockSynthesisExecutor:
             )
         state = _RunState(
             config=config,
-            task=(
-                self._synthesize_fn
-                if self._synthesize_fn is not None
-                else _synthesize_solutions_task
-            ),
             stats=BlockSynthesisStats(block_seconds=[0.0] * len(blocks)),
         )
         self._plan(state, blocks, seeds)
@@ -531,7 +520,7 @@ class BlockSynthesisExecutor:
             def fetch():
                 with block_deadline(self.hard_timeout):
                     return _attempt_task(
-                        state.task, self.fault_injector, False,
+                        self.fault_injector, False,
                         index, attempt, block, state.config, seed,
                     )
 
@@ -562,7 +551,7 @@ class BlockSynthesisExecutor:
             metrics.inc("pool.rounds")
         futures = {
             key: state.pool.submit(
-                _attempt_task, state.task, self.fault_injector, observed,
+                _attempt_task, self.fault_injector, observed,
                 index, attempt, block, state.config, seed,
             )
             for key, (index, block, seed) in jobs.items()

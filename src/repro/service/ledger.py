@@ -2,8 +2,10 @@
 
 Every admitted job gets one file, ``job-<id>.json``, holding a
 checksummed envelope around the JSON :class:`~repro.service.protocol.
-JobRecord`, published atomically: write temp, flush, ``fsync``,
-``rename``, then fsync the directory.  A SIGKILL at any instant leaves
+JobRecord`, published the way the artifact store publishes an entry
+(:func:`repro.store.artifact.write_atomically`): write a temp file
+unique to the writer, flush, ``fsync``, ``rename``, then fsync the
+directory.  A SIGKILL at any instant leaves
 either the previous record or the new one, never a torn file under the
 final name; an entry that *does* fail its checksum (bit rot, a partial
 copy) is quarantined — counted as ``ledger.quarantined`` in the ambient
@@ -32,28 +34,13 @@ from pathlib import Path
 from repro.exceptions import ServiceError
 from repro.observability import get_logger, get_metrics
 from repro.service.protocol import JobRecord
-from repro.store.artifact import fsync_directory
+from repro.store.artifact import write_atomically
 
 #: Bump when the envelope layout changes; old entries are quarantined.
 LEDGER_VERSION = 1
 
 _ENTRY_PREFIX = "job-"
 _ENTRY_SUFFIX = ".json"
-
-
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``path``: write temp, fsync, rename, fsync dir."""
-    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
-    fsync_directory(path.parent)
 
 
 def _job_id_component(job_id: str) -> str:
@@ -96,7 +83,7 @@ class JobLedger:
             "checksum": hashlib.sha256(payload).hexdigest(),
             "record": payload.decode(),
         }
-        _atomic_write_bytes(
+        write_atomically(
             self._entry_path(record.job_id),
             json.dumps(envelope, indent=1).encode(),
         )

@@ -101,10 +101,31 @@ def shard_of(key: str) -> str:
     return prefix.ljust(SHARD_CHARS, "0")
 
 
-def fsync_directory(directory: str | os.PathLike) -> None:
-    """Make a rename inside ``directory`` durable (POSIX; best effort)."""
+def write_atomically(path: Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``path``, safe against concurrent writers.
+
+    Each writer fsyncs its own :func:`tempfile.mkstemp` file beside
+    ``path``, ``os.replace``s it into place and fsyncs the directory, so
+    readers see a complete old or new file that survives a crash.  On
+    :class:`OSError` the temp file is removed and the error propagates.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name[:16]}-", suffix=TMP_SUFFIX
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    # Makes the rename durable; best effort, as not every platform can
+    # fsync a directory.
     with contextlib.suppress(OSError):
-        directory_fd = os.open(directory, os.O_RDONLY)
+        directory_fd = os.open(path.parent, os.O_RDONLY)
         try:
             os.fsync(directory_fd)
         finally:
@@ -196,10 +217,10 @@ class ArtifactStore:
         """Atomically publish ``blob`` as entry ``key``.
 
         Safe against concurrent publishers of the same key in this or
-        any other process: each writer owns a unique temp file and the
-        final ``os.replace`` is atomic, so readers see either the old
-        complete entry or the new complete entry, never a mix.  The
-        bytes and the rename are both fsynced before this returns.
+        any other process (:func:`write_atomically`): readers see
+        either the old complete entry or the new complete entry, never
+        a mix.  The bytes and the rename are both fsynced before this
+        returns.
         Returns False when the disk tier is unavailable (best-effort
         semantics: the entry is not persisted, and the run that produced
         it still uses its result).
@@ -207,24 +228,12 @@ class ArtifactStore:
         shard = shard_of(key)
         shard_dir = self._dir / shard
         path = shard_dir / f"{key}{ENTRY_SUFFIX}"
-        tmp = None
         try:
             shard_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=shard_dir, prefix=f".{key[:16]}-", suffix=TMP_SUFFIX
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
             existed = path.exists()
-            os.replace(tmp, path)
+            write_atomically(path, blob)
         except OSError:
-            if tmp is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
             return False
-        fsync_directory(shard_dir)
         now = time.time()
         with self._lock:
             if self._meta_ready:

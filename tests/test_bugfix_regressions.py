@@ -22,6 +22,7 @@ from repro.core.annealing import select_approximations
 from repro.core.quest import QuestConfig
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
+from repro.resilience.faults import parse_fault_spec
 from repro.resilience.retry import FAILURE_FALLBACK
 from repro.transpile.basis import lower_to_basis
 
@@ -129,10 +130,6 @@ CONFIG = QuestConfig(
 )
 
 
-def _always_fails(block, config, seed):
-    raise RuntimeError("synthetic synthesis failure")
-
-
 def test_fallback_degradation_is_recorded_structurally():
     """The exact-pool downgrade must leave a FailureRecord, not only a
     RuntimeWarning."""
@@ -141,8 +138,8 @@ def test_fallback_degradation_is_recorded_structurally():
     rng = np.random.default_rng(CONFIG.seed)
     seeds = [int(rng.integers(2**31 - 1)) for _ in blocks]
     runner = BlockSynthesisExecutor(
-        synthesize_fn=_always_fails,
         max_attempts=2,
+        fault_injector=parse_fault_spec("raise@*:0,raise@*:1"),
     )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
         pools, stats = runner.run(blocks, CONFIG, seeds)
@@ -156,7 +153,7 @@ def test_fallback_degradation_is_recorded_structurally():
     for record in fallback_records:
         assert record.attempt == 2  # terminal: after max_attempts
         assert "degraded to exact block" in record.message
-        assert "RuntimeError" in record.message
+        assert "InjectedFault" in record.message
     # Serializes cleanly for artifacts/CLI like every other record.
     assert all(
         r.as_dict()["kind"] == FAILURE_FALLBACK for r in fallback_records

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,12 @@ from repro.noise import (
     run_density,
     run_trajectories,
 )
-from repro.noise.model import ONE_QUBIT_PAULIS, TWO_QUBIT_PAULIS
+from repro.noise.model import (
+    ONE_QUBIT_PAULIS,
+    TWO_QUBIT_PAULIS,
+    PauliChannel,
+    noise_schedule,
+)
 from repro.sim import ideal_distribution
 from tests.trajectory_oracle import scalar_trajectories
 
@@ -55,14 +62,72 @@ def test_from_noise_level_hierarchy():
     assert model.readout_error == pytest.approx(0.01)
 
 
-def test_pauli_terms_sum_to_rate():
+def test_channel_terms_sum_to_rate():
     model = NoiseModel(one_qubit_error=0.03, two_qubit_error=0.12)
-    terms1 = model.pauli_terms(1)
-    assert sum(p for p, _ in terms1) == pytest.approx(0.03)
-    terms2 = model.pauli_terms(2)
-    assert len(terms2) == 15
-    assert sum(p for p, _ in terms2) == pytest.approx(0.12)
-    assert NoiseModel.noiseless().pauli_terms(2) == []
+    circuit = Circuit(2)
+    circuit.h(0)
+    circuit.cx(0, 1)
+    (_, _, (one,)), (_, _, (two,)) = noise_schedule(circuit, model)
+    assert sum(p for p, _ in one.terms) == pytest.approx(0.03)
+    assert len(two.terms) == 15
+    assert sum(p for p, _ in two.terms) == pytest.approx(0.12)
+    noiseless = noise_schedule(circuit, NoiseModel.noiseless())
+    assert [channels for _, _, channels in noiseless] == [(), ()]
+
+
+def _idle(qubit, rate):
+    return PauliChannel((qubit,), rate, ONE_QUBIT_PAULIS)
+
+
+def test_noise_schedule_contract():
+    # Every engine reads this schedule, so it pins which channel follows
+    # which gate, in order: the gate's own channel (or one per
+    # consecutive pair of a wider gate's qubits), then one channel per
+    # idle qubit.  Measurements and barriers get no entry.
+    circuit = Circuit(4)
+    circuit.h(0)
+    circuit.cx(1, 2)
+    circuit.ccx(0, 1, 3)
+    circuit.measure(2)
+    circuit.barrier()
+    model = NoiseModel(one_qubit_error=0.01, two_qubit_error=0.02,
+                       readout_error=0.03, idle_decoherence=0.004)
+    schedule = noise_schedule(circuit, model)
+    assert [qubits for _, qubits, _ in schedule] == [(0,), (1, 2), (0, 1, 3)]
+    for (matrix, _, _), op in zip(schedule, circuit.operations):
+        np.testing.assert_array_equal(matrix, op.gate.matrix())
+    expected = [
+        [PauliChannel((0,), 0.01, ONE_QUBIT_PAULIS),
+         _idle(1, 0.004), _idle(2, 0.004), _idle(3, 0.004)],
+        [PauliChannel((1, 2), 0.02, TWO_QUBIT_PAULIS),
+         _idle(0, 0.004), _idle(3, 0.004)],
+        [PauliChannel((0, 1), 0.02, TWO_QUBIT_PAULIS),
+         PauliChannel((1, 3), 0.02, TWO_QUBIT_PAULIS),
+         _idle(2, 0.004)],
+    ]
+    assert [list(channels) for _, _, channels in schedule] == expected
+    # The rates differ, so each kind of channel is the set at its rate:
+    # a rate of 0 removes exactly that kind (an idle rate of 0, every
+    # idle channel).
+    for name in ("one_qubit_error", "two_qubit_error", "idle_decoherence"):
+        rate = getattr(model, name)
+        quieter = noise_schedule(circuit, replace(model, **{name: 0.0}))
+        assert [list(channels) for _, _, channels in quieter] == [
+            [c for c in channels if c.probability != rate] for channels in expected
+        ]
+
+
+def test_noise_schedule_builds_each_gate_matrix_once():
+    circuit = Circuit(2)
+    circuit.h(0)
+    circuit.rx(0.3, 1)
+    circuit.h(1)
+    circuit.rx(0.3, 0)
+    circuit.rx(0.4, 0)
+    matrices = [m for m, _, _ in noise_schedule(circuit, NoiseModel())]
+    assert matrices[0] is matrices[2]
+    assert matrices[1] is matrices[3]
+    assert matrices[4] is not matrices[3]
 
 
 def test_readout_confusion_stochastic():
@@ -181,22 +246,23 @@ def test_trajectory_contractions_do_not_grow_with_trajectories(monkeypatch):
     # one more over the trajectories that drew it.  Evolving trajectory
     # by trajectory would take at least T contractions per gate.
     circuit = tfim(4, steps=1)
-    ops = [op for op in circuit.operations if op.name not in ("measure", "barrier")]
+    model = NoiseModel(one_qubit_error=0.02, two_qubit_error=0.08,
+                       readout_error=0.03, idle_decoherence=0.01)
+    schedule = noise_schedule(circuit, model)
     rows = _count_contractions(monkeypatch)
     for trajectories in (10, 1000):
         rows.clear()
         run_trajectories(circuit, NoiseModel.noiseless(), trajectories, rng=7)
-        assert rows == [trajectories] * len(ops)
+        assert rows == [trajectories] * len(schedule)
 
-    model = NoiseModel(one_qubit_error=0.02, two_qubit_error=0.08,
-                       readout_error=0.03, idle_decoherence=0.01)
-    sites = trajectories_module._error_sites(ops, circuit.num_qubits, model)
-    ceiling = len(ops) + sum(len(site.labels) for per_op in sites for site in per_op)
+    ceiling = len(schedule) + sum(
+        len(channel.labels) for _, _, channels in schedule for channel in channels
+    )
     for trajectories in (ceiling + 1, 4 * ceiling):
         rows.clear()
         run_trajectories(circuit, model, trajectories, rng=7)
         assert rows[0] == trajectories
-        assert len(ops) < len(rows) <= ceiling < trajectories
+        assert len(schedule) < len(rows) <= ceiling < trajectories
 
 
 def test_trajectories_past_the_batch_cap_evolve_in_slabs(monkeypatch):

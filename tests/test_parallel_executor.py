@@ -1,7 +1,8 @@
 """Fault injection and accounting tests for the synthesis executor.
 
-The injected worker tasks are module-level functions so the process-pool
-path can pickle them by reference.
+Faults reach a block the way CI injects them: through a
+:class:`~repro.resilience.faults.FaultInjector` schedule, which fires
+around each synthesis attempt inline and in worker processes alike.
 """
 
 from __future__ import annotations
@@ -11,17 +12,14 @@ import time
 import numpy as np
 import pytest
 
-import repro.parallel.executor as executor_module
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig, QuestTimings, run_quest
 from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache
-from repro.parallel.executor import (
-    BlockSynthesisExecutor,
-    _synthesize_solutions_task,
-)
+from repro.parallel.executor import BlockSynthesisExecutor
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.scan import scan_partition
+from repro.resilience.faults import FaultInjector, parse_fault_spec
 from repro.transpile.basis import lower_to_basis
 
 CONFIG = QuestConfig(
@@ -49,20 +47,9 @@ def _seeds(blocks):
     return [int(rng.integers(2**31 - 1)) for _ in blocks]
 
 
-# Injected worker tasks ------------------------------------------------
-def always_raises(block, config, seed):
-    raise RuntimeError("injected synthesis failure")
-
-
-def raises_for_first_block(block, config, seed):
-    if block.index == 0:
-        raise RuntimeError("injected failure for block 0")
-    return _synthesize_solutions_task(block, config, seed)
-
-
-def sleeps_forever(block, config, seed):
-    time.sleep(5.0)
-    return [], 5.0
+def _hangs(spec: str) -> FaultInjector:
+    """An injector whose ``hang`` faults outlast every hard timeout here."""
+    return FaultInjector(parse_fault_spec(spec).specs, hang_seconds=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +58,9 @@ def sleeps_forever(block, config, seed):
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
 def test_raising_worker_degrades_to_exact_pool(workers):
     blocks = _blocks()
-    runner = BlockSynthesisExecutor(workers=workers, synthesize_fn=always_raises)
+    runner = BlockSynthesisExecutor(
+        workers=workers, fault_injector=parse_fault_spec("raise@*:0")
+    )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
         pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
     assert len(pools) == len(blocks)
@@ -93,7 +82,7 @@ def test_raising_worker_degrades_to_exact_pool(workers):
 def test_partial_failure_only_degrades_the_failing_block():
     blocks = _blocks()
     runner = BlockSynthesisExecutor(
-        workers=1, synthesize_fn=raises_for_first_block
+        workers=1, fault_injector=parse_fault_spec("raise@0:0")
     )
     with pytest.warns(RuntimeWarning):
         pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
@@ -111,7 +100,7 @@ def test_partial_failure_only_degrades_the_failing_block():
 def test_timed_out_worker_degrades_to_exact_pool():
     blocks = _blocks()[:1]
     runner = BlockSynthesisExecutor(
-        workers=2, hard_timeout=0.3, synthesize_fn=sleeps_forever
+        workers=2, hard_timeout=0.3, fault_injector=_hangs("hang@*")
     )
     start = time.perf_counter()
     with pytest.warns(RuntimeWarning, match="TimeoutError"):
@@ -123,12 +112,10 @@ def test_timed_out_worker_degrades_to_exact_pool():
     assert elapsed < 4.0
 
 
-def test_run_quest_completes_despite_universal_worker_failure(monkeypatch):
-    monkeypatch.setattr(
-        executor_module, "_synthesize_solutions_task", always_raises
-    )
+def test_run_quest_completes_despite_universal_worker_failure():
+    faults = parse_fault_spec("raise@*:0,raise@*:1")
     with pytest.warns(RuntimeWarning):
-        result = run_quest(tfim(4, steps=1), CONFIG)
+        result = run_quest(tfim(4, steps=1), CONFIG, fault_injector=faults)
     # Every pool degraded to the exact block, so QUEST returns the
     # baseline itself: a completed run, never a crash.
     assert result.circuits
@@ -153,7 +140,7 @@ def test_retry_rounds_reuse_one_persistent_pool(counters):
     pool = PersistentWorkerPool(2)
     runner = BlockSynthesisExecutor(
         workers=2,
-        synthesize_fn=raises_for_first_block,
+        fault_injector=parse_fault_spec("raise@0:0,raise@0:1"),
         max_attempts=2,
         worker_pool=pool,
     )
@@ -176,7 +163,7 @@ def test_hard_timeout_recycles_the_persistent_pool(counters):
     runner = BlockSynthesisExecutor(
         workers=2,
         hard_timeout=0.3,
-        synthesize_fn=sleeps_forever,
+        fault_injector=_hangs("hang@*:0,hang@*:1"),
         max_attempts=2,
         worker_pool=pool,
     )
@@ -195,7 +182,9 @@ def test_executor_without_external_pool_owns_its_lifecycle():
     """No shared pool supplied: the executor builds one for the run and
     shuts it down on exit (no lingering process pools)."""
     blocks = _blocks()
-    runner = BlockSynthesisExecutor(workers=2, synthesize_fn=always_raises)
+    runner = BlockSynthesisExecutor(
+        workers=2, fault_injector=parse_fault_spec("raise@*:0")
+    )
     with pytest.warns(RuntimeWarning):
         runner.run(blocks, CONFIG, _seeds(blocks))
     # Nothing to assert on the (internal, already shut down) pool beyond

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
+import threading
 import warnings
 
 import pytest
@@ -171,6 +173,37 @@ def test_ledger_state_transitions_overwrite_atomically(tmp_path):
         ledger.store(record)
     assert ledger.load("j1").state == JOB_DONE
     assert len(list(tmp_path.glob("job-*.json"))) == 1
+
+
+def test_concurrent_stores_of_one_record_all_publish(tmp_path):
+    # Threads of one process storing one job share its entry name: each
+    # must write its own temp file, or one writer's rename moves another
+    # writer's temp file from under it.
+    ledger = JobLedger(tmp_path)
+    record = JobRecord(job_id="storm", tenant="t", qasm="q")
+    errors: list[BaseException] = []
+
+    def writer():
+        try:
+            for _ in range(30):
+                ledger.store(record)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [path.name for path in tmp_path.iterdir()] == ["job-storm.json"]
+    assert ledger.load("storm") == record
 
 
 def test_ledger_load_all_orders_by_submission(tmp_path):
