@@ -10,15 +10,19 @@ Scores a full-circuit approximation (one candidate chosen per block):
   similar to with the normalized CNOT count, weighted ``weight`` /
   ``1 - weight`` (0.5 each in the paper).
 
-The annealer scores thousands of points one at a time, so everything a
-call reads is compiled ahead of it.  Per-block CNOT counts and distances
-are flattened into one row each at construction, with per-block offsets,
-and the selected priors are stacked, validated and compiled into one row
-of similarity hits per candidate once per change of ``selected``.  A
-call then decodes its point, does one gather per table and one against
-the compiled priors, and reduces each with ``np.add.reduce`` over the
-same elements in the same order as the batched ``evaluate_batch`` entry
-point.
+The annealer scores thousands of choices one at a time, so everything a
+score reads is compiled ahead of it.  Per-block CNOT counts and
+distances are flattened into one row each at construction, with
+per-block offsets, and the selected priors are stacked, validated and
+compiled once per change of ``selected``: into one row of similarity
+hits per candidate for the batched ``evaluate_batch``, and into a
+:class:`ChoiceScorer` for one choice at a time.  Apart from its
+feasibility, a choice's score is a function of integers — its CNOT sum
+and, per prior, how many of its blocks are similar to that prior's — so
+the scorer keeps those integers, updates them in O(1) when one
+coordinate moves, and turns them into the float score once per distinct
+value, with the same elements reduced in the same order as
+``evaluate_batch``.
 """
 
 from __future__ import annotations
@@ -32,14 +36,117 @@ from repro.core.similarity import BlockSimilarityTables, validate_choices
 from repro.exceptions import SelectionError
 
 
+class ChoiceScorer:
+    """Algorithm 1's score of one choice vector, for one set of priors.
+
+    A choice's CNOT sum and its per-prior similarity hit counts are
+    packed into one Python int, its *key*: each prior owns a
+    ``width``-bit field holding that prior's hit count, and the CNOT
+    sum sits above the fields.  Candidate ``c`` of block ``b``
+    contributes ``codes[b][c]`` — its CNOT count above a 1 in the field
+    of every prior it is similar to — and a count never exceeds the
+    number of blocks, so fields never carry: a choice's key is the sum
+    of its candidates' codes, and moving block ``b`` from ``c`` to
+    ``c'`` adds ``codes[b][c'] - codes[b][c]``.  :meth:`value` scores a
+    key, once per distinct key.
+
+    Feasibility is not in the key: :meth:`feasible` sums the chosen
+    distances exactly as ``SelectionObjective.choice_bound`` does, unless
+    ``always_feasible`` holds.  That flag sums each block's largest
+    distance through the same reduction; every rounded addition is
+    monotone in its operands, so when that sum is within the threshold,
+    so is every choice's.
+    """
+
+    def __init__(
+        self, objective: SelectionObjective, prior_hits: np.ndarray | None
+    ) -> None:
+        self._distances = objective._distances
+        self._offsets = objective._offsets
+        self._threshold = objective.threshold
+        self._weight = objective.weight
+        self._original = objective.original_cnot_count
+        self._num_blocks = objective.num_blocks
+        self._num_priors = 0 if prior_hits is None else prior_hits.shape[1]
+        self._width = self._num_blocks.bit_length()
+        self._field_shifts = [self._width * p for p in range(self._num_priors)]
+        self._cnot_shift = self._width * self._num_priors
+        self._fields_mask = (1 << self._cnot_shift) - 1
+        cnots = objective._cnots.tolist()
+        if prior_hits is None:
+            flat = cnots
+        else:
+            flat = [
+                (cnot << self._cnot_shift)
+                + sum(1 << shift for shift, hit in zip(self._field_shifts, row) if hit)
+                for cnot, row in zip(cnots, prior_hits.tolist())
+            ]
+        self.codes = [
+            flat[offset : offset + size]
+            for offset, size in zip(objective._offsets, objective._sizes)
+        ]
+        largest = [
+            int(np.argmax(objective._distances[offset : offset + size]))
+            for offset, size in zip(objective._offsets, objective._sizes)
+        ]
+        self.always_feasible = not self._bound(largest) > self._threshold
+        self._values: dict[int, float] = {}
+        self._similarities: dict[int, float] = {}
+
+    def _bound(self, choice) -> float:
+        return float(np.add.reduce(self._distances[self._offsets + choice]))
+
+    def key(self, choice) -> int:
+        """The packed CNOT sum and hit counts of ``choice``."""
+        return sum(map(list.__getitem__, self.codes, choice))
+
+    def feasible(self, choice) -> bool:
+        """Whether ``choice``'s summed distances are within the threshold."""
+        return self.always_feasible or not self._bound(choice) > self._threshold
+
+    def value(self, key: int) -> float:
+        """The score of a feasible choice with this key."""
+        value = self._values.get(key)
+        if value is None:
+            c_norm = (key >> self._cnot_shift) / self._original
+            if self._num_priors:
+                m = self._similarity(key & self._fields_mask)
+                value = self._weight * m + (1.0 - self._weight) * c_norm
+            else:
+                value = c_norm
+            self._values[key] = value
+        return value
+
+    def _similarity(self, fields: int) -> float:
+        """Mean similarity fraction over the priors, once per hit counts."""
+        m = self._similarities.get(fields)
+        if m is None:
+            mask = (1 << self._width) - 1
+            hits = np.array(
+                [(fields >> shift) & mask for shift in self._field_shifts]
+            )
+            fractions = hits / self._num_blocks
+            m = float(np.add.reduce(fractions)) / len(fractions)
+            self._similarities[fields] = m
+        return m
+
+    def __call__(self, choice) -> float:
+        """Algorithm 1's score of the in-pool choice vector ``choice``."""
+        if not self.feasible(choice):
+            return 1.0
+        return self.value(self.key(choice))
+
+
 @dataclass
 class SelectionObjective:
     """Callable objective over integer choice vectors.
 
     ``selected`` holds the priors the similarity term scores against.
     Append to it, clear it, replace its elements or reassign it freely;
-    the compiled priors follow on the next call.  An element is read as
-    a value when it joins: replace it rather than write into it.
+    the compiled priors and :meth:`scorer` follow on the next call, as
+    they do a change of ``threshold``, ``weight`` or
+    ``original_cnot_count``.  An element is read as a value when it
+    joins: replace it rather than write into it.
     """
 
     pools: list[BlockPool]
@@ -48,8 +155,8 @@ class SelectionObjective:
     weight: float = 0.5
     selected: list[np.ndarray] = field(default_factory=list)
     tables: BlockSimilarityTables = None  # type: ignore[assignment]
-    #: Points scored one at a time through ``__call__`` (the annealer's
-    #: path) vs. points scored through ``evaluate_batch``.
+    #: Points scored one at a time (``__call__`` and the annealer's
+    #: visits) vs. points scored through ``evaluate_batch``.
     scalar_evaluations: int = 0
     batched_evaluations: int = 0
 
@@ -77,23 +184,24 @@ class SelectionObjective:
         self._distances = np.concatenate(
             [pool.distances() for pool in self.pools]
         ).astype(float)
-        # Every in-pool choice must also index the similarity tables.
-        self.tables.prior_hits(self._max_choice)
-        # The priors as compiled by the tables, keyed on the ids of the
-        # held references to ``selected``'s elements: held, those ids
-        # cannot be reused by new arrays while the key is live.
-        self._prior_refs: list[np.ndarray] = []
-        self._prior_key: tuple[int, ...] = ()
+        # The similarity tables cover exactly the pools: every in-pool
+        # choice indexes them, and their candidate rows, in block order,
+        # line up with the flat rows above.
+        if self.tables.prior_hits(self._max_choice).shape[0] != len(self._cnots):
+            raise SelectionError("similarity tables do not match the pools")
+        # Compiled from ``selected`` and the scalar fields, keyed on the
+        # fields and the ids of the held references to ``selected``'s
+        # elements: held, those ids cannot be reused by new arrays while
+        # the key is live.
+        self._compiled_refs: list[np.ndarray] = []
+        self._compiled_key: tuple | None = None
         self._prior_hits: np.ndarray | None = None
+        self._scorer: ChoiceScorer | None = None
 
     @property
     def num_blocks(self) -> int:
         """Number of blocks (dimension of the search space)."""
         return len(self.pools)
-
-    def bounds(self) -> list[tuple[float, float]]:
-        """Continuous box bounds encoding the integer choice per block."""
-        return [(0.0, size - 1e-9) for size in self._sizes]
 
     def decode(self, x: np.ndarray) -> np.ndarray:
         """Floor a continuous annealer point to an integer choice vector."""
@@ -115,46 +223,47 @@ class SelectionObjective:
         choice = validate_choices(choice, self._sizes)
         return float(self._sum_chosen(self._distances, choice))
 
-    def _compiled_priors(self) -> np.ndarray | None:
-        """Similarity rows of ``selected``, recompiled when it changes."""
-        if tuple(map(id, self.selected)) != self._prior_key:
+    def _compile(self) -> None:
+        """Recompile the priors and the scorer if their inputs changed."""
+        key = (
+            tuple(map(id, self.selected)),
+            self.threshold,
+            self.weight,
+            self.original_cnot_count,
+        )
+        if key != self._compiled_key:
             refs = list(self.selected)
             hits = self.tables.prior_hits(np.stack(refs)) if refs else None
-            self._prior_refs, self._prior_key = refs, tuple(map(id, refs))
+            self._scorer = ChoiceScorer(self, hits)
+            self._compiled_refs, self._compiled_key = refs, key
             self._prior_hits = hits
-        return self._prior_hits
+
+    def scorer(self) -> ChoiceScorer:
+        """The :class:`ChoiceScorer` of the current priors and fields."""
+        self._compile()
+        return self._scorer
 
     def __call__(self, x: np.ndarray) -> float:
         # ``decode`` clips into every pool, so the choice needs no check.
         choice = self.decode(x)
         self.scalar_evaluations += 1
-        if float(self._sum_chosen(self._distances, choice)) > self.threshold:
-            return 1.0
-        cnots = int(self._sum_chosen(self._cnots, choice))
-        c_norm = cnots / self.original_cnot_count
-        prior_hits = self._compiled_priors()
-        if prior_hits is None:
-            return c_norm
-        fractions = self.tables.fractions_at(choice, prior_hits)
-        m = float(np.add.reduce(fractions)) / len(fractions)
-        return self.weight * m + (1.0 - self.weight) * c_norm
+        return self.scorer()(choice)
 
     def evaluate_batch(self, choices: np.ndarray) -> np.ndarray:
         """Score a ``(B, num_blocks)`` matrix of integer choice vectors.
 
         Returns the length-``B`` vector of objective values; every row
-        matches ``__call__`` on that row exactly (same gathers, same
-        per-row reduction), so the exhaustive path and the annealed path
-        share one scoring implementation.
+        equals ``__call__`` on that row (the same sums and the same
+        per-row reduction of the same fractions).
         """
         choices = validate_choices(np.atleast_2d(choices), self._sizes)
         self.batched_evaluations += choices.shape[0]
         bounds = self._sum_chosen(self._distances, choices)
         cnots = self._sum_chosen(self._cnots, choices)
         values = cnots / self.original_cnot_count
-        prior_hits = self._compiled_priors()
-        if prior_hits is not None:
-            fractions = self.tables.fractions_at(choices, prior_hits)
+        self._compile()
+        if self._prior_hits is not None:
+            fractions = self.tables.fractions_at(choices, self._prior_hits)
             m = fractions.sum(axis=1) / fractions.shape[1]
             values = self.weight * m + (1.0 - self.weight) * values
         values[bounds > self.threshold] = 1.0

@@ -109,16 +109,6 @@ class NoiseModel:
         """A model with every error rate zero (for testing)."""
         return cls(0.0, 0.0, 0.0, 0.0)
 
-    @property
-    def is_noiseless(self) -> bool:
-        """Whether all error channels are disabled."""
-        return (
-            self.one_qubit_error == 0.0
-            and self.two_qubit_error == 0.0
-            and self.readout_error == 0.0
-            and self.idle_decoherence == 0.0
-        )
-
 
 class PauliChannel(NamedTuple):
     """A Pauli error on ``qubits``: with total ``probability``, one of

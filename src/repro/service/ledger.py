@@ -7,9 +7,11 @@ JobRecord`, published the way the artifact store publishes an entry
 unique to the writer, flush, ``fsync``, ``rename``, then fsync the
 directory.  A SIGKILL at any instant leaves
 either the previous record or the new one, never a torn file under the
-final name; an entry that *does* fail its checksum (bit rot, a partial
-copy) is quarantined — counted as ``ledger.quarantined`` in the ambient
-metrics registry, renamed aside, ignored — never trusted.
+final name, plus at most the writer's temp file, which opening the
+ledger deletes once it is older than the store's grace window; an entry
+that *does* fail its checksum (bit rot, a partial copy) is quarantined
+— counted as ``ledger.quarantined`` in the ambient metrics registry,
+renamed aside, ignored — never trusted.
 
 The ledger is what makes the daemon warm-restartable:
 
@@ -34,7 +36,11 @@ from pathlib import Path
 from repro.exceptions import ServiceError
 from repro.observability import get_logger, get_metrics
 from repro.service.protocol import JobRecord
-from repro.store.artifact import write_atomically
+from repro.store.artifact import (
+    DEFAULT_GRACE_SECONDS,
+    sweep_orphans,
+    write_atomically,
+)
 
 #: Bump when the envelope layout changes; old entries are quarantined.
 LEDGER_VERSION = 1
@@ -61,6 +67,8 @@ class JobLedger:
     def __init__(self, directory: str | os.PathLike) -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
+        # A daemon killed mid-``store`` leaves its temp file behind.
+        sweep_orphans([self._dir], DEFAULT_GRACE_SECONDS)
 
     @property
     def directory(self) -> Path:

@@ -132,6 +132,34 @@ def write_atomically(path: Path, blob: bytes) -> None:
             os.close(directory_fd)
 
 
+def sweep_orphans(directories, grace_seconds: float) -> int:
+    """Delete temp files that dead writers left in ``directories``.
+
+    :func:`write_atomically` removes its temp file on every failure it
+    sees, but a writer killed between ``mkstemp`` and ``os.replace``
+    leaves one behind.  A temp file older than ``grace_seconds`` can no
+    longer belong to a live publish (publishes are short); a younger one
+    might, and is left for the next sweep.  Returns the number removed.
+    """
+    cutoff = time.time() - grace_seconds
+    swept = 0
+    for directory in directories:
+        try:
+            entries = list(os.scandir(directory))
+        except OSError:
+            continue
+        for entry in entries:
+            if not entry.name.endswith(TMP_SUFFIX):
+                continue
+            try:
+                if entry.is_file() and entry.stat().st_mtime <= cutoff:
+                    os.unlink(entry.path)
+                    swept += 1
+            except OSError:
+                continue  # Another process's sweep won the race.
+    return swept
+
+
 class ArtifactStore:
     """One namespace's sharded on-disk artifact tier.
 
@@ -250,28 +278,10 @@ class ArtifactStore:
     # Maintenance
     # ------------------------------------------------------------------
     def sweep_orphans(self) -> int:
-        """Delete temp files abandoned by crashed writers.
-
-        A temp file older than the grace window can no longer belong to
-        a live publish (publishes are short); one younger might, and is
-        left for the next sweep.  Returns the number removed.
-        """
-        cutoff = time.time() - self.grace_seconds
-        swept = 0
-        for directory in (self._dir, *self._shard_dirs()):
-            try:
-                entries = list(os.scandir(directory))
-            except OSError:
-                continue
-            for entry in entries:
-                if not entry.name.endswith(TMP_SUFFIX):
-                    continue
-                try:
-                    if entry.is_file() and entry.stat().st_mtime <= cutoff:
-                        os.unlink(entry.path)
-                        swept += 1
-                except OSError:
-                    continue  # Another replica's sweep won the race.
+        """Delete the namespace's orphaned temp files (:func:`sweep_orphans`)."""
+        swept = sweep_orphans(
+            (self._dir, *self._shard_dirs()), self.grace_seconds
+        )
         if swept:
             self._count("orphans_swept", swept)
             tracer = get_tracer()

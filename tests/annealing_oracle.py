@@ -1,0 +1,67 @@
+"""Scipy's annealer over the continuous box: the reference selection.
+
+:func:`repro.core.annealing.dual_annealing` writes scipy's generalized
+simulated annealing out over integer choices.  This module keeps the
+annealed selection it replaced as the oracle the tests hold it to with
+``==``: ``scipy.optimize.dual_annealing(no_local_search=True)`` over a
+scalar score of continuous points, on the box ``[0, size_b - 1e-9)``
+per block, each run's result floored by ``objective.decode``.  The
+score defaults to the objective's ``__call__``; pass
+``tests.objective_oracle.FrozenObjective(objective)`` to keep the new
+scorer out of the reference altogether.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize import dual_annealing
+
+from repro.exceptions import SelectionError
+
+
+def box_bounds(objective) -> list[tuple[float, float]]:
+    """Continuous box bounds encoding the integer choice per block."""
+    return [(0.0, pool.size - 1e-9) for pool in objective.pools]
+
+
+def anneal(objective, maxiter, rng, score=None, maxfun=1e7):
+    """One scipy run from the all-original choice: (choice, value, nfev)."""
+    annealed = dual_annealing(
+        objective if score is None else score,
+        bounds=box_bounds(objective),
+        maxiter=maxiter,
+        maxfun=maxfun,
+        seed=rng,
+        no_local_search=True,
+        x0=np.full(objective.num_blocks, 0.5),
+    )
+    return objective.decode(annealed.x), annealed.fun, annealed.nfev
+
+
+def select(objective, max_samples, maxiter, seed, score=None):
+    """``select_approximations`` on its annealed path, as it was.
+
+    Returns the choices, their objective values and the scalar
+    evaluation count, all scored by ``score``.
+    """
+    score = objective if score is None else score
+    objective.selected.clear()
+    objective.scalar_evaluations = 0
+    choices, values = [], []
+    for run_seed in np.random.SeedSequence(seed).spawn(max_samples):
+        choice, _, _ = anneal(
+            objective, maxiter, np.random.default_rng(run_seed), score
+        )
+        if objective.choice_bound(choice) > objective.threshold:
+            if choices:
+                break
+            choice = np.zeros(objective.num_blocks, dtype=int)
+            if objective.choice_bound(choice) > objective.threshold:
+                raise SelectionError("no feasible approximation")
+        value = score(choice.astype(float))
+        if any(np.array_equal(choice, prior) for prior in choices):
+            break
+        choices.append(choice)
+        values.append(value)
+        objective.selected.append(choice)
+    return choices, values, objective.scalar_evaluations

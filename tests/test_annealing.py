@@ -115,3 +115,13 @@ def test_annealer_path_matches_exhaustive():
 def test_bad_max_samples():
     with pytest.raises(SelectionError):
         select_approximations(_objective(), max_samples=0)
+
+
+@pytest.mark.parametrize("maxiter", [0, -1])
+def test_bad_maxiter(maxiter):
+    # scipy's annealing loop never stops below one iteration, so an
+    # annealed selection would hang here instead of raising.
+    with pytest.raises(SelectionError):
+        select_approximations(
+            _objective(), max_samples=1, maxiter=maxiter, exhaustive_cutoff=0
+        )

@@ -43,7 +43,7 @@ def test_neighbors():
 def test_ideal_backend_fully_connected():
     backend = ideal_backend(4)
     assert backend.is_fully_connected
-    assert backend.noise.is_noiseless
+    assert backend.noise == NoiseModel.noiseless()
 
 
 def test_linear_backend_custom_noise():

@@ -18,7 +18,7 @@ import pytest
 
 from repro.algorithms import tfim
 from repro.core import annealing as annealing_module
-from repro.core.annealing import select_approximations
+from repro.core.annealing import AnnealedChoice, select_approximations
 from repro.core.quest import QuestConfig
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
@@ -42,18 +42,13 @@ class _FakeObjective:
         self.selected: list[np.ndarray] = []
         self.scalar_evaluations = 0
         self.batched_evaluations = 0
-        self._pool_size = pool_size
 
-    def bounds(self):
-        return [(0.0, 1.0)] * self.num_blocks
+    def scorer(self):
+        return None  # The fake annealer never scores.
 
     def __call__(self, x):
         self.scalar_evaluations += 1
         return float(np.sum(x))
-
-    def decode(self, x):
-        scaled = np.asarray(x) * self._pool_size
-        return np.clip(scaled.astype(int), 0, self._pool_size - 1)
 
     def choice_bound(self, choice):
         return 0.0
@@ -64,15 +59,13 @@ class _FakeObjective:
 
 def _capture_annealer_seeds(monkeypatch, seed, max_samples=3):
     captured = []
-    counter = [0]
 
-    def fake_dual_annealing(objective, bounds, maxiter, seed, **kwargs):
-        captured.append(seed)
-        counter[0] += 1
+    def fake_dual_annealing(scorer, maxiter, rng, **kwargs):
+        captured.append(rng)
         # Distinct choices per run so the repeat stopping rule never
         # fires before max_samples.
-        x = np.full(len(bounds), (counter[0] % 4) / 4 + 0.01)
-        return SimpleNamespace(x=x)
+        choice = np.full(2, len(captured) % 4)
+        return AnnealedChoice(choice, float(np.sum(choice)), 1)
 
     monkeypatch.setattr(
         annealing_module, "dual_annealing", fake_dual_annealing

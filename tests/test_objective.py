@@ -8,6 +8,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
+from repro.core.similarity import BlockSimilarityTables
 from repro.exceptions import SelectionError
 from repro.partition.blocks import CircuitBlock
 
@@ -96,14 +97,6 @@ def test_decode_floors_and_clips(pools):
     assert list(objective.decode(np.array([-3.0, 99.0]))) == [0, 2]
 
 
-def test_bounds_cover_candidates(pools):
-    objective = _objective(pools)
-    bounds = objective.bounds()
-    assert len(bounds) == 2
-    assert bounds[0][0] == 0.0
-    assert bounds[0][1] < 3.0
-
-
 def test_choice_accounting(pools):
     objective = _objective(pools)
     choice = np.array([0, 2])
@@ -116,6 +109,20 @@ def test_choice_accounting(pools):
 def test_validation():
     with pytest.raises(SelectionError):
         SelectionObjective(pools=[], threshold=1.0, original_cnot_count=4)
+
+
+def test_similarity_tables_must_cover_exactly_the_pools(pools):
+    # Scoring reads the tables' candidate rows at the pools' offsets, so
+    # a table with an extra candidate in one block is refused.
+    stacks = [pool.unitary_stack() for pool in pools]
+    stacks[0] = np.concatenate([stacks[0], stacks[0][:1]])
+    tables = BlockSimilarityTables(
+        stacks, [pool.original_unitary for pool in pools]
+    )
+    with pytest.raises(SelectionError, match="do not match"):
+        SelectionObjective(
+            pools=pools, threshold=1.0, original_cnot_count=4, tables=tables
+        )
 
 
 @pytest.mark.parametrize("choice", [[-1, 0], [4, 0]])

@@ -21,6 +21,7 @@ from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
 from repro.exceptions import SelectionError
 from repro.partition.blocks import CircuitBlock
+from tests import annealing_oracle
 from tests.objective_oracle import FrozenObjective
 
 
@@ -185,27 +186,22 @@ def test_out_of_range_prior_raises_from_both_entry_points():
         assert objective(np.zeros(3)) == FrozenObjective(objective)(np.zeros(3))
 
 
-def _annealed_selection(pools, threshold, patch=None):
-    objective = _objective(pools, threshold)
-    if patch is not None:
-        oracle = FrozenObjective(objective)
-        patch.setattr(SelectionObjective, "__call__", lambda self, x: oracle(x))
-    return select_approximations(objective, max_samples=6, maxiter=120, seed=4)
-
-
-def test_annealed_selection_is_identical_with_the_oracle(monkeypatch):
+def test_annealed_selection_is_identical_with_the_oracle():
+    # The compiled scorer inside the in-repo annealer against scipy's
+    # annealer over the frozen per-call scorer.
     rng = np.random.default_rng(17)
     sizes = [5, 6, 5, 4, 6, 5, 4]
     assert int(np.prod(sizes)) > DEFAULT_EXHAUSTIVE_CUTOFF  # so it anneals
     pools = _pools(rng, sizes)
-    threshold = 0.6
-    compiled = _annealed_selection(pools, threshold)
-    with monkeypatch.context() as patch:
-        frozen = _annealed_selection(pools, threshold, patch)
+    objective = _objective(pools, threshold=0.6)
+    compiled = select_approximations(objective, max_samples=6, maxiter=120, seed=4)
+    choices, values, evaluations = annealing_oracle.select(
+        objective, 6, 120, 4, score=FrozenObjective(objective)
+    )
     assert compiled.scalar_evaluations > 0
     assert compiled.num_selected > 1  # the similarity term was scored
-    assert compiled.scalar_evaluations == frozen.scalar_evaluations
-    assert compiled.objective_values == frozen.objective_values
-    assert len(compiled.choices) == len(frozen.choices)
-    for a, b in zip(compiled.choices, frozen.choices):
+    assert compiled.scalar_evaluations == evaluations
+    assert compiled.objective_values == values
+    assert len(compiled.choices) == len(choices)
+    for a, b in zip(compiled.choices, choices):
         assert np.array_equal(a, b)

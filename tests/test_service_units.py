@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 import threading
+import time
 import warnings
 
 import pytest
@@ -36,6 +38,7 @@ from repro.service.protocol import (
     rejection_to_message,
 )
 from repro.service.scheduler import FairScheduler
+from repro.store.artifact import DEFAULT_GRACE_SECONDS, TMP_SUFFIX
 
 
 def _job(job_id: str, tenant: str = "default") -> JobRecord:
@@ -229,6 +232,26 @@ def test_ledger_quarantines_corrupt_entries(tmp_path, counters):
     assert list(tmp_path.glob("*.corrupt"))
     # The quarantined entry no longer shadows the id.
     assert ledger.load("bad") is None
+
+
+def test_reopening_the_ledger_sweeps_only_aged_temp_files(tmp_path):
+    # A daemon killed inside ``store`` leaves its temp file; a restarted
+    # daemon reopens the directory and must remove it once it is older
+    # than the grace window, but never a live writer's fresh one.
+    ledger = JobLedger(tmp_path)
+    ledger.store(JobRecord(job_id="kept", tenant="t", qasm="q"))
+    before = ledger.load_all()
+    aged = tmp_path / f".job-kept.json-aged{TMP_SUFFIX}"
+    aged.write_bytes(b"torn")
+    stale = time.time() - DEFAULT_GRACE_SECONDS - 5
+    os.utime(aged, (stale, stale))
+    fresh = tmp_path / f".job-kept.json-fresh{TMP_SUFFIX}"
+    fresh.write_bytes(b"mid-store")
+
+    reopened = JobLedger(tmp_path)
+    assert not aged.exists()
+    assert fresh.exists()
+    assert reopened.load_all() == before
 
 
 def test_ledger_rejects_pathological_job_ids(tmp_path):
