@@ -29,7 +29,7 @@ from repro.algorithms import (
     xy_model,
 )
 from repro.metrics import average_distributions
-from repro.noise import fake_manila, run_density
+from repro.noise import fake_manila, run_ptm
 from repro.sim.readout import logical_distribution
 from repro.transpile import transpile
 
@@ -98,7 +98,7 @@ def run_on_manila(circuit, optimization_level: int = 2, rng: int = 0):
     compiled = transpile(
         prepared, backend=manila, optimization_level=optimization_level, rng=rng
     )
-    physical = run_density(compiled.circuit, manila.noise)
+    physical = run_ptm(compiled.circuit, manila.noise)
     logical = logical_distribution(compiled.circuit, physical)
     return logical[: 2**circuit.num_qubits]
 

@@ -12,7 +12,7 @@ import numpy as np
 from conftest import print_table
 
 from repro.metrics import average_distributions, tvd
-from repro.noise import NoiseModel, run_density
+from repro.noise import NoiseModel, run_ptm
 from repro.sim import ideal_distribution
 from repro.transpile import transpile
 
@@ -25,7 +25,7 @@ ALGOS = ["tfim_4", "heisenberg_4", "xy_4", "adder_4"]
 
 
 def _noisy(circuit, level):
-    return run_density(circuit, NoiseModel.from_noise_level(level))
+    return run_ptm(circuit, NoiseModel.from_noise_level(level))
 
 
 def _collect(quest_cache):

@@ -13,7 +13,7 @@ from conftest import BENCH_CONFIG, print_table
 from repro import run_quest
 from repro.algorithms import average_magnetization, heisenberg, tfim
 from repro.metrics import average_distributions
-from repro.noise import NoiseModel, run_density
+from repro.noise import NoiseModel, run_ptm
 from repro.sim import ideal_distribution
 from repro.transpile import transpile
 
@@ -33,7 +33,7 @@ def _magnetization_vs_noise(builder):
     for level in LEVELS:
         model = NoiseModel.from_noise_level(level)
         qiskit_mag = average_magnetization(
-            run_density(
+            run_ptm(
                 transpile(result.baseline, optimization_level=3, rng=0).circuit,
                 model,
             ),
@@ -41,7 +41,7 @@ def _magnetization_vs_noise(builder):
         )
         quest_mag = average_magnetization(
             average_distributions(
-                [run_density(c, model) for c in quest_circuits]
+                [run_ptm(c, model) for c in quest_circuits]
             ),
             4,
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro import QuestConfig, run_quest, transpile, tvd
 from repro.algorithms import heisenberg
 from repro.metrics import average_distributions
-from repro.noise import NoiseModel, run_density
+from repro.noise import NoiseModel, run_ptm
 from repro.sim import ideal_distribution
 
 LEVELS = [0.01, 0.005, 0.001]
@@ -40,12 +40,12 @@ def main() -> None:
     print(f"{'noise':>7} {'baseline':>9} {'qiskit':>9} {'quest':>9}")
     for level in LEVELS:
         model = NoiseModel.from_noise_level(level)
-        baseline_tvd = tvd(truth, run_density(baseline_circuit, model))
-        qiskit_tvd = tvd(truth, run_density(qiskit_circuit, model))
+        baseline_tvd = tvd(truth, run_ptm(baseline_circuit, model))
+        qiskit_tvd = tvd(truth, run_ptm(qiskit_circuit, model))
         quest_tvd = tvd(
             truth,
             average_distributions(
-                [run_density(c, model) for c in quest_circuits]
+                [run_ptm(c, model) for c in quest_circuits]
             ),
         )
         print(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro import QuestConfig, run_quest, transpile
 from repro.algorithms import average_magnetization, tfim
 from repro.metrics import average_distributions
-from repro.noise import fake_manila, run_density
+from repro.noise import fake_manila, run_ptm
 from repro.sim import ideal_distribution
 from repro.sim.readout import logical_distribution
 
@@ -35,7 +35,7 @@ def run_on_device(circuit, backend):
     prepared = circuit.copy()
     prepared.measure_all()
     compiled = transpile(prepared, backend=backend, optimization_level=2)
-    physical = run_density(compiled.circuit, backend.noise)
+    physical = run_ptm(compiled.circuit, backend.noise)
     return logical_distribution(compiled.circuit, physical)[
         : 2**circuit.num_qubits
     ]

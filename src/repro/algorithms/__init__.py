@@ -1,12 +1,6 @@
 """The Table-1 benchmark algorithm suite."""
 
-from repro.algorithms.arith import (
-    adder,
-    adder_layout,
-    apply_cuccaro_adder,
-    multiplier,
-    multiplier_layout,
-)
+from repro.algorithms.arith import adder, apply_cuccaro_adder, multiplier
 from repro.algorithms.hamiltonian import (
     SpinModelParams,
     heisenberg,
@@ -15,21 +9,15 @@ from repro.algorithms.hamiltonian import (
     xy_model,
 )
 from repro.algorithms.hlf import hlf, random_hlf
-from repro.algorithms.observables import (
-    average_magnetization,
-    staggered_magnetization,
-)
-from repro.algorithms.qft import inverse_qft, qft
+from repro.algorithms.observables import average_magnetization
+from repro.algorithms.qft import qft
 from repro.algorithms.variational import qaoa_maxcut, random_qaoa, vqe_ansatz
 
 __all__ = [
     "adder",
-    "adder_layout",
     "apply_cuccaro_adder",
     "multiplier",
-    "multiplier_layout",
     "qft",
-    "inverse_qft",
     "hlf",
     "random_hlf",
     "qaoa_maxcut",
@@ -41,28 +29,5 @@ __all__ = [
     "spin_evolution",
     "SpinModelParams",
     "average_magnetization",
-    "staggered_magnetization",
 ]
 
-
-def benchmark_suite(rng=None):
-    """The default small-scale instances of every Table-1 algorithm.
-
-    Returns ``{label: circuit}`` with the qubit count embedded in the
-    label, mirroring the paper's "Algorithm N" naming in Fig. 8.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(rng)
-    circuits = {
-        "adder_4": adder(1),
-        "heisenberg_4": heisenberg(4, steps=2),
-        "hlf_4": random_hlf(4, rng=rng),
-        "qft_4": qft(4),
-        "qaoa_4": random_qaoa(4, rounds=1, rng=rng),
-        "multiplier_6": multiplier(1),
-        "tfim_4": tfim(4, steps=2),
-        "vqe_4": vqe_ansatz(4, layers=2, rng=rng),
-        "xy_4": xy_model(4, steps=2),
-    }
-    return circuits

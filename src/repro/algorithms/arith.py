@@ -69,16 +69,6 @@ def adder(num_bits: int = 1, with_carry_out: bool = True) -> Circuit:
     return circuit
 
 
-def adder_layout(num_bits: int) -> dict[str, list[int]]:
-    """Qubit roles of :func:`adder` for test harnesses."""
-    return {
-        "cin": [0],
-        "a": [1 + 2 * i for i in range(num_bits)],
-        "b": [2 + 2 * i for i in range(num_bits)],
-        "cout": [2 * num_bits + 1],
-    }
-
-
 def multiplier(num_bits: int = 1) -> Circuit:
     """Shift-and-add multiplier: ``out <- a * b`` on ``5*num_bits + 1`` qubits.
 
@@ -117,14 +107,3 @@ def multiplier(num_bits: int = 1) -> Circuit:
             circuit.ccx(a_bits[i], b_bits[j], temp_bits[j])
     return circuit
 
-
-def multiplier_layout(num_bits: int) -> dict[str, list[int]]:
-    """Qubit roles of :func:`multiplier` for test harnesses."""
-    n = num_bits
-    return {
-        "a": list(range(0, n)),
-        "b": list(range(n, 2 * n)),
-        "out": list(range(2 * n, 4 * n)),
-        "temp": list(range(4 * n, 5 * n)),
-        "cin": [5 * n],
-    }

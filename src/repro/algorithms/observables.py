@@ -28,14 +28,3 @@ def average_magnetization(probs: np.ndarray, num_spins: int) -> float:
     spins = _spin_values(num_spins)
     return float(probs @ spins.mean(axis=1))
 
-
-def staggered_magnetization(probs: np.ndarray, num_spins: int) -> float:
-    """``(1/n) sum_i (-1)^i <Z_i>`` (antiferromagnetic order parameter)."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (2**num_spins,):
-        raise ReproError(
-            f"distribution length {probs.shape} != 2**{num_spins}"
-        )
-    spins = _spin_values(num_spins)
-    signs = np.where(np.arange(num_spins) % 2 == 0, 1.0, -1.0)
-    return float(probs @ (spins * signs).mean(axis=1))

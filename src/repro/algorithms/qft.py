@@ -27,7 +27,3 @@ def qft(num_qubits: int, with_swaps: bool = True) -> Circuit:
             circuit.swap(q, num_qubits - 1 - q)
     return circuit
 
-
-def inverse_qft(num_qubits: int, with_swaps: bool = True) -> Circuit:
-    """Adjoint of :func:`qft`."""
-    return qft(num_qubits, with_swaps=with_swaps).inverse()

@@ -225,13 +225,6 @@ class Circuit:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def gate_counts(self) -> dict[str, int]:
-        """Histogram of gate names in the circuit."""
-        counts: dict[str, int] = {}
-        for op in self._ops:
-            counts[op.name] = counts.get(op.name, 0) + 1
-        return counts
-
     def cnot_count(self) -> int:
         """Total CNOT cost: native CX plus the CX cost of other 2q+ gates."""
         return sum(op.gate.cnot_cost() for op in self._ops)
@@ -250,13 +243,6 @@ class Circuit:
                 level[q] = start + 1
             depth = max(depth, start + 1)
         return depth
-
-    def active_qubits(self) -> tuple[int, ...]:
-        """Sorted qubits touched by at least one operation."""
-        seen: set[int] = set()
-        for op in self._ops:
-            seen.update(op.qubits)
-        return tuple(sorted(seen))
 
     def has_measurements(self) -> bool:
         """Whether the circuit contains any measure operation."""
@@ -300,17 +286,6 @@ class Circuit:
             new_qubits = tuple(mapping[q] for q in op.qubits)
             cbit = mapping.get(op.cbit, op.cbit) if op.name == "measure" else None
             out.append(Operation(op.gate, new_qubits, cbit))
-        return out
-
-    def compose(self, other: "Circuit") -> "Circuit":
-        """Return this circuit followed by ``other`` (same width required)."""
-        if other.num_qubits != self._num_qubits:
-            raise CircuitError(
-                f"cannot compose circuits of widths {self._num_qubits} and "
-                f"{other.num_qubits}"
-            )
-        out = self.copy()
-        out.extend(other.operations)
         return out
 
     # ------------------------------------------------------------------

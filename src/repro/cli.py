@@ -386,14 +386,14 @@ def _serve_main(argv: list[str]) -> int:
     )
     if code:
         return code
-    code = _config_preflight(args, logger)
-    if code:
-        return code
+    config = _config_preflight(args, logger)
+    if config is None:
+        return 2
     try:
         serve(
             str(args.socket),
             str(args.ledger_dir),
-            _config_from_args(args),
+            config,
             capacity=args.capacity,
             max_concurrency=args.max_concurrency,
             tenant_weights=weights or None,
@@ -661,22 +661,28 @@ def _config_from_args(args) -> QuestConfig:
     )
 
 
-def _config_preflight(args, logger) -> int:
-    """Validation of the config flags; returns 0 or the exit code."""
+def _config_preflight(args, logger) -> QuestConfig | None:
+    """The config of the flags, or None after logging why it is unusable
+    (the caller exits 2)."""
     from repro.store import validate_namespace
 
     try:
         validate_namespace(args.namespace)
     except StoreError as exc:
         logger.error(f"error: --namespace: {exc}")
-        return 2
+        return None
+    try:
+        config = _config_from_args(args)
+    except ValueError as exc:
+        logger.error(f"error: {exc}")
+        return None
     if args.store_dir is not None:
         try:
             args.store_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             logger.error(f"error: store dir {args.store_dir}: {exc}")
-            return 2
-    return 0
+            return None
+    return config
 
 
 def _write_payload(payload: dict, out_dir: Path, logger) -> None:
@@ -721,9 +727,9 @@ def _compile_main(argv: list[str], *, batch: bool) -> int:
         except (OSError, ReproError) as exc:
             logger.error(f"error reading {path}: {exc}")
             return 2
-    code = _config_preflight(args, logger)
-    if code:
-        return code
+    config = _config_preflight(args, logger)
+    if config is None:
+        return 2
     fault_injector = None
     if args.inject_faults is not None:
         try:
@@ -738,7 +744,6 @@ def _compile_main(argv: list[str], *, batch: bool) -> int:
         except OSError as exc:
             logger.error(f"error: --trace-file {args.trace_file}: {exc}")
             return 2
-    config = _config_from_args(args)
     try:
         with use_tracer(tracer):
             if batch:

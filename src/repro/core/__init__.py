@@ -14,7 +14,6 @@ from repro.core.quest import (
 from repro.core.similarity import (
     BlockSimilarityTables,
     are_similar,
-    unitaries_similar,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "exact_pool",
     "BlockSimilarityTables",
     "are_similar",
-    "unitaries_similar",
     "total_bound",
     "verify_bound",
     "BoundCheck",

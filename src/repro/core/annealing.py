@@ -35,7 +35,7 @@ from repro.exceptions import SelectionError
 from repro.observability import get_metrics, get_tracer
 
 #: Search spaces up to this many points are enumerated exactly.
-DEFAULT_EXHAUSTIVE_CUTOFF = 65536
+EXHAUSTIVE_CUTOFF = 65536
 
 #: Choice vectors scored per ``evaluate_batch`` call during enumeration
 #: (bounds peak memory at chunk x num_blocks indices).
@@ -114,9 +114,7 @@ def _enumerate_chunk(
     return (ks[:, None] // strides[None, :]) % sizes[None, :]
 
 
-def _exhaustive_minimum(
-    objective: SelectionObjective, chunk: int = _ENUMERATION_CHUNK
-) -> np.ndarray:
+def _exhaustive_minimum(objective: SelectionObjective) -> np.ndarray:
     """Brute-force the best choice (used for small search spaces).
 
     Enumerates the whole cartesian product in chunks through
@@ -128,9 +126,9 @@ def _exhaustive_minimum(
     total = int(np.prod(sizes))
     best_value = np.inf
     best_choice: np.ndarray | None = None
-    for start in range(0, total, chunk):
+    for start in range(0, total, _ENUMERATION_CHUNK):
         choices = _enumerate_chunk(
-            start, min(start + chunk, total), sizes, strides
+            start, min(start + _ENUMERATION_CHUNK, total), sizes, strides
         )
         values = objective.evaluate_batch(choices)
         position = int(np.argmin(values))
@@ -161,8 +159,7 @@ def _wrap(point: float, width: float) -> float:
 
 
 def _floor(point: float) -> int:
-    """The candidate index of a box coordinate (NaN floors to 0, as in
-    ``SelectionObjective.decode``)."""
+    """The candidate index of a box coordinate (NaN floors to 0)."""
     return int(point) if point == point else 0
 
 
@@ -176,8 +173,9 @@ def dual_annealing(
     Equals ``scipy.optimize.dual_annealing(f, bounds, maxiter=maxiter,
     rng=rng, no_local_search=True, x0=[0.5] * n)`` with
     ``bounds[b] = (0, size_b - 1e-9)`` and ``f`` the objective's
-    ``__call__`` — same draws, visits, acceptances, re-annealing, best
-    choice and evaluation count — but scores each visit through the
+    ``__call__`` of the point floored into every pool — same draws,
+    visits, acceptances, re-annealing, best choice and evaluation
+    count — but scores each visit through the
     scorer: a visit that moves one coordinate moves the key by one
     code, and a visit's score is a dictionary lookup after its first
     time.  ``rng.random`` and ``rng.standard_normal`` draw the values
@@ -282,11 +280,10 @@ def select_approximations(
     max_samples: int = 16,
     maxiter: int = 250,
     seed: int | np.random.SeedSequence | None = None,
-    exhaustive_cutoff: int = DEFAULT_EXHAUSTIVE_CUTOFF,
 ) -> SelectionResult:
     """Run the sequential dual-annealing selection loop.
 
-    Search spaces no larger than ``exhaustive_cutoff`` are enumerated
+    Search spaces no larger than :data:`EXHAUSTIVE_CUTOFF` are enumerated
     exactly instead of annealed (the annealer is a global-optimization
     heuristic; batched exact enumeration is both faster and
     deterministic there).  Each annealing run takes ``maxiter``
@@ -313,7 +310,7 @@ def select_approximations(
     objective.selected.clear()
     objective.scalar_evaluations = 0
     objective.batched_evaluations = 0
-    use_exhaustive = _search_space_size(objective) <= exhaustive_cutoff
+    use_exhaustive = _search_space_size(objective) <= EXHAUSTIVE_CUTOFF
     for sample_index in range(max_samples):
         if use_exhaustive:
             choice = _exhaustive_minimum(objective)
@@ -347,7 +344,7 @@ def select_approximations(
                     "threshold; raise the threshold or synthesize tighter "
                     "blocks"
                 )
-        value = objective(choice.astype(float))
+        value = objective(choice)
         if any(np.array_equal(choice, prior) for prior in result.choices):
             break  # The paper's stopping rule: a repeat ends selection.
         result.choices.append(choice)

@@ -26,8 +26,7 @@ def ensemble_distribution(
 
     ``runner`` maps a circuit to its output distribution; the default is
     the ideal statevector simulator.  Pass a noisy runner (e.g. a
-    ``run_density`` closure) to evaluate the ensemble under hardware
-    noise.
+    ``run_ptm`` closure) to evaluate the ensemble under hardware noise.
     """
     if not circuits:
         raise SelectionError("cannot evaluate an empty ensemble")

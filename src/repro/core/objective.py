@@ -203,12 +203,6 @@ class SelectionObjective:
         """Number of blocks (dimension of the search space)."""
         return len(self.pools)
 
-    def decode(self, x: np.ndarray) -> np.ndarray:
-        """Floor a continuous annealer point to an integer choice vector."""
-        choice = np.floor(np.asarray(x)).astype(int)
-        np.maximum(choice, 0, out=choice)
-        return np.minimum(choice, self._max_choice, out=choice)
-
     def _sum_chosen(self, table: np.ndarray, choices: np.ndarray):
         """Sum of ``table``'s entries at each choice vector, in block order."""
         return np.add.reduce(table[self._offsets + choices], axis=-1)
@@ -243,9 +237,9 @@ class SelectionObjective:
         self._compile()
         return self._scorer
 
-    def __call__(self, x: np.ndarray) -> float:
-        # ``decode`` clips into every pool, so the choice needs no check.
-        choice = self.decode(x)
+    def __call__(self, choice: np.ndarray) -> float:
+        """Algorithm 1's score of the integer choice vector ``choice``."""
+        choice = validate_choices(choice, self._sizes)
         self.scalar_evaluations += 1
         return self.scorer()(choice)
 

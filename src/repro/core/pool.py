@@ -23,6 +23,13 @@ from repro.partition.blocks import CircuitBlock
 from repro.synthesis.leap import SynthesisSolution, solution_unitaries
 from repro.synthesis.sphere import sphere_variants
 
+#: Synthesized candidates a pool keeps, cheapest first.
+_MAX_CANDIDATES = 24
+
+#: Lowest CNOT counts of a pool whose best candidate gets ε-sphere
+#: variants.
+_SPHERE_CNOT_COUNTS = 2
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -76,7 +83,6 @@ class BlockPool:
 def build_pool(
     block: CircuitBlock,
     solutions: list[SynthesisSolution],
-    max_candidates: int = 24,
     distance_cap: float | None = None,
     *,
     original_unitary: np.ndarray | None = None,
@@ -84,7 +90,7 @@ def build_pool(
 ) -> BlockPool:
     """Assemble a pool from LEAP solutions plus the original block.
 
-    Keeps at most ``max_candidates`` synthesized circuits, preferring
+    Keeps at most ``_MAX_CANDIDATES`` synthesized circuits, preferring
     lower CNOT counts then lower distances; candidates above
     ``distance_cap`` (when given) are discarded up front — the analogue of
     Algorithm 1's threshold rejection, applied per block.
@@ -121,7 +127,7 @@ def build_pool(
     )
     kept = 0
     for solution, unitary in ranked:
-        if kept >= max_candidates:
+        if kept >= _MAX_CANDIDATES:
             break
         # Re-measure the distance from the concrete circuit (the optimizer
         # cost is a lower bound on what the built circuit achieves).
@@ -164,15 +170,15 @@ def augment_with_sphere_variants(
     pool: BlockPool,
     threshold: float,
     per_count: int = 4,
-    max_counts: int = 2,
     rng: np.random.Generator | int | None = None,
 ) -> int:
     """Add epsilon-sphere variants of the pool's best cheap candidates.
 
-    For the ``max_counts`` lowest CNOT counts that have a candidate well
-    inside the threshold, generates ``per_count`` same-structure variants
-    on the threshold sphere (see :mod:`repro.synthesis.sphere`).  These
-    are the dissimilar approximations the selection engine averages over.
+    For the ``_SPHERE_CNOT_COUNTS`` lowest CNOT counts that have a
+    candidate well inside the threshold, generates ``per_count``
+    same-structure variants on the threshold sphere (see
+    :mod:`repro.synthesis.sphere`).  These are the dissimilar
+    approximations the selection engine averages over.
     Returns the number of candidates added.
     """
     rng = np.random.default_rng(rng)
@@ -187,7 +193,7 @@ def augment_with_sphere_variants(
         if current is None or candidate.distance < current.distance:
             best_by_count[candidate.cnot_count] = candidate
     added = 0
-    for cnot_count in sorted(best_by_count)[:max_counts]:
+    for cnot_count in sorted(best_by_count)[:_SPHERE_CNOT_COUNTS]:
         base = best_by_count[cnot_count]
         for variant, unitary in sphere_variants(
             base.source, pool.original_unitary, threshold,

@@ -19,6 +19,8 @@ serialized form: the CLI writes it to disk and the daemon returns it.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -58,6 +60,20 @@ from repro.verify.independent import DEFAULT_MAX_EXACT_QUBITS
 #: merely slow host.
 _HARD_TIMEOUT_FACTOR = 4.0
 _HARD_TIMEOUT_GRACE = 30.0
+
+#: The count fields of :class:`QuestConfig`, each with its least value.
+_COUNT_FLOORS = {
+    "max_block_qubits": 2,
+    "max_samples": 1,
+    "max_layers_per_block": 1,
+    "solutions_per_layer": 1,
+    "instantiation_starts": 1,
+    "max_optimizer_iterations": 1,
+    "annealing_maxiter": 1,
+    "sphere_variants_per_count": 0,
+    "workers": 1,
+    "retry_attempts": 1,
+}
 
 
 @dataclass
@@ -118,6 +134,35 @@ class QuestConfig:
     #: :data:`~repro.sim.unitary.MAX_UNITARY_QUBITS` raises
     #: :class:`~repro.exceptions.SimulationError`.
     certify_max_exact_qubits: int = DEFAULT_MAX_EXACT_QUBITS
+
+    def __post_init__(self) -> None:
+        """Refuse a count below its floor, or a negative or non-finite
+        threshold or budget, with :class:`ValueError`."""
+        for name, floor in _COUNT_FLOORS.items():
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < floor
+            ):
+                raise ValueError(
+                    f"QuestConfig.{name} must be an integer >= {floor}, "
+                    f"got {value!r}"
+                )
+        budgets = {"threshold_per_block": self.threshold_per_block}
+        if self.block_time_budget is not None:
+            budgets["block_time_budget"] = self.block_time_budget
+        for name, value in budgets.items():
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise ValueError(
+                    f"QuestConfig.{name} must be a finite number >= 0, "
+                    f"got {value!r}"
+                )
 
 
 @dataclass

@@ -28,15 +28,6 @@ def are_similar(
     return mutual_distance <= max(distance_a, distance_b)
 
 
-def unitaries_similar(
-    a: np.ndarray, b: np.ndarray, original: np.ndarray
-) -> bool:
-    """Similarity predicate evaluated directly on unitaries."""
-    return are_similar(
-        hs_distance(a, b), hs_distance(a, original), hs_distance(b, original)
-    )
-
-
 #: Pairs whose |mutual - max(d_i, d_j)| falls below this are re-resolved
 #: with the historical scalar arithmetic (see ``_block_table``).
 _BOUNDARY_MARGIN = 1e-7
@@ -149,21 +140,6 @@ class BlockSimilarityTables:
                 for offset, count in zip(self._offsets, self._counts)
             ]
         )
-
-    def candidates_similar(self, block: int, i: int, j: int) -> bool:
-        """Whether candidates ``i`` and ``j`` of ``block`` are similar."""
-        return bool(self._tables[block][i, j])
-
-    def similarity_fraction(
-        self, choice_a: np.ndarray, choice_b: np.ndarray
-    ) -> float:
-        """Fraction of blocks whose chosen candidates are similar."""
-        choice_a = validate_choices(choice_a, self._counts)
-        choice_b = validate_choices(choice_b, self._counts)
-        hits = self._flat[
-            self._offsets + choice_a * self._counts + choice_b
-        ]
-        return int(hits.sum()) / self.num_blocks
 
     def prior_hits(self, priors: np.ndarray) -> np.ndarray:
         """Validate stacked priors once, as one similarity row per candidate.

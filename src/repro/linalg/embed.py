@@ -2,8 +2,8 @@
 
 These routines define the library's single source of truth for how a
 k-qubit gate acts on amplitudes inside an n-qubit system.  The
-statevector, unitary and density-matrix simulators, the trajectory
-sampler, the synthesis code and the certifier go through these
+statevector and unitary simulators, the trajectory sampler, the
+synthesis code and the certifier go through these
 functions, and the three ``apply_gate_to_*`` functions share one kernel,
 so the little-endian convention is enforced in one place for all of
 them.  (The PTM engine contracts Pauli-transfer matrices with its own

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from repro.circuits.gates import ry_matrix, rz_matrix, u3_matrix
 from repro.exceptions import ReproError
 from repro.linalg.unitary import is_unitary
 
@@ -43,27 +42,6 @@ def zyz_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
         phi = cmath.phase(su2[1, 1]) + cmath.phase(su2[1, 0])
         lam = cmath.phase(su2[1, 1]) - cmath.phase(su2[1, 0])
     return theta, phi, lam, alpha
-
-
-def zyz_reconstruct(theta: float, phi: float, lam: float, alpha: float) -> np.ndarray:
-    """Inverse of :func:`zyz_decompose`."""
-    return cmath.exp(1j * alpha) * (
-        rz_matrix(phi) @ ry_matrix(theta) @ rz_matrix(lam)
-    )
-
-
-def u3_params(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Return ``(theta, phi, lam, phase)`` with ``U = e^{i phase} U3(theta, phi, lam)``.
-
-    ``U3(theta, phi, lam) = e^{i (phi + lam) / 2} RZ(phi) RY(theta) RZ(lam)``,
-    so the U3 form reuses the ZYZ angles with a shifted global phase.
-    """
-    theta, phi, lam, alpha = zyz_decompose(u)
-    phase = alpha - (phi + lam) / 2.0
-    reconstructed = u3_matrix(theta, phi, lam) * cmath.exp(1j * phase)
-    if not np.allclose(reconstructed, u, atol=1e-7):
-        raise ReproError("u3 reconstruction failed (internal error)")
-    return theta, phi, lam, phase
 
 
 def is_identity_angles(theta: float, phi: float, lam: float) -> bool:

@@ -40,44 +40,3 @@ def hs_distance(u: np.ndarray, v: np.ndarray) -> float:
     overlap = abs(hs_inner(u, v)) / dim
     return math.sqrt(max(0.0, 1.0 - overlap * overlap))
 
-
-def hs_cost(u: np.ndarray, v: np.ndarray) -> float:
-    """Synthesis cost function ``1 - |Tr(U^dag V)| / N``, in ``[0, 1]``.
-
-    Monotone with :func:`hs_distance` and better conditioned near zero,
-    which is why LEAP-style optimizers minimize it instead of the distance.
-    """
-    dim = u.shape[0]
-    return 1.0 - abs(hs_inner(u, v)) / dim
-
-
-def equal_up_to_global_phase(
-    u: np.ndarray, v: np.ndarray, atol: float = 1e-8
-) -> bool:
-    """Whether two unitaries differ only by a global phase."""
-    if u.shape != v.shape:
-        return False
-    overlap = hs_inner(u, v)
-    if abs(overlap) < atol:
-        return False
-    phase = overlap / abs(overlap)
-    return bool(np.allclose(u * phase, v, atol=atol))
-
-
-def closest_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Project a matrix onto the unitary group (polar decomposition)."""
-    left, _, right = np.linalg.svd(matrix)
-    return left @ right
-
-
-def global_phase_between(u: np.ndarray, v: np.ndarray) -> complex:
-    """Return phase ``p`` minimizing ``||p*U - V||_F`` (unit modulus)."""
-    overlap = hs_inner(u, v)
-    if abs(overlap) == 0.0:
-        return 1.0 + 0.0j
-    return overlap / abs(overlap)
-
-
-def fidelity_from_distance(distance: float) -> float:
-    """Convert an HS distance to the corresponding process overlap."""
-    return math.sqrt(max(0.0, 1.0 - distance * distance))

@@ -42,23 +42,6 @@ def magic_rep(u: np.ndarray) -> np.ndarray:
     return MAGIC.conj().T @ su4 @ MAGIC
 
 
-def makhlin_invariants(u: np.ndarray) -> tuple[complex, float]:
-    """Return the Makhlin local invariants ``(G1, G2)`` of a 4x4 unitary.
-
-    ``G1 = tr(gamma)^2 / 16`` and ``G2 = (tr(gamma)^2 - tr(gamma^2)) / 4``
-    with ``gamma = m m^T`` in the magic basis.  Both are invariant under
-    local (one-qubit) gates; ``G1`` flips sign with the det branch, so
-    callers should compare ``|G1|`` / ``Re(G1)`` patterns, which this
-    module's classifier does.
-    """
-    m = magic_rep(u)
-    gamma = m @ m.T
-    trace = np.trace(gamma)
-    g1 = complex(trace * trace / 16.0)
-    g2 = float(np.real((trace * trace - np.trace(gamma @ gamma)) / 4.0))
-    return g1, g2
-
-
 def is_tensor_product(u: np.ndarray, atol: float = 1e-8) -> bool:
     """Whether ``U = B (x) A`` for one-qubit unitaries ``A`` and ``B``."""
     if u.shape != (4, 4):

@@ -67,12 +67,6 @@ PTM_TRACE_PRESERVATION_TOL = 1e-9
 #: slack: physical channels have exactly nonnegative Choi spectra.
 PTM_CP_TOL = 1e-9
 
-#: Max pointwise disagreement between the PTM engine's distribution and
-#: the density-matrix reference for the same circuit and noise model.
-#: Both engines are exact, so the gap is pure contraction-order
-#: rounding; the agreement tests pin it here.
-PTM_DENSITY_AGREEMENT_ATOL = 1e-10
-
 #: Failure probability budget of the random-stimulus certification
 #: regime: the stimulus-derived distance bound is a lower confidence
 #: bound on the true HS distance that holds with probability at least
@@ -89,6 +83,5 @@ __all__ = [
     "BOUND_SLACK",
     "PTM_TRACE_PRESERVATION_TOL",
     "PTM_CP_TOL",
-    "PTM_DENSITY_AGREEMENT_ATOL",
     "STIMULUS_CONFIDENCE_DELTA",
 ]

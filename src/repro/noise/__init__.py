@@ -7,21 +7,16 @@ Two noisy-evaluation engines read one channel schedule,
   batched over the ensemble axis, practical to ~12 qubits;
 * ``trajectories`` — Monte-Carlo Pauli trajectories, for anything wider.
 
-The exact density-matrix simulator (:func:`run_density`, ~9 qubits)
-reads it too.  It is not an engine: it stays as the reference the PTM
-engine is tested against.
+The tests hold the PTM engine to an exact density-matrix simulation
+(``tests/density_oracle.py``) that reads the same schedule.
 """
 
 from repro.exceptions import SimulationError
 from repro.noise.backends import (
     Backend,
-    all_to_all_coupling,
     fake_manila,
-    ideal_backend,
-    linear_backend,
     linear_coupling,
 )
-from repro.noise.density import MAX_DENSITY_QUBITS, run_density
 from repro.noise.model import (
     ONE_QUBIT_PAULIS,
     TWO_QUBIT_PAULIS,
@@ -86,7 +81,6 @@ __all__ = [
     "apply_readout_error",
     "ONE_QUBIT_PAULIS",
     "TWO_QUBIT_PAULIS",
-    "run_density",
     "run_trajectories",
     "run_ptm",
     "run_ptm_ensemble",
@@ -94,12 +88,8 @@ __all__ = [
     "noisy_distribution",
     "resolve_engine",
     "NOISE_ENGINES",
-    "MAX_DENSITY_QUBITS",
     "MAX_PTM_QUBITS",
     "Backend",
     "fake_manila",
-    "linear_backend",
-    "ideal_backend",
     "linear_coupling",
-    "all_to_all_coupling",
 ]

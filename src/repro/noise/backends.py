@@ -44,27 +44,10 @@ class Backend:
         }
         return edges >= wanted
 
-    def neighbors(self, qubit: int) -> tuple[int, ...]:
-        """Qubits directly coupled to ``qubit``."""
-        out = set()
-        for a, b in self.coupling_map:
-            if a == qubit:
-                out.add(b)
-            if b == qubit:
-                out.add(a)
-        return tuple(sorted(out))
-
 
 def linear_coupling(num_qubits: int) -> tuple[tuple[int, int], ...]:
     """The 0-1-2-...-(n-1) chain topology."""
     return tuple((q, q + 1) for q in range(num_qubits - 1))
-
-
-def all_to_all_coupling(num_qubits: int) -> tuple[tuple[int, int], ...]:
-    """Full connectivity (an idealized device)."""
-    return tuple(
-        (a, b) for a in range(num_qubits) for b in range(a + 1, num_qubits)
-    )
 
 
 def fake_manila() -> Backend:
@@ -81,22 +64,3 @@ def fake_manila() -> Backend:
         ),
     )
 
-
-def linear_backend(num_qubits: int, noise: NoiseModel | None = None) -> Backend:
-    """A linear-chain device of arbitrary size."""
-    return Backend(
-        name=f"linear_{num_qubits}",
-        num_qubits=num_qubits,
-        coupling_map=linear_coupling(num_qubits),
-        noise=noise or NoiseModel(),
-    )
-
-
-def ideal_backend(num_qubits: int, noise: NoiseModel | None = None) -> Backend:
-    """A fully connected device (no routing needed)."""
-    return Backend(
-        name=f"ideal_{num_qubits}",
-        num_qubits=num_qubits,
-        coupling_map=all_to_all_coupling(num_qubits),
-        noise=noise or NoiseModel.noiseless(),
-    )

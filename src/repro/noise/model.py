@@ -13,7 +13,8 @@ on real devices is about an order of magnitude above the one-qubit rate.
   qubit.
 
 :func:`noise_schedule` lists the channels that follow each gate; the
-density, PTM and trajectory engines all read it.
+PTM and trajectory engines and the tests' density-matrix reference all
+read it.
 """
 
 from __future__ import annotations
@@ -103,11 +104,6 @@ class NoiseModel:
             two_qubit_error=level,
             readout_error=level if readout is None else readout,
         )
-
-    @classmethod
-    def noiseless(cls) -> "NoiseModel":
-        """A model with every error rate zero (for testing)."""
-        return cls(0.0, 0.0, 0.0, 0.0)
 
 
 class PauliChannel(NamedTuple):

@@ -1,7 +1,8 @@
 """Superoperator (Pauli-transfer-matrix) noise engine.
 
-Exact like :func:`repro.noise.density.run_density`, and reading the same
-channels, :func:`repro.noise.model.noise_schedule`, but structured for
+Exact like a density-matrix simulation (the tests' reference,
+``tests/density_oracle.py``), and reading the same channels,
+:func:`repro.noise.model.noise_schedule`, but structured for
 throughput: every gate-plus-channel pair is compiled *once* into a real
 ``4^k x 4^k`` Pauli-transfer matrix (PTM), and a whole noisy ensemble
 then evolves as batched PTM contractions over Pauli-basis density
@@ -580,8 +581,8 @@ def run_ptm(
     """Exact noisy output distribution of one circuit via the PTM engine.
 
     Single-circuit convenience over :func:`run_ptm_ensemble` (a batch of
-    one); agrees with :func:`repro.noise.density.run_density` to float
-    precision while running an order of magnitude fewer contractions per
+    one); agrees with a density-matrix simulation to float precision
+    while running an order of magnitude fewer contractions per
     noisy gate (one ``16 x 16`` PTM instead of ~32 conjugations).
     """
     return run_ptm_ensemble([circuit], noise, cache=cache)[0]

@@ -1,6 +1,6 @@
 """Monte-Carlo Pauli-trajectory noisy simulation.
 
-Scales past the density-matrix cap: each trajectory evolves a statevector
+Scales past the PTM engine's cap: each trajectory evolves a statevector
 and stochastically injects a Pauli error at each channel that
 :func:`repro.noise.model.noise_schedule` puts after a gate, with that
 channel's probability.  Averaging many trajectories converges to the

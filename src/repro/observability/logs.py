@@ -43,14 +43,12 @@ class _BelowWarning(logging.Filter):
         return record.levelno < logging.WARNING
 
 
-def configure_logging(
-    level: str = "info", stdout=None, stderr=None
-) -> logging.Logger:
+def configure_logging(level: str = "info") -> logging.Logger:
     """(Re)configure the ``repro`` logger for CLI use.
 
     Idempotent: existing handlers on the logger are replaced, so a test
     harness calling ``main()`` repeatedly never stacks handlers.  The
-    streams default to the *current* ``sys.stdout``/``sys.stderr`` so
+    handlers write to the *current* ``sys.stdout``/``sys.stderr``, so
     capture fixtures see the output.
     """
     if level not in _LEVELS:
@@ -61,10 +59,10 @@ def configure_logging(
     logger.setLevel(_LEVELS[level])
     for handler in list(logger.handlers):
         logger.removeHandler(handler)
-    out_handler = logging.StreamHandler(stdout if stdout is not None else sys.stdout)
+    out_handler = logging.StreamHandler(sys.stdout)
     out_handler.addFilter(_BelowWarning())
     out_handler.setFormatter(logging.Formatter("%(message)s"))
-    err_handler = logging.StreamHandler(stderr if stderr is not None else sys.stderr)
+    err_handler = logging.StreamHandler(sys.stderr)
     err_handler.setLevel(logging.WARNING)
     err_handler.setFormatter(logging.Formatter("%(message)s"))
     logger.addHandler(out_handler)

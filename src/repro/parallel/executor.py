@@ -242,12 +242,6 @@ class BlockSynthesisStats:
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
 
-    @property
-    def fallback_blocks(self) -> list[int]:
-        """Blocks downgraded to their exact-block fallback pool: the
-        ``fallback`` records of ``failure_log``."""
-        return [r.block_index for r in self.failure_log if r.kind == FAILURE_FALLBACK]
-
 
 @dataclass(frozen=True)
 class _BlockPlan:

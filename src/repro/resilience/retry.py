@@ -43,12 +43,3 @@ class FailureRecord:
     attempt: int
     kind: str
     message: str
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form (for artifacts and the CLI)."""
-        return {
-            "block_index": self.block_index,
-            "attempt": self.attempt,
-            "kind": self.kind,
-            "message": self.message,
-        }

@@ -16,7 +16,6 @@ over the wire.
 from __future__ import annotations
 
 import socket
-import time
 
 from repro.exceptions import AdmissionRejected, ServiceError
 from repro.service.protocol import (
@@ -196,28 +195,6 @@ class ServiceClient:
         payload["job_id"] = job_id
         payload["degraded"] = bool(reply.get("degraded"))
         return payload
-
-    def wait_until_ready(self, timeout: float = 30.0) -> dict:
-        """Poll ``status`` until the daemon is up and ready.
-
-        For scripts/tests that just started a daemon process: retries
-        connection errors until ``timeout``, then re-raises.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                status = self.status(timeout=5.0)
-                if status.get("ready"):
-                    return status
-            except ServiceError:
-                if time.monotonic() >= deadline:
-                    raise
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"daemon at {self.socket_path} not ready "
-                    f"within {timeout}s"
-                )
-            time.sleep(0.05)
 
 
 __all__ = ["ServiceClient", "AdmissionRejected"]

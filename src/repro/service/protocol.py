@@ -79,9 +79,11 @@ _CONFIG_FIELDS = {f.name for f in fields(QuestConfig)}
 def merge_config(base: QuestConfig, overrides: dict | None) -> QuestConfig:
     """Apply a request's config overrides onto the daemon's base config.
 
-    Unknown fields and substrate fields raise :class:`ServiceError`
-    (surfaced to the client as an ``invalid_request`` rejection) instead
-    of being silently dropped — a client that misspells a knob must hear
+    Unknown fields, substrate fields and values
+    :class:`~repro.core.quest.QuestConfig` refuses raise
+    :class:`ServiceError` (surfaced to the client as an
+    ``invalid_request`` rejection) instead of being silently dropped or
+    failing the job later — a client that misspells a knob must hear
     about it at admission, not discover it in the results.
     """
     if not overrides:
@@ -99,7 +101,10 @@ def merge_config(base: QuestConfig, overrides: dict | None) -> QuestConfig:
             "substrate-owned QuestConfig field(s) cannot be set per "
             f"request: {', '.join(forbidden)}"
         )
-    return replace(base, **overrides)
+    try:
+        return replace(base, **overrides)
+    except ValueError as exc:
+        raise ServiceError(str(exc)) from exc
 
 
 @dataclass

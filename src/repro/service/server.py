@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import os
 import signal
 import threading
@@ -121,7 +122,6 @@ class QuestService:
         max_concurrency: int = 2,
         tenant_weights: dict[str, float] | None = None,
         tenant_quotas: dict[str, int] | None = None,
-        clock=time.time,
         fault_injector=None,
     ) -> None:
         if max_concurrency < 1:
@@ -137,7 +137,6 @@ class QuestService:
             tenant_quotas=tenant_quotas,
         )
         self.max_concurrency = int(max_concurrency)
-        self._clock = clock
         #: Deterministic fault schedule threaded into every job's
         #: pipeline (tests/CI only; see :mod:`repro.resilience.faults`).
         self.fault_injector = fault_injector
@@ -277,7 +276,7 @@ class QuestService:
         """Bind the socket and start the dispatcher."""
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        self._started_at = self._clock()
+        self._started_at = time.time()
         path = Path(self.socket_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with contextlib.suppress(OSError):
@@ -395,7 +394,7 @@ class QuestService:
         record.error = error
         record.degraded = degraded
         self.ledger.store(record)
-        latency = self._clock() - record.submitted_at
+        latency = time.time() - record.submitted_at
         self.metrics.observe("service.latency_seconds", max(latency, 0.0))
         self.metrics.observe(
             f"service.latency_seconds.{record.tenant}", max(latency, 0.0)
@@ -420,7 +419,7 @@ class QuestService:
             record.attempts += 1
             self.ledger.store(record)
 
-            remaining = record.deadline_remaining(self._clock())
+            remaining = record.deadline_remaining(time.time())
             if remaining is not None and remaining <= 0:
                 self._finish(record, error={
                     "kind": "deadline_expired",
@@ -567,13 +566,18 @@ class QuestService:
         deadline_at = None
         if deadline_seconds is not None:
             try:
-                deadline_at = self._clock() + float(deadline_seconds)
-            except (TypeError, ValueError) as exc:
+                relative = float(deadline_seconds)
+            except (TypeError, ValueError, OverflowError):
+                relative = math.nan
+            # A NaN deadline would compare false everywhere: a job that
+            # never expires.
+            if not math.isfinite(relative):
                 raise AdmissionRejected(
                     REJECT_INVALID_REQUEST,
                     f"bad deadline_seconds {deadline_seconds!r}",
                     tenant=tenant,
-                ) from exc
+                )
+            deadline_at = time.time() + relative
         job_id = f"job{self._next_job_number:06d}"
         self._next_job_number += 1
         return JobRecord(
@@ -582,7 +586,7 @@ class QuestService:
             qasm=qasm,
             config_overrides=dict(overrides),
             namespace=namespace,
-            submitted_at=self._clock(),
+            submitted_at=time.time(),
             deadline_at=deadline_at,
         )
 
@@ -640,7 +644,7 @@ class QuestService:
             "version": PROTOCOL_VERSION,
             "healthy": True,
             "ready": not self._stopping and not self.scheduler.draining,
-            "uptime_seconds": max(self._clock() - self._started_at, 0.0),
+            "uptime_seconds": max(time.time() - self._started_at, 0.0),
             "queue_depth": self.scheduler.depth,
             "capacity": self.scheduler.capacity,
             "active_jobs": self._active,

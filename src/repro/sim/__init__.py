@@ -1,31 +1,19 @@
 """Ideal simulators: statevector evolution and dense circuit unitaries."""
 
-from repro.sim.expectation import (
-    DEFAULT_SHOTS,
-    diagonal_expectation,
-    sampled_distribution,
-    z_string_expectation,
-)
 from repro.sim.readout import (
     distribution_over_cbits,
     logical_distribution,
     measurement_map,
 )
 from repro.sim.statevector import (
-    counts_to_distribution,
     ideal_distribution,
     probabilities,
     run_statevector,
-    sample_counts,
     zero_state,
 )
 from repro.sim.unitary import MAX_UNITARY_QUBITS, circuit_unitary
 
 __all__ = [
-    "z_string_expectation",
-    "diagonal_expectation",
-    "sampled_distribution",
-    "DEFAULT_SHOTS",
     "logical_distribution",
     "distribution_over_cbits",
     "measurement_map",
@@ -33,8 +21,6 @@ __all__ = [
     "run_statevector",
     "probabilities",
     "ideal_distribution",
-    "sample_counts",
-    "counts_to_distribution",
     "circuit_unitary",
     "MAX_UNITARY_QUBITS",
 ]

@@ -61,39 +61,3 @@ def ideal_distribution(circuit: Circuit) -> np.ndarray:
     """Exact output distribution of ``circuit`` starting from ``|0...0>``."""
     return probabilities(run_statevector(circuit.without_measurements()))
 
-
-def sample_counts(
-    probs: np.ndarray,
-    shots: int,
-    rng: np.random.Generator | int | None = None,
-) -> dict[int, int]:
-    """Sample ``shots`` measurement outcomes from a distribution.
-
-    Returns a sparse ``{basis_index: count}`` histogram, mirroring the
-    8192-shot experiments in the paper.
-    """
-    if shots < 1:
-        raise SimulationError("shots must be positive")
-    rng = np.random.default_rng(rng)
-    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
-    histogram = np.bincount(outcomes, minlength=len(probs))
-    observed = np.flatnonzero(histogram)
-    return {int(v): int(histogram[v]) for v in observed}
-
-
-def counts_to_distribution(counts: dict[int, int], dim: int) -> np.ndarray:
-    """Convert a counts histogram into a dense probability vector."""
-    if not counts:
-        raise SimulationError("empty counts histogram")
-    indices = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    total = int(values.sum())
-    if total == 0:
-        raise SimulationError("empty counts histogram")
-    bad = (indices < 0) | (indices >= dim)
-    if bad.any():
-        outlier = int(indices[bad][0])
-        raise SimulationError(f"outcome {outlier} out of range for dim {dim}")
-    probs = np.zeros(dim)
-    probs[indices] = values / total
-    return probs

@@ -15,10 +15,10 @@ what they mean.
   file in the shard (unique per writer), fsyncs it, moves it into place
   with ``os.replace`` and fsyncs the shard, so readers see only complete
   entries and a published entry survives a crash.  *Open* deletes temp
-  files older than the grace window, left by a dead writer.  *Eviction* never
-  deletes an entry younger than ``grace_seconds``, so another replica's
-  fresh publish or LRU touch is safe; losing any other race costs a
-  recomputation, never correctness.
+  files older than the grace window, left by a dead writer.  *Eviction*
+  never deletes an entry younger than :data:`DEFAULT_GRACE_SECONDS`, so
+  another replica's fresh publish or LRU touch is safe; losing any other
+  race costs a recomputation, never correctness.
 
 Eviction approximates a global LRU while scanning one shard at a time,
 from a per-shard ``(count, oldest mtime)`` table built once per process
@@ -176,19 +176,13 @@ class ArtifactStore:
         *,
         namespace: str = DEFAULT_NAMESPACE,
         max_entries: int | None = None,
-        grace_seconds: float = DEFAULT_GRACE_SECONDS,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if grace_seconds < 0:
-            raise ValueError(
-                f"grace_seconds must be >= 0, got {grace_seconds}"
-            )
         self.root = Path(root)
         self.namespace = validate_namespace(namespace)
         #: Per-namespace quota on published entries (None = unbounded).
         self.max_entries = max_entries
-        self.grace_seconds = float(grace_seconds)
         self._dir = self.root / self.namespace
         self._dir.mkdir(parents=True, exist_ok=True)
         # The lock guards the shard table only — never held across file
@@ -280,7 +274,7 @@ class ArtifactStore:
     def sweep_orphans(self) -> int:
         """Delete the namespace's orphaned temp files (:func:`sweep_orphans`)."""
         swept = sweep_orphans(
-            (self._dir, *self._shard_dirs()), self.grace_seconds
+            (self._dir, *self._shard_dirs()), DEFAULT_GRACE_SECONDS
         )
         if swept:
             self._count("orphans_swept", swept)
@@ -332,12 +326,6 @@ class ArtifactStore:
                 self._shard_meta = meta
                 self._meta_ready = True
 
-    def entry_count(self) -> int:
-        """Entries currently believed to exist in this namespace."""
-        self._ensure_meta()
-        with self._lock:
-            return int(sum(meta[0] for meta in self._shard_meta.values()))
-
     def evict(self) -> int:
         """Restore the ``max_entries`` bound; returns entries deleted.
 
@@ -368,7 +356,7 @@ class ArtifactStore:
                 _, shard = min(candidates)
             # All file I/O below runs without the lock held.
             scanned = self._scan_shard(shard)
-            cutoff = time.time() - self.grace_seconds
+            cutoff = time.time() - DEFAULT_GRACE_SECONDS
             evicted = 0
             survivors = list(scanned)
             for mtime, path in scanned:

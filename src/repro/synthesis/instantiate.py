@@ -80,15 +80,6 @@ def _cost_from_trace(
     return cost, grad
 
 
-def _cost_and_gradient(
-    params: np.ndarray, ansatz: Ansatz, target_conj: np.ndarray, dim: int
-) -> tuple[float, np.ndarray]:
-    # Tr(V^dag U) == sum(conj(V) * U) elementwise; the ansatz contracts
-    # each per-parameter derivative against the target itself.
-    trace, dtraces = ansatz.trace_and_gradient(params, target_conj)
-    return _cost_from_trace(trace, dtraces, dim)
-
-
 class _LbfgsbRun:
     """One L-BFGS-B run on ``setulb``, advanced by its caller.
 

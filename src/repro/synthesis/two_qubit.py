@@ -22,6 +22,9 @@ from repro.synthesis.instantiate import instantiate
 #: Alternating CNOT directions, the Vatan-Williams pattern.
 _TEMPLATE_PLACEMENTS = [(0, 1), (1, 0), (0, 1)]
 
+#: HS distance a template must reach to count as equal to the target.
+_TOLERANCE = 1e-6
+
 
 def _one_qubit_ops(circuit: Circuit, qubit: int, matrix: np.ndarray) -> None:
     theta, phi, lam, _ = zyz_decompose(matrix)
@@ -32,13 +35,12 @@ def _one_qubit_ops(circuit: Circuit, qubit: int, matrix: np.ndarray) -> None:
 
 def decompose_two_qubit(
     target: np.ndarray,
-    tolerance: float = 1e-6,
     rng: np.random.Generator | int | None = None,
 ) -> Circuit:
     """Return a circuit on 2 qubits equal to ``target`` up to global phase.
 
     The circuit uses at most 3 CNOTs plus RZ/RY rotations.  Raises
-    :class:`SynthesisError` if no template reaches ``tolerance`` (which
+    :class:`SynthesisError` if no template reaches ``_TOLERANCE`` (which
     would indicate a non-unitary input).
     """
     if target.shape != (4, 4):
@@ -59,9 +61,9 @@ def decompose_two_qubit(
             rng=rng,
             starts=6,
             maxiter=1000,
-            success_cost=max(1e-14, tolerance * tolerance / 2.0),
+            success_cost=max(1e-14, _TOLERANCE * _TOLERANCE / 2.0),
         )
-        if result.distance <= tolerance:
+        if result.distance <= _TOLERANCE:
             return ansatz.build_circuit(result.params)
     raise SynthesisError(
         "no 3-CNOT template matched the target; input may not be unitary"

@@ -1,11 +1,6 @@
 """Qiskit-like transpiler: basis lowering, peephole passes, routing."""
 
 from repro.transpile.basis import lower_to_basis
-from repro.transpile.layout import (
-    apply_layout,
-    interaction_counts,
-    interaction_layout,
-)
 from repro.transpile.passes import (
     cancel_adjacent_cx,
     consolidate_two_qubit_runs,
@@ -16,9 +11,6 @@ from repro.transpile.pipeline import TranspileResult, transpile
 from repro.transpile.routing import RoutingResult, route_to_coupling
 
 __all__ = [
-    "interaction_layout",
-    "interaction_counts",
-    "apply_layout",
     "lower_to_basis",
     "merge_one_qubit_gates",
     "cancel_adjacent_cx",

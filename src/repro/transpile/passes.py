@@ -15,6 +15,9 @@ import numpy as np
 from repro.circuits.circuit import Circuit, Operation
 from repro.linalg.su2 import ANGLE_ATOL, is_identity_angles, zyz_decompose
 
+#: Fewest CNOTs in a same-pair run that consolidation resynthesizes.
+_MIN_RUN_CNOTS = 2
+
 #: One-qubit gate names the merge pass accumulates.
 _ONE_QUBIT_UNITARIES = frozenset(
     {"id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "rx", "ry", "rz",
@@ -151,15 +154,14 @@ def remove_identity_rotations(circuit: Circuit) -> Circuit:
 
 def consolidate_two_qubit_runs(
     circuit: Circuit,
-    min_run_cnots: int = 2,
     rng: np.random.Generator | int | None = None,
 ) -> Circuit:
     """Resynthesize maximal same-pair runs through the 2-qubit decomposer.
 
     Finds maximal runs of operations confined to one qubit pair, computes
-    the run's 4x4 unitary, and re-emits it with at most 3 CNOTs when that
-    is strictly cheaper.  This is the Qiskit ``ConsolidateBlocks`` +
-    KAK-resynthesis step.
+    the 4x4 unitary of each run with at least ``_MIN_RUN_CNOTS`` CNOTs,
+    and re-emits it with at most 3 CNOTs when that is strictly cheaper.
+    This is the Qiskit ``ConsolidateBlocks`` + KAK-resynthesis step.
     """
     from repro.synthesis.two_qubit import decompose_two_qubit
 
@@ -190,7 +192,7 @@ def consolidate_two_qubit_runs(
                 deferred.append(candidate)
             scan += 1
         run_cnots = sum(1 for r in run if r.name == "cx")
-        if run_cnots >= min_run_cnots:
+        if run_cnots >= _MIN_RUN_CNOTS:
             low, high = sorted(pair)
             local = Circuit(2)
             mapping = {low: 0, high: 1}

@@ -5,10 +5,10 @@ simulated annealing out over integer choices.  This module keeps the
 annealed selection it replaced as the oracle the tests hold it to with
 ``==``: ``scipy.optimize.dual_annealing(no_local_search=True)`` over a
 scalar score of continuous points, on the box ``[0, size_b - 1e-9)``
-per block, each run's result floored by ``objective.decode``.  The
-score defaults to the objective's ``__call__``; pass
-``tests.objective_oracle.FrozenObjective(objective)`` to keep the new
-scorer out of the reference altogether.
+per block, each run's result floored by :func:`decode`.  The score
+defaults to the objective's ``__call__`` of :func:`decode`'s choice;
+pass ``tests.objective_oracle.FrozenObjective(objective)`` to keep the
+new scorer out of the reference altogether.
 """
 
 from __future__ import annotations
@@ -19,6 +19,20 @@ from scipy.optimize import dual_annealing
 from repro.exceptions import SelectionError
 
 
+def decode(objective, x: np.ndarray) -> np.ndarray:
+    """Floor a continuous annealer point to an in-pool choice vector
+    (NaN and infinities floor to 0)."""
+    max_choice = np.array([pool.size for pool in objective.pools]) - 1
+    choice = np.floor(np.asarray(x)).astype(int)
+    np.maximum(choice, 0, out=choice)
+    return np.minimum(choice, max_choice, out=choice)
+
+
+def point_score(objective):
+    """The objective as a function of continuous points: scipy's ``f``."""
+    return lambda x: objective(decode(objective, x))
+
+
 def box_bounds(objective) -> list[tuple[float, float]]:
     """Continuous box bounds encoding the integer choice per block."""
     return [(0.0, pool.size - 1e-9) for pool in objective.pools]
@@ -27,7 +41,7 @@ def box_bounds(objective) -> list[tuple[float, float]]:
 def anneal(objective, maxiter, rng, score=None, maxfun=1e7):
     """One scipy run from the all-original choice: (choice, value, nfev)."""
     annealed = dual_annealing(
-        objective if score is None else score,
+        point_score(objective) if score is None else score,
         bounds=box_bounds(objective),
         maxiter=maxiter,
         maxfun=maxfun,
@@ -35,7 +49,7 @@ def anneal(objective, maxiter, rng, score=None, maxfun=1e7):
         no_local_search=True,
         x0=np.full(objective.num_blocks, 0.5),
     )
-    return objective.decode(annealed.x), annealed.fun, annealed.nfev
+    return decode(objective, annealed.x), annealed.fun, annealed.nfev
 
 
 def select(objective, max_samples, maxiter, seed, score=None):
@@ -44,7 +58,7 @@ def select(objective, max_samples, maxiter, seed, score=None):
     Returns the choices, their objective values and the scalar
     evaluation count, all scored by ``score``.
     """
-    score = objective if score is None else score
+    score = point_score(objective) if score is None else score
     objective.selected.clear()
     objective.scalar_evaluations = 0
     choices, values = [], []

@@ -17,8 +17,17 @@ from scipy.optimize import minimize
 
 from repro.exceptions import SynthesisError
 from repro.synthesis.ansatz import build_leap_ansatz
-from repro.synthesis.instantiate import InstantiationResult, _cost_and_gradient
+from repro.synthesis.instantiate import InstantiationResult, _cost_from_trace
 from repro.synthesis.leap import LeapConfig, SynthesisSolution, _one_qubit_solution
+
+
+def cost_and_gradient(params, ansatz, target_conj, dim):
+    """One parameter row's cost and gradient, the scalar objective a lone
+    ``scipy.optimize.minimize`` call sees."""
+    # Tr(V^dag U) == sum(conj(V) * U) elementwise; the ansatz contracts
+    # each per-parameter derivative against the target itself.
+    trace, dtraces = ansatz.trace_and_gradient(params, target_conj)
+    return _cost_from_trace(trace, dtraces, dim)
 
 
 def sequential_instantiate_multi(
@@ -52,7 +61,7 @@ def sequential_instantiate_multi(
                     raise StopIteration
 
         fit = minimize(
-            _cost_and_gradient,
+            cost_and_gradient,
             x0,
             args=(ansatz, target_conj, dim),
             jac=True,

@@ -33,14 +33,17 @@ class FrozenObjective:
         self._cnot_matrix = np.zeros((len(pools), max_size), dtype=np.int64)
         self._distance_matrix = np.full((len(pools), max_size), np.inf)
         self._similar = np.zeros((len(pools), max_size, max_size), dtype=bool)
+        # Prior j picks candidate min(j, size_b - 1) in block b, so column
+        # j of its compiled rows holds similar[b, i, j] for every j < size_b.
+        priors = np.minimum(np.arange(max_size)[:, None], self._sizes - 1)
+        hits = objective.tables.prior_hits(priors)
+        start = 0
         for b, pool in enumerate(pools):
             self._cnot_matrix[b, : pool.size] = pool.cnot_counts()
             self._distance_matrix[b, : pool.size] = pool.distances()
-            for i in range(pool.size):
-                for j in range(pool.size):
-                    self._similar[b, i, j] = objective.tables.candidates_similar(
-                        b, i, j
-                    )
+            rows = hits[start : start + pool.size, : pool.size]
+            self._similar[b, : pool.size, : pool.size] = rows
+            start += pool.size
         self._block_index = np.arange(len(pools))
 
     def decode(self, x: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import Circuit
+from repro.core import annealing
 from repro.core.annealing import select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
@@ -98,16 +99,15 @@ def test_bounds_and_objectives_recorded():
         assert bound <= objective.threshold
 
 
-def test_annealer_path_matches_exhaustive():
+def test_annealer_path_matches_exhaustive(monkeypatch):
     # Force the dual-annealing path by disabling exhaustive search; it
     # should find the same first (lowest-CNOT) selection.
     objective_a = _objective()
-    exact = select_approximations(
-        objective_a, max_samples=1, seed=0, exhaustive_cutoff=512
-    )
+    exact = select_approximations(objective_a, max_samples=1, seed=0)
     objective_b = _objective()
+    monkeypatch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
     annealed = select_approximations(
-        objective_b, max_samples=1, seed=0, exhaustive_cutoff=0, maxiter=200
+        objective_b, max_samples=1, seed=0, maxiter=200
     )
     assert exact.cnot_counts[0] == annealed.cnot_counts[0]
 
@@ -118,10 +118,9 @@ def test_bad_max_samples():
 
 
 @pytest.mark.parametrize("maxiter", [0, -1])
-def test_bad_maxiter(maxiter):
+def test_bad_maxiter(maxiter, monkeypatch):
     # scipy's annealing loop never stops below one iteration, so an
     # annealed selection would hang here instead of raising.
+    monkeypatch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
     with pytest.raises(SelectionError):
-        select_approximations(
-            _objective(), max_samples=1, maxiter=maxiter, exhaustive_cutoff=0
-        )
+        select_approximations(_objective(), max_samples=1, maxiter=maxiter)

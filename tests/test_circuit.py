@@ -7,7 +7,7 @@ import pytest
 
 from repro.circuits import Circuit, Gate, Operation
 from repro.exceptions import CircuitError
-from repro.linalg import equal_up_to_global_phase
+from tests.helpers import equal_up_to_global_phase
 
 
 def test_empty_circuit_properties():
@@ -16,8 +16,6 @@ def test_empty_circuit_properties():
     assert len(circuit) == 0
     assert circuit.depth() == 0
     assert circuit.cnot_count() == 0
-    assert circuit.gate_counts() == {}
-    assert circuit.active_qubits() == ()
 
 
 def test_zero_qubits_rejected():
@@ -117,19 +115,6 @@ def test_remap_into_wider_circuit(bell_circuit):
     assert wide.operations[1].qubits == (2, 0)
 
 
-def test_compose_width_mismatch(bell_circuit):
-    with pytest.raises(CircuitError):
-        bell_circuit.compose(Circuit(3))
-
-
-def test_compose_concatenates(bell_circuit):
-    other = Circuit(2)
-    other.x(1)
-    combined = bell_circuit.compose(other)
-    assert len(combined) == 3
-    assert combined.operations[-1].name == "x"
-
-
 def test_equality_semantics(bell_circuit):
     other = Circuit(2)
     other.h(0)
@@ -145,19 +130,6 @@ def test_copy_is_independent(bell_circuit):
     clone.x(0)
     assert len(bell_circuit) == 2
     assert len(clone) == 3
-
-
-def test_gate_counts(small_entangled_circuit):
-    counts = small_entangled_circuit.gate_counts()
-    assert counts["cx"] == 3
-    assert counts["h"] == 1
-
-
-def test_active_qubits():
-    circuit = Circuit(5)
-    circuit.h(1)
-    circuit.cx(3, 1)
-    assert circuit.active_qubits() == (1, 3)
 
 
 def test_summary_mentions_counts(small_entangled_circuit):

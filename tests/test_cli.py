@@ -112,6 +112,24 @@ def test_cli_missing_file(tmp_path, capsys):
     assert "error reading" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--max-samples", "0"], "max_samples"),
+        (["--block-qubits", "1"], "max_block_qubits"),
+        (["--threshold", "nan"], "threshold_per_block"),
+        (["--time-budget", "-1"], "block_time_budget"),
+    ],
+)
+def test_cli_refuses_a_config_out_of_range(flags, field, tmp_path, capsys):
+    path = tmp_path / "tfim.qasm"
+    path.write_text(circuit_to_qasm(tfim(3, steps=1)))
+    code = main([str(path), "--out-dir", str(tmp_path / "out"), *flags])
+    assert code == 2
+    assert f"QuestConfig.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_cnot_free_circuit(tmp_path, capsys):
     from repro.circuits import Circuit
 

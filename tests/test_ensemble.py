@@ -8,8 +8,9 @@ import pytest
 from repro.circuits import Circuit
 from repro.core import ensemble_distribution
 from repro.exceptions import SelectionError
-from repro.noise import NoiseModel, run_density
+from repro.noise import NoiseModel
 from repro.sim import ideal_distribution
+from tests.density_oracle import run_density
 
 
 def _rx_circuit(angle: float) -> Circuit:

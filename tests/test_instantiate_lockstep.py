@@ -21,12 +21,12 @@ from repro.resilience.deadline import block_deadline
 from repro.synthesis import Ansatz, LeapConfig, build_leap_ansatz, synthesize
 from repro.synthesis.ansatz import AnsatzStack
 from repro.synthesis.instantiate import (
-    _cost_and_gradient,
     _LbfgsbRun,
     _run_lockstep,
     instantiate_multi,
 )
 from tests.instantiate_oracle import (
+    cost_and_gradient,
     sequential_instantiate_multi,
     sequential_synthesize,
 )
@@ -112,7 +112,7 @@ def _minimize(ansatz, target, x0, maxiter, halt_below):
                 raise StopIteration
 
     return minimize(
-        _cost_and_gradient,
+        cost_and_gradient,
         x0,
         args=(ansatz, target.conj(), target.shape[0]),
         jac=True,

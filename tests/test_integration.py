@@ -13,9 +13,10 @@ from repro import QuestConfig, run_quest, transpile, tvd
 from repro.algorithms import tfim, average_magnetization
 from repro.core import ensemble_distribution
 from repro.metrics import average_distributions
-from repro.noise import NoiseModel, fake_manila, run_density
+from repro.noise import NoiseModel, fake_manila
 from repro.sim import ideal_distribution
 from repro.sim.readout import logical_distribution
+from tests.density_oracle import run_density
 
 FAST = QuestConfig(
     seed=3,

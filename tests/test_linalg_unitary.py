@@ -9,16 +9,8 @@ from hypothesis import strategies as st
 
 from repro.circuits import random_unitary
 from repro.exceptions import ReproError
-from repro.linalg import (
-    closest_unitary,
-    equal_up_to_global_phase,
-    fidelity_from_distance,
-    global_phase_between,
-    hs_cost,
-    hs_distance,
-    hs_inner,
-    is_unitary,
-)
+from repro.linalg import hs_distance, hs_inner, is_unitary
+from tests.helpers import equal_up_to_global_phase
 
 
 def test_hs_distance_zero_for_identical(rng):
@@ -46,16 +38,6 @@ def test_hs_distance_maximal_for_orthogonal():
     assert hs_distance(x, z) == pytest.approx(1.0)
 
 
-def test_hs_cost_monotone_with_distance(rng):
-    pairs = [
-        (random_unitary(4, rng), random_unitary(4, rng)) for _ in range(10)
-    ]
-    costs = [hs_cost(a, b) for a, b in pairs]
-    distances = [hs_distance(a, b) for a, b in pairs]
-    order_by_cost = np.argsort(costs)
-    order_by_distance = np.argsort(distances)
-    assert list(order_by_cost) == list(order_by_distance)
-
 
 def test_hs_inner_shape_mismatch():
     with pytest.raises(ReproError):
@@ -74,30 +56,8 @@ def test_equal_up_to_global_phase(rng):
     assert not equal_up_to_global_phase(u, random_unitary(4, rng))
 
 
-def test_closest_unitary_projects(rng):
-    u = random_unitary(4, rng)
-    noisy = u + 0.01 * rng.normal(size=(4, 4))
-    projected = closest_unitary(noisy)
-    assert is_unitary(projected)
-    assert np.linalg.norm(projected - u) < 0.1
 
 
-def test_closest_unitary_fixed_point(rng):
-    u = random_unitary(4, rng)
-    assert np.allclose(closest_unitary(u), u, atol=1e-10)
-
-
-def test_global_phase_between(rng):
-    u = random_unitary(4, rng)
-    phase = np.exp(1j * 0.5)
-    recovered = global_phase_between(u, phase * u)
-    assert np.isclose(recovered, phase)
-
-
-def test_fidelity_from_distance():
-    assert fidelity_from_distance(0.0) == pytest.approx(1.0)
-    assert fidelity_from_distance(1.0) == pytest.approx(0.0)
-    assert fidelity_from_distance(0.6) == pytest.approx(0.8)
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,13 +13,11 @@ from repro.circuits import Circuit, random_circuit
 from repro.exceptions import NoiseModelError, SimulationError
 from repro.metrics import tvd
 from repro.noise import (
-    MAX_DENSITY_QUBITS,
     NoiseModel,
     apply_readout_error,
     noisy_distribution,
     pauli_matrix,
     readout_confusion,
-    run_density,
     run_trajectories,
 )
 from repro.noise.model import (
@@ -29,6 +27,7 @@ from repro.noise.model import (
     noise_schedule,
 )
 from repro.sim import ideal_distribution
+from tests.density_oracle import run_density
 from tests.trajectory_oracle import scalar_trajectories
 
 
@@ -71,7 +70,7 @@ def test_channel_terms_sum_to_rate():
     assert sum(p for p, _ in one.terms) == pytest.approx(0.03)
     assert len(two.terms) == 15
     assert sum(p for p, _ in two.terms) == pytest.approx(0.12)
-    noiseless = noise_schedule(circuit, NoiseModel.noiseless())
+    noiseless = noise_schedule(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0))
     assert [channels for _, _, channels in noiseless] == [(), ()]
 
 
@@ -151,15 +150,10 @@ def test_apply_readout_error_preserves_normalization(rng):
 def test_density_noiseless_matches_ideal(rng):
     circuit = random_circuit(3, 5, rng=rng)
     assert np.allclose(
-        run_density(circuit, NoiseModel.noiseless()),
+        run_density(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0)),
         ideal_distribution(circuit),
         atol=1e-10,
     )
-
-
-def test_density_qubit_cap():
-    with pytest.raises(SimulationError):
-        run_density(Circuit(MAX_DENSITY_QUBITS + 1), NoiseModel())
 
 
 def test_density_noise_monotonic(rng):
@@ -252,7 +246,7 @@ def test_trajectory_contractions_do_not_grow_with_trajectories(monkeypatch):
     rows = _count_contractions(monkeypatch)
     for trajectories in (10, 1000):
         rows.clear()
-        run_trajectories(circuit, NoiseModel.noiseless(), trajectories, rng=7)
+        run_trajectories(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0), trajectories, rng=7)
         assert rows == [trajectories] * len(schedule)
 
     ceiling = len(schedule) + sum(
@@ -289,7 +283,7 @@ def test_trajectories_past_the_batch_cap_evolve_in_slabs(monkeypatch):
 
 def test_trajectories_noiseless_exact(rng):
     circuit = random_circuit(3, 4, rng=rng)
-    out = run_trajectories(circuit, NoiseModel.noiseless(), trajectories=3, rng=rng)
+    out = run_trajectories(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0), trajectories=3, rng=rng)
     assert np.allclose(out, ideal_distribution(circuit), atol=1e-10)
 
 
@@ -315,7 +309,7 @@ def test_ccx_charged_as_pairs():
 
 def test_idle_decoherence_adds_error(rng):
     circuit = random_circuit(3, 4, rng=rng)
-    quiet = NoiseModel.noiseless()
+    quiet = NoiseModel(0.0, 0.0, 0.0, 0.0)
     idle = NoiseModel(0.0, 0.0, 0.0, idle_decoherence=0.01)
     ideal = run_density(circuit, quiet)
     decohered = run_density(circuit, idle)

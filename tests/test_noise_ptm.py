@@ -14,15 +14,13 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.metrics.distances import average_distributions
-from repro.metrics.tolerances import PTM_DENSITY_AGREEMENT_ATOL
 from repro.noise import (
-    MAX_DENSITY_QUBITS,
     MAX_PTM_QUBITS,
     NoiseModel,
     PtmCache,
+    fake_manila,
     noisy_distribution,
     resolve_engine,
-    run_density,
     run_ptm,
     run_ptm_ensemble,
 )
@@ -36,6 +34,8 @@ from repro.noise.trajectories import MAX_TRAJECTORY_QUBITS, run_trajectories
 from repro.observability import MetricsRegistry, use_metrics
 from repro.resilience.validation import validate_ptm
 from repro.sim import ideal_distribution
+from repro.transpile import transpile
+from tests.density_oracle import PTM_DENSITY_AGREEMENT_ATOL, run_density
 
 NOISE = NoiseModel.from_noise_level(0.01)
 FULL_NOISE = NoiseModel(
@@ -98,6 +98,13 @@ def test_ptm_matches_density_on_random_circuits(seed):
 def test_ptm_matches_density_on_tfim_and_qft():
     _assert_matches_density(tfim(4, steps=2), NOISE)
     _assert_matches_density(qft(4), NOISE)
+    # The Manila path that benchmarks/conftest.py::run_on_manila and
+    # examples/tfim_case_study.py evaluate: measured, routed, device noise.
+    manila = fake_manila()
+    prepared = tfim(4, steps=2)
+    prepared.measure_all()
+    routed = transpile(prepared, backend=manila, optimization_level=2, rng=0)
+    _assert_matches_density(routed.circuit, manila.noise)
 
 
 def test_ptm_matches_density_with_idle_decoherence_and_readout():
@@ -116,7 +123,7 @@ def test_ptm_matches_density_on_wide_gate():
 def test_ptm_noiseless_matches_ideal_distribution():
     circuit = random_circuit(3, 4, rng=5)
     np.testing.assert_allclose(
-        run_ptm(circuit, NoiseModel.noiseless()),
+        run_ptm(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0)),
         ideal_distribution(circuit),
         atol=1e-10,
     )
@@ -293,28 +300,6 @@ def test_validate_ptm_rejects_bad_shape_and_nan():
 
 # ---------------------------------------------------------------------------
 # Capacity ceilings (structured refusals)
-
-
-def test_density_over_cap_suggests_ptm():
-    circuit = Circuit(MAX_DENSITY_QUBITS + 1)
-    for q in range(circuit.num_qubits):
-        circuit.h(q)
-    with pytest.raises(SimulationCapacityError) as excinfo:
-        run_density(circuit, NOISE)
-    error = excinfo.value
-    assert error.engine == "density"
-    assert error.num_qubits == MAX_DENSITY_QUBITS + 1
-    assert error.limit == MAX_DENSITY_QUBITS
-    assert error.suggested_engine == "ptm"
-    assert "ptm" in str(error)
-
-
-def test_density_far_over_cap_suggests_trajectories():
-    circuit = Circuit(MAX_PTM_QUBITS + 1)
-    circuit.h(0)
-    with pytest.raises(SimulationCapacityError) as excinfo:
-        run_density(circuit, NOISE)
-    assert excinfo.value.suggested_engine == "trajectories"
 
 
 def test_ptm_over_cap_suggests_trajectories():

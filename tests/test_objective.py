@@ -11,6 +11,7 @@ from repro.core.pool import BlockPool, Candidate
 from repro.core.similarity import BlockSimilarityTables
 from repro.exceptions import SelectionError
 from repro.partition.blocks import CircuitBlock
+from tests.annealing_oracle import decode
 
 
 def _phase_circuit(angle: float) -> Circuit:
@@ -65,8 +66,8 @@ def _objective(pools, threshold=1.0, weight=0.5):
 
 def test_first_sample_scored_by_cnots_only(pools):
     objective = _objective(pools)
-    cheap = np.array([1.0, 1.0])
-    expensive = np.array([0.0, 0.0])
+    cheap = np.array([1, 1])
+    expensive = np.array([0, 0])
     assert objective(cheap) == pytest.approx(2 / 4)
     assert objective(expensive) == pytest.approx(4 / 4)
 
@@ -74,7 +75,7 @@ def test_first_sample_scored_by_cnots_only(pools):
 def test_threshold_rejection(pools):
     objective = _objective(pools, threshold=1e-6)
     # Any choice with nonzero distance breaches a tiny threshold.
-    assert objective(np.array([1.0, 1.0])) == 1.0
+    assert objective(np.array([1, 1])) == 1.0
     # The exact original always passes the bound check (its normalized
     # CNOT score is 1.0 by definition, but it is feasible).
     assert objective.choice_bound(np.array([0, 0])) <= 1e-6
@@ -82,10 +83,9 @@ def test_threshold_rejection(pools):
 
 def test_similarity_term_activates(pools):
     objective = _objective(pools)
-    first = objective.decode(np.array([1.0, 1.0]))
-    objective.selected.append(first)
-    same_again = objective(np.array([1.0, 1.0]))
-    dissimilar = objective(np.array([2.0, 2.0]))
+    objective.selected.append(np.array([1, 1]))
+    same_again = objective(np.array([1, 1]))
+    dissimilar = objective(np.array([2, 2]))
     # Re-proposing the identical choice is penalized by similarity 1.0.
     assert same_again == pytest.approx(0.5 * 1.0 + 0.5 * 0.5)
     assert dissimilar < same_again
@@ -93,8 +93,8 @@ def test_similarity_term_activates(pools):
 
 def test_decode_floors_and_clips(pools):
     objective = _objective(pools)
-    assert list(objective.decode(np.array([0.9, 2.7]))) == [0, 2]
-    assert list(objective.decode(np.array([-3.0, 99.0]))) == [0, 2]
+    assert list(decode(objective, np.array([0.9, 2.7]))) == [0, 2]
+    assert list(decode(objective, np.array([-3.0, 99.0]))) == [0, 2]
 
 
 def test_choice_accounting(pools):
@@ -134,6 +134,8 @@ def test_public_entry_points_reject_out_of_pool_choices(pools, choice, with_prio
     objective = _objective(pools)
     if with_prior:
         objective.selected.append(np.array([1, 1]))
+    with pytest.raises(SelectionError):
+        objective(np.array(choice))
     with pytest.raises(SelectionError):
         objective.evaluate_batch([choice])
     with pytest.raises(SelectionError):

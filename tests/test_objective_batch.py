@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import tfim
 from repro.circuits import Circuit, random_unitary
-from repro.core.annealing import DEFAULT_EXHAUSTIVE_CUTOFF, select_approximations
+from repro.core.annealing import EXHAUSTIVE_CUTOFF, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
 from repro.core.similarity import are_similar
@@ -181,7 +181,7 @@ def test_evaluate_batch_matches_frozen_seed_objective(instance):
         assert batched[row] == reference
         # The scalar path is routed through the same gathers; it must
         # agree bitwise with both the batch row and the seed value.
-        assert objective(choice.astype(float)) == reference
+        assert objective(choice) == reference
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,8 +212,8 @@ def test_evaluation_counters_track_both_entry_points():
     objective = SelectionObjective(
         pools=pools, threshold=4.0, original_cnot_count=8
     )
-    objective(np.array([0.0, 0.0]))
-    objective(np.array([1.0, 2.0]))
+    objective(np.array([0, 0]))
+    objective(np.array([1, 2]))
     assert objective.scalar_evaluations == 2
     assert objective.batched_evaluations == 0
     objective.evaluate_batch(np.array([[0, 0], [1, 1], [2, 2]]))
@@ -277,7 +277,7 @@ def test_exhaustive_rounds_score_the_whole_space_in_one_batch():
     # evaluate_batch and makes one scalar call, for the winner's value.
     objective = _tfim8_objective()
     space = int(np.prod([pool.size for pool in objective.pools]))
-    assert objective.num_blocks == 14 and space <= DEFAULT_EXHAUSTIVE_CUTOFF
+    assert objective.num_blocks == 14 and space <= EXHAUSTIVE_CUTOFF
     result = select_approximations(objective, max_samples=4, seed=0)
     assert result.annealer_runs >= 1
     assert result.scalar_evaluations == result.annealer_runs

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, random_unitary
-from repro.core.annealing import DEFAULT_EXHAUSTIVE_CUTOFF, select_approximations
+from repro.core.annealing import EXHAUSTIVE_CUTOFF, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
 from repro.exceptions import SelectionError
 from repro.partition.blocks import CircuitBlock
 from tests import annealing_oracle
+from tests.annealing_oracle import decode
 from tests.objective_oracle import FrozenObjective
 
 
@@ -73,7 +74,7 @@ def _points(rng: np.random.Generator, sizes, count: int) -> list[np.ndarray]:
 def _assert_matches(objective, oracle, points) -> None:
     with np.errstate(invalid="ignore"):  # NaN and inf decode to index 0
         for x in points:
-            assert objective(x) == oracle(x)
+            assert objective(decode(objective, x)) == oracle(x)
 
 
 def _instances(count: int, seed: int):
@@ -125,7 +126,7 @@ def test_threshold_at_a_choices_bound_is_feasible():
         probe = _objective(pools, threshold=0.0)
         objective = _objective(pools, threshold=probe.choice_bound(choice))
         oracle = FrozenObjective(objective)
-        value = objective(choice.astype(float))
+        value = objective(choice)
         assert value == oracle(choice.astype(float))
         # Not rejected: the score is the normalized CNOT count.
         assert value == objective.choice_cnot_count(choice) / 40
@@ -177,13 +178,15 @@ def test_out_of_range_prior_raises_from_both_entry_points():
         objective = _objective(pools, threshold=10.0)
         objective.selected.append(np.array(bad))
         with pytest.raises(SelectionError):
-            objective(np.zeros(3))
+            objective(np.zeros(3, dtype=int))
         with pytest.raises(SelectionError):
             objective.evaluate_batch(np.zeros((2, 3), dtype=int))
         # Replacing the bad prior recovers: the failed compile left
         # nothing behind.
         objective.selected[0] = np.array([2, 3, 4])
-        assert objective(np.zeros(3)) == FrozenObjective(objective)(np.zeros(3))
+        assert objective(np.zeros(3, dtype=int)) == FrozenObjective(objective)(
+            np.zeros(3)
+        )
 
 
 def test_annealed_selection_is_identical_with_the_oracle():
@@ -191,7 +194,7 @@ def test_annealed_selection_is_identical_with_the_oracle():
     # annealer over the frozen per-call scorer.
     rng = np.random.default_rng(17)
     sizes = [5, 6, 5, 4, 6, 5, 4]
-    assert int(np.prod(sizes)) > DEFAULT_EXHAUSTIVE_CUTOFF  # so it anneals
+    assert int(np.prod(sizes)) > EXHAUSTIVE_CUTOFF  # so it anneals
     pools = _pools(rng, sizes)
     objective = _objective(pools, threshold=0.6)
     compiled = select_approximations(objective, max_samples=6, maxiter=120, seed=4)

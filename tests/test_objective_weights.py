@@ -53,8 +53,8 @@ def test_weight_zero_ignores_similarity():
     objective = SelectionObjective(
         pools=_pools(), threshold=1.0, original_cnot_count=4, weight=0.0
     )
-    cheap = np.array([1.0, 1.0])
-    objective.selected.append(objective.decode(cheap))
+    cheap = np.array([1, 1])
+    objective.selected.append(cheap)
     assert objective(cheap) == pytest.approx(0.5)
 
 
@@ -62,10 +62,9 @@ def test_weight_one_ignores_cnots():
     objective = SelectionObjective(
         pools=_pools(), threshold=1.0, original_cnot_count=4, weight=1.0
     )
-    first = objective.decode(np.array([1.0, 1.0]))
-    objective.selected.append(first)
+    objective.selected.append(np.array([1, 1]))
     # A fully dissimilar choice scores 0 regardless of its CNOT count.
-    dissimilar = np.array([2.0, 2.0])
+    dissimilar = np.array([2, 2])
     assert objective(dissimilar) == pytest.approx(0.0)
 
 

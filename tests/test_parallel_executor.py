@@ -21,6 +21,7 @@ from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.scan import scan_partition
 from repro.resilience.faults import FaultInjector, parse_fault_spec
 from repro.transpile.basis import lower_to_basis
+from tests.helpers import fallback_blocks
 
 CONFIG = QuestConfig(
     seed=3,
@@ -69,7 +70,7 @@ def test_raising_worker_degrades_to_exact_pool(workers):
         for i, b in enumerate(blocks)
         if b.num_qubits > 1 and b.circuit.cnot_count() > 0
     ]
-    assert stats.fallback_blocks == nontrivial
+    assert fallback_blocks(stats.failure_log) == nontrivial
     for index in nontrivial:
         pool = pools[index]
         # The exact-block singleton: one candidate, distance zero, the
@@ -90,7 +91,7 @@ def test_partial_failure_only_degrades_the_failing_block():
     # job (the injected fault is index-keyed, but real synthesis depends
     # only on content): the failing job degrades exactly the blocks it
     # serves, and no unrelated block.
-    assert stats.fallback_blocks == [0, 1]
+    assert fallback_blocks(stats.failure_log) == [0, 1]
     assert pools[0].size == 1
     assert pools[1].size == 1
     # The unrelated block still produced real approximations.
@@ -106,7 +107,7 @@ def test_timed_out_worker_degrades_to_exact_pool():
     with pytest.warns(RuntimeWarning, match="TimeoutError"):
         pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
     elapsed = time.perf_counter() - start
-    assert stats.fallback_blocks == [0]
+    assert fallback_blocks(stats.failure_log) == [0]
     assert pools[0].size == 1
     # The run must not have waited for the hung worker's full sleep.
     assert elapsed < 4.0
@@ -149,7 +150,7 @@ def test_retry_rounds_reuse_one_persistent_pool(counters):
             pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
     finally:
         pool.shutdown()
-    assert stats.fallback_blocks  # the injected failure did exhaust retries
+    assert fallback_blocks(stats.failure_log)  # the injected failure did exhaust retries
     assert counters()["pool.rounds"] == 2
     assert counters()["pool.created"] == 1  # so 1 round reused the pool
     assert "pool.recycles" not in counters()
@@ -172,7 +173,7 @@ def test_hard_timeout_recycles_the_persistent_pool(counters):
             pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
     finally:
         pool.shutdown()
-    assert stats.fallback_blocks == [0]
+    assert fallback_blocks(stats.failure_log) == [0]
     assert counters()["pool.rounds"] == 2
     assert counters()["pool.created"] == 2
     assert counters()["pool.recycles"] == 1

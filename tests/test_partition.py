@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from repro.circuits import Circuit, random_circuit
 from repro.exceptions import PartitionError
-from repro.linalg import equal_up_to_global_phase
 from repro.partition import CircuitBlock, scan_partition, stitch_blocks
 from repro.sim import circuit_unitary
+from tests.helpers import equal_up_to_global_phase
 
 
 def test_single_block_for_small_circuit(ghz3_circuit):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits import Circuit, random_circuit
-from repro.linalg import equal_up_to_global_phase
 from repro.sim import circuit_unitary
 from repro.transpile import (
     cancel_adjacent_cx,
@@ -14,6 +13,7 @@ from repro.transpile import (
     merge_one_qubit_gates,
     remove_identity_rotations,
 )
+from tests.helpers import equal_up_to_global_phase
 
 
 def _equivalent(a: Circuit, b: Circuit) -> bool:

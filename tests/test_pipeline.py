@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit, random_circuit
 from repro.exceptions import TranspilerError
-from repro.linalg import equal_up_to_global_phase
-from repro.noise import fake_manila, ideal_backend
+from repro.noise import Backend, fake_manila
 from repro.sim import circuit_unitary, ideal_distribution
 from repro.sim.readout import logical_distribution
 from repro.transpile import transpile
+from tests.helpers import equal_up_to_global_phase
 
 
 def test_bad_level_rejected(bell_circuit):
@@ -61,7 +63,7 @@ def test_backend_too_small_rejected():
 
 def test_fully_connected_backend_skips_routing(rng):
     circuit = random_circuit(4, 4, rng=rng)
-    result = transpile(circuit, backend=ideal_backend(4))
+    result = transpile(circuit, backend=Backend("ideal", 4, tuple(itertools.combinations(range(4), 2))))
     assert result.swaps_inserted == 0
 
 
@@ -92,5 +94,5 @@ def test_routed_respects_coupling(rng):
 def test_widening_to_backend_size():
     circuit = Circuit(2)
     circuit.cx(0, 1)
-    result = transpile(circuit, backend=ideal_backend(5))
+    result = transpile(circuit, backend=Backend("ideal", 5, tuple(itertools.combinations(range(5), 2))))
     assert result.circuit.num_qubits == 5

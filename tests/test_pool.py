@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import Circuit
+from repro.core import pool as pool_module
 from repro.core.pool import (
     augment_with_sphere_variants,
     build_pool,
@@ -64,9 +65,10 @@ def test_distance_cap_filters(block_and_solutions):
         assert candidate.distance <= 0.05 + 1e-6
 
 
-def test_max_candidates_respected(block_and_solutions):
+def test_max_candidates_respected(block_and_solutions, monkeypatch):
     block, solutions = block_and_solutions
-    pool = build_pool(block, solutions, max_candidates=2)
+    monkeypatch.setattr(pool_module, "_MAX_CANDIDATES", 2)
+    pool = build_pool(block, solutions)
     # Original + at most 2 synthesized.
     assert pool.size <= 3
 

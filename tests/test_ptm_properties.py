@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import random_circuit
-from repro.metrics.tolerances import PTM_DENSITY_AGREEMENT_ATOL
-from repro.noise import NoiseModel, run_density, run_ptm
+from repro.noise import NoiseModel, run_ptm
 from repro.noise.ptm import PtmCache, unitary_ptm
 from repro.resilience.validation import validate_ptm
+from tests.density_oracle import PTM_DENSITY_AGREEMENT_ATOL, run_density
 
 noise_models = st.builds(
     NoiseModel,

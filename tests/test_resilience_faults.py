@@ -39,6 +39,7 @@ from repro.resilience.validation import validate_pool, validate_solutions
 from repro.sim.unitary import circuit_unitary
 from repro.synthesis.leap import SynthesisSolution
 from repro.transpile.basis import lower_to_basis
+from tests.helpers import fallback_blocks
 
 FAST = dict(
     max_samples=3,
@@ -316,7 +317,7 @@ def test_inline_hang_times_out_and_recovers_bit_identically(counters):
     pools, stats = runner.run(blocks, CONFIG, seeds)
     # Cut off cooperatively: nowhere near the 60s the hang would take.
     assert time.monotonic() - start < 30.0
-    assert not stats.fallback_blocks
+    assert not fallback_blocks(stats.failure_log)
     assert counters()["retry.attempts"] > 0
     assert stats.failure_log
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
@@ -358,7 +359,7 @@ def test_pool_hang_hits_the_hard_timeout_and_recovers(counters):
         fault_injector=injector,
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
-    assert not stats.fallback_blocks
+    assert not fallback_blocks(stats.failure_log)
     assert counters()["retry.attempts"] > 0
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
@@ -390,7 +391,7 @@ def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
             blocks, CONFIG, seeds
         )
     assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 1
-    assert not stats.fallback_blocks
+    assert not fallback_blocks(stats.failure_log)
     _pools_equal(clean_pools, pools)
 
     # Run 3: the recompute overwrote the bad file, so the tier is clean.
@@ -428,7 +429,7 @@ def test_wrong_width_store_entries_are_quarantined(tmp_path):
     assert registry.snapshot()["counters"]["cache.miss"] == len(keys)
     assert stats.failure_log
     assert {record.kind for record in stats.failure_log} == {FAILURE_VALIDATION}
-    assert not stats.fallback_blocks
+    assert not fallback_blocks(stats.failure_log)
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ from repro.resilience.retry import (
     FAILURE_EXCEPTION,
     FAILURE_FALLBACK,
     FAILURE_VALIDATION,
-    FailureRecord,
 )
 from repro.transpile.basis import lower_to_basis
+from tests.helpers import fallback_blocks
 
 CONFIG = QuestConfig(
     seed=3,
@@ -69,15 +69,6 @@ def test_max_attempts_must_be_positive():
         BlockSynthesisExecutor(max_attempts=0)
 
 
-def test_failure_record_round_trips_to_dict():
-    record = FailureRecord(3, 1, FAILURE_EXCEPTION, "boom")
-    assert record.as_dict() == {
-        "block_index": 3,
-        "attempt": 1,
-        "kind": FAILURE_EXCEPTION,
-        "message": "boom",
-    }
-
 
 # ----------------------------------------------------------------------
 # Executor retry flow
@@ -100,7 +91,7 @@ def test_transient_raise_recovers_bit_identically(workers, counters):
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
     assert counters()["retry.attempts"] > 0
-    assert not stats.fallback_blocks
+    assert not fallback_blocks(stats.failure_log)
     assert all(r.kind == FAILURE_EXCEPTION for r in stats.failure_log)
     assert all(r.attempt == 0 for r in stats.failure_log)
     _pools_equal(clean_pools, pools)
@@ -125,7 +116,7 @@ def test_nan_corruption_is_quarantined_then_recovered(workers):
     clean_pools, _ = BlockSynthesisExecutor().run(blocks, CONFIG, seeds)
 
     pools, stats = _nan_run(workers)
-    assert not stats.fallback_blocks
+    assert not fallback_blocks(stats.failure_log)
     assert stats.failure_log
     assert all(r.kind == FAILURE_VALIDATION for r in stats.failure_log)
     assert all(r.attempt == 0 for r in stats.failure_log)
@@ -173,8 +164,8 @@ def test_exhausted_retries_still_fall_back(workers):
         for i, b in enumerate(blocks)
         if b.num_qubits > 1 and b.circuit.cnot_count() > 0
     ]
-    assert stats.fallback_blocks
-    for index in stats.fallback_blocks:
+    assert fallback_blocks(stats.failure_log)
+    for index in fallback_blocks(stats.failure_log):
         assert index in nontrivial
         assert pools[index].size == 1
         assert pools[index].candidates[0].distance == 0.0
@@ -191,7 +182,7 @@ def test_exhausted_retries_still_fall_back(workers):
         r for r in stats.failure_log if r.kind == FAILURE_FALLBACK
     ]
     assert sorted(r.block_index for r in fallback_records) == sorted(
-        stats.fallback_blocks
+        fallback_blocks(stats.failure_log)
     )
     for record in fallback_records:
         assert record.attempt == 3
@@ -218,7 +209,7 @@ def test_late_recovery_equals_the_clean_run(workers, counters):
         fault_injector=FaultInjector(specs=specs),
     )
     pools, stats = runner.run(blocks, CONFIG, seeds)
-    assert not stats.fallback_blocks
+    assert not fallback_blocks(stats.failure_log)
     assert counters()["retry.attempts"] > 0
     per_block = {}
     for record in stats.failure_log:

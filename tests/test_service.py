@@ -33,6 +33,7 @@ from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
 from repro.service import QuestService, ServiceClient
 from repro.service.ledger import JobLedger
 from repro.service.protocol import JobRecord
+from tests.helpers import wait_until_ready
 from tests.planning_oracle import planned_entry_keys
 
 FAST = dict(
@@ -89,7 +90,7 @@ def running_service(ledger_dir, **kwargs):
     thread.start()
     client = ServiceClient(socket_path)
     try:
-        client.wait_until_ready(timeout=30.0)
+        wait_until_ready(client, timeout=30.0)
         yield service, client
     finally:
         with contextlib.suppress(ServiceError):

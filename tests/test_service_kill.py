@@ -31,6 +31,7 @@ from repro.circuits import circuit_to_qasm
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import ServiceError
 from repro.service import JobLedger, QuestService, ServiceClient
+from tests.helpers import wait_until_ready
 
 FAST = dict(
     max_samples=3,
@@ -61,6 +62,7 @@ from repro.circuits import circuit_to_qasm
 from repro.core.quest import QuestConfig
 from repro.resilience import FaultInjector, FaultSpec
 from repro.service import QuestService, ServiceClient
+from tests.helpers import wait_until_ready
 
 config = QuestConfig(seed={seed}, **{fast!r})
 injector = FaultInjector(specs=(FaultSpec("kill", {kill_block}, 0),))
@@ -74,7 +76,7 @@ service = QuestService(
 
 def submit():
     client = ServiceClient({socket_path!r})
-    client.wait_until_ready(timeout=30.0)
+    wait_until_ready(client, timeout=30.0)
     job_id = client.submit(circuit_to_qasm(heisenberg(4, steps=1)))
     print("SUBMITTED", job_id, flush=True)
     client.wait(job_id, timeout=300.0)
@@ -112,8 +114,10 @@ def test_daemon_resumes_killed_job_from_the_store_bit_identically(tmp_path):
         )
     )
     env = dict(os.environ)
-    repo_src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+    repo = Path(__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        (str(repo / "src"), str(repo), env.get("PYTHONPATH", ""))
+    )
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
@@ -160,7 +164,7 @@ def test_daemon_resumes_killed_job_from_the_store_bit_identically(tmp_path):
     thread.start()
     client = ServiceClient(str(Path(sock_dir) / "restart.sock"))
     try:
-        client.wait_until_ready(timeout=30.0)
+        wait_until_ready(client, timeout=30.0)
         reply = client.wait(job_id, timeout=300.0)
         assert reply["state"] == "done", reply
         assert reply["attempts"] == 2

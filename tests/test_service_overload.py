@@ -26,6 +26,7 @@ from repro.circuits import circuit_to_qasm
 from repro.core.quest import QuestConfig
 from repro.exceptions import AdmissionRejected, ServiceError
 from repro.service import QuestService, ServiceClient
+from tests.helpers import wait_until_ready
 
 FAST = dict(
     seed=11,
@@ -71,7 +72,7 @@ def test_queue_saturation_rejects_structurally_and_drains_clean(tmp_path):
     )
     thread.start()
     client = ServiceClient(socket_path)
-    client.wait_until_ready(timeout=30.0)
+    wait_until_ready(client, timeout=30.0)
 
     qasm = circuit_to_qasm(tfim(4, steps=2))
     accepted: list[str] = []

@@ -28,6 +28,7 @@ from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import AdmissionRejected, ServiceError
 from repro.service import QuestService, ServiceClient
 from repro.store import ENTRY_SUFFIX
+from tests.helpers import wait_until_ready
 
 FAST = dict(
     seed=11,
@@ -80,7 +81,7 @@ def running_replica(ledger_dir, store_root):
     thread.start()
     client = ServiceClient(socket_path)
     try:
-        client.wait_until_ready(timeout=30.0)
+        wait_until_ready(client, timeout=30.0)
         yield service, client
     finally:
         with contextlib.suppress(ServiceError):

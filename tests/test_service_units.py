@@ -27,6 +27,7 @@ from repro.service.protocol import (
     JOB_DONE,
     JOB_PENDING,
     JOB_RUNNING,
+    REJECT_INVALID_REQUEST,
     REJECT_QUEUE_FULL,
     REJECT_SHUTTING_DOWN,
     REJECT_TENANT_QUOTA,
@@ -299,6 +300,39 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         merge_config(base, ["not", "a", "dict"])
 
 
+@pytest.mark.parametrize(
+    "message",
+    [
+        {"config": {"annealing_maxiter": 0}},
+        {"config": {"max_samples": 0}},
+        {"config": {"threshold_per_block": "x"}},
+        {"config": {"threshold_per_block": -1.0}},
+        {"config": {"max_block_qubits": 0}},
+        {"config": {"sphere_variants_per_count": -3}},
+        {"config": {"retry_attempts": 0}},
+        {"deadline_seconds": float("nan")},
+    ],
+    ids=lambda message: json.dumps(message),
+)
+def test_submit_refuses_values_the_config_refuses_before_journaling(
+    tmp_path, message
+):
+    # Each of these used to be admitted, journaled, and then synthesized
+    # before failing, or (a NaN deadline) to run with no deadline at all.
+    from repro.service.server import QuestService
+
+    service = QuestService(tmp_path / "q.sock", tmp_path / "ledger")
+    try:
+        reply = service._handle_submit(
+            {"type": "submit", "qasm": "OPENQASM 2.0;\nqreg q[2];\n", **message}
+        )
+    finally:
+        service._job_executor.shutdown()
+    assert reply["type"] == "rejected"
+    assert reply["reason"] == REJECT_INVALID_REQUEST
+    assert service.ledger.load_all() == []
+
+
 def test_job_record_round_trip_and_validation():
     record = JobRecord(job_id="j", tenant="t", qasm="q", deadline_at=5.0)
     assert JobRecord.from_dict(record.to_dict()) == record
@@ -345,7 +379,8 @@ def test_encode_decode_message_round_trip_and_garbage():
 
 
 def test_unreachable_daemon_leaks_no_socket(tmp_path):
-    # wait_until_ready polls through this path until the daemon listens.
+    # tests/helpers.py::wait_until_ready polls through this path until
+    # the daemon listens.
     client = ServiceClient(str(tmp_path / "missing.sock"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -6,12 +6,29 @@ import numpy as np
 import pytest
 
 from repro.circuits import random_unitary
-from repro.core.similarity import (
-    BlockSimilarityTables,
-    are_similar,
-    unitaries_similar,
-)
+from repro.core.similarity import BlockSimilarityTables, are_similar
 from repro.exceptions import SelectionError
+from repro.linalg import hs_distance
+
+
+def unitaries_similar(a, b, original) -> bool:
+    """The paper's predicate on the three HS distances of two unitaries."""
+    return are_similar(
+        hs_distance(a, b), hs_distance(a, original), hs_distance(b, original)
+    )
+
+
+def candidates_similar(tables, block, i, j) -> bool:
+    """Whether candidates ``i`` and ``j`` of ``block`` are similar, read
+    through the tables' compiled rows: choice ``j`` in every block is
+    the one prior (every pool in these tests holds 3 candidates)."""
+    rows = tables.prior_hits(np.full(tables.num_blocks, j))
+    return bool(rows[3 * block + i, 0])
+
+
+def similarity_fraction(tables, choice_a, choice_b) -> float:
+    """Fraction of blocks whose chosen candidates are similar."""
+    return float(tables.fractions_at(choice_a, tables.prior_hits(choice_b))[0])
 
 
 def test_are_similar_predicate():
@@ -62,33 +79,33 @@ class TestTables:
     def test_diagonal_true(self, rng):
         tables = self._tables(rng)
         for block in range(3):
-            assert tables.candidates_similar(block, 1, 1)
+            assert candidates_similar(tables, block, 1, 1)
 
     def test_symmetry(self, rng):
         tables = self._tables(rng)
         for block in range(3):
             for i in range(3):
                 for j in range(3):
-                    assert tables.candidates_similar(
-                        block, i, j
-                    ) == tables.candidates_similar(block, j, i)
+                    assert candidates_similar(
+                        tables, block, i, j
+                    ) == candidates_similar(tables, block, j, i)
 
     def test_similarity_fraction_identical_choice(self, rng):
         tables = self._tables(rng)
         choice = np.array([0, 1, 2])
-        assert tables.similarity_fraction(choice, choice) == pytest.approx(1.0)
+        assert similarity_fraction(tables, choice, choice) == pytest.approx(1.0)
 
     def test_similarity_fraction_range(self, rng):
         tables = self._tables(rng)
         a = np.array([0, 0, 0])
         b = np.array([1, 2, 1])
-        fraction = tables.similarity_fraction(a, b)
+        fraction = similarity_fraction(tables, a, b)
         assert 0.0 <= fraction <= 1.0
 
     def test_length_validation(self, rng):
         tables = self._tables(rng)
         with pytest.raises(SelectionError):
-            tables.similarity_fraction(np.array([0]), np.array([0, 1, 2]))
+            tables.prior_hits(np.array([0]))
 
     def test_construction_validation(self, rng):
         with pytest.raises(SelectionError):
@@ -112,6 +129,12 @@ class TestTables:
         assert batch.shape == (9, 4)
         for r, choice in enumerate(choices):
             for s, prior in enumerate(priors):
-                assert batch[r, s] == tables.similarity_fraction(choice, prior)
+                hits = [
+                    unitaries_similar(
+                        candidates[b][choice[b]], candidates[b][prior[b]], originals[b]
+                    )
+                    for b in range(len(sizes))
+                ]
+                assert batch[r, s] == sum(hits) / len(sizes)
         with pytest.raises(SelectionError):
             tables.prior_hits([[0, 1, 0, 0]])

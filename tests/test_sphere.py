@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.core.similarity import unitaries_similar
+from repro.core.similarity import are_similar
 from repro.exceptions import SynthesisError
 from repro.linalg import hs_distance
 from repro.sim.unitary import circuit_unitary
@@ -75,7 +75,9 @@ def test_plus_minus_pairs_are_dissimilar():
     found_dissimilar = False
     for i in range(len(variants)):
         for j in range(i + 1, len(variants)):
-            if not unitaries_similar(variants[i][1], variants[j][1], target):
+            a, b = variants[i][1], variants[j][1]
+            mutual = hs_distance(a, b)
+            if not are_similar(mutual, hs_distance(a, target), hs_distance(b, target)):
                 found_dissimilar = True
     assert found_dissimilar
 

@@ -8,11 +8,9 @@ import pytest
 from repro.circuits import Circuit, random_circuit
 from repro.exceptions import SimulationError
 from repro.sim import (
-    counts_to_distribution,
     ideal_distribution,
     probabilities,
     run_statevector,
-    sample_counts,
     zero_state,
 )
 
@@ -66,34 +64,6 @@ def test_evolution_preserves_norm(rng):
     circuit = random_circuit(4, 6, rng=rng)
     state = run_statevector(circuit)
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_sample_counts_distribution(rng):
-    probs = np.array([0.25, 0.75])
-    counts = sample_counts(probs, shots=10_000, rng=rng)
-    assert counts[1] > counts[0]
-    assert sum(counts.values()) == 10_000
-    assert counts[1] / 10_000 == pytest.approx(0.75, abs=0.03)
-
-
-def test_sample_counts_positive_shots():
-    with pytest.raises(SimulationError):
-        sample_counts(np.array([1.0]), shots=0)
-
-
-def test_counts_roundtrip():
-    counts = {0: 30, 3: 70}
-    probs = counts_to_distribution(counts, dim=4)
-    assert probs[0] == pytest.approx(0.3)
-    assert probs[3] == pytest.approx(0.7)
-    assert probs.sum() == pytest.approx(1.0)
-
-
-def test_counts_to_distribution_validates():
-    with pytest.raises(SimulationError):
-        counts_to_distribution({}, dim=2)
-    with pytest.raises(SimulationError):
-        counts_to_distribution({9: 1}, dim=4)
 
 
 def test_superposition_uniform():

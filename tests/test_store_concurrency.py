@@ -23,7 +23,7 @@ import pytest
 
 from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import _HEADER, _MAGIC, CACHE_VERSION, PoolCache, entry_key
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, artifact
 from repro.synthesis.leap import SynthesisSolution
 
 
@@ -223,7 +223,7 @@ def test_concurrent_corrupt_storm_then_repair(tmp_path):
     assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 4 * probes
 
 
-def test_eviction_scan_does_not_block_readers(tmp_path):
+def test_eviction_scan_does_not_block_readers(tmp_path, monkeypatch):
     """The store lock is never held across eviction file I/O.
 
     Monkeypatch the shard scan to block mid-eviction; a concurrent
@@ -235,7 +235,8 @@ def test_eviction_scan_does_not_block_readers(tmp_path):
     seeder = ArtifactStore(tmp_path)
     seeder.publish(key_old, b"old")
     seeder.publish(key_new, b"new")
-    store = ArtifactStore(tmp_path, max_entries=1, grace_seconds=0.0)
+    monkeypatch.setattr(artifact, "DEFAULT_GRACE_SECONDS", 0.0)
+    store = ArtifactStore(tmp_path, max_entries=1)
 
     scan_started = threading.Event()
     release_scan = threading.Event()

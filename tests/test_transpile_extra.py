@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from repro.circuits import Circuit
-from repro.linalg import equal_up_to_global_phase
 from repro.sim import circuit_unitary
+from repro.transpile import passes
 from repro.transpile import (
     cancel_adjacent_cx,
     consolidate_two_qubit_runs,
     merge_one_qubit_gates,
     transpile,
 )
+from tests.helpers import equal_up_to_global_phase
 
 
 def test_merge_keeps_measurements_in_place():
@@ -31,13 +32,15 @@ def test_cancel_ignores_measured_qubits():
     assert cancelled.cnot_count() == 2
 
 
-def test_consolidation_min_run_setting(rng):
+def test_consolidation_min_run_setting(rng, monkeypatch):
     circuit = Circuit(2)
     circuit.cx(0, 1)
     circuit.ry(0.2, 1)
     circuit.cx(0, 1)
-    # min_run_cnots=3 leaves a 2-CNOT run untouched.
-    untouched = consolidate_two_qubit_runs(circuit, min_run_cnots=3, rng=rng)
+    # A floor of 3 CNOTs leaves a 2-CNOT run untouched.
+    with monkeypatch.context() as patch:
+        patch.setattr(passes, "_MIN_RUN_CNOTS", 3)
+        untouched = consolidate_two_qubit_runs(circuit, rng=rng)
     assert untouched.cnot_count() == 2
     # Default consolidates it down to <= 2 (here: an RZZ-class gate, 2 CX;
     # the pass only rewrites when strictly cheaper, so it may keep 2).

@@ -13,7 +13,6 @@ from repro.linalg import (
     estimated_cnot_class,
     is_tensor_product,
     magic_rep,
-    makhlin_invariants,
 )
 
 
@@ -43,31 +42,8 @@ def test_magic_rep_maps_locals_to_orthogonal(rng):
     assert np.allclose(product, product[0, 0] * np.eye(4), atol=1e-7)
 
 
-def test_makhlin_invariants_identity():
-    g1, g2 = makhlin_invariants(np.eye(4, dtype=complex))
-    assert g1 == pytest.approx(1.0, abs=1e-9)
-    assert g2 == pytest.approx(3.0, abs=1e-9)
 
 
-def test_makhlin_invariants_cnot():
-    g1, g2 = makhlin_invariants(gate_matrix("cx"))
-    assert abs(g1) == pytest.approx(0.0, abs=1e-9)
-    assert g2 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_makhlin_invariants_swap():
-    g1, g2 = makhlin_invariants(gate_matrix("swap"))
-    assert g1.real == pytest.approx(-1.0, abs=1e-9)
-    assert g2 == pytest.approx(-3.0, abs=1e-9)
-
-
-def test_makhlin_local_invariance(rng):
-    base = gate_matrix("cx")
-    locals_ = np.kron(random_unitary(2, rng), random_unitary(2, rng))
-    g_base = makhlin_invariants(base)
-    g_dressed = makhlin_invariants(locals_ @ base)
-    assert abs(g_base[0]) == pytest.approx(abs(g_dressed[0]), abs=1e-8)
-    assert g_base[1] == pytest.approx(g_dressed[1], abs=1e-8)
 
 
 def test_tensor_product_detection(rng):
