@@ -52,7 +52,7 @@ def apply_cuccaro_adder(
     _uma(circuit, carry_in, b_bits[0], a_bits[0])
 
 
-def adder(num_bits: int = 1, with_carry_out: bool = True) -> Circuit:
+def adder(num_bits: int = 1) -> Circuit:
     """The Cuccaro ripple-carry adder on ``2*num_bits + 2`` qubits.
 
     Qubit layout (LSB first): ``[cin, a0, b0, a1, b1, ..., cout]``.
@@ -60,12 +60,11 @@ def adder(num_bits: int = 1, with_carry_out: bool = True) -> Circuit:
     """
     if num_bits < 1:
         raise CircuitError("adder needs at least one bit")
-    num_qubits = 2 * num_bits + (2 if with_carry_out else 1)
+    num_qubits = 2 * num_bits + 2
     circuit = Circuit(num_qubits)
     a_bits = [1 + 2 * i for i in range(num_bits)]
     b_bits = [2 + 2 * i for i in range(num_bits)]
-    carry_out = num_qubits - 1 if with_carry_out else None
-    apply_cuccaro_adder(circuit, a_bits, b_bits, 0, carry_out)
+    apply_cuccaro_adder(circuit, a_bits, b_bits, 0, num_qubits - 1)
     return circuit
 
 

@@ -62,9 +62,8 @@ def vqe_ansatz(
     layers: int = 2,
     params: np.ndarray | None = None,
     rng: np.random.Generator | int | None = None,
-    entangler: str = "linear",
 ) -> Circuit:
-    """A hardware-efficient VQE ansatz: RY layers + CX entanglement.
+    """A hardware-efficient VQE ansatz: RY layers + a linear CX chain.
 
     ``params`` has shape ``(layers + 1, num_qubits)``; random angles are
     drawn when omitted (the paper evaluates fixed VQE *circuits*, not the
@@ -84,15 +83,8 @@ def vqe_ansatz(
     for q in range(num_qubits):
         circuit.ry(float(params[0, q]), q)
     for layer in range(layers):
-        if entangler == "linear":
-            for q in range(num_qubits - 1):
-                circuit.cx(q, q + 1)
-        elif entangler == "circular":
-            for q in range(num_qubits - 1):
-                circuit.cx(q, q + 1)
-            circuit.cx(num_qubits - 1, 0)
-        else:
-            raise CircuitError(f"unknown entangler {entangler!r}")
+        for q in range(num_qubits - 1):
+            circuit.cx(q, q + 1)
         for q in range(num_qubits):
             circuit.ry(float(params[layer + 1, q]), q)
     return circuit

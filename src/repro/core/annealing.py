@@ -37,6 +37,9 @@ from repro.observability import get_metrics, get_tracer
 #: Search spaces up to this many points are enumerated exactly.
 EXHAUSTIVE_CUTOFF = 65536
 
+#: Temperature steps of each annealing run.
+ANNEALING_MAXITER = 200
+
 #: Choice vectors scored per ``evaluate_batch`` call during enumeration
 #: (bounds peak memory at chunk x num_blocks indices).
 _ENUMERATION_CHUNK = 8192
@@ -278,7 +281,6 @@ def dual_annealing(
 def select_approximations(
     objective: SelectionObjective,
     max_samples: int = 16,
-    maxiter: int = 250,
     seed: int | np.random.SeedSequence | None = None,
 ) -> SelectionResult:
     """Run the sequential dual-annealing selection loop.
@@ -286,13 +288,12 @@ def select_approximations(
     Search spaces no larger than :data:`EXHAUSTIVE_CUTOFF` are enumerated
     exactly instead of annealed (the annealer is a global-optimization
     heuristic; batched exact enumeration is both faster and
-    deterministic there).  Each annealing run takes ``maxiter``
-    temperature steps; ``maxiter`` and ``max_samples`` must be positive.
+    deterministic there).  Each annealing run takes
+    :data:`ANNEALING_MAXITER` temperature steps; ``max_samples`` must be
+    positive.
     """
     if max_samples < 1:
         raise SelectionError("max_samples must be positive")
-    if maxiter < 1:
-        raise SelectionError("maxiter must be positive")
     # Per-run annealer seeds are SeedSequence children rather than raw
     # ``rng.integers(2**31 - 1)`` draws: bounded integer draws collide
     # (birthday bound) and re-enter the PRNG through the weak
@@ -317,7 +318,7 @@ def select_approximations(
         else:
             annealed = dual_annealing(
                 objective.scorer(),
-                maxiter,
+                ANNEALING_MAXITER,
                 np.random.default_rng(run_seeds[sample_index]),
             )
             objective.scalar_evaluations += annealed.evaluations

@@ -8,8 +8,6 @@ are averaged").
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.circuits.circuit import Circuit
@@ -18,17 +16,8 @@ from repro.metrics.distances import average_distributions
 from repro.sim.statevector import ideal_distribution
 
 
-def ensemble_distribution(
-    circuits: list[Circuit],
-    runner: Callable[[Circuit], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Average the output distributions of ``circuits``.
-
-    ``runner`` maps a circuit to its output distribution; the default is
-    the ideal statevector simulator.  Pass a noisy runner (e.g. a
-    ``run_ptm`` closure) to evaluate the ensemble under hardware noise.
-    """
+def ensemble_distribution(circuits: list[Circuit]) -> np.ndarray:
+    """Average the ideal output distributions of ``circuits``."""
     if not circuits:
         raise SelectionError("cannot evaluate an empty ensemble")
-    runner = runner or ideal_distribution
-    return average_distributions([runner(c) for c in circuits])
+    return average_distributions([ideal_distribution(c) for c in circuits])

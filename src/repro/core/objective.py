@@ -7,8 +7,8 @@ Scores a full-circuit approximation (one candidate chosen per block):
   infeasible full-circuit distance;
 * with no prior selections, score by normalized CNOT count alone;
 * otherwise mix the fraction of already-selected samples this choice is
-  similar to with the normalized CNOT count, weighted ``weight`` /
-  ``1 - weight`` (0.5 each in the paper).
+  similar to with the normalized CNOT count, weighted
+  :data:`SIMILARITY_WEIGHT` / ``1 - SIMILARITY_WEIGHT`` (0.5 each).
 
 The annealer scores thousands of choices one at a time, so everything a
 score reads is compiled ahead of it.  Per-block CNOT counts and
@@ -34,6 +34,10 @@ import numpy as np
 from repro.core.pool import BlockPool
 from repro.core.similarity import BlockSimilarityTables, validate_choices
 from repro.exceptions import SelectionError
+
+#: Algorithm 1's weight of the similarity term; the normalized CNOT
+#: count gets the rest (Sec. 3.6: 0.5 each).
+SIMILARITY_WEIGHT = 0.5
 
 
 class ChoiceScorer:
@@ -64,7 +68,6 @@ class ChoiceScorer:
         self._distances = objective._distances
         self._offsets = objective._offsets
         self._threshold = objective.threshold
-        self._weight = objective.weight
         self._original = objective.original_cnot_count
         self._num_blocks = objective.num_blocks
         self._num_priors = 0 if prior_hits is None else prior_hits.shape[1]
@@ -111,7 +114,7 @@ class ChoiceScorer:
             c_norm = (key >> self._cnot_shift) / self._original
             if self._num_priors:
                 m = self._similarity(key & self._fields_mask)
-                value = self._weight * m + (1.0 - self._weight) * c_norm
+                value = SIMILARITY_WEIGHT * m + (1.0 - SIMILARITY_WEIGHT) * c_norm
             else:
                 value = c_norm
             self._values[key] = value
@@ -144,17 +147,15 @@ class SelectionObjective:
     ``selected`` holds the priors the similarity term scores against.
     Append to it, clear it, replace its elements or reassign it freely;
     the compiled priors and :meth:`scorer` follow on the next call, as
-    they do a change of ``threshold``, ``weight`` or
-    ``original_cnot_count``.  An element is read as a value when it
-    joins: replace it rather than write into it.
+    they do a change of ``threshold`` or ``original_cnot_count``.  An
+    element is read as a value when it joins: replace it rather than
+    write into it.
     """
 
     pools: list[BlockPool]
     threshold: float
     original_cnot_count: int
-    weight: float = 0.5
     selected: list[np.ndarray] = field(default_factory=list)
-    tables: BlockSimilarityTables = None  # type: ignore[assignment]
     #: Points scored one at a time (``__call__`` and the annealer's
     #: visits) vs. points scored through ``evaluate_batch``.
     scalar_evaluations: int = 0
@@ -163,17 +164,13 @@ class SelectionObjective:
     def __post_init__(self) -> None:
         if not self.pools:
             raise SelectionError("no block pools")
-        if not 0.0 <= self.weight <= 1.0:
-            raise SelectionError(f"weight {self.weight} outside [0, 1]")
         if self.original_cnot_count <= 0:
             raise SelectionError("original circuit has no CNOTs to reduce")
-        if self.tables is None:
-            self.tables = BlockSimilarityTables(
-                [pool.unitary_stack() for pool in self.pools],
-                [pool.original_unitary for pool in self.pools],
-            )
+        self.tables = BlockSimilarityTables(
+            [pool.unitary_stack() for pool in self.pools],
+            [pool.original_unitary for pool in self.pools],
+        )
         self._sizes = np.array([pool.size for pool in self.pools])
-        self._max_choice = self._sizes - 1
         # Flat per-block rows: pool b's values sit at
         # _offsets[b] : _offsets[b] + size_b, so choice vector c reads
         # table[_offsets + c], one entry per block in block order.
@@ -184,11 +181,6 @@ class SelectionObjective:
         self._distances = np.concatenate(
             [pool.distances() for pool in self.pools]
         ).astype(float)
-        # The similarity tables cover exactly the pools: every in-pool
-        # choice indexes them, and their candidate rows, in block order,
-        # line up with the flat rows above.
-        if self.tables.prior_hits(self._max_choice).shape[0] != len(self._cnots):
-            raise SelectionError("similarity tables do not match the pools")
         # Compiled from ``selected`` and the scalar fields, keyed on the
         # fields and the ids of the held references to ``selected``'s
         # elements: held, those ids cannot be reused by new arrays while
@@ -222,7 +214,6 @@ class SelectionObjective:
         key = (
             tuple(map(id, self.selected)),
             self.threshold,
-            self.weight,
             self.original_cnot_count,
         )
         if key != self._compiled_key:
@@ -259,6 +250,6 @@ class SelectionObjective:
         if self._prior_hits is not None:
             fractions = self.tables.fractions_at(choices, self._prior_hits)
             m = fractions.sum(axis=1) / fractions.shape[1]
-            values = self.weight * m + (1.0 - self.weight) * values
+            values = SIMILARITY_WEIGHT * m + (1.0 - SIMILARITY_WEIGHT) * values
         values[bounds > self.threshold] = 1.0
         return values

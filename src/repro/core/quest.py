@@ -69,10 +69,10 @@ _COUNT_FLOORS = {
     "solutions_per_layer": 1,
     "instantiation_starts": 1,
     "max_optimizer_iterations": 1,
-    "annealing_maxiter": 1,
     "sphere_variants_per_count": 0,
     "workers": 1,
     "retry_attempts": 1,
+    "certify_max_exact_qubits": 1,
 }
 
 
@@ -92,7 +92,6 @@ class QuestConfig:
     solutions_per_layer: int = 3
     instantiation_starts: int = 2
     max_optimizer_iterations: int = 200
-    annealing_maxiter: int = 200
     seed: int | None = None
     #: Per-block synthesis wall-clock budget in seconds (None = unbounded).
     #: It bounds an attempt, never shapes its result: an attempt running
@@ -136,8 +135,9 @@ class QuestConfig:
     certify_max_exact_qubits: int = DEFAULT_MAX_EXACT_QUBITS
 
     def __post_init__(self) -> None:
-        """Refuse a count below its floor, or a negative or non-finite
-        threshold or budget, with :class:`ValueError`."""
+        """Refuse a count below its floor, a negative or non-finite
+        threshold or budget, a seed that is neither None nor an integer
+        >= 0, or a non-bool ``certify``, with :class:`ValueError`."""
         for name, floor in _COUNT_FLOORS.items():
             value = getattr(self, name)
             if (
@@ -163,6 +163,17 @@ class QuestConfig:
                     f"QuestConfig.{name} must be a finite number >= 0, "
                     f"got {value!r}"
                 )
+        if self.seed is not None and (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, numbers.Integral)
+            or self.seed < 0
+        ):
+            raise ValueError(
+                "QuestConfig.seed must be None or an integer >= 0, "
+                f"got {self.seed!r}"
+            )
+        if not isinstance(self.certify, bool):
+            raise ValueError(f"QuestConfig.certify must be a bool, got {self.certify!r}")
 
 
 @dataclass
@@ -322,7 +333,6 @@ class QuestResult:
     def noisy_ensemble(
         self,
         noise,
-        trajectories: int = 1000,
         rng: np.random.Generator | int | None = None,
         engine: str = "auto",
     ) -> np.ndarray:
@@ -335,7 +345,8 @@ class QuestResult:
         :func:`repro.noise.resolve_engine`) picks the evaluator: ``ptm``
         contracts the whole ensemble as one batched superoperator pass;
         ``trajectories`` evaluates circuit by circuit via
-        :func:`repro.noise.noisy_distribution`.  Wall time is
+        :func:`repro.noise.noisy_distribution`, each from
+        :data:`repro.noise.trajectories.TRAJECTORIES` samples.  Wall time is
         accumulated into ``timings.noisy_eval_seconds``.
         """
         from repro.metrics.distances import average_distributions
@@ -344,6 +355,7 @@ class QuestResult:
             resolve_engine,
             run_ptm_ensemble,
         )
+        from repro.noise.trajectories import TRAJECTORIES
 
         if not self.circuits:
             raise SelectionError("no selected circuits to evaluate")
@@ -355,7 +367,7 @@ class QuestResult:
         with tracer.span(
             "quest.noisy_eval",
             circuits=len(self.circuits),
-            trajectories=trajectories,
+            trajectories=TRAJECTORIES,
             engine=engine,
         ):
             if engine == "ptm":
@@ -365,13 +377,7 @@ class QuestResult:
                 distributions = list(run_ptm_ensemble(self.circuits, noise))
             else:
                 distributions = [
-                    noisy_distribution(
-                        circuit,
-                        noise,
-                        trajectories=trajectories,
-                        rng=rng,
-                        engine=engine,
-                    )
+                    noisy_distribution(circuit, noise, rng=rng, engine=engine)
                     for circuit in self.circuits
                 ]
             averaged = average_distributions(distributions)
@@ -549,7 +555,6 @@ def _run_pipeline(
         result.selection = select_approximations(
             objective,
             max_samples=config.max_samples,
-            maxiter=config.annealing_maxiter,
             seed=int(rng.integers(2**31 - 1)),
         )
     result.timings.selection_seconds = time.perf_counter() - start

@@ -22,7 +22,7 @@ ANGLE_ATOL = 1e-10
 
 def zyz_decompose(u: np.ndarray) -> tuple[float, float, float, float]:
     """Return ``(theta, phi, lam, alpha)`` with ``U = e^{i alpha} RZ(phi) RY(theta) RZ(lam)``."""
-    if u.shape != (2, 2) or not is_unitary(u, atol=1e-7):
+    if u.shape != (2, 2) or not is_unitary(u):
         raise ReproError("zyz_decompose expects a 2x2 unitary")
     det = np.linalg.det(u)
     alpha = 0.5 * cmath.phase(det)

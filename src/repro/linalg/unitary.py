@@ -17,13 +17,17 @@ import numpy as np
 
 from repro.exceptions import ReproError
 
+#: Max elementwise deviation of ``U^dag U`` from the identity that
+#: :func:`is_unitary` accepts.
+UNITARY_ATOL = 1e-7
 
-def is_unitary(matrix: np.ndarray, atol: float = 1e-9) -> bool:
-    """Check ``U^dag U == I`` within tolerance."""
+
+def is_unitary(matrix: np.ndarray) -> bool:
+    """Check ``U^dag U == I`` within :data:`UNITARY_ATOL`."""
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     identity = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix.conj().T @ matrix, identity, atol=atol))
+    return bool(np.allclose(matrix.conj().T @ matrix, identity, atol=UNITARY_ATOL))
 
 
 def hs_inner(u: np.ndarray, v: np.ndarray) -> complex:

@@ -29,13 +29,18 @@ MAGIC = (1.0 / math.sqrt(2.0)) * np.array(
 )
 
 
+#: Tolerance of :func:`estimated_cnot_class`'s tensor-product test; its
+#: invariant tests allow the square root of it.
+_CLASS_ATOL = 1e-7
+
+
 def magic_rep(u: np.ndarray) -> np.ndarray:
     """Return the special-unitary magic-basis representation of ``U``.
 
     The result is ``M^dag (U / det(U)^{1/4}) M``; the fourth-root branch is
     arbitrary, which the invariant helpers below account for.
     """
-    if u.shape != (4, 4) or not is_unitary(u, atol=1e-7):
+    if u.shape != (4, 4) or not is_unitary(u):
         raise ReproError("magic_rep expects a 4x4 unitary")
     det = np.linalg.det(u)
     su4 = u * complex(det) ** (-0.25)
@@ -78,7 +83,7 @@ def decompose_tensor_product(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, com
     return a, b, phase
 
 
-def estimated_cnot_class(u: np.ndarray, atol: float = 1e-7) -> int:
+def estimated_cnot_class(u: np.ndarray) -> int:
     """Estimate the minimal CNOT count (0-3) to implement ``U`` exactly.
 
     Uses local invariants: tensor products need 0; the CNOT local-
@@ -88,13 +93,13 @@ def estimated_cnot_class(u: np.ndarray, atol: float = 1e-7) -> int:
     as a starting point and falls back to more CNOTs if template fitting
     does not reach tolerance, so a borderline misclassification is safe.
     """
-    if is_tensor_product(u, atol=max(atol, 1e-8)):
+    if is_tensor_product(u, atol=_CLASS_ATOL):
         return 0
     m = magic_rep(u)
     gamma = m @ m.T
     trace = complex(np.trace(gamma))
     g2 = float(np.real((trace * trace - np.trace(gamma @ gamma)) / 4.0))
-    tol = math.sqrt(atol)
+    tol = math.sqrt(_CLASS_ATOL)
     if abs(trace) < tol and abs(g2 - 1.0) < tol:
         return 1
     # Shende-Bullock-Markov: two CNOTs suffice iff tr(gamma) is real (the

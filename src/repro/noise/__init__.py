@@ -55,13 +55,7 @@ def resolve_engine(engine: str, num_qubits: int) -> str:
     return "ptm" if num_qubits <= MAX_PTM_QUBITS else "trajectories"
 
 
-def noisy_distribution(
-    circuit,
-    noise,
-    trajectories=1000,
-    rng=None,
-    engine="auto",
-):
+def noisy_distribution(circuit, noise, rng=None, engine="auto"):
     """Noisy output distribution via the selected engine.
 
     ``engine`` is one of :data:`NOISE_ENGINES`, resolved by
@@ -71,7 +65,7 @@ def noisy_distribution(
     """
     if resolve_engine(engine, circuit.num_qubits) == "ptm":
         return run_ptm(circuit, noise)
-    return run_trajectories(circuit, noise, trajectories=trajectories, rng=rng)
+    return run_trajectories(circuit, noise, rng=rng)
 
 
 __all__ = [

@@ -60,7 +60,6 @@ def fake_manila() -> Backend:
             one_qubit_error=0.0003,
             two_qubit_error=0.009,
             readout_error=0.025,
-            idle_decoherence=0.0,
         ),
     )
 

@@ -67,42 +67,28 @@ for _matrix in PAULI_MATRICES.values():
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gate-level Pauli noise plus readout error.
-
-    ``idle_decoherence`` adds a small extra one-qubit Pauli error on
-    every qubit a gate leaves idle, once per operation (see
-    :func:`noise_schedule`), modelling decoherence during long circuits
-    — longer circuits decohere more, which is the mechanism the paper's
-    CNOT-count reduction targets.
-    """
+    """Gate-level Pauli noise plus readout error."""
 
     one_qubit_error: float = 0.001
     two_qubit_error: float = 0.01
     readout_error: float = 0.02
-    idle_decoherence: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "one_qubit_error",
-            "two_qubit_error",
-            "readout_error",
-            "idle_decoherence",
-        ):
+        for name in ("one_qubit_error", "two_qubit_error", "readout_error"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise NoiseModelError(f"{name}={value} outside [0, 1]")
 
     @classmethod
-    def from_noise_level(cls, level: float, readout: float | None = None) -> "NoiseModel":
-        """Paper-style model: ``level`` is the two-qubit error rate.
-
-        The one-qubit rate is set an order of magnitude lower and the
-        readout error defaults to ``level`` (Sec. 1.2's error hierarchy).
+    def from_noise_level(cls, level: float) -> "NoiseModel":
+        """Paper-style model: ``level`` is the two-qubit and the readout
+        error rate, and the one-qubit rate is an order of magnitude lower
+        (Sec. 1.2's error hierarchy).
         """
         return cls(
             one_qubit_error=level / 10.0,
             two_qubit_error=level,
-            readout_error=level if readout is None else readout,
+            readout_error=level,
         )
 
 
@@ -129,12 +115,9 @@ def noise_schedule(
     ``measure`` and ``barrier`` are dropped.  After a one- or two-qubit
     gate comes its channel of 3 or 15 non-identity Paulis at that
     arity's rate, after a wider gate one two-qubit channel per
-    consecutive pair of its qubits; then every qubit the gate leaves
-    idle decoheres, in qubit order, once per operation (not per layer).
-    A channel of rate 0 is never built, and each gate matrix is built
-    once per ``(name, params)``.
+    consecutive pair of its qubits.  A channel of rate 0 is never built,
+    and each gate matrix is built once per ``(name, params)``.
     """
-    num_qubits = circuit.num_qubits
     matrices: dict[tuple, np.ndarray] = {}
     schedule = []
     for op in circuit.operations:
@@ -155,12 +138,6 @@ def noise_schedule(
             channels += [
                 PauliChannel(pair, noise.two_qubit_error, TWO_QUBIT_PAULIS)
                 for pair in zip(qubits, qubits[1:])
-            ]
-        if noise.idle_decoherence > 0.0:
-            channels += [
-                PauliChannel((qubit,), noise.idle_decoherence, ONE_QUBIT_PAULIS)
-                for qubit in range(num_qubits)
-                if qubit not in qubits
             ]
         schedule.append((matrix, qubits, tuple(channels)))
     return schedule

@@ -23,7 +23,7 @@ facts make this fast:
 * a Pauli channel is *diagonal* in the Pauli basis — entry ``j`` is
   ``(1 - p_tot) + sum_a p_a s(a, j)`` with ``s = +-1`` for
   commuting/anticommuting strings — so gate+channel compose by scaling
-  the gate PTM's rows, and idle decoherence is a broadcast multiply;
+  the gate PTM's rows, and a channel on its own is a broadcast multiply;
 * applying a ``k``-qubit PTM to ``B`` ensemble members is one einsum
   over a ``(B, 4, ..., 4)`` tensor, the exact analogue of
   :func:`repro.linalg.embed.apply_gate_to_states` with local dimension
@@ -193,7 +193,6 @@ def _program_key(circuit: Circuit, noise: NoiseModel) -> tuple:
         ),
         round(float(noise.one_qubit_error), _FINGERPRINT_DECIMALS),
         round(float(noise.two_qubit_error), _FINGERPRINT_DECIMALS),
-        round(float(noise.idle_decoherence), _FINGERPRINT_DECIMALS),
     )
 
 
@@ -301,7 +300,8 @@ class PtmCache:
 
 
 #: Process-wide compile cache: gate PTMs depend only on (gate, channel),
-#: so entries are valid across circuits, ensembles, and runs.
+#: so entries are valid across circuits, ensembles, and runs.  Read at
+#: each call, so a test may swap in a fresh one.
 _DEFAULT_CACHE = PtmCache()
 
 
@@ -344,16 +344,15 @@ class PtmProgram:
         )
 
 
-def compile_circuit(
-    circuit: Circuit, noise: NoiseModel, cache: PtmCache | None = None
-) -> PtmProgram:
-    """Compile ``circuit`` + ``noise`` into a :class:`PtmProgram`.
+def compile_circuit(circuit: Circuit, noise: NoiseModel) -> PtmProgram:
+    """Compile ``circuit`` + ``noise`` into a :class:`PtmProgram`
+    through the process-wide compile cache.
 
     The ops follow :func:`~repro.noise.model.noise_schedule`: each gate
     becomes one PTM, and each channel after it a diagonal op, except a
     one- or two-qubit gate's own channel, which fuses into its PTM.
     """
-    cache = _DEFAULT_CACHE if cache is None else cache
+    cache = _DEFAULT_CACHE
     return cache.program(
         _program_key(circuit, noise),
         lambda: _compile_circuit(circuit, noise, cache),
@@ -484,12 +483,7 @@ def _check_capacity(num_qubits: int) -> None:
         )
 
 
-def run_ptm_ensemble(
-    circuits: list[Circuit],
-    noise: NoiseModel,
-    *,
-    cache: PtmCache | None = None,
-) -> np.ndarray:
+def run_ptm_ensemble(circuits: list[Circuit], noise: NoiseModel) -> np.ndarray:
     """Exact noisy output distribution of every circuit in one batch.
 
     Returns a ``(len(circuits), 2^n)`` array of distributions (rows in
@@ -508,7 +502,6 @@ def run_ptm_ensemble(
         )
     num_qubits = widths.pop()
     _check_capacity(num_qubits)
-    cache = _DEFAULT_CACHE if cache is None else cache
     tracer = get_tracer()
     metrics = get_metrics()
     with tracer.span(
@@ -516,9 +509,7 @@ def run_ptm_ensemble(
         circuits=len(circuits),
         qubits=num_qubits,
     ):
-        programs = [
-            compile_circuit(circuit, noise, cache) for circuit in circuits
-        ]
+        programs = [compile_circuit(circuit, noise) for circuit in circuits]
         groups: dict[tuple, list[int]] = {}
         for index, program in enumerate(programs):
             groups.setdefault(program.signature, []).append(index)
@@ -572,12 +563,7 @@ def run_ptm_ensemble(
     return out
 
 
-def run_ptm(
-    circuit: Circuit,
-    noise: NoiseModel,
-    *,
-    cache: PtmCache | None = None,
-) -> np.ndarray:
+def run_ptm(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Exact noisy output distribution of one circuit via the PTM engine.
 
     Single-circuit convenience over :func:`run_ptm_ensemble` (a batch of
@@ -585,7 +571,7 @@ def run_ptm(
     while running an order of magnitude fewer contractions per
     noisy gate (one ``16 x 16`` PTM instead of ~32 conjugations).
     """
-    return run_ptm_ensemble([circuit], noise, cache=cache)[0]
+    return run_ptm_ensemble([circuit], noise)[0]
 
 
 __all__ = [

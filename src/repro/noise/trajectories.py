@@ -45,6 +45,9 @@ MAX_TRAJECTORY_QUBITS = 24
 #: with more trajectories evolves them in successive slabs.
 MAX_BATCHED_STATE_BYTES = 4 * 2**30
 
+#: Trajectories sampled per run.
+TRAJECTORIES = 1000
+
 _COMPLEX_BYTES = 16
 
 
@@ -133,10 +136,10 @@ def _evolve_slab(
 def run_trajectories(
     circuit: Circuit,
     noise: NoiseModel,
-    trajectories: int = 1000,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Estimate the noisy output distribution from Pauli trajectories.
+    """Estimate the noisy output distribution from :data:`TRAJECTORIES`
+    Pauli trajectories.
 
     Each trajectory contributes its full analytic Born distribution (not a
     single shot), which sharply reduces the sampling variance for a given
@@ -146,22 +149,20 @@ def run_trajectories(
     same pre-sampled error outcomes, so slabbing changes the result only
     by the order of a float sum.
     """
-    if trajectories < 1:
-        raise SimulationError("need at least one trajectory")
     _check_capacity(circuit.num_qubits)
     rng = np.random.default_rng(rng)
     num_qubits = circuit.num_qubits
     schedule = noise_schedule(circuit, noise)
     outcomes = _sample_outcomes(
         [channel for _, _, channels in schedule for channel in channels],
-        trajectories,
+        TRAJECTORIES,
         rng,
     )
     rows = max(1, MAX_BATCHED_STATE_BYTES // (2**num_qubits * _COMPLEX_BYTES))
     accumulated = np.zeros(2**num_qubits)
-    for start in range(0, trajectories, rows):
+    for start in range(0, TRAJECTORIES, rows):
         accumulated += _evolve_slab(
             schedule, outcomes[:, start : start + rows], num_qubits
         )
-    probs = accumulated / trajectories
+    probs = accumulated / TRAJECTORIES
     return apply_readout_error(probs, num_qubits, noise.readout_error)

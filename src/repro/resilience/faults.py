@@ -16,8 +16,8 @@ Fault taxonomy (``FaultSpec.kind``):
 ``hang``
     The job spins past its time budget.  Under a cooperative deadline
     (inline path) it raises :class:`BlockTimeoutError` the moment the
-    deadline passes; in a worker process it sleeps ``hang_seconds`` so
-    the executor's hard future timeout fires instead.
+    deadline passes; in a worker process it sleeps :data:`HANG_SECONDS`
+    so the executor's hard future timeout fires instead.
 ``nan``
     The job completes but one returned candidate is NaN-corrupted —
     models a silently diverged optimizer.  Caught by validation.
@@ -58,6 +58,11 @@ FAULT_KINDS = (
     "kill",
     "flip-cache",
 )
+
+#: How long a ``hang`` fault spins when no cooperative deadline is armed
+#: (worker processes); the hard future timeout should be shorter for the
+#: fault to behave as a hang rather than a stall.
+HANG_SECONDS = 60.0
 
 
 class InjectedFault(RuntimeError):
@@ -101,10 +106,6 @@ class FaultInjector:
 
     specs: tuple[FaultSpec, ...] = ()
     seed: int = 0
-    #: How long a ``hang`` fault spins when no cooperative deadline is
-    #: armed (worker processes); the hard future timeout should be
-    #: shorter for the fault to behave as a hang rather than a stall.
-    hang_seconds: float = 60.0
     fired: list[tuple[str, int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -150,7 +151,7 @@ class FaultInjector:
             )
         if self._firing("hang", block, attempt) is not None:
             self._note("hang", block, attempt)
-            end = time.monotonic() + self.hang_seconds
+            end = time.monotonic() + HANG_SECONDS
             while time.monotonic() < end:
                 # Raises BlockTimeoutError under a cooperative deadline.
                 check_deadline()

@@ -27,15 +27,19 @@ from repro.service.protocol import (
     rejection_from_message,
 )
 
+#: Seconds a connection to the daemon may take to open.
+CONNECT_TIMEOUT = 10.0
+#: Seconds the daemon has to answer a submit (it parses and journals the
+#: job first), and a status or shutdown request.
+SUBMIT_TIMEOUT = 30.0
+REQUEST_TIMEOUT = 10.0
+
 
 class ServiceClient:
     """Talks to one daemon at ``socket_path``."""
 
-    def __init__(
-        self, socket_path: str, *, connect_timeout: float = 10.0
-    ) -> None:
+    def __init__(self, socket_path: str) -> None:
         self.socket_path = str(socket_path)
-        self.connect_timeout = float(connect_timeout)
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -43,7 +47,7 @@ class ServiceClient:
     def _request(self, message: dict, timeout: float | None) -> dict:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            sock.settimeout(self.connect_timeout)
+            sock.settimeout(CONNECT_TIMEOUT)
             sock.connect(self.socket_path)
         except OSError as exc:
             sock.close()
@@ -97,7 +101,6 @@ class ServiceClient:
         tenant: str = "default",
         namespace: str | None = None,
         deadline_seconds: float | None = None,
-        timeout: float | None = 30.0,
     ) -> str:
         """Submit one compile job; returns its job id.
 
@@ -117,7 +120,7 @@ class ServiceClient:
         }
         if namespace is not None:
             message["namespace"] = namespace
-        response = self._request(message, timeout)
+        response = self._request(message, SUBMIT_TIMEOUT)
         if response["type"] != "accepted":
             raise ServiceError(
                 f"unexpected submit reply type {response['type']!r}"
@@ -143,16 +146,16 @@ class ServiceClient:
             wire_timeout,
         )
 
-    def status(self, *, timeout: float | None = 10.0) -> dict:
+    def status(self) -> dict:
         """Health/readiness/queue-depth/metrics snapshot."""
         return self._request(
-            {"type": "status", "version": PROTOCOL_VERSION}, timeout
+            {"type": "status", "version": PROTOCOL_VERSION}, REQUEST_TIMEOUT
         )
 
-    def shutdown(self, *, timeout: float | None = 10.0) -> None:
+    def shutdown(self) -> None:
         """Ask the daemon to drain gracefully."""
         self._request(
-            {"type": "shutdown", "version": PROTOCOL_VERSION}, timeout
+            {"type": "shutdown", "version": PROTOCOL_VERSION}, REQUEST_TIMEOUT
         )
 
     def submit_and_wait(

@@ -36,11 +36,7 @@ from pathlib import Path
 from repro.exceptions import ServiceError
 from repro.observability import get_logger, get_metrics
 from repro.service.protocol import JobRecord
-from repro.store.artifact import (
-    DEFAULT_GRACE_SECONDS,
-    sweep_orphans,
-    write_atomically,
-)
+from repro.store.artifact import sweep_orphans, write_atomically
 
 #: Bump when the envelope layout changes; old entries are quarantined.
 LEDGER_VERSION = 1
@@ -68,7 +64,7 @@ class JobLedger:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         # A daemon killed mid-``store`` leaves its temp file behind.
-        sweep_orphans([self._dir], DEFAULT_GRACE_SECONDS)
+        sweep_orphans([self._dir])
 
     @property
     def directory(self) -> Path:

@@ -109,6 +109,14 @@ _log = get_logger("service.server")
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
 
 
+def _seconds(value) -> float:
+    """A request's seconds field as a float; NaN when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 class QuestService:
     """One daemon: socket front end, fair queue, shared substrate."""
 
@@ -565,10 +573,7 @@ class QuestService:
         deadline_seconds = message.get("deadline_seconds")
         deadline_at = None
         if deadline_seconds is not None:
-            try:
-                relative = float(deadline_seconds)
-            except (TypeError, ValueError, OverflowError):
-                relative = math.nan
+            relative = _seconds(deadline_seconds)
             # A NaN deadline would compare false everywhere: a job that
             # never expires.
             if not math.isfinite(relative):
@@ -591,18 +596,23 @@ class QuestService:
         )
 
     async def _handle_wait(self, message: dict) -> dict:
+        timeout = message.get("timeout_seconds")
+        if timeout is not None:
+            seconds = _seconds(timeout)
+            if not (math.isfinite(seconds) and seconds >= 0):
+                raise ServiceError(
+                    f"bad timeout_seconds {timeout!r}: need null or a "
+                    "finite number >= 0"
+                )
+            timeout = seconds
         job_id = str(message.get("job_id", ""))
         record = self._jobs.get(job_id)
         if record is None:
             raise ServiceError(f"unknown job {job_id!r}")
-        timeout = message.get("timeout_seconds")
         if record.state not in TERMINAL_STATES:
             event = self._job_events.setdefault(job_id, asyncio.Event())
             try:
-                await asyncio.wait_for(
-                    event.wait(),
-                    None if timeout is None else float(timeout),
-                )
+                await asyncio.wait_for(event.wait(), timeout)
             except asyncio.TimeoutError:
                 return {
                     "type": "result",

@@ -132,16 +132,17 @@ def write_atomically(path: Path, blob: bytes) -> None:
             os.close(directory_fd)
 
 
-def sweep_orphans(directories, grace_seconds: float) -> int:
+def sweep_orphans(directories) -> int:
     """Delete temp files that dead writers left in ``directories``.
 
     :func:`write_atomically` removes its temp file on every failure it
     sees, but a writer killed between ``mkstemp`` and ``os.replace``
-    leaves one behind.  A temp file older than ``grace_seconds`` can no
-    longer belong to a live publish (publishes are short); a younger one
-    might, and is left for the next sweep.  Returns the number removed.
+    leaves one behind.  A temp file older than
+    :data:`DEFAULT_GRACE_SECONDS` can no longer belong to a live publish
+    (publishes are short); a younger one might, and is left for the next
+    sweep.  Returns the number removed.
     """
-    cutoff = time.time() - grace_seconds
+    cutoff = time.time() - DEFAULT_GRACE_SECONDS
     swept = 0
     for directory in directories:
         try:
@@ -273,9 +274,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def sweep_orphans(self) -> int:
         """Delete the namespace's orphaned temp files (:func:`sweep_orphans`)."""
-        swept = sweep_orphans(
-            (self._dir, *self._shard_dirs()), DEFAULT_GRACE_SECONDS
-        )
+        swept = sweep_orphans((self._dir, *self._shard_dirs()))
         if swept:
             self._count("orphans_swept", swept)
             tracer = get_tracer()

@@ -44,6 +44,10 @@ _MAXFUN = 15000
 _FACTR = 1e-15 / np.finfo(float).eps
 _PGTOL = 1e-12
 
+#: Half-width of the uniform angles that extend a short warm start
+#: (LEAP's prefix re-seeding of each new layer's rotations).
+WARM_SPREAD = 0.1
+
 #: ``setulb`` task codes (``task[0]``) and the stop reasons
 #: (``task[1]``) the driver sets itself.
 _TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
@@ -189,7 +193,6 @@ def instantiate_multi(
     initial_params: np.ndarray | None = None,
     success_cost: float = 1e-12,
     stop_at_cost: float | None = None,
-    warm_spread: float | None = None,
 ) -> list[InstantiationResult] | list[list[InstantiationResult]]:
     """Fit ``ansatz`` to ``target``, returning one result per start.
 
@@ -198,10 +201,10 @@ def instantiate_multi(
     starts and the return value is one result list per template.
 
     ``initial_params`` (if given) is used as each template's first, warm
-    start.  With ``warm_spread``, an ``initial_params`` shorter than a
-    template is extended with ``U(-warm_spread, warm_spread)`` angles for
-    its remaining parameters — LEAP's prefix re-seeding passes the
-    previous layer's optimum this way.  Remaining starts are random in
+    start.  An ``initial_params`` shorter than a template is extended
+    with ``U(-WARM_SPREAD, WARM_SPREAD)`` angles for its remaining
+    parameters — LEAP's prefix re-seeding passes the previous layer's
+    optimum this way.  Remaining starts are random in
     ``[-pi, pi)``; distinct starts often converge to distinct local
     minima, which QUEST exploits as dissimilar approximations of the
     same CNOT count.  Random numbers are drawn template by template, the
@@ -238,9 +241,9 @@ def instantiate_multi(
     def start_run(template: Ansatz, start: int) -> _LbfgsbRun:
         if start == 0 and initial_params is not None:
             x0 = np.asarray(initial_params, dtype=float)
-            if warm_spread is not None and len(x0) < template.num_params:
+            if len(x0) < template.num_params:
                 spread = rng.uniform(
-                    -warm_spread, warm_spread, size=template.num_params - len(x0)
+                    -WARM_SPREAD, WARM_SPREAD, size=template.num_params - len(x0)
                 )
                 x0 = np.concatenate([x0, spread])
             if len(x0) != template.num_params:
@@ -289,7 +292,6 @@ def instantiate(
     rng: np.random.Generator | int | None = None,
     starts: int = 3,
     maxiter: int = 400,
-    initial_params: np.ndarray | None = None,
     success_cost: float = 1e-12,
 ) -> InstantiationResult:
     """Fit ``ansatz`` to ``target``, returning the best of several starts."""
@@ -299,6 +301,5 @@ def instantiate(
         rng=rng,
         starts=starts,
         maxiter=maxiter,
-        initial_params=initial_params,
         success_cost=success_cost,
     )[0]

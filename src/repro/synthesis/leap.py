@@ -336,7 +336,6 @@ def synthesize(
             maxiter=config.max_optimizer_iterations,
             initial_params=best_params,
             stop_at_cost=config.target_cost,
-            warm_spread=0.1,
         )
         instantiations += len(placements)
         for placement, fits in zip(placements, layer_fits):

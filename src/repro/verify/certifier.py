@@ -37,10 +37,7 @@ import numpy as np
 
 from repro.circuits.circuit import Circuit, Operation
 from repro.exceptions import CertificationError
-from repro.metrics.tolerances import (
-    CERTIFICATION_SLACK,
-    STIMULUS_CONFIDENCE_DELTA,
-)
+from repro.metrics.tolerances import CERTIFICATION_SLACK
 from repro.partition.scan import scan_partition
 from repro.transpile.basis import lower_to_basis
 from repro.verify.independent import (
@@ -429,7 +426,6 @@ def certify_equivalence(
     haar_stimuli: int = DEFAULT_HAAR_STIMULI,
     basis_stimuli: int = DEFAULT_BASIS_STIMULI,
     rng: np.random.Generator | int | None = None,
-    delta: float = STIMULUS_CONFIDENCE_DELTA,
 ) -> CertificationReport:
     """Independently certify that ``approximate`` honors its claims.
 
@@ -491,7 +487,6 @@ def certify_equivalence(
             haar_stimuli=haar_stimuli,
             basis_stimuli=basis_stimuli,
             rng=rng,
-            delta=delta,
         )
         if evidence.distance_bound > claimed_total + CERTIFICATION_SLACK:
             failures.append(
@@ -530,16 +525,14 @@ def certify_result(
     *,
     block_qubits: int,
     max_exact_qubits: int = DEFAULT_MAX_EXACT_QUBITS,
-    haar_stimuli: int = DEFAULT_HAAR_STIMULI,
-    basis_stimuli: int = DEFAULT_BASIS_STIMULI,
     seed: int | None = None,
-    delta: float = STIMULUS_CONFIDENCE_DELTA,
 ) -> list[CertificationReport]:
     """Certify every selected approximation of a :class:`QuestResult`.
 
     Claims are rebuilt from the run's pools and choices (the same data
     the stitcher consumed) and each stitched circuit is certified
-    against the run's baseline.  The stimulus RNG is derived from
+    against the run's baseline, wider ones with the default stimulus
+    counts.  The stimulus RNG is derived from
     ``seed`` and the circuit index through a dedicated
     :class:`~numpy.random.SeedSequence` stream, so certification never
     perturbs — and is never perturbed by — the pipeline's own draws.
@@ -561,10 +554,7 @@ def certify_result(
                 claims,
                 block_qubits=block_qubits,
                 max_exact_qubits=max_exact_qubits,
-                haar_stimuli=haar_stimuli,
-                basis_stimuli=basis_stimuli,
                 rng=rng,
-                delta=delta,
             )
         )
     return reports

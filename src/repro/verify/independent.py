@@ -179,11 +179,11 @@ def stimulus_evidence(
     haar_stimuli: int = DEFAULT_HAAR_STIMULI,
     basis_stimuli: int = DEFAULT_BASIS_STIMULI,
     rng: np.random.Generator | int | None = None,
-    delta: float = STIMULUS_CONFIDENCE_DELTA,
 ) -> StimulusEvidence:
     """Probe two circuits with random stimuli and bound their distance.
 
-    The Haar stimuli feed the confidence-bounded distance estimate; the
+    The Haar stimuli feed the distance estimate, bounded with confidence
+    ``1 - STIMULUS_CONFIDENCE_DELTA``; the
     basis stimuli (and the Haar ones) also feed ``worst_deviation`` for
     the per-state cap check.  Deterministic for a fixed ``rng`` seed.
     """
@@ -206,7 +206,9 @@ def stimulus_evidence(
     # Haar identity: E |<psi|W|psi>|^2 = (|Tr W|^2 + N) / (N (N + 1)),
     # so the sample mean m gives |Tr W|^2 / N^2 ~= ((N+1) m - 1) / N.
     mean_sq = float(np.mean(haar_overlaps**2))
-    deviation = math.sqrt(math.log(1.0 / delta) / (2.0 * len(haar_overlaps)))
+    deviation = math.sqrt(
+        math.log(1.0 / STIMULUS_CONFIDENCE_DELTA) / (2.0 * len(haar_overlaps))
+    )
     overlap_sq_estimate = min(max(((dim + 1) * mean_sq - 1.0) / dim, 0.0), 1.0)
     overlap_sq_upper = min(
         max(((dim + 1) * (mean_sq + deviation) - 1.0) / dim, 0.0), 1.0
@@ -223,5 +225,5 @@ def stimulus_evidence(
         distance_bound=distance_bound,
         distance_estimate=distance_estimate,
         worst_deviation=worst,
-        delta=delta,
+        delta=STIMULUS_CONFIDENCE_DELTA,
     )

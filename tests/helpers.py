@@ -39,7 +39,7 @@ def wait_until_ready(client, timeout: float = 30.0) -> dict:
     deadline = time.monotonic() + timeout
     while True:
         try:
-            status = client.status(timeout=5.0)
+            status = client.status()
             if status.get("ready"):
                 return status
         except ServiceError:

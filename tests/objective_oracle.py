@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.objective import SIMILARITY_WEIGHT
 from repro.exceptions import SelectionError
 
 
@@ -20,8 +21,7 @@ class FrozenObjective:
     """The per-call scorer over one objective's pools and tables.
 
     The pools and tables are read once, at construction; ``selected``,
-    ``threshold``, ``weight`` and ``original_cnot_count`` are read on
-    every call, and every call counts in ``scalar_evaluations``, as the
+    ``threshold`` and ``original_cnot_count`` are read on every call, and every call counts in ``scalar_evaluations``, as the
     objective's own ``__call__`` does.
     """
 
@@ -79,4 +79,4 @@ class FrozenObjective:
             choice, np.stack(objective.selected)
         )
         m = float(fractions.sum()) / len(objective.selected)
-        return objective.weight * m + (1.0 - objective.weight) * c_norm
+        return SIMILARITY_WEIGHT * m + (1.0 - SIMILARITY_WEIGHT) * c_norm

@@ -180,11 +180,13 @@ class TestVariational:
         b = vqe_ansatz(4, layers=2, params=params)
         assert a == b
 
-    def test_vqe_circular_entangler(self):
-        circuit = vqe_ansatz(4, layers=1, entangler="circular", rng=0)
-        assert circuit.cnot_count() == 4
-        with pytest.raises(CircuitError):
-            vqe_ansatz(4, entangler="ring-of-fire")
+    def test_vqe_entangles_a_linear_chain(self):
+        circuit = vqe_ansatz(4, layers=1, rng=0)
+        assert [op.qubits for op in circuit.operations if op.name == "cx"] == [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+        ]
 
 
 class TestSpinModels:

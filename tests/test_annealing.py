@@ -106,21 +106,10 @@ def test_annealer_path_matches_exhaustive(monkeypatch):
     exact = select_approximations(objective_a, max_samples=1, seed=0)
     objective_b = _objective()
     monkeypatch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
-    annealed = select_approximations(
-        objective_b, max_samples=1, seed=0, maxiter=200
-    )
+    annealed = select_approximations(objective_b, max_samples=1, seed=0)
     assert exact.cnot_counts[0] == annealed.cnot_counts[0]
 
 
 def test_bad_max_samples():
     with pytest.raises(SelectionError):
         select_approximations(_objective(), max_samples=0)
-
-
-@pytest.mark.parametrize("maxiter", [0, -1])
-def test_bad_maxiter(maxiter, monkeypatch):
-    # scipy's annealing loop never stops below one iteration, so an
-    # annealed selection would hang here instead of raising.
-    monkeypatch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
-    with pytest.raises(SelectionError):
-        select_approximations(_objective(), max_samples=1, maxiter=maxiter)

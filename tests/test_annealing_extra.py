@@ -66,7 +66,8 @@ def test_fallback_also_taken_on_annealer_path(monkeypatch):
     )
     # Force the dual-annealing branch by disabling exhaustive search.
     monkeypatch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
-    result = select_approximations(objective, max_samples=2, seed=0, maxiter=50)
+    monkeypatch.setattr(annealing, "ANNEALING_MAXITER", 50)
+    result = select_approximations(objective, max_samples=2, seed=0)
     assert result.num_selected >= 1
     assert result.bounds[0] <= 0.01
 

@@ -5,9 +5,8 @@
 choices.  ``tests/annealing_oracle.py`` runs scipy's own annealer over
 the continuous box the selection used to search; every choice, value
 and evaluation count here is compared with ``==``.  Instances span 1-16
-blocks, thresholds that reject some choices, priors and weights in
-[0, 1].  A ``maxiter`` of 1,247 is where scipy first re-anneals at its
-default temperatures.
+blocks, thresholds that reject some choices, and priors.  A ``maxiter``
+of 1,247 is where scipy first re-anneals at its default temperatures.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ def _rejecting_objective(rng, num_blocks):
     objective = _objective(
         pools,
         threshold=float(rng.uniform(0.2, 0.8)) * largest,
-        weight=float(rng.uniform(0.0, 1.0)),
         original_cnots=int(rng.integers(1, 60)),
     )
     assert not objective.scorer().always_feasible
@@ -45,7 +43,8 @@ def _rejecting_objective(rng, num_blocks):
 def _assert_same_selection(objective, max_samples, maxiter, seed, score=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
-        result = select_approximations(objective, max_samples, maxiter, seed)
+        patch.setattr(annealing, "ANNEALING_MAXITER", maxiter)
+        result = select_approximations(objective, max_samples, seed)
     choices, values, evaluations = annealing_oracle.select(
         objective, max_samples, maxiter, seed, score
     )

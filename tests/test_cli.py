@@ -119,6 +119,7 @@ def test_cli_missing_file(tmp_path, capsys):
         (["--block-qubits", "1"], "max_block_qubits"),
         (["--threshold", "nan"], "threshold_per_block"),
         (["--time-budget", "-1"], "block_time_budget"),
+        (["--seed", "-1"], "seed"),
     ],
 )
 def test_cli_refuses_a_config_out_of_range(flags, field, tmp_path, capsys):
@@ -128,6 +129,19 @@ def test_cli_refuses_a_config_out_of_range(flags, field, tmp_path, capsys):
     assert code == 2
     assert f"QuestConfig.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-5"])
+def test_submit_refuses_a_bad_timeout_when_it_parses_the_flag(
+    timeout, tmp_path, capsys
+):
+    # "nan" used to reach socket.settimeout after the job was submitted,
+    # and "-5" to fail as a broken connection.
+    argv = ["submit", "--socket", str(tmp_path / "s.sock"), "--timeout", timeout]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, str(tmp_path / "in.qasm")])
+    assert excinfo.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
 
 
 def test_cli_rejects_cnot_free_circuit(tmp_path, capsys):

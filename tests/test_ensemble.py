@@ -8,9 +8,7 @@ import pytest
 from repro.circuits import Circuit
 from repro.core import ensemble_distribution
 from repro.exceptions import SelectionError
-from repro.noise import NoiseModel
 from repro.sim import ideal_distribution
-from tests.density_oracle import run_density
 
 
 def _rx_circuit(angle: float) -> Circuit:
@@ -42,15 +40,6 @@ def test_symmetric_over_under_rotation_averages_out():
     single_error = np.abs(ideal_distribution(over) - truth).sum()
     averaged_error = np.abs(averaged - truth).sum()
     assert averaged_error < single_error
-
-
-def test_custom_runner_used(bell_circuit):
-    noise = NoiseModel.from_noise_level(0.02)
-    noisy = ensemble_distribution(
-        [bell_circuit], runner=lambda c: run_density(c, noise)
-    )
-    assert not np.allclose(noisy, ideal_distribution(bell_circuit))
-    assert noisy.sum() == pytest.approx(1.0)
 
 
 def test_normalization(rng):

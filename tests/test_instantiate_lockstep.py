@@ -157,7 +157,7 @@ def test_multi_template_call_matches_per_template_oracle(stop_at_cost):
     warm = rng.uniform(-np.pi, np.pi, ansatze[0].num_params - 4)
     kwargs = dict(starts=3, maxiter=60, stop_at_cost=stop_at_cost)
     ours = instantiate_multi(
-        ansatze, target, rng=5, initial_params=warm, warm_spread=0.1, **kwargs
+        ansatze, target, rng=5, initial_params=warm, **kwargs
     )
     oracle_rng = np.random.default_rng(5)
     for ansatz, fits in zip(ansatze, ours):
@@ -198,7 +198,7 @@ def test_a_layer_evaluates_every_running_row_in_one_kernel_call(monkeypatch):
         return kernel(self, params, target_conj)
 
     monkeypatch.setattr(Ansatz, "trace_and_gradient", counting)
-    instantiate_multi(ansatze, target, rng=5, initial_params=warm, warm_spread=0.1, **kwargs)
+    instantiate_multi(ansatze, target, rng=5, initial_params=warm, **kwargs)
     assert len(evaluations) == rows_per_call[0] == 9
     assert rows_per_call == sorted(rows_per_call, reverse=True)
     assert len(rows_per_call) == max(evaluations) < sum(evaluations)

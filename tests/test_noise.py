@@ -10,7 +10,7 @@ import pytest
 import repro.noise.trajectories as trajectories_module
 from repro.algorithms import tfim
 from repro.circuits import Circuit, random_circuit
-from repro.exceptions import NoiseModelError, SimulationError
+from repro.exceptions import NoiseModelError
 from repro.metrics import tvd
 from repro.noise import (
     NoiseModel,
@@ -70,19 +70,15 @@ def test_channel_terms_sum_to_rate():
     assert sum(p for p, _ in one.terms) == pytest.approx(0.03)
     assert len(two.terms) == 15
     assert sum(p for p, _ in two.terms) == pytest.approx(0.12)
-    noiseless = noise_schedule(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0))
+    noiseless = noise_schedule(circuit, NoiseModel(0.0, 0.0, 0.0))
     assert [channels for _, _, channels in noiseless] == [(), ()]
-
-
-def _idle(qubit, rate):
-    return PauliChannel((qubit,), rate, ONE_QUBIT_PAULIS)
 
 
 def test_noise_schedule_contract():
     # Every engine reads this schedule, so it pins which channel follows
-    # which gate, in order: the gate's own channel (or one per
-    # consecutive pair of a wider gate's qubits), then one channel per
-    # idle qubit.  Measurements and barriers get no entry.
+    # which gate, in order: the gate's own channel, or one per
+    # consecutive pair of a wider gate's qubits.  Measurements and
+    # barriers get no entry.
     circuit = Circuit(4)
     circuit.h(0)
     circuit.cx(1, 2)
@@ -90,25 +86,21 @@ def test_noise_schedule_contract():
     circuit.measure(2)
     circuit.barrier()
     model = NoiseModel(one_qubit_error=0.01, two_qubit_error=0.02,
-                       readout_error=0.03, idle_decoherence=0.004)
+                       readout_error=0.03)
     schedule = noise_schedule(circuit, model)
     assert [qubits for _, qubits, _ in schedule] == [(0,), (1, 2), (0, 1, 3)]
     for (matrix, _, _), op in zip(schedule, circuit.operations):
         np.testing.assert_array_equal(matrix, op.gate.matrix())
     expected = [
-        [PauliChannel((0,), 0.01, ONE_QUBIT_PAULIS),
-         _idle(1, 0.004), _idle(2, 0.004), _idle(3, 0.004)],
-        [PauliChannel((1, 2), 0.02, TWO_QUBIT_PAULIS),
-         _idle(0, 0.004), _idle(3, 0.004)],
+        [PauliChannel((0,), 0.01, ONE_QUBIT_PAULIS)],
+        [PauliChannel((1, 2), 0.02, TWO_QUBIT_PAULIS)],
         [PauliChannel((0, 1), 0.02, TWO_QUBIT_PAULIS),
-         PauliChannel((1, 3), 0.02, TWO_QUBIT_PAULIS),
-         _idle(2, 0.004)],
+         PauliChannel((1, 3), 0.02, TWO_QUBIT_PAULIS)],
     ]
     assert [list(channels) for _, _, channels in schedule] == expected
     # The rates differ, so each kind of channel is the set at its rate:
-    # a rate of 0 removes exactly that kind (an idle rate of 0, every
-    # idle channel).
-    for name in ("one_qubit_error", "two_qubit_error", "idle_decoherence"):
+    # a rate of 0 removes exactly that kind.
+    for name in ("one_qubit_error", "two_qubit_error"):
         rate = getattr(model, name)
         quieter = noise_schedule(circuit, replace(model, **{name: 0.0}))
         assert [list(channels) for _, _, channels in quieter] == [
@@ -150,7 +142,7 @@ def test_apply_readout_error_preserves_normalization(rng):
 def test_density_noiseless_matches_ideal(rng):
     circuit = random_circuit(3, 5, rng=rng)
     assert np.allclose(
-        run_density(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0)),
+        run_density(circuit, NoiseModel(0.0, 0.0, 0.0)),
         ideal_distribution(circuit),
         atol=1e-10,
     )
@@ -176,37 +168,40 @@ def test_heavy_noise_approaches_uniform():
     assert tvd(noisy, np.full(4, 0.25)) < 0.02
 
 
-def test_trajectories_match_density(rng):
+def test_trajectories_match_density(rng, monkeypatch):
     circuit = random_circuit(3, 4, rng=rng)
     model = NoiseModel(one_qubit_error=0.01, two_qubit_error=0.05,
                        readout_error=0.02)
     exact = run_density(circuit, model)
-    sampled = run_trajectories(circuit, model, trajectories=3000, rng=rng)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 3000)
+    sampled = run_trajectories(circuit, model, rng=rng)
     assert tvd(exact, sampled) < 0.03
 
 
-def test_batched_and_scalar_engines_agree_exactly(rng):
+def test_batched_and_scalar_engines_agree_exactly(rng, monkeypatch):
     # The oracle consumes the same pre-sampled error outcomes one
     # trajectory at a time, so for a fixed seed the two agree to
     # floating-point associativity — not just statistically.
     circuit = random_circuit(3, 5, rng=rng)
     model = NoiseModel(one_qubit_error=0.02, two_qubit_error=0.08,
-                       readout_error=0.03, idle_decoherence=0.01)
-    batched = run_trajectories(circuit, model, trajectories=150, rng=99)
+                       readout_error=0.03)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 150)
+    batched = run_trajectories(circuit, model, rng=99)
     scalar = scalar_trajectories(circuit, model, trajectories=150, rng=99)
     assert np.allclose(batched, scalar, atol=1e-12)
 
 
-def test_batched_trajectories_match_density(rng):
+def test_batched_trajectories_match_density(rng, monkeypatch):
     circuit = random_circuit(3, 4, rng=rng)
     model = NoiseModel(one_qubit_error=0.01, two_qubit_error=0.05,
                        readout_error=0.02)
     exact = run_density(circuit, model)
-    sampled = run_trajectories(circuit, model, trajectories=3000, rng=rng)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 3000)
+    sampled = run_trajectories(circuit, model, rng=rng)
     assert tvd(exact, sampled) < 0.03
 
 
-def test_batched_trajectories_wide_gate(rng):
+def test_batched_trajectories_wide_gate(rng, monkeypatch):
     # ccx is charged one two-qubit channel per consecutive pair in both
     # the density and trajectory engines.
     circuit = Circuit(3)
@@ -214,10 +209,12 @@ def test_batched_trajectories_wide_gate(rng):
     circuit.ccx(0, 1, 2)
     model = NoiseModel(two_qubit_error=0.08, readout_error=0.0)
     exact = run_density(circuit, model)
-    sampled = run_trajectories(circuit, model, trajectories=4000, rng=5)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 4000)
+    sampled = run_trajectories(circuit, model, rng=5)
     assert tvd(exact, sampled) < 0.03
     scalar = scalar_trajectories(circuit, model, trajectories=200, rng=5)
-    batched = run_trajectories(circuit, model, trajectories=200, rng=5)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 200)
+    batched = run_trajectories(circuit, model, rng=5)
     assert np.allclose(scalar, batched, atol=1e-12)
 
 
@@ -241,12 +238,13 @@ def test_trajectory_contractions_do_not_grow_with_trajectories(monkeypatch):
     # by trajectory would take at least T contractions per gate.
     circuit = tfim(4, steps=1)
     model = NoiseModel(one_qubit_error=0.02, two_qubit_error=0.08,
-                       readout_error=0.03, idle_decoherence=0.01)
+                       readout_error=0.03)
     schedule = noise_schedule(circuit, model)
     rows = _count_contractions(monkeypatch)
     for trajectories in (10, 1000):
         rows.clear()
-        run_trajectories(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0), trajectories, rng=7)
+        monkeypatch.setattr(trajectories_module, "TRAJECTORIES", trajectories)
+        run_trajectories(circuit, NoiseModel(0.0, 0.0, 0.0), rng=7)
         assert rows == [trajectories] * len(schedule)
 
     ceiling = len(schedule) + sum(
@@ -254,7 +252,8 @@ def test_trajectory_contractions_do_not_grow_with_trajectories(monkeypatch):
     )
     for trajectories in (ceiling + 1, 4 * ceiling):
         rows.clear()
-        run_trajectories(circuit, model, trajectories, rng=7)
+        monkeypatch.setattr(trajectories_module, "TRAJECTORIES", trajectories)
+        run_trajectories(circuit, model, rng=7)
         assert rows[0] == trajectories
         assert len(schedule) < len(rows) <= ceiling < trajectories
 
@@ -266,30 +265,27 @@ def test_trajectories_past_the_batch_cap_evolve_in_slabs(monkeypatch):
     # one state still evolves one trajectory per slab.
     circuit = random_circuit(4, 4, rng=3)
     model = NoiseModel(one_qubit_error=0.002, two_qubit_error=0.02,
-                       readout_error=0.015, idle_decoherence=0.004)
-    one_slab = run_trajectories(circuit, model, trajectories=500, rng=11)
+                       readout_error=0.015)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 500)
+    one_slab = run_trajectories(circuit, model, rng=11)
     rows = _count_contractions(monkeypatch)
     for cap_rows in (0, 7, 64):
         rows.clear()
         monkeypatch.setattr(
             trajectories_module, "MAX_BATCHED_STATE_BYTES", cap_rows * 16 * 2**4
         )
-        slabbed = run_trajectories(circuit, model, trajectories=500, rng=11)
+        slabbed = run_trajectories(circuit, model, rng=11)
         assert max(rows) == max(cap_rows, 1)
         np.testing.assert_allclose(slabbed, one_slab, atol=1e-12, rtol=0.0)
     oracle = scalar_trajectories(circuit, model, trajectories=500, rng=11)
     np.testing.assert_allclose(slabbed, oracle, atol=1e-12, rtol=0.0)
 
 
-def test_trajectories_noiseless_exact(rng):
+def test_trajectories_noiseless_exact(rng, monkeypatch):
     circuit = random_circuit(3, 4, rng=rng)
-    out = run_trajectories(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0), trajectories=3, rng=rng)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 3)
+    out = run_trajectories(circuit, NoiseModel(0.0, 0.0, 0.0), rng=rng)
     assert np.allclose(out, ideal_distribution(circuit), atol=1e-10)
-
-
-def test_trajectories_need_positive_count(bell_circuit):
-    with pytest.raises(SimulationError):
-        run_trajectories(bell_circuit, NoiseModel(), trajectories=0)
 
 
 def test_noisy_distribution_dispatches(bell_circuit):
@@ -306,34 +302,3 @@ def test_ccx_charged_as_pairs():
     ideal = ideal_distribution(circuit)
     assert tvd(out, ideal) > 0.0
 
-
-def test_idle_decoherence_adds_error(rng):
-    circuit = random_circuit(3, 4, rng=rng)
-    quiet = NoiseModel(0.0, 0.0, 0.0, 0.0)
-    idle = NoiseModel(0.0, 0.0, 0.0, idle_decoherence=0.01)
-    ideal = run_density(circuit, quiet)
-    decohered = run_density(circuit, idle)
-    assert tvd(ideal, decohered) > 0.0
-
-
-def test_idle_decoherence_grows_with_depth(rng):
-    idle = NoiseModel(0.0, 0.0, 0.0, idle_decoherence=0.02)
-    short = Circuit(3)
-    short.cx(0, 1)
-    long = Circuit(3)
-    for _ in range(10):
-        long.cx(0, 1)
-        long.cx(0, 1)  # identity overall, but idling qubit 2 decoheres
-    short_out = run_density(short, idle)
-    long_out = run_density(long, idle)
-    ideal_short = ideal_distribution(short)
-    ideal_long = ideal_distribution(long)
-    assert tvd(ideal_long, long_out) > tvd(ideal_short, short_out)
-
-
-def test_idle_decoherence_in_trajectories(rng):
-    circuit = random_circuit(3, 3, rng=rng)
-    model = NoiseModel(0.0, 0.0, 0.0, idle_decoherence=0.05)
-    exact = run_density(circuit, model)
-    sampled = run_trajectories(circuit, model, trajectories=3000, rng=rng)
-    assert tvd(exact, sampled) < 0.03

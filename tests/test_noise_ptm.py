@@ -24,12 +24,14 @@ from repro.noise import (
     run_ptm,
     run_ptm_ensemble,
 )
+from repro.noise import ptm as ptm_module
 from repro.noise.ptm import (
     PtmProgram,
     channel_diagonal,
     compile_circuit,
     unitary_ptm,
 )
+from repro.noise import trajectories as trajectories_module
 from repro.noise.trajectories import MAX_TRAJECTORY_QUBITS, run_trajectories
 from repro.observability import MetricsRegistry, use_metrics
 from repro.resilience.validation import validate_ptm
@@ -42,8 +44,13 @@ FULL_NOISE = NoiseModel(
     one_qubit_error=0.002,
     two_qubit_error=0.02,
     readout_error=0.015,
-    idle_decoherence=0.004,
 )
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch) -> None:
+    """An empty process-wide PTM compile cache for one test."""
+    monkeypatch.setattr(ptm_module, "_DEFAULT_CACHE", PtmCache())
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +114,7 @@ def test_ptm_matches_density_on_tfim_and_qft():
     _assert_matches_density(routed.circuit, manila.noise)
 
 
-def test_ptm_matches_density_with_idle_decoherence_and_readout():
+def test_ptm_matches_density_with_full_noise_and_readout():
     _assert_matches_density(random_circuit(4, 3, rng=11), FULL_NOISE)
 
 
@@ -123,18 +130,19 @@ def test_ptm_matches_density_on_wide_gate():
 def test_ptm_noiseless_matches_ideal_distribution():
     circuit = random_circuit(3, 4, rng=5)
     np.testing.assert_allclose(
-        run_ptm(circuit, NoiseModel(0.0, 0.0, 0.0, 0.0)),
+        run_ptm(circuit, NoiseModel(0.0, 0.0, 0.0)),
         ideal_distribution(circuit),
         atol=1e-10,
     )
 
 
-def test_ptm_matches_trajectories_statistically():
+def test_ptm_matches_trajectories_statistically(monkeypatch):
     # Trajectories converge to the PTM answer (both average the same
     # channel); loose tolerance, T=2000 keeps it fast but stable.
     circuit = tfim(3, steps=1)
     exact = run_ptm(circuit, NOISE)
-    sampled = run_trajectories(circuit, NOISE, trajectories=2000, rng=3)
+    monkeypatch.setattr(trajectories_module, "TRAJECTORIES", 2000)
+    sampled = run_trajectories(circuit, NOISE, rng=3)
     assert np.max(np.abs(exact - sampled)) < 0.05
 
 
@@ -172,7 +180,7 @@ def test_ensemble_batches_structurally_identical_circuits():
         )
 
 
-def test_ensemble_contracts_each_group_once_per_operation():
+def test_ensemble_contracts_each_group_once_per_operation(fresh_cache):
     # Sixteen members over five gate skeletons (the trailing rz lands on
     # qubit index % 5): each skeleton is one group, and a group costs one
     # contraction per operation position however many members it holds.
@@ -183,7 +191,7 @@ def test_ensemble_contracts_each_group_once_per_operation():
 
     circuits = [member(index) for index in range(16)]
     with use_metrics(MetricsRegistry()) as registry:
-        run_ptm_ensemble(circuits, NOISE, cache=PtmCache())
+        run_ptm_ensemble(circuits, NOISE)
     counters = registry.snapshot()["counters"]
     operations = len(compile_circuit(circuits[0], NOISE).ops)
     assert counters["ptm.ensemble_groups"] == 5
@@ -209,53 +217,48 @@ def _compile_counts(registry: MetricsRegistry) -> tuple[int, int]:
     )
 
 
-def test_compile_cache_hits_on_repeated_gates():
-    cache = PtmCache()
+def test_compile_cache_hits_on_repeated_gates(fresh_cache):
     circuit = tfim(3, steps=3)  # Trotter layers repeat the same gates
     with use_metrics(MetricsRegistry()) as registry:
-        program = compile_circuit(circuit, NOISE, cache)
+        program = compile_circuit(circuit, NOISE)
         assert isinstance(program, PtmProgram)
         hits, misses = _compile_counts(registry)
         assert misses > 0
         assert hits > misses  # repeats dominate distinct gates
-        compile_circuit(circuit, NOISE, cache)  # fully cached second pass
+        compile_circuit(circuit, NOISE)  # fully cached second pass
         assert _compile_counts(registry)[1] == misses
 
 
-def test_compile_cache_distinguishes_noise_models():
-    cache = PtmCache()
+def test_compile_cache_distinguishes_noise_models(fresh_cache):
     circuit = Circuit(1)
     circuit.h(0)
     with use_metrics(MetricsRegistry()) as registry:
-        compile_circuit(circuit, NoiseModel.from_noise_level(0.01), cache)
+        compile_circuit(circuit, NoiseModel.from_noise_level(0.01))
         _, misses = _compile_counts(registry)
-        compile_circuit(circuit, NoiseModel.from_noise_level(0.05), cache)
+        compile_circuit(circuit, NoiseModel.from_noise_level(0.05))
         # A different channel is a different entry.
         assert _compile_counts(registry)[1] > misses
 
 
-def test_compile_cache_does_not_merge_nearby_gates():
+def test_compile_cache_does_not_merge_nearby_gates(fresh_cache):
     # Regression: the synthesis cache's 8-decimal rounding would merge
     # these two rotations and silently reuse the wrong PTM.
-    cache = PtmCache()
     a = Circuit(1)
     a.rz(0.5, 0)
     b = Circuit(1)
     b.rz(0.5 + 1e-7, 0)
-    run_ptm(a, NOISE, cache=cache)  # warm the cache with the nearby gate
+    run_ptm(a, NOISE)  # warm the cache with the nearby gate
     np.testing.assert_allclose(
-        run_ptm(b, NOISE, cache=cache),
+        run_ptm(b, NOISE),
         run_density(b, NOISE),
         atol=PTM_DENSITY_AGREEMENT_ATOL, rtol=0.0,
     )
 
 
-def test_compile_cache_metrics_counters():
+def test_compile_cache_metrics_counters(fresh_cache):
     registry = MetricsRegistry()
     with use_metrics(registry):
-        run_ptm_ensemble(
-            [tfim(3, steps=2), tfim(3, steps=2)], NOISE, cache=PtmCache()
-        )
+        run_ptm_ensemble([tfim(3, steps=2), tfim(3, steps=2)], NOISE)
     snapshot = registry.snapshot()
     counters = snapshot.get("counters", snapshot)
     assert counters.get("ptm.compile_cache_hits", 0) > 0
@@ -316,7 +319,7 @@ def test_trajectories_over_qubit_cap_refuses():
     circuit = Circuit(MAX_TRAJECTORY_QUBITS + 1)
     circuit.h(0)
     with pytest.raises(SimulationCapacityError) as excinfo:
-        run_trajectories(circuit, NOISE, trajectories=1)
+        run_trajectories(circuit, NOISE)
     assert excinfo.value.engine == "trajectories"
     assert "partition" in str(excinfo.value)
 

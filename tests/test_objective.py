@@ -8,7 +8,6 @@ import pytest
 from repro.circuits import Circuit
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
-from repro.core.similarity import BlockSimilarityTables
 from repro.exceptions import SelectionError
 from repro.partition.blocks import CircuitBlock
 from tests.annealing_oracle import decode
@@ -55,12 +54,9 @@ def pools():
     ]
 
 
-def _objective(pools, threshold=1.0, weight=0.5):
+def _objective(pools, threshold=1.0):
     return SelectionObjective(
-        pools=pools,
-        threshold=threshold,
-        original_cnot_count=4,
-        weight=weight,
+        pools=pools, threshold=threshold, original_cnot_count=4
     )
 
 
@@ -109,20 +105,6 @@ def test_choice_accounting(pools):
 def test_validation():
     with pytest.raises(SelectionError):
         SelectionObjective(pools=[], threshold=1.0, original_cnot_count=4)
-
-
-def test_similarity_tables_must_cover_exactly_the_pools(pools):
-    # Scoring reads the tables' candidate rows at the pools' offsets, so
-    # a table with an extra candidate in one block is refused.
-    stacks = [pool.unitary_stack() for pool in pools]
-    stacks[0] = np.concatenate([stacks[0], stacks[0][:1]])
-    tables = BlockSimilarityTables(
-        stacks, [pool.original_unitary for pool in pools]
-    )
-    with pytest.raises(SelectionError, match="do not match"):
-        SelectionObjective(
-            pools=pools, threshold=1.0, original_cnot_count=4, tables=tables
-        )
 
 
 @pytest.mark.parametrize("choice", [[-1, 0], [4, 0]])

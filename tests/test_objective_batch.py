@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.algorithms import tfim
 from repro.circuits import Circuit, random_unitary
 from repro.core.annealing import EXHAUSTIVE_CUTOFF, select_approximations
-from repro.core.objective import SelectionObjective
+from repro.core.objective import SIMILARITY_WEIGHT, SelectionObjective
 from repro.core.pool import BlockPool, Candidate
 from repro.core.similarity import are_similar
 from repro.linalg import hs_distance
@@ -90,7 +90,7 @@ def seed_objective_value(
         for prior in objective.selected
     )
     m = total / len(objective.selected)
-    return objective.weight * m + (1.0 - objective.weight) * c_norm
+    return SIMILARITY_WEIGHT * m + (1.0 - SIMILARITY_WEIGHT) * c_norm
 
 
 # ----------------------------------------------------------------------
@@ -133,12 +133,10 @@ def selection_instances(draw):
     )
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     threshold = draw(st.integers(min_value=0, max_value=512)) / 128.0
-    weight = draw(st.integers(min_value=0, max_value=16)) / 16.0
     original_cnots = draw(st.integers(min_value=1, max_value=40))
     num_selected = draw(st.integers(min_value=0, max_value=7))
     batch = draw(st.integers(min_value=1, max_value=24))
-    return (pool_sizes, seed, threshold, weight, original_cnots,
-            num_selected, batch)
+    return (pool_sizes, seed, threshold, original_cnots, num_selected, batch)
 
 
 def _random_choices(
@@ -152,13 +150,11 @@ def _random_choices(
 @settings(max_examples=80, deadline=None)
 @given(selection_instances())
 def test_evaluate_batch_matches_frozen_seed_objective(instance):
-    (pool_sizes, seed, threshold, weight, original_cnots,
-     num_selected, batch) = instance
+    pool_sizes, seed, threshold, original_cnots, num_selected, batch = instance
     rng = np.random.default_rng(seed)
     pools = _build_pools(rng, pool_sizes)
     objective = SelectionObjective(
-        pools=pools, threshold=threshold,
-        original_cnot_count=original_cnots, weight=weight,
+        pools=pools, threshold=threshold, original_cnot_count=original_cnots
     )
     frozen = seed_tables(
         [[c.unitary for c in pool.candidates] for pool in pools],
@@ -187,12 +183,11 @@ def test_evaluate_batch_matches_frozen_seed_objective(instance):
 @settings(max_examples=30, deadline=None)
 @given(selection_instances())
 def test_single_point_accessors_match_seed_loops(instance):
-    pool_sizes, seed, threshold, weight, original_cnots, _, _ = instance
+    pool_sizes, seed, threshold, original_cnots, _, _ = instance
     rng = np.random.default_rng(seed)
     pools = _build_pools(rng, pool_sizes)
     objective = SelectionObjective(
-        pools=pools, threshold=threshold,
-        original_cnot_count=original_cnots, weight=weight,
+        pools=pools, threshold=threshold, original_cnot_count=original_cnots
     )
     distances = [pool.distances() for pool in pools]
     cnots = [pool.cnot_counts() for pool in pools]

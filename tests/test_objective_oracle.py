@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, random_unitary
+from repro.core import annealing
 from repro.core.annealing import EXHAUSTIVE_CUTOFF, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
@@ -86,10 +87,9 @@ def _instances(count: int, seed: int):
         yield rng, sizes, pools
 
 
-def _objective(pools, threshold, weight=0.5, original_cnots=40):
+def _objective(pools, threshold, original_cnots=40):
     return SelectionObjective(
-        pools=pools, threshold=threshold,
-        original_cnot_count=original_cnots, weight=weight,
+        pools=pools, threshold=threshold, original_cnot_count=original_cnots
     )
 
 
@@ -101,9 +101,7 @@ def test_compiled_call_equals_the_oracle_on_random_instances():
         at_bound = probe.choice_bound(_choices(rng, sizes, 1)[0])
         for threshold in (at_bound, float(rng.uniform(0, 0.2 * len(sizes))), 1e9):
             objective = _objective(
-                pools, threshold,
-                weight=int(rng.integers(0, 17)) / 16,
-                original_cnots=int(rng.integers(1, 60)),
+                pools, threshold, original_cnots=int(rng.integers(1, 60))
             )
             oracle = FrozenObjective(objective)
             num_priors = int(rng.integers(0, 17))
@@ -189,7 +187,7 @@ def test_out_of_range_prior_raises_from_both_entry_points():
         )
 
 
-def test_annealed_selection_is_identical_with_the_oracle():
+def test_annealed_selection_is_identical_with_the_oracle(monkeypatch):
     # The compiled scorer inside the in-repo annealer against scipy's
     # annealer over the frozen per-call scorer.
     rng = np.random.default_rng(17)
@@ -197,7 +195,8 @@ def test_annealed_selection_is_identical_with_the_oracle():
     assert int(np.prod(sizes)) > EXHAUSTIVE_CUTOFF  # so it anneals
     pools = _pools(rng, sizes)
     objective = _objective(pools, threshold=0.6)
-    compiled = select_approximations(objective, max_samples=6, maxiter=120, seed=4)
+    monkeypatch.setattr(annealing, "ANNEALING_MAXITER", 120)
+    compiled = select_approximations(objective, max_samples=6, seed=4)
     choices, values, evaluations = annealing_oracle.select(
         objective, 6, 120, 4, score=FrozenObjective(objective)
     )

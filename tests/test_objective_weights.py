@@ -1,4 +1,8 @@
-"""Objective weight extremes and selection interplay."""
+"""Objective weight extremes and selection interplay.
+
+Algorithm 1's weight is the constant ``SIMILARITY_WEIGHT``; these tests
+patch it to its extremes.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +10,10 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
+from repro.core import objective as objective_module
 from repro.core.annealing import select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool, Candidate
-from repro.exceptions import SelectionError
 from repro.linalg import hs_distance
 from repro.partition.blocks import CircuitBlock
 
@@ -47,20 +51,22 @@ def _pools(blocks: int = 2):
     return pools
 
 
-def test_weight_zero_ignores_similarity():
+def test_weight_zero_ignores_similarity(monkeypatch):
     # weight=0: pure CNOT minimization, so re-selecting the cheapest
     # choice scores identically to the first round.
+    monkeypatch.setattr(objective_module, "SIMILARITY_WEIGHT", 0.0)
     objective = SelectionObjective(
-        pools=_pools(), threshold=1.0, original_cnot_count=4, weight=0.0
+        pools=_pools(), threshold=1.0, original_cnot_count=4
     )
     cheap = np.array([1, 1])
     objective.selected.append(cheap)
     assert objective(cheap) == pytest.approx(0.5)
 
 
-def test_weight_one_ignores_cnots():
+def test_weight_one_ignores_cnots(monkeypatch):
+    monkeypatch.setattr(objective_module, "SIMILARITY_WEIGHT", 1.0)
     objective = SelectionObjective(
-        pools=_pools(), threshold=1.0, original_cnot_count=4, weight=1.0
+        pools=_pools(), threshold=1.0, original_cnot_count=4
     )
     objective.selected.append(np.array([1, 1]))
     # A fully dissimilar choice scores 0 regardless of its CNOT count.
@@ -68,17 +74,11 @@ def test_weight_one_ignores_cnots():
     assert objective(dissimilar) == pytest.approx(0.0)
 
 
-def test_invalid_weight_rejected():
-    with pytest.raises(SelectionError):
-        SelectionObjective(
-            pools=_pools(), threshold=1.0, original_cnot_count=4, weight=1.5
-        )
-
-
-def test_selection_under_weight_extremes():
+def test_selection_under_weight_extremes(monkeypatch):
     for weight in (0.0, 0.5, 1.0):
+        monkeypatch.setattr(objective_module, "SIMILARITY_WEIGHT", weight)
         objective = SelectionObjective(
-            pools=_pools(), threshold=1.0, original_cnot_count=4, weight=weight
+            pools=_pools(), threshold=1.0, original_cnot_count=4
         )
         result = select_approximations(objective, max_samples=4, seed=0)
         assert result.num_selected >= 1

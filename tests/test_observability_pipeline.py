@@ -35,7 +35,6 @@ CONFIG = dict(
     solutions_per_layer=2,
     instantiation_starts=2,
     max_optimizer_iterations=60,
-    annealing_maxiter=50,
     block_time_budget=10.0,
     sphere_variants_per_count=1,
 )
@@ -188,9 +187,7 @@ def test_trace_summary_stage_totals_match_timings(tmp_path):
     tracer = Tracer(JsonlSink(path))
     result = run_quest(_circuit(), QuestConfig(**CONFIG), tracer=tracer)
     with use_tracer(tracer):
-        result.noisy_ensemble(
-            NoiseModel.from_noise_level(0.01), trajectories=50
-        )
+        result.noisy_ensemble(NoiseModel.from_noise_level(0.01))
     tracer.close()
     totals = summarize_trace(path).stage_totals()
     expected = {

@@ -19,6 +19,7 @@ from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.scan import scan_partition
+from repro.resilience import faults
 from repro.resilience.faults import FaultInjector, parse_fault_spec
 from repro.transpile.basis import lower_to_basis
 from tests.helpers import fallback_blocks
@@ -31,7 +32,6 @@ CONFIG = QuestConfig(
     solutions_per_layer=2,
     instantiation_starts=1,
     max_optimizer_iterations=40,
-    annealing_maxiter=40,
     threshold_per_block=0.25,
     sphere_variants_per_count=2,
     block_time_budget=None,
@@ -48,9 +48,11 @@ def _seeds(blocks):
     return [int(rng.integers(2**31 - 1)) for _ in blocks]
 
 
-def _hangs(spec: str) -> FaultInjector:
-    """An injector whose ``hang`` faults outlast every hard timeout here."""
-    return FaultInjector(parse_fault_spec(spec).specs, hang_seconds=5.0)
+def _hangs(spec: str, monkeypatch) -> FaultInjector:
+    """An injector whose ``hang`` faults outlast every hard timeout here,
+    and whose workers, forked after the patch, exit within 5 s."""
+    monkeypatch.setattr(faults, "HANG_SECONDS", 5.0)
+    return FaultInjector(parse_fault_spec(spec).specs)
 
 
 # ----------------------------------------------------------------------
@@ -98,10 +100,10 @@ def test_partial_failure_only_degrades_the_failing_block():
     assert any(pool.size > 1 for pool in pools[2:])
 
 
-def test_timed_out_worker_degrades_to_exact_pool():
+def test_timed_out_worker_degrades_to_exact_pool(monkeypatch):
     blocks = _blocks()[:1]
     runner = BlockSynthesisExecutor(
-        workers=2, hard_timeout=0.3, fault_injector=_hangs("hang@*")
+        workers=2, hard_timeout=0.3, fault_injector=_hangs("hang@*", monkeypatch)
     )
     start = time.perf_counter()
     with pytest.warns(RuntimeWarning, match="TimeoutError"):
@@ -156,7 +158,7 @@ def test_retry_rounds_reuse_one_persistent_pool(counters):
     assert "pool.recycles" not in counters()
 
 
-def test_hard_timeout_recycles_the_persistent_pool(counters):
+def test_hard_timeout_recycles_the_persistent_pool(counters, monkeypatch):
     """A hung worker marks the pool unhealthy; the next round gets a
     fresh pool rather than inheriting the occupied process."""
     blocks = _blocks()[:1]
@@ -164,7 +166,7 @@ def test_hard_timeout_recycles_the_persistent_pool(counters):
     runner = BlockSynthesisExecutor(
         workers=2,
         hard_timeout=0.3,
-        fault_injector=_hangs("hang@*:0,hang@*:1"),
+        fault_injector=_hangs("hang@*:0,hang@*:1", monkeypatch),
         max_attempts=2,
         worker_pool=pool,
     )

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import random_circuit
 from repro.noise import NoiseModel, run_ptm
-from repro.noise.ptm import PtmCache, unitary_ptm
+from repro.noise.ptm import unitary_ptm
 from repro.resilience.validation import validate_ptm
 from tests.density_oracle import PTM_DENSITY_AGREEMENT_ATOL, run_density
 
@@ -24,7 +24,6 @@ noise_models = st.builds(
     one_qubit_error=st.floats(0.0, 0.05),
     two_qubit_error=st.floats(0.0, 0.1),
     readout_error=st.floats(0.0, 0.05),
-    idle_decoherence=st.floats(0.0, 0.02),
 )
 
 
@@ -38,7 +37,7 @@ noise_models = st.builds(
 def test_ptm_agrees_with_density(seed, n, depth, noise):
     circuit = random_circuit(n, depth, rng=seed)
     np.testing.assert_allclose(
-        run_ptm(circuit, noise, cache=PtmCache()),
+        run_ptm(circuit, noise),
         run_density(circuit, noise),
         atol=PTM_DENSITY_AGREEMENT_ATOL,
         rtol=0.0,

@@ -31,6 +31,7 @@ from repro.resilience import (
     check_deadline,
     parse_fault_spec,
 )
+from repro.resilience import faults
 from repro.resilience.deadline import _DEADLINE
 from repro.resilience.faults import InjectedFault
 from repro.resilience.retry import FAILURE_TIMEOUT, FAILURE_VALIDATION
@@ -48,7 +49,6 @@ FAST = dict(
     solutions_per_layer=2,
     instantiation_starts=1,
     max_optimizer_iterations=40,
-    annealing_maxiter=40,
     threshold_per_block=0.25,
     sphere_variants_per_count=2,
     block_time_budget=None,
@@ -282,7 +282,7 @@ def test_raise_fault_fires_only_at_its_coordinates():
 
 
 def test_hang_fault_honours_the_cooperative_deadline():
-    injector = FaultInjector(specs=(FaultSpec("hang", 0, 0),), hang_seconds=30.0)
+    injector = FaultInjector(specs=(FaultSpec("hang", 0, 0),))
     start = time.monotonic()
     with block_deadline(0.2):
         with pytest.raises(BlockTimeoutError):
@@ -304,9 +304,7 @@ def test_inline_hang_times_out_and_recovers_bit_identically(counters):
     seeds = _seeds(blocks)
     clean_pools, _ = BlockSynthesisExecutor(workers=1).run(blocks, CONFIG, seeds)
 
-    injector = FaultInjector(
-        specs=(FaultSpec("hang", None, 0),), hang_seconds=60.0
-    )
+    injector = FaultInjector(specs=(FaultSpec("hang", None, 0),))
     runner = BlockSynthesisExecutor(
         workers=1,
         hard_timeout=0.5,
@@ -332,9 +330,7 @@ def test_lapsed_enclosing_deadline_ends_the_inline_run():
     could only time out at once and ship exact fallbacks as a normal
     result, so the run ends with :class:`BlockTimeoutError`.
     """
-    injector = FaultInjector(
-        specs=(FaultSpec("hang", None, 0),), hang_seconds=60.0
-    )
+    injector = FaultInjector(specs=(FaultSpec("hang", None, 0),))
     start = time.monotonic()
     with block_deadline(0.5):
         with pytest.raises(BlockTimeoutError):
@@ -343,15 +339,15 @@ def test_lapsed_enclosing_deadline_ends_the_inline_run():
 
 
 @pytest.mark.slow
-def test_pool_hang_hits_the_hard_timeout_and_recovers(counters):
+def test_pool_hang_hits_the_hard_timeout_and_recovers(counters, monkeypatch):
     """The process-pool path bounds a hung worker via the future timeout."""
     blocks = _blocks()
     seeds = _seeds(blocks)
     clean_pools, _ = BlockSynthesisExecutor(workers=2).run(blocks, CONFIG, seeds)
 
-    injector = FaultInjector(
-        specs=(FaultSpec("hang", None, 0),), hang_seconds=45.0
-    )
+    # Workers fork after the patch, so a hung one exits within 45 s.
+    monkeypatch.setattr(faults, "HANG_SECONDS", 45.0)
+    injector = FaultInjector(specs=(FaultSpec("hang", None, 0),))
     runner = BlockSynthesisExecutor(
         workers=2,
         hard_timeout=3.0,

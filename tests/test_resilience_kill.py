@@ -32,7 +32,6 @@ FAST = dict(
     solutions_per_layer=2,
     instantiation_starts=1,
     max_optimizer_iterations=40,
-    annealing_maxiter=40,
     threshold_per_block=0.25,
     sphere_variants_per_count=2,
     block_time_budget=None,

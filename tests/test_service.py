@@ -32,7 +32,7 @@ from repro.exceptions import AdmissionRejected, ServiceError
 from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
 from repro.service import QuestService, ServiceClient
 from repro.service.ledger import JobLedger
-from repro.service.protocol import JobRecord
+from repro.service.protocol import PROTOCOL_VERSION, JobRecord
 from tests.helpers import wait_until_ready
 from tests.planning_oracle import planned_entry_keys
 
@@ -44,7 +44,6 @@ FAST = dict(
     solutions_per_layer=2,
     instantiation_starts=1,
     max_optimizer_iterations=40,
-    annealing_maxiter=40,
     threshold_per_block=0.25,
     sphere_variants_per_count=2,
     block_time_budget=None,
@@ -282,6 +281,24 @@ def test_wait_for_unknown_job_is_an_error(tmp_path):
             client.wait("job999999", timeout=1.0)
 
 
+@pytest.mark.parametrize("timeout", ["abc", float("nan"), -5.0])
+def test_wait_refuses_a_bad_timeout_with_an_error_reply(tmp_path, timeout):
+    # "abc" used to raise out of the connection handler, so the client
+    # got no reply at all; NaN and -5 were accepted.
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    with running_service(tmp_path / "ledger") as (service, client):
+        job_id = client.submit(qasm, deadline_seconds=0.0)
+        wait = {
+            "type": "wait",
+            "version": PROTOCOL_VERSION,
+            "job_id": job_id,
+            "timeout_seconds": timeout,
+        }
+        with pytest.raises(ServiceError, match="bad timeout_seconds"):
+            client._request(wait, 10.0)
+        assert client.wait(job_id, timeout=60.0)["state"] == "failed"
+
+
 # ----------------------------------------------------------------------
 # Deadlines
 # ----------------------------------------------------------------------
@@ -297,9 +314,7 @@ def test_expired_deadline_fails_structurally_without_compiling(tmp_path):
 def test_deadline_lapsing_mid_synthesis_ends_the_job_expired(tmp_path):
     """Inline synthesis runs under the job deadline; a lapse there must
     not ship exact fallbacks as a ``done`` job."""
-    injector = FaultInjector(
-        specs=(FaultSpec("hang", None, 0),), hang_seconds=60.0
-    )
+    injector = FaultInjector(specs=(FaultSpec("hang", None, 0),))
     qasm = circuit_to_qasm(tfim(4, steps=2))
     with running_service(
         tmp_path / "ledger", fault_injector=injector

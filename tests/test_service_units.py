@@ -293,6 +293,7 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         "validate_candidates",
         "max_candidates_per_block",
         "certify_candidates",
+        "annealing_maxiter",
     ):
         with pytest.raises(ServiceError, match="unknown QuestConfig field"):
             merge_config(base, {removed: None})
@@ -310,6 +311,11 @@ def test_merge_config_rejects_unknown_and_substrate_fields():
         {"config": {"max_block_qubits": 0}},
         {"config": {"sphere_variants_per_count": -3}},
         {"config": {"retry_attempts": 0}},
+        {"config": {"seed": "abc"}},
+        {"config": {"seed": 1.5}},
+        {"config": {"seed": -1}},
+        {"config": {"certify": "no"}},
+        {"config": {"certify": True, "certify_max_exact_qubits": "x"}},
         {"deadline_seconds": float("nan")},
     ],
     ids=lambda message: json.dumps(message),

@@ -21,6 +21,7 @@ from repro.synthesis import (
     instantiate,
     synthesize,
 )
+from repro.synthesis.instantiate import instantiate_multi
 
 
 class TestInstantiate:
@@ -44,7 +45,7 @@ class TestInstantiate:
         ansatz = build_leap_ansatz(2, [(0, 1)])
         truth = rng.uniform(-np.pi, np.pi, ansatz.num_params)
         target = ansatz.build_circuit(truth).unitary()
-        result = instantiate(
+        (result,) = instantiate_multi(
             ansatz, target, rng=rng, starts=1, initial_params=truth
         )
         assert result.cost < 1e-10
@@ -56,9 +57,9 @@ class TestInstantiate:
         with pytest.raises(SynthesisError):
             instantiate(ansatz, np.eye(4), rng=rng, starts=0)
         with pytest.raises(SynthesisError):
-            instantiate(
+            instantiate_multi(
                 ansatz, np.eye(4, dtype=complex), rng=rng,
-                initial_params=np.zeros(3),
+                initial_params=np.zeros(ansatz.num_params + 1),
             )
 
 

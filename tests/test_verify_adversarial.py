@@ -36,7 +36,6 @@ def _small_config(**overrides) -> QuestConfig:
         solutions_per_layer=2,
         instantiation_starts=1,
         max_optimizer_iterations=80,
-        annealing_maxiter=60,
         block_time_budget=10.0,
         sphere_variants_per_count=1,
     )
