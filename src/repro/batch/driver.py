@@ -1,18 +1,15 @@
 """Multi-circuit compilation driver: one warm substrate, many quests.
 
 :func:`run_quest_batch` compiles a whole circuit family (a TFIM sweep,
-a benchmark suite) through :func:`repro.core.quest.run_quest` while
-sharing the expensive runtime state across every circuit:
+a benchmark suite) through :func:`repro.core.quest.run_quest` on one
+:class:`~repro.parallel.substrate.Substrate` for the whole batch:
 
 * **one persistent worker pool** — worker processes fork and warm up
-  once for the whole batch instead of once per synthesis round
-  (:class:`~repro.parallel.pool_manager.PersistentWorkerPool`);
+  once for the whole batch instead of once per circuit;
 * **one in-flight registry** — blocks identical across circuits
   synthesize once: a circuit joins another's job while it is in flight
-  and adopts its result once resolved
-  (:class:`~repro.batch.workqueue.InflightRegistry`);
-* **one store**, with ``config.store_dir`` — a thread-safe
-  :class:`~repro.parallel.cache.PoolCache` over the artifact store.
+  and adopts its result once resolved;
+* **one store**, with ``config.store_dir``.
 
 Circuits run on a bounded thread window (``window``), so synthesis of
 circuit *i+1* overlaps the parent-side selection/annealing of circuit
@@ -32,11 +29,11 @@ bit-identically.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.batch.workqueue import InflightRegistry
 from repro.core.quest import QuestConfig, QuestResult, run_quest
 from repro.observability import (
     MetricsRegistry,
@@ -45,22 +42,7 @@ from repro.observability import (
     get_tracer,
     use_metrics,
 )
-from repro.parallel.cache import PoolCache
-from repro.parallel.pool_manager import PersistentWorkerPool
-
-
-@dataclass
-class BatchResources:
-    """Batch-scoped runtime state threaded through ``run_quest(shared=)``.
-
-    Duck-typed by :func:`repro.core.quest._run_pipeline`: any object
-    with these three attributes works, ``None`` fields simply disable
-    that kind of sharing (a ``None`` cache means nothing persists).
-    """
-
-    cache: PoolCache | None = None
-    worker_pool: PersistentWorkerPool | None = None
-    inflight: InflightRegistry | None = None
+from repro.parallel.substrate import open_substrate
 
 
 @dataclass
@@ -138,8 +120,9 @@ def run_quest_batch(
     fault_injector:
         Shared fault injector (tests/CI), passed through per circuit.
 
-    A circuit that *fails* (raises) aborts the batch after in-flight
-    circuits finish; completed results are not returned partially —
+    A circuit that *fails* (raises) aborts the batch: circuits still
+    queued do not start, and the failure is raised once the circuits in
+    flight finish.  Completed results are not returned partially —
     rerun over the same ``config.store_dir`` to resume from the
     published blocks.
     """
@@ -151,52 +134,32 @@ def run_quest_batch(
         raise ValueError(f"window must be >= 1, got {window}")
 
     registry = MetricsRegistry()
-    cache = None
-    if config.store_dir is not None:
-        # Opening the store sweeps orphans, which it counts.
-        with use_metrics(registry):
-            cache = PoolCache(
-                config.store_dir,
-                fault_injector=fault_injector,
-                max_entries=config.cache_max_entries,
-                namespace=config.namespace,
-            )
-    worker_pool = (
-        PersistentWorkerPool(config.workers) if config.workers > 1 else None
-    )
-    resources = BatchResources(
-        cache=cache,
-        worker_pool=worker_pool,
-        inflight=InflightRegistry(),
-    )
-
+    # Opening the store sweeps orphans, which it counts.
+    with use_metrics(registry):
+        substrate = open_substrate(config)
     tracer = get_tracer()
-    results: list[QuestResult | None] = [None] * len(circuits)
-    start = time.perf_counter()
-    with tracer.span(
-        "quest.batch", circuits=len(circuits), window=window
-    ):
+    failed = threading.Event()
+
+    def compile_circuit(circuit):
+        # The failing thread sets this before its future resolves, so no
+        # circuit still queued behind it starts.
+        if failed.is_set():
+            return None
         try:
-            with ThreadPoolExecutor(
-                max_workers=min(window, len(circuits)),
-                thread_name_prefix="quest-batch",
-            ) as threads:
-                futures = [
-                    threads.submit(
-                        run_quest,
-                        circuit,
-                        config,
-                        fault_injector=fault_injector,
-                        tracer=tracer,
-                        shared=resources,
-                    )
-                    for circuit in circuits
-                ]
-                for index, future in enumerate(futures):
-                    results[index] = future.result()
-        finally:
-            if worker_pool is not None:
-                worker_pool.shutdown()
+            return run_quest(
+                circuit, config, fault_injector=fault_injector, tracer=tracer, shared=substrate
+            )
+        except BaseException:
+            failed.set()
+            raise
+
+    start = time.perf_counter()
+    with substrate, tracer.span("quest.batch", circuits=len(circuits), window=window):
+        with ThreadPoolExecutor(
+            max_workers=min(window, len(circuits)), thread_name_prefix="quest-batch"
+        ) as threads:
+            futures = [threads.submit(compile_circuit, circuit) for circuit in circuits]
+            results = [future.result() for future in futures]
     wall = time.perf_counter() - start
 
     # Input order keeps the merged gauges and float sums deterministic.

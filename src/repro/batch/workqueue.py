@@ -3,11 +3,11 @@
 Blocks are content-addressed (see :mod:`repro.parallel.cache`): the
 entry key pins the global-phase-canonical unitary, the LeapConfig
 fingerprint, and the synthesis seed, so two blocks with equal keys have
-byte-identical results.  The :class:`InflightRegistry` is the only
-in-process reuse across the runs of a batch or daemon; the artifact
-store only persists.  Without it, two circuits compiled concurrently
-would both miss the store before either had published, and the same
-block would synthesize twice.  The registry closes that window:
+byte-identical results.  A substrate's :class:`InflightRegistry` is the
+only in-process reuse across the runs that share it; the artifact store
+only persists.  Without it, two circuits compiled concurrently would
+both miss the store before either had published, and the same block
+would synthesize twice.  The registry closes that window:
 
 * the first executor to reach a key **claims** it and synthesizes,
   keeping the claim across its retry rounds;
@@ -24,9 +24,10 @@ block would synthesize twice.  The registry closes that window:
 Resolved entries are retained for the registry's lifetime, so a batch
 or daemon synthesizes each unique key once, with or without a store.
 They are never evicted: a daemon's registry grows with the distinct
-keys it has resolved.  The registry keeps no tallies: joins and
-stranded joiners are counted into the ambient metrics registry as
-``dedup.inflight_joins`` and ``registry.stranded_joiners``.
+keys it has resolved; a solo run's is private and never joined.  The
+registry keeps no tallies: joins and stranded joiners are counted into
+the ambient metrics registry as ``dedup.inflight_joins`` and
+``registry.stranded_joiners``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class InflightEntry:
 class InflightRegistry:
     """Claim/join/publish registry keyed by cache entry key.
 
-    Thread-safe; one instance is shared by every executor of a batch.
+    Thread-safe; one instance is shared by every run on a substrate.
     ``owner`` tokens are opaque objects (one per ``executor.run`` call)
     so a crashed run's claims can be released wholesale in a
     ``finally`` — a joiner can block on an owner, never on a corpse.

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +41,8 @@ from repro.observability import (
     use_metrics,
     use_tracer,
 )
-from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
+from repro.parallel.substrate import open_substrate
 from repro.partition.blocks import CircuitBlock, stitch_blocks
 from repro.partition.scan import scan_partition
 from repro.resilience.retry import FAILURE_FALLBACK, FailureRecord
@@ -459,13 +460,12 @@ def run_quest(
     ``QuestResult.metrics`` and, raised or not, merged into an enabled
     ambient registry.
 
-    ``shared`` optionally carries batch-scoped resources (duck-typed:
-    any object with ``cache`` / ``worker_pool`` / ``inflight``
-    attributes, see :class:`repro.batch.driver.BatchResources`) so
-    concurrent runs reuse one worker pool, one store, and one in-flight
-    dedup registry.  Sharing never changes results: the dedup key pins
-    the synthesis seed, so a shared run's selections stay bit-identical
-    to a solo run's.
+    ``shared`` is the :class:`~repro.parallel.substrate.Substrate` of a
+    batch or daemon, whose worker pool, store and in-flight registry
+    the run reuses; without it the run opens a private one from
+    ``config`` and closes it when it returns.  Sharing never changes
+    results: the dedup key pins the synthesis seed, so a shared run's
+    selections stay bit-identical to a solo run's.
     """
     config = config or QuestConfig()
     tracer = tracer if tracer is not None else get_tracer()
@@ -477,9 +477,11 @@ def run_quest(
                 "quest.run",
                 qubits=circuit.num_qubits,
                 workers=config.workers,
-            ):
+            ), (
+                nullcontext(shared) if shared is not None else open_substrate(config)
+            ) as substrate:
                 result = _run_pipeline(
-                    circuit, config, fault_injector, tracer, metrics, shared
+                    circuit, config, fault_injector, tracer, metrics, substrate
                 )
     finally:
         snapshot = metrics.snapshot()
@@ -495,7 +497,7 @@ def _run_pipeline(
     fault_injector,
     tracer,
     metrics,
-    shared=None,
+    substrate,
 ) -> QuestResult:
     """The pipeline body; runs under the ambient tracer/metrics pair."""
     rng = np.random.default_rng(config.seed)
@@ -515,17 +517,8 @@ def _run_pipeline(
     start = time.perf_counter()
     with tracer.span("quest.synthesis", blocks=len(result.blocks)):
         block_seeds = _draw_block_seeds(rng, len(result.blocks))
-        cache = getattr(shared, "cache", None)
-        if cache is None and config.store_dir is not None:
-            cache = PoolCache(
-                config.store_dir,
-                fault_injector=fault_injector,
-                max_entries=config.cache_max_entries,
-                namespace=config.namespace,
-            )
         executor = BlockSynthesisExecutor(
-            workers=config.workers,
-            cache=cache,
+            substrate,
             hard_timeout=(
                 None
                 if config.block_time_budget is None
@@ -534,8 +527,6 @@ def _run_pipeline(
             ),
             max_attempts=config.retry_attempts,
             fault_injector=fault_injector,
-            worker_pool=getattr(shared, "worker_pool", None),
-            inflight=getattr(shared, "inflight", None),
         )
         result.pools, synthesis_stats = executor.run(
             result.blocks, config, block_seeds

@@ -11,10 +11,12 @@ many identical blocks that Trotterized circuits produce:
   the checksummed entry format in which the artifact store persists
   solutions across runs.
 * :mod:`repro.parallel.executor` — :class:`BlockSynthesisExecutor`, which
-  dispatches blocks to workers (``workers=1`` runs inline), preserves the
-  deterministic per-block seed stream so parallel and serial runs select
-  byte-identical candidates, and degrades a failed or timed-out block to
-  its exact-block singleton pool instead of killing the run.
+  dispatches blocks to workers (inline without a worker pool), preserves
+  the deterministic per-block seed stream so parallel and serial runs
+  select byte-identical candidates, and degrades a failed or timed-out
+  block to its exact-block singleton pool instead of killing the run.
+* :mod:`repro.parallel.substrate` — :func:`open_substrate`, the one
+  opener of what a run reuses: store, worker pool, in-flight registry.
 """
 
 from repro.parallel.cache import (

@@ -27,8 +27,8 @@ miss; any other failure to decode is a corrupt entry, counted and
 recomputed, so a bad file can cost time, never correctness.  The store
 owns every cross-process concern, so N daemon replicas can share one
 root.  In-process reuse lives in the executor (a run's repeats) and the
-shared :class:`~repro.batch.workqueue.InflightRegistry` (the runs of a
-batch or daemon).
+substrate's :class:`~repro.batch.workqueue.InflightRegistry` (the runs
+that share it).
 """
 
 from __future__ import annotations
@@ -186,7 +186,6 @@ class PoolCache:
     def __init__(
         self,
         store_dir: str | os.PathLike,
-        fault_injector=None,
         max_entries: int | None = None,
         *,
         namespace: str = DEFAULT_NAMESPACE,
@@ -194,9 +193,6 @@ class PoolCache:
         self.store = ArtifactStore(
             store_dir, namespace=namespace, max_entries=max_entries
         )
-        #: Optional :class:`repro.resilience.faults.FaultInjector` whose
-        #: ``flip-cache`` faults corrupt entries after publish (tests/CI).
-        self.fault_injector = fault_injector
 
     def get(self, key: str) -> list[SynthesisSolution] | None:
         """Return the stored solutions for ``key``, or None on a miss."""
@@ -207,16 +203,12 @@ class PoolCache:
             self.store.touch(key)
         return solutions
 
-    def put(self, key: str, solutions: list[SynthesisSolution]) -> None:
-        """Publish ``solutions`` under ``key``."""
+    def put(self, key: str, solutions: list[SynthesisSolution]) -> bool:
+        """Publish ``solutions`` under ``key``; False when the store is
+        unavailable and the entry is simply not persisted."""
         # The store owns atomicity (writer-unique temp file + rename)
-        # and quota eviction; False means the store is unavailable and
-        # the entry is simply not persisted.
-        if (
-            self.store.publish(key, _encode(key, solutions))
-            and self.fault_injector is not None
-        ):
-            self.fault_injector.on_cache_write(self.store.path_for(key))
+        # and quota eviction.
+        return self.store.publish(key, _encode(key, solutions))
 
     def _load(self, key: str) -> list[SynthesisSolution] | None:
         raw = self.store.load(key)

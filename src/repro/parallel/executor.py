@@ -9,14 +9,14 @@ block's seed.  Blocks whose content key (:mod:`repro.parallel.cache`)
 collides take the first occurrence's seed; LEAP is deterministic given
 (target, config, seed), so repeats dedup to one job with byte-identical
 results, with or without a store, and across the runs of a batch or
-daemon through a shared :class:`~repro.batch.workqueue.InflightRegistry`.
+daemon through the substrate's in-flight registry.
 
 **Reuse.**  Each entry key synthesizes at most once per run.  With a
-:class:`~repro.parallel.cache.PoolCache`, a key the store holds a valid
-entry for skips to pool assembly, and each result is published as its
-job lands, so rerunning a killed run over its store is a resume made of
-store hits.  Only the solution list is shared; pool assembly is cheap
-and block-specific and always runs in the parent.
+store, a key it holds a valid entry for skips to pool assembly, and
+each result is published as its job lands, so rerunning a killed run
+over its store is a resume made of store hits.  Only the solution list
+is shared; pool assembly is cheap and block-specific and always runs in
+the parent.
 
 **Resilience.**  With ``max_attempts > 1`` a block whose synthesis
 raises, hangs past the hard timeout or fails validation is retried
@@ -31,7 +31,7 @@ approximation quality, never the run.
 A run is plan → dispatch → assemble.  The plan builds each block's
 unitary and routes the block: trivial, a within-run repeat, a validated
 store hit, or a synthesis job.  Dispatch runs the jobs in retry rounds,
-inline when ``workers == 1`` and over a process pool otherwise, and
+over the substrate's worker pool, or inline when it has none, and
 settles every attempt through one function that validates, classifies
 a failure, and publishes a success.  Assembly builds the pools in block
 order.  Matrices are handed on as values, each built once: validation
@@ -47,10 +47,11 @@ checks between optimizer rounds.  A timed-out attempt is a failure, so
 a block ends with its full pool or its flagged exact fallback.  When an
 enclosing deadline (the service's job deadline) lapses on the inline
 path, the run raises :class:`~repro.exceptions.BlockTimeoutError`
-instead of falling back.  Workers live in a :class:`~repro.parallel.
-pool_manager.PersistentWorkerPool`, reused across retry rounds (and
-circuits, when the batch driver supplies one) and recycled only after a
-round observes a hung or killed worker.
+instead of falling back.  The substrate's worker pool serves every
+retry round of every run sharing it, and is recycled only after a round
+observes a hung or killed worker.  All three fault-injection hooks
+(:mod:`repro.resilience.faults`) fire here: before each attempt, on its
+result, and after each store write.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ from repro.observability import (
     use_metrics,
     use_tracer,
 )
-from repro.parallel.cache import PoolCache, content_key, entry_key
-from repro.parallel.pool_manager import PersistentWorkerPool
+from repro.parallel.cache import content_key, entry_key
+from repro.parallel.substrate import Substrate
 from repro.partition.blocks import CircuitBlock
 from repro.resilience.deadline import block_deadline, check_deadline
 from repro.resilience.retry import (
@@ -273,25 +274,24 @@ class _RunState:
     #: The in-flight registry keys claims by this token, so a crashed
     #: run releases all of its claims at once.
     claim_token: object = field(default_factory=object)
-    #: The process pool of the dispatch rounds; None when inline.
-    pool: PersistentWorkerPool | None = None
 
 
 class BlockSynthesisExecutor:
-    """Fans per-block synthesis out over a process pool.
+    """Synthesizes a run's blocks on a substrate.
 
     Parameters
     ----------
-    workers:
-        Process count.  ``1`` (the default) runs every block inline in
-        the parent — same results, single process, easiest to debug.
-    cache:
-        Optional :class:`PoolCache` over the run's store.  When given,
-        valid stored entries skip synthesis and each result is published
-        as its job lands, so results persist across runs.
+    substrate:
+        The :class:`~repro.parallel.substrate.Substrate` the run shares.
+        Valid entries of its store skip synthesis, and each result is
+        published there as its job lands.  Its worker pool runs the
+        jobs; without one, every block runs inline in the parent — same
+        results, one process.  Blocks whose entry key another run on it
+        has in flight, or has resolved, join that job through its
+        in-flight registry instead of synthesizing it again.
     hard_timeout:
         Hard per-block wall-clock cap in seconds.  Enforced via the
-        future's result timeout when ``workers > 1`` and via the
+        future's result timeout on the worker pool and via the
         cooperative deadline (:mod:`repro.resilience.deadline`) on the
         inline path.  A block that exceeds it is retried and ultimately
         falls back to its exact pool.
@@ -301,44 +301,23 @@ class BlockSynthesisExecutor:
         the block's seed under the same config.
     fault_injector:
         Optional :class:`~repro.resilience.faults.FaultInjector` whose
-        scheduled faults fire around each synthesis attempt (tests/CI).
-    worker_pool:
-        Optional externally owned :class:`PersistentWorkerPool` (the
-        batch driver shares one across every circuit of a sweep).
-        ``None`` constructs a run-scoped pool on demand and shuts it
-        down when the run finishes.
-    inflight:
-        Optional shared :class:`~repro.batch.workqueue.InflightRegistry`
-        for cross-executor dedup: blocks whose entry key another
-        executor has in flight, or has resolved, join that job instead
-        of synthesizing it again.
+        scheduled faults fire around each synthesis attempt and after
+        each store write (tests/CI).
     """
 
     def __init__(
         self,
-        workers: int = 1,
-        cache: PoolCache | None = None,
+        substrate: Substrate,
         hard_timeout: float | None = None,
         max_attempts: int = 1,
         fault_injector=None,
-        worker_pool: PersistentWorkerPool | None = None,
-        inflight=None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.workers = int(workers)
-        self.cache = cache
+        self.substrate = substrate
         self.hard_timeout = hard_timeout
         self.max_attempts = int(max_attempts)
         self.fault_injector = fault_injector
-        #: Externally owned pool (the batch driver shares one across
-        #: circuits); None constructs a run-scoped pool on demand.
-        self.worker_pool = worker_pool
-        #: Shared :class:`~repro.batch.workqueue.InflightRegistry`, or
-        #: None for solo runs (no cross-executor dedup).
-        self.inflight = inflight
 
     def run(
         self,
@@ -412,9 +391,8 @@ class BlockSynthesisExecutor:
 
         ``target`` is the block's unitary, from its plan.
         """
-        if self.cache is None:
-            return False
-        cached = self.cache.get(key)
+        cache = self.substrate.cache
+        cached = None if cache is None else cache.get(key)
         if cached is None:
             return False
         try:
@@ -444,24 +422,17 @@ class BlockSynthesisExecutor:
     def _dispatch(self, state: _RunState) -> None:
         """Run the jobs in retry rounds until each resolves or runs out.
 
-        Each round splits the pending jobs into the ones this executor
-        owns and the ones another executor has in flight (joined through
-        the shared registry).  The owned jobs run, the joins adopt the
+        Each round splits the pending jobs into the ones this run owns
+        and the ones another run on the substrate has in flight (joined
+        through its registry).  The owned jobs run, the joins adopt the
         owner's published result, and a join that came back empty runs
-        as this executor's own attempt in the *same* round, so retry
+        as this run's own attempt in the *same* round, so retry
         semantics match a solo run exactly.
         """
         tracer = get_tracer()
         metrics = get_metrics()
+        inflight = self.substrate.inflight
         pending = dict(state.jobs)
-        own_pool: PersistentWorkerPool | None = None
-        if self.workers > 1 and pending:
-            # Run-scoped unless shared: constructed once, reused across
-            # retry rounds, recycled only when a round marks it
-            # unhealthy (hung or killed worker — see PersistentWorkerPool).
-            state.pool = self.worker_pool
-            if state.pool is None:
-                state.pool = own_pool = PersistentWorkerPool(self.workers)
         try:
             for attempt in range(self.max_attempts):
                 if not pending:
@@ -476,11 +447,10 @@ class BlockSynthesisExecutor:
                             )
                 owned = dict(pending)
                 joined: dict[str, tuple] = {}
-                if self.inflight is not None:
-                    for key in list(owned):
-                        entry = self.inflight.claim(key, state.claim_token)
-                        if entry is not None:
-                            joined[key] = (entry, owned.pop(key))
+                for key in list(owned):
+                    entry = inflight.claim(key, state.claim_token)
+                    if entry is not None:
+                        joined[key] = (entry, owned.pop(key))
                 succeeded = self._run_round(state, owned, attempt)
                 if joined:
                     adopted, leftover = self._adopt_joined(state, joined)
@@ -489,10 +459,7 @@ class BlockSynthesisExecutor:
                 for key in succeeded:
                     del pending[key]
         finally:
-            if self.inflight is not None:
-                self.inflight.release(state.claim_token)
-            if own_pool is not None:
-                own_pool.shutdown()
+            inflight.release(state.claim_token)
 
     def _run_round(
         self, state: _RunState, jobs: dict, attempt: int
@@ -500,7 +467,7 @@ class BlockSynthesisExecutor:
         """Run one attempt of each job; returns the keys that succeeded."""
         if not jobs:
             return []
-        if self.workers == 1:
+        if self.substrate.worker_pool is None:
             return self._run_round_inline(state, jobs, attempt)
         return self._run_round_pool(state, jobs, attempt)
 
@@ -528,14 +495,14 @@ class BlockSynthesisExecutor:
     def _run_round_pool(
         self, state: _RunState, jobs: dict, attempt: int
     ) -> list[str]:
-        """One round over the persistent process pool.
+        """One round over the substrate's persistent process pool.
 
         The pool outlives the round.  A round that observes a hard
         timeout (the hung worker still occupies its process) or a broken
         pool (killed worker) marks it unhealthy so the *next* submission
         gets a fresh pool; healthy pools — including ones whose workers
-        merely raised — are reused across rounds and, in batch mode,
-        across circuits.
+        merely raised — are reused across rounds and across the runs
+        that share the substrate.
         """
         # Workers ship telemetry home only when the parent records it;
         # disabled runs pay nothing.
@@ -544,7 +511,7 @@ class BlockSynthesisExecutor:
         if metrics.is_enabled:
             metrics.inc("pool.rounds")
         futures = {
-            key: state.pool.submit(
+            key: self.substrate.worker_pool.submit(
                 _attempt_task, self.fault_injector, observed,
                 index, attempt, block, state.config, seed,
             )
@@ -601,12 +568,12 @@ class BlockSynthesisExecutor:
             elif isinstance(exc, BlockTimeoutError):
                 check_deadline()
                 kind, message = FAILURE_TIMEOUT, str(exc)
-            elif state.pool is not None and isinstance(
+            elif self.substrate.worker_pool is not None and isinstance(
                 exc, (FutureTimeoutError, BrokenExecutor)
             ):
                 # A hung worker still occupies its process and a killed
                 # one broke the pool: the next submission recycles it.
-                state.pool.mark_unhealthy()
+                self.substrate.worker_pool.mark_unhealthy()
                 if isinstance(exc, FutureTimeoutError):
                     kind = FAILURE_TIMEOUT
                     message = f"hard timeout after {self.hard_timeout}s"
@@ -618,21 +585,29 @@ class BlockSynthesisExecutor:
         state.stats.block_seconds[index] = elapsed
         # The registry ignores keys this run does not hold (a join re-run
         # as its own attempt), so only claimed keys are published.
-        if self.inflight is not None:
-            self.inflight.publish(key, state.claim_token, solutions)
-        if self.cache is not None:
-            self.cache.put(key, solutions)
+        self.substrate.inflight.publish(key, state.claim_token, solutions)
+        self._store(key, solutions)
         return True
+
+    def _store(self, key: str, solutions: list[SynthesisSolution]) -> None:
+        """Put ``solutions`` into the substrate's store, if it has one;
+        the fault injector's ``flip-cache`` faults then corrupt the entry
+        just written."""
+        cache = self.substrate.cache
+        if cache is None or not cache.put(key, solutions):
+            return
+        if self.fault_injector is not None:
+            self.fault_injector.on_cache_write(cache.store.path_for(key))
 
     def _adopt_joined(
         self, state: _RunState, joined: dict[str, tuple]
     ) -> tuple[list[str], dict[str, tuple[int, CircuitBlock, int]]]:
-        """Adopt results published by other executors' in-flight jobs.
+        """Adopt results published by other runs' in-flight jobs.
 
         Returns ``(adopted_keys, leftover_jobs)``.  Leftover jobs are
         joins whose owner released the key without a result (it fell
-        back or crashed); the caller re-dispatches them as this
-        executor's own attempt in the same round.
+        back or crashed); the caller re-dispatches them as this run's
+        own attempt in the same round.
         """
         tracer = get_tracer()
         metrics = get_metrics()
@@ -646,12 +621,11 @@ class BlockSynthesisExecutor:
         adopted: list[str] = []
         leftover: dict[str, tuple[int, CircuitBlock, int]] = {}
         for key, (entry, job) in joined.items():
-            if self.inflight.wait_for(entry, timeout):
+            if self.substrate.inflight.wait_for(entry, timeout):
                 state.resolved[key] = entry.solutions
                 # Put under this run's store too: in the daemon the owner
                 # may have filled another tenant's namespace.
-                if self.cache is not None:
-                    self.cache.put(key, entry.solutions)
+                self._store(key, entry.solutions)
                 if tracer.is_enabled:
                     tracer.event("dedup.adopt", block=job[0])
                 if metrics.is_enabled:

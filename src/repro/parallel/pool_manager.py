@@ -1,12 +1,11 @@
 """Persistent, recyclable process pool for block synthesis.
 
-Historically :class:`~repro.parallel.executor.BlockSynthesisExecutor`
-constructed a fresh :class:`~concurrent.futures.ProcessPoolExecutor` for
-every synthesis round — a retry round, or each circuit in a sweep, paid
-worker startup (fork + interpreter warm-up) all over again.
-:class:`PersistentWorkerPool` keeps one pool alive across rounds *and*
-across circuits (the batch driver shares a single instance over a whole
-sweep) and recycles it only when it is actually unhealthy:
+A :class:`~repro.parallel.substrate.Substrate` with ``workers > 1``
+holds one :class:`PersistentWorkerPool`, which serves every synthesis
+round of every run on that substrate, so worker startup (fork +
+interpreter warm-up) is paid once per solo run, batch or daemon.  It
+starts its processes on the first submission, and it is recycled only
+when it is actually unhealthy:
 
 * a **hung worker** (a future that blew past its hard timeout) still
   occupies its process, so reusing the pool would starve later rounds —
@@ -21,13 +20,12 @@ reused as-is; a Python-level exception leaves the worker process intact.
 Recycling uses ``shutdown(wait=False)`` without cancelling futures, so
 in-flight work submitted by *other* threads (concurrent circuits in a
 batch) drains in the old pool while new submissions land in the fresh
-one.  A truly hung worker's process is abandoned, never awaited — the
-same policy the per-round pools always had.
+one.  A truly hung worker's process is abandoned, never awaited.
 
-Thread safety: all state transitions take a lock, so the batch driver's
-circuit threads can share one instance.  The pool keeps no tallies: it
-counts ``pool.created`` and ``pool.recycles`` into the ambient metrics
-registry, and the executor counts ``pool.rounds``.
+Thread safety: all state transitions take a lock, so the threads of a
+batch's circuits or a daemon's jobs can share one instance.  The pool
+keeps no tallies: it counts ``pool.created`` and ``pool.recycles`` into
+the ambient metrics registry, and the executor counts ``pool.rounds``.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ class PersistentWorkerPool:
     Parameters
     ----------
     workers:
-        Worker-process count (must be >= 2; a single-worker pipeline
-        runs inline and never constructs a pool).
+        Worker-process count (must be >= 2; a single-worker substrate
+        has no pool, and its runs synthesize inline).
     """
 
     def __init__(self, workers: int) -> None:
@@ -113,9 +111,3 @@ class PersistentWorkerPool:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
                 self._pool = None
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

@@ -25,6 +25,7 @@ from repro.service.protocol import (
     decode_message,
     encode_message,
     rejection_from_message,
+    wait_timeout,
 )
 
 #: Seconds a connection to the daemon may take to open.
@@ -133,8 +134,11 @@ class ServiceClient:
         The reply carries ``state`` / ``result`` / ``error`` /
         ``degraded`` (true when at least one block of the result shipped
         its exact fallback); with a timeout, a non-terminal job comes
-        back with ``timed_out: true`` instead of raising.
+        back with ``timed_out: true`` instead of raising.  A timeout
+        that is neither None nor a finite number >= 0 raises
+        :class:`ServiceError` before anything is sent.
         """
+        timeout = wait_timeout(timeout)
         wire_timeout = None if timeout is None else timeout + 5.0
         return self._request(
             {
@@ -172,8 +176,10 @@ class ServiceClient:
 
         Raises :class:`ServiceError` if the job fails (the structured
         error's kind/message are folded into the exception text) or if
-        it is still running when ``timeout`` lapses.
+        it is still running when ``timeout`` lapses; a bad ``timeout``
+        is refused before the job is submitted.
         """
+        wait_timeout(timeout)
         job_id = self.submit(
             qasm,
             config=config,

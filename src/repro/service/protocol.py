@@ -29,6 +29,7 @@ wall-clock deadline), which is what makes warm restart possible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from repro.core.quest import QuestConfig
@@ -105,6 +106,30 @@ def merge_config(base: QuestConfig, overrides: dict | None) -> QuestConfig:
         return replace(base, **overrides)
     except ValueError as exc:
         raise ServiceError(str(exc)) from exc
+
+
+def as_seconds(value) -> float:
+    """A message's seconds field as a float; NaN when it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def wait_timeout(value) -> float | None:
+    """A ``wait`` timeout: None, or a finite number of seconds >= 0.
+
+    Anything else raises :class:`ServiceError`: the client refuses it
+    before it sends anything, and the daemon on receipt.
+    """
+    if value is None:
+        return None
+    timeout = as_seconds(value)
+    if not (math.isfinite(timeout) and timeout >= 0):
+        raise ServiceError(
+            f"bad timeout_seconds {value!r}: need null or a finite number >= 0"
+        )
+    return timeout
 
 
 @dataclass

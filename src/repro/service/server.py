@@ -3,13 +3,13 @@
 :class:`QuestService` is a long-lived asyncio server that accepts
 compile jobs (QASM + config overrides in, selected ensemble + Σε
 certificate out) over a Unix domain socket and runs them on **one**
-shared substrate — the same :class:`~repro.batch.driver.BatchResources`
-(persistent worker pool, artifact store, in-flight registry) that batch
-mode uses.  Concurrent duplicate submissions therefore dedup
-at the block level, and every served selection is bit-identical to a
-solo :func:`~repro.core.quest.run_quest` of the same circuit/config,
-because sharing is keyed by the content-addressed entry key that pins
-the synthesis seed.
+substrate for its lifetime, opened as a solo run or a batch opens its
+own (:func:`~repro.parallel.substrate.open_substrate`).  Concurrent
+duplicate submissions therefore dedup at the block level, and every
+served selection is bit-identical to a solo
+:func:`~repro.core.quest.run_quest` of the same circuit/config, because
+sharing is keyed by the content-addressed entry key that pins the
+synthesis seed.
 
 Robustness model (the reason this module exists):
 
@@ -63,10 +63,9 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
-from repro.batch.driver import BatchResources
-from repro.batch.workqueue import InflightRegistry
 from repro.circuits import circuit_from_qasm
 from repro.core.quest import QuestConfig, result_payload, run_quest
 from repro.exceptions import (
@@ -77,7 +76,7 @@ from repro.exceptions import (
 )
 from repro.observability import MetricsRegistry, get_logger, use_metrics
 from repro.parallel.cache import PoolCache
-from repro.parallel.pool_manager import PersistentWorkerPool
+from repro.parallel.substrate import Substrate, open_cache, open_substrate
 from repro.resilience.deadline import block_deadline
 from repro.service.ledger import JobLedger
 from repro.service.protocol import (
@@ -90,10 +89,12 @@ from repro.service.protocol import (
     REJECTION_REASONS,
     TERMINAL_STATES,
     JobRecord,
+    as_seconds,
     decode_message,
     encode_message,
     merge_config,
     rejection_to_message,
+    wait_timeout,
 )
 from repro.service.scheduler import FairScheduler
 from repro.store import (
@@ -107,14 +108,6 @@ _log = get_logger("service.server")
 
 #: Cap on one wire frame (QASM payloads are text; 32 MiB is generous).
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
-
-
-def _seconds(value) -> float:
-    """A request's seconds field as a float; NaN when it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
 
 
 class QuestService:
@@ -137,8 +130,13 @@ class QuestService:
                 f"max_concurrency must be >= 1, got {max_concurrency}"
             )
         self.socket_path = str(socket_path)
-        self.config = config or QuestConfig()
         self.ledger = JobLedger(ledger_dir)
+        # Without a configured root the store lives beside the ledger,
+        # so a killed job always resumes from the blocks it published.
+        config = config or QuestConfig()
+        self.config = replace(
+            config, store_dir=config.store_dir or str(self.ledger.directory / "store")
+        )
         self.scheduler = FairScheduler(
             capacity,
             tenant_weights=tenant_weights,
@@ -150,29 +148,15 @@ class QuestService:
         self.fault_injector = fault_injector
         self.metrics = MetricsRegistry()
 
-        # The shared substrate — one worker pool and one in-flight
-        # registry for the daemon's lifetime, plus one PoolCache *per
-        # tenant namespace*, all rooted in one sharded artifact store
-        # that any number of replicas may share.  The registry is the
-        # only in-process reuse across jobs; the store is the only
-        # persistence.  Without a configured root the store lives beside
-        # the ledger, so a killed job always resumes from the blocks it
-        # published.
-        self._store_root = self.config.store_dir or str(
-            self.ledger.directory / "store"
-        )
-        self._caches: dict[str, PoolCache] = {}
+        # One worker pool and one in-flight registry for the daemon's
+        # lifetime, plus one cache *per tenant namespace*, all rooted in
+        # one sharded artifact store that any number of replicas may
+        # share.  The registry is the only in-process reuse across jobs;
+        # the store is the only persistence.
+        with use_metrics(self.metrics):
+            self.substrate = open_substrate(self.config)
+        self._caches = {self.config.namespace: self.substrate.cache}
         self._caches_lock = threading.Lock()
-        worker_pool = (
-            PersistentWorkerPool(self.config.workers)
-            if self.config.workers > 1
-            else None
-        )
-        self.resources = BatchResources(
-            cache=self._cache_for(self.config.namespace),
-            worker_pool=worker_pool,
-            inflight=InflightRegistry(),
-        )
 
         self._jobs: dict[str, JobRecord] = {}
         self._job_events: dict[str, asyncio.Event] = {}
@@ -205,23 +189,15 @@ class QuestService:
         with self._caches_lock, use_metrics(self.metrics):
             cache = self._caches.get(namespace)
             if cache is None:
-                cache = PoolCache(
-                    self._store_root,
-                    max_entries=self.config.cache_max_entries,
-                    namespace=namespace,
-                )
+                cache = open_cache(replace(self.config, namespace=namespace))
                 self._caches[namespace] = cache
             return cache
 
-    def _resources_for(self, record: JobRecord) -> BatchResources:
-        """The substrate view a job runs on: shared pool + registry,
-        tenant-scoped cache."""
+    def _substrate_for(self, record: JobRecord) -> Substrate:
+        """The substrate a job runs on: the daemon's pool and registry,
+        its tenant's cache."""
         namespace = record.namespace or namespace_for_tenant(record.tenant)
-        return BatchResources(
-            cache=self._cache_for(namespace),
-            worker_pool=self.resources.worker_pool,
-            inflight=self.resources.inflight,
-        )
+        return replace(self.substrate, cache=self._cache_for(namespace))
 
     # ------------------------------------------------------------------
     # Warm restart
@@ -337,8 +313,7 @@ class QuestService:
         while self._active > 0:
             await asyncio.sleep(0.02)
         self._job_executor.shutdown(wait=True)
-        if self.resources.worker_pool is not None:
-            self.resources.worker_pool.shutdown()
+        self.substrate.close()
         with contextlib.suppress(OSError):
             Path(self.socket_path).unlink()
         self._stopped.set()
@@ -451,7 +426,7 @@ class QuestService:
                         circuit,
                         config,
                         fault_injector=self.fault_injector,
-                        shared=self._resources_for(record),
+                        shared=self._substrate_for(record),
                     )
             except BlockTimeoutError as exc:
                 self._finish(record, error={
@@ -495,10 +470,15 @@ class QuestService:
                 await writer.wait_closed()
 
     async def _serve_connection(self, reader, writer) -> None:
+        """Answer one connection's requests until its client closes it.
+
+        A client that has gone (a reset or a broken pipe, met on read or
+        on write) ends the connection quietly.
+        """
         while True:
             try:
                 line = await reader.readline()
-            except (ConnectionResetError, OSError):
+            except OSError:
                 break
             if not line:
                 break
@@ -514,8 +494,11 @@ class QuestService:
                     response = await self._handle_message(message)
             except ServiceError as exc:
                 response = {"type": "error", "message": str(exc)}
-            writer.write(encode_message(response))
-            await writer.drain()
+            try:
+                writer.write(encode_message(response))
+                await writer.drain()
+            except OSError:
+                break
 
     async def _handle_message(self, message: dict) -> dict:
         kind = message["type"]
@@ -573,7 +556,7 @@ class QuestService:
         deadline_seconds = message.get("deadline_seconds")
         deadline_at = None
         if deadline_seconds is not None:
-            relative = _seconds(deadline_seconds)
+            relative = as_seconds(deadline_seconds)
             # A NaN deadline would compare false everywhere: a job that
             # never expires.
             if not math.isfinite(relative):
@@ -596,15 +579,7 @@ class QuestService:
         )
 
     async def _handle_wait(self, message: dict) -> dict:
-        timeout = message.get("timeout_seconds")
-        if timeout is not None:
-            seconds = _seconds(timeout)
-            if not (math.isfinite(seconds) and seconds >= 0):
-                raise ServiceError(
-                    f"bad timeout_seconds {timeout!r}: need null or a "
-                    "finite number >= 0"
-                )
-            timeout = seconds
+        timeout = wait_timeout(message.get("timeout_seconds"))
         job_id = str(message.get("job_id", ""))
         record = self._jobs.get(job_id)
         if record is None:
@@ -677,7 +652,7 @@ class QuestService:
             },
             "stranded_joiners": count("registry.stranded_joiners", 0),
             "store": {
-                "root": self._store_root,
+                "root": self.config.store_dir,
                 "namespaces": {
                     namespace: {
                         name: count(f"store.{name}.{namespace}", 0)

@@ -6,8 +6,11 @@ import time
 
 import numpy as np
 
+from repro.core.quest import QuestConfig
 from repro.exceptions import ServiceError
 from repro.linalg import hs_inner
+from repro.parallel.executor import BlockSynthesisExecutor
+from repro.parallel.substrate import open_substrate
 from repro.resilience.retry import FAILURE_FALLBACK
 
 
@@ -28,6 +31,25 @@ def fallback_blocks(failure_log) -> list[int]:
     """Blocks a run downgraded to their exact fallback pool: the
     ``fallback`` records of its failure log."""
     return [r.block_index for r in failure_log if r.kind == FAILURE_FALLBACK]
+
+
+def substrate_for(workers: int = 1, store=None, namespace: str = "default"):
+    """The substrate a solo run at these settings opens (a context
+    manager that shuts its worker pool down)."""
+    return open_substrate(
+        QuestConfig(
+            workers=workers,
+            store_dir=None if store is None else str(store),
+            namespace=namespace,
+        )
+    )
+
+
+def run_executor(blocks, config, seeds, *, workers: int = 1, store=None, **options):
+    """Run a :class:`BlockSynthesisExecutor` once, with ``options``, on a
+    substrate :func:`substrate_for` opens for it and closes after."""
+    with substrate_for(workers, store) as substrate:
+        return BlockSynthesisExecutor(substrate, **options).run(blocks, config, seeds)
 
 
 def wait_until_ready(client, timeout: float = 30.0) -> dict:

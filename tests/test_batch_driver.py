@@ -14,16 +14,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.batch.driver as batch_driver
 import repro.parallel.executor as executor_module
 from repro.algorithms import heisenberg, qft, tfim, xy_model
 from repro.batch import run_quest_batch
-from repro.batch.driver import BatchResources
 from repro.batch.workqueue import InflightRegistry
+from repro.circuits import Circuit
 from repro.circuits.random_circuits import random_circuit
 from repro.core.quest import QuestConfig, run_quest
+from repro.exceptions import SelectionError
 from repro.observability import ListSink, MetricsRegistry, Tracer, use_metrics, use_tracer
-from repro.parallel.cache import PoolCache
 from repro.parallel.pool_manager import PersistentWorkerPool
+from repro.parallel.substrate import open_substrate
 from tests.planning_oracle import planned_entry_keys
 
 FAST = dict(
@@ -216,7 +218,7 @@ def test_shared_store_corruption_counts_only_in_the_run_that_loaded_it(
         executor_module, "_synthesize_solutions_task", parking_task
     )
     config = QuestConfig(**FAST, workers=1)
-    shared = BatchResources(cache=PoolCache(tmp_path))
+    shared = open_substrate(QuestConfig(**FAST, store_dir=str(tmp_path)))
     with ThreadPoolExecutor(1, thread_name_prefix="run-b") as thread:
         run_b = thread.submit(
             run_quest, heisenberg(4, steps=1), config, shared=shared
@@ -242,6 +244,26 @@ def test_empty_batch_is_rejected():
 def test_window_must_be_positive():
     with pytest.raises(ValueError, match="window"):
         run_quest_batch([tfim(4, steps=1)], QuestConfig(**FAST), window=0)
+
+
+def test_a_failing_circuit_stops_the_circuits_still_queued(monkeypatch):
+    """The first circuit is CNOT-free, so its run raises: the three
+    circuits queued behind it never start.  The spy wraps the driver's
+    ``run_quest`` global, as the benchmark harness does."""
+    started = []
+    real_run_quest = batch_driver.run_quest
+
+    def spy(circuit, *args, **kwargs):
+        started.append(circuit)
+        return real_run_quest(circuit, *args, **kwargs)
+
+    monkeypatch.setattr(batch_driver, "run_quest", spy)
+    cnot_free = Circuit(2)
+    cnot_free.h(0)
+    circuits = [cnot_free] + [tfim(4, steps=1) for _ in range(3)]
+    with pytest.raises(SelectionError):
+        run_quest_batch(circuits, QuestConfig(**FAST), window=1)
+    assert started == [cnot_free]
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +416,9 @@ def test_pool_requires_at_least_two_workers():
 
 
 def test_pool_reuse_and_recycle_accounting(counters):
-    with PersistentWorkerPool(2) as pool:
+    # The substrate owns its pool's lifecycle: closing it shuts it down.
+    with open_substrate(QuestConfig(**FAST, workers=2)) as substrate:
+        pool = substrate.worker_pool
         assert pool.submit(_identity, 7).result(timeout=60) == 7
         assert pool.submit(_identity, 8).result(timeout=60) == 8
         # The second submission rode the first one's pool.

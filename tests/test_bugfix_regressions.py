@@ -20,11 +20,11 @@ from repro.algorithms import tfim
 from repro.core import annealing as annealing_module
 from repro.core.annealing import AnnealedChoice, select_approximations
 from repro.core.quest import QuestConfig
-from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
 from repro.resilience.faults import parse_fault_spec
 from repro.resilience.retry import FAILURE_FALLBACK
 from repro.transpile.basis import lower_to_basis
+from tests.helpers import run_executor
 
 
 # ----------------------------------------------------------------------
@@ -127,12 +127,14 @@ def test_fallback_degradation_is_recorded_structurally():
     blocks = scan_partition(baseline, CONFIG.max_block_qubits)
     rng = np.random.default_rng(CONFIG.seed)
     seeds = [int(rng.integers(2**31 - 1)) for _ in blocks]
-    runner = BlockSynthesisExecutor(
-        max_attempts=2,
-        fault_injector=parse_fault_spec("raise@*:0,raise@*:1"),
-    )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
-        pools, stats = runner.run(blocks, CONFIG, seeds)
+        pools, stats = run_executor(
+            blocks,
+            CONFIG,
+            seeds,
+            max_attempts=2,
+            fault_injector=parse_fault_spec("raise@*:0,raise@*:1"),
+        )
     fallback_records = [
         r for r in stats.failure_log if r.kind == FAILURE_FALLBACK
     ]

@@ -8,21 +8,22 @@ around each synthesis attempt inline and in worker processes alike.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.parallel.substrate as substrate_module
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig, QuestTimings, run_quest
 from repro.observability import MetricsRegistry, use_metrics
-from repro.parallel.cache import PoolCache
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.scan import scan_partition
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjector, parse_fault_spec
 from repro.transpile.basis import lower_to_basis
-from tests.helpers import fallback_blocks
+from tests.helpers import fallback_blocks, run_executor, substrate_for
 
 CONFIG = QuestConfig(
     seed=3,
@@ -61,11 +62,14 @@ def _hangs(spec: str, monkeypatch) -> FaultInjector:
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
 def test_raising_worker_degrades_to_exact_pool(workers):
     blocks = _blocks()
-    runner = BlockSynthesisExecutor(
-        workers=workers, fault_injector=parse_fault_spec("raise@*:0")
-    )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
-        pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
+        pools, stats = run_executor(
+            blocks,
+            CONFIG,
+            _seeds(blocks),
+            workers=workers,
+            fault_injector=parse_fault_spec("raise@*:0"),
+        )
     assert len(pools) == len(blocks)
     nontrivial = [
         i
@@ -84,11 +88,13 @@ def test_raising_worker_degrades_to_exact_pool(workers):
 
 def test_partial_failure_only_degrades_the_failing_block():
     blocks = _blocks()
-    runner = BlockSynthesisExecutor(
-        workers=1, fault_injector=parse_fault_spec("raise@0:0")
-    )
     with pytest.warns(RuntimeWarning):
-        pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
+        pools, stats = run_executor(
+            blocks,
+            CONFIG,
+            _seeds(blocks),
+            fault_injector=parse_fault_spec("raise@0:0"),
+        )
     # Blocks 0 and 1 are content-identical, so they dedup to a single
     # job (the injected fault is index-keyed, but real synthesis depends
     # only on content): the failing job degrades exactly the blocks it
@@ -102,12 +108,16 @@ def test_partial_failure_only_degrades_the_failing_block():
 
 def test_timed_out_worker_degrades_to_exact_pool(monkeypatch):
     blocks = _blocks()[:1]
-    runner = BlockSynthesisExecutor(
-        workers=2, hard_timeout=0.3, fault_injector=_hangs("hang@*", monkeypatch)
-    )
     start = time.perf_counter()
     with pytest.warns(RuntimeWarning, match="TimeoutError"):
-        pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
+        pools, stats = run_executor(
+            blocks,
+            CONFIG,
+            _seeds(blocks),
+            workers=2,
+            hard_timeout=0.3,
+            fault_injector=_hangs("hang@*", monkeypatch),
+        )
     elapsed = time.perf_counter() - start
     assert fallback_blocks(stats.failure_log) == [0]
     assert pools[0].size == 1
@@ -140,18 +150,15 @@ def test_retry_rounds_reuse_one_persistent_pool(counters):
     """A plain worker exception leaves the pool healthy: the retry round
     reuses it instead of paying pool construction again."""
     blocks = _blocks()
-    pool = PersistentWorkerPool(2)
-    runner = BlockSynthesisExecutor(
-        workers=2,
-        fault_injector=parse_fault_spec("raise@0:0,raise@0:1"),
-        max_attempts=2,
-        worker_pool=pool,
-    )
-    try:
-        with pytest.warns(RuntimeWarning):
-            pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
-    finally:
-        pool.shutdown()
+    with pytest.warns(RuntimeWarning):
+        pools, stats = run_executor(
+            blocks,
+            CONFIG,
+            _seeds(blocks),
+            workers=2,
+            fault_injector=parse_fault_spec("raise@0:0,raise@0:1"),
+            max_attempts=2,
+        )
     assert fallback_blocks(stats.failure_log)  # the injected failure did exhaust retries
     assert counters()["pool.rounds"] == 2
     assert counters()["pool.created"] == 1  # so 1 round reused the pool
@@ -162,37 +169,41 @@ def test_hard_timeout_recycles_the_persistent_pool(counters, monkeypatch):
     """A hung worker marks the pool unhealthy; the next round gets a
     fresh pool rather than inheriting the occupied process."""
     blocks = _blocks()[:1]
-    pool = PersistentWorkerPool(2)
-    runner = BlockSynthesisExecutor(
-        workers=2,
-        hard_timeout=0.3,
-        fault_injector=_hangs("hang@*:0,hang@*:1", monkeypatch),
-        max_attempts=2,
-        worker_pool=pool,
-    )
-    try:
-        with pytest.warns(RuntimeWarning, match="TimeoutError"):
-            pools, stats = runner.run(blocks, CONFIG, _seeds(blocks))
-    finally:
-        pool.shutdown()
+    with pytest.warns(RuntimeWarning, match="TimeoutError"):
+        pools, stats = run_executor(
+            blocks,
+            CONFIG,
+            _seeds(blocks),
+            workers=2,
+            hard_timeout=0.3,
+            fault_injector=_hangs("hang@*:0,hang@*:1", monkeypatch),
+            max_attempts=2,
+        )
     assert fallback_blocks(stats.failure_log) == [0]
     assert counters()["pool.rounds"] == 2
     assert counters()["pool.created"] == 2
     assert counters()["pool.recycles"] == 1
 
 
-def test_executor_without_external_pool_owns_its_lifecycle():
-    """No shared pool supplied: the executor builds one for the run and
-    shuts it down on exit (no lingering process pools)."""
-    blocks = _blocks()
-    runner = BlockSynthesisExecutor(
-        workers=2, fault_injector=parse_fault_spec("raise@*:0")
-    )
-    with pytest.warns(RuntimeWarning):
-        runner.run(blocks, CONFIG, _seeds(blocks))
-    # Nothing to assert on the (internal, already shut down) pool beyond
-    # the run completing; the external-pool tests above cover accounting.
-    assert runner.worker_pool is None
+def test_solo_run_shuts_its_pool_down_before_it_returns(monkeypatch):
+    """A solo run opens a private substrate: its pool served the run's
+    synthesis and is shut down by the time ``run_quest`` returns, and
+    nothing joined its private registry."""
+    opened = []
+
+    class RecordingPool(PersistentWorkerPool):
+        def __init__(self, workers):
+            super().__init__(workers)
+            opened.append(self)
+
+    monkeypatch.setattr(substrate_module, "PersistentWorkerPool", RecordingPool)
+    result = run_quest(tfim(4, steps=1), replace(CONFIG, workers=2))
+    assert len(opened) == 1
+    counters = result.metrics["counters"]
+    assert counters["pool.created"] == 1
+    assert not [name for name in counters if name.startswith("dedup.")]
+    with pytest.raises(RuntimeError, match="shut down"):
+        opened[0].submit(time.time)
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +230,7 @@ def test_stats_counters_partition_the_blocks(tmp_path):
         if b.num_qubits == 1 or b.circuit.cnot_count() == 0
     )
     with use_metrics(MetricsRegistry()) as registry:
-        pools, stats = BlockSynthesisExecutor(
-            workers=1, cache=PoolCache(tmp_path)
-        ).run(blocks, CONFIG, seeds)
+        pools, stats = run_executor(blocks, CONFIG, seeds, store=tmp_path)
     counts = registry.snapshot()["counters"]
     hits, misses = counts["cache.hit"], counts["cache.miss"]
     assert hits + misses + trivial == len(blocks)
@@ -230,12 +239,10 @@ def test_stats_counters_partition_the_blocks(tmp_path):
     assert sum(1 for s in stats.block_seconds if s > 0) == misses
 
     with use_metrics(MetricsRegistry()) as registry:
-        pools_nc, _ = BlockSynthesisExecutor(workers=1).run(
-            blocks, CONFIG, seeds
-        )
+        pools_nc, _ = run_executor(blocks, CONFIG, seeds)
     counts_nc = registry.snapshot()["counters"]
     # Without a store, repeats still dedup to one dispatched job each
-    # and count as cache hits; nothing joins without a registry.
+    # and count as cache hits; nothing joins a private registry.
     assert counts_nc["cache.hit"] == hits
     assert counts_nc["cache.miss"] == misses
     assert "dedup.hits" not in counts_nc
@@ -246,8 +253,6 @@ def test_stats_counters_partition_the_blocks(tmp_path):
 
 
 def test_executor_argument_validation():
-    with pytest.raises(ValueError, match="workers"):
-        BlockSynthesisExecutor(workers=0)
     blocks = _blocks()
     with pytest.raises(ValueError, match="seeds"):
-        BlockSynthesisExecutor().run(blocks, CONFIG, [1, 2])
+        BlockSynthesisExecutor(substrate_for()).run(blocks, CONFIG, [1, 2])

@@ -17,12 +17,13 @@ import pytest
 
 import repro.synthesis.leap as leap_module
 from repro.algorithms import tfim
+from repro.batch import run_quest_batch
+from repro.circuits import circuit_to_qasm
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
 from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache
-from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
 from repro.resilience import (
     FaultInjector,
@@ -40,7 +41,8 @@ from repro.resilience.validation import validate_pool, validate_solutions
 from repro.sim.unitary import circuit_unitary
 from repro.synthesis.leap import SynthesisSolution
 from repro.transpile.basis import lower_to_basis
-from tests.helpers import fallback_blocks
+from tests.helpers import fallback_blocks, run_executor
+from tests.test_service import running_service
 
 FAST = dict(
     max_samples=3,
@@ -302,17 +304,18 @@ def test_inline_hang_times_out_and_recovers_bit_identically(counters):
     """
     blocks = _blocks()
     seeds = _seeds(blocks)
-    clean_pools, _ = BlockSynthesisExecutor(workers=1).run(blocks, CONFIG, seeds)
+    clean_pools, _ = run_executor(blocks, CONFIG, seeds)
 
     injector = FaultInjector(specs=(FaultSpec("hang", None, 0),))
-    runner = BlockSynthesisExecutor(
-        workers=1,
+    start = time.monotonic()
+    pools, stats = run_executor(
+        blocks,
+        CONFIG,
+        seeds,
         hard_timeout=0.5,
         max_attempts=2,
         fault_injector=injector,
     )
-    start = time.monotonic()
-    pools, stats = runner.run(blocks, CONFIG, seeds)
     # Cut off cooperatively: nowhere near the 60s the hang would take.
     assert time.monotonic() - start < 30.0
     assert not fallback_blocks(stats.failure_log)
@@ -343,18 +346,20 @@ def test_pool_hang_hits_the_hard_timeout_and_recovers(counters, monkeypatch):
     """The process-pool path bounds a hung worker via the future timeout."""
     blocks = _blocks()
     seeds = _seeds(blocks)
-    clean_pools, _ = BlockSynthesisExecutor(workers=2).run(blocks, CONFIG, seeds)
+    clean_pools, _ = run_executor(blocks, CONFIG, seeds, workers=2)
 
     # Workers fork after the patch, so a hung one exits within 45 s.
     monkeypatch.setattr(faults, "HANG_SECONDS", 45.0)
     injector = FaultInjector(specs=(FaultSpec("hang", None, 0),))
-    runner = BlockSynthesisExecutor(
+    pools, stats = run_executor(
+        blocks,
+        CONFIG,
+        seeds,
         workers=2,
         hard_timeout=3.0,
         max_attempts=2,
         fault_injector=injector,
     )
-    pools, stats = runner.run(blocks, CONFIG, seeds)
     assert not fallback_blocks(stats.failure_log)
     assert counters()["retry.attempts"] > 0
     assert all(r.kind == FAILURE_TIMEOUT for r in stats.failure_log)
@@ -367,38 +372,65 @@ def test_pool_hang_hits_the_hard_timeout_and_recovers(counters, monkeypatch):
 def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
     blocks = _blocks()
     seeds = _seeds(blocks)
-    clean_pools, _ = BlockSynthesisExecutor(
-        cache=PoolCache(tmp_path / "clean")
-    ).run(blocks, CONFIG, seeds)
+    clean_pools, _ = run_executor(blocks, CONFIG, seeds, store=tmp_path / "clean")
 
     cache_dir = tmp_path / "cache"
     # Run 1 populates the disk tier; the injector bit-flips the first
     # entry written, after its atomic publish (at-rest corruption).
     injector = FaultInjector(specs=(FaultSpec("flip-cache", 0),), seed=5)
-    BlockSynthesisExecutor(
-        cache=PoolCache(cache_dir, fault_injector=injector)
-    ).run(blocks, CONFIG, seeds)
+    run_executor(blocks, CONFIG, seeds, store=cache_dir, fault_injector=injector)
     assert injector.fired == [("flip-cache", 0, 0)]
 
     # Run 2 reads the poisoned tier: the checksum catches the flip, the
     # entry is counted corrupt and recomputed, results stay identical.
     with use_metrics(MetricsRegistry()) as registry:
-        pools, stats = BlockSynthesisExecutor(cache=PoolCache(cache_dir)).run(
-            blocks, CONFIG, seeds
-        )
+        pools, stats = run_executor(blocks, CONFIG, seeds, store=cache_dir)
     assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 1
     assert not fallback_blocks(stats.failure_log)
     _pools_equal(clean_pools, pools)
 
     # Run 3: the recompute overwrote the bad file, so the tier is clean.
     with use_metrics(MetricsRegistry()) as registry:
-        pools, _ = BlockSynthesisExecutor(cache=PoolCache(cache_dir)).run(
-            blocks, CONFIG, seeds
-        )
+        pools, _ = run_executor(blocks, CONFIG, seeds, store=cache_dir)
     counts = registry.snapshot()["counters"]
     assert "cache.corrupt_entries" not in counts
     assert "cache.miss" not in counts
     _pools_equal(clean_pools, pools)
+
+
+def _compile_counts(front_end, circuit, config, injector, tmp_path) -> dict:
+    """The counters of one compile of ``circuit`` under ``injector``
+    through ``front_end``: a solo run, a batch or a served job."""
+    if front_end == "solo":
+        result = run_quest(circuit, config, fault_injector=injector)
+        return result.metrics["counters"]
+    if front_end == "batch":
+        batch = run_quest_batch([circuit], config, fault_injector=injector)
+        return batch.metrics["counters"]
+    with running_service(
+        tmp_path / "ledger", config=config, fault_injector=injector
+    ) as (_, client):
+        client.submit_and_wait(circuit_to_qasm(circuit), timeout=300.0)
+        return client.status()["metrics"]["counters"]
+
+
+@pytest.mark.parametrize("front_end", ["solo", "batch", "daemon"])
+def test_every_front_end_flips_the_first_store_write(tmp_path, front_end):
+    """Each front end compiles over a fresh store and sees the fault
+    once; a rerun over that store finds the one corrupt entry,
+    recomputes it and selects what a clean run selects."""
+    circuit = tfim(4, steps=1)
+    config = replace(CONFIG, store_dir=str(tmp_path / "store"))
+    injector = FaultInjector(specs=(FaultSpec("flip-cache", 0),), seed=5)
+    counts = _compile_counts(front_end, circuit, config, injector, tmp_path)
+    assert counts["faults.injected"] == 1
+
+    rerun = run_quest(circuit, config)
+    assert rerun.cache_corrupt_entries == 1
+    clean = run_quest(circuit, CONFIG)
+    assert [c.tolist() for c in rerun.selection.choices] == [
+        c.tolist() for c in clean.selection.choices
+    ]
 
 
 def test_wrong_width_store_entries_are_quarantined(tmp_path):
@@ -410,17 +442,15 @@ def test_wrong_width_store_entries_are_quarantined(tmp_path):
     blocks = scan_partition(baseline, 3)
     assert max(block.num_qubits for block in blocks) == 3
     seeds = _seeds(blocks)
-    cache = PoolCache(tmp_path)
-    cold_pools, _ = BlockSynthesisExecutor(cache=cache).run(blocks, config, seeds)
+    cold_pools, _ = run_executor(blocks, config, seeds, store=tmp_path)
 
+    cache = PoolCache(tmp_path)
     keys = [path.stem for path in cache.store.directory.rglob("*.qpool")]
     assert keys
     for key in keys:
         cache.put(key, [_narrow_solution()])
     with use_metrics(MetricsRegistry()) as registry:
-        warm_pools, stats = BlockSynthesisExecutor(
-            cache=PoolCache(tmp_path)
-        ).run(blocks, config, seeds)
+        warm_pools, stats = run_executor(blocks, config, seeds, store=tmp_path)
     _pools_equal(cold_pools, warm_pools)
     assert registry.snapshot()["counters"]["cache.miss"] == len(keys)
     assert stats.failure_log

@@ -17,7 +17,7 @@ from repro.resilience.retry import (
     FAILURE_VALIDATION,
 )
 from repro.transpile.basis import lower_to_basis
-from tests.helpers import fallback_blocks
+from tests.helpers import fallback_blocks, run_executor, substrate_for
 
 CONFIG = QuestConfig(
     seed=3,
@@ -65,7 +65,7 @@ def _assert_matches_inline(run, pools, stats):
 
 def test_max_attempts_must_be_positive():
     with pytest.raises(ValueError, match="max_attempts"):
-        BlockSynthesisExecutor(max_attempts=0)
+        BlockSynthesisExecutor(substrate_for(), max_attempts=0)
 
 
 
@@ -77,18 +77,18 @@ def test_transient_raise_recovers_bit_identically(workers, counters):
     """A fault on attempt 0 reruns the same seed: results identical."""
     blocks = _blocks()
     seeds = _seeds(blocks)
-    clean_pools, clean_stats = BlockSynthesisExecutor(workers=workers).run(
-        blocks, CONFIG, seeds
-    )
+    clean_pools, clean_stats = run_executor(blocks, CONFIG, seeds, workers=workers)
     assert not clean_stats.failure_log
 
     injector = FaultInjector(specs=(FaultSpec("raise", None, 0),))
-    runner = BlockSynthesisExecutor(
+    pools, stats = run_executor(
+        blocks,
+        CONFIG,
+        seeds,
         workers=workers,
         max_attempts=2,
         fault_injector=injector,
     )
-    pools, stats = runner.run(blocks, CONFIG, seeds)
     assert counters()["retry.attempts"] > 0
     assert not fallback_blocks(stats.failure_log)
     assert all(r.kind == FAILURE_EXCEPTION for r in stats.failure_log)
@@ -98,21 +98,23 @@ def test_transient_raise_recovers_bit_identically(workers, counters):
 
 def _nan_run(workers):
     blocks = _blocks()
-    runner = BlockSynthesisExecutor(
+    return run_executor(
+        blocks,
+        CONFIG,
+        _seeds(blocks),
         workers=workers,
         max_attempts=2,
         fault_injector=FaultInjector(
             specs=(FaultSpec("nan", None, 0),), seed=11
         ),
     )
-    return runner.run(blocks, CONFIG, _seeds(blocks))
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
 def test_nan_corruption_is_quarantined_then_recovered(workers):
     blocks = _blocks()
     seeds = _seeds(blocks)
-    clean_pools, _ = BlockSynthesisExecutor().run(blocks, CONFIG, seeds)
+    clean_pools, _ = run_executor(blocks, CONFIG, seeds)
 
     pools, stats = _nan_run(workers)
     assert not fallback_blocks(stats.failure_log)
@@ -144,13 +146,15 @@ def test_inline_validation_failure_closes_the_block_span_as_error():
 def _exhausted_run(workers):
     blocks = _blocks()
     specs = tuple(FaultSpec("raise", None, attempt) for attempt in range(3))
-    runner = BlockSynthesisExecutor(
-        workers=workers,
-        max_attempts=3,
-        fault_injector=FaultInjector(specs=specs),
-    )
     with pytest.warns(RuntimeWarning, match="falling back to the exact block"):
-        return runner.run(blocks, CONFIG, _seeds(blocks))
+        return run_executor(
+            blocks,
+            CONFIG,
+            _seeds(blocks),
+            workers=workers,
+            max_attempts=3,
+            fault_injector=FaultInjector(specs=specs),
+        )
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "process-pool"])
@@ -198,16 +202,16 @@ def test_late_recovery_equals_the_clean_run(workers, counters):
     """
     blocks = _blocks()
     seeds = _seeds(blocks)
-    clean_pools, _ = BlockSynthesisExecutor(workers=workers).run(
-        blocks, CONFIG, seeds
-    )
+    clean_pools, _ = run_executor(blocks, CONFIG, seeds, workers=workers)
     specs = tuple(FaultSpec("raise", None, attempt) for attempt in range(2))
-    runner = BlockSynthesisExecutor(
+    pools, stats = run_executor(
+        blocks,
+        CONFIG,
+        seeds,
         workers=workers,
         max_attempts=3,
         fault_injector=FaultInjector(specs=specs),
     )
-    pools, stats = runner.run(blocks, CONFIG, seeds)
     assert not fallback_blocks(stats.failure_log)
     assert counters()["retry.attempts"] > 0
     per_block = {}

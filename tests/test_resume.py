@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.algorithms import heisenberg, tfim
-from repro.batch.workqueue import InflightRegistry
 from repro.core.quest import QuestConfig, run_quest
 from repro.observability import MetricsRegistry, use_metrics
 from repro.parallel.cache import PoolCache, content_key, entry_key
@@ -31,6 +31,7 @@ from repro.partition.scan import scan_partition
 from repro.resilience import FaultInjector, parse_fault_spec
 from repro.store import ENTRY_SUFFIX, ArtifactStore
 from repro.transpile.basis import lower_to_basis
+from tests.helpers import substrate_for
 from tests.test_parallel_cache import version_2_entry
 
 FAST = dict(
@@ -180,16 +181,14 @@ def test_adopted_in_flight_result_is_put_in_the_joiners_store(tmp_path):
     )
     rng = np.random.default_rng(config.seed)
     seeds = [int(rng.integers(2**31 - 1)) for _ in blocks]
-    registry = InflightRegistry()
+    # Two tenants' views of one substrate, as the daemon hands them out.
+    alice = substrate_for(store=tmp_path, namespace="alice")
+    bob = replace(alice, cache=PoolCache(tmp_path, namespace="bob"))
 
     with use_metrics(MetricsRegistry()) as owner_metrics:
-        owner_pools, _ = BlockSynthesisExecutor(
-            cache=PoolCache(tmp_path, namespace="alice"), inflight=registry
-        ).run(blocks, config, seeds)
+        owner_pools, _ = BlockSynthesisExecutor(alice).run(blocks, config, seeds)
     with use_metrics(MetricsRegistry()) as joiner_metrics:
-        joiner_pools, joiner = BlockSynthesisExecutor(
-            cache=PoolCache(tmp_path, namespace="bob"), inflight=registry
-        ).run(blocks, config, seeds)
+        joiner_pools, joiner = BlockSynthesisExecutor(bob).run(blocks, config, seeds)
 
     # The joiner synthesized nothing: every job adopted the owner's.
     owner_misses = owner_metrics.snapshot()["counters"]["cache.miss"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import socket
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +33,7 @@ from repro.exceptions import AdmissionRejected, ServiceError
 from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
 from repro.service import QuestService, ServiceClient
 from repro.service.ledger import JobLedger
-from repro.service.protocol import PROTOCOL_VERSION, JobRecord
+from repro.service.protocol import PROTOCOL_VERSION, JobRecord, encode_message
 from tests.helpers import wait_until_ready
 from tests.planning_oracle import planned_entry_keys
 
@@ -279,6 +280,31 @@ def test_wait_for_unknown_job_is_an_error(tmp_path):
     with running_service(tmp_path / "ledger") as (service, client):
         with pytest.raises(ServiceError, match="unknown job"):
             client.wait("job999999", timeout=1.0)
+
+
+def test_a_client_gone_before_its_reply_is_closed_quietly(tmp_path, caplog):
+    """A client that sends ``wait`` and closes before the reply: writing
+    the reply fails, and the daemon ends that connection without an
+    unhandled exception and keeps answering."""
+    injector = FaultInjector(specs=(FaultSpec("hang", None, 0),))
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    with running_service(
+        tmp_path / "ledger", fault_injector=injector
+    ) as (service, client):
+        # The hang holds the job until its deadline lapses.
+        job_id = client.submit(qasm, deadline_seconds=2.0)
+        wait = {
+            "type": "wait",
+            "version": PROTOCOL_VERSION,
+            "job_id": job_id,
+            "timeout_seconds": 0.2,
+        }
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.connect(client.socket_path)
+            raw.sendall(encode_message(wait))
+        assert client.wait(job_id, timeout=60.0)["state"] == "failed"
+        assert client.status()["ready"]
+    assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 @pytest.mark.parametrize("timeout", ["abc", float("nan"), -5.0])

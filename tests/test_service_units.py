@@ -395,3 +395,20 @@ def test_unreachable_daemon_leaks_no_socket(tmp_path):
         gc.collect()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert leaks == []
+
+
+@pytest.mark.parametrize("timeout", [-5.0, float("nan"), float("inf"), "abc"])
+def test_client_refuses_a_bad_wait_timeout_before_sending(timeout, monkeypatch):
+    # A -5 used to reach the daemon and fail as a connection error; NaN
+    # and inf raised out of socket.settimeout, and submit_and_wait had
+    # queued its job before the wait failed.
+    client = ServiceClient("/nonexistent/q.sock")
+    sent = []
+    monkeypatch.setattr(
+        client, "_request", lambda message, timeout: sent.append(message)
+    )
+    with pytest.raises(ServiceError, match="bad timeout"):
+        client.wait("job000000", timeout=timeout)
+    with pytest.raises(ServiceError, match="bad timeout"):
+        client.submit_and_wait("OPENQASM 2.0;", timeout=timeout)
+    assert sent == []

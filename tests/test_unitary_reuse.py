@@ -26,11 +26,12 @@ from repro.algorithms import tfim
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.parallel.cache import PoolCache
-from repro.parallel.executor import BlockSynthesisExecutor, assemble_pool
+from repro.parallel.executor import assemble_pool
 from repro.partition.scan import scan_partition
 from repro.resilience.validation import validate_pool
 from repro.sim.unitary import circuit_unitary
 from repro.transpile.basis import lower_to_basis
+from tests.helpers import run_executor
 
 CONFIG = QuestConfig(
     seed=3,
@@ -63,7 +64,7 @@ def warm_run(request, tmp_path_factory):
     rng = np.random.default_rng(CONFIG.seed)
     seeds = [int(rng.integers(2**31 - 1)) for _ in blocks]
     store = tmp_path_factory.mktemp("store")
-    BlockSynthesisExecutor(cache=PoolCache(store)).run(blocks, CONFIG, seeds)
+    run_executor(blocks, CONFIG, seeds, store=store)
 
     built: Counter = Counter()
     loaded: list = []
@@ -103,9 +104,7 @@ def warm_run(request, tmp_path_factory):
             )
         patch.setattr(PoolCache, "get", recording_get)
         patch.setattr(executor_module, "assemble_pool", recording_assemble)
-        pools, stats = BlockSynthesisExecutor(cache=PoolCache(store)).run(
-            blocks, CONFIG, seeds
-        )
+        pools, stats = run_executor(blocks, CONFIG, seeds, store=store)
     assert not stats.failure_log
     return blocks, pools, built, loaded, assembled
 
