@@ -14,7 +14,7 @@ import time
 
 from repro.algorithms import xy_model
 from repro.core import verify_bound
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.partition import scan_partition, stitch_blocks
 from repro.synthesis import LeapConfig, synthesize
 
@@ -32,18 +32,18 @@ def main() -> None:
         )
 
     # Synthesize an approximation pool for the first multi-CNOT block.
-    # The metrics registry counts LEAP's work while it runs.
+    # The ambient record counts LEAP's work while it runs.
     target_block = next(b for b in blocks if b.circuit.cnot_count() >= 2)
-    registry = MetricsRegistry()
+    record = Record()
     start = time.perf_counter()
-    with use_metrics(registry):
+    with use_record(record):
         solutions = synthesize(
             target_block.unitary(),
             LeapConfig(max_layers=4, seed=0, solutions_per_layer=3,
                        target_distance=0.15),
         )
     elapsed = time.perf_counter() - start
-    counters = registry.snapshot()["counters"]
+    counters = record.snapshot()["counters"]
     print(
         f"\nLEAP on block {target_block.index}: "
         f"{len(solutions)} solutions from "

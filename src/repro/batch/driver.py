@@ -17,9 +17,10 @@ circuit *i+1* overlaps the parent-side selection/annealing of circuit
 unchanged pipeline: per-circuit selections are **bit-identical** to
 running that circuit alone, because every shared result is keyed by the
 content-addressed entry key that pins the synthesis seed.  Pool threads
-do not inherit context variables, so each run is handed the caller's
-tracer (a trace keeps every circuit's spans), while each run counts
-into its own registry and the batch merges them in input order.
+do not inherit context variables, so each circuit's thread installs a
+record of its own that shares the caller's sink (a trace keeps every
+circuit's spans); the circuit's run merges into it, and the batch
+merges those records in input order.
 
 With ``config.store_dir``, every block is published to the store as its
 job lands; a killed batch rerun over the same store finds every block
@@ -35,13 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.quest import QuestConfig, QuestResult, run_quest
-from repro.observability import (
-    MetricsRegistry,
-    counter_property,
-    get_metrics,
-    get_tracer,
-    use_metrics,
-)
+from repro.observability import Record, counter_property, get_record, use_record
 from repro.parallel.substrate import open_substrate
 
 
@@ -133,42 +128,45 @@ def run_quest_batch(
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
-    registry = MetricsRegistry()
+    enclosing = get_record()
+    record = Record(enclosing.sink)
     # Opening the store sweeps orphans, which it counts.
-    with use_metrics(registry):
+    with use_record(record):
         substrate = open_substrate(config)
-    tracer = get_tracer()
     failed = threading.Event()
+    records = [Record(record.sink) for _ in circuits]
 
-    def compile_circuit(circuit):
+    def compile_circuit(circuit, circuit_record):
         # The failing thread sets this before its future resolves, so no
         # circuit still queued behind it starts.
         if failed.is_set():
             return None
         try:
-            return run_quest(
-                circuit, config, fault_injector=fault_injector, tracer=tracer, shared=substrate
-            )
+            with use_record(circuit_record):
+                return run_quest(
+                    circuit, config, fault_injector=fault_injector, shared=substrate
+                )
         except BaseException:
             failed.set()
             raise
 
     start = time.perf_counter()
-    with substrate, tracer.span("quest.batch", circuits=len(circuits), window=window):
+    with substrate, record.span("quest.batch", circuits=len(circuits), window=window):
         with ThreadPoolExecutor(
             max_workers=min(window, len(circuits)), thread_name_prefix="quest-batch"
         ) as threads:
-            futures = [threads.submit(compile_circuit, circuit) for circuit in circuits]
+            futures = [
+                threads.submit(compile_circuit, circuit, circuit_record)
+                for circuit, circuit_record in zip(circuits, records)
+            ]
             results = [future.result() for future in futures]
     wall = time.perf_counter() - start
 
     # Input order keeps the merged gauges and float sums deterministic.
-    for result in results:
-        registry.merge(result.metrics)
+    for circuit_record in records:
+        record.merge(circuit_record.snapshot())
     batch = BatchResult(
-        results=results, wall_seconds=wall, metrics=registry.snapshot()
+        results=results, wall_seconds=wall, metrics=record.snapshot()
     )
-    enclosing = get_metrics()
-    if enclosing.is_enabled:
-        enclosing.merge(batch.metrics)
+    enclosing.merge(batch.metrics)
     return batch

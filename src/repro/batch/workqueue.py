@@ -26,7 +26,7 @@ or daemon synthesizes each unique key once, with or without a store.
 They are never evicted: a daemon's registry grows with the distinct
 keys it has resolved; a solo run's is private and never joined.  The
 registry keeps no tallies: joins and stranded joiners are counted into
-the ambient metrics registry as ``dedup.inflight_joins`` and
+the ambient record as ``dedup.inflight_joins`` and
 ``registry.stranded_joiners``.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_record
 
 
 class InflightEntry:
@@ -86,14 +86,9 @@ class InflightRegistry:
                 # Re-claim across retry rounds: still ours to resolve.
                 return None
             entry = held[1]
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("dedup.inflight_joins")
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event(
-                "dedup.join", key=key[:12], resolved=entry.resolved
-            )
+        get_record().event(
+            "dedup.inflight_joins", key=key[:12], resolved=entry.resolved
+        )
         return entry
 
     def publish(self, key: str, owner: object, solutions) -> None:
@@ -147,10 +142,5 @@ class InflightRegistry:
         """
         ok = entry.wait(timeout)
         if not ok and not entry.event.is_set():
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("registry.stranded_joiners")
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event("dedup.stranded", timeout=timeout)
+            get_record().event("registry.stranded_joiners", timeout=timeout)
         return ok

@@ -42,12 +42,12 @@ from repro.core.quest import result_payload
 from repro.exceptions import ReproError, StoreError
 from repro.observability import (
     JsonlSink,
-    Tracer,
+    Record,
     configure_logging,
     get_logger,
     render_summary,
     summarize_trace,
-    use_tracer,
+    use_record,
 )
 from repro.resilience.faults import parse_fault_spec
 from repro.sim.unitary import MAX_UNITARY_QUBITS
@@ -745,15 +745,15 @@ def _compile_main(argv: list[str], *, batch: bool) -> int:
         except ValueError as exc:
             logger.error(f"error: --inject-faults: {exc}")
             return 2
-    tracer = None
+    sink = None
     if args.trace_file is not None:
         try:
-            tracer = Tracer(JsonlSink(args.trace_file))
+            sink = JsonlSink(args.trace_file)
         except OSError as exc:
             logger.error(f"error: --trace-file {args.trace_file}: {exc}")
             return 2
     try:
-        with use_tracer(tracer):
+        with use_record(Record(sink)):
             if batch:
                 run = run_quest_batch(
                     circuits,
@@ -769,8 +769,8 @@ def _compile_main(argv: list[str], *, batch: bool) -> int:
         logger.error(f"QUEST failed: {exc}")
         return 1
     finally:
-        if tracer is not None:
-            tracer.close()
+        if sink is not None:
+            sink.close()
     if batch:
         logger.info(run.summary())
     violated = []

@@ -32,7 +32,7 @@ from scipy.special import gammaln
 
 from repro.core.objective import ChoiceScorer, SelectionObjective
 from repro.exceptions import SelectionError
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_record
 
 #: Search spaces up to this many points are enumerated exactly.
 EXHAUSTIVE_CUTOFF = 65536
@@ -305,8 +305,7 @@ def select_approximations(
         else np.random.SeedSequence(seed)
     )
     run_seeds = seed_seq.spawn(max_samples)
-    tracer = get_tracer()
-    metrics = get_metrics()
+    record = get_record()
     result = SelectionResult()
     objective.selected.clear()
     objective.scalar_evaluations = 0
@@ -324,14 +323,14 @@ def select_approximations(
             objective.scalar_evaluations += annealed.evaluations
             choice = annealed.choice
         result.annealer_runs += 1
-        if tracer.is_enabled:
-            tracer.event(
-                "selection.round",
-                round=sample_index,
-                exhaustive=use_exhaustive,
-                bound=float(objective.choice_bound(choice)),
-            )
-        if objective.choice_bound(choice) > objective.threshold:
+        bound = objective.choice_bound(choice)
+        record.event(
+            "selection.rounds",
+            round=sample_index,
+            exhaustive=use_exhaustive,
+            bound=bound,
+        )
+        if bound > objective.threshold:
             if result.choices:
                 break
             # The annealer failed to land on a feasible point; the
@@ -339,7 +338,8 @@ def select_approximations(
             # feasible for any non-negative threshold — QUEST degrades to
             # the Baseline rather than failing.
             choice = np.zeros(objective.num_blocks, dtype=int)
-            if objective.choice_bound(choice) > objective.threshold:
+            bound = objective.choice_bound(choice)
+            if bound > objective.threshold:
                 raise SelectionError(
                     "no feasible approximation under the process-distance "
                     "threshold; raise the threshold or synthesize tighter "
@@ -350,14 +350,12 @@ def select_approximations(
             break  # The paper's stopping rule: a repeat ends selection.
         result.choices.append(choice)
         result.cnot_counts.append(objective.choice_cnot_count(choice))
-        result.bounds.append(objective.choice_bound(choice))
+        result.bounds.append(bound)
         result.objective_values.append(value)
         objective.selected.append(choice)
     result.scalar_evaluations = objective.scalar_evaluations
     result.batched_evaluations = objective.batched_evaluations
-    if metrics.is_enabled:
-        metrics.inc("selection.rounds", result.annealer_runs)
-        metrics.inc("selection.batch_evals", result.batched_evaluations)
-        metrics.inc("selection.scalar_evals", result.scalar_evaluations)
-        metrics.gauge("selection.num_selected", result.num_selected)
+    record.inc("selection.batch_evals", result.batched_evaluations)
+    record.inc("selection.scalar_evals", result.scalar_evaluations)
+    record.gauge("selection.num_selected", result.num_selected)
     return result

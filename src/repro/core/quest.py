@@ -33,14 +33,7 @@ from repro.core.annealing import SelectionResult, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool
 from repro.exceptions import SelectionError
-from repro.observability import (
-    MetricsRegistry,
-    counter_property,
-    get_metrics,
-    get_tracer,
-    use_metrics,
-    use_tracer,
-)
+from repro.observability import Record, counter_property, get_record, use_record
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.parallel.substrate import open_substrate
 from repro.partition.blocks import CircuitBlock, stitch_blocks
@@ -230,9 +223,9 @@ class QuestResult:
     #: Structured log of every failed synthesis attempt (block index,
     #: attempt, failure kind, exception text); empty on a clean run.
     failure_log: list[FailureRecord] = field(default_factory=list)
-    #: Snapshot of the run's metrics registry (counters / gauges /
-    #: histograms; see :mod:`repro.observability.metrics`), dumped by the
-    #: CLI via ``--metrics-json``.
+    #: Snapshot of the run's record (counters / gauges / histograms; see
+    #: :mod:`repro.observability.trace`), dumped by the CLI via
+    #: ``--metrics-json``.
     metrics: dict = field(default_factory=dict)
     #: Independent certification report per selected approximation
     #: (same order as ``circuits``); populated only when
@@ -362,10 +355,9 @@ class QuestResult:
             raise SelectionError("no selected circuits to evaluate")
         engine = resolve_engine(engine, self.baseline.num_qubits)
         rng = np.random.default_rng(rng)
-        tracer = get_tracer()
-        metrics = get_metrics()
+        record = get_record()
         start = time.perf_counter()
-        with tracer.span(
+        with record.span(
             "quest.noisy_eval",
             circuits=len(self.circuits),
             trajectories=TRAJECTORIES,
@@ -383,8 +375,7 @@ class QuestResult:
                 ]
             averaged = average_distributions(distributions)
         self.timings.noisy_eval_seconds += time.perf_counter() - start
-        if metrics.is_enabled:
-            metrics.inc("noisy_eval.circuits", len(self.circuits))
+        record.inc("noisy_eval.circuits", len(self.circuits))
         return averaged
 
 
@@ -435,7 +426,6 @@ def run_quest(
     config: QuestConfig | None = None,
     *,
     fault_injector=None,
-    tracer=None,
     shared=None,
 ) -> QuestResult:
     """Run the full QUEST pipeline on ``circuit``.
@@ -452,13 +442,15 @@ def run_quest(
     and simply misses.  ``fault_injector`` deterministically injects
     faults for testing (see :mod:`repro.resilience.faults`).
 
-    ``tracer`` (a :class:`repro.observability.Tracer`, default: the
-    ambient tracer, usually disabled) receives a span per pipeline
-    phase plus the inner synthesis/selection events; tracing never
-    touches an RNG, so results are bit-identical with it on or off.
-    The run counts into a fresh metrics registry, snapshotted into
-    ``QuestResult.metrics`` and, raised or not, merged into an enabled
-    ambient registry.
+    The run counts into a fresh :class:`~repro.observability.Record`
+    that shares the ambient record's sink: a caller traces a run by
+    installing a record with a sink (``with
+    use_record(Record(JsonlSink(path))): run_quest(...)``), which then
+    receives a span per pipeline phase plus the inner synthesis and
+    selection events.  Recording never touches an RNG, so results are
+    bit-identical traced or not.  The run's counts are snapshotted
+    into ``QuestResult.metrics`` and, raised or not, merged into the
+    ambient record.
 
     ``shared`` is the :class:`~repro.parallel.substrate.Substrate` of a
     batch or daemon, whose worker pool, store and in-flight registry
@@ -468,25 +460,18 @@ def run_quest(
     selections stay bit-identical to a solo run's.
     """
     config = config or QuestConfig()
-    tracer = tracer if tracer is not None else get_tracer()
-    enclosing = get_metrics()
-    metrics = MetricsRegistry()
+    enclosing = get_record()
+    record = Record(enclosing.sink)
     try:
-        with use_tracer(tracer), use_metrics(metrics):
-            with tracer.span(
-                "quest.run",
-                qubits=circuit.num_qubits,
-                workers=config.workers,
-            ), (
-                nullcontext(shared) if shared is not None else open_substrate(config)
-            ) as substrate:
-                result = _run_pipeline(
-                    circuit, config, fault_injector, tracer, metrics, substrate
-                )
+        with use_record(record), record.span(
+            "quest.run", qubits=circuit.num_qubits, workers=config.workers
+        ), (
+            nullcontext(shared) if shared is not None else open_substrate(config)
+        ) as substrate:
+            result = _run_pipeline(circuit, config, fault_injector, record, substrate)
     finally:
-        snapshot = metrics.snapshot()
-        if enclosing.is_enabled:
-            enclosing.merge(snapshot)
+        snapshot = record.snapshot()
+        enclosing.merge(snapshot)
     result.metrics = snapshot
     return result
 
@@ -495,11 +480,10 @@ def _run_pipeline(
     circuit: Circuit,
     config: QuestConfig,
     fault_injector,
-    tracer,
-    metrics,
+    record: Record,
     substrate,
 ) -> QuestResult:
-    """The pipeline body; runs under the ambient tracer/metrics pair."""
+    """The pipeline body; runs with ``record`` the ambient record."""
     rng = np.random.default_rng(config.seed)
     baseline = lower_to_basis(circuit.without_measurements())
     if baseline.cnot_count() == 0:
@@ -508,14 +492,13 @@ def _run_pipeline(
     result = QuestResult(original=circuit, baseline=baseline)
 
     start = time.perf_counter()
-    with tracer.span("quest.partition"):
+    with record.span("quest.partition"):
         result.blocks = scan_partition(baseline, config.max_block_qubits)
     result.timings.partition_seconds = time.perf_counter() - start
-    if metrics.is_enabled:
-        metrics.gauge("partition.blocks", len(result.blocks))
+    record.gauge("partition.blocks", len(result.blocks))
 
     start = time.perf_counter()
-    with tracer.span("quest.synthesis", blocks=len(result.blocks)):
+    with record.span("quest.synthesis", blocks=len(result.blocks)):
         block_seeds = _draw_block_seeds(rng, len(result.blocks))
         executor = BlockSynthesisExecutor(
             substrate,
@@ -542,7 +525,7 @@ def _run_pipeline(
         original_cnot_count=baseline.cnot_count(),
     )
     start = time.perf_counter()
-    with tracer.span("quest.selection", blocks=len(result.pools)):
+    with record.span("quest.selection", blocks=len(result.pools)):
         result.selection = select_approximations(
             objective,
             max_samples=config.max_samples,
@@ -550,7 +533,7 @@ def _run_pipeline(
         )
     result.timings.selection_seconds = time.perf_counter() - start
 
-    with tracer.span("quest.stitch", circuits=result.selection.num_selected):
+    with record.span("quest.stitch", circuits=result.selection.num_selected):
         for choice in result.selection.choices:
             chosen_blocks = [
                 pool.block.with_circuit(pool.candidates[int(index)].circuit)
@@ -562,7 +545,7 @@ def _run_pipeline(
 
     if config.certify:
         start = time.perf_counter()
-        with tracer.span("quest.certify", circuits=len(result.circuits)):
+        with record.span("quest.certify", circuits=len(result.circuits)):
             result.certifications = certify_result(
                 result,
                 block_qubits=config.max_block_qubits,
@@ -570,17 +553,12 @@ def _run_pipeline(
                 seed=config.seed,
             )
             for index, report in enumerate(result.certifications):
-                tracer.event(
-                    "certify.report",
+                record.event(
+                    "certify.passed" if report.ok else "certify.failed",
                     circuit=index,
-                    ok=report.ok,
                     regime=report.regime,
                     claimed_total=report.claimed_total,
                     first_failed_block=report.first_failed_block,
                 )
-                if metrics.is_enabled:
-                    metrics.inc(
-                        "certify.passed" if report.ok else "certify.failed"
-                    )
         result.timings.certify_seconds = time.perf_counter() - start
     return result

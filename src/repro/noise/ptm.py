@@ -17,9 +17,8 @@ Representation.  For ``n`` qubits the state is the real vector
 facts make this fast:
 
 * a unitary gate's PTM is computed from ``k <= 3`` qubit matrices
-  (at most ``64 x 64``), once, and cached by the global-phase-canonical
-  gate hash plus the channel fingerprint (the
-  :class:`~repro.parallel.cache.PoolCache` content-addressing idiom);
+  (at most ``64 x 64``), once, and cached under the exact gate (name
+  and parameters) and the exact rates of its fused channel;
 * a Pauli channel is *diagonal* in the Pauli basis — entry ``j`` is
   ``(1 - p_tot) + sum_a p_a s(a, j)`` with ``s = +-1`` for
   commuting/anticommuting strings — so gate+channel compose by scaling
@@ -59,21 +58,20 @@ from repro.noise.model import (
     noise_schedule,
     pauli_matrix,
 )
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_record
 
 #: Practical ceiling of the PTM engine: the Pauli vector is ``4^n``
 #: floats per ensemble member (n=12 -> 128 MiB), and each contraction
 #: touches all of it.  Beyond this, the trajectory sampler wins.
 MAX_PTM_QUBITS = 12
 
-#: Probability digits mixed into channel fingerprints; rates closer
-#: than 1e-12 share a compiled PTM, far below any physical calibration.
-_FINGERPRINT_DECIMALS = 12
-
-#: Decimal places of the gate-matrix cache key (see
-#: :meth:`PtmCache.gate_channel_ptm` for why this is finer than the
-#: synthesis cache's default).
-_KEY_DECIMALS = 14
+#: Most gate and channel PTMs the compile cache keeps, and most
+#: compiled programs; past either bound the least recently used entry
+#: leaves.  Both sit well above a benchmark working set: a Table-1 pass
+#: with every ensemble and baseline evaluated holds about 175 PTMs and
+#: 16 programs, ``tfim(8, steps=2)`` about 200 and 9.
+MAX_CACHED_PTMS = 1024
+MAX_CACHED_PROGRAMS = 64
 
 _LETTERS = string.ascii_lowercase
 
@@ -169,20 +167,15 @@ def trace_preservation_defect(ptm: np.ndarray) -> float:
     return float(np.max(np.abs(row)))
 
 
-def _terms_fingerprint(terms) -> tuple:
-    """Hashable channel fingerprint: rounded rates + labels, in order."""
-    return tuple(
-        (round(float(p), _FINGERPRINT_DECIMALS), label) for p, label in terms
-    )
-
-
 def _program_key(circuit: Circuit, noise: NoiseModel) -> tuple:
-    """Content key of a compiled program: circuit ops + channel rates.
+    """Key of a compiled program: the circuit's unitary ops, as
+    ``(name, qubits, params)`` in the order :func:`noise_schedule`
+    walks them, and the exact channel rates.
 
     Gates are fully determined by ``(name, params)`` and readout error
     is applied outside the program, so this tuple captures everything
     compilation depends on — and building it is pure Python, orders of
-    magnitude cheaper than re-hashing every gate matrix.
+    magnitude cheaper than hashing every gate matrix.
     """
     return (
         circuit.num_qubits,
@@ -191,23 +184,42 @@ def _program_key(circuit: Circuit, noise: NoiseModel) -> tuple:
             for op in circuit.operations
             if op.name not in ("measure", "barrier")
         ),
-        round(float(noise.one_qubit_error), _FINGERPRINT_DECIMALS),
-        round(float(noise.two_qubit_error), _FINGERPRINT_DECIMALS),
+        float(noise.one_qubit_error),
+        float(noise.two_qubit_error),
     )
 
 
-class PtmCache:
-    """Content-addressed cache of compiled PTMs.
+def _recall(table: dict, key):
+    """``table[key]`` made the most recently used, or None if absent."""
+    entry = table.pop(key, None)
+    if entry is not None:
+        table[key] = entry
+    return entry
 
-    Gate PTMs are keyed by the global-phase-canonical hash of the gate
-    matrix (PTMs are phase-invariant, so ``U`` and ``e^{i theta} U``
-    share an entry — the same canonicalization the synthesis
-    :class:`~repro.parallel.cache.PoolCache` uses) mixed with the
-    fingerprint of the attached Pauli channel.  Every miss is validated
-    (trace preservation + complete positivity) before it is stored, so
-    nothing unphysical can enter the evolution loop, cached or not.
-    Lookups count as ``ptm.compile_cache_hits`` and
-    ``ptm.compile_cache_misses`` in the ambient metrics registry.
+
+def _admit(table: dict, key, entry, bound: int):
+    """Add ``entry`` under ``key``, then drop the least recently used
+    entries past ``bound``; returns ``entry``."""
+    table[key] = entry
+    while len(table) > bound:
+        del table[next(iter(table))]
+    return entry
+
+
+class PtmCache:
+    """Bounded, exactly keyed cache of compiled PTMs and programs.
+
+    A gate PTM is keyed by the exact gate (name and parameters) and the
+    exact ``(rate, label)`` terms of the channel fused into it, a
+    channel diagonal by its exact terms, and a program by
+    :func:`_program_key`.  Exact keys make a result independent of what
+    the process evaluated before: no two gates share an entry.  Each
+    tier keeps its least recently used entries up to
+    :data:`MAX_CACHED_PTMS` or :data:`MAX_CACHED_PROGRAMS`.  Every miss
+    is validated (trace preservation + complete positivity) before it is
+    stored, so nothing unphysical can enter the evolution loop, cached
+    or not.  PTM lookups count as ``ptm.compile_cache_hits`` and
+    ``ptm.compile_cache_misses`` in the ambient record.
     """
 
     def __init__(self) -> None:
@@ -230,45 +242,28 @@ class PtmCache:
         the gate PTMs hit, but the per-op hashing itself dominates the
         warm path.
         """
-        entry = self._programs.get(key)
+        entry = _recall(self._programs, key)
         if entry is None:
-            entry = self._programs[key] = build()
+            entry = _admit(self._programs, key, build(), MAX_CACHED_PROGRAMS)
         return entry
 
     def _lookup(self, key: tuple, build) -> np.ndarray:
-        metrics = get_metrics()
-        entry = self._entries.get(key)
+        record = get_record()
+        entry = _recall(self._entries, key)
         if entry is not None:
-            if metrics.is_enabled:
-                metrics.inc("ptm.compile_cache_hits")
+            record.inc("ptm.compile_cache_hits")
             return entry
-        if metrics.is_enabled:
-            metrics.inc("ptm.compile_cache_misses")
+        record.inc("ptm.compile_cache_misses")
         entry = build()
         entry.setflags(write=False)
-        self._entries[key] = entry
-        return entry
+        return _admit(self._entries, key, entry, MAX_CACHED_PTMS)
 
     def gate_channel_ptm(
-        self, gate: np.ndarray, terms, arity: int
+        self, name: str, params: tuple, gate: np.ndarray, terms, arity: int
     ) -> np.ndarray:
-        """Compiled PTM of ``gate`` followed by the Pauli channel ``terms``."""
-        # Imported lazily: the noise package initializes before the
-        # synthesis stack that repro.parallel.cache pulls in.
-        from repro.parallel.cache import canonical_unitary_bytes
-
-        key = (
-            "gate",
-            arity,
-            # The synthesis cache's default 8-decimal rounding merges
-            # unitaries ~1e-8 apart — fine for pool reuse, but here a
-            # collision substitutes one gate's PTM for another and the
-            # substitution error compounds per gate.  14 decimals keeps
-            # keys stable for genuinely repeated matrices while holding
-            # collision error below the engine's 1e-10 agreement pin.
-            canonical_unitary_bytes(gate, decimals=_KEY_DECIMALS),
-            _terms_fingerprint(terms),
-        )
+        """Compiled PTM of gate ``name(params)``, whose matrix is
+        ``gate``, followed by the Pauli channel ``terms``."""
+        key = ("gate", name, params, tuple(terms))
 
         def build() -> np.ndarray:
             from repro.resilience.validation import validate_ptm
@@ -285,7 +280,7 @@ class PtmCache:
 
     def channel_diag(self, terms, arity: int) -> np.ndarray:
         """Compiled diagonal of a bare Pauli channel (no gate)."""
-        key = ("diag", arity, _terms_fingerprint(terms))
+        key = ("diag", tuple(terms))
 
         def build() -> np.ndarray:
             from repro.resilience.validation import validate_ptm
@@ -353,25 +348,33 @@ def compile_circuit(circuit: Circuit, noise: NoiseModel) -> PtmProgram:
     one- or two-qubit gate's own channel, which fuses into its PTM.
     """
     cache = _DEFAULT_CACHE
+    key = _program_key(circuit, noise)
     return cache.program(
-        _program_key(circuit, noise),
-        lambda: _compile_circuit(circuit, noise, cache),
+        key, lambda: _compile_circuit(circuit, noise, key[1], cache)
     )
 
 
 def _compile_circuit(
-    circuit: Circuit, noise: NoiseModel, cache: PtmCache
+    circuit: Circuit, noise: NoiseModel, gate_ops: tuple, cache: PtmCache
 ) -> PtmProgram:
-    """Program-cache miss path: walk the schedule through the gate cache."""
+    """Program-cache miss path: walk the schedule through the gate
+    cache.  ``gate_ops`` are the program key's ``(name, qubits,
+    params)``, one per schedule entry."""
     ops: list[PtmOp] = []
-    for gate, qubits, channels in noise_schedule(circuit, noise):
+    schedule = noise_schedule(circuit, noise)
+    for (name, _, params), (gate, qubits, channels) in zip(gate_ops, schedule):
         fused = ()
         if channels and channels[0].qubits == qubits:
             # Only a one- or two-qubit gate's own channel sits on its
             # qubits; channel-after-gate composes into one PTM.
             fused, channels = channels[0].terms, channels[1:]
         ops.append(
-            PtmOp(qubits, matrix=cache.gate_channel_ptm(gate, fused, len(qubits)))
+            PtmOp(
+                qubits,
+                matrix=cache.gate_channel_ptm(
+                    name, params, gate, fused, len(qubits)
+                ),
+            )
         )
         ops += [
             PtmOp(
@@ -502,9 +505,8 @@ def run_ptm_ensemble(circuits: list[Circuit], noise: NoiseModel) -> np.ndarray:
         )
     num_qubits = widths.pop()
     _check_capacity(num_qubits)
-    tracer = get_tracer()
-    metrics = get_metrics()
-    with tracer.span(
+    record = get_record()
+    with record.span(
         "ptm.ensemble",
         circuits=len(circuits),
         qubits=num_qubits,
@@ -513,8 +515,7 @@ def run_ptm_ensemble(circuits: list[Circuit], noise: NoiseModel) -> np.ndarray:
         groups: dict[tuple, list[int]] = {}
         for index, program in enumerate(programs):
             groups.setdefault(program.signature, []).append(index)
-        if metrics.is_enabled:
-            metrics.inc("ptm.ensemble_groups", len(groups))
+        record.inc("ptm.ensemble_groups", len(groups))
         initial = _initial_pauli_vector(num_qubits)
         out = np.empty((len(circuits), 2**num_qubits))
         for members in groups.values():
@@ -551,8 +552,7 @@ def run_ptm_ensemble(circuits: list[Circuit], noise: NoiseModel) -> np.ndarray:
                         not shared,
                     )
                 contractions += 1
-            if metrics.is_enabled:
-                metrics.inc("ptm.contractions", contractions)
+            record.inc("ptm.contractions", contractions)
             probs = _pauli_to_probabilities(states, num_qubits, batch)
             probs = np.clip(probs, 0.0, None)
             probs /= probs.sum(axis=1, keepdims=True)

@@ -1,30 +1,23 @@
-"""Observability substrate: spans, metrics, structured logging.
+"""Observability substrate: the run record, structured logging, and
+trace summaries.
 
-One consistent event vocabulary threads through every pipeline layer
-(see DESIGN.md "Observability layer" for the full table); this package
+One vocabulary threads through every pipeline layer (see DESIGN.md
+"Observability layer" for the table): the counter names.  This package
 provides the mechanisms:
 
-* :mod:`repro.observability.trace` — span tracer + JSON-lines sinks;
-* :mod:`repro.observability.metrics` — counters / gauges / histograms;
+* :mod:`repro.observability.trace` — the run :class:`Record`, which
+  always counts and, given a sink, traces spans and events as JSON
+  lines;
 * :mod:`repro.observability.logs` — the ``repro`` logger configuration;
 * :mod:`repro.observability.summary` — trace aggregation for the
   ``python -m repro trace-summary`` subcommand.
 
-Tracing and metrics are ambient (context-variable scoped) so inner
-layers need no signature changes, and both default to no-op
-implementations: an untraced run pays one ``is_enabled`` check per
-would-be record.
+The record is ambient (context-variable scoped) so inner layers need no
+signature changes.  Outside a run it is :data:`NULL_RECORD`, which
+neither counts nor traces.
 """
 
 from repro.observability.logs import configure_logging, get_logger
-from repro.observability.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    NullMetrics,
-    counter_property,
-    get_metrics,
-    use_metrics,
-)
 from repro.observability.summary import (
     STAGE_SPANS,
     SpanStats,
@@ -34,33 +27,27 @@ from repro.observability.summary import (
     summarize_trace,
 )
 from repro.observability.trace import (
-    NULL_TRACER,
+    NULL_RECORD,
     TRACE_VERSION,
     JsonlSink,
     ListSink,
-    NullTracer,
+    Record,
     Span,
-    Tracer,
-    get_tracer,
-    use_tracer,
+    counter_property,
+    get_record,
+    use_record,
 )
 
 __all__ = [
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
+    "Record",
+    "NULL_RECORD",
     "Span",
     "JsonlSink",
     "ListSink",
-    "get_tracer",
-    "use_tracer",
+    "get_record",
+    "use_record",
     "TRACE_VERSION",
-    "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
     "counter_property",
-    "get_metrics",
-    "use_metrics",
     "configure_logging",
     "get_logger",
     "TraceSummary",

@@ -59,53 +59,51 @@ class TraceSummary:
 
 
 def iter_trace_records(path: str | Path):
-    """Yield ``(record, None)`` per parsed line, ``(None, line)`` on junk."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
+    """Yield each non-blank line's record dict, or None for a line that
+    is not one (not UTF-8, not JSON, or not an object)."""
+    with open(path, "rb") as handle:
+        for raw in handle:
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
             except ValueError:
-                yield None, line
+                yield None
                 continue
-            if isinstance(record, dict):
-                yield record, None
-            else:
-                yield None, line
+            yield record if isinstance(record, dict) else None
 
 
 def summarize_records(records) -> TraceSummary:
-    """Aggregate an iterable of trace record dicts."""
+    """Aggregate an iterable of trace record dicts.
+
+    A None, or a span whose ``dur`` is not a number, counts as a
+    malformed line.
+    """
     summary = TraceSummary()
     for record in records:
-        summary.records += 1
+        if record is None:
+            summary.malformed_lines += 1
+            continue
         kind = record.get("type")
         name = str(record.get("name", "?"))
         if kind == "span":
+            try:
+                duration = float(record.get("dur", 0.0))
+            except (TypeError, ValueError):
+                summary.malformed_lines += 1
+                continue
             stats = summary.spans.setdefault(name, SpanStats())
-            stats.add(
-                float(record.get("dur", 0.0)),
-                record.get("status") == "error",
-            )
+            stats.add(duration, record.get("status") == "error")
         elif kind == "event":
             summary.events[name] = summary.events.get(name, 0) + 1
+        summary.records += 1
     return summary
 
 
 def summarize_trace(path: str | Path) -> TraceSummary:
     """Parse and aggregate a JSON-lines trace file."""
-    parsed = []
-    malformed = 0
-    for record, junk in iter_trace_records(path):
-        if record is None:
-            malformed += 1
-        else:
-            parsed.append(record)
-    summary = summarize_records(parsed)
-    summary.malformed_lines = malformed
-    return summary
+    return summarize_records(iter_trace_records(path))
 
 
 def _table(header: list[str], rows: list[list[str]]) -> list[str]:

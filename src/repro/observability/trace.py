@@ -1,38 +1,53 @@
-"""Span-based tracing with JSON-lines sinks.
+"""The run record: counts always, and a trace of spans and events when
+it holds a sink.
 
-The tracer gives every stage of a QUEST run an inspectable record: a
-*span* wraps a timed region (``with trace.span("synthesis.block",
-block=i): ...``), an *event* marks a point-in-time occurrence (a cache
-hit, a retry, an injected fault).  Both are emitted as one JSON object
-per line to a pluggable sink, so a full run produces a flat, greppable,
-stream-parseable trace (rendered by ``python -m repro trace-summary``).
+A :class:`Record` is a run's one account of what it did.  It keeps three
+shapes of count:
 
-Design constraints, in order:
+* **counters** (``inc``) — growing totals, e.g. ``cache.miss``,
+  ``selection.batch_evals``;
+* **gauges** (``gauge``) — last-observed values, e.g.
+  ``partition.blocks``;
+* **histograms** (``observe``) — streaming summaries (count / sum /
+  min / max) of a distribution, e.g. ``synthesis.pool_size``.
 
-**Zero cost when disabled.**  The default tracer is :data:`NULL_TRACER`,
-whose ``span``/``event`` are attribute-lookup-cheap no-ops; hot loops
-additionally guard on ``tracer.is_enabled`` so the disabled path never
-builds an attribute dict.  The pipeline's results must be bit-identical
-with tracing on or off — the tracer never touches an RNG.
+Given a sink it also traces: a *span* wraps a timed region (``with
+record.span("synthesis.block", block=i): ...``) and an *event* marks a
+point-in-time occurrence, each written as one JSON object per line
+(rendered by ``python -m repro trace-summary``).  An event is a count
+too: ``event(name)`` adds one to counter ``name`` whether or not the
+record traces, so every event name in a trace is a counter name, and
+its total in the trace equals the counter.
 
-**Monotonic durations.**  Span durations come from ``time.monotonic()``
-(immune to wall-clock steps); the ``ts`` field is wall-clock
-``time.time()`` purely for human correlation across processes.
+**The ambient record.**  Components read the current record with
+:func:`get_record` and keep no tallies of their own.  It is
+:data:`NULL_RECORD`, which neither counts nor traces, unless a run
+installs one with :func:`use_record`;
+:func:`repro.core.quest.run_quest` counts every run into a fresh record
+that shares its caller's sink.  A record never touches an RNG, so
+results are bit-identical whatever it records.
+
+**Monotonic durations.**  Span durations come from ``time.monotonic()``;
+``ts`` is wall-clock ``time.time()``, for correlation across processes.
 
 **Nesting and safety.**  The current span lives in a
-:class:`~contextvars.ContextVar`, so nesting works per-thread (and
-per-``asyncio`` task) without explicit plumbing; span ids embed the pid
-plus a locked counter, and :class:`JsonlSink` writes whole lines under a
-lock, so concurrent threads interleave records, never bytes.
+:class:`~contextvars.ContextVar`, so nesting works per thread and per
+``asyncio`` task; span ids embed the pid plus a process-wide count.  Every
+mutator takes the record's lock, and :class:`JsonlSink` writes whole
+lines under a lock, so threads sharing a record interleave records,
+never bytes.
 
-**Worker marshalling.**  Worker processes cannot share the parent's
-sink.  They record into a :class:`ListSink` via a ``Tracer`` constructed
-with ``origin="worker"``, return the record list with their payload, and
-the parent re-emits it through :meth:`Tracer.replay`.
+**Worker marshalling.**  A worker process counts into a fresh record
+stamped ``origin="worker"``, tracing into a :class:`ListSink`
+only when the parent traces, and returns the records and a
+:meth:`Record.snapshot` with its payload; the parent re-emits the
+records through :meth:`Record.replay` and folds the snapshot in with
+:meth:`Record.merge`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -41,7 +56,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
 
-#: Bump when the record layout changes incompatibly.
+#: Bump when the trace record layout changes incompatibly.
 TRACE_VERSION = 1
 
 
@@ -69,9 +84,6 @@ class ListSink:
     def emit(self, record: dict) -> None:
         self.records.append(record)
 
-    def close(self) -> None:
-        pass
-
 
 class JsonlSink:
     """Append-only JSON-lines file sink.
@@ -79,7 +91,7 @@ class JsonlSink:
     Each record is serialized and written as one complete line under a
     lock, so records from concurrent threads interleave line-wise, never
     byte-wise.  The handle is flushed per record: a crashed run keeps
-    every event emitted before the crash.
+    every record emitted before the crash.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -105,9 +117,14 @@ _CURRENT_SPAN: ContextVar[str | None] = ContextVar(
     "repro_current_span", default=None
 )
 
+#: Span ordinals, process-wide so that the records of every run sharing
+#: a sink carry distinct ids (``next`` on a count is atomic).
+_SPAN_ORDINALS = itertools.count(1)
+
 
 class _NullSpan:
-    """Reusable no-op context manager returned by the null tracer."""
+    """Reusable no-op context manager: the span of a record that does
+    not trace."""
 
     __slots__ = ()
 
@@ -121,34 +138,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class NullTracer:
-    """Disabled tracer: every operation is a no-op.
-
-    ``span`` returns a shared singleton context manager and ``event``
-    returns immediately, so instrumentation costs one attribute lookup
-    and one call on the disabled path; loops that would build attribute
-    dicts guard on :attr:`is_enabled` to avoid even that.
-    """
-
-    is_enabled = False
-    __slots__ = ()
-
-    def span(self, name: str, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def event(self, name: str, **attrs) -> None:
-        return None
-
-    def replay(self, records) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-
-NULL_TRACER = NullTracer()
-
-
 class Span:
     """One timed region; emits a single ``span`` record when it closes.
 
@@ -159,18 +148,18 @@ class Span:
     """
 
     __slots__ = (
-        "_tracer", "name", "attrs",
+        "_record", "name", "attrs",
         "span_id", "parent_id", "_start", "_wall", "_token",
     )
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict) -> None:
-        self._tracer = tracer
+    def __init__(self, record: "Record", name: str, attrs: dict) -> None:
+        self._record = record
         self.name = name
         self.attrs = attrs
 
     def __enter__(self) -> "Span":
         self.parent_id = _CURRENT_SPAN.get()
-        self.span_id = self._tracer._new_id()
+        self.span_id = f"{os.getpid():x}:{next(_SPAN_ORDINALS):x}"
         self._token = _CURRENT_SPAN.set(self.span_id)
         self._wall = time.time()
         self._start = time.monotonic()
@@ -194,43 +183,120 @@ class Span:
             record["error"] = f"{exc_type.__name__}: {exc}"
         if self.attrs:
             record["attrs"] = self.attrs
-        self._tracer._emit(record)
+        self._record._emit(record)
         return False
 
 
-class Tracer:
-    """Enabled tracer writing span/event records to ``sink``.
+class Record:
+    """A run's counts and, with a ``sink``, its trace.
 
-    ``origin`` (e.g. ``"worker"``) is stamped on every record emitted by
-    this instance, so marshalled worker records stay distinguishable
+    ``origin`` (e.g. ``"worker"``) is stamped on every trace record this
+    instance emits, so marshalled worker records stay distinguishable
     after the parent replays them into the run's sink.
     """
 
-    is_enabled = True
-
-    def __init__(self, sink, origin: str | None = None) -> None:
+    def __init__(self, sink=None, origin: str | None = None) -> None:
         self.sink = sink
         self.origin = origin
         self._lock = threading.Lock()
-        self._count = 0
+        self._counters: dict[str, float] = {}
+        self._gauges: dict[str, float] = {}
+        # name -> [count, total, min, max]
+        self._histograms: dict[str, list[float]] = {}
 
-    def _new_id(self) -> str:
+    @property
+    def is_enabled(self) -> bool:
+        """Whether this record traces (holds a sink).  Guard only the
+        attributes that cost work to compute on it."""
+        return self.sink is not None
+
+    # -- Counts --------------------------------------------------------
+    def inc(self, name: str, value: float = 1) -> None:
+        """Add ``value`` to counter ``name`` (created at 0)."""
         with self._lock:
-            self._count += 1
-            count = self._count
-        return f"{os.getpid():x}:{count:x}"
+            self._counters[name] = self._counters.get(name, 0) + value
 
+    def gauge(self, name: str, value: float) -> None:
+        """Set gauge ``name`` to its latest observed ``value``."""
+        with self._lock:
+            self._gauges[name] = value
+
+    def observe(self, name: str, value: float) -> None:
+        """Fold ``value`` into histogram ``name``'s running summary."""
+        value = float(value)
+        with self._lock:
+            entry = self._histograms.get(name)
+            if entry is None:
+                self._histograms[name] = [1, value, value, value]
+            else:
+                entry[0] += 1
+                entry[1] += value
+                entry[2] = min(entry[2], value)
+                entry[3] = max(entry[3], value)
+
+    def snapshot(self) -> dict:
+        """JSON-serializable copy of every count."""
+        with self._lock:
+            return {
+                "counters": dict(self._counters),
+                "gauges": dict(self._gauges),
+                "histograms": {
+                    name: {
+                        "count": entry[0],
+                        "sum": entry[1],
+                        "min": entry[2],
+                        "max": entry[3],
+                        "mean": entry[1] / entry[0],
+                    }
+                    for name, entry in self._histograms.items()
+                },
+            }
+
+    def merge(self, snapshot: dict) -> None:
+        """Fold another record's :meth:`snapshot` into this one.
+
+        Counters and histogram summaries combine exactly; gauges adopt
+        the merged snapshot's value (last write wins), matching their
+        "latest observation" semantics.
+        """
+        if not snapshot:
+            return
+        with self._lock:
+            for name, value in snapshot.get("counters", {}).items():
+                self._counters[name] = self._counters.get(name, 0) + value
+            self._gauges.update(snapshot.get("gauges", {}))
+            for name, summary in snapshot.get("histograms", {}).items():
+                entry = self._histograms.get(name)
+                if entry is None:
+                    self._histograms[name] = [
+                        summary["count"],
+                        summary["sum"],
+                        summary["min"],
+                        summary["max"],
+                    ]
+                else:
+                    entry[0] += summary["count"]
+                    entry[1] += summary["sum"]
+                    entry[2] = min(entry[2], summary["min"])
+                    entry[3] = max(entry[3], summary["max"])
+
+    # -- Trace ---------------------------------------------------------
     def _emit(self, record: dict) -> None:
         if self.origin is not None:
             record.setdefault("origin", self.origin)
         self.sink.emit(record)
 
-    def span(self, name: str, **attrs) -> Span:
-        """Context manager timing a region; see :class:`Span`."""
-        return Span(self, name, attrs)
+    def span(self, name: str, **attrs):
+        """Context manager timing a region (see :class:`Span`); a no-op
+        unless this record traces."""
+        return _NULL_SPAN if self.sink is None else Span(self, name, attrs)
 
     def event(self, name: str, **attrs) -> None:
-        """Emit a point-in-time ``event`` record inside the current span."""
+        """Count one ``name`` and, when tracing, emit an ``event`` record
+        inside the current span."""
+        self.inc(name)
+        if self.sink is None:
+            return
         record = {
             "type": "event",
             "name": name,
@@ -245,7 +311,7 @@ class Tracer:
         self._emit(record)
 
     def replay(self, records) -> None:
-        """Re-emit records marshalled back from a worker process.
+        """Re-emit trace records marshalled back from a worker process.
 
         Records pass through verbatim (they already carry the worker's
         pid, span ids, and ``origin`` stamp).
@@ -253,24 +319,65 @@ class Tracer:
         for record in records:
             self.sink.emit(dict(record))
 
-    def close(self) -> None:
-        self.sink.close()
+
+class _NullRecord:
+    """The record outside any run: it neither counts nor traces."""
+
+    __slots__ = ()
+    sink = None
+    is_enabled = False
+
+    def inc(self, name: str, value: float = 1) -> None:
+        return None
+
+    def gauge(self, name: str, value: float) -> None:
+        return None
+
+    def observe(self, name: str, value: float) -> None:
+        return None
+
+    def snapshot(self) -> dict:
+        return {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def merge(self, snapshot: dict) -> None:
+        return None
+
+    def span(self, name: str, **attrs) -> _NullSpan:
+        return _NULL_SPAN
+
+    def event(self, name: str, **attrs) -> None:
+        return None
+
+    def replay(self, records) -> None:
+        return None
 
 
-#: The ambient tracer; :data:`NULL_TRACER` unless a run installs one.
-_CURRENT_TRACER: ContextVar = ContextVar("repro_tracer", default=NULL_TRACER)
+NULL_RECORD = _NullRecord()
 
 
-def get_tracer():
-    """The tracer for the current context (never None)."""
-    return _CURRENT_TRACER.get()
+def counter_property(name: str) -> property:
+    """Read-only attribute: counter ``name`` of the ``self.metrics``
+    snapshot, 0 when absent."""
+    return property(
+        lambda self: self.metrics.get("counters", {}).get(name, 0),
+        doc=f"The ``{name}`` counter of ``metrics`` (read-only).",
+    )
+
+
+#: The ambient record; :data:`NULL_RECORD` unless a run installs one.
+_CURRENT_RECORD: ContextVar = ContextVar("repro_record", default=NULL_RECORD)
+
+
+def get_record():
+    """The record of the current context (never None)."""
+    return _CURRENT_RECORD.get()
 
 
 @contextmanager
-def use_tracer(tracer):
-    """Install ``tracer`` (None = disabled) as the ambient tracer."""
-    token = _CURRENT_TRACER.set(NULL_TRACER if tracer is None else tracer)
+def use_record(record):
+    """Install ``record`` as the ambient record for the ``with`` body."""
+    token = _CURRENT_RECORD.set(record)
     try:
-        yield _CURRENT_TRACER.get()
+        yield record
     finally:
-        _CURRENT_TRACER.reset(token)
+        _CURRENT_RECORD.reset(token)

@@ -41,7 +41,7 @@ import struct
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_record
 from repro.resilience.validation import validate_structure
 from repro.store import DEFAULT_NAMESPACE, ArtifactStore
 from repro.synthesis.ansatz import leap_param_count
@@ -61,9 +61,7 @@ _MAGIC, _HEADER = b"QPOOL\x00\r\n", struct.Struct("<8sIII")
 _CANONICAL_DECIMALS = 8
 
 
-def canonical_unitary_bytes(
-    unitary: np.ndarray, decimals: int = _CANONICAL_DECIMALS
-) -> bytes:
+def canonical_unitary_bytes(unitary: np.ndarray) -> bytes:
     """Serialize ``unitary`` invariantly under global phase.
 
     The matrix is divided by the phase of its largest-magnitude entry
@@ -77,7 +75,7 @@ def canonical_unitary_bytes(
     magnitude = abs(pivot)
     if magnitude > 0.0:
         matrix = matrix / (pivot / magnitude)
-    rounded = np.round(matrix, decimals)
+    rounded = np.round(matrix, _CANONICAL_DECIMALS)
     # Normalize -0.0 so that values straddling zero hash consistently.
     rounded = rounded + 0.0
     return repr(rounded.shape).encode() + rounded.tobytes()
@@ -179,7 +177,7 @@ class PoolCache:
     Wraps the :class:`~repro.store.ArtifactStore` namespace it opens
     under ``store_dir`` and owns the entry format.  It keeps no
     counters: a stored entry failing its integrity checks counts as
-    ``cache.corrupt_entries`` in the ambient metrics registry, and the
+    ``cache.corrupt_entries`` in the ambient record, and the
     store counts its raw loads, publishes and evictions there too.
     """
 
@@ -220,10 +218,5 @@ class PoolCache:
             # Corrupt entry: count it and recompute.  Stale format
             # versions and missing files are plain misses, not
             # corruption.  The next put() overwrites the bad file.
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event("cache.corrupt_entry", key=key)
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("cache.corrupt_entries")
+            get_record().event("cache.corrupt_entries", key=key)
             return None

@@ -60,7 +60,6 @@ import time
 import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -73,15 +72,7 @@ from repro.core.pool import (
     exact_pool,
 )
 from repro.exceptions import BlockTimeoutError, ValidationError
-from repro.observability import (
-    ListSink,
-    MetricsRegistry,
-    Tracer,
-    get_metrics,
-    get_tracer,
-    use_metrics,
-    use_tracer,
-)
+from repro.observability import ListSink, Record, get_record, use_record
 from repro.parallel.cache import content_key, entry_key
 from repro.parallel.substrate import Substrate
 from repro.partition.blocks import CircuitBlock
@@ -136,38 +127,36 @@ def _synthesize_solutions_task(
     return solutions, time.perf_counter() - start
 
 
-def _attempt_task(injector, observed, index, attempt, block, config, seed):
-    """One synthesis attempt: :func:`_synthesize_solutions_task` between
-    the injector's fault hooks.
-
-    Runs in a worker process, or inline in the parent.  A worker process
-    cannot write the parent's trace sink, so with ``observed`` set the
-    attempt records into a local buffer under its own tracer/metrics
-    pair and ships the records and a metrics snapshot home with the
-    candidates; the parent replays them into the real sink (stamped
-    ``origin="worker"``) and folds the snapshot into the run registry.
-    Returns ``(solutions, elapsed, telemetry)``; ``telemetry`` is
-    ``None`` unless ``observed``.
-    """
-    with ExitStack() as scope:
-        if observed:
-            sink = ListSink()
-            tracer = Tracer(sink, origin="worker")
-            metrics = MetricsRegistry()
-            scope.enter_context(use_tracer(tracer))
-            scope.enter_context(use_metrics(metrics))
-            scope.enter_context(
-                tracer.span(
-                    "synthesis.block", block=index, attempt=attempt, seed=seed
-                )
-            )
+def _attempt_task(injector, index, attempt, block, config, seed):
+    """One synthesis attempt, in its ``synthesis.block`` span:
+    :func:`_synthesize_solutions_task` between the injector's fault
+    hooks.  Returns ``(solutions, elapsed)``."""
+    with get_record().span(
+        "synthesis.block", block=index, attempt=attempt, seed=seed
+    ):
         if injector is not None:
             injector.on_synthesis_start(index, attempt)
         solutions, elapsed = _synthesize_solutions_task(block, config, seed)
         if injector is not None:
             solutions = injector.corrupt_solutions(index, attempt, solutions)
-    telemetry = (sink.records, metrics.snapshot()) if observed else None
-    return solutions, elapsed, telemetry
+    return solutions, elapsed
+
+
+def _worker_attempt(traced, *task):
+    """:func:`_attempt_task` in a worker process, which cannot reach the
+    parent's record.
+
+    The attempt counts into a fresh record stamped ``origin="worker"``,
+    which traces into a local buffer only when the parent traces
+    (``traced``).  Returns ``(solutions, elapsed, (records, snapshot))``:
+    the parent replays the trace records (none when untraced) into its
+    sink and merges the snapshot into its record.
+    """
+    record = Record(ListSink() if traced else None, origin="worker")
+    with use_record(record):
+        solutions, elapsed = _attempt_task(*task)
+    records = record.sink.records if traced else []
+    return solutions, elapsed, (records, record.snapshot())
 
 
 def _note_failure(
@@ -175,15 +164,9 @@ def _note_failure(
 ) -> None:
     """Record a failure in the structured log and mirror it as telemetry."""
     log.append(FailureRecord(index, attempt, kind, message))
-    tracer = get_tracer()
-    if tracer.is_enabled:
-        tracer.event(
-            "synthesis.failure", block=index, attempt=attempt, kind=kind
-        )
-    metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.inc("synthesis.failures")
-        metrics.inc(f"synthesis.failures.{kind}")
+    record = get_record()
+    record.event("synthesis.failures", block=index, attempt=attempt, kind=kind)
+    record.inc(f"synthesis.failures.{kind}")
 
 
 def assemble_pool(
@@ -219,9 +202,7 @@ def assemble_pool(
             per_count=config.sphere_variants_per_count,
             rng=seed,
         )
-    metrics = get_metrics()
-    if metrics.is_enabled:
-        metrics.observe("synthesis.pool_size", pool.size)
+    get_record().observe("synthesis.pool_size", pool.size)
     return pool
 
 
@@ -229,7 +210,7 @@ def assemble_pool(
 class BlockSynthesisStats:
     """Per-block records of what the executor did.
 
-    Counts go to the ambient metrics registry only: ``cache.hit`` per
+    Counts go to the ambient record only: ``cache.hit`` per
     block planned without a synthesis job (a within-run repeat or a
     store hit), ``cache.miss`` per job planned, ``dedup.hits`` per job
     another run of a batch or daemon resolved, ``retry.attempts`` per
@@ -353,8 +334,7 @@ class BlockSynthesisExecutor:
         repeat and a key the store holds a valid entry for is a store
         hit; both count as ``cache.hit``.
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
+        record = get_record()
         plans = state.plans
         canonical_seed: dict[str, int] = {}
         for index, (block, seed) in enumerate(zip(blocks, seeds)):
@@ -373,16 +353,12 @@ class BlockSynthesisExecutor:
             )
             if key in state.resolved or key in state.jobs:
                 # A within-run repeat.
-                if tracer.is_enabled:
-                    tracer.event("cache.hit", block=index, source="run")
-                if metrics.is_enabled:
-                    metrics.inc("cache.hit")
+                record.event("cache.hit", block=index, source="run")
                 continue
             if self._cache_hit(state, index, unitary, key):
                 continue
             state.jobs[key] = (index, block, seed)
-            if metrics.is_enabled:
-                metrics.inc("cache.miss")
+            record.inc("cache.miss")
 
     def _cache_hit(
         self, state: _RunState, index: int, target: np.ndarray, key: str
@@ -408,12 +384,7 @@ class BlockSynthesisExecutor:
             return False
         state.resolved[key] = cached
         state.unitaries[key] = unitaries
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event("cache.hit", block=index, source="disk")
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("cache.hit")
+        get_record().event("cache.hit", block=index, source="disk")
         return True
 
     # ------------------------------------------------------------------
@@ -429,8 +400,7 @@ class BlockSynthesisExecutor:
         as this run's own attempt in the *same* round, so retry
         semantics match a solo run exactly.
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
+        record = get_record()
         inflight = self.substrate.inflight
         pending = dict(state.jobs)
         try:
@@ -438,13 +408,10 @@ class BlockSynthesisExecutor:
                 if not pending:
                     break
                 if attempt > 0:
-                    if metrics.is_enabled:
-                        metrics.inc("retry.attempts", len(pending))
-                    if tracer.is_enabled:
-                        for index, _, _ in pending.values():
-                            tracer.event(
-                                "retry.attempt", block=index, attempt=attempt
-                            )
+                    for index, _, _ in pending.values():
+                        record.event(
+                            "retry.attempts", block=index, attempt=attempt
+                        )
                 owned = dict(pending)
                 joined: dict[str, tuple] = {}
                 for key in list(owned):
@@ -475,20 +442,17 @@ class BlockSynthesisExecutor:
         self, state: _RunState, jobs: dict, attempt: int
     ) -> list[str]:
         """One round in the parent, each attempt under the deadline."""
-        tracer = get_tracer()
         succeeded: list[str] = []
         for key, (index, block, seed) in jobs.items():
             def fetch():
                 with block_deadline(self.hard_timeout):
-                    return _attempt_task(
-                        self.fault_injector, False,
+                    solutions, elapsed = _attempt_task(
+                        self.fault_injector,
                         index, attempt, block, state.config, seed,
                     )
+                return solutions, elapsed, None
 
-            span = tracer.span(
-                "synthesis.block", block=index, attempt=attempt, seed=seed
-            )
-            if self._settle(state, key, attempt, fetch, span):
+            if self._settle(state, key, attempt, fetch):
                 succeeded.append(key)
         return succeeded
 
@@ -504,15 +468,11 @@ class BlockSynthesisExecutor:
         merely raised — are reused across rounds and across the runs
         that share the substrate.
         """
-        # Workers ship telemetry home only when the parent records it;
-        # disabled runs pay nothing.
-        metrics = get_metrics()
-        observed = get_tracer().is_enabled or metrics.is_enabled
-        if metrics.is_enabled:
-            metrics.inc("pool.rounds")
+        record = get_record()
+        record.inc("pool.rounds")
         futures = {
             key: self.substrate.worker_pool.submit(
-                _attempt_task, self.fault_injector, observed,
+                _worker_attempt, record.is_enabled, self.fault_injector,
                 index, attempt, block, state.config, seed,
             )
             for key, (index, block, seed) in jobs.items()
@@ -529,15 +489,12 @@ class BlockSynthesisExecutor:
                 future.cancel()
         return succeeded
 
-    def _settle(
-        self, state: _RunState, key: str, attempt: int, fetch, span=None
-    ) -> bool:
+    def _settle(self, state: _RunState, key: str, attempt: int, fetch) -> bool:
         """Settle one attempt of job ``key``; True iff it succeeded.
 
-        ``fetch`` returns the attempt's :func:`_attempt_task` payload.
-        Fetching, replaying worker telemetry and validating all run
-        inside ``span``, so an inline ``synthesis.block`` span closes
-        with status ``error`` whichever step fails.  A failure is
+        ``fetch`` returns ``(solutions, elapsed, telemetry)``, with the
+        ``(records, snapshot)`` a worker ships home as ``telemetry``
+        (None inline, where the attempt recorded in place).  A failure is
         logged as a timeout, a validation failure or an exception; a
         pool timeout or a broken pool also marks the pool unhealthy.  An
         inline timeout whose cause is a lapsed *enclosing* deadline ends
@@ -549,18 +506,16 @@ class BlockSynthesisExecutor:
         """
         index = state.jobs[key][0]
         try:
-            with span or nullcontext():
-                solutions, elapsed, telemetry = fetch()
-                if telemetry is not None:
-                    # Replay before validation: worker-side events must
-                    # land in the trace even when the returned candidates
-                    # are quarantined below.
-                    records, snapshot = telemetry
-                    get_tracer().replay(records)
-                    get_metrics().merge(snapshot)
-                unitaries = validate_solutions(
-                    state.plans[index].unitary, solutions
-                )
+            solutions, elapsed, telemetry = fetch()
+            if telemetry is not None:
+                # Replay before validation: worker-side records must
+                # land even when the returned candidates are
+                # quarantined below.
+                records, snapshot = telemetry
+                record = get_record()
+                record.replay(records)
+                record.merge(snapshot)
+            unitaries = validate_solutions(state.plans[index].unitary, solutions)
         except Exception as exc:
             kind, message = FAILURE_EXCEPTION, f"{type(exc).__name__}: {exc}"
             if isinstance(exc, ValidationError):
@@ -609,8 +564,7 @@ class BlockSynthesisExecutor:
         back or crashed); the caller re-dispatches them as this run's
         own attempt in the same round.
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
+        record = get_record()
         if self.hard_timeout is None:
             timeout = None
         else:
@@ -626,10 +580,7 @@ class BlockSynthesisExecutor:
                 # Put under this run's store too: in the daemon the owner
                 # may have filled another tenant's namespace.
                 self._store(key, entry.solutions)
-                if tracer.is_enabled:
-                    tracer.event("dedup.adopt", block=job[0])
-                if metrics.is_enabled:
-                    metrics.inc("dedup.hits")
+                record.event("dedup.hits", block=job[0])
                 adopted.append(key)
             else:
                 leftover[key] = job
@@ -649,8 +600,7 @@ class BlockSynthesisExecutor:
         shares with its first occurrence.  A block whose entry key never
         resolved falls back to its exact pool.
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
+        record = get_record()
         attempts = self.max_attempts
         pools: list[BlockPool] = []
         for index, (block, plan) in enumerate(zip(blocks, state.plans)):
@@ -695,9 +645,6 @@ class BlockSynthesisExecutor:
                     f"attempt(s): {reason}",
                 )
             )
-            if tracer.is_enabled:
-                tracer.event("executor.fallback", block=index, attempts=attempts)
-            if metrics.is_enabled:
-                metrics.inc("synthesis.fallbacks")
+            record.event("synthesis.fallbacks", block=index, attempts=attempts)
             pools.append(exact_pool(block, plan.unitary))
         return pools

@@ -25,7 +25,7 @@ one.  A truly hung worker's process is abandoned, never awaited.
 Thread safety: all state transitions take a lock, so the threads of a
 batch's circuits or a daemon's jobs can share one instance.  The pool
 keeps no tallies: it counts ``pool.created`` and ``pool.recycles`` into
-the ambient metrics registry, and the executor counts ``pool.rounds``.
+the ambient record, and the executor counts ``pool.rounds``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 
-from repro.observability import get_metrics
+from repro.observability import get_record
 
 
 def _warm_worker() -> None:  # pragma: no cover - runs in worker processes
@@ -76,17 +76,13 @@ class PersistentWorkerPool:
             # thread) keep draining in the old pool's processes.
             self._pool.shutdown(wait=False)
             self._pool = None
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("pool.recycles")
+            get_record().inc("pool.recycles")
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_warm_worker
             )
             self._unhealthy = False
-            metrics = get_metrics()
-            if metrics.is_enabled:
-                metrics.inc("pool.created")
+            get_record().inc("pool.created")
         return self._pool
 
     def submit(self, fn, /, *args) -> Future:

@@ -44,7 +44,7 @@ class Substrate:
 def open_cache(config) -> PoolCache | None:
     """The cache of ``config.namespace`` in ``config.store_dir``, bounded
     to ``config.cache_max_entries``; None without a ``store_dir``.
-    Opening sweeps orphans, counted into the ambient metrics registry."""
+    Opening sweeps orphans, counted into the ambient record."""
     if config.store_dir is None:
         return None
     return PoolCache(

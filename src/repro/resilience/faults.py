@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_record
 from repro.resilience.deadline import check_deadline
 
 FAULT_KINDS = (
@@ -125,16 +125,11 @@ class FaultInjector:
         )
 
     def _note(self, kind: str, block: int, attempt: int = 0) -> None:
-        """Log a fired fault locally and to the ambient tracer/metrics."""
+        """Log a fired fault locally and to the ambient record."""
         self.fired.append((kind, block, attempt))
-        tracer = get_tracer()
-        if tracer.is_enabled:
-            tracer.event(
-                "fault.injected", kind=kind, block=block, attempt=attempt
-            )
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("faults.injected")
+        get_record().event(
+            "faults.injected", kind=kind, block=block, attempt=attempt
+        )
 
     # ------------------------------------------------------------------
     # Synthesis-job hooks

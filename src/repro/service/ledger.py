@@ -10,7 +10,7 @@ either the previous record or the new one, never a torn file under the
 final name, plus at most the writer's temp file, which opening the
 ledger deletes once it is older than the store's grace window; an entry
 that *does* fail its checksum (bit rot, a partial copy) is quarantined
-— counted as ``ledger.quarantined`` in the ambient metrics registry,
+— counted as ``ledger.quarantined`` in the ambient record,
 renamed aside, ignored — never trusted.
 
 The ledger is what makes the daemon warm-restartable:
@@ -34,7 +34,7 @@ import os
 from pathlib import Path
 
 from repro.exceptions import ServiceError
-from repro.observability import get_logger, get_metrics
+from repro.observability import get_logger, get_record
 from repro.service.protocol import JobRecord
 from repro.store.artifact import sweep_orphans, write_atomically
 
@@ -91,9 +91,7 @@ class JobLedger:
             self._entry_path(record.job_id),
             json.dumps(envelope, indent=1).encode(),
         )
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("ledger.stores")
+        get_record().inc("ledger.stores")
 
     # ------------------------------------------------------------------
     # Read path
@@ -131,9 +129,7 @@ class JobLedger:
         get_logger("service.ledger").warning(
             f"quarantining corrupt ledger entry {path.name}: {exc}"
         )
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc("ledger.quarantined")
+        get_record().inc("ledger.quarantined")
         try:
             os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
         except OSError:

@@ -23,7 +23,7 @@ rule).  Within a tenant, jobs are FIFO.
 The scheduler is plain synchronous state behind a lock (the daemon
 calls it from one event loop; unit tests drive it directly), with no
 dependency on asyncio.  It keeps no tallies: the daemon counts each
-verdict and each dispatch in its metrics registry.
+verdict and each dispatch in its record.
 """
 
 from __future__ import annotations

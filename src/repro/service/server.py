@@ -45,9 +45,10 @@ A done job's result is :func:`~repro.core.quest.result_payload`, the
 serialized form the CLI writes for ``repro`` and ``compile-batch`` too;
 ``submit`` writes it through the same writer.
 
-The daemon's metrics registry is its one record of counts: it is the
-ambient registry around ledger recovery, namespace opening, every
-request and every job, so a job's counts reach it, failed or not.  The
+The daemon's :class:`~repro.observability.Record` (``metrics``) is its
+one record of counts: it is the ambient record around ledger recovery,
+namespace opening, every request and every job, so a job's counts reach
+it, failed or not.  The
 server counts each admission (``service.jobs_admitted``), each
 rejection (``service.rejected_<reason>``) and each dispatch
 (``service.dispatched.<tenant>``); the scheduler keeps no tallies.
@@ -74,7 +75,7 @@ from repro.exceptions import (
     ReproError,
     ServiceError,
 )
-from repro.observability import MetricsRegistry, get_logger, use_metrics
+from repro.observability import Record, get_logger, use_record
 from repro.parallel.cache import PoolCache
 from repro.parallel.substrate import Substrate, open_cache, open_substrate
 from repro.resilience.deadline import block_deadline
@@ -146,14 +147,14 @@ class QuestService:
         #: Deterministic fault schedule threaded into every job's
         #: pipeline (tests/CI only; see :mod:`repro.resilience.faults`).
         self.fault_injector = fault_injector
-        self.metrics = MetricsRegistry()
+        self.metrics = Record()
 
         # One worker pool and one in-flight registry for the daemon's
         # lifetime, plus one cache *per tenant namespace*, all rooted in
         # one sharded artifact store that any number of replicas may
         # share.  The registry is the only in-process reuse across jobs;
         # the store is the only persistence.
-        with use_metrics(self.metrics):
+        with use_record(self.metrics):
             self.substrate = open_substrate(self.config)
         self._caches = {self.config.namespace: self.substrate.cache}
         self._caches_lock = threading.Lock()
@@ -173,7 +174,7 @@ class QuestService:
             thread_name_prefix="quest-service",
         )
 
-        with use_metrics(self.metrics):
+        with use_record(self.metrics):
             self._recover_ledger()
 
     # ------------------------------------------------------------------
@@ -186,7 +187,7 @@ class QuestService:
         the shared store root, so tenants never observe each other's
         artifacts and one tenant's traffic cannot evict another's.
         """
-        with self._caches_lock, use_metrics(self.metrics):
+        with self._caches_lock, use_record(self.metrics):
             cache = self._caches.get(namespace)
             if cache is None:
                 cache = open_cache(replace(self.config, namespace=namespace))
@@ -390,9 +391,9 @@ class QuestService:
         self._signal_waiters(record.job_id)
 
     def _execute_job(self, record: JobRecord) -> None:
-        """Run one job under the daemon's registry (job threads do not
+        """Run one job under the daemon's record (job threads do not
         inherit the loop's context)."""
-        with use_metrics(self.metrics):
+        with use_record(self.metrics):
             self._run_job(record)
 
     def _run_job(self, record: JobRecord) -> None:
@@ -490,7 +491,7 @@ class QuestService:
                 break
             try:
                 message = decode_message(line)
-                with use_metrics(self.metrics):
+                with use_record(self.metrics):
                     response = await self._handle_message(message)
             except ServiceError as exc:
                 response = {"type": "error", "message": str(exc)}

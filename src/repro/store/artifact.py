@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 from repro.exceptions import StoreError
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_record
 
 #: Namespace used when none is given (solo runs, un-tenanted clients).
 DEFAULT_NAMESPACE = "default"
@@ -165,7 +165,7 @@ class ArtifactStore:
     """One namespace's sharded on-disk artifact tier.
 
     It keeps no tallies: it counts ``store.<counter>.<namespace>``
-    (:data:`STORE_COUNTERS`) into the ambient metrics registry — load
+    (:data:`STORE_COUNTERS`) into the ambient record — load
     ``hits`` (a file existed and was read; integrity is the caller's
     business) and ``misses``, ``publishes``, ``evictions`` to honour
     ``max_entries``, and ``orphans_swept`` at open.
@@ -209,11 +209,9 @@ class ArtifactStore:
         """The final on-disk path of entry ``key``."""
         return self._dir / shard_of(key) / f"{key}{ENTRY_SUFFIX}"
 
-    def _count(self, counter: str, amount: int = 1) -> None:
-        """Count ``store.<counter>.<namespace>`` in the ambient registry."""
-        metrics = get_metrics()
-        if metrics.is_enabled:
-            metrics.inc(f"store.{counter}.{self.namespace}", amount)
+    def _count(self, counter: str) -> None:
+        """Count one ``store.<counter>.<namespace>`` in the ambient record."""
+        get_record().inc(f"store.{counter}.{self.namespace}")
 
     # ------------------------------------------------------------------
     # Read path
@@ -275,15 +273,9 @@ class ArtifactStore:
     def sweep_orphans(self) -> int:
         """Delete the namespace's orphaned temp files (:func:`sweep_orphans`)."""
         swept = sweep_orphans((self._dir, *self._shard_dirs()))
-        if swept:
-            self._count("orphans_swept", swept)
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event(
-                    "store.orphans_swept",
-                    namespace=self.namespace,
-                    count=swept,
-                )
+        record = get_record()
+        for _ in range(swept):
+            record.event(f"store.orphans_swept.{self.namespace}")
         return swept
 
     def _shard_dirs(self) -> list[Path]:
@@ -369,6 +361,7 @@ class ArtifactStore:
                     continue  # Another replica evicted it first.
                 survivors.remove((mtime, path))
                 evicted += 1
+                get_record().event(f"store.evictions.{self.namespace}")
             with self._lock:
                 if survivors:
                     self._shard_meta[shard] = [
@@ -381,13 +374,4 @@ class ArtifactStore:
                 # The globally-oldest shard had nothing evictable
                 # (grace window or lost races): stop for this round.
                 break
-        if total_evicted:
-            self._count("evictions", total_evicted)
-            tracer = get_tracer()
-            if tracer.is_enabled:
-                tracer.event(
-                    "store.evict",
-                    namespace=self.namespace,
-                    count=total_evicted,
-                )
         return total_evicted

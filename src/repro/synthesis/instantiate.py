@@ -31,7 +31,7 @@ from scipy.optimize import minimize  # noqa: F401
 from scipy.optimize._lbfgsb import setulb
 
 from repro.exceptions import SynthesisError
-from repro.observability import get_metrics
+from repro.observability import get_record
 from repro.resilience.deadline import check_deadline
 from repro.synthesis.ansatz import Ansatz, AnsatzStack
 
@@ -274,15 +274,14 @@ def instantiate_multi(
     for template_runs in runs:
         fits = sorted((run.result() for run in template_runs), key=lambda r: r.cost)
         results.append(fits)
-    # Metrics only — this is the pipeline's innermost loop, and per-start
+    # Counts only: this is the pipeline's innermost loop, and per-start
     # trace events would dwarf everything else in the stream.
-    metrics = get_metrics()
-    if metrics.is_enabled:
-        for template_runs, fits in zip(runs, results):
-            metrics.inc("instantiate.starts", len(fits))
-            metrics.inc("instantiate.iterations", sum(run.nit for run in template_runs))
-            metrics.inc("costgrad.calls", sum(run.nfev for run in template_runs))
-            metrics.observe("instantiate.best_cost", fits[0].cost)
+    record = get_record()
+    for template_runs, fits in zip(runs, results):
+        record.inc("instantiate.starts", len(fits))
+        record.inc("instantiate.iterations", sum(run.nit for run in template_runs))
+        record.inc("costgrad.calls", sum(run.nfev for run in template_runs))
+        record.observe("instantiate.best_cost", fits[0].cost)
     return results[0] if isinstance(ansatz, Ansatz) else results
 
 

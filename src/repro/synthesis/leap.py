@@ -31,7 +31,7 @@ from repro.circuits.gates import gate_matrix
 from repro.exceptions import SynthesisError
 from repro.linalg.embed import matrix_gathers
 from repro.linalg.su2 import zyz_decompose
-from repro.observability import get_metrics, get_tracer
+from repro.observability import get_record
 from repro.synthesis.ansatz import (
     _ROTATION_ENTRIES,
     bind_slots,
@@ -281,7 +281,7 @@ def synthesize(
     """Synthesize circuits for ``target``, collecting an approximation pool.
 
     Returns, for every explored CNOT count, up to ``solutions_per_layer``
-    solutions, sorted by (cnot_count, distance).  The metrics registry
+    solutions, sorted by (cnot_count, distance).  The ambient record
     counts the work: ``leap.layers`` and ``leap.instantiations``.
     """
     config = config or LeapConfig()
@@ -291,8 +291,7 @@ def synthesize(
         raise SynthesisError(f"target dimension {dim} is not a power of two above 1")
     if num_qubits == 1:
         return [_one_qubit_solution(target)]
-    tracer = get_tracer()
-    metrics = get_metrics()
+    record = get_record()
     rng = np.random.default_rng(config.seed)
     # CNOT direction is absorbable into the surrounding rotations, so only
     # one orientation per pair needs to be explored.
@@ -353,18 +352,14 @@ def synthesize(
         )
         best_distance, _, best_params, best_placement = layer_entries[0]
         best_structure = best_structure + [best_placement]
-        if tracer.is_enabled:
-            tracer.event(
-                "leap.layer",
-                layer=layer,
-                best_distance=float(best_distance),
-                instantiations=instantiations,
-                pool_size=len(pool),
-            )
-        if metrics.is_enabled:
-            metrics.inc("leap.layers")
+        record.event(
+            "leap.layers",
+            layer=layer,
+            best_distance=float(best_distance),
+            instantiations=instantiations,
+            pool_size=len(pool),
+        )
     pool.sort(key=lambda s: (s.cnot_count, s.distance))
-    if metrics.is_enabled:
-        metrics.inc("leap.instantiations", instantiations)
-        metrics.inc("leap.synthesis_runs")
+    record.inc("leap.instantiations", instantiations)
+    record.inc("leap.synthesis_runs")
     return pool

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 
 
 @pytest.fixture
@@ -23,8 +23,8 @@ def counters():
     value returns its counters so far.  Threads a test starts do not
     inherit it: they must install a registry of their own.
     """
-    registry = MetricsRegistry()
-    with use_metrics(registry):
+    registry = Record()
+    with use_record(registry):
         yield lambda: registry.snapshot()["counters"]
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.circuits import random_unitary
 from repro.exceptions import SynthesisError
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.synthesis import Ansatz, LeapConfig, build_leap_ansatz, synthesize
 from repro.synthesis.ansatz import AnsatzStack
 from repro.synthesis.instantiate import instantiate_multi
@@ -289,8 +289,8 @@ def test_all_placements_full_connectivity():
     # Each layer tries every qubit pair once: CNOT direction is absorbed
     # by the surrounding rotations.
     target = random_unitary(8, np.random.default_rng(0))
-    registry = MetricsRegistry()
-    with use_metrics(registry):
+    registry = Record()
+    with use_record(registry):
         solutions = synthesize(
             target, LeapConfig(max_layers=1, seed=0, instantiation_starts=1)
         )

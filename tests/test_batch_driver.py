@@ -23,7 +23,7 @@ from repro.circuits import Circuit
 from repro.circuits.random_circuits import random_circuit
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import SelectionError
-from repro.observability import ListSink, MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.observability import ListSink, Record, use_record
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.parallel.substrate import open_substrate
 from tests.planning_oracle import planned_entry_keys
@@ -383,14 +383,14 @@ def test_batch_metrics_surface_zero_stranded_joiners(solo_reference):
 
 
 def test_batch_trace_keeps_every_circuit_and_counts_once():
-    """Pool threads do not inherit context variables: each run is handed
-    the caller's tracer, so the trace holds one ``quest.run`` span per
-    circuit, while an enclosing registry still receives every count
-    exactly once (the batch's merged snapshot, not each run's again)."""
+    """Pool threads do not inherit context variables: each circuit's
+    record shares the caller's sink, so the trace holds one ``quest.run``
+    span per circuit, while the enclosing record still receives every
+    count exactly once (the batch's merged snapshot, not each run's
+    again)."""
     sink = ListSink()
-    registry = MetricsRegistry()
     config = QuestConfig(**FAST, workers=1)
-    with use_tracer(Tracer(sink)), use_metrics(registry):
+    with use_record(Record(sink)) as registry:
         batch = run_quest_batch([tfim(4, steps=2), qft(4)], config, window=2)
     runs = [
         record

@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 
 from repro.circuits import random_unitary
 from repro.exceptions import BlockTimeoutError, SynthesisError
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.resilience.deadline import block_deadline
 from repro.synthesis import Ansatz, LeapConfig, build_leap_ansatz, synthesize
 from repro.synthesis.ansatz import AnsatzStack
@@ -74,8 +74,8 @@ def test_pools_are_byte_identical_to_the_sequential_oracle(
         target_distance=target_distance,
         **(config_fields or {}),
     )
-    registry = MetricsRegistry()
-    with use_metrics(registry):
+    registry = Record()
+    with use_record(registry):
         ours = synthesize(target, config)
     reference = sequential_synthesize(target, config)
     assert _pool_key(ours) == _pool_key(reference)
@@ -208,8 +208,8 @@ def test_a_layer_evaluates_every_running_row_in_one_kernel_call(monkeypatch):
 def test_work_counters_equal_the_oracle_sums():
     target = random_unitary(8, np.random.default_rng(2))
     config = LeapConfig(max_layers=2, seed=3, target_distance=0.1)
-    registry = MetricsRegistry()
-    with use_metrics(registry):
+    registry = Record()
+    with use_record(registry):
         synthesize(target, config)
     log: list = []
     sequential_synthesize(target, config, log=log)
@@ -219,15 +219,20 @@ def test_work_counters_equal_the_oracle_sums():
     assert counters["instantiate.starts"] == len(log)
 
 
-def test_counters_are_not_recorded_without_metrics(monkeypatch):
-    # Under the disabled registry nothing is counted at all.
-    calls = []
-    monkeypatch.setattr(
-        "repro.observability.metrics.NullMetrics.inc",
-        lambda self, name, value=1: calls.append(name),
-    )
-    synthesize(random_unitary(4, np.random.default_rng(0)), LeapConfig(max_layers=1, seed=0))
-    assert calls == []
+def test_counters_are_not_recorded_without_metrics():
+    # Counts made outside any run go to the null record, which keeps
+    # none: a record installed later holds its own run's counts alone.
+    target = random_unitary(4, np.random.default_rng(0))
+    config = LeapConfig(max_layers=1, seed=0)
+    synthesize(target, config)
+    counts = []
+    for _ in range(2):
+        record = Record()
+        with use_record(record):
+            synthesize(target, config)
+        counts.append(record.snapshot()["counters"])
+    assert counts[0]["instantiate.starts"] > 0
+    assert counts[0] == counts[1]
 
 
 def test_expired_deadline_raises_within_one_round(monkeypatch):

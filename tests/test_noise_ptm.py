@@ -33,7 +33,7 @@ from repro.noise.ptm import (
 )
 from repro.noise import trajectories as trajectories_module
 from repro.noise.trajectories import MAX_TRAJECTORY_QUBITS, run_trajectories
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.resilience.validation import validate_ptm
 from repro.sim import ideal_distribution
 from repro.transpile import transpile
@@ -190,7 +190,7 @@ def test_ensemble_contracts_each_group_once_per_operation(fresh_cache):
         return circuit
 
     circuits = [member(index) for index in range(16)]
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         run_ptm_ensemble(circuits, NOISE)
     counters = registry.snapshot()["counters"]
     operations = len(compile_circuit(circuits[0], NOISE).ops)
@@ -209,7 +209,7 @@ def test_ensemble_rejects_empty_and_mixed_widths():
 # Compile cache
 
 
-def _compile_counts(registry: MetricsRegistry) -> tuple[int, int]:
+def _compile_counts(registry: Record) -> tuple[int, int]:
     counters = registry.snapshot()["counters"]
     return (
         counters.get("ptm.compile_cache_hits", 0),
@@ -219,7 +219,7 @@ def _compile_counts(registry: MetricsRegistry) -> tuple[int, int]:
 
 def test_compile_cache_hits_on_repeated_gates(fresh_cache):
     circuit = tfim(3, steps=3)  # Trotter layers repeat the same gates
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         program = compile_circuit(circuit, NOISE)
         assert isinstance(program, PtmProgram)
         hits, misses = _compile_counts(registry)
@@ -232,7 +232,7 @@ def test_compile_cache_hits_on_repeated_gates(fresh_cache):
 def test_compile_cache_distinguishes_noise_models(fresh_cache):
     circuit = Circuit(1)
     circuit.h(0)
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         compile_circuit(circuit, NoiseModel.from_noise_level(0.01))
         _, misses = _compile_counts(registry)
         compile_circuit(circuit, NoiseModel.from_noise_level(0.05))
@@ -255,9 +255,50 @@ def test_compile_cache_does_not_merge_nearby_gates(fresh_cache):
     )
 
 
+def _h_gate_cx(gate: str, angle: float) -> Circuit:
+    circuit = Circuit(2)
+    circuit.h(0)
+    if gate == "rz":
+        circuit.rz(angle, 0)
+    else:
+        circuit.u3(0.0, 0.0, angle, 0)
+    circuit.cx(0, 1)
+    return circuit
+
+
+@pytest.mark.parametrize("angle", [0.8217701239287258, 0.3, 1.9, -2.4])
+def test_a_distribution_does_not_depend_on_what_was_evaluated_before(
+    monkeypatch, angle
+):
+    # rz(angle) and u3(0, 0, angle) differ by a global phase only, so a
+    # phase-canonical gate key hands one the other's PTM, built from a
+    # matrix that differs in its last bits.
+    monkeypatch.setattr(ptm_module, "_DEFAULT_CACHE", PtmCache())
+    fresh = run_ptm(_h_gate_cx("rz", angle), NOISE)
+    monkeypatch.setattr(ptm_module, "_DEFAULT_CACHE", PtmCache())
+    run_ptm(_h_gate_cx("u3", angle), NOISE)
+    after_u3 = run_ptm(_h_gate_cx("rz", angle), NOISE)
+    assert fresh.tobytes() == after_u3.tobytes()
+
+
+def test_compile_cache_stays_within_its_bounds(fresh_cache, monkeypatch):
+    monkeypatch.setattr(ptm_module, "MAX_CACHED_PTMS", 12)
+    monkeypatch.setattr(ptm_module, "MAX_CACHED_PROGRAMS", 3)
+    cache = ptm_module._DEFAULT_CACHE
+    rng = np.random.default_rng(7)
+    circuits = [random_circuit(3, 4, rng=rng) for _ in range(30)]
+    first = run_ptm_ensemble(circuits[:2], NOISE)
+    for index in range(0, len(circuits), 2):
+        run_ptm_ensemble(circuits[index : index + 2], NOISE)
+        assert len(cache) <= 12
+        assert len(cache._programs) <= 3
+    # Evicted entries rebuild to the same bits.
+    assert run_ptm_ensemble(circuits[:2], NOISE).tobytes() == first.tobytes()
+
+
 def test_compile_cache_metrics_counters(fresh_cache):
-    registry = MetricsRegistry()
-    with use_metrics(registry):
+    registry = Record()
+    with use_record(registry):
         run_ptm_ensemble([tfim(3, steps=2), tfim(3, steps=2)], NOISE)
     snapshot = registry.snapshot()
     counters = snapshot.get("counters", snapshot)

@@ -1,4 +1,4 @@
-"""Unit tests for the observability substrate (trace, metrics, logs)."""
+"""Unit tests for the observability substrate (run record, logs, summary)."""
 
 from __future__ import annotations
 
@@ -9,21 +9,17 @@ import numpy as np
 import pytest
 
 from repro.observability import (
-    NULL_METRICS,
-    NULL_TRACER,
+    NULL_RECORD,
     JsonlSink,
     ListSink,
-    MetricsRegistry,
-    Tracer,
+    Record,
     configure_logging,
     get_logger,
-    get_metrics,
-    get_tracer,
+    get_record,
     render_summary,
     summarize_records,
     summarize_trace,
-    use_metrics,
-    use_tracer,
+    use_record,
 )
 
 
@@ -32,26 +28,26 @@ from repro.observability import (
 # ----------------------------------------------------------------------
 def test_span_record_shape():
     sink = ListSink()
-    tracer = Tracer(sink)
-    with tracer.span("stage.one", block=3):
+    record = Record(sink)
+    with record.span("stage.one", block=3):
         pass
-    (record,) = sink.records
-    assert record["type"] == "span"
-    assert record["name"] == "stage.one"
-    assert record["status"] == "ok"
-    assert record["dur"] >= 0.0
-    assert record["attrs"] == {"block": 3}
-    assert "parent_id" not in record
-    assert isinstance(record["span_id"], str)
+    (span,) = sink.records
+    assert span["type"] == "span"
+    assert span["name"] == "stage.one"
+    assert span["status"] == "ok"
+    assert span["dur"] >= 0.0
+    assert span["attrs"] == {"block": 3}
+    assert "parent_id" not in span
+    assert isinstance(span["span_id"], str)
 
 
 def test_span_nesting_links_parent_ids():
     sink = ListSink()
-    tracer = Tracer(sink)
-    with tracer.span("outer") as outer:
-        with tracer.span("inner") as inner:
+    record = Record(sink)
+    with record.span("outer") as outer:
+        with record.span("inner") as inner:
             assert inner.parent_id == outer.span_id
-        tracer.event("marker")
+        record.event("marker")
     inner_rec, marker, outer_rec = sink.records
     assert inner_rec["name"] == "inner"
     assert inner_rec["parent_id"] == outer_rec["span_id"]
@@ -62,82 +58,111 @@ def test_span_nesting_links_parent_ids():
     assert "parent_id" not in outer_rec
 
 
+def test_span_ids_stay_distinct_across_records_sharing_a_sink():
+    # Every run gets a fresh record on the caller's sink: ids must not
+    # restart per record, or parent links would be ambiguous.
+    sink = ListSink()
+    for _ in range(3):
+        with Record(sink).span("quest.run"):
+            pass
+    ids = [span["span_id"] for span in sink.records]
+    assert len(set(ids)) == 3
+
+
 def test_span_closes_with_error_status_and_propagates():
     sink = ListSink()
-    tracer = Tracer(sink)
+    record = Record(sink)
     with pytest.raises(ValueError, match="boom"):
-        with tracer.span("exploding"):
+        with record.span("exploding"):
             raise ValueError("boom")
-    (record,) = sink.records
-    assert record["status"] == "error"
-    assert record["error"] == "ValueError: boom"
+    (span,) = sink.records
+    assert span["status"] == "error"
+    assert span["error"] == "ValueError: boom"
     # The failed span must not leak as the current parent.
-    tracer.event("after")
+    record.event("after")
     assert "span_id" not in sink.records[-1]
 
 
 def test_event_records_carry_attrs():
     sink = ListSink()
-    tracer = Tracer(sink)
-    tracer.event("cache.hit", block=2, source="disk")
-    (record,) = sink.records
-    assert record["type"] == "event"
-    assert record["attrs"] == {"block": 2, "source": "disk"}
+    record = Record(sink)
+    record.event("cache.hit", block=2, source="disk")
+    (event,) = sink.records
+    assert event["type"] == "event"
+    assert event["attrs"] == {"block": 2, "source": "disk"}
+
+
+def test_an_event_is_the_count_of_its_name_traced_or_not():
+    sink = ListSink()
+    traced, untraced = Record(sink), Record()
+    for record in (traced, untraced):
+        with record.span("stage"):
+            record.event("cache.hit", block=0)
+            record.event("cache.hit", block=1)
+        assert record.snapshot()["counters"] == {"cache.hit": 2}
+    assert traced.is_enabled and not untraced.is_enabled
+    assert [r["name"] for r in sink.records] == ["cache.hit", "cache.hit", "stage"]
 
 
 def test_replay_preserves_origin_and_ids():
     worker_sink = ListSink()
-    worker = Tracer(worker_sink, origin="worker")
+    worker = Record(worker_sink, origin="worker")
     with worker.span("synthesis.block", block=0):
-        worker.event("leap.layer", layer=1)
+        worker.event("leap.layers", layer=1)
     parent_sink = ListSink()
-    parent = Tracer(parent_sink)
+    parent = Record(parent_sink)
     parent.replay(worker_sink.records)
     assert [r["origin"] for r in parent_sink.records] == ["worker"] * 2
     assert (
         parent_sink.records[0]["span_id"]
         == parent_sink.records[1]["span_id"]
     )
+    # Replay re-emits records; the counts travel in the snapshot.
+    assert parent.snapshot()["counters"] == {}
 
 
 def test_null_tracer_is_inert():
-    assert NULL_TRACER.is_enabled is False
-    with NULL_TRACER.span("anything", attr=1):
-        NULL_TRACER.event("nothing")
-    NULL_TRACER.replay([{"type": "event"}])
-    NULL_TRACER.close()
+    # The null record traces nothing.
+    assert NULL_RECORD.is_enabled is False
+    assert NULL_RECORD.sink is None
+    with NULL_RECORD.span("anything", attr=1):
+        NULL_RECORD.event("nothing")
+    NULL_RECORD.replay([{"type": "event"}])
 
 
 def test_ambient_tracer_contextvar():
-    assert get_tracer() is NULL_TRACER
-    tracer = Tracer(ListSink())
-    with use_tracer(tracer):
-        assert get_tracer() is tracer
-        with use_tracer(None):
-            assert get_tracer() is NULL_TRACER
-        assert get_tracer() is tracer
-    assert get_tracer() is NULL_TRACER
+    assert get_record() is NULL_RECORD
+    record = Record(ListSink())
+    with use_record(record) as installed:
+        assert installed is record
+        assert get_record() is record
+        inner = Record()
+        with use_record(inner):
+            assert get_record() is inner
+        assert get_record() is record
+    assert get_record() is NULL_RECORD
 
 
 def test_jsonl_sink_emits_parseable_lines_with_numpy_attrs(tmp_path):
     path = tmp_path / "run.trace"
-    tracer = Tracer(JsonlSink(path))
-    with tracer.span("stage", count=np.int64(3), cost=np.float64(0.5)):
-        tracer.event("point", value=np.float32(1.5))
-    tracer.close()
+    sink = JsonlSink(path)
+    record = Record(sink)
+    with record.span("stage", count=np.int64(3), cost=np.float64(0.5)):
+        record.event("point", value=np.float32(1.5))
+    sink.close()
     lines = path.read_text().strip().splitlines()
     records = [json.loads(line) for line in lines]
     assert [r["type"] for r in records] == ["event", "span"]
     assert records[1]["attrs"] == {"count": 3, "cost": 0.5}
     # Emitting after close is a silent no-op, not a crash.
-    tracer.event("late")
+    record.event("late")
 
 
 # ----------------------------------------------------------------------
-# Metrics
+# Counts
 # ----------------------------------------------------------------------
 def test_metrics_counters_gauges_histograms():
-    registry = MetricsRegistry()
+    registry = Record()
     registry.inc("hits")
     registry.inc("hits", 4)
     registry.gauge("level", 2)
@@ -157,10 +182,10 @@ def test_metrics_counters_gauges_histograms():
 
 
 def test_metrics_merge_combines_snapshots():
-    parent = MetricsRegistry()
+    parent = Record()
     parent.inc("hits", 2)
     parent.observe("size", 1.0)
-    worker = MetricsRegistry()
+    worker = Record()
     worker.inc("hits", 3)
     worker.inc("layers")
     worker.gauge("level", 5)
@@ -177,12 +202,13 @@ def test_metrics_merge_combines_snapshots():
 
 
 def test_null_metrics_is_inert():
-    assert NULL_METRICS.is_enabled is False
-    NULL_METRICS.inc("x")
-    NULL_METRICS.gauge("x", 1)
-    NULL_METRICS.observe("x", 1)
-    NULL_METRICS.merge({"counters": {"x": 1}})
-    assert NULL_METRICS.snapshot() == {
+    # The null record counts nothing.
+    NULL_RECORD.inc("x")
+    NULL_RECORD.event("x")
+    NULL_RECORD.gauge("x", 1)
+    NULL_RECORD.observe("x", 1)
+    NULL_RECORD.merge({"counters": {"x": 1}})
+    assert NULL_RECORD.snapshot() == {
         "counters": {},
         "gauges": {},
         "histograms": {},
@@ -190,11 +216,12 @@ def test_null_metrics_is_inert():
 
 
 def test_ambient_metrics_contextvar():
-    assert get_metrics() is NULL_METRICS
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        assert get_metrics() is registry
-    assert get_metrics() is NULL_METRICS
+    assert get_record() is NULL_RECORD
+    registry = Record()
+    with use_record(registry):
+        get_record().inc("hits")
+    get_record().inc("hits")
+    assert registry.snapshot()["counters"] == {"hits": 1}
 
 
 # ----------------------------------------------------------------------

@@ -1,30 +1,29 @@
 """Integration tests: observability threaded through the QUEST pipeline.
 
-The tracing contract has two halves: the trace must *cover* the run
-(every pipeline stage, worker-side events included), and it must not
-*perturb* it (selections bit-identical with tracing on or off, on both
-the inline and process-pool paths).
+The tracing contract has three parts: the trace must *cover* the run
+(every pipeline stage, worker-side events included), it must *agree*
+with the run's counts (every event is the count of the same name), and
+it must not *perturb* the run (selections bit-identical with tracing on
+or off, on both the inline and process-pool paths).
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.algorithms import tfim
+from repro.batch import run_quest_batch
 from repro.circuits import circuit_to_qasm
 from repro.cli import main
 from repro.core import QuestConfig, run_quest
-from repro.observability import (
-    JsonlSink,
-    ListSink,
-    Tracer,
-    use_tracer,
-)
-from repro.resilience.faults import FaultInjector, FaultSpec
+from repro.observability import JsonlSink, ListSink, Record, use_record
+from repro.parallel.pool_manager import PersistentWorkerPool
+from repro.resilience.faults import FaultInjector, FaultSpec, parse_fault_spec
 
 CONFIG = dict(
     seed=5,
@@ -52,12 +51,18 @@ def _event_names(records):
     return [r["name"] for r in records if r["type"] == "event"]
 
 
-def test_run_quest_emits_stage_spans_and_events():
+def _traced(run, *args, **options):
+    """``run(*args, **options)`` under a tracing record; returns the
+    result and the trace records."""
     sink = ListSink()
-    result = run_quest(
-        _circuit(), QuestConfig(**CONFIG), tracer=Tracer(sink)
-    )
-    spans = _span_names(sink.records)
+    with use_record(Record(sink)):
+        result = run(*args, **options)
+    return result, sink.records
+
+
+def test_run_quest_emits_stage_spans_and_events():
+    result, records = _traced(run_quest, _circuit(), QuestConfig(**CONFIG))
+    spans = _span_names(records)
     for name in (
         "quest.run",
         "quest.partition",
@@ -67,9 +72,9 @@ def test_run_quest_emits_stage_spans_and_events():
     ):
         assert spans.count(name) == 1, name
     assert "synthesis.block" in spans
-    events = _event_names(sink.records)
-    assert "selection.round" in events
-    assert "leap.layer" in events
+    events = _event_names(records)
+    assert "selection.rounds" in events
+    assert "leap.layers" in events
     # The per-run metrics snapshot landed on the result.
     counters = result.metrics["counters"]
     assert counters["leap.synthesis_runs"] >= 1
@@ -101,7 +106,7 @@ def test_each_run_keeps_its_own_counts_under_an_ambient_registry(counters):
 def test_selections_bit_identical_with_tracing(workers):
     config = QuestConfig(workers=workers, **CONFIG)
     plain = run_quest(_circuit(), config)
-    traced = run_quest(_circuit(), config, tracer=Tracer(ListSink()))
+    traced, _ = _traced(run_quest, _circuit(), config)
     assert len(plain.selection.choices) == len(traced.selection.choices)
     for a, b in zip(plain.selection.choices, traced.selection.choices):
         assert np.array_equal(a, b)
@@ -112,46 +117,38 @@ def test_selections_bit_identical_with_tracing(workers):
 
 def test_file_trace_holds_every_record_of_a_memory_trace(tmp_path):
     config = QuestConfig(**CONFIG)
-    memory = ListSink()
-    run_quest(_circuit(), config, tracer=Tracer(memory))
+    _, memory = _traced(run_quest, _circuit(), config)
     trace_path = tmp_path / "run.trace"
-    tracer = Tracer(JsonlSink(trace_path))
-    run_quest(_circuit(), config, tracer=tracer)
-    tracer.close()
+    sink = JsonlSink(trace_path)
+    with use_record(Record(sink)):
+        run_quest(_circuit(), config)
+    sink.close()
     lines = trace_path.read_text().strip().splitlines()
-    assert memory.records
-    assert len(lines) == len(memory.records)
-    assert _span_names(map(json.loads, lines)) == _span_names(memory.records)
+    assert memory
+    assert len(lines) == len(memory)
+    assert _span_names(map(json.loads, lines)) == _span_names(memory)
 
 
 def test_worker_records_are_marshalled_back():
-    sink = ListSink()
-    run_quest(
-        _circuit(),
-        QuestConfig(workers=2, **CONFIG),
-        tracer=Tracer(sink),
-    )
-    worker_records = [
-        r for r in sink.records if r.get("origin") == "worker"
-    ]
+    _, records = _traced(run_quest, _circuit(), QuestConfig(workers=2, **CONFIG))
+    worker_records = [r for r in records if r.get("origin") == "worker"]
     assert worker_records
     assert all(r["pid"] != os.getpid() for r in worker_records)
     assert "synthesis.block" in _span_names(worker_records)
 
 
 def test_fault_injection_produces_retry_and_failure_events():
-    sink = ListSink()
     injector = FaultInjector(specs=(FaultSpec("raise", None, 0),))
-    result = run_quest(
+    result, records = _traced(
+        run_quest,
         _circuit(),
         QuestConfig(retry_attempts=2, **CONFIG),
         fault_injector=injector,
-        tracer=Tracer(sink),
     )
-    events = _event_names(sink.records)
-    assert "fault.injected" in events
-    assert "synthesis.failure" in events
-    assert "retry.attempt" in events
+    events = _event_names(records)
+    assert "faults.injected" in events
+    assert "synthesis.failures" in events
+    assert "retry.attempts" in events
     assert not result.synthesis_fallbacks  # same-seed retry recovered
     counters = result.metrics["counters"]
     assert counters["retry.attempts"] >= 1
@@ -160,23 +157,77 @@ def test_fault_injection_produces_retry_and_failure_events():
 
 def test_worker_fault_events_marshal_under_process_pool():
     """A fault fired inside a worker still lands in the parent trace."""
-    sink = ListSink()
     injector = FaultInjector(specs=(FaultSpec("nan", 0, 0),), seed=3)
-    run_quest(
+    _, records = _traced(
+        run_quest,
         _circuit(),
         QuestConfig(workers=2, retry_attempts=2, **CONFIG),
         fault_injector=injector,
-        tracer=Tracer(sink),
     )
     fault_events = [
         r
-        for r in sink.records
-        if r["type"] == "event" and r["name"] == "fault.injected"
+        for r in records
+        if r["type"] == "event" and r["name"] == "faults.injected"
     ]
     assert fault_events
     assert any(r.get("origin") == "worker" for r in fault_events)
     # The quarantine the fault provoked is visible too.
-    assert "synthesis.failure" in _event_names(sink.records)
+    assert "synthesis.failures" in _event_names(records)
+
+
+def _assert_events_equal_counters(records, metrics):
+    totals = Counter(_event_names(records))
+    assert totals
+    counters = metrics["counters"]
+    assert {name: counters.get(name, 0) for name in totals} == dict(totals)
+
+
+def test_every_event_total_equals_its_counter():
+    """A traced, fault-injected run on worker processes, solo and in a
+    batch: each event name's total in the trace is the counter of the
+    same name."""
+    config = QuestConfig(workers=2, retry_attempts=2, **CONFIG)
+    faults = "raise@*:0"
+    result, records = _traced(
+        run_quest, _circuit(), config, fault_injector=parse_fault_spec(faults)
+    )
+    _assert_events_equal_counters(records, result.metrics)
+    assert {"synthesis.failures", "retry.attempts", "leap.layers"} <= set(
+        _event_names(records)
+    )
+    batch, records = _traced(
+        run_quest_batch,
+        [_circuit(), _circuit(), tfim(4, steps=1)],
+        config,
+        fault_injector=parse_fault_spec(faults),
+    )
+    _assert_events_equal_counters(records, batch.metrics)
+    assert "dedup.hits" in _event_names(records)
+
+
+def test_untraced_workers_ship_counts_but_no_trace_records(monkeypatch):
+    """Workers of an untraced run send back no trace records, yet the
+    run's counters hold the work they did."""
+    futures = []
+    submit = PersistentWorkerPool.submit
+
+    def spy(pool, fn, /, *args):
+        future = submit(pool, fn, *args)
+        futures.append(future)
+        return future
+
+    monkeypatch.setattr(PersistentWorkerPool, "submit", spy)
+    result = run_quest(_circuit(), QuestConfig(workers=2, **CONFIG))
+    assert futures
+    for future in futures:
+        records, snapshot = future.result()[2]
+        assert records == []
+        assert snapshot["counters"]["leap.layers"] >= 1
+    counters = result.metrics["counters"]
+    for name in ("leap.layers", "instantiate.starts", "costgrad.calls"):
+        assert counters[name] == sum(
+            future.result()[2][1]["counters"][name] for future in futures
+        )
 
 
 def test_trace_summary_stage_totals_match_timings(tmp_path):
@@ -184,11 +235,11 @@ def test_trace_summary_stage_totals_match_timings(tmp_path):
     from repro.observability import summarize_trace
 
     path = tmp_path / "run.trace"
-    tracer = Tracer(JsonlSink(path))
-    result = run_quest(_circuit(), QuestConfig(**CONFIG), tracer=tracer)
-    with use_tracer(tracer):
+    sink = JsonlSink(path)
+    with use_record(Record(sink)):
+        result = run_quest(_circuit(), QuestConfig(**CONFIG))
         result.noisy_ensemble(NoiseModel.from_noise_level(0.01))
-    tracer.close()
+    sink.close()
     totals = summarize_trace(path).stage_totals()
     expected = {
         "partition": result.timings.partition_seconds,
@@ -262,6 +313,30 @@ def test_cli_trace_summary_missing_file(tmp_path, capsys):
     code = main(["trace-summary", str(tmp_path / "nope.trace")])
     assert code == 2
     assert "error reading" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "junk",
+    [
+        b'{"type":"span","name":"quest.bad","dur":"abc","status":"ok"}\n',
+        b'{"type":"span","name":"quest.bad","dur":null,"status":"ok"}\n',
+        b'{"type":"event","name":"cache.h\xffit"}\n',
+    ],
+    ids=["text-dur", "null-dur", "not-utf8"],
+)
+def test_cli_trace_summary_counts_malformed_records(tmp_path, capsys, junk):
+    path = tmp_path / "run.trace"
+    path.write_bytes(
+        b'{"type":"span","name":"quest.partition","dur":0.25,"status":"ok"}\n'
+        + junk
+        + b'{"type":"event","name":"cache.hit"}\n'
+    )
+    assert main(["trace-summary", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "quest.partition" in out
+    assert "cache.hit" in out
+    assert "quest.bad" not in out
+    assert "2 record(s), 1 malformed line(s) skipped" in out
 
 
 def test_cli_log_level_silences_stdout_diagnostics(tmp_path, capsys):

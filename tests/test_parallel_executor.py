@@ -16,7 +16,7 @@ import pytest
 import repro.parallel.substrate as substrate_module
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig, QuestTimings, run_quest
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.partition.scan import scan_partition
@@ -229,7 +229,7 @@ def test_stats_counters_partition_the_blocks(tmp_path):
         for b in blocks
         if b.num_qubits == 1 or b.circuit.cnot_count() == 0
     )
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         pools, stats = run_executor(blocks, CONFIG, seeds, store=tmp_path)
     counts = registry.snapshot()["counters"]
     hits, misses = counts["cache.hit"], counts["cache.miss"]
@@ -238,7 +238,7 @@ def test_stats_counters_partition_the_blocks(tmp_path):
     # Only synthesized blocks carry nonzero per-block time.
     assert sum(1 for s in stats.block_seconds if s > 0) == misses
 
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         pools_nc, _ = run_executor(blocks, CONFIG, seeds)
     counts_nc = registry.snapshot()["counters"]
     # Without a store, repeats still dedup to one dispatched job each

@@ -22,7 +22,7 @@ from repro.circuits import circuit_to_qasm
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.parallel.cache import PoolCache
 from repro.partition.scan import scan_partition
 from repro.resilience import (
@@ -383,14 +383,14 @@ def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
 
     # Run 2 reads the poisoned tier: the checksum catches the flip, the
     # entry is counted corrupt and recomputed, results stay identical.
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         pools, stats = run_executor(blocks, CONFIG, seeds, store=cache_dir)
     assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 1
     assert not fallback_blocks(stats.failure_log)
     _pools_equal(clean_pools, pools)
 
     # Run 3: the recompute overwrote the bad file, so the tier is clean.
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         pools, _ = run_executor(blocks, CONFIG, seeds, store=cache_dir)
     counts = registry.snapshot()["counters"]
     assert "cache.corrupt_entries" not in counts
@@ -449,7 +449,7 @@ def test_wrong_width_store_entries_are_quarantined(tmp_path):
     assert keys
     for key in keys:
         cache.put(key, [_narrow_solution()])
-    with use_metrics(MetricsRegistry()) as registry:
+    with use_record(Record()) as registry:
         warm_pools, stats = run_executor(blocks, config, seeds, store=tmp_path)
     _pools_equal(cold_pools, warm_pools)
     assert registry.snapshot()["counters"]["cache.miss"] == len(keys)

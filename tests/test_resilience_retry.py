@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import tfim
 from repro.core.quest import QuestConfig
-from repro.observability import ListSink, Tracer, use_tracer
+from repro.observability import ListSink, Record, use_record
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.partition.scan import scan_partition
 from repro.resilience import FaultInjector, FaultSpec
@@ -125,22 +125,39 @@ def test_nan_corruption_is_quarantined_then_recovered(workers):
     _assert_matches_inline(_nan_run, pools, stats)
 
 
-def test_inline_validation_failure_closes_the_block_span_as_error():
-    """The inline span wraps validation: a quarantined attempt is an error."""
+def _traced_nan_run(workers):
+    """``_nan_run`` traced: its ``synthesis.block`` spans as sorted
+    ``(block, attempt, status)``, its ``synthesis.failures`` events as
+    ``(block, attempt, kind)``, and its stats."""
     sink = ListSink()
-    with use_tracer(Tracer(sink)):
-        _, stats = _nan_run(1)
-    spans = {
-        (r["attrs"]["block"], r["attrs"]["attempt"]): r
+    with use_record(Record(sink)):
+        _, stats = _nan_run(workers)
+    spans = sorted(
+        (r["attrs"]["block"], r["attrs"]["attempt"], r["status"])
         for r in sink.records
         if r["type"] == "span" and r["name"] == "synthesis.block"
-    }
-    failed = {r.block_index for r in stats.failure_log}
+    )
+    failures = sorted(
+        (r["attrs"]["block"], r["attrs"]["attempt"], r["attrs"]["kind"])
+        for r in sink.records
+        if r["type"] == "event" and r["name"] == "synthesis.failures"
+    )
+    return spans, failures, stats
+
+
+def test_inline_block_spans_match_the_worker_spans():
+    """The inline path opens each attempt's span where a worker does,
+    around the attempt alone: a quarantined attempt's span closes ok on
+    both paths, and the quarantine is a ``synthesis.failures`` event."""
+    inline_spans, inline_failures, stats = _traced_nan_run(1)
+    pool_spans, pool_failures, _ = _traced_nan_run(2)
+    assert inline_spans == pool_spans
+    assert all(status == "ok" for *_, status in inline_spans)
+    failed = sorted(r.block_index for r in stats.failure_log)
     assert failed
-    for index in failed:
-        assert spans[(index, 0)]["status"] == "error"
-        assert "ValidationError" in spans[(index, 0)]["error"]
-        assert spans[(index, 1)]["status"] == "ok"
+    assert inline_failures == pool_failures == [
+        (index, 0, FAILURE_VALIDATION) for index in failed
+    ]
 
 
 def _exhausted_run(workers):

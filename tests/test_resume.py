@@ -21,7 +21,7 @@ import pytest
 
 from repro.algorithms import heisenberg, tfim
 from repro.core.quest import QuestConfig, run_quest
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.parallel.cache import PoolCache, content_key, entry_key
 from repro.parallel.executor import (
     BlockSynthesisExecutor,
@@ -185,9 +185,9 @@ def test_adopted_in_flight_result_is_put_in_the_joiners_store(tmp_path):
     alice = substrate_for(store=tmp_path, namespace="alice")
     bob = replace(alice, cache=PoolCache(tmp_path, namespace="bob"))
 
-    with use_metrics(MetricsRegistry()) as owner_metrics:
+    with use_record(Record()) as owner_metrics:
         owner_pools, _ = BlockSynthesisExecutor(alice).run(blocks, config, seeds)
-    with use_metrics(MetricsRegistry()) as joiner_metrics:
+    with use_record(Record()) as joiner_metrics:
         joiner_pools, joiner = BlockSynthesisExecutor(bob).run(blocks, config, seeds)
 
     # The joiner synthesized nothing: every job adopted the owner's.

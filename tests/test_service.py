@@ -77,26 +77,27 @@ def _solo_signature(result) -> dict:
 def running_service(ledger_dir, **kwargs):
     """Boot a daemon on a short /tmp socket; always drain on exit.
 
-    The socket lives in its own mkdtemp under /tmp (not pytest's
-    tmp_path) because ``AF_UNIX`` paths are capped at ~108 bytes.
+    The socket lives in its own temporary directory under /tmp (not
+    pytest's tmp_path) because ``AF_UNIX`` paths are capped at ~108
+    bytes; the directory is removed on exit, pass or fail.
     """
-    sock_dir = tempfile.mkdtemp(dir="/tmp", prefix="qsvc-")
-    socket_path = str(Path(sock_dir) / "s.sock")
-    kwargs.setdefault("config", _config())
-    service = QuestService(socket_path, ledger_dir, **kwargs)
-    thread = threading.Thread(
-        target=lambda: asyncio.run(service.run()), daemon=True
-    )
-    thread.start()
-    client = ServiceClient(socket_path)
-    try:
-        wait_until_ready(client, timeout=30.0)
-        yield service, client
-    finally:
-        with contextlib.suppress(ServiceError):
-            client.shutdown()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive(), "daemon failed to shut down cleanly"
+    with tempfile.TemporaryDirectory(dir="/tmp", prefix="qsvc-") as sock_dir:
+        socket_path = str(Path(sock_dir) / "s.sock")
+        kwargs.setdefault("config", _config())
+        service = QuestService(socket_path, ledger_dir, **kwargs)
+        thread = threading.Thread(
+            target=lambda: asyncio.run(service.run()), daemon=True
+        )
+        thread.start()
+        client = ServiceClient(socket_path)
+        try:
+            wait_until_ready(client, timeout=30.0)
+            yield service, client
+        finally:
+            with contextlib.suppress(ServiceError):
+                client.shutdown()
+            thread.join(timeout=60.0)
+            assert not thread.is_alive(), "daemon failed to shut down cleanly"
 
 
 @pytest.fixture(scope="module")

@@ -98,10 +98,19 @@ def _dump_artifacts(name: str, payload: dict) -> None:
     (directory / f"{name}.json").write_text(json.dumps(payload, indent=1))
 
 
+@pytest.fixture
+def sock_dir():
+    """A short /tmp directory for the daemons' sockets (``AF_UNIX`` paths
+    are capped at ~108 bytes), removed when the test ends."""
+    with tempfile.TemporaryDirectory(dir="/tmp", prefix="qkil-") as path:
+        yield path
+
+
 @pytest.mark.slow
-def test_daemon_resumes_killed_job_from_the_store_bit_identically(tmp_path):
+def test_daemon_resumes_killed_job_from_the_store_bit_identically(
+    tmp_path, sock_dir
+):
     ledger_dir = tmp_path / "ledger"
-    sock_dir = tempfile.mkdtemp(dir="/tmp", prefix="qkil-")
     script = tmp_path / "killed_daemon.py"
     script.write_text(
         _CHILD_SCRIPT.format(

@@ -21,6 +21,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import pytest
+
 from repro.algorithms import tfim
 from repro.circuits import circuit_to_qasm
 from repro.core.quest import QuestConfig
@@ -55,8 +57,17 @@ def _dump_artifact(name: str, payload: dict) -> None:
     (path / f"{name}.json").write_text(json.dumps(payload, indent=2))
 
 
-def test_queue_saturation_rejects_structurally_and_drains_clean(tmp_path):
-    sock_dir = tempfile.mkdtemp(dir="/tmp", prefix="qovl-")
+@pytest.fixture
+def sock_dir():
+    """A short /tmp directory for the daemon's socket (``AF_UNIX`` paths
+    are capped at ~108 bytes), removed when the test ends."""
+    with tempfile.TemporaryDirectory(dir="/tmp", prefix="qovl-") as path:
+        yield path
+
+
+def test_queue_saturation_rejects_structurally_and_drains_clean(
+    tmp_path, sock_dir
+):
     socket_path = str(Path(sock_dir) / "s.sock")
     config = QuestConfig(**FAST, workers=1)
     service = QuestService(

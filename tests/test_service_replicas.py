@@ -70,23 +70,24 @@ def _solo_signature(result) -> dict:
 
 @contextlib.contextmanager
 def running_replica(ledger_dir, store_root):
-    """One daemon replica over the shared ``store_root``."""
-    sock_dir = tempfile.mkdtemp(dir="/tmp", prefix="qrep-")
-    socket_path = str(Path(sock_dir) / "s.sock")
-    service = QuestService(socket_path, str(ledger_dir), _config(store_root))
-    thread = threading.Thread(
-        target=lambda: asyncio.run(service.run()), daemon=True
-    )
-    thread.start()
-    client = ServiceClient(socket_path)
-    try:
-        wait_until_ready(client, timeout=30.0)
-        yield service, client
-    finally:
-        with contextlib.suppress(ServiceError):
-            client.shutdown()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive(), "replica failed to shut down cleanly"
+    """One daemon replica over the shared ``store_root``, its socket in
+    a short /tmp directory removed on exit."""
+    with tempfile.TemporaryDirectory(dir="/tmp", prefix="qrep-") as sock_dir:
+        socket_path = str(Path(sock_dir) / "s.sock")
+        service = QuestService(socket_path, str(ledger_dir), _config(store_root))
+        thread = threading.Thread(
+            target=lambda: asyncio.run(service.run()), daemon=True
+        )
+        thread.start()
+        client = ServiceClient(socket_path)
+        try:
+            wait_until_ready(client, timeout=30.0)
+            yield service, client
+        finally:
+            with contextlib.suppress(ServiceError):
+                client.shutdown()
+            thread.join(timeout=60.0)
+            assert not thread.is_alive(), "replica failed to shut down cleanly"
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ cache from many threads:
 
 * the corrupt-entry counter was incremented outside the cache lock, so
   concurrent corrupt loads could lose increments (every count now goes
-  through the metrics registry's lock);
+  through the run record's lock);
 * the publish temp name was ``<key>.tmp.<pid>`` — unique per *process*,
   not per writer — so two threads of one daemon publishing the same key
   clobbered each other's half-written temp file;
@@ -21,7 +21,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import NULL_RECORD, Record, use_record
 from repro.parallel.cache import _HEADER, _MAGIC, CACHE_VERSION, PoolCache, entry_key
 from repro.store import ArtifactStore, artifact
 from repro.synthesis.leap import SynthesisSolution
@@ -34,11 +34,11 @@ def _solutions(cnots: int = 1) -> list[SynthesisSolution]:
     ]
 
 
-def _run_threads(workers, metrics=None):
+def _run_threads(workers, metrics=NULL_RECORD):
     """Start ``workers`` near-simultaneously; re-raise their failures.
 
     Each thread counts into ``metrics``: threads do not inherit the
-    ambient registry, so the registry is installed inside each one.
+    ambient record, so the record is installed inside each one.
     """
     barrier = threading.Barrier(len(workers))
     errors: list[BaseException] = []
@@ -46,7 +46,7 @@ def _run_threads(workers, metrics=None):
     def runner(work):
         barrier.wait()
         try:
-            with use_metrics(metrics):
+            with use_record(metrics):
                 work()
         except BaseException as exc:  # noqa: BLE001 - surfaced below
             errors.append(exc)
@@ -81,7 +81,7 @@ def test_corrupt_entry_counter_is_exact_under_threads(tmp_path):
     def probe(key):
         assert fresh.get(key) is None
 
-    registry = MetricsRegistry()
+    registry = Record()
     _run_threads([lambda key=key: probe(key) for key in keys], registry)
     counters = registry.snapshot()["counters"]
     assert counters["cache.corrupt_entries"] == threads
@@ -132,7 +132,7 @@ def test_put_storm_with_concurrent_readers(tmp_path):
         lambda n=n: writer_cache.put(key, _solutions(cnots=n + 1))
         for n in range(8)
     ] + [read_loop for _ in range(4)]
-    registry = MetricsRegistry()
+    registry = Record()
     _run_threads(workers, registry)
     assert not torn
     assert "cache.corrupt_entries" not in registry.snapshot()["counters"]
@@ -152,7 +152,7 @@ def test_put_vs_evict_race(tmp_path):
         for _ in range(20):
             store.evict()
 
-    registry = MetricsRegistry()
+    registry = Record()
     _run_threads(
         [
             lambda: publisher(keys[:12]),
@@ -182,7 +182,7 @@ def test_hits_plus_misses_equals_gets_under_threads(tmp_path):
             got = cache.get(key)
             assert (got is not None) == expect_hit
 
-    registry = MetricsRegistry()
+    registry = Record()
     _run_threads(
         [lambda k=k: prober(k, True) for k in present]
         + [lambda k=k: prober(k, False) for k in absent],
@@ -212,13 +212,13 @@ def test_concurrent_corrupt_storm_then_repair(tmp_path):
         for _ in range(probes):
             assert shared.get(key) is None
 
-    registry = MetricsRegistry()
+    registry = Record()
     _run_threads([prober for _ in range(4)], registry)
     assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 4 * probes
 
     shared.put(key, _solutions())
     repaired = PoolCache(tmp_path)
-    with use_metrics(registry):
+    with use_record(registry):
         assert repaired.get(key) is not None
     assert registry.snapshot()["counters"]["cache.corrupt_entries"] == 4 * probes
 

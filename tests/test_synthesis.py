@@ -10,7 +10,7 @@ import pytest
 from repro.circuits import Circuit, gate_matrix, random_unitary
 from repro.exceptions import SynthesisError
 from repro.linalg import hs_distance
-from repro.observability import MetricsRegistry, use_metrics
+from repro.observability import Record, use_record
 from repro.resilience.validation import validate_solutions
 from repro.sim import circuit_unitary
 from repro.synthesis import (
@@ -121,8 +121,8 @@ class TestLeap:
     def test_distances_decrease_with_depth(self, rng):
         target = random_unitary(8, rng)
         config = LeapConfig(max_layers=4, seed=2, solutions_per_layer=1)
-        registry = MetricsRegistry()
-        with use_metrics(registry):
+        registry = Record()
+        with use_record(registry):
             solutions = synthesize(target, config)
         best_by_layer = {}
         for solution in solutions:
