@@ -31,7 +31,6 @@ bit-identically.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,14 +44,15 @@ class BatchResult:
     """Everything a batch compilation produced.
 
     ``results`` preserves input order regardless of completion order.
-    The dedup/pool counters are read-only views of ``metrics`` and are
-    what the batch tests' dedup accounting asserts on.
+    The dedup/pool counters and ``wall_seconds`` are read-only views of
+    ``metrics``; the counters are what the batch tests' dedup accounting
+    asserts on.
     """
 
     results: list[QuestResult] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    #: The batch's one record of counts: the store's opening counts
-    #: merged with every circuit's snapshot, in input order.
+    #: The batch's one record of counts and span times: the store's
+    #: opening counts and the ``quest.batch`` span merged with every
+    #: circuit's snapshot, in input order.
     metrics: dict = field(default_factory=dict)
 
     #: Planned jobs another circuit's result served, and registry joins.
@@ -65,6 +65,11 @@ class BatchResult:
     #: Persistent-pool accounting (0 when ``workers == 1``).
     pools_created = counter_property("pool.created")
     pool_recycles = counter_property("pool.recycles")
+
+    @property
+    def wall_seconds(self) -> float:
+        """Wall time of the batch: its ``quest.batch`` span."""
+        return self.metrics["histograms"]["quest.batch"]["sum"]
 
     @property
     def pool_reuses(self) -> int:
@@ -150,7 +155,6 @@ def run_quest_batch(
             failed.set()
             raise
 
-    start = time.perf_counter()
     with substrate, record.span("quest.batch", circuits=len(circuits), window=window):
         with ThreadPoolExecutor(
             max_workers=min(window, len(circuits)), thread_name_prefix="quest-batch"
@@ -160,13 +164,10 @@ def run_quest_batch(
                 for circuit, circuit_record in zip(circuits, records)
             ]
             results = [future.result() for future in futures]
-    wall = time.perf_counter() - start
 
     # Input order keeps the merged gauges and float sums deterministic.
     for circuit_record in records:
         record.merge(circuit_record.snapshot())
-    batch = BatchResult(
-        results=results, wall_seconds=wall, metrics=record.snapshot()
-    )
+    batch = BatchResult(results=results, metrics=record.snapshot())
     enclosing.merge(batch.metrics)
     return batch

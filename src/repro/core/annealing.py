@@ -78,21 +78,11 @@ class SelectionResult:
     cnot_counts: list[int] = field(default_factory=list)
     bounds: list[float] = field(default_factory=list)
     objective_values: list[float] = field(default_factory=list)
-    annealer_runs: int = 0
-    #: Objective evaluations performed during this selection, split by
-    #: entry point (one-at-a-time annealer calls vs. batched points).
-    scalar_evaluations: int = 0
-    batched_evaluations: int = 0
 
     @property
     def num_selected(self) -> int:
         """Number of selected full-circuit approximations."""
         return len(self.choices)
-
-    @property
-    def objective_evaluations(self) -> int:
-        """Total points scored (scalar + batched)."""
-        return self.scalar_evaluations + self.batched_evaluations
 
 
 def _search_space_size(objective: SelectionObjective) -> int:
@@ -290,7 +280,9 @@ def select_approximations(
     heuristic; batched exact enumeration is both faster and
     deterministic there).  Each annealing run takes
     :data:`ANNEALING_MAXITER` temperature steps; ``max_samples`` must be
-    positive.
+    positive.  The ambient record counts each round
+    (``selection.rounds``) and each annealing run's visits
+    (``selection.scalar_evals``), as the objective counts its own.
     """
     if max_samples < 1:
         raise SelectionError("max_samples must be positive")
@@ -308,8 +300,6 @@ def select_approximations(
     record = get_record()
     result = SelectionResult()
     objective.selected.clear()
-    objective.scalar_evaluations = 0
-    objective.batched_evaluations = 0
     use_exhaustive = _search_space_size(objective) <= EXHAUSTIVE_CUTOFF
     for sample_index in range(max_samples):
         if use_exhaustive:
@@ -320,9 +310,8 @@ def select_approximations(
                 ANNEALING_MAXITER,
                 np.random.default_rng(run_seeds[sample_index]),
             )
-            objective.scalar_evaluations += annealed.evaluations
+            record.inc("selection.scalar_evals", annealed.evaluations)
             choice = annealed.choice
-        result.annealer_runs += 1
         bound = objective.choice_bound(choice)
         record.event(
             "selection.rounds",
@@ -353,9 +342,5 @@ def select_approximations(
         result.bounds.append(bound)
         result.objective_values.append(value)
         objective.selected.append(choice)
-    result.scalar_evaluations = objective.scalar_evaluations
-    result.batched_evaluations = objective.batched_evaluations
-    record.inc("selection.batch_evals", result.batched_evaluations)
-    record.inc("selection.scalar_evals", result.scalar_evaluations)
     record.gauge("selection.num_selected", result.num_selected)
     return result

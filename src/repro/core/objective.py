@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.pool import BlockPool
 from repro.core.similarity import BlockSimilarityTables, validate_choices
 from repro.exceptions import SelectionError
+from repro.observability import get_record
 
 #: Algorithm 1's weight of the similarity term; the normalized CNOT
 #: count gets the rest (Sec. 3.6: 0.5 each).
@@ -149,17 +150,15 @@ class SelectionObjective:
     the compiled priors and :meth:`scorer` follow on the next call, as
     they do a change of ``threshold`` or ``original_cnot_count``.  An
     element is read as a value when it joins: replace it rather than
-    write into it.
+    write into it.  The ambient record counts the points scored:
+    ``selection.scalar_evals`` per ``__call__``,
+    ``selection.batch_evals`` per ``evaluate_batch`` row.
     """
 
     pools: list[BlockPool]
     threshold: float
     original_cnot_count: int
     selected: list[np.ndarray] = field(default_factory=list)
-    #: Points scored one at a time (``__call__`` and the annealer's
-    #: visits) vs. points scored through ``evaluate_batch``.
-    scalar_evaluations: int = 0
-    batched_evaluations: int = 0
 
     def __post_init__(self) -> None:
         if not self.pools:
@@ -231,7 +230,7 @@ class SelectionObjective:
     def __call__(self, choice: np.ndarray) -> float:
         """Algorithm 1's score of the integer choice vector ``choice``."""
         choice = validate_choices(choice, self._sizes)
-        self.scalar_evaluations += 1
+        get_record().inc("selection.scalar_evals")
         return self.scorer()(choice)
 
     def evaluate_batch(self, choices: np.ndarray) -> np.ndarray:
@@ -242,7 +241,7 @@ class SelectionObjective:
         per-row reduction of the same fractions).
         """
         choices = validate_choices(np.atleast_2d(choices), self._sizes)
-        self.batched_evaluations += choices.shape[0]
+        get_record().inc("selection.batch_evals", choices.shape[0])
         bounds = self._sum_chosen(self._distances, choices)
         cnots = self._sum_chosen(self._cnots, choices)
         values = cnots / self.original_cnot_count

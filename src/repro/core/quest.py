@@ -12,16 +12,16 @@
    with the dual-annealing engine under the summed-distance threshold,
    and stitch each selection into a runnable circuit.
 
-The result carries per-step wall times (Fig. 12) and the Sec. 3.8 bound
-of every selected approximation.  :func:`result_payload` is its one
-serialized form: the CLI writes it to disk and the daemon returns it.
+The result carries per-step wall times (Fig. 12), read from the run's
+spans, and the Sec. 3.8 bound of every selected approximation.
+:func:`result_payload` is its one serialized form: the CLI writes it to
+disk and the daemon returns it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -33,7 +33,7 @@ from repro.core.annealing import SelectionResult, select_approximations
 from repro.core.objective import SelectionObjective
 from repro.core.pool import BlockPool
 from repro.exceptions import SelectionError
-from repro.observability import Record, counter_property, get_record, use_record
+from repro.observability import STAGE_SPANS, Record, counter_property, get_record, use_record
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.parallel.substrate import open_substrate
 from repro.partition.blocks import CircuitBlock, stitch_blocks
@@ -172,21 +172,23 @@ class QuestConfig:
 
 @dataclass
 class QuestTimings:
-    """Per-step wall times (the Fig. 12 breakdown)."""
+    """Per-step wall times (the Fig. 12 breakdown), read from the spans
+    of the run's record (:meth:`read_stages`)."""
 
     partition_seconds: float = 0.0
     synthesis_seconds: float = 0.0
     #: Wall time of the selection phase (Fig. 12's "annealing" bar).
     selection_seconds: float = 0.0
-    #: Per-block synthesis seconds measured inside the worker; 0.0 for
-    #: trivial blocks and cache hits.  With ``workers > 1`` the entries
-    #: overlap in wall time, so their sum can exceed ``synthesis_seconds``.
+    #: Per-block seconds: each block's successful ``synthesis.block``
+    #: span, timed where it ran; 0.0 for trivial blocks, cache hits and
+    #: joins.  With ``workers > 1`` the entries overlap in wall time, so
+    #: their sum can exceed ``synthesis_seconds``.
     block_synthesis_seconds: list[float] = field(default_factory=list)
     #: Accumulated seconds spent evaluating the selected ensemble under a
-    #: noise model via :meth:`QuestResult.noisy_ensemble`.  Post-pipeline
-    #: work (the paper's Sec. 5 evaluation loop), so it is tracked
-    #: separately from the three pipeline phases and excluded from
-    #: ``total_seconds``.
+    #: noise model: the ``quest.noisy_eval`` spans of
+    #: :meth:`QuestResult.noisy_ensemble`.  Post-pipeline work (the
+    #: paper's Sec. 5 evaluation loop), so it is tracked separately from
+    #: the three pipeline phases and excluded from ``total_seconds``.
     noisy_eval_seconds: float = 0.0
     #: Wall time of the optional post-run certification stage
     #: (``QuestConfig.certify``); a guardrail, not a pipeline phase, so
@@ -206,6 +208,14 @@ class QuestTimings:
             + self.synthesis_seconds
             + self.selection_seconds
         )
+
+    def read_stages(self, metrics: dict) -> None:
+        """Set each stage's seconds to the total of its span
+        (:data:`~repro.observability.STAGE_SPANS`) in a record snapshot."""
+        histograms = metrics["histograms"]
+        for stage, span in STAGE_SPANS.items():
+            if span in histograms:
+                setattr(self, f"{stage}_seconds", histograms[span]["sum"])
 
 
 @dataclass
@@ -237,13 +247,15 @@ class QuestResult:
     #: store hits, which include every block a killed run published) vs.
     #: jobs planned, attempts beyond each block's first, planned jobs
     #: another run's result served through the shared in-flight
-    #: registry, and store entries this run loaded that failed
-    #: integrity checks.
+    #: registry, store entries this run loaded that failed integrity
+    #: checks, and choice vectors scored one at a time vs. in batches.
     cache_hits = counter_property("cache.hit")
     cache_misses = counter_property("cache.miss")
     retries = counter_property("retry.attempts")
     dedup_joins = counter_property("dedup.hits")
     cache_corrupt_entries = counter_property("cache.corrupt_entries")
+    scalar_evals = counter_property("selection.scalar_evals")
+    batch_evals = counter_property("selection.batch_evals")
 
     @property
     def synthesis_fallbacks(self) -> list[int]:
@@ -286,7 +298,7 @@ class QuestResult:
     @property
     def objective_evaluations(self) -> int:
         """Choice vectors scored during selection (scalar + batched)."""
-        return self.selection.objective_evaluations
+        return self.scalar_evals + self.batch_evals
 
     @property
     def certified(self) -> bool | None:
@@ -306,8 +318,7 @@ class QuestResult:
             f"{self.original_cnot_count} -> {sorted(self.cnot_counts)} "
             f"({100 * self.cnot_reduction:.0f}% mean reduction); "
             f"selection scored {self.objective_evaluations} choices "
-            f"({self.selection.scalar_evaluations} scalar + "
-            f"{self.selection.batched_evaluations} batched) "
+            f"({self.scalar_evals} scalar + {self.batch_evals} batched) "
             f"in {self.timings.selection_seconds:.2f}s"
         )
         if self.retries or self.failure_log:
@@ -340,8 +351,9 @@ class QuestResult:
         contracts the whole ensemble as one batched superoperator pass;
         ``trajectories`` evaluates circuit by circuit via
         :func:`repro.noise.noisy_distribution`, each from
-        :data:`repro.noise.trajectories.TRAJECTORIES` samples.  Wall time is
-        accumulated into ``timings.noisy_eval_seconds``.
+        :data:`repro.noise.trajectories.TRAJECTORIES` samples.  The
+        duration of its ``quest.noisy_eval`` span is accumulated into
+        ``timings.noisy_eval_seconds``.
         """
         from repro.metrics.distances import average_distributions
         from repro.noise import (
@@ -356,13 +368,12 @@ class QuestResult:
         engine = resolve_engine(engine, self.baseline.num_qubits)
         rng = np.random.default_rng(rng)
         record = get_record()
-        start = time.perf_counter()
         with record.span(
             "quest.noisy_eval",
             circuits=len(self.circuits),
             trajectories=TRAJECTORIES,
             engine=engine,
-        ):
+        ) as span:
             if engine == "ptm":
                 # One batched contraction over the whole ensemble: the
                 # selected approximations share block structure, so they
@@ -374,7 +385,7 @@ class QuestResult:
                     for circuit in self.circuits
                 ]
             averaged = average_distributions(distributions)
-        self.timings.noisy_eval_seconds += time.perf_counter() - start
+        self.timings.noisy_eval_seconds += span.duration
         record.inc("noisy_eval.circuits", len(self.circuits))
         return averaged
 
@@ -448,9 +459,9 @@ def run_quest(
     use_record(Record(JsonlSink(path))): run_quest(...)``), which then
     receives a span per pipeline phase plus the inner synthesis and
     selection events.  Recording never touches an RNG, so results are
-    bit-identical traced or not.  The run's counts are snapshotted
-    into ``QuestResult.metrics`` and, raised or not, merged into the
-    ambient record.
+    bit-identical traced or not.  The run's counts and span times are
+    snapshotted into ``QuestResult.metrics``, which ``timings`` reads,
+    and, raised or not, merged into the ambient record.
 
     ``shared`` is the :class:`~repro.parallel.substrate.Substrate` of a
     batch or daemon, whose worker pool, store and in-flight registry
@@ -473,6 +484,7 @@ def run_quest(
         snapshot = record.snapshot()
         enclosing.merge(snapshot)
     result.metrics = snapshot
+    result.timings.read_stages(snapshot)
     return result
 
 
@@ -491,13 +503,10 @@ def _run_pipeline(
 
     result = QuestResult(original=circuit, baseline=baseline)
 
-    start = time.perf_counter()
     with record.span("quest.partition"):
         result.blocks = scan_partition(baseline, config.max_block_qubits)
-    result.timings.partition_seconds = time.perf_counter() - start
     record.gauge("partition.blocks", len(result.blocks))
 
-    start = time.perf_counter()
     with record.span("quest.synthesis", blocks=len(result.blocks)):
         block_seeds = _draw_block_seeds(rng, len(result.blocks))
         executor = BlockSynthesisExecutor(
@@ -516,7 +525,6 @@ def _run_pipeline(
         )
     result.failure_log = synthesis_stats.failure_log
     result.timings.block_synthesis_seconds = synthesis_stats.block_seconds
-    result.timings.synthesis_seconds = time.perf_counter() - start
 
     result.threshold = config.threshold_per_block * len(result.blocks)
     objective = SelectionObjective(
@@ -524,14 +532,12 @@ def _run_pipeline(
         threshold=result.threshold,
         original_cnot_count=baseline.cnot_count(),
     )
-    start = time.perf_counter()
     with record.span("quest.selection", blocks=len(result.pools)):
         result.selection = select_approximations(
             objective,
             max_samples=config.max_samples,
             seed=int(rng.integers(2**31 - 1)),
         )
-    result.timings.selection_seconds = time.perf_counter() - start
 
     with record.span("quest.stitch", circuits=result.selection.num_selected):
         for choice in result.selection.choices:
@@ -544,7 +550,6 @@ def _run_pipeline(
             )
 
     if config.certify:
-        start = time.perf_counter()
         with record.span("quest.certify", circuits=len(result.circuits)):
             result.certifications = certify_result(
                 result,
@@ -560,5 +565,4 @@ def _run_pipeline(
                     claimed_total=report.claimed_total,
                     first_failed_block=report.first_failed_block,
                 )
-        result.timings.certify_seconds = time.perf_counter() - start
     return result

@@ -6,8 +6,8 @@ One vocabulary threads through every pipeline layer (see DESIGN.md
 provides the mechanisms:
 
 * :mod:`repro.observability.trace` — the run :class:`Record`, which
-  always counts and, given a sink, traces spans and events as JSON
-  lines;
+  always counts and times its spans and, given a sink, traces spans and
+  events as JSON lines;
 * :mod:`repro.observability.logs` — the ``repro`` logger configuration;
 * :mod:`repro.observability.summary` — trace aggregation for the
   ``python -m repro trace-summary`` subcommand.

@@ -2,8 +2,9 @@
 
 ``python -m repro trace-summary run.trace`` renders, from the raw
 span/event stream, the same wall-time story ``QuestTimings`` tells —
-but per span name, with counts, and including worker-side spans the
-parent-side timings can only see in aggregate.
+both read their stages through :data:`STAGE_SPANS` — but per span name,
+with counts, and including worker-side spans the parent-side timings
+can only see in aggregate.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: QuestTimings stage -> the span name that wraps the same region.
+#: QuestTimings stage -> the span that times it: a stage's seconds are
+#: its span's total, in a trace or in a record's histogram of that name.
 STAGE_SPANS = {
     "partition": "quest.partition",
     "synthesis": "quest.synthesis",
     "selection": "quest.selection",
+    "certify": "quest.certify",
     "noisy_eval": "quest.noisy_eval",
 }
 

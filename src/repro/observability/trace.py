@@ -1,5 +1,5 @@
-"""The run record: counts always, and a trace of spans and events when
-it holds a sink.
+"""The run record: a run's one clock and one tally, and a trace of spans
+and events when it holds a sink.
 
 A :class:`Record` is a run's one account of what it did.  It keeps three
 shapes of count:
@@ -11,16 +11,19 @@ shapes of count:
 * **histograms** (``observe``) — streaming summaries (count / sum /
   min / max) of a distribution, e.g. ``synthesis.pool_size``.
 
-Given a sink it also traces: a *span* wraps a timed region (``with
-record.span("synthesis.block", block=i): ...``) and an *event* marks a
-point-in-time occurrence, each written as one JSON object per line
-(rendered by ``python -m repro trace-summary``).  An event is a count
-too: ``event(name)`` adds one to counter ``name`` whether or not the
-record traces, so every event name in a trace is a counter name, and
-its total in the trace equals the counter.
+A *span* times a region (``with record.span("synthesis.block",
+block=i): ...``): on every exit, errors included, it adds its duration
+to the histogram of its own name, traced or not, so a histogram named
+after a span is where that region's time went.  An *event* marks a
+point-in-time occurrence and is a count: ``event(name)`` adds one to
+counter ``name``.  Given a sink the record also traces, writing each
+span and event as one JSON object per line (rendered by ``python -m
+repro trace-summary``).  So every span name in a trace is a histogram
+whose count and sum are the trace's count and total ``dur`` of that
+span, and every event name is a counter equal to its total.
 
 **The ambient record.**  Components read the current record with
-:func:`get_record` and keep no tallies of their own.  It is
+:func:`get_record` and keep no tallies or clocks of their own.  It is
 :data:`NULL_RECORD`, which neither counts nor traces, unless a run
 installs one with :func:`use_record`;
 :func:`repro.core.quest.run_quest` counts every run into a fresh record
@@ -30,7 +33,7 @@ results are bit-identical whatever it records.
 **Monotonic durations.**  Span durations come from ``time.monotonic()``;
 ``ts`` is wall-clock ``time.time()``, for correlation across processes.
 
-**Nesting and safety.**  The current span lives in a
+**Nesting and safety.**  The current traced span lives in a
 :class:`~contextvars.ContextVar`, so nesting works per thread and per
 ``asyncio`` task; span ids embed the pid plus a process-wide count.  Every
 mutator takes the record's lock, and :class:`JsonlSink` writes whole
@@ -38,10 +41,11 @@ lines under a lock, so threads sharing a record interleave records,
 never bytes.
 
 **Worker marshalling.**  A worker process counts into a fresh record
-stamped ``origin="worker"``, tracing into a :class:`ListSink`
-only when the parent traces, and returns the records and a
-:meth:`Record.snapshot` with its payload; the parent re-emits the
-records through :meth:`Record.replay` and folds the snapshot in with
+stamped ``origin="worker"``, tracing into a :class:`ListSink` only when
+the parent traces, under the parent's span shipped with the work
+(:func:`within_span`), and returns the records and a
+:meth:`Record.snapshot`, raised or not; the parent re-emits the records
+through :meth:`Record.replay` and folds the snapshot in with
 :meth:`Record.merge`.
 """
 
@@ -112,7 +116,8 @@ class JsonlSink:
                 self._handle.close()
 
 
-#: Id of the innermost open span in this thread/task (None at top level).
+#: Id of the innermost open traced span in this thread/task (None at
+#: top level).
 _CURRENT_SPAN: ContextVar[str | None] = ContextVar(
     "repro_current_span", default=None
 )
@@ -122,33 +127,19 @@ _CURRENT_SPAN: ContextVar[str | None] = ContextVar(
 _SPAN_ORDINALS = itertools.count(1)
 
 
-class _NullSpan:
-    """Reusable no-op context manager: the span of a record that does
-    not trace."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Span:
-    """One timed region; emits a single ``span`` record when it closes.
+    """One timed region of a record.
 
-    The record carries the wall-clock start (``ts``), the monotonic
-    duration (``dur``), the span/parent ids, and ``status`` — ``"error"``
-    with the exception text when the body raised (the exception still
-    propagates).
+    On exit, errors included, the span sets ``duration`` (monotonic
+    seconds) and adds it to its record's histogram of its own name.  A
+    span of a tracing record also writes one ``span`` record, whose
+    ``dur`` is the same float, with the wall-clock start (``ts``), the
+    span/parent ids, and ``status`` — ``"error"`` with the exception
+    text when the body raised (the exception still propagates).
     """
 
     __slots__ = (
-        "_record", "name", "attrs",
+        "_record", "name", "attrs", "duration",
         "span_id", "parent_id", "_start", "_wall", "_token",
     )
 
@@ -158,21 +149,25 @@ class Span:
         self.attrs = attrs
 
     def __enter__(self) -> "Span":
-        self.parent_id = _CURRENT_SPAN.get()
-        self.span_id = f"{os.getpid():x}:{next(_SPAN_ORDINALS):x}"
-        self._token = _CURRENT_SPAN.set(self.span_id)
-        self._wall = time.time()
+        if self._record.sink is not None:
+            self.parent_id = _CURRENT_SPAN.get()
+            self.span_id = f"{os.getpid():x}:{next(_SPAN_ORDINALS):x}"
+            self._token = _CURRENT_SPAN.set(self.span_id)
+            self._wall = time.time()
         self._start = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = time.monotonic() - self._start
+        self.duration = time.monotonic() - self._start
+        self._record.observe(self.name, self.duration)
+        if self._record.sink is None:
+            return False
         _CURRENT_SPAN.reset(self._token)
         record = {
             "type": "span",
             "name": self.name,
             "ts": self._wall,
-            "dur": duration,
+            "dur": self.duration,
             "span_id": self.span_id,
             "pid": os.getpid(),
             "status": "ok" if exc_type is None else "error",
@@ -188,7 +183,7 @@ class Span:
 
 
 class Record:
-    """A run's counts and, with a ``sink``, its trace.
+    """A run's counts and span times and, with a ``sink``, its trace.
 
     ``origin`` (e.g. ``"worker"``) is stamped on every trace record this
     instance emits, so marshalled worker records stay distinguishable
@@ -286,10 +281,10 @@ class Record:
             record.setdefault("origin", self.origin)
         self.sink.emit(record)
 
-    def span(self, name: str, **attrs):
-        """Context manager timing a region (see :class:`Span`); a no-op
-        unless this record traces."""
-        return _NULL_SPAN if self.sink is None else Span(self, name, attrs)
+    def span(self, name: str, **attrs) -> Span:
+        """Context manager timing a region into histogram ``name`` and,
+        when tracing, the trace (see :class:`Span`)."""
+        return Span(self, name, attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Count one ``name`` and, when tracing, emit an ``event`` record
@@ -320,12 +315,9 @@ class Record:
             self.sink.emit(dict(record))
 
 
-class _NullRecord:
-    """The record outside any run: it neither counts nor traces."""
-
-    __slots__ = ()
-    sink = None
-    is_enabled = False
+class _NullRecord(Record):
+    """The record outside any run: it keeps no count and traces nothing,
+    though its spans still measure their ``duration``."""
 
     def inc(self, name: str, value: float = 1) -> None:
         return None
@@ -336,16 +328,7 @@ class _NullRecord:
     def observe(self, name: str, value: float) -> None:
         return None
 
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
     def merge(self, snapshot: dict) -> None:
-        return None
-
-    def span(self, name: str, **attrs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def event(self, name: str, **attrs) -> None:
         return None
 
     def replay(self, records) -> None:
@@ -362,6 +345,24 @@ def counter_property(name: str) -> property:
         lambda self: self.metrics.get("counters", {}).get(name, 0),
         doc=f"The ``{name}`` counter of ``metrics`` (read-only).",
     )
+
+
+def current_span_id() -> str | None:
+    """Id of the innermost open span of a tracing record in this thread
+    or task (None outside any)."""
+    return _CURRENT_SPAN.get()
+
+
+@contextmanager
+def within_span(span_id: str | None):
+    """Parent the spans and events of the ``with`` body to ``span_id``,
+    a span of another process that shipped it with the work: a forked
+    worker otherwise inherits whatever span was open when it forked."""
+    token = _CURRENT_SPAN.set(span_id)
+    try:
+        yield
+    finally:
+        _CURRENT_SPAN.reset(token)
 
 
 #: The ambient record; :data:`NULL_RECORD` unless a run installs one.

@@ -56,7 +56,6 @@ result, and after each store write.
 
 from __future__ import annotations
 
-import time
 import warnings
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -73,6 +72,7 @@ from repro.core.pool import (
 )
 from repro.exceptions import BlockTimeoutError, ValidationError
 from repro.observability import ListSink, Record, get_record, use_record
+from repro.observability.trace import current_span_id, within_span
 from repro.parallel.cache import content_key, entry_key
 from repro.parallel.substrate import Substrate
 from repro.partition.blocks import CircuitBlock
@@ -113,50 +113,61 @@ def leap_config_for_block(
 
 def _synthesize_solutions_task(
     block: CircuitBlock, config, seed: int
-) -> tuple[list[SynthesisSolution], float]:
-    """The unit of work shipped to a worker: LEAP on one block's unitary.
-
-    Returns the solution list plus the synthesis wall time measured
-    inside the worker (queueing and pickling excluded).
-    """
-    start = time.perf_counter()
+) -> list[SynthesisSolution]:
+    """The unit of work shipped to a worker: LEAP on one block's unitary."""
     leap_config = leap_config_for_block(
         block.circuit.cnot_count(), config, seed
     )
-    solutions = synthesize(block.unitary(), leap_config)
-    return solutions, time.perf_counter() - start
+    return synthesize(block.unitary(), leap_config)
 
 
 def _attempt_task(injector, index, attempt, block, config, seed):
     """One synthesis attempt, in its ``synthesis.block`` span:
     :func:`_synthesize_solutions_task` between the injector's fault
-    hooks.  Returns ``(solutions, elapsed)``."""
+    hooks.  Returns ``(solutions, seconds)``, ``seconds`` being the
+    span's duration."""
     with get_record().span(
         "synthesis.block", block=index, attempt=attempt, seed=seed
-    ):
+    ) as span:
         if injector is not None:
             injector.on_synthesis_start(index, attempt)
-        solutions, elapsed = _synthesize_solutions_task(block, config, seed)
+        solutions = _synthesize_solutions_task(block, config, seed)
         if injector is not None:
             solutions = injector.corrupt_solutions(index, attempt, solutions)
-    return solutions, elapsed
+    return solutions, span.duration
 
 
-def _worker_attempt(traced, *task):
+def _worker_attempt(traced, parent, *task):
     """:func:`_attempt_task` in a worker process, which cannot reach the
     parent's record.
 
     The attempt counts into a fresh record stamped ``origin="worker"``,
     which traces into a local buffer only when the parent traces
-    (``traced``).  Returns ``(solutions, elapsed, (records, snapshot))``:
-    the parent replays the trace records (none when untraced) into its
-    sink and merges the snapshot into its record.
+    (``traced``), under the span ``parent`` submitted it from.  Returns
+    ``(outcome, records, snapshot)``, raised or not: ``outcome`` is
+    ``(solutions, seconds)`` or the exception (see
+    :func:`_worker_outcome`).
     """
     record = Record(ListSink() if traced else None, origin="worker")
-    with use_record(record):
-        solutions, elapsed = _attempt_task(*task)
-    records = record.sink.records if traced else []
-    return solutions, elapsed, (records, record.snapshot())
+    with use_record(record), within_span(parent):
+        try:
+            outcome = _attempt_task(*task)
+        except Exception as exc:
+            outcome = exc
+    return outcome, record.sink.records if traced else [], record.snapshot()
+
+
+def _worker_outcome(future, timeout):
+    """A worker attempt's ``(solutions, seconds)``, or its exception
+    raised, once its records are replayed and merged into the ambient
+    record.  A hard timeout or a broken pool ships nothing."""
+    outcome, records, snapshot = future.result(timeout)
+    record = get_record()
+    record.replay(records)
+    record.merge(snapshot)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _note_failure(
@@ -218,8 +229,8 @@ class BlockSynthesisStats:
     round.  Trivial (1-qubit / CNOT-free) blocks count as neither.
     """
 
-    #: Per-block synthesis seconds, measured inside the worker; 0.0 for
-    #: trivial blocks and cache/repeat hits.
+    #: Per-block seconds: the block's successful ``synthesis.block``
+    #: span; 0.0 for trivial blocks and cache/repeat hits.
     block_seconds: list[float] = field(default_factory=list)
     #: Structured log of every failed attempt (see FailureRecord).
     failure_log: list[FailureRecord] = field(default_factory=list)
@@ -446,11 +457,10 @@ class BlockSynthesisExecutor:
         for key, (index, block, seed) in jobs.items():
             def fetch():
                 with block_deadline(self.hard_timeout):
-                    solutions, elapsed = _attempt_task(
+                    return _attempt_task(
                         self.fault_injector,
                         index, attempt, block, state.config, seed,
                     )
-                return solutions, elapsed, None
 
             if self._settle(state, key, attempt, fetch):
                 succeeded.append(key)
@@ -466,22 +476,23 @@ class BlockSynthesisExecutor:
         pool (killed worker) marks it unhealthy so the *next* submission
         gets a fresh pool; healthy pools — including ones whose workers
         merely raised — are reused across rounds and across the runs
-        that share the substrate.
+        that share the substrate.  Each submission carries the id of the
+        span it was made from, the parent of its worker-side spans.
         """
         record = get_record()
         record.inc("pool.rounds")
+        traced, parent = record.is_enabled, current_span_id()
         futures = {
             key: self.substrate.worker_pool.submit(
-                _worker_attempt, record.is_enabled, self.fault_injector,
+                _worker_attempt, traced, parent, self.fault_injector,
                 index, attempt, block, state.config, seed,
             )
             for key, (index, block, seed) in jobs.items()
         }
         succeeded: list[str] = []
         for key, future in futures.items():
-            if self._settle(
-                state, key, attempt, partial(future.result, self.hard_timeout)
-            ):
+            fetch = partial(_worker_outcome, future, self.hard_timeout)
+            if self._settle(state, key, attempt, fetch):
                 succeeded.append(key)
             else:
                 # A timed-out task may still wait in the queue: it must
@@ -492,29 +503,21 @@ class BlockSynthesisExecutor:
     def _settle(self, state: _RunState, key: str, attempt: int, fetch) -> bool:
         """Settle one attempt of job ``key``; True iff it succeeded.
 
-        ``fetch`` returns ``(solutions, elapsed, telemetry)``, with the
-        ``(records, snapshot)`` a worker ships home as ``telemetry``
-        (None inline, where the attempt recorded in place).  A failure is
-        logged as a timeout, a validation failure or an exception; a
-        pool timeout or a broken pool also marks the pool unhealthy.  An
-        inline timeout whose cause is a lapsed *enclosing* deadline ends
-        the run with :class:`BlockTimeoutError` instead: the attempt's
-        own deadline is disarmed by now, so only an enclosing one can
-        still fire.  A success is recorded, published to joiners and put
-        into the store as its job lands, so a run killed mid-round has
-        already published every finished block.
+        ``fetch`` returns the attempt's ``(solutions, seconds)`` or
+        raises its failure, with a worker's records already in the
+        ambient record either way.  A failure is logged as a timeout, a
+        validation failure or an exception; a pool timeout or a broken
+        pool also marks the pool unhealthy.  An inline timeout whose
+        cause is a lapsed *enclosing* deadline ends the run with
+        :class:`BlockTimeoutError` instead: the attempt's own deadline is
+        disarmed by now, so only an enclosing one can still fire.  A
+        success is recorded, published to joiners and put into the store
+        as its job lands, so a run killed mid-round has already published
+        every finished block.
         """
         index = state.jobs[key][0]
         try:
-            solutions, elapsed, telemetry = fetch()
-            if telemetry is not None:
-                # Replay before validation: worker-side records must
-                # land even when the returned candidates are
-                # quarantined below.
-                records, snapshot = telemetry
-                record = get_record()
-                record.replay(records)
-                record.merge(snapshot)
+            solutions, seconds = fetch()
             unitaries = validate_solutions(state.plans[index].unitary, solutions)
         except Exception as exc:
             kind, message = FAILURE_EXCEPTION, f"{type(exc).__name__}: {exc}"
@@ -537,7 +540,7 @@ class BlockSynthesisExecutor:
             return False
         state.resolved[key] = solutions
         state.unitaries[key] = unitaries
-        state.stats.block_seconds[index] = elapsed
+        state.stats.block_seconds[index] = seconds
         # The registry ignores keys this run does not hold (a join re-run
         # as its own attempt), so only claimed keys are published.
         self.substrate.inflight.publish(key, state.claim_token, solutions)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,14 +99,13 @@ class FaultSpec:
 class FaultInjector:
     """Applies a deterministic fault schedule at the pipeline's hooks.
 
-    Instances are picklable (they ship to worker processes); the
-    ``fired`` log is best-effort telemetry and only reflects faults
-    fired in the process holding this instance.
+    Instances are picklable (they ship to worker processes).  Each fault
+    that fires is a ``faults.injected`` event of the ambient record,
+    which a worker ships home with its attempt, raised or not.
     """
 
     specs: tuple[FaultSpec, ...] = ()
     seed: int = 0
-    fired: list[tuple[str, int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.specs = tuple(self.specs)
@@ -125,8 +124,7 @@ class FaultInjector:
         )
 
     def _note(self, kind: str, block: int, attempt: int = 0) -> None:
-        """Log a fired fault locally and to the ambient record."""
-        self.fired.append((kind, block, attempt))
+        """Count a fired fault in the ambient record."""
         get_record().event(
             "faults.injected", kind=kind, block=block, attempt=attempt
         )

@@ -160,6 +160,7 @@ class QuestService:
         self._caches_lock = threading.Lock()
 
         self._jobs: dict[str, JobRecord] = {}
+        #: One event per unfinished job a wait blocks on, dropped once set.
         self._job_events: dict[str, asyncio.Event] = {}
         self._next_job_number = 0
         self._active = 0
@@ -353,11 +354,12 @@ class QuestService:
             self._wake.set()
 
     def _signal_waiters(self, job_id: str) -> None:
-        """Wake wait handlers for ``job_id`` (thread-safe)."""
+        """Wake wait handlers for ``job_id`` (thread-safe); its event
+        leaves ``_job_events`` as it is set, each waiter holding its own."""
         if self._loop is None:
             return
         def _set() -> None:
-            event = self._job_events.get(job_id)
+            event = self._job_events.pop(job_id, None)
             if event is not None:
                 event.set()
         self._loop.call_soon_threadsafe(_set)

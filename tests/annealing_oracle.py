@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import dual_annealing
 
 from repro.exceptions import SelectionError
+from repro.observability import Record, use_record
 
 
 def decode(objective, x: np.ndarray) -> np.ndarray:
@@ -56,26 +57,27 @@ def select(objective, max_samples, maxiter, seed, score=None):
     """``select_approximations`` on its annealed path, as it was.
 
     Returns the choices, their objective values and the scalar
-    evaluation count, all scored by ``score``.
+    evaluation count (``selection.scalar_evals`` of a record of its
+    own), all scored by ``score``.
     """
     score = point_score(objective) if score is None else score
     objective.selected.clear()
-    objective.scalar_evaluations = 0
     choices, values = [], []
-    for run_seed in np.random.SeedSequence(seed).spawn(max_samples):
-        choice, _, _ = anneal(
-            objective, maxiter, np.random.default_rng(run_seed), score
-        )
-        if objective.choice_bound(choice) > objective.threshold:
-            if choices:
-                break
-            choice = np.zeros(objective.num_blocks, dtype=int)
+    with use_record(Record()) as record:
+        for run_seed in np.random.SeedSequence(seed).spawn(max_samples):
+            choice, _, _ = anneal(
+                objective, maxiter, np.random.default_rng(run_seed), score
+            )
             if objective.choice_bound(choice) > objective.threshold:
-                raise SelectionError("no feasible approximation")
-        value = score(choice.astype(float))
-        if any(np.array_equal(choice, prior) for prior in choices):
-            break
-        choices.append(choice)
-        values.append(value)
-        objective.selected.append(choice)
-    return choices, values, objective.scalar_evaluations
+                if choices:
+                    break
+                choice = np.zeros(objective.num_blocks, dtype=int)
+                if objective.choice_bound(choice) > objective.threshold:
+                    raise SelectionError("no feasible approximation")
+            value = score(choice.astype(float))
+            if any(np.array_equal(choice, prior) for prior in choices):
+                break
+            choices.append(choice)
+            values.append(value)
+            objective.selected.append(choice)
+    return choices, values, record.snapshot()["counters"]["selection.scalar_evals"]

@@ -9,6 +9,7 @@ import numpy as np
 from repro.core.quest import QuestConfig
 from repro.exceptions import ServiceError
 from repro.linalg import hs_inner
+from repro.observability import Record, use_record
 from repro.parallel.executor import BlockSynthesisExecutor
 from repro.parallel.substrate import open_substrate
 from repro.resilience.retry import FAILURE_FALLBACK
@@ -31,6 +32,14 @@ def fallback_blocks(failure_log) -> list[int]:
     """Blocks a run downgraded to their exact fallback pool: the
     ``fallback`` records of its failure log."""
     return [r.block_index for r in failure_log if r.kind == FAILURE_FALLBACK]
+
+
+def counted(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` under a record of its own: the result and
+    the record's counters."""
+    with use_record(Record()) as record:
+        result = run(*args, **kwargs)
+    return result, record.snapshot()["counters"]
 
 
 def substrate_for(workers: int = 1, store=None, namespace: str = "default"):

@@ -15,14 +15,16 @@ import numpy as np
 
 from repro.core.objective import SIMILARITY_WEIGHT
 from repro.exceptions import SelectionError
+from repro.observability import get_record
 
 
 class FrozenObjective:
     """The per-call scorer over one objective's pools and tables.
 
     The pools and tables are read once, at construction; ``selected``,
-    ``threshold`` and ``original_cnot_count`` are read on every call, and every call counts in ``scalar_evaluations``, as the
-    objective's own ``__call__`` does.
+    ``threshold`` and ``original_cnot_count`` are read on every call, and
+    every call counts in the ambient record's ``selection.scalar_evals``,
+    as the objective's own ``__call__`` does.
     """
 
     def __init__(self, objective) -> None:
@@ -69,7 +71,7 @@ class FrozenObjective:
     def __call__(self, x: np.ndarray) -> float:
         objective = self.objective
         choice = self.decode(x)
-        objective.scalar_evaluations += 1
+        get_record().inc("selection.scalar_evals")
         if self.choice_bound(choice) > objective.threshold:
             return 1.0
         c_norm = self.choice_cnot_count(choice) / objective.original_cnot_count

@@ -69,12 +69,12 @@ def test_selection_collects_dissimilar_samples():
     assert len(seen) == result.num_selected
 
 
-def test_selection_stops_on_duplicate():
+def test_selection_stops_on_duplicate(counters):
     # With a single candidate per block only one selection is possible.
     objective = _objective(spec=[(0.5, 2)])
     result = select_approximations(objective, max_samples=8, seed=0)
     assert result.num_selected == 1
-    assert result.annealer_runs == 2  # second run returned a duplicate
+    assert counters()["selection.rounds"] == 2  # the second was a duplicate
 
 
 def test_infeasible_threshold_raises():

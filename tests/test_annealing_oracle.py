@@ -18,6 +18,7 @@ from scipy.optimize import _dual_annealing
 from repro.core import annealing
 from repro.core.annealing import dual_annealing, select_approximations
 from tests import annealing_oracle
+from tests.helpers import counted
 from tests.objective_oracle import FrozenObjective
 from tests.test_objective_oracle import _choices, _objective, _pools
 
@@ -44,13 +45,13 @@ def _assert_same_selection(objective, max_samples, maxiter, seed, score=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(annealing, "EXHAUSTIVE_CUTOFF", 0)
         patch.setattr(annealing, "ANNEALING_MAXITER", maxiter)
-        result = select_approximations(objective, max_samples, seed)
+        result, counts = counted(select_approximations, objective, max_samples, seed)
     choices, values, evaluations = annealing_oracle.select(
         objective, max_samples, maxiter, seed, score
     )
     assert [c.tolist() for c in result.choices] == [c.tolist() for c in choices]
     assert result.objective_values == values
-    assert result.scalar_evaluations == evaluations
+    assert counts["selection.scalar_evals"] == evaluations
     return result
 
 

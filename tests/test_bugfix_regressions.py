@@ -40,14 +40,11 @@ class _FakeObjective:
         self.num_blocks = num_blocks
         self.threshold = 10.0
         self.selected: list[np.ndarray] = []
-        self.scalar_evaluations = 0
-        self.batched_evaluations = 0
 
     def scorer(self):
         return None  # The fake annealer never scores.
 
     def __call__(self, x):
-        self.scalar_evaluations += 1
         return float(np.sum(x))
 
     def choice_bound(self, choice):

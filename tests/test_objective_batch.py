@@ -201,7 +201,7 @@ def test_single_point_accessors_match_seed_loops(instance):
         )
 
 
-def test_evaluation_counters_track_both_entry_points():
+def test_evaluation_counters_track_both_entry_points(counters):
     rng = np.random.default_rng(3)
     pools = _build_pools(rng, [3, 3])
     objective = SelectionObjective(
@@ -209,11 +209,9 @@ def test_evaluation_counters_track_both_entry_points():
     )
     objective(np.array([0, 0]))
     objective(np.array([1, 2]))
-    assert objective.scalar_evaluations == 2
-    assert objective.batched_evaluations == 0
+    assert counters() == {"selection.scalar_evals": 2}
     objective.evaluate_batch(np.array([[0, 0], [1, 1], [2, 2]]))
-    assert objective.batched_evaluations == 3
-    assert objective.scalar_evaluations == 2
+    assert counters() == {"selection.scalar_evals": 2, "selection.batch_evals": 3}
 
 
 # ----------------------------------------------------------------------
@@ -267,16 +265,17 @@ def _every_choice(sizes: list[int]) -> np.ndarray:
     return (points[:, None] // strides[None, :]) % np.array(sizes)[None, :]
 
 
-def test_exhaustive_rounds_score_the_whole_space_in_one_batch():
+def test_exhaustive_rounds_score_the_whole_space_in_one_batch(counters):
     # Every exhaustive round scores its whole space through
     # evaluate_batch and makes one scalar call, for the winner's value.
     objective = _tfim8_objective()
     space = int(np.prod([pool.size for pool in objective.pools]))
     assert objective.num_blocks == 14 and space <= EXHAUSTIVE_CUTOFF
-    result = select_approximations(objective, max_samples=4, seed=0)
-    assert result.annealer_runs >= 1
-    assert result.scalar_evaluations == result.annealer_runs
-    assert result.batched_evaluations == result.annealer_runs * space
+    select_approximations(objective, max_samples=4, seed=0)
+    rounds = counters()["selection.rounds"]
+    assert rounds >= 1
+    assert counters()["selection.scalar_evals"] == rounds
+    assert counters()["selection.batch_evals"] == rounds * space
 
 
 @pytest.mark.slow

@@ -24,6 +24,7 @@ from repro.exceptions import SelectionError
 from repro.partition.blocks import CircuitBlock
 from tests import annealing_oracle
 from tests.annealing_oracle import decode
+from tests.helpers import counted
 from tests.objective_oracle import FrozenObjective
 
 
@@ -196,13 +197,15 @@ def test_annealed_selection_is_identical_with_the_oracle(monkeypatch):
     pools = _pools(rng, sizes)
     objective = _objective(pools, threshold=0.6)
     monkeypatch.setattr(annealing, "ANNEALING_MAXITER", 120)
-    compiled = select_approximations(objective, max_samples=6, seed=4)
+    compiled, counts = counted(
+        select_approximations, objective, max_samples=6, seed=4
+    )
     choices, values, evaluations = annealing_oracle.select(
         objective, 6, 120, 4, score=FrozenObjective(objective)
     )
-    assert compiled.scalar_evaluations > 0
+    assert counts["selection.scalar_evals"] > 0
     assert compiled.num_selected > 1  # the similarity term was scored
-    assert compiled.scalar_evaluations == evaluations
+    assert counts["selection.scalar_evals"] == evaluations
     assert compiled.objective_values == values
     assert len(compiled.choices) == len(choices)
     for a, b in zip(compiled.choices, choices):

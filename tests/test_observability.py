@@ -104,6 +104,30 @@ def test_an_event_is_the_count_of_its_name_traced_or_not():
     assert [r["name"] for r in sink.records] == ["cache.hit", "cache.hit", "stage"]
 
 
+def test_a_span_is_the_histogram_of_its_name_traced_or_not():
+    sink = ListSink()
+    for record in (Record(sink), Record()):
+        with record.span("stage") as ok:
+            pass
+        with pytest.raises(ValueError):
+            with record.span("stage") as failed:
+                raise ValueError("boom")
+        histogram = record.snapshot()["histograms"]["stage"]
+        assert histogram["count"] == 2
+        assert histogram["sum"] == ok.duration + failed.duration
+        if record.sink is not None:
+            # A traced span's ``dur`` is the float its histogram got.
+            assert [(r["status"], r["dur"]) for r in sink.records] == [
+                ("ok", ok.duration),
+                ("error", failed.duration),
+            ]
+    # The null record's spans still measure, and it keeps nothing.
+    with NULL_RECORD.span("stage") as span:
+        pass
+    assert span.duration >= 0.0
+    assert NULL_RECORD.snapshot()["histograms"] == {}
+
+
 def test_replay_preserves_origin_and_ids():
     worker_sink = ListSink()
     worker = Record(worker_sink, origin="worker")

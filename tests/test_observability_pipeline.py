@@ -2,9 +2,10 @@
 
 The tracing contract has three parts: the trace must *cover* the run
 (every pipeline stage, worker-side events included), it must *agree*
-with the run's counts (every event is the count of the same name), and
-it must not *perturb* the run (selections bit-identical with tracing on
-or off, on both the inline and process-pool paths).
+with the run's record (every event is the count of the same name, and
+every span the histogram of the same name), and it must not *perturb*
+the run (selections bit-identical with tracing on or off, on both the
+inline and process-pool paths).
 """
 
 from __future__ import annotations
@@ -16,14 +17,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.algorithms import tfim
+from repro.algorithms import heisenberg, tfim
 from repro.batch import run_quest_batch
 from repro.circuits import circuit_to_qasm
 from repro.cli import main
 from repro.core import QuestConfig, run_quest
-from repro.observability import JsonlSink, ListSink, Record, use_record
+from repro.observability import (
+    STAGE_SPANS,
+    JsonlSink,
+    ListSink,
+    Record,
+    summarize_records,
+    summarize_trace,
+    use_record,
+)
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.resilience.faults import FaultInjector, FaultSpec, parse_fault_spec
+from repro.resilience.retry import FAILURE_EXCEPTION
 
 CONFIG = dict(
     seed=5,
@@ -88,6 +98,35 @@ def test_untraced_run_still_snapshots_metrics():
     assert result.metrics["counters"]["selection.rounds"] >= 1
 
 
+def _histogram_counts(metrics) -> dict:
+    return {name: h["count"] for name, h in metrics["histograms"].items()}
+
+
+def test_untraced_runs_time_every_span_into_their_record():
+    """With no sink, a solo run's and a batch's metrics still hold each
+    span's time: the histogram of the span's name."""
+    config = QuestConfig(**CONFIG)
+    result = run_quest(_circuit(), config)
+    counts = _histogram_counts(result.metrics)
+    for name in (
+        "quest.run",
+        "quest.partition",
+        "quest.synthesis",
+        "quest.selection",
+        "quest.stitch",
+    ):
+        assert counts[name] == 1, name
+    assert counts["synthesis.block"] == result.cache_misses > 0
+    histograms = result.metrics["histograms"]
+    assert result.timings.synthesis_seconds == histograms["quest.synthesis"]["sum"]
+    assert result.timings.block_synthesis_seconds
+    batch = run_quest_batch([_circuit(), _circuit()], config)
+    counts = _histogram_counts(batch.metrics)
+    assert counts["quest.run"] == 2
+    assert counts["quest.batch"] == 1
+    assert batch.wall_seconds == batch.metrics["histograms"]["quest.batch"]["sum"]
+
+
 def test_each_run_keeps_its_own_counts_under_an_ambient_registry(counters):
     """An enclosing registry receives every count of every run, while
     each result's snapshot, and the counter attributes read from it,
@@ -95,7 +134,11 @@ def test_each_run_keeps_its_own_counts_under_an_ambient_registry(counters):
     config = QuestConfig(**CONFIG)
     first = run_quest(_circuit(), config)
     second = run_quest(_circuit(), config)
-    assert second.metrics == first.metrics
+    # Span histograms hold times, which differ run to run: only their
+    # counts repeat.
+    assert second.metrics["counters"] == first.metrics["counters"]
+    assert second.metrics["gauges"] == first.metrics["gauges"]
+    assert _histogram_counts(second.metrics) == _histogram_counts(first.metrics)
     assert second.cache_misses == first.metrics["counters"]["cache.miss"] > 0
     assert counters() == {
         name: 2 * value for name, value in first.metrics["counters"].items()
@@ -220,40 +263,95 @@ def test_untraced_workers_ship_counts_but_no_trace_records(monkeypatch):
     result = run_quest(_circuit(), QuestConfig(workers=2, **CONFIG))
     assert futures
     for future in futures:
-        records, snapshot = future.result()[2]
+        _, records, snapshot = future.result()
         assert records == []
         assert snapshot["counters"]["leap.layers"] >= 1
     counters = result.metrics["counters"]
     for name in ("leap.layers", "instantiate.starts", "costgrad.calls"):
         assert counters[name] == sum(
-            future.result()[2][1]["counters"][name] for future in futures
+            future.result()[2]["counters"][name] for future in futures
         )
+
+
+def _assert_spans_equal_histograms(records, metrics):
+    spans = summarize_records(records).spans
+    assert spans
+    histograms = metrics["histograms"]
+    for name, stats in spans.items():
+        assert histograms[name]["count"] == stats.count, name
+        assert histograms[name]["sum"] == pytest.approx(
+            stats.total_seconds, rel=1e-12
+        ), name
 
 
 def test_trace_summary_stage_totals_match_timings(tmp_path):
+    """QuestTimings and trace-summary read one stage table: every stage,
+    certify and noisy eval included, is its span's total, exactly; and
+    every span name's count and total in the trace are the record's
+    histogram of that name."""
     from repro.noise import NoiseModel
-    from repro.observability import summarize_trace
 
     path = tmp_path / "run.trace"
     sink = JsonlSink(path)
-    with use_record(Record(sink)):
-        result = run_quest(_circuit(), QuestConfig(**CONFIG))
+    with use_record(Record(sink)) as record:
+        result = run_quest(_circuit(), QuestConfig(certify=True, **CONFIG))
         result.noisy_ensemble(NoiseModel.from_noise_level(0.01))
     sink.close()
     totals = summarize_trace(path).stage_totals()
-    expected = {
-        "partition": result.timings.partition_seconds,
-        "synthesis": result.timings.synthesis_seconds,
-        "selection": result.timings.selection_seconds,
-        "noisy_eval": result.timings.noisy_eval_seconds,
-    }
-    assert set(totals) == set(expected)
-    for stage, timing in expected.items():
-        # Within 5%, with an absolute floor for the near-zero stages
-        # where relative error is dominated by clock granularity.
-        assert totals[stage] == pytest.approx(timing, rel=0.05, abs=0.02), (
-            stage
-        )
+    assert set(totals) == set(STAGE_SPANS)
+    for stage, total in totals.items():
+        assert getattr(result.timings, f"{stage}_seconds") == total, stage
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    _assert_spans_equal_histograms(records, record.snapshot())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_attempt_ships_its_counts_and_spans(workers):
+    """An attempt that raises keeps its record, inline or in a worker:
+    every fault fired is counted, and every failed attempt is a
+    ``synthesis.block`` span with status error."""
+    config = QuestConfig(workers=workers, retry_attempts=2, **CONFIG)
+    result, records = _traced(
+        run_quest, _circuit(), config, fault_injector=parse_fault_spec("raise@*:0")
+    )
+    failed = [r for r in result.failure_log if r.kind == FAILURE_EXCEPTION]
+    assert len(failed) == result.cache_misses > 0
+    assert result.metrics["counters"]["faults.injected"] == len(failed)
+    errors = [
+        r
+        for r in records
+        if r["type"] == "span"
+        and r["name"] == "synthesis.block"
+        and r["status"] == "error"
+    ]
+    assert len(errors) == len(failed)
+    _assert_spans_equal_histograms(records, result.metrics)
+
+
+def test_worker_spans_nest_under_the_run_that_submitted_them():
+    """A batch's worker pool forks during its first circuit, yet each
+    circuit's ``quest.run`` holds exactly the synthesis attempts of its
+    own jobs."""
+    config = QuestConfig(workers=2, **CONFIG)
+    batch, records = _traced(
+        run_quest_batch, [_circuit(), heisenberg(3, steps=1)], config, window=1
+    )
+    spans = [r for r in records if r["type"] == "span"]
+    parents = {r["span_id"]: r.get("parent_id") for r in spans}
+    names = {r["span_id"]: r["name"] for r in spans}
+
+    def run_of(span_id):
+        while span_id is not None and names.get(span_id) != "quest.run":
+            span_id = parents.get(span_id)
+        return span_id
+
+    attempts = Counter(
+        run_of(r["span_id"]) for r in spans if r["name"] == "synthesis.block"
+    )
+    runs = [r["span_id"] for r in spans if r["name"] == "quest.run"]
+    expected = [result.cache_misses - result.dedup_joins for result in batch.results]
+    assert min(expected) > 0
+    assert [attempts[run] for run in runs] == expected
 
 
 # ----------------------------------------------------------------------

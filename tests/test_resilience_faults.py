@@ -22,7 +22,7 @@ from repro.circuits import circuit_to_qasm
 from repro.core.pool import exact_pool
 from repro.core.quest import QuestConfig, run_quest
 from repro.exceptions import BlockTimeoutError, ValidationError
-from repro.observability import Record, use_record
+from repro.observability import ListSink, Record, use_record
 from repro.parallel.cache import PoolCache
 from repro.partition.scan import scan_partition
 from repro.resilience import (
@@ -274,13 +274,20 @@ def test_fault_spec_rejects_unknown_kind():
         FaultSpec("explode")
 
 
+def _fired(sink: ListSink) -> list[dict]:
+    """The attributes of every ``faults.injected`` event in ``sink``."""
+    return [r["attrs"] for r in sink.records if r["name"] == "faults.injected"]
+
+
 def test_raise_fault_fires_only_at_its_coordinates():
     injector = FaultInjector(specs=(FaultSpec("raise", 2, 1),))
-    injector.on_synthesis_start(2, 0)  # wrong attempt: no fire
-    injector.on_synthesis_start(1, 1)  # wrong block: no fire
-    with pytest.raises(InjectedFault):
-        injector.on_synthesis_start(2, 1)
-    assert injector.fired == [("raise", 2, 1)]
+    sink = ListSink()
+    with use_record(Record(sink)):
+        injector.on_synthesis_start(2, 0)  # wrong attempt: no fire
+        injector.on_synthesis_start(1, 1)  # wrong block: no fire
+        with pytest.raises(InjectedFault):
+            injector.on_synthesis_start(2, 1)
+    assert _fired(sink) == [{"kind": "raise", "block": 2, "attempt": 1}]
 
 
 def test_hang_fault_honours_the_cooperative_deadline():
@@ -378,8 +385,10 @@ def test_flipped_cache_entry_is_quarantined_and_recomputed(tmp_path):
     # Run 1 populates the disk tier; the injector bit-flips the first
     # entry written, after its atomic publish (at-rest corruption).
     injector = FaultInjector(specs=(FaultSpec("flip-cache", 0),), seed=5)
-    run_executor(blocks, CONFIG, seeds, store=cache_dir, fault_injector=injector)
-    assert injector.fired == [("flip-cache", 0, 0)]
+    sink = ListSink()
+    with use_record(Record(sink)):
+        run_executor(blocks, CONFIG, seeds, store=cache_dir, fault_injector=injector)
+    assert _fired(sink) == [{"kind": "flip-cache", "block": 0, "attempt": 0}]
 
     # Run 2 reads the poisoned tier: the checksum catches the flip, the
     # entry is counted corrupt and recomputed, results stay identical.

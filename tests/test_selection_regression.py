@@ -74,11 +74,10 @@ def test_selection_counters_populated(name):
     # All three cases take the exhaustive path: every enumerated point is
     # a batched evaluation, plus one scalar call per selection round to
     # record the chosen point's objective value.
-    assert result.selection.batched_evaluations > 0
-    assert result.selection.scalar_evaluations >= len(expected_choices)
+    assert result.batch_evals > 0
+    assert result.scalar_evals >= len(expected_choices)
     assert result.objective_evaluations == (
-        result.selection.scalar_evaluations
-        + result.selection.batched_evaluations
+        result.scalar_evals + result.batch_evals
     )
     summary = result.summary()
     assert "selection scored" in summary

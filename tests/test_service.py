@@ -518,6 +518,49 @@ def test_status_reports_health_and_accounting(tmp_path):
         _assert_no_stranded(client)
 
 
+class _Gate:
+    """A fault injector that holds every synthesis attempt until
+    ``opened`` is set, and injects nothing."""
+
+    def __init__(self) -> None:
+        self.opened = threading.Event()
+
+    def on_synthesis_start(self, block, attempt) -> None:
+        assert self.opened.wait(60)
+
+    def corrupt_solutions(self, block, attempt, solutions):
+        return solutions
+
+    def on_cache_write(self, path) -> None:
+        pass
+
+
+def test_waits_leave_no_events_and_status_times_every_job(tmp_path):
+    """A job's wake-up event leaves the daemon once it is set, while a
+    wait that timed out earlier and a late wait on a finished job still
+    get their answer; and the status metrics hold every served job's
+    phase times."""
+    qasm = circuit_to_qasm(tfim(4, steps=2))
+    gate = _Gate()
+    with running_service(tmp_path / "ledger", fault_injector=gate) as (
+        service,
+        client,
+    ):
+        job_id = client.submit(qasm)
+        assert client.wait(job_id, timeout=0)["timed_out"]
+        gate.opened.set()
+        assert client.wait(job_id, timeout=300.0)["state"] == "done"
+        late = client.wait(job_id, timeout=0)
+        assert late["state"] == "done" and late["result"]["circuits"]
+        for _ in range(2):
+            client.submit_and_wait(qasm, timeout=300.0)
+        assert service._job_events == {}
+        histograms = client.status()["metrics"]["histograms"]
+        for name in ("quest.run", "quest.partition", "quest.synthesis", "quest.selection"):
+            assert histograms[name]["count"] == 3, name
+            assert histograms[name]["sum"] > 0.0, name
+
+
 def test_service_status_cli_reads_the_daemons_counters(tmp_path, capsys):
     """``service-status`` renders the status digest: a one-line summary
     plus one line per opened store namespace; ``--json`` prints the
