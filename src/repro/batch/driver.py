@@ -19,8 +19,9 @@ running that circuit alone, because every shared result is keyed by the
 content-addressed entry key that pins the synthesis seed.  Pool threads
 do not inherit context variables, so each circuit's thread installs a
 record of its own that shares the caller's sink (a trace keeps every
-circuit's spans); the circuit's run merges into it, and the batch
-merges those records in input order.
+circuit's spans) and opens its work under the ``quest.batch`` span, the
+parent of every circuit's ``quest.run``; the circuit's run merges into
+its record, and the batch merges those records in input order.
 
 With ``config.store_dir``, every block is published to the store as its
 job lands; a killed batch rerun over the same store finds every block
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.quest import QuestConfig, QuestResult, run_quest
 from repro.observability import Record, counter_property, get_record, use_record
+from repro.observability.trace import current_span_id, within_span
 from repro.parallel.substrate import open_substrate
 
 
@@ -141,13 +143,13 @@ def run_quest_batch(
     failed = threading.Event()
     records = [Record(record.sink) for _ in circuits]
 
-    def compile_circuit(circuit, circuit_record):
+    def compile_circuit(circuit, circuit_record, parent):
         # The failing thread sets this before its future resolves, so no
         # circuit still queued behind it starts.
         if failed.is_set():
             return None
         try:
-            with use_record(circuit_record):
+            with use_record(circuit_record), within_span(parent):
                 return run_quest(
                     circuit, config, fault_injector=fault_injector, shared=substrate
                 )
@@ -156,11 +158,12 @@ def run_quest_batch(
             raise
 
     with substrate, record.span("quest.batch", circuits=len(circuits), window=window):
+        parent = current_span_id()
         with ThreadPoolExecutor(
             max_workers=min(window, len(circuits)), thread_name_prefix="quest-batch"
         ) as threads:
             futures = [
-                threads.submit(compile_circuit, circuit, circuit_record)
+                threads.submit(compile_circuit, circuit, circuit_record, parent)
                 for circuit, circuit_record in zip(circuits, records)
             ]
             results = [future.result() for future in futures]

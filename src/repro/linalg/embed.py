@@ -176,19 +176,6 @@ def apply_gate_to_matrix(
     return _apply(matrix, gate, qubits, num_qubits, "matrix")
 
 
-_IDENTITIES = {k: np.eye(2**k, dtype=complex) for k in range(0, 12)}
-
-
-def _identity(k: int) -> np.ndarray:
-    """Cached ``2^k`` identity; falls back to a fresh ``np.eye`` beyond the
-    pre-built cache (the fast path used to raise a bare ``KeyError`` for
-    one-qubit embeddings past 12 qubits)."""
-    matrix = _IDENTITIES.get(k)
-    if matrix is None:
-        matrix = np.eye(2**k, dtype=complex)
-    return matrix
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 2-D arrays.
 
@@ -208,16 +195,17 @@ def embed_unitary(
 ) -> np.ndarray:
     """Return the dense ``2^n x 2^n`` embedding of a k-qubit gate.
 
-    Only used where a dense operator is genuinely needed (synthesis
-    gradients over small blocks); simulators use the apply functions.
-    One-qubit gates take the fast Kronecker path
-    ``I_high (x) G (x) I_low`` (the synthesis gradient hot loop).
+    Only used where a dense operator is genuinely needed (the LEAP
+    template's fixed CX slots); simulators use the apply functions.
+    One-qubit gates take the Kronecker path ``I_high (x) G (x) I_low``,
+    whose products the ansatz's embedding layouts reproduce bit for bit;
+    it builds its two identities at the call.
     """
     if len(qubits) == 1 and gate.shape == (2, 2):
         q = qubits[0]
         _check_targets(qubits, num_qubits)
-        low = _identity(q)
-        high = _identity(num_qubits - 1 - q)
+        low = np.eye(2**q, dtype=complex)
+        high = np.eye(2 ** (num_qubits - 1 - q), dtype=complex)
         return _kron(high, _kron(gate, low))
     dim = 2**num_qubits
     return apply_gate_to_matrix(np.eye(dim, dtype=complex), gate, qubits, num_qubits)

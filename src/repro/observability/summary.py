@@ -30,14 +30,12 @@ class SpanStats:
 
     count: int = 0
     total_seconds: float = 0.0
-    min_seconds: float = float("inf")
     max_seconds: float = 0.0
     errors: int = 0
 
     def add(self, duration: float, failed: bool) -> None:
         self.count += 1
         self.total_seconds += duration
-        self.min_seconds = min(self.min_seconds, duration)
         self.max_seconds = max(self.max_seconds, duration)
         if failed:
             self.errors += 1

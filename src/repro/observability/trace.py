@@ -356,8 +356,9 @@ def current_span_id() -> str | None:
 @contextmanager
 def within_span(span_id: str | None):
     """Parent the spans and events of the ``with`` body to ``span_id``,
-    a span of another process that shipped it with the work: a forked
-    worker otherwise inherits whatever span was open when it forked."""
+    a span of another process or thread that shipped it with the work: a
+    forked worker otherwise inherits whatever span was open when it
+    forked, and a pool thread starts with none."""
     token = _CURRENT_SPAN.set(span_id)
     try:
         yield

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 
+import repro.parallel.executor as executor_module
+from repro.batch import workqueue
 from repro.core.quest import QuestConfig
 from repro.exceptions import ServiceError
 from repro.linalg import hs_inner
@@ -81,3 +84,41 @@ def wait_until_ready(client, timeout: float = 30.0) -> dict:
                 f"daemon at {client.socket_path} not ready within {timeout}s"
             )
         time.sleep(0.05)
+
+
+def bound_registry(monkeypatch, bound: int) -> dict:
+    """Bound every in-flight registry to ``bound`` resolved entries and
+    watch what the runs that follow do with it (workers=1 runs only:
+    syntheses are counted in this process).
+
+    Returns a live tally: ``published``, the publishes that resolved a
+    key; ``most_resolved``, the most resolved entries a registry held
+    after one; ``registries``, every registry published to; and
+    ``dispatched``, the syntheses run.
+    """
+    tally = {"published": 0, "most_resolved": 0, "registries": [], "dispatched": 0}
+    lock = threading.Lock()
+    monkeypatch.setattr(workqueue, "MAX_RESOLVED_ENTRIES", bound)
+    real_publish = workqueue.InflightRegistry.publish
+    real_task = executor_module._synthesize_solutions_task
+
+    def publish(registry, key, owner, solutions):
+        held = registry._claims.get(key)
+        real_publish(registry, key, owner, solutions)
+        with lock:
+            if held is not None and held[0] is owner:
+                tally["published"] += 1
+            tally["most_resolved"] = max(
+                tally["most_resolved"], len(registry._resolved)
+            )
+            if registry not in tally["registries"]:
+                tally["registries"].append(registry)
+
+    def synthesize(block, config, seed):
+        with lock:
+            tally["dispatched"] += 1
+        return real_task(block, config, seed)
+
+    monkeypatch.setattr(workqueue.InflightRegistry, "publish", publish)
+    monkeypatch.setattr(executor_module, "_synthesize_solutions_task", synthesize)
+    return tally

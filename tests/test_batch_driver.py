@@ -17,7 +17,7 @@ import pytest
 import repro.batch.driver as batch_driver
 import repro.parallel.executor as executor_module
 from repro.algorithms import heisenberg, qft, tfim, xy_model
-from repro.batch import run_quest_batch
+from repro.batch import run_quest_batch, workqueue
 from repro.batch.workqueue import InflightRegistry
 from repro.circuits import Circuit
 from repro.circuits.random_circuits import random_circuit
@@ -26,6 +26,7 @@ from repro.exceptions import SelectionError
 from repro.observability import ListSink, Record, use_record
 from repro.parallel.pool_manager import PersistentWorkerPool
 from repro.parallel.substrate import open_substrate
+from tests.helpers import bound_registry
 from tests.planning_oracle import planned_entry_keys
 
 FAST = dict(
@@ -137,6 +138,27 @@ def test_duplicate_circuits_synthesize_each_key_exactly_once(monkeypatch):
     assert batch.dedup_joins == unique
     for result in batch.results:
         assert _signature(result) == _signature(solo)
+
+
+def test_bounded_registry_evicts_and_resynthesizes_bit_identically(monkeypatch):
+    """Ten distinct keys twice over through a registry bounded to three
+    resolved entries, no store: the registry never holds more than
+    three, every dropped entry is one ``registry.evictions`` event, an
+    evicted key synthesizes again, and every result is its solo run's."""
+    distinct = [tfim(3, steps=1), qft(3), heisenberg(3, steps=1), xy_model(3, steps=1)]
+    config = QuestConfig(**FAST, workers=1)
+    solo = [_signature(run_quest(circuit, config)) for circuit in distinct]
+    unique = len(set().union(*(planned_entry_keys(c, config) for c in distinct)))
+    tally = bound_registry(monkeypatch, 3)
+    batch = run_quest_batch(distinct * 2, config, window=2)
+    assert unique > 3
+    assert tally["most_resolved"] == 3
+    (registry,) = tally["registries"]
+    evictions = batch.metrics["counters"]["registry.evictions"]
+    assert evictions == tally["published"] - len(registry._resolved) > 0
+    assert tally["dispatched"] > unique
+    assert batch.cache_misses - batch.inflight_joins == tally["dispatched"]
+    assert [_signature(result) for result in batch.results] == solo * 2
 
 
 @pytest.mark.slow
@@ -286,6 +308,35 @@ def test_inflight_claim_join_publish_cycle(counters):
     assert late is not None and late.resolved
 
 
+def test_inflight_bound_drops_least_recently_used_resolved_entries(
+    monkeypatch, counters
+):
+    """Past the bound the least recently used resolved entry leaves, one
+    ``registry.evictions`` event each; adopting an entry refreshes it; a
+    claimed, unresolved key is neither counted nor dropped; and a joiner
+    keeps the entry it holds after its key leaves."""
+    monkeypatch.setattr(workqueue, "MAX_RESOLVED_ENTRIES", 2)
+    registry = InflightRegistry()
+    owner = object()
+    for key in ("a", "b", "pending", "c"):
+        assert registry.claim(key, owner) is None
+    joiner = registry.claim("a", object())
+    registry.publish("a", owner, ["A"])
+    registry.publish("b", owner, ["B"])
+    assert registry.claim("a", object()).resolved
+    registry.publish("c", owner, ["C"])
+    assert counters()["registry.evictions"] == 1
+    assert list(registry._resolved) == ["a", "c"]
+    still_claimed = registry.claim("pending", object())
+    assert still_claimed is not None and not still_claimed.resolved
+    registry.publish("pending", owner, ["P"])
+    assert counters()["registry.evictions"] == 2
+    assert list(registry._resolved) == ["c", "pending"]
+    assert joiner.wait(0) and joiner.solutions == ["A"]
+    # An evicted key is claimed afresh: its next run synthesizes it.
+    assert registry.claim("a", object()) is None
+
+
 def test_inflight_publish_and_release_require_ownership():
     registry = InflightRegistry()
     owner, other = object(), object()
@@ -385,9 +436,9 @@ def test_batch_metrics_surface_zero_stranded_joiners(solo_reference):
 def test_batch_trace_keeps_every_circuit_and_counts_once():
     """Pool threads do not inherit context variables: each circuit's
     record shares the caller's sink, so the trace holds one ``quest.run``
-    span per circuit, while the enclosing record still receives every
-    count exactly once (the batch's merged snapshot, not each run's
-    again)."""
+    span per circuit, each a child of the ``quest.batch`` span, while the
+    enclosing record still receives every count exactly once (the
+    batch's merged snapshot, not each run's again)."""
     sink = ListSink()
     config = QuestConfig(**FAST, workers=1)
     with use_record(Record(sink)) as registry:
@@ -398,6 +449,13 @@ def test_batch_trace_keeps_every_circuit_and_counts_once():
         if record["type"] == "span" and record["name"] == "quest.run"
     ]
     assert len(runs) == 2
+    # Every circuit's run nests under the batch's span, not at the root.
+    (batch_span,) = [
+        record
+        for record in sink.records
+        if record["type"] == "span" and record["name"] == "quest.batch"
+    ]
+    assert [run.get("parent_id") for run in runs] == [batch_span["span_id"]] * 2
     names = {record["name"] for record in sink.records}
     assert {"quest.batch", "quest.synthesis", "synthesis.block"} <= names
     assert registry.snapshot()["counters"] == batch.metrics["counters"]

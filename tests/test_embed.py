@@ -100,22 +100,14 @@ def test_embedding_is_unitary(rng):
     assert np.allclose(embedded.conj().T @ embedded, np.eye(8), atol=1e-10)
 
 
-def test_one_qubit_fast_path_beyond_identity_cache(monkeypatch, rng):
-    # The fast Kronecker path used to index a fixed identity cache and
-    # raise a bare KeyError past 12 qubits; it must now fall back to a
-    # fresh np.eye.  Shrinking the cache exercises the fallback without
-    # allocating a 2^13-dim operator.
-    from repro.linalg import embed as embed_module
-
-    monkeypatch.setattr(
-        embed_module,
-        "_IDENTITIES",
-        {k: np.eye(2**k, dtype=complex) for k in range(2)},
-    )
+def test_one_qubit_kron_path_matches_apply_on_every_qubit(rng):
+    # The one-qubit Kronecker path builds its identities at the call,
+    # for any register width; on every qubit of a 4-qubit register it
+    # equals the embedding applied to the identity.
     gate = random_unitary(2, rng)
     for qubit in range(4):
-        dense = embed_module.embed_unitary(gate, (qubit,), 4)
-        expected = embed_module.apply_gate_to_matrix(
+        dense = embed_unitary(gate, (qubit,), 4)
+        expected = apply_gate_to_matrix(
             np.eye(16, dtype=complex), gate, (qubit,), 4
         )
         assert np.allclose(dense, expected, atol=1e-12)

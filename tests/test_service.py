@@ -34,7 +34,7 @@ from repro.resilience import FaultInjector, FaultSpec, parse_fault_spec
 from repro.service import QuestService, ServiceClient
 from repro.service.ledger import JobLedger
 from repro.service.protocol import PROTOCOL_VERSION, JobRecord, encode_message
-from tests.helpers import wait_until_ready
+from tests.helpers import bound_registry, wait_until_ready
 from tests.planning_oracle import planned_entry_keys
 
 FAST = dict(
@@ -189,6 +189,39 @@ def test_mixed_duplicate_burst_completes_and_shares_work(tmp_path):
         assert synthesized == len(unique)
         assert client.status()["jobs_by_state"]["done"] == len(workload)
         _assert_no_stranded(client)
+
+
+def test_bounded_registry_evicts_and_resynthesizes_bit_identically(
+    tmp_path, monkeypatch
+):
+    """Two tenants, whose stores are apart, submit the same ten distinct
+    keys in turn, the second in reverse order, to a daemon whose
+    registry keeps three resolved entries: it never holds more, every
+    dropped entry is one ``registry.evictions`` event, the second tenant
+    joins the entries still held and synthesizes the dropped ones, and
+    every result is its solo run's."""
+    distinct = [tfim(3, steps=1), qft(3), heisenberg(3, steps=1), xy_model(3, steps=1)]
+    solo = [_solo_signature(run_quest(circuit, _config())) for circuit in distinct]
+    unique = len(set().union(*(planned_entry_keys(c, _config()) for c in distinct)))
+    jobs = list(zip(distinct, solo))
+    tally = bound_registry(monkeypatch, 3)
+    with running_service(tmp_path / "ledger") as (service, client):
+        for tenant, order in (("alice", jobs), ("bob", jobs[::-1])):
+            for circuit, want in order:
+                payload = client.submit_and_wait(
+                    circuit_to_qasm(circuit), tenant=tenant, timeout=300.0
+                )
+                assert _payload_signature(payload) == want
+        counters = client.status()["metrics"]["counters"]
+        _assert_no_stranded(client)
+    assert unique > 3
+    assert tally["most_resolved"] == 3
+    (registry,) = tally["registries"]
+    evictions = counters["registry.evictions"]
+    assert evictions == tally["published"] - len(registry._resolved) > 0
+    joins = counters["dedup.inflight_joins"]
+    assert joins > 0 and tally["dispatched"] > unique
+    assert counters["cache.miss"] - joins == tally["dispatched"]
 
 
 # ----------------------------------------------------------------------
