@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import Circuit
@@ -10,28 +9,27 @@ from repro.exceptions import CircuitError
 
 
 def qaoa_maxcut(
-    graph: nx.Graph,
+    num_qubits: int,
+    edges: list[tuple[int, int]],
     gammas: list[float],
     betas: list[float],
 ) -> Circuit:
-    """QAOA for MaxCut on ``graph`` with per-round angles.
+    """QAOA for MaxCut on the graph of ``edges`` over ``num_qubits`` nodes.
 
-    One round applies ``RZZ(2*gamma)`` on every edge (the cost layer) and
-    ``RX(2*beta)`` on every node (the mixer layer), after an initial
-    uniform superposition.
+    One round applies ``RZZ(2*gamma)`` on every edge, in the order given
+    (the cost layer), and ``RX(2*beta)`` on every node (the mixer layer),
+    after an initial uniform superposition.  An edge whose nodes repeat
+    or fall outside ``range(num_qubits)`` raises :class:`CircuitError`.
     """
     if len(gammas) != len(betas) or not gammas:
         raise CircuitError("QAOA needs equal, non-zero numbers of angles")
-    nodes = sorted(graph.nodes)
-    if nodes != list(range(len(nodes))):
-        raise CircuitError("graph nodes must be 0..n-1")
-    circuit = Circuit(len(nodes))
-    for q in nodes:
+    circuit = Circuit(num_qubits)
+    for q in range(num_qubits):
         circuit.h(q)
     for gamma, beta in zip(gammas, betas):
-        for a, b in sorted(graph.edges):
+        for a, b in edges:
             circuit.rzz(2.0 * gamma, a, b)
-        for q in nodes:
+        for q in range(num_qubits):
             circuit.rx(2.0 * beta, q)
     return circuit
 
@@ -42,19 +40,27 @@ def random_qaoa(
     edge_probability: float = 0.5,
     rng: np.random.Generator | int | None = None,
 ) -> Circuit:
-    """A random-graph MaxCut QAOA instance with random angles."""
+    """A random-graph MaxCut QAOA instance with random angles.
+
+    Each pair ``a < b`` is an edge with probability ``edge_probability``,
+    and an empty draw falls back to the edge ``(0, 1)``; the cost layer
+    runs the edges in lexicographic order.  Fewer than two qubits raise
+    :class:`CircuitError`: there is no edge to cut.
+    """
+    if num_qubits < 2:
+        raise CircuitError(f"QAOA MaxCut needs at least two qubits, got {num_qubits}")
     rng = np.random.default_rng(rng)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_qubits))
-    for a in range(num_qubits):
-        for b in range(a + 1, num_qubits):
-            if rng.random() < edge_probability:
-                graph.add_edge(a, b)
-    if graph.number_of_edges() == 0:
-        graph.add_edge(0, 1 % num_qubits)
+    edges = [
+        (a, b)
+        for a in range(num_qubits)
+        for b in range(a + 1, num_qubits)
+        if rng.random() < edge_probability
+    ]
+    if not edges:
+        edges = [(0, 1)]
     gammas = list(rng.uniform(0.0, np.pi, size=rounds))
     betas = list(rng.uniform(0.0, np.pi / 2.0, size=rounds))
-    return qaoa_maxcut(graph, gammas, betas)
+    return qaoa_maxcut(num_qubits, edges, gammas, betas)
 
 
 def vqe_ansatz(

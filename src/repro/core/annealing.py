@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.core.objective import ChoiceScorer, SelectionObjective
 from repro.exceptions import SelectionError
@@ -62,11 +61,16 @@ _FACTOR2 = np.exp((4.0 - _VISIT) * np.log(_VISIT - 1.0))
 _FACTOR3 = np.exp((2.0 - _VISIT) * np.log(2.0) / (_VISIT - 1.0))
 _FACTOR4_P = np.sqrt(np.pi) * _FACTOR2 / (_FACTOR3 * (3.0 - _VISIT))
 _FACTOR5 = 1.0 / (_VISIT - 1.0) - 0.5
+#: ``scipy.special.gammaln(2 - _FACTOR5)``, the value scipy computes, as
+#: a literal: importing ``scipy.special`` for one constant costs every
+#: process about 26 MiB, and ``math.lgamma`` differs from it in the last
+#: bit, which would move every annealed choice.
+_GAMMALN_2_MINUS_FACTOR5 = float.fromhex("-0x1.70f23f9f9b200p-5")
 _FACTOR6 = (
     np.pi
     * (1.0 - _FACTOR5)
     / np.sin(np.pi * (1.0 - _FACTOR5))
-    / np.exp(gammaln(2.0 - _FACTOR5))
+    / np.exp(_GAMMALN_2_MINUS_FACTOR5)
 )
 
 

@@ -19,6 +19,9 @@ sequential chains of ``K`` small matrix products for ``K`` slots plus a
 fixed number of stacked numpy calls.  An :class:`AnsatzStack` runs the
 same plan for several templates of one shape at once, one parameter row
 each, so the numpy call count does not grow with the number of rows.
+The arrays those calls write are allocated once per stack, at its first
+call, and every later call writes into them; a template or stack is
+therefore driven by one thread at a time.
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ class Ansatz:
         self._rotation_positions = np.array(
             [position for position, _ in rotations], dtype=np.intp
         )
-        self._identity = np.eye(self._dim, dtype=complex)
 
     def _compile_rows(self, members: list[Ansatz]) -> None:
         """Precompute the per-row plan of a stack of ``members``.
@@ -144,14 +146,23 @@ class Ansatz:
             [_GENERATORS[name] for name in self._rotation_names], dtype=complex
         ).reshape(count, 1, 4)
         self._generators = self._embed_rows(np.repeat(generators, batch, axis=1))
+        # The rows just changed, so any workspace is the wrong shape; the
+        # first call on these rows allocates theirs.
+        self._workspace: _Workspace | None = None
 
-    def _embed_rows(self, gates: np.ndarray) -> np.ndarray:
+    def _embed_rows(self, gates: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Dense embeddings ``(R, B, dim, dim)`` of one 2x2 gate per row.
 
         ``gates`` holds the rows' 2x2 matrices back to back in
-        rotation-major order, in any shape.
+        rotation-major order, in any shape.  ``out``, if given, is a
+        C-contiguous ``(R, B, dim, dim)`` array that receives them.
         """
-        embeds = gates.reshape(-1)[self._entry_index]
+        if out is not None:
+            out = out.reshape(self._entry_index.shape)
+        # ``clip`` lets ``take`` write straight into ``out``: under the
+        # default ``raise`` it gathers into a copy first.  Every index is
+        # in range, so the modes agree.
+        embeds = np.take(gates.reshape(-1), self._entry_index, out=out, mode="clip")
         np.multiply(embeds, self._low_factors, out=embeds)
         np.multiply(self._high_factors, embeds, out=embeds)
         return embeds.reshape(-1, self._batch, self._dim, self._dim)
@@ -193,55 +204,98 @@ class Ansatz:
         matrix that a slot-by-slot sweep of one template makes, so every
         row is bit-identical to it (``tests/ansatz_oracle.py`` keeps that
         sweep as the reference).
+
+        Every call on a stack writes the same workspace (:class:`_Workspace`),
+        allocated by its first call; the arrays a call returns are fresh.
         """
-        dim, slots, batch = self._dim, len(self.slots), self._batch
+        slots, batch = len(self.slots), self._batch
+        work = self._workspace
+        if work is None:
+            work = self._workspace = _Workspace(self)
         thetas = np.asarray(params, dtype=float)
         columns = thetas.reshape(batch, self.num_params).T.tolist()
         entries: list = []
         for build, column in zip(self._rotation_entries, columns):
             for theta in column:
                 entries += build(theta)
-        rotations = self._embed_rows(np.array(entries, dtype=complex))
-        embeds = list(self._slot_embeds)
-        for position, embed in zip(self._rotation_positions.tolist(), rotations):
-            embeds[position] = embed
+        self._embed_rows(np.array(entries, dtype=complex), out=work.rotations)
 
         # Slot-major chains: each step is one (B, dim, dim) product whose
         # operands and output are contiguous, ``out=`` writing straight
         # into the stack.  Slot 0 is a rotation, so the suffix chain runs
         # down to slot 1.
-        prefixes = np.empty((slots + 1, batch, dim, dim), dtype=complex)
-        prefixes[0] = self._identity
-        prefix_views = list(prefixes)
+        embeds, prefixes, suffixes = work.embeds, work.prefix_views, work.suffix_views
         for k in range(slots):
-            np.matmul(embeds[k], prefix_views[k], out=prefix_views[k + 1])
-        suffixes = np.empty((slots, batch, dim, dim), dtype=complex)
-        suffixes[slots - 1] = self._identity
-        suffix_views = list(suffixes)
+            np.matmul(embeds[k], prefixes[k], out=prefixes[k + 1])
         for k in range(slots - 1, 0, -1):
-            np.matmul(suffix_views[k], embeds[k], out=suffix_views[k - 1])
+            np.matmul(suffixes[k], embeds[k], out=suffixes[k - 1])
 
+        # Rows 0..R-1 of ``products`` hold (S_k @ D_k) @ P_k; row R holds
+        # U for the trace.  No product writes into one of its own
+        # operands, which numpy would first copy.
         count = len(self._rotation_entries)
         positions = self._rotation_positions
-        derivatives = np.matmul(self._generators, rotations)
-        # Rows 0..R-1 hold (S_k @ D_k) @ P_k; row R holds U for the trace.
-        products = np.empty((count + 1, batch, dim, dim), dtype=complex)
-        np.matmul(
-            np.matmul(suffixes[positions], derivatives),
-            prefixes[positions],
-            out=products[:count],
-        )
-        products[count] = prefix_views[slots]
+        products = work.products
+        np.matmul(self._generators, work.rotations, out=work.derivatives)
+        np.take(work.suffixes, positions, axis=0, out=work.gathered, mode="clip")
+        np.matmul(work.gathered, work.derivatives, out=work.left)
+        np.take(work.prefixes, positions, axis=0, out=work.gathered, mode="clip")
+        np.matmul(work.left, work.gathered, out=products[:count])
+        products[count] = prefixes[slots]
         np.multiply(target_conj, products, out=products)
         sums = np.add.reduce(
-            products.reshape((count + 1) * batch, dim * dim), axis=1
+            products.reshape((count + 1) * batch, -1), axis=1
         ).reshape(count + 1, batch)
         # Row-major copy: each row's derivatives are contiguous, as a lone
         # template's are, for the elementwise cost formula downstream.
+        # Both returned arrays are fresh, never views of the workspace.
         dtraces = np.ascontiguousarray(sums[:count].T)
         if thetas.ndim == 1:
             return complex(sums[count, 0]), dtraces[0]
         return sums[count], dtraces
+
+
+class _Workspace:
+    """The arrays :meth:`Ansatz.trace_and_gradient` writes, allocated once
+    per stack.
+
+    Every call on a stack overwrites them, so a kernel call allocates
+    only its small per-row outputs.  Arrays this size, allocated and
+    freed on every call, would make the allocator map and unmap them (or
+    trim them off the heap top) and fault their pages back in each time.
+    A template is therefore driven by one thread at a time.  Each array
+    is rotation- or slot-major, ``(·, B, dim, dim)``.
+    """
+
+    def __init__(self, ansatz: Ansatz) -> None:
+        slots, count = len(ansatz.slots), len(ansatz._rotation_entries)
+
+        def rows(length: int) -> np.ndarray:
+            return np.empty((length, ansatz._batch, ansatz._dim, ansatz._dim), complex)
+
+        #: Every rotation's dense embedding.
+        self.rotations = rows(count)
+        #: Prefix chain ``P_0 = I ... P_K = U`` and suffix chain
+        #: ``S_0 ... S_{K-1} = I``; the chain products never write the
+        #: identity ends.
+        self.prefixes = rows(slots + 1)
+        self.suffixes = rows(slots)
+        self.prefixes[0] = np.eye(ansatz._dim)
+        self.suffixes[slots - 1] = np.eye(ansatz._dim)
+        #: Per rotation: its derivative embed ``D_k``, the gathered
+        #: ``S_k`` then ``P_k``, and ``S_k @ D_k``.
+        self.derivatives = rows(count)
+        self.gathered = rows(count)
+        self.left = rows(count)
+        #: Every product against the target, and the unitary last.
+        self.products = rows(count + 1)
+        #: Per slot, its ``(B, dim, dim)`` embed: the fixed CNOT embeds,
+        #: and views of :attr:`rotations` where rotations go.
+        self.embeds = list(ansatz._slot_embeds)
+        for position, view in zip(ansatz._rotation_positions.tolist(), self.rotations):
+            self.embeds[position] = view
+        self.prefix_views = list(self.prefixes)
+        self.suffix_views = list(self.suffixes)
 
 
 class AnsatzStack(Ansatz):
@@ -253,7 +307,8 @@ class AnsatzStack(Ansatz):
     takes ``(B, P)`` parameters, row ``b`` binding ``members[b]``, and each
     row's result is bit-identical to that member's own call.  A template
     may appear in several rows.  ``slots`` and the other template
-    accessors describe ``members[0]``.
+    accessors describe ``members[0]``.  The stack has a workspace of its
+    own shape, never its members'.
     """
 
     def __init__(self, members: list[Ansatz]) -> None:

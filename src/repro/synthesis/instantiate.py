@@ -21,19 +21,49 @@ the steps ``minimize`` would take for it alone.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 
 import numpy as np
-
-# Not called here, but bound: the benchmark harness
-# (benchmarks/harness/layers.py) looks this name up in this module.
-from scipy.optimize import minimize  # noqa: F401
-from scipy.optimize._lbfgsb import setulb
 
 from repro.exceptions import SynthesisError
 from repro.observability import get_record
 from repro.resilience.deadline import check_deadline
 from repro.synthesis.ansatz import Ansatz, AnsatzStack
+
+
+def _load_setulb():
+    """scipy's compiled L-BFGS-B core, loaded without ``scipy.optimize``.
+
+    Importing ``scipy.optimize`` runs its ``__init__``, which loads
+    several hundred modules (``scipy.linalg``, ``scipy.sparse``,
+    ``scipy.special``, ...) for this one function.  ``find_spec`` gives
+    the package's directory without running its ``__init__``, and the
+    extension module ``_lbfgsb`` is then loaded from it on its own.
+    """
+    package = importlib.util.find_spec("scipy.optimize")
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.optimize._lbfgsb", package.submodule_search_locations
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.setulb
+
+
+setulb = _load_setulb()
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported when called.
+
+    Nothing here calls it; the name stays bound because the benchmark
+    harness (``benchmarks/harness/layers.py``) wraps it in this module.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
 
 #: L-BFGS-B settings of every run: ``minimize(method="L-BFGS-B")``'s
 #: defaults (``maxcor=10``, ``maxls=20``, ``maxfun=15000``) with the

@@ -5,13 +5,18 @@ sit on non-adjacent physical qubits is preceded by SWAPs that walk one
 operand along the shortest path.  Measurements are re-targeted through the
 final layout so the classical bit order stays logical — downstream
 distribution helpers rely on this.
+
+Paths come from a breadth-first search that visits each qubit's
+neighbours in the order their edges appear in the coupling map.  Where
+two shortest paths have equal length, the one it reaches first wins:
+each qubit's predecessor is the first qubit, in search order, that
+reaches it.  On a chain every path is unique.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from repro.circuits.circuit import Circuit, Operation
 from repro.exceptions import TranspilerError
@@ -26,22 +31,68 @@ class RoutingResult:
     swaps_inserted: int = 0
 
 
+def _adjacency(
+    coupling_map: tuple[tuple[int, int], ...], num_physical: int
+) -> list[list[int]]:
+    """Each physical qubit's neighbours, in coupling-map order.
+
+    Raises :class:`TranspilerError` for an edge whose endpoints repeat
+    or fall outside ``range(num_physical)``.
+    """
+    neighbours: list[list[int]] = [[] for _ in range(num_physical)]
+    for a, b in coupling_map:
+        if a == b or not (0 <= a < num_physical and 0 <= b < num_physical):
+            raise TranspilerError(
+                f"bad coupling edge {(a, b)} on {num_physical} physical qubit(s)"
+            )
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return neighbours
+
+
+def _search_tree(neighbours: list[list[int]], source: int) -> dict[int, int | None]:
+    """Breadth-first predecessors of every qubit reachable from ``source``."""
+    predecessor: dict[int, int | None] = {source: None}
+    frontier = deque([source])
+    while frontier:
+        qubit = frontier.popleft()
+        for neighbour in neighbours[qubit]:
+            if neighbour not in predecessor:
+                predecessor[neighbour] = qubit
+                frontier.append(neighbour)
+    return predecessor
+
+
+def _shortest_path(neighbours: list[list[int]], source: int, target: int) -> list[int]:
+    """The first shortest path from ``source`` to ``target``, both ends
+    included."""
+    predecessor = _search_tree(neighbours, source)
+    path = [target]
+    while path[-1] != source:
+        path.append(predecessor[path[-1]])
+    return path[::-1]
+
+
 def route_to_coupling(
     circuit: Circuit,
     coupling_map: tuple[tuple[int, int], ...],
     num_physical: int | None = None,
 ) -> RoutingResult:
-    """Map ``circuit`` onto the device graph with greedy SWAP insertion."""
+    """Map ``circuit`` onto the device graph with greedy SWAP insertion.
+
+    Raises :class:`TranspilerError` for a circuit wider than the device,
+    a coupling edge whose endpoints repeat or fall outside
+    ``range(num_physical)``, a disconnected coupling graph, or a gate on
+    three or more qubits.
+    """
     num_physical = num_physical or circuit.num_qubits
     if circuit.num_qubits > num_physical:
         raise TranspilerError(
             f"circuit needs {circuit.num_qubits} qubits; device has "
             f"{num_physical}"
         )
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_physical))
-    graph.add_edges_from(coupling_map)
-    if not nx.is_connected(graph):
+    neighbours = _adjacency(coupling_map, num_physical)
+    if len(_search_tree(neighbours, 0)) != num_physical:
         raise TranspilerError("coupling graph is not connected")
 
     logical_to_physical = {q: q for q in range(circuit.num_qubits)}
@@ -82,7 +133,7 @@ def route_to_coupling(
             )
         phys_a = logical_to_physical[op.qubits[0]]
         phys_b = logical_to_physical[op.qubits[1]]
-        path = nx.shortest_path(graph, phys_a, phys_b)
+        path = _shortest_path(neighbours, phys_a, phys_b)
         # Walk the first operand down the path until adjacent.
         while len(path) > 2:
             apply_swap(path[0], path[1])

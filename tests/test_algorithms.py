@@ -150,25 +150,40 @@ class TestHlf:
 
 class TestVariational:
     def test_qaoa_needs_angles(self):
-        import networkx as nx
-
-        graph = nx.path_graph(3)
         with pytest.raises(CircuitError):
-            qaoa_maxcut(graph, [], [])
+            qaoa_maxcut(3, [(0, 1), (1, 2)], [], [])
 
     def test_qaoa_structure(self):
-        import networkx as nx
-
-        graph = nx.path_graph(3)
-        circuit = qaoa_maxcut(graph, [0.4], [0.3])
+        circuit = qaoa_maxcut(3, [(0, 1), (1, 2)], [0.4], [0.3])
         counts = Counter(op.name for op in circuit)
         assert counts["h"] == 3
         assert counts["rzz"] == 2
         assert counts["rx"] == 3
+        assert [op.qubits for op in circuit if op.name == "rzz"] == [(0, 1), (1, 2)]
+
+    def test_qaoa_keeps_nodes_without_edges(self):
+        circuit = qaoa_maxcut(4, [(0, 1)], [0.4], [0.3])
+        assert circuit.num_qubits == 4
+        assert Counter(op.name for op in circuit)["rx"] == 4
+
+    @pytest.mark.parametrize("edge", [(1, 1), (0, 3)])
+    def test_qaoa_rejects_bad_edges(self, edge):
+        with pytest.raises(CircuitError):
+            qaoa_maxcut(3, [(0, 1), edge], [0.4], [0.3])
 
     def test_random_qaoa_nonzero_entanglement(self, rng):
         circuit = random_qaoa(4, rounds=2, rng=rng)
         assert circuit.cnot_count() > 0
+
+    @pytest.mark.parametrize("num_qubits", [0, 1])
+    def test_random_qaoa_needs_two_qubits(self, num_qubits):
+        with pytest.raises(CircuitError, match=f"at least two qubits, got {num_qubits}"):
+            random_qaoa(num_qubits, rng=0)
+
+    def test_random_qaoa_falls_back_to_one_edge(self):
+        # No pair is drawn at probability 0, so the one edge is (0, 1).
+        circuit = random_qaoa(3, edge_probability=0.0, rng=0)
+        assert [op.qubits for op in circuit if op.name == "rzz"] == [(0, 1)]
 
     def test_vqe_param_shape_checked(self):
         with pytest.raises(CircuitError):

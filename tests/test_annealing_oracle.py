@@ -155,3 +155,24 @@ def test_wide_selection_with_re_annealing_equals_scipy():
         _assert_same_selection(
             objective, 2, FIRST_RESTART + 3, int(rng.integers(2**32))
         )
+
+
+def test_visiting_constants_equal_scipy_bit_for_bit():
+    # ``_FACTOR6`` holds scipy.special.gammaln(2 - _FACTOR5) as a literal,
+    # so that no process imports scipy.special for one constant; a last
+    # bit off would move every annealed choice.
+    from scipy.special import gammaln
+
+    assert annealing._GAMMALN_2_MINUS_FACTOR5 == gammaln(2.0 - annealing._FACTOR5)
+    visiting = _dual_annealing.VisitingDistribution(
+        np.zeros(1), np.ones(1), annealing._VISIT, np.random.default_rng(0)
+    )
+    pairs = [
+        (annealing._FACTOR2, visiting._factor2),
+        (annealing._FACTOR3, visiting._factor3),
+        (annealing._FACTOR4_P, visiting._factor4_p),
+        (annealing._FACTOR5, visiting._factor5),
+        (annealing._FACTOR6, visiting._factor6),
+    ]
+    for ours, scipys in pairs:
+        assert float(ours).hex() == float(scipys).hex()

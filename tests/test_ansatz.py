@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +192,127 @@ def test_stack_rows_are_bit_identical_to_their_members():
             assert complex(trace) == expected_trace
             assert row_dtraces.tobytes() == expected_dtraces.tobytes()
             assert row_dtraces.flags.c_contiguous
+
+
+def _layer_members(num_qubits):
+    """One LEAP layer's templates: every placement after a shared prefix."""
+    placements = _ordered_pairs(num_qubits)
+    prefix = [placements[(5 * i) % len(placements)] for i in range(3)]
+    return [build_leap_ansatz(num_qubits, prefix + [placement]) for placement in placements]
+
+
+def test_successive_calls_leave_earlier_results_untouched():
+    # Every call writes the stack's workspace; what a call returns is
+    # fresh, so a later call cannot change it.
+    rng = np.random.default_rng(17)
+    members = _layer_members(3)
+    stack = AnsatzStack(members)
+    target_conj = random_unitary(8, rng).conj()
+    rounds = rng.uniform(-np.pi, np.pi, (2, len(members), stack.num_params))
+    stacked = [stack.trace_and_gradient(params, target_conj) for params in rounds]
+    lone = [
+        [member.trace_and_gradient(row, target_conj) for member, row in zip(members, params)]
+        for params in rounds
+    ]
+    for params, (traces, dtraces), lone_rows in zip(rounds, stacked, lone):
+        fresh_traces, fresh_dtraces = AnsatzStack(members).trace_and_gradient(
+            params, target_conj
+        )
+        assert traces.tobytes() == fresh_traces.tobytes()
+        assert dtraces.tobytes() == fresh_dtraces.tobytes()
+        for member, row, trace, row_dtraces, (lone_trace, lone_dtraces) in zip(
+            members, params, traces, dtraces, lone_rows
+        ):
+            expected_trace, expected_dtraces = SlotSweep(member).trace_and_gradient(
+                row, target_conj
+            )
+            assert complex(trace) == lone_trace == expected_trace
+            assert row_dtraces.tobytes() == lone_dtraces.tobytes()
+            assert lone_dtraces.tobytes() == expected_dtraces.tobytes()
+
+
+def test_a_stack_of_an_evaluated_lead_gets_its_own_workspace():
+    # A stack starts from a copy of its lead's attributes; the lead's
+    # one-row workspace must not come with them.
+    rng = np.random.default_rng(23)
+    members = _layer_members(3)
+    lead = members[0]
+    target_conj = random_unitary(8, rng).conj()
+    row = rng.uniform(-np.pi, np.pi, lead.num_params)
+    before = lead.trace_and_gradient(row, target_conj)
+    stack = AnsatzStack([lead, *members, lead])
+    params = rng.uniform(-np.pi, np.pi, (len(members) + 2, stack.num_params))
+    traces, dtraces = stack.trace_and_gradient(params, target_conj)
+    for member, params_row, trace, row_dtraces in zip(
+        [lead, *members, lead], params, traces, dtraces
+    ):
+        expected_trace, expected_dtraces = SlotSweep(member).trace_and_gradient(
+            params_row, target_conj
+        )
+        assert complex(trace) == expected_trace
+        assert row_dtraces.tobytes() == expected_dtraces.tobytes()
+    # The lead's own calls still read its own rows.
+    after = lead.trace_and_gradient(row, target_conj)
+    assert after[0] == before[0]
+    assert after[1].tobytes() == before[1].tobytes()
+
+
+def test_a_repeated_call_allocates_only_its_outputs():
+    # The chains, gathers and products live in the stack's workspace: a
+    # repeated call allocates less than one rotation-major block of its
+    # rows (the outputs, the rotation entries, and numpy's own buffer
+    # for the broadcast product against the target), where a call
+    # allocating its arrays would take several such blocks.
+    rng = np.random.default_rng(29)
+    members = _layer_members(3) * 2
+    stack = AnsatzStack(members)
+    target_conj = random_unitary(8, rng).conj()
+    params = rng.uniform(-np.pi, np.pi, (len(members), stack.num_params))
+    block = params.size * 8 * 8 * 16
+    stack.trace_and_gradient(params, target_conj)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        stack.trace_and_gradient(params, target_conj)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert peak < block
+
+
+def test_concurrent_syntheses_share_no_template():
+    # A template's workspace belongs to the thread driving it.  Each
+    # synthesis builds its own templates (none is cached), so threads
+    # synthesizing at once, switching as often as the interpreter
+    # allows, each reproduce the serial pool bit for bit.
+    assert build_leap_ansatz(3, [(0, 1)]) is not build_leap_ansatz(3, [(0, 1)])
+    rng = np.random.default_rng(31)
+    target = build_leap_ansatz(3, [(0, 1), (1, 2)]).build_circuit(
+        rng.uniform(-np.pi, np.pi, 17)
+    ).unitary()
+    config = LeapConfig(
+        max_layers=2, instantiation_starts=2, max_optimizer_iterations=60,
+        seed=5, target_distance=0.2,
+    )
+    serial = synthesize(target, config)
+    pools = [None] * 3
+
+    def run(slot):
+        pools[slot] = synthesize(target, config)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    for pool in pools:
+        assert pool == serial
 
 
 def test_instantiate_multi_is_byte_identical_to_slot_sweep(monkeypatch):

@@ -3,15 +3,17 @@
 Every process that imports the package pays what its modules build at
 import: the CLI, the daemon, a batch's parent and each forked synthesis
 worker.  No module builds arrays at import beyond a few gate-sized
-constants, so two guards hold the footprint down: the bytes of arrays
-that module globals hold, and the resident memory a fresh interpreter
-gains by importing every module once its third-party dependencies are
-loaded.
+constants, and no module imports more of its dependencies than it runs:
+numpy, and from scipy only the compiled L-BFGS-B core.  Three guards
+hold the footprint down: the bytes of arrays that module globals hold,
+the resident memory a fresh interpreter gains by importing every module
+once numpy is loaded, and the packages that interpreter must not load.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 
@@ -26,8 +29,18 @@ import repro
 MAX_GLOBAL_ARRAY_BYTES = 1 << 20
 
 #: Most resident MiB that importing every ``repro`` module may add to an
-#: interpreter that already imported numpy, scipy and networkx.
+#: interpreter that already imported numpy.
 MAX_IMPORT_RSS_MIB = 32
+
+#: Most resident MiB a fresh interpreter may peak at, importing every
+#: ``repro`` module: 95.4 MiB while scipy.optimize, scipy.special and
+#: networkx were imported, about 43 MiB without them.
+MAX_IMPORTED_PEAK_MIB = 64
+
+#: Packages no ``repro`` module may import: several hundred modules
+#: (scipy.linalg, scipy.sparse, scipy.spatial among them) loaded for one
+#: optimizer routine, one constant and a few graph calls.
+FORBIDDEN_PACKAGES = ("scipy.optimize", "scipy.special", "networkx")
 
 
 def _repro_modules() -> list[str]:
@@ -66,8 +79,8 @@ def test_module_globals_hold_under_a_mebibyte_of_arrays():
 #: its spawner's peak on Linux, so under pytest it would read the test
 #: process's size, not the imports'.
 _IMPORT_PROBE = """
-import importlib, sys
-import networkx, numpy, scipy.linalg, scipy.optimize, scipy.special
+import importlib, json, sys
+import numpy
 
 def peak_kib():
     with open("/proc/self/status") as status:
@@ -78,11 +91,16 @@ def peak_kib():
 before = peak_kib()
 for name in sys.argv[1:]:
     importlib.import_module(name)
-print((peak_kib() - before) / 1024.0)
+print(json.dumps({
+    "grown_mib": (peak_kib() - before) / 1024.0,
+    "peak_mib": peak_kib() / 1024.0,
+    "modules": sorted(sys.modules),
+}))
 """
 
 
-def test_importing_every_module_adds_under_32_mib_of_rss():
+@pytest.fixture(scope="module")
+def import_probe() -> dict:
     src = str(Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     probe = subprocess.run(
@@ -93,5 +111,25 @@ def test_importing_every_module_adds_under_32_mib_of_rss():
         timeout=300,
         check=True,
     )
-    grown_mib = float(probe.stdout.strip().splitlines()[-1])
-    assert grown_mib < MAX_IMPORT_RSS_MIB
+    return json.loads(probe.stdout.strip().splitlines()[-1])
+
+
+def test_importing_every_module_adds_under_32_mib_of_rss(import_probe):
+    assert import_probe["grown_mib"] < MAX_IMPORT_RSS_MIB
+
+
+def test_importing_every_module_peaks_under_64_mib(import_probe):
+    assert import_probe["peak_mib"] < MAX_IMPORTED_PEAK_MIB
+
+
+def test_no_module_imports_scipy_optimize_scipy_special_or_networkx(import_probe):
+    loaded = [
+        name
+        for name in import_probe["modules"]
+        for package in FORBIDDEN_PACKAGES
+        if name == package or name.startswith(package + ".")
+    ]
+    # scipy's L-BFGS-B extension module is loaded on its own, without
+    # running the package's ``__init__``; the interpreter may list it
+    # under its own name.
+    assert set(loaded) <= {"scipy.optimize._lbfgsb"}

@@ -96,3 +96,50 @@ def test_circuit_embeds_into_larger_device():
     circuit.cx(0, 1)
     result = route_to_coupling(circuit, linear_coupling(5), num_physical=5)
     assert result.circuit.num_qubits == 5
+
+
+@pytest.mark.parametrize(
+    "coupling",
+    [
+        ((0, 7), (7, 2), (0, 1)),  # failed late, inside the routed circuit
+        ((0, 1), (1, 2), (2, 7)),  # was accepted
+        ((0, 1), (1, 1), (1, 2)),
+        ((0, 1), (-1, 2)),
+    ],
+)
+def test_bad_coupling_edges_rejected(coupling):
+    circuit = Circuit(3)
+    circuit.cx(0, 2)
+    with pytest.raises(TranspilerError, match="bad coupling edge"):
+        route_to_coupling(circuit, coupling)
+
+
+def test_equal_length_paths_take_the_first_one_searched():
+    # A ring of four: 0 reaches 2 through 1 or through 3, both two hops.
+    # The search visits 0's neighbours in coupling-map order, so the
+    # first edge listed decides which one the SWAP walks through.
+    circuit = Circuit(4)
+    circuit.cx(0, 2)
+    through_one = route_to_coupling(circuit, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    through_three = route_to_coupling(circuit, ((3, 0), (2, 3), (1, 2), (0, 1)))
+    assert [op.qubits for op in through_one.circuit.operations] == [(0, 1), (1, 2)]
+    assert [op.qubits for op in through_three.circuit.operations] == [(0, 3), (3, 2)]
+
+
+def test_routes_on_a_chain_are_the_unique_shortest_paths():
+    # On a chain every path is unique: walking operand a towards b takes
+    # |a - b| - 1 swaps, each between neighbours on the way.
+    circuit = Circuit(5)
+    circuit.cx(4, 0)
+    circuit.cx(1, 3)
+    result = route_to_coupling(circuit, linear_coupling(5))
+    ops = [(op.name, op.qubits) for op in result.circuit.operations]
+    assert ops == [
+        ("swap", (4, 3)),
+        ("swap", (3, 2)),
+        ("swap", (2, 1)),
+        ("cx", (1, 0)),
+        # Logical 1 now sits on physical 2, logical 3 on physical 4.
+        ("swap", (2, 3)),
+        ("cx", (3, 4)),
+    ]
