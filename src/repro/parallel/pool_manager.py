@@ -21,6 +21,7 @@ Recycling uses ``shutdown(wait=False)`` without cancelling futures, so
 in-flight work submitted by *other* threads (concurrent circuits in a
 batch) drains in the old pool while new submissions land in the fresh
 one.  A truly hung worker's process is abandoned, never awaited.
+Closing a healthy pool (:meth:`shutdown`) joins its workers.
 
 Thread safety: all state transitions take a lock, so the threads of a
 batch's circuits or a daemon's jobs can share one instance.  The pool
@@ -101,9 +102,16 @@ class PersistentWorkerPool:
             self._unhealthy = True
 
     def shutdown(self) -> None:
-        """Tear the pool down; futures in flight are not awaited."""
+        """Tear the pool down without cancelling futures in flight.
+
+        A healthy pool's workers are joined, so whoever closes the
+        substrate has reaped them (and ``RUSAGE_CHILDREN`` counts them).
+        An unhealthy pool may hold a hung worker: it is abandoned without
+        waiting, as on recycling.
+        """
         with self._lock:
             self._closed = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
+            pool, self._pool = self._pool, None
+            wait = not self._unhealthy
+        if pool is not None:
+            pool.shutdown(wait=wait)

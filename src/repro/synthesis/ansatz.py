@@ -14,14 +14,16 @@ owning the next parameter.  The template knows how to
   ``R = exp(-i theta P / 2)``).
 
 The derivative evaluation is compiled once per template into an
-evaluation plan (:meth:`Ansatz.__init__`), so one call costs two
-sequential chains of ``K`` small matrix products for ``K`` slots plus a
+evaluation plan (:meth:`Ansatz.__init__`), so one call costs one
+sequential chain of ``K`` steps for ``K`` slots, each step one numpy
+call that advances the prefix and the suffix product together, plus a
 fixed number of stacked numpy calls.  An :class:`AnsatzStack` runs the
 same plan for several templates of one shape at once, one parameter row
-each, so the numpy call count does not grow with the number of rows.
-The arrays those calls write are allocated once per stack, at its first
-call, and every later call writes into them; a template or stack is
-therefore driven by one thread at a time.
+each, so the numpy call count does not grow with the number of rows;
+it can drop rows that are done and keep its plan.  The arrays those
+calls write are allocated once per stack, at its first call, and every
+later call writes into them; a template or stack is therefore driven by
+one thread at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +46,26 @@ _PAULI = {
 #: Derivative generator ``-i/2 * P`` of each rotation:
 #: ``dR/dtheta = generator @ R``.
 _GENERATORS = {name: -0.5j * pauli for name, pauli in _PAULI.items()}
+
+
+def _derivative_entries(generator: np.ndarray) -> tuple[list[int], list[complex]]:
+    """Row-major entries of ``generator @ R`` as ``scale[e] * R[source[e]]``.
+
+    A Pauli generator has exactly one nonzero per row, ``±1/2`` or
+    ``±i/2``, so each entry of the product is one product of that value
+    with an entry of ``R``: the same product, and so the same bits, as a
+    matrix product of the two forms (its other terms are exact zeros,
+    which change no nonzero sum).
+    """
+    columns = np.argmax(generator != 0, axis=1).tolist()
+    source = [2 * columns[row] + column for row in (0, 1) for column in (0, 1)]
+    scale = [complex(generator[row, columns[row]]) for row in (0, 1) for _ in (0, 1)]
+    return source, scale
+
+
+#: Per rotation, where each entry of its derivative ``generator @ R`` comes
+#: from among ``R``'s entries, and the factor it takes.
+_DERIVATIVE_ENTRIES = {name: _derivative_entries(g) for name, g in _GENERATORS.items()}
 
 
 # Row-major 2x2 entries of each rotation as Python scalars, from the
@@ -94,78 +116,52 @@ class Ansatz:
         parameter order.  Their names and slot positions fix the shape
         of the plan; their target qubits and the CNOTs' embeddings are
         what one template of a stack contributes (:meth:`_compile_rows`).
+
+        It also fixes where each slot's embed (rotations first, then the
+        CNOTs) and each chain step's region sit in the chain buffer
+        (:class:`_Layout`).
         """
-        n = self.num_qubits
+        n, slots = self.num_qubits, self.slots
         cx = gate_matrix("cx")
-        # Per slot: its CNOT's embed, or None where a rotation goes.
-        self._fixed_embeds = [
-            None if slot.param_index is not None else embed_unitary(cx, slot.qubits, n)
-            for slot in self.slots
-        ]
-        rotations = [
-            (position, slot)
-            for position, slot in enumerate(self.slots)
-            if slot.param_index is not None
-        ]
-        self._rotation_names = [slot.name for _, slot in rotations]
-        self._rotation_targets = [slot.qubits[0] for _, slot in rotations]
-        self._rotation_entries = [_ROTATION_ENTRIES[slot.name] for _, slot in rotations]
-        self._rotation_positions = np.array(
-            [position for position, _ in rotations], dtype=np.intp
-        )
+        rotations = [k for k, slot in enumerate(slots) if slot.param_index is not None]
+        cnots = [k for k, slot in enumerate(slots) if slot.param_index is None]
+        self._cnot_embeds = [embed_unitary(cx, slots[k].qubits, n) for k in cnots]
+        self._rotation_targets = [slots[k].qubits[0] for k in rotations]
+        self._rotation_entries = [_ROTATION_ENTRIES[slots[k].name] for k in rotations]
+        sources, scales = zip(*(_DERIVATIVE_ENTRIES[slots[k].name] for k in rotations))
+        self._derivative_sources = np.array(sources, dtype=np.intp).reshape(-1, 1, 4)
+        self._derivative_scales = np.array(scales, dtype=complex).reshape(-1, 1, 4)
+        steps = len(slots)
+        place = {k: index for index, k in enumerate(rotations + cnots)}
+        self._embed_places = [place[k] for k in range(steps)]
+        positions = np.array(rotations, dtype=np.intp)
+        self._suffix_places = steps + 2 * (steps - 1 - positions)
+        self._prefix_places = steps + 2 * positions + 1
 
     def _compile_rows(self, members: list[Ansatz]) -> None:
         """Precompute the per-row plan of a stack of ``members``.
 
         Row ``b`` of every array below belongs to ``members[b]``.  For
         each rotation the plan keeps where its 2x2 entries land in the
-        dense embedding ``I_high (x) R (x) I_low`` and the identity factor
-        each entry is multiplied by, so embedding every rotation of every
-        row is one gather and two elementwise products — the same
-        products :func:`repro.linalg.embed.embed_unitary` forms one slot
-        at a time.  Arrays are rotation-major, ``(R, B, ...)``.
+        dense embedding ``I_high (x) R (x) I_low`` (:func:`_embedding_layouts`),
+        so embedding every rotation of every row is one gather, and
+        embedding their derivatives ``generator @ R`` another.  Arrays are
+        rotation-major, ``(R, B, ...)``; a call evaluates the rows
+        :attr:`_rows` selects (all of them, until a stack drops some).
         """
-        batch = len(members)
-        self._batch = batch
-        self._slot_embeds = [
-            None if embed is None else np.stack([m._fixed_embeds[k] for m in members])
-            for k, embed in enumerate(self._fixed_embeds)
-        ]
-        entry, low, high = _embedding_layouts(self.num_qubits)
+        batch, dim = len(members), self._dim
         targets = np.array(
             [m._rotation_targets for m in members], dtype=np.intp
         ).reshape(batch, -1).T
-        count = len(targets)
-        offsets = 4 * np.arange(count * batch, dtype=np.intp).reshape(count, batch, 1)
-        self._entry_index = entry[targets] + offsets
-        self._low_factors = low[targets]
-        self._high_factors = high[targets]
-        # Embedded derivative generators: each derivative embed is then
-        # one matmul ``generator @ rotation`` per row.
-        generators = np.array(
-            [_GENERATORS[name] for name in self._rotation_names], dtype=complex
-        ).reshape(count, 1, 4)
-        self._generators = self._embed_rows(np.repeat(generators, batch, axis=1))
+        self._plan_entries = _embedding_layouts(self.num_qubits)[targets]
+        self._plan_cnots = np.empty((len(self._cnot_embeds), batch, dim, dim), complex)
+        for index, cnots in enumerate(self._plan_cnots):
+            cnots[:] = [m._cnot_embeds[index] for m in members]
+        self._rows = np.arange(batch)
         # The rows just changed, so any workspace is the wrong shape; the
         # first call on these rows allocates theirs.
         self._workspace: _Workspace | None = None
-
-    def _embed_rows(self, gates: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Dense embeddings ``(R, B, dim, dim)`` of one 2x2 gate per row.
-
-        ``gates`` holds the rows' 2x2 matrices back to back in
-        rotation-major order, in any shape.  ``out``, if given, is a
-        C-contiguous ``(R, B, dim, dim)`` array that receives them.
-        """
-        if out is not None:
-            out = out.reshape(self._entry_index.shape)
-        # ``clip`` lets ``take`` write straight into ``out``: under the
-        # default ``raise`` it gathers into a copy first.  Every index is
-        # in range, so the modes agree.
-        embeds = np.take(gates.reshape(-1), self._entry_index, out=out, mode="clip")
-        np.multiply(embeds, self._low_factors, out=embeds)
-        np.multiply(self._high_factors, embeds, out=embeds)
-        return embeds.reshape(-1, self._batch, self._dim, self._dim)
+        self._layout: _Layout | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -185,63 +181,88 @@ class Ansatz:
         """Return ``Tr(V^dag U)`` and its derivative for every parameter.
 
         ``target_conj`` is the elementwise conjugate of the target ``V``
-        (so the trace is ``sum(target_conj * U)``).  This is the L-BFGS
-        hot path of :func:`repro.synthesis.instantiate.instantiate_multi`.
+        (so the trace is ``sum(target_conj * U)``), a ``(dim, dim)``
+        array.  This is the L-BFGS hot path of
+        :func:`repro.synthesis.instantiate.instantiate_multi`.
 
-        ``params`` of shape ``(P,)`` gives a complex trace and ``(P,)``
+        ``params`` of shape ``(P,)``, on a lone template (or a stack
+        down to one row), gives a complex trace and ``(P,)``
         derivatives.  ``(B, P)`` parameters, on an :class:`AnsatzStack` of
-        ``B`` templates (``B = 1`` for a lone template), give ``(B,)``
-        traces and ``(B, P)`` derivatives, row ``b`` for template ``b``.
+        ``B`` rows (``B = 1`` for a lone template), give ``(B,)`` traces
+        and ``(B, P)`` derivatives, row ``b`` for template ``b``.  Any
+        other shape of ``params`` or ``target_conj`` raises
+        :class:`SynthesisError`.
 
         With slot embeds ``E_k``, prefixes ``P_k = E_{k-1} ... E_0`` and
         suffixes ``S_k = E_{K-1} ... E_{k+1}``, the derivative for the
         rotation in slot ``k`` is ``Tr(V^dag (S_k D_k) P_k)`` with
-        ``D_k = embed(-i/2 P) @ E_k``.  Only the prefix and suffix chains
-        are sequential, one stacked product over all rows per slot; every
+        ``D_k = embed(-i/2 P) @ E_k``.  Only the chains are sequential:
+        step ``t`` is one stacked product over all rows that forms
+        ``P_{t+1} = E_t P_t`` and ``S_{K-2-t} = S_{K-1-t} E_{K-1-t}``
+        together, and the last forms ``U = P_K`` alone.  Every
         per-rotation product, and the contraction against the target, is
         one stacked call over all rotations of all rows.  Each stacked
         call repeats the same BLAS product or pairwise reduction per
-        matrix that a slot-by-slot sweep of one template makes, so every
-        row is bit-identical to it (``tests/ansatz_oracle.py`` keeps that
-        sweep as the reference).
+        matrix that a slot-by-slot sweep of one template makes, and each
+        ``D_k`` entry is the one exact product such a BLAS product forms,
+        so every row is bit-identical to the sweep
+        (``tests/ansatz_oracle.py`` keeps it as the reference).
 
         Every call on a stack writes the same workspace (:class:`_Workspace`),
         allocated by its first call; the arrays a call returns are fresh.
         """
-        slots, batch = len(self.slots), self._batch
-        work = self._workspace
-        if work is None:
-            work = self._workspace = _Workspace(self)
+        layout = self._layout if self._layout is not None else self._lay_out()
         thetas = np.asarray(params, dtype=float)
+        batch, count = layout.batch, len(self._rotation_entries)
+        if thetas.shape != (batch, self.num_params) and (
+            batch != 1 or thetas.shape != (self.num_params,)
+        ):
+            expected = (self.num_params,) if batch == 1 else (batch, self.num_params)
+            raise SynthesisError(
+                f"params of shape {thetas.shape} do not fit {batch} template "
+                f"row(s): expected {expected}"
+            )
+        if np.shape(target_conj) != (self._dim, self._dim):
+            raise SynthesisError(
+                f"target of shape {np.shape(target_conj)} does not fit a "
+                f"{self.num_qubits}-qubit template: expected {(self._dim, self._dim)}"
+            )
         columns = thetas.reshape(batch, self.num_params).T.tolist()
         entries: list = []
         for build, column in zip(self._rotation_entries, columns):
             for theta in column:
                 entries += build(theta)
-        self._embed_rows(np.array(entries, dtype=complex), out=work.rotations)
+        # Rotation embeds: one gather, straight into their places in the
+        # chain buffer; the embedding's other entries read the 0 appended.
+        # ``clip`` lets ``take`` write straight into ``out``: under the
+        # default ``raise`` it gathers into a copy first.  Every index is
+        # in range, so the modes agree.
+        entries.append(0)
+        values = np.array(entries, dtype=complex)
+        values.take(layout.entry_index, out=layout.rotations, mode="clip")
+        # Derivative embeds D_k = embed(-i/2 P) @ E_k = embed(-i/2 P R):
+        # each entry of -i/2 P R is one exact product (_derivative_entries),
+        # embedded by the same gather.
+        scaled = layout.derivative_products
+        values.take(layout.derivative_sources, out=scaled, mode="clip")
+        np.multiply(scaled, layout.derivative_scales, out=scaled)
+        layout.derivative_entries.take(
+            layout.entry_index, out=layout.derivative_embeds, mode="clip"
+        )
 
-        # Slot-major chains: each step is one (B, dim, dim) product whose
-        # operands and output are contiguous, ``out=`` writing straight
-        # into the stack.  Slot 0 is a rotation, so the suffix chain runs
-        # down to slot 1.
-        embeds, prefixes, suffixes = work.embeds, work.prefix_views, work.suffix_views
-        for k in range(slots):
-            np.matmul(embeds[k], prefixes[k], out=prefixes[k + 1])
-        for k in range(slots - 1, 0, -1):
-            np.matmul(suffixes[k], embeds[k], out=suffixes[k - 1])
+        # The chains: each step reads the embeds and its own region and
+        # writes the next region, so no product's output overlaps its
+        # operands (numpy would first copy them).
+        for lefts, rights, out in layout.steps:
+            np.matmul(lefts, rights, out=out)
 
         # Rows 0..R-1 of ``products`` hold (S_k @ D_k) @ P_k; row R holds
-        # U for the trace.  No product writes into one of its own
-        # operands, which numpy would first copy.
-        count = len(self._rotation_entries)
-        positions = self._rotation_positions
-        products = work.products
-        np.matmul(self._generators, work.rotations, out=work.derivatives)
-        np.take(work.suffixes, positions, axis=0, out=work.gathered, mode="clip")
-        np.matmul(work.gathered, work.derivatives, out=work.left)
-        np.take(work.prefixes, positions, axis=0, out=work.gathered, mode="clip")
-        np.matmul(work.left, work.gathered, out=products[:count])
-        products[count] = prefixes[slots]
+        # U, which the last chain step wrote.
+        products, gathered = layout.products, layout.gathered
+        layout.chain.take(self._suffix_places, axis=0, out=gathered, mode="clip")
+        np.matmul(gathered, layout.derivatives, out=layout.left)
+        layout.chain.take(self._prefix_places, axis=0, out=gathered, mode="clip")
+        np.matmul(layout.left, gathered, out=products[:count])
         np.multiply(target_conj, products, out=products)
         sums = np.add.reduce(
             products.reshape((count + 1) * batch, -1), axis=1
@@ -254,48 +275,102 @@ class Ansatz:
             return complex(sums[count, 0]), dtraces[0]
         return sums[count], dtraces
 
+    def _lay_out(self) -> _Layout:
+        """Lay the rows :attr:`_rows` selects out in the workspace,
+        allocating it (for every row of the plan) on first use."""
+        if self._workspace is None:
+            self._workspace = _Workspace(self)
+        self._layout = _Layout(self, self._workspace)
+        return self._layout
+
 
 class _Workspace:
     """The arrays :meth:`Ansatz.trace_and_gradient` writes, allocated once
-    per stack.
+    per stack for every row of its plan.
 
     Every call on a stack overwrites them, so a kernel call allocates
     only its small per-row outputs.  Arrays this size, allocated and
     freed on every call, would make the allocator map and unmap them (or
     trim them off the heap top) and fault their pages back in each time.
-    A template is therefore driven by one thread at a time.  Each array
-    is rotation- or slot-major, ``(·, B, dim, dim)``.
+    A template is therefore driven by one thread at a time.  A call on
+    ``b`` rows uses a leading slice of each array (:class:`_Layout`), so
+    a stack that drops rows keeps writing the same pages.
     """
 
     def __init__(self, ansatz: Ansatz) -> None:
         slots, count = len(ansatz.slots), len(ansatz._rotation_entries)
+        batch = ansatz._plan_entries.shape[1]
 
         def rows(length: int) -> np.ndarray:
-            return np.empty((length, ansatz._batch, ansatz._dim, ansatz._dim), complex)
+            return np.empty(length * batch * ansatz._dim**2, complex)
 
-        #: Every rotation's dense embedding.
-        self.rotations = rows(count)
-        #: Prefix chain ``P_0 = I ... P_K = U`` and suffix chain
-        #: ``S_0 ... S_{K-1} = I``; the chain products never write the
-        #: identity ends.
-        self.prefixes = rows(slots + 1)
-        self.suffixes = rows(slots)
-        self.prefixes[0] = np.eye(ansatz._dim)
-        self.suffixes[slots - 1] = np.eye(ansatz._dim)
-        #: Per rotation: its derivative embed ``D_k``, the gathered
-        #: ``S_k`` then ``P_k``, and ``S_k @ D_k``.
+        #: Every slot's embed, then one ``[S_{K-1-t}, P_t]`` region per
+        #: chain step ``t``.
+        self.chain = rows(3 * slots)
+        #: Per rotation: the entries of its derivative ``-i/2 P R`` (and
+        #: a 0), its derivative embed ``D_k``, the gathered ``S_k`` then
+        #: ``P_k``, and ``S_k @ D_k``.
+        self.derivative_entries = np.empty(4 * count * batch + 1, complex)
         self.derivatives = rows(count)
         self.gathered = rows(count)
         self.left = rows(count)
         #: Every product against the target, and the unitary last.
         self.products = rows(count + 1)
-        #: Per slot, its ``(B, dim, dim)`` embed: the fixed CNOT embeds,
-        #: and views of :attr:`rotations` where rotations go.
-        self.embeds = list(ansatz._slot_embeds)
-        for position, view in zip(ansatz._rotation_positions.tolist(), self.rotations):
-            self.embeds[position] = view
-        self.prefix_views = list(self.prefixes)
-        self.suffix_views = list(self.suffixes)
+
+
+class _Layout:
+    """The views and indices of one call on the rows a stack evaluates.
+
+    Each array is a leading slice of its workspace array, rotation- or
+    slot-major, ``(·, b, dim, dim)`` for ``b`` rows.  Chain step ``t``
+    multiplies ``(E_t, S_{K-1-t})`` by ``(P_t, E_{K-1-t})`` into
+    ``(P_{t+1}, S_{K-2-t})``: its operands lie in the embeds and region
+    ``t``, its output in region ``t + 1``, so their extents are disjoint.
+    The last step writes ``U = E_{K-1} P_{K-1}`` into ``products``.
+    """
+
+    def __init__(self, ansatz: Ansatz, work: _Workspace) -> None:
+        rows = ansatz._rows
+        batch, dim = len(rows), ansatz._dim
+        count, slots = len(ansatz._rotation_entries), len(ansatz.slots)
+
+        def view(buffer: np.ndarray, length: int) -> np.ndarray:
+            return buffer[: length * batch * dim * dim].reshape(length, batch, dim, dim)
+
+        self.batch = batch
+        offsets = np.arange(count * batch, dtype=np.intp).reshape(count, batch, 1)
+        entries = ansatz._plan_entries[:, rows]
+        self.entry_index = np.where(entries < 0, 4 * count * batch, entries + 4 * offsets)
+        self.derivative_sources = (ansatz._derivative_sources + 4 * offsets).reshape(-1)
+        self.derivative_scales = np.broadcast_to(
+            ansatz._derivative_scales, (count, batch, 4)
+        ).reshape(-1)
+        # One entry of -i/2 P R per rotation entry, then the 0 the
+        # embedding reads.
+        self.derivative_entries = work.derivative_entries[: 4 * count * batch + 1]
+        self.derivative_entries[-1] = 0
+        self.derivative_products = self.derivative_entries[:-1]
+
+        chain = self.chain = view(work.chain, 3 * slots)
+        self.rotations = chain[:count].reshape(count, batch, dim * dim)
+        np.take(ansatz._plan_cnots, rows, axis=1, out=chain[count:slots], mode="clip")
+        # The chains' identity ends, S_{K-1} and P_0, open region 0.
+        chain[slots : slots + 2] = np.eye(dim)
+        self.derivatives = view(work.derivatives, count)
+        self.derivative_embeds = self.derivatives.reshape(count, batch, dim * dim)
+        self.gathered = view(work.gathered, count)
+        self.left = view(work.left, count)
+        self.products = view(work.products, count + 1)
+
+        places = ansatz._embed_places
+        self.steps = []
+        for t in range(slots - 1):
+            region = slots + 2 * t
+            embed, late = places[t], places[slots - 1 - t]
+            lefts = chain[embed : region + 1 : region - embed]
+            rights = chain[region + 1 : late - 1 if late else None : late - region - 1]
+            self.steps.append((lefts, rights, chain[region + 3 : region + 1 : -1]))
+        self.steps.append((chain[places[-1]], chain[3 * slots - 1], self.products[count]))
 
 
 class AnsatzStack(Ansatz):
@@ -308,7 +383,7 @@ class AnsatzStack(Ansatz):
     row's result is bit-identical to that member's own call.  A template
     may appear in several rows.  ``slots`` and the other template
     accessors describe ``members[0]``.  The stack has a workspace of its
-    own shape, never its members'.
+    own shape, never its members'.  :meth:`keep_rows` drops rows.
     """
 
     def __init__(self, members: list[Ansatz]) -> None:
@@ -327,37 +402,41 @@ class AnsatzStack(Ansatz):
         self.members = members
         self._compile_rows(list(members))
 
+    def keep_rows(self, rows: list[int]) -> None:
+        """Evaluate only ``rows`` from now on: increasing positions among
+        the rows evaluated now.  :attr:`members` and the parameter rows a
+        call takes shrink to match; the plan and the workspace stay, and
+        calls write a leading slice of the workspace.
+        """
+        self.members = tuple(self.members[row] for row in rows)
+        self._rows = self._rows[rows]
+        self._layout = None
+
 
 def _template_shape(ansatz: Ansatz) -> tuple[int, int]:
     return ansatz.num_qubits, len(ansatz.placements)
 
 
 @functools.lru_cache(maxsize=None)
-def _embedding_layouts(num_qubits: int) -> tuple[np.ndarray, ...]:
+def _embedding_layouts(num_qubits: int) -> np.ndarray:
     """Where a 2x2 gate ``G`` lands in its dense ``I_high (x) G (x) I_low``.
 
-    Returns three ``(num_qubits, dim*dim)`` arrays; row ``q`` is for a
-    gate on qubit ``q``.  Each flattened element of the embedding is
-    ``high * (G[entry] * low)`` — the two products, in that order, that
-    :func:`repro.linalg.embed.embed_unitary` forms with ``_kron``.  The
-    arrays are ``entry`` (row-major index into ``G``), ``low`` and
-    ``high`` (the identity entries, exactly 1 or 0).  Cached per qubit
-    count; callers only index them.
+    Returns a ``(num_qubits, dim*dim)`` array; row ``q`` is for a gate on
+    qubit ``q``.  Each flattened element of the embedding is the entry of
+    ``G`` at that row-major index, or an exact zero where the index is -1
+    (an identity factor is 0).  :func:`repro.linalg.embed.embed_unitary`
+    multiplies by those identity entries instead, so its zeros may carry
+    either sign; every nonzero entry is the same number, and the kernel
+    only feeds an embed to BLAS products, whose nonzero sums no zero's
+    sign can change.  Cached per qubit count; callers only index it.
     """
-    entries, lows, highs = [], [], []
+    entries = []
     for qubit in range(num_qubits):
         low, high = 2**qubit, 2 ** (num_qubits - 1 - qubit)
         # Embedding row (h1, i, l1) and column (h2, j, l2), in mixed radix.
         h1, i, l1, h2, j, l2 = np.indices((high, 2, low, high, 2, low)).reshape(6, -1)
-        entries.append(2 * i + j)
-        lows.append(l1 == l2)
-        highs.append(h1 == h2)
-    size = 4**num_qubits
-    return (
-        np.array(entries, dtype=np.intp).reshape(-1, size),
-        np.array(lows, dtype=complex).reshape(-1, size),
-        np.array(highs, dtype=complex).reshape(-1, size),
-    )
+        entries.append(np.where((l1 == l2) & (h1 == h2), 2 * i + j, -1))
+    return np.array(entries, dtype=np.intp).reshape(-1, 4**num_qubits)
 
 
 def bind_slots(num_qubits: int, slots, params) -> Circuit:

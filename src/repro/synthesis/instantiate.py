@@ -14,9 +14,10 @@ core (``setulb``), driven by the loop of ``scipy.optimize.minimize``'s
 L-BFGS-B method.  The runs of all starts of all templates given to
 :func:`instantiate_multi` advance in lockstep: each round, every run
 that asks for a cost and gradient is evaluated by one stacked kernel
-call (:class:`repro.synthesis.ansatz.AnsatzStack`).  Each run keeps its
-own optimizer state and its own scalar cost formula, so it takes exactly
-the steps ``minimize`` would take for it alone.
+call (:class:`repro.synthesis.ansatz.AnsatzStack`), and one pass
+scores the round (:func:`_score_round`), each row exactly as the scalar
+cost formula would.  Each run keeps its own optimizer state, so it takes
+exactly the steps ``minimize`` would take for it alone.
 """
 
 from __future__ import annotations
@@ -98,20 +99,25 @@ class InstantiationResult:
         return float(np.sqrt(max(0.0, 1.0 - overlap * overlap)))
 
 
-def _cost_from_trace(
-    trace: complex, dtraces: np.ndarray, dim: int
-) -> tuple[float, np.ndarray]:
-    """Cost and gradient of one parameter row from its trace and the
-    trace's derivatives."""
-    magnitude = abs(trace)
-    cost = 1.0 - magnitude / dim
-    if magnitude < 1e-14:
-        # The phase direction is undefined at |t| = 0; a zero gradient lets
-        # the optimizer escape via its own line-search perturbations.
-        return cost, np.zeros(len(dtraces))
-    phase = np.conj(trace) / magnitude
-    grad = -np.real(phase * dtraces) / dim
-    return cost, grad
+def _score_round(
+    traces: np.ndarray, dtraces: np.ndarray, dim: int
+) -> tuple[list[float], np.ndarray]:
+    """Costs and gradients of a round's parameter rows, in one pass.
+
+    Row by row this is ``f = 1 - |t| / dim`` and ``-Re(phase * dt) / dim``
+    with ``phase = conj(t) / |t|``, each elementwise operation the one a
+    lone row takes (``tests/instantiate_oracle.py::cost_from_trace`` keeps
+    that form as the oracle).  ``|t|`` is Python's ``abs``, which is
+    ``hypot``: ``np.abs`` rounds differently on many complex values.
+    """
+    magnitudes = np.array([abs(trace) for trace in traces.tolist()])
+    # The phase direction is undefined at |t| = 0; a zero gradient lets
+    # the optimizer escape via its own line-search perturbations.
+    flat = magnitudes < 1e-14
+    phases = np.conj(traces) / np.where(flat, 1.0, magnitudes)
+    grads = -np.real(phases[:, None] * dtraces) / dim
+    grads[flat] = 0.0
+    return (1.0 - magnitudes / dim).tolist(), grads
 
 
 class _LbfgsbRun:
@@ -167,7 +173,7 @@ class _LbfgsbRun:
             )
             if task[0] == _TASK_FG:
                 x, f, g = self._evaluated
-                if not np.array_equal(self.x, x):
+                if not (self.x == x).all():
                     return True
                 self.f, self.g = f, g
             elif task[0] == _TASK_NEW_X:
@@ -191,27 +197,32 @@ def _run_lockstep(runs: list[_LbfgsbRun], target_conj: np.ndarray) -> None:
     """Drive ``runs`` to completion, one stacked kernel call per round.
 
     Every run first needs its start point evaluated; after that a round
-    evaluates exactly the runs still going, so the set only shrinks and
-    its :class:`AnsatzStack` is rebuilt only when it does.
+    evaluates exactly the runs still going, so the set only shrinks.  One
+    :class:`AnsatzStack` (a lone template for one run) serves every
+    round: it drops the rows of runs that stopped and keeps its plan and
+    workspace.
     """
+    if not runs:
+        return
     dim = target_conj.shape[0]
     pending = list(runs)
-    stacked = 0
+    stack = runs[0].ansatz if len(runs) == 1 else AnsatzStack([run.ansatz for run in runs])
     while pending:
         # Per-round granularity of the cooperative block deadline: a
         # deadline overshoots by at most one kernel call plus one
         # optimizer step per run, well inside the executor's grace.
         check_deadline()
-        if len(pending) != stacked:
-            stacked = len(pending)
-            members = [run.ansatz for run in pending]
-            # A lone template is already a stack of one.
-            stack = members[0] if stacked == 1 else AnsatzStack(members)
         params = np.array([run.x for run in pending])
         traces, dtraces = stack.trace_and_gradient(params, target_conj)
-        for run, x, trace, row in zip(pending, params, traces.tolist(), dtraces):
-            run.evaluated(x, *_cost_from_trace(trace, row, dim))
-        pending = [run for run in pending if run.advance()]
+        costs, grads = _score_round(traces, dtraces, dim)
+        for run, x, cost, grad in zip(pending, params, costs, grads):
+            run.evaluated(x, cost, grad)
+        going = [run.advance() for run in pending]
+        if not all(going):
+            kept = [row for row, on in enumerate(going) if on]
+            pending = [pending[row] for row in kept]
+            if pending:
+                stack.keep_rows(kept)
 
 
 def instantiate_multi(

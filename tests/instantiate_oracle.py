@@ -4,8 +4,10 @@
 a LEAP layer in lockstep on scipy's L-BFGS-B core.  This module keeps
 the path it replaced — one ``scipy.optimize.minimize`` call per start,
 one ``instantiate_multi`` call per placement — as the oracle the tests
-hold it to, bit for bit.  ``log`` (a list) collects every start's
-``OptimizeResult`` in run order, for its ``nit`` and ``nfev``.
+hold it to, bit for bit, together with the per-row cost formula
+(:func:`cost_from_trace`) that the driver's one-pass round scorer
+replaced.  ``log`` (a list) collects every start's ``OptimizeResult`` in
+run order, for its ``nit`` and ``nfev``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,23 @@ from scipy.optimize import minimize
 
 from repro.exceptions import SynthesisError
 from repro.synthesis.ansatz import build_leap_ansatz
-from repro.synthesis.instantiate import InstantiationResult, _cost_from_trace
+from repro.synthesis.instantiate import InstantiationResult
 from repro.synthesis.leap import LeapConfig, SynthesisSolution, _one_qubit_solution
+
+
+def cost_from_trace(trace: complex, dtraces: np.ndarray, dim: int):
+    """Cost and gradient of one parameter row from its trace and the
+    trace's derivatives: the per-row form of the lockstep driver's
+    round scorer (``repro.synthesis.instantiate._score_round``)."""
+    magnitude = abs(trace)
+    cost = 1.0 - magnitude / dim
+    if magnitude < 1e-14:
+        # The phase direction is undefined at |t| = 0; a zero gradient lets
+        # the optimizer escape via its own line-search perturbations.
+        return cost, np.zeros(len(dtraces))
+    phase = np.conj(trace) / magnitude
+    grad = -np.real(phase * dtraces) / dim
+    return cost, grad
 
 
 def cost_and_gradient(params, ansatz, target_conj, dim):
@@ -27,7 +44,7 @@ def cost_and_gradient(params, ansatz, target_conj, dim):
     # Tr(V^dag U) == sum(conj(V) * U) elementwise; the ansatz contracts
     # each per-parameter derivative against the target itself.
     trace, dtraces = ansatz.trace_and_gradient(params, target_conj)
-    return _cost_from_trace(trace, dtraces, dim)
+    return cost_from_trace(trace, dtraces, dim)
 
 
 def sequential_instantiate_multi(

@@ -280,6 +280,91 @@ def test_a_repeated_call_allocates_only_its_outputs():
     assert peak < block
 
 
+def test_a_stack_that_drops_rows_keeps_its_workspace_and_stays_bit_identical():
+    # Dropped rows leave the plan and the workspace in place; the rows
+    # kept write a leading slice of it, each still equal to its member's
+    # slot-by-slot sweep, down to one row.
+    rng = np.random.default_rng(37)
+    members = _layer_members(3)
+    stack = AnsatzStack(members)
+    target_conj = random_unitary(8, rng).conj()
+    stack.trace_and_gradient(
+        rng.uniform(-np.pi, np.pi, (len(members), stack.num_params)), target_conj
+    )
+    workspace = stack._workspace
+    for rows, kept in [([0, 2, 3, 5], [0, 2, 3, 5]), ([1, 3], [2, 5]), ([0], [2])]:
+        stack.keep_rows(rows)
+        assert stack.members == tuple(members[row] for row in kept)
+        params = rng.uniform(-np.pi, np.pi, (len(kept), stack.num_params))
+        traces, dtraces = stack.trace_and_gradient(params, target_conj)
+        assert stack._workspace is workspace
+        for row, params_row, trace, row_dtraces in zip(kept, params, traces, dtraces):
+            expected_trace, expected_dtraces = SlotSweep(members[row]).trace_and_gradient(
+                params_row, target_conj
+            )
+            assert complex(trace) == expected_trace
+            assert row_dtraces.tobytes() == expected_dtraces.tobytes()
+    # One row left: a flat parameter vector is that row.
+    trace, row_dtraces = stack.trace_and_gradient(params[0], target_conj)
+    assert trace == complex(traces[0])
+    assert row_dtraces.tobytes() == dtraces[0].tobytes()
+
+
+def test_a_kernel_call_makes_one_matmul_per_chain_step_plus_two(monkeypatch):
+    # The prefix and suffix chains advance together, one call per slot
+    # (the last forms U alone); the derivative embeds are row gathers,
+    # so only S_k @ D_k and its product with P_k remain.
+    rng = np.random.default_rng(41)
+    stack = AnsatzStack(
+        [build_leap_ansatz(3, [(0, 1), (1, 2), placement]) for placement in [(0, 1), (0, 2)]]
+    )
+    lone = build_leap_ansatz(3, [(0, 1), (1, 2), (0, 2)])
+    target_conj = random_unitary(8, rng).conj()
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    for template, params in [
+        (stack, rng.uniform(-np.pi, np.pi, (2, stack.num_params))),
+        (lone, rng.uniform(-np.pi, np.pi, lone.num_params)),
+    ]:
+        calls.clear()
+        template.trace_and_gradient(params, target_conj)
+        assert len(template.slots) == 24
+        assert len(calls) == len(template.slots) + 2
+
+
+def test_a_flat_vector_on_a_stack_is_refused():
+    # A (B*P,) vector used to reshape silently, and only row 0 came back.
+    stack = AnsatzStack([build_leap_ansatz(2, [(0, 1)]), build_leap_ansatz(2, [(1, 0)])])
+    target_conj = random_unitary(4, np.random.default_rng(43)).conj()
+    with pytest.raises(SynthesisError, match=r"shape \(20,\).*expected \(2, 10\)"):
+        stack.trace_and_gradient(np.zeros(20), target_conj)
+    traces, dtraces = stack.trace_and_gradient(np.zeros((2, 10)), target_conj)
+    assert traces.shape == (2,) and dtraces.shape == (2, 10)
+
+
+@pytest.mark.parametrize("shape", [(11,), (9,), (1, 11), (2, 10), (10, 1)])
+def test_a_wrong_length_vector_is_refused(shape):
+    ansatz = build_leap_ansatz(2, [(0, 1)])
+    target_conj = random_unitary(4, np.random.default_rng(47)).conj()
+    with pytest.raises(SynthesisError, match=rf"shape \({shape[0]},.*expected \(10,\)"):
+        ansatz.trace_and_gradient(np.zeros(shape), target_conj)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (4,), (4, 2), (1, 4, 4), ()])
+def test_a_wrong_size_target_is_refused(shape):
+    ansatz = build_leap_ansatz(2, [(0, 1)])
+    params = np.zeros(ansatz.num_params)
+    with pytest.raises(SynthesisError, match=r"expected \(4, 4\)") as refusal:
+        ansatz.trace_and_gradient(params, np.ones(shape, dtype=complex))
+    assert str(shape) in str(refusal.value)
+
+
 def test_concurrent_syntheses_share_no_template():
     # A template's workspace belongs to the thread driving it.  Each
     # synthesis builds its own templates (none is cached), so threads

@@ -9,8 +9,9 @@ across the whole batch.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
@@ -471,6 +472,34 @@ def _identity(value):
 def test_pool_requires_at_least_two_workers():
     with pytest.raises(ValueError, match="workers >= 2"):
         PersistentWorkerPool(1)
+
+
+def test_a_batch_reaps_its_workers_before_it_returns():
+    # Closing a healthy pool joins its workers, so a caller reading
+    # RUSAGE_CHILDREN after the batch counts them.
+    before = set(multiprocessing.active_children())
+    batch = run_quest_batch([tfim(3, steps=1), tfim(4, steps=1)], QuestConfig(**FAST, workers=2))
+    assert batch.metrics["counters"]["pool.created"] == 1
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_shutdown_joins_a_healthy_pool_and_abandons_an_unhealthy_one(monkeypatch):
+    # An unhealthy pool may hold a hung worker, so it is never awaited.
+    waits = []
+    shutdown = ProcessPoolExecutor.shutdown
+
+    def recording(self, wait=True, **kwargs):
+        waits.append(wait)
+        return shutdown(self, wait=wait, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording)
+    for unhealthy in (False, True):
+        pool = PersistentWorkerPool(2)
+        assert pool.submit(_identity, 3).result(timeout=60) == 3
+        if unhealthy:
+            pool.mark_unhealthy()
+        pool.shutdown()
+    assert waits == [True, False]
 
 
 def test_pool_reuse_and_recycle_accounting(counters):

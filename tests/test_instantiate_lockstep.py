@@ -8,6 +8,7 @@ it exactly.
 
 from __future__ import annotations
 
+import importlib
 import time
 
 import numpy as np
@@ -18,18 +19,24 @@ from repro.circuits import random_unitary
 from repro.exceptions import BlockTimeoutError, SynthesisError
 from repro.observability import Record, use_record
 from repro.resilience.deadline import block_deadline
+import repro.synthesis.ansatz as ansatz_module
 from repro.synthesis import Ansatz, LeapConfig, build_leap_ansatz, synthesize
 from repro.synthesis.ansatz import AnsatzStack
 from repro.synthesis.instantiate import (
     _LbfgsbRun,
     _run_lockstep,
+    _score_round,
     instantiate_multi,
 )
 from tests.instantiate_oracle import (
     cost_and_gradient,
+    cost_from_trace,
     sequential_instantiate_multi,
     sequential_synthesize,
 )
+
+# The package exports the function ``instantiate`` under the module's name.
+instantiate_module = importlib.import_module("repro.synthesis.instantiate")
 
 
 def _pool_key(solutions):
@@ -258,3 +265,98 @@ def test_stack_rejects_templates_of_different_shape():
         AnsatzStack([build_leap_ansatz(2, [(0, 1)]), build_leap_ansatz(2, [])])
     with pytest.raises(SynthesisError, match="at least one"):
         AnsatzStack([])
+
+
+def _assert_scores_match_the_oracle(traces, dtraces, dim):
+    costs, grads = _score_round(traces, dtraces, dim)
+    assert len(costs) == len(grads) == len(traces)
+    for trace, row_dtraces, cost, grad in zip(traces.tolist(), dtraces, costs, grads):
+        expected_cost, expected_grad = cost_from_trace(trace, row_dtraces, dim)
+        assert type(cost) is type(expected_cost) is float
+        assert cost.hex() == expected_cost.hex()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_round_scorer_equals_the_per_row_oracle_on_random_rows(dim):
+    rng = np.random.default_rng(dim)
+    for rows, params in [(1, 7), (9, 25), (5, 17), (16, 33)]:
+        scale = 10.0 ** rng.uniform(-12, 1, rows)
+        traces = scale * (rng.normal(size=rows) + 1j * rng.normal(size=rows))
+        dtraces = rng.normal(size=(rows, params)) + 1j * rng.normal(size=(rows, params))
+        _assert_scores_match_the_oracle(traces, dtraces, dim)
+
+
+def test_round_scorer_equals_the_oracle_below_the_phase_cutoff():
+    # |t| < 1e-14 has no phase: those rows get a zero gradient, +0.0 in
+    # every entry, while their neighbours keep theirs.
+    rng = np.random.default_rng(53)
+    traces = np.array([0.0, 3e-15 - 4e-15j, 0.5 + 0.25j, -0.0 + 0.0j, 1e-14, 9e-15j])
+    dtraces = rng.normal(size=(6, 13)) + 1j * rng.normal(size=(6, 13))
+    _assert_scores_match_the_oracle(traces, dtraces, 8)
+    _, grads = _score_round(traces, dtraces, 8)
+    flat = [0, 1, 3, 5]
+    assert grads[flat].tobytes() == np.zeros((4, 13)).tobytes()
+    assert np.all(grads[[2, 4]] != 0)
+
+
+def test_round_scorer_takes_magnitudes_from_python_abs():
+    # np.abs rounds differently from Python's abs (hypot) on many complex
+    # values; the scorer must give the oracle's bits on exactly those.
+    rng = np.random.default_rng(59)
+    values = rng.normal(size=4000) + 1j * rng.normal(size=4000)
+    traces = values[np.abs(values) != np.array([abs(v) for v in values.tolist()])]
+    assert len(traces) > 100
+    dtraces = rng.normal(size=(len(traces), 9)) + 1j * rng.normal(size=(len(traces), 9))
+    _assert_scores_match_the_oracle(traces, dtraces, 4)
+
+
+def test_a_lockstep_builds_one_workspace_and_one_plan(monkeypatch):
+    # Rows finish in different rounds; the one stack drops them and keeps
+    # its plan and workspace, so each lockstep builds one of each (a lone
+    # run evaluates its own template), and the pools stay byte-identical.
+    target = random_unitary(8, np.random.default_rng(61))
+    config = LeapConfig(
+        max_layers=3, seed=4, instantiation_starts=3, target_distance=0.1
+    )
+    locksteps, workspaces, stack_plans, rows_per_call = [], [], [], []
+    run_lockstep = instantiate_module._run_lockstep
+    workspace_init = ansatz_module._Workspace.__init__
+    compile_rows = Ansatz._compile_rows
+    kernel = Ansatz.trace_and_gradient
+
+    def counting_lockstep(runs, target_conj):
+        locksteps.append(len(runs))
+        rows_per_call.append([])
+        return run_lockstep(runs, target_conj)
+
+    def counting_workspace(self, ansatz):
+        workspaces.append(len(locksteps))
+        return workspace_init(self, ansatz)
+
+    def counting_plan(self, members):
+        if isinstance(self, AnsatzStack):
+            stack_plans.append(len(locksteps))
+        return compile_rows(self, members)
+
+    def counting_kernel(self, params, target_conj):
+        rows_per_call[-1].append(len(params))
+        return kernel(self, params, target_conj)
+
+    monkeypatch.setattr(instantiate_module, "_run_lockstep", counting_lockstep)
+    monkeypatch.setattr(ansatz_module._Workspace, "__init__", counting_workspace)
+    monkeypatch.setattr(Ansatz, "_compile_rows", counting_plan)
+    monkeypatch.setattr(Ansatz, "trace_and_gradient", counting_kernel)
+    ours = synthesize(target, config)
+    monkeypatch.undo()
+    assert _pool_key(ours) == _pool_key(sequential_synthesize(target, config))
+    # Depth 0 runs its starts one at a time on one template, which keeps
+    # its workspace; each layer's lockstep builds one stack, so one plan
+    # and one workspace.
+    assert locksteps == [1, 1, 1, 9, 9, 9]
+    assert stack_plans == [4, 5, 6]
+    assert workspaces == [1, 4, 5, 6]
+    # Not vacuous: the layers' locksteps shrank through several sizes.
+    layer_calls = [calls for runs, calls in zip(locksteps, rows_per_call) if runs == 9]
+    assert len(layer_calls) == 3
+    assert all(len(set(calls)) >= 3 for calls in layer_calls)
